@@ -48,6 +48,7 @@
 #include "src/core/counter_array.h"
 #include "src/core/eviction.h"
 #include "src/core/growth.h"
+#include "src/core/read_out.h"
 #include "src/core/seqlock.h"
 #include "src/core/stash.h"
 #include "src/hash/hash_family.h"
@@ -179,10 +180,13 @@ class BlockedMcCuckooTable {
   }
 
   /// Inserts or, if the key exists (main table or stash), updates every copy.
-  InsertResult InsertOrAssign(const Key& key, const Value& value) {
+  /// On kUpdated the replaced value is written through `previous` (when
+  /// non-null); otherwise `*previous` is left untouched.
+  InsertResult InsertOrAssign(const Key& key, const Value& value,
+                              Value* previous = nullptr) {
     CandidateView view;
     Position pos;
-    if (FindInMain(key, ComputeCandidates(key), nullptr, &view, &pos)) {
+    if (FindInMain(key, ComputeCandidates(key), previous, &view, &pos)) {
       CopySet copies = LocateAllCopies(key, pos, CounterAt(pos));
       for (uint32_t i = 0; i < copies.count; ++i) {
         WriteSlotValue(copies.pos[i], key, value);
@@ -192,7 +196,7 @@ class BlockedMcCuckooTable {
     }
     if (ShouldProbeStash(view)) {
       ChargeStashProbe();
-      const bool in_stash = stash_.Find(key, nullptr);
+      const bool in_stash = stash_.Find(key, previous);
       metrics_->RecordStashProbe(in_stash);
       if (in_stash) {
         ChargeStashWrite();
@@ -611,8 +615,9 @@ class BlockedMcCuckooTable {
   /// remedy for insertion failures that the stash exists to avoid (§I.2),
   /// provided for completeness and for growing a long-lived table. Reads
   /// out every live item (charged: one read per old bucket plus the
-  /// re-insertion traffic) and rebuilds; stashed items are re-tried first.
-  /// Fails without touching the table if the new capacity cannot hold the
+  /// re-insertion traffic) and rebuilds through the pipelined InsertBatch;
+  /// stashed items are re-inserted after the main-table items. Fails
+  /// without touching the table if the new capacity cannot hold the
   /// current items.
   Status Rehash(uint64_t new_buckets_per_table, uint64_t new_seed) {
     const uint64_t t0 = MetricsNowNs();
@@ -627,24 +632,19 @@ class BlockedMcCuckooTable {
     }
     // "Reading out all inserted items and using a different set of hash
     // functions to put them into a bigger table" (§I.2).
-    std::vector<std::pair<Key, Value>> items;
-    items.reserve(TotalItems());
-    std::unordered_map<Key, bool> seen;
-    const uint32_t l = opts_.slots_per_bucket;
-    for (size_t bucket = 0; bucket < flags_.size(); ++bucket) {
-      ++stats_->offchip_reads;  // full scan of the old table, per bucket
-      for (uint32_t slot = 0; slot < l; ++slot) {
-        const size_t idx = bucket * l + slot;
-        if (counters_.PeekCounter(idx) == 0) continue;
-        const Slot& b = slots_[idx];
-        if (seen.emplace(b.key, true).second) {
-          items.emplace_back(b.key, b.value);
-        }
-      }
-    }
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    keys.reserve(TotalItems());
+    values.reserve(TotalItems());
+    stats_->offchip_reads += flags_.size();  // full scan, one read per bucket
+    ForEachMainItem([&](const Key& k, const Value& v) {
+      keys.push_back(k);
+      values.push_back(v);
+    });
     for (const auto& [k, v] : stash_.Items()) {
       ++stats_->offchip_reads;
-      items.emplace_back(k, v);
+      keys.push_back(k);
+      values.push_back(v);
     }
 
     // The rebuild runs with growth disabled: a re-insertion overflow must
@@ -653,9 +653,7 @@ class BlockedMcCuckooTable {
     TableOptions build_opts = new_opts;
     build_opts.growth.enabled = false;
     BlockedMcCuckooTable rebuilt(build_opts);
-    for (const auto& [k, v] : items) {
-      rebuilt.Insert(k, v);
-    }
+    rebuilt.InsertBatch(keys, values);
     rebuilt.opts_.growth = new_opts.growth;
     // Discard any degraded-state signal the growth-disabled rebuild
     // raised; the live policy re-evaluates pressure after the commit.
@@ -664,20 +662,23 @@ class BlockedMcCuckooTable {
     rebuilt.redundant_writes_ += redundant_writes_;
     rebuilt.first_collision_items_ = first_collision_items_;
     rebuilt.first_failure_items_ = first_failure_items_;
-    const size_t moved_items = items.size();
+    const size_t moved_items = keys.size();
     SeqlockArray* seq = seq_;
     if (seq == nullptr) {
       *rebuilt.stats_ += *stats_;
       rebuilt.metrics_->MergeFrom(*metrics_);
       // Latency samples and the span timeline describe this table's
-      // lifetime too — carry them like the metrics.
-      rebuilt.latency_->MergeFrom(*latency_);
+      // lifetime too — carry them like the metrics. The recorder object
+      // itself survives the move (see McCuckooTable::Rehash).
+      latency_->MergeFrom(*rebuilt.latency_);
+      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
       rebuilt.spans_ = std::move(spans_);
       // The policy and epoch describe this table's lifetime, not the
       // scratch rebuild's: carry them across the wholesale move.
       const uint64_t epoch = rehash_epoch_ + 1;
       GrowthPolicy saved_growth = std::move(growth_);
       *this = std::move(rebuilt);
+      latency_ = std::move(saved_latency);
       growth_ = std::move(saved_growth);
       rehash_epoch_ = epoch;
       metrics_->RecordRehash(MetricsNowNs() - t0);
@@ -834,12 +835,7 @@ class BlockedMcCuckooTable {
   /// unspecified order. Uncharged maintenance/snapshot path.
   template <typename Fn>
   void ForEachItem(Fn&& fn) const {
-    std::unordered_map<Key, bool> seen;
-    for (size_t idx = 0; idx < slots_.size(); ++idx) {
-      if (counters_.PeekCounter(idx) == 0) continue;
-      const Slot& b = slots_[idx];
-      if (seen.emplace(b.key, true).second) fn(b.key, b.value);
-    }
+    ForEachMainItem(fn);
     for (const auto& [k, v] : stash_.Items()) fn(k, v);
   }
 
@@ -1808,6 +1804,32 @@ class BlockedMcCuckooTable {
       if (v.bucket_read[t] && !v.flag_value[t]) return false;
     }
     return true;
+  }
+
+  /// Invokes `fn(key, value)` once per live key of the main table (stash
+  /// excluded), in ascending order of the key's first slot: the read-out
+  /// Rehash and ForEachItem share (see read_out.h). A key holds at most
+  /// one slot per candidate bucket. Uncharged.
+  template <typename Fn>
+  void ForEachMainItem(Fn&& fn) const {
+    const uint32_t l = opts_.slots_per_bucket;
+    ForEachDistinctOccupant(
+        slots_.size(), opts_.buckets_per_table * l, opts_.num_hashes,
+        [this](size_t idx) -> uint64_t { return counters_.PeekCounter(idx); },
+        [this, l](size_t idx, uint32_t t) {
+          const Key& key = slots_[idx].key;
+          const Candidates cand = ComputeCandidates(key);
+          for (uint32_t u = 0; u < t; ++u) {
+            for (uint32_t s = 0; s < l; ++s) {
+              const size_t j = cand.bucket[u] * l + s;
+              if (counters_.PeekCounter(j) > 0 && slots_[j].key == key) {
+                return true;
+              }
+            }
+          }
+          return false;
+        },
+        [&](size_t idx) { fn(slots_[idx].key, slots_[idx].value); });
   }
 
   /// Commits a Rehash-rebuilt table while optimistic readers may be

@@ -59,6 +59,7 @@
 #include "src/core/eviction.h"
 #include "src/core/growth.h"
 #include "src/core/lock_stripes.h"
+#include "src/core/read_out.h"
 #include "src/core/seqlock.h"
 #include "src/core/stash.h"
 #include "src/hash/hash_family.h"
@@ -183,10 +184,12 @@ class McCuckooTable {
   }
 
   /// Inserts or, if the key exists (main table or stash), updates every
-  /// copy of it.
-  InsertResult InsertOrAssign(const Key& key, const Value& value) {
+  /// copy of it. On kUpdated the replaced value is written through
+  /// `previous` (when non-null); otherwise `*previous` is left untouched.
+  InsertResult InsertOrAssign(const Key& key, const Value& value,
+                              Value* previous = nullptr) {
     CandidateView view;
-    int64_t found = FindInMain(key, ComputeCandidates(key), nullptr, &view);
+    int64_t found = FindInMain(key, ComputeCandidates(key), previous, &view);
     if (found >= 0) {
       CopySet copies = LocateAllCopies(key, static_cast<size_t>(found),
                                        view.counter[FindSlot(view, found)]);
@@ -198,7 +201,7 @@ class McCuckooTable {
     }
     if (ShouldProbeStash(view)) {
       ChargeStashProbe();
-      const bool in_stash = stash_.Find(key, nullptr);
+      const bool in_stash = stash_.Find(key, previous);
       metrics_->RecordStashProbe(in_stash);
       if (in_stash) {
         ChargeStashWrite();
@@ -679,8 +682,9 @@ class McCuckooTable {
   /// remedy for insertion failures that the stash exists to avoid (§I.2),
   /// provided for completeness and for growing a long-lived table. Reads
   /// out every live item (charged: one read per old bucket plus the
-  /// re-insertion traffic) and rebuilds; stashed items are re-tried first.
-  /// Fails without touching the table if the new capacity cannot hold the
+  /// re-insertion traffic) and rebuilds through the pipelined InsertBatch;
+  /// stashed items are re-inserted after the main-table items. Fails
+  /// without touching the table if the new capacity cannot hold the
   /// current items.
   Status Rehash(uint64_t new_buckets_per_table, uint64_t new_seed) {
     const uint64_t t0 = MetricsNowNs();
@@ -695,20 +699,19 @@ class McCuckooTable {
     }
     // "Reading out all inserted items and using a different set of hash
     // functions to put them into a bigger table" (§I.2).
-    std::vector<std::pair<Key, Value>> items;
-    items.reserve(TotalItems());
-    std::unordered_map<Key, bool> seen;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      ++stats_->offchip_reads;  // full scan of the old table
-      if (counters_.PeekCounter(idx) == 0) continue;
-      const Bucket& b = table_[idx];
-      if (seen.emplace(b.key, true).second) {
-        items.emplace_back(b.key, b.value);
-      }
-    }
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    keys.reserve(TotalItems());
+    values.reserve(TotalItems());
+    stats_->offchip_reads += table_.size();  // full scan of the old table
+    ForEachMainItem([&](const Key& k, const Value& v) {
+      keys.push_back(k);
+      values.push_back(v);
+    });
     for (const auto& [k, v] : stash_.Items()) {
       ++stats_->offchip_reads;
-      items.emplace_back(k, v);
+      keys.push_back(k);
+      values.push_back(v);
     }
 
     // The rebuild runs with growth disabled: a re-insertion overflow must
@@ -717,9 +720,7 @@ class McCuckooTable {
     TableOptions build_opts = new_opts;
     build_opts.growth.enabled = false;
     McCuckooTable rebuilt(build_opts);
-    for (const auto& [k, v] : items) {
-      rebuilt.Insert(k, v);
-    }
+    rebuilt.InsertBatch(keys, values);
     rebuilt.opts_.growth = new_opts.growth;
     // Discard any degraded-state signal the growth-disabled rebuild
     // raised; the live policy re-evaluates pressure after the commit.
@@ -728,21 +729,25 @@ class McCuckooTable {
     rebuilt.redundant_writes_ += redundant_writes_;
     rebuilt.first_collision_items_ = first_collision_items_;
     rebuilt.first_failure_items_ = first_failure_items_;
-    const size_t moved_items = items.size();
+    const size_t moved_items = keys.size();
     SeqlockArray* seq = seq_;
     if (seq == nullptr) {
       *rebuilt.stats_ += *stats_;
       rebuilt.metrics_->MergeFrom(*metrics_);
       // Latency samples and the span timeline describe this table's
       // lifetime too — carry them like the metrics (the scratch rebuild's
-      // re-insertion samples fold in on top).
-      rebuilt.latency_->MergeFrom(*latency_);
+      // re-insertion samples fold in on top). The recorder object itself
+      // survives the move: the Insert whose growth triggered this rehash
+      // still records into it from its ScopedLatencySample.
+      latency_->MergeFrom(*rebuilt.latency_);
+      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
       rebuilt.spans_ = std::move(spans_);
       // The policy and epoch describe this table's lifetime, not the
       // scratch rebuild's: carry them across the wholesale move.
       const uint64_t epoch = rehash_epoch_ + 1;
       GrowthPolicy saved_growth = std::move(growth_);
       *this = std::move(rebuilt);
+      latency_ = std::move(saved_latency);
       growth_ = std::move(saved_growth);
       rehash_epoch_ = epoch;
       metrics_->RecordRehash(MetricsNowNs() - t0);
@@ -930,12 +935,7 @@ class McCuckooTable {
   /// unspecified order. Uncharged maintenance/snapshot path.
   template <typename Fn>
   void ForEachItem(Fn&& fn) const {
-    std::unordered_map<Key, bool> seen;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      if (counters_.PeekCounter(idx) == 0) continue;
-      const Bucket& b = table_[idx];
-      if (seen.emplace(b.key, true).second) fn(b.key, b.value);
-    }
+    ForEachMainItem(fn);
     for (const auto& [k, v] : stash_.Items()) fn(k, v);
   }
 
@@ -1137,10 +1137,12 @@ class McCuckooTable {
   /// Multi-writer InsertOrAssign: updates every copy in place when the key
   /// exists (main table or stash), inserts otherwise. The candidate
   /// stripes stay held across the found/stash/insert decision, so the
-  /// presence check cannot go stale before the insert.
+  /// presence check cannot go stale before the insert. `previous` works as
+  /// in InsertOrAssign.
   InsertResult ConcurrentInsertOrAssign(const Key& key, const Value& value,
                                         std::mutex& growth_mu,
-                                        bool* wants_growth) {
+                                        bool* wants_growth,
+                                        Value* previous = nullptr) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     assert(locks_ != nullptr);
     *wants_growth = false;
@@ -1158,6 +1160,7 @@ class McCuckooTable {
       // writer of the same key may have inserted it.
       const CopySet copies = ConcurrentLocateCopies(key, cand);
       if (copies.count > 0) {
+        if (previous != nullptr) *previous = table_[copies.idx[0]].value;
         for (uint32_t i = 0; i < copies.count; ++i) {
           // Value-only update: the occupant's key, tag and counter are
           // already exactly this key's (located under the held stripes).
@@ -1169,7 +1172,7 @@ class McCuckooTable {
       }
       if (ConcurrentShouldProbeStash(cand)) {
         ls.AcquireAux();
-        const bool in_stash = stash_.Find(key, nullptr);
+        const bool in_stash = stash_.Find(key, previous);
         metrics_->RecordStashProbe(in_stash);
         if (in_stash) {
           SeqOpenAuxIn(ws);
@@ -2392,6 +2395,28 @@ class McCuckooTable {
       if (v.bucket_read[t] && !v.flag_value[t]) return false;
     }
     return true;
+  }
+
+  /// Invokes `fn(key, value)` once per live key of the main table (stash
+  /// excluded), in ascending order of the key's first bucket: the read-out
+  /// Rehash and ForEachItem share (see read_out.h). Uncharged.
+  template <typename Fn>
+  void ForEachMainItem(Fn&& fn) const {
+    ForEachDistinctOccupant(
+        table_.size(), opts_.buckets_per_table, opts_.num_hashes,
+        [this](size_t idx) -> uint64_t { return counters_.PeekCounter(idx); },
+        [this](size_t idx, uint32_t t) {
+          const Key& key = table_[idx].key;
+          const Candidates cand = ComputeCandidates(key);
+          for (uint32_t u = 0; u < t; ++u) {
+            const size_t j = cand.idx[u];
+            if (counters_.PeekCounter(j) > 0 && table_[j].key == key) {
+              return true;
+            }
+          }
+          return false;
+        },
+        [&](size_t idx) { fn(table_[idx].key, table_[idx].value); });
   }
 
   /// Commits a Rehash-rebuilt table while optimistic readers may be

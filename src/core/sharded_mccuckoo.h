@@ -166,7 +166,11 @@ class ShardedMcCuckoo {
     return s.table.Insert(key, value);
   }
 
-  InsertResult InsertOrAssign(const Key& key, const Value& value) {
+  /// Inserts or updates `key`. On kUpdated the replaced value is written
+  /// through `previous` (when non-null), so a caller that needs the old
+  /// value makes one table probe, not a Find followed by this call.
+  InsertResult InsertOrAssign(const Key& key, const Value& value,
+                              Value* previous = nullptr) {
     Shard& s = *shards_[ShardOf(key)];
     if constexpr (kMultiWriterCapable) {
       if (write_mode_ == WriteMode::kMultiWriter) {
@@ -175,14 +179,14 @@ class ShardedMcCuckoo {
         {
           std::shared_lock lock(s.mutex);
           r = s.table.ConcurrentInsertOrAssign(key, value, s.growth_mu,
-                                               &wants_growth);
+                                               &wants_growth, previous);
         }
         if (wants_growth) GrowShardExclusive(s);
         return r;
       }
     }
     std::unique_lock lock(s.mutex);
-    return s.table.InsertOrAssign(key, value);
+    return s.table.InsertOrAssign(key, value, previous);
   }
 
   bool Erase(const Key& key) {

@@ -204,10 +204,11 @@ Status ItemStore::Set(std::string_view key, std::string_view value,
   InsertResult r;
   {
     std::lock_guard<std::mutex> l(s.mu);
+    // One probe: the stripe lock serializes writers of this hash, so the
+    // value InsertOrAssign replaced is the item to unlink.
     uint64_t pv = 0;
-    const bool had = table_->Find(h, &pv);
-    r = table_->InsertOrAssign(h, reinterpret_cast<uint64_t>(fresh));
-    if (had) {
+    r = table_->InsertOrAssign(h, reinterpret_cast<uint64_t>(fresh), &pv);
+    if (r == InsertResult::kUpdated) {
       Item* old = reinterpret_cast<Item*>(pv);
       if (old->key() != key) metrics_.hash_collisions.Inc();
       Unlink(s, old);

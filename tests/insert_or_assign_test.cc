@@ -1,11 +1,18 @@
 // Focused tests of InsertOrAssign across table states the main suites
 // don't isolate: updating stashed keys, updating through deletions, long
-// update churn on a hot key, and result-code contracts.
+// update churn on a hot key, result-code contracts, and the replaced value
+// reported through `previous`.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -13,6 +20,98 @@ namespace {
 
 using Table = McCuckooTable<uint64_t, uint64_t>;
 using Blocked = BlockedMcCuckooTable<uint64_t, uint64_t>;
+
+// A deletion-enabled table of 3 * 64 buckets small enough to stash.
+TableOptions PreviousOptions() {
+  TableOptions o;
+  o.buckets_per_table = 64;
+  o.maxloop = 8;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  return o;
+}
+
+// Brings `t` (built from PreviousOptions) to a state holding keys with 1, 2
+// and 3 main-table copies and stashed keys, then checks InsertOrAssign's
+// `previous` output on one key of each residence and on an absent key.
+// `copies(k)` counts k's main-table copies.
+template <typename Front, typename CopiesFn>
+void ExpectPreviousForEveryResidence(Front& t, CopiesFn copies) {
+  // Overfill so the stash fills, free most main-table slots, then refill
+  // lightly so fresh keys land with 2 or 3 copies.
+  std::vector<uint64_t> live;
+  const auto keys = MakeUniqueKeys(192, 11, 0);
+  for (uint64_t k : keys) t.Insert(k, k + 1);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i % 4 != 0 && copies(keys[i]) > 0) {
+      ASSERT_TRUE(t.Erase(keys[i]));
+    } else {
+      live.push_back(keys[i]);
+    }
+  }
+  for (uint64_t k : MakeUniqueKeys(40, 11, 1)) {
+    t.Insert(k, k + 1);
+    live.push_back(k);
+  }
+  // by_copies[c]: a live key with c main-table copies (0 = stashed).
+  std::array<std::optional<uint64_t>, 4> by_copies;
+  for (uint64_t k : live) by_copies[copies(k)] = k;
+  for (uint32_t c = 0; c < by_copies.size(); ++c) {
+    SCOPED_TRACE(c == 0 ? "stashed key" : std::to_string(c) + " copies");
+    ASSERT_TRUE(by_copies[c].has_value());
+    const uint64_t k = *by_copies[c];
+    uint64_t prev = 0;
+    EXPECT_EQ(t.InsertOrAssign(k, 7, &prev), InsertResult::kUpdated);
+    EXPECT_EQ(prev, k + 1);
+    uint64_t v = 0;
+    ASSERT_TRUE(t.Find(k, &v));
+    EXPECT_EQ(v, 7u);
+  }
+  const uint64_t absent = MakeUniqueKeys(1, 11, 2)[0];
+  uint64_t prev = 12345;
+  EXPECT_NE(t.InsertOrAssign(absent, 9, &prev), InsertResult::kUpdated);
+  EXPECT_EQ(prev, 12345u) << "an insert must leave *previous untouched";
+  EXPECT_TRUE(t.Contains(absent));
+}
+
+TEST(InsertOrAssignTest, PreviousReportsReplacedValue) {
+  Table t(PreviousOptions());
+  ExpectPreviousForEveryResidence(
+      t, [&](uint64_t k) { return t.CountCopies(k); });
+  EXPECT_TRUE(t.ValidateInvariants().ok());
+}
+
+TEST(InsertOrAssignTest, BlockedPreviousReportsReplacedValue) {
+  TableOptions o = PreviousOptions();
+  o.buckets_per_table = 20;  // 180 slots for 192 keys: some must stash
+  o.slots_per_bucket = 3;
+  Blocked t(o);
+  ExpectPreviousForEveryResidence(
+      t, [&](uint64_t k) { return t.CountCopies(k); });
+  EXPECT_TRUE(t.ValidateInvariants().ok());
+}
+
+class ShardedPreviousTest : public ::testing::TestWithParam<WriteMode> {};
+
+TEST_P(ShardedPreviousTest, PreviousReportsReplacedValue) {
+  ShardedMcCuckoo<Table> t(PreviousOptions(), /*num_shards=*/1,
+                           ReadMode::kOptimistic, GetParam());
+  ASSERT_EQ(t.write_mode(), GetParam());
+  const auto copies = [&](uint64_t k) {
+    return t.WithExclusiveShard(0, [&](Table& s) { return s.CountCopies(k); });
+  };
+  ExpectPreviousForEveryResidence(t, copies);
+  EXPECT_TRUE(t.WithExclusiveShard(0, [](Table& s) {
+                 return s.ValidateInvariants();
+               }).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WriteModes, ShardedPreviousTest,
+    ::testing::Values(WriteMode::kSingleWriter, WriteMode::kMultiWriter),
+    [](const ::testing::TestParamInfo<WriteMode>& info) {
+      return info.param == WriteMode::kMultiWriter ? "MultiWriter"
+                                                   : "SingleWriter";
+    });
 
 TEST(InsertOrAssignTest, UpdatesStashedKey) {
   TableOptions o;

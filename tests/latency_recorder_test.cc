@@ -198,5 +198,24 @@ TEST(LatencyRecorderTest, RehashCarriesSamplesAcrossRebuild) {
   EXPECT_GE(after, before);  // history survives the rebuild
 }
 
+// An Insert whose growth rehash replaces the table's storage still records
+// its own sample on exit: the recorder object must outlive the rebuild.
+TEST(LatencyRecorderTest, SampledInsertThatGrowsTheTableRecordsItsSample) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TableOptions o;
+  o.buckets_per_table = 64;
+  o.latency_sample_period = 1;
+  o.growth.enabled = true;
+  McCuckooTable<uint64_t, uint64_t> t(o);
+  const auto keys = MakeUniqueKeys(2000, 8, 0);
+  for (uint64_t k : keys) t.Insert(k, k);
+  const MetricsSnapshot s = t.SnapshotMetrics();
+  ASSERT_GT(s.growth_rehashes, 0u);
+  // The rebuilds re-insert through InsertBatch, so every kInsert sample is
+  // one of the calls above.
+  EXPECT_EQ(s.op_latency_ns[static_cast<size_t>(LatencyOp::kInsert)].count,
+            keys.size());
+}
+
 }  // namespace
 }  // namespace mccuckoo

@@ -406,5 +406,76 @@ TEST(MultiWriterStressTest, ShardedMultiWriterChurn) {
   }
 }
 
+// Writers race InsertOrAssign on a few shared hot keys while another thread
+// inserts fresh keys, whose kick chains move the hot keys' copies. Every
+// write stores a value unique to its writer and round and reports the value
+// it replaced through `previous`. Per key, the reports must chain all the
+// writes back to the initial value, each value replaced exactly once: the
+// guarantee ItemStore::Set relies on to unlink exactly the item it replaced.
+TEST(MultiWriterStressTest, ShardedInsertOrAssignPreviousChains) {
+  ShardedMcCuckoo<Table> table(StressOptions(), /*num_shards=*/2,
+                               ReadMode::kOptimistic, WriteMode::kMultiWriter);
+  constexpr int kWriters = 4;
+  constexpr uint64_t kRounds = 3000;
+  const auto hot = MakeUniqueKeys(6, 43, 0);
+  for (uint64_t k : hot) table.Insert(k, 0);
+
+  struct Report {
+    size_t key;  // index into hot
+    uint64_t previous;
+    uint64_t value;
+    InsertResult result;
+  };
+  std::vector<std::vector<Report>> logs(kWriters);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Xoshiro256 rng(3000 + static_cast<uint64_t>(w));
+      for (uint64_t round = 1; round <= kRounds; ++round) {
+        const size_t i = FastRange64(rng.Next(), hot.size());
+        const uint64_t v = (static_cast<uint64_t>(w + 1) << 32) | round;
+        uint64_t prev = ~0ull;
+        const InsertResult r = table.InsertOrAssign(hot[i], v, &prev);
+        logs[w].push_back({i, prev, v, r});
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (uint64_t k : MakeUniqueKeys(3500, 43, 1)) table.Insert(k, k);
+  });
+  for (auto& th : threads) th.join();
+
+  // replaced[i][v]: how often value v of hot key i was reported replaced.
+  std::vector<std::unordered_map<uint64_t, int>> replaced(hot.size());
+  std::vector<std::vector<uint64_t>> written(hot.size());
+  for (const auto& log : logs) {
+    for (const Report& r : log) {
+      ASSERT_EQ(r.result, InsertResult::kUpdated);
+      ++replaced[r.key][r.previous];
+      written[r.key].push_back(r.value);
+    }
+  }
+  for (size_t i = 0; i < hot.size(); ++i) {
+    uint64_t last = 0;
+    ASSERT_TRUE(table.Find(hot[i], &last));
+    // Exactly the initial value and every write but the surviving one were
+    // replaced, once each.
+    written[i].push_back(0);
+    size_t expected_reports = 0;
+    for (uint64_t v : written[i]) {
+      const int want = v == last ? 0 : 1;
+      EXPECT_EQ(replaced[i].count(v) ? replaced[i][v] : 0, want) << v;
+      expected_reports += static_cast<size_t>(want);
+    }
+    EXPECT_EQ(replaced[i].size(), expected_reports) << "a phantom previous";
+  }
+  for (size_t sh = 0; sh < table.num_shards(); ++sh) {
+    EXPECT_TRUE(table
+                    .WithExclusiveShard(
+                        sh, [](Table& t) { return t.CheckInvariants(); })
+                    .ok());
+  }
+}
+
 }  // namespace
 }  // namespace mccuckoo

@@ -5,12 +5,46 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
 namespace {
+
+// The read-out contract Rehash builds on: ForEachItem visits each live key
+// exactly once (multi-copy occupants included), with its current value.
+template <typename T, typename K, typename V>
+void ExpectEachKeyVisitedOnce(const T& t, const std::map<K, V>& expected) {
+  std::map<K, int> visits;
+  t.ForEachItem([&](const K& k, const V& v) {
+    ++visits[k];
+    auto it = expected.find(k);
+    ASSERT_NE(it, expected.end()) << "visited a key never inserted";
+    EXPECT_EQ(v, it->second);
+  });
+  EXPECT_EQ(visits.size(), expected.size());
+  for (const auto& [k, n] : visits) EXPECT_EQ(n, 1) << "key visited " << n;
+}
+
+// Rehash into `new_buckets` under a fresh seed, then the read-out contract,
+// an unchanged item count, and both invariant checks.
+template <typename T, typename K, typename V>
+void RehashAndCheck(T& t, const std::map<K, V>& expected,
+                    uint64_t new_buckets) {
+  ExpectEachKeyVisitedOnce(t, expected);
+  const size_t total = t.TotalItems();
+  ASSERT_EQ(total, expected.size());
+  ASSERT_TRUE(t.Rehash(new_buckets, /*new_seed=*/4242).ok());
+  EXPECT_EQ(t.TotalItems(), total);
+  ExpectEachKeyVisitedOnce(t, expected);
+  EXPECT_TRUE(t.ValidateInvariants().ok()) << t.ValidateInvariants().ToString();
+  EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+}
 
 TEST(RehashTest, GrowPreservesAllItemsSingleSlot) {
   TableOptions o;
@@ -118,6 +152,67 @@ TEST(RehashTest, WorksWithDeletionModes) {
   for (size_t i = 250; i < keys.size(); ++i) EXPECT_TRUE(t.Contains(keys[i]));
   EXPECT_EQ(t.TotalItems(), 250u);
   EXPECT_TRUE(t.ValidateInvariants().ok());
+}
+
+// At 20% load most keys hold 2 or 3 copies: the read-out must report each
+// once, whichever sub-tables its copies sit in.
+TEST(RehashTest, MultiCopyReadOutVisitsEachKeyOnce) {
+  TableOptions o;
+  o.buckets_per_table = 1024;
+  McCuckooTable<uint64_t, uint64_t> t(o);
+  std::map<uint64_t, uint64_t> expected;
+  size_t multi_copy = 0;
+  for (uint64_t k : MakeUniqueKeys(600, 8, 0)) {
+    t.Insert(k, k ^ 5);
+    expected[k] = k ^ 5;
+  }
+  for (const auto& [k, v] : expected) multi_copy += t.CountCopies(k) >= 2;
+  ASSERT_GT(multi_copy, expected.size() / 2);
+  RehashAndCheck(t, expected, 2048);
+}
+
+TEST(RehashTest, StashResidentsVisitedOnceAndKept) {
+  TableOptions o;
+  o.buckets_per_table = 64;
+  o.maxloop = 8;
+  McCuckooTable<uint64_t, uint64_t> t(o);
+  std::map<uint64_t, uint64_t> expected;
+  for (uint64_t k : MakeUniqueKeys(190, 9, 0)) {
+    t.Insert(k, k + 11);
+    expected[k] = k + 11;
+  }
+  ASSERT_GT(t.stash_size(), 0u);
+  RehashAndCheck(t, expected, 96);
+}
+
+TEST(RehashTest, StringKeysVisitedOnce) {
+  TableOptions o;
+  o.buckets_per_table = 512;
+  McCuckooTable<std::string, uint64_t> t(o);
+  std::map<std::string, uint64_t> expected;
+  for (uint64_t i = 0; i < 700; ++i) {
+    const std::string k = "key/" + std::to_string(i * 7919);
+    t.Insert(k, i);
+    expected[k] = i;
+  }
+  RehashAndCheck(t, expected, 1024);
+}
+
+TEST(RehashTest, BlockedMultiCopyReadOutVisitsEachKeyOnce) {
+  TableOptions o;
+  o.buckets_per_table = 128;
+  o.slots_per_bucket = 3;
+  o.maxloop = 8;
+  BlockedMcCuckooTable<uint64_t, uint64_t> t(o);
+  std::map<uint64_t, uint64_t> expected;
+  for (uint64_t k : MakeUniqueKeys(t.capacity() * 40 / 100, 10, 0)) {
+    t.Insert(k, k * 5);
+    expected[k] = k * 5;
+  }
+  size_t multi_copy = 0;
+  for (const auto& [k, v] : expected) multi_copy += t.CountCopies(k) >= 2;
+  ASSERT_GT(multi_copy, 0u);
+  RehashAndCheck(t, expected, 256);
 }
 
 }  // namespace
