@@ -140,11 +140,14 @@ struct BfsPathResult {
 /// walk's *relocations*; reusing it verbatim as the BFS frontier bound
 /// would make every beyond-threshold insert pay maxloop occupant reads
 /// before stashing — exactly the wall-clock collapse BFS exists to fix.
-/// Because BFS explores breadth-first, a frontier of a few dozen nodes
-/// already covers every path the walk could realistically commit (the
-/// observed shortest chains at 90% load are 1-3 relocations), so capping
-/// the budget keeps below-threshold success intact while letting doomed
-/// inserts fail in ~kBfsMaxNodes on-chip-guided reads.
+/// The cap lets doomed inserts fail in ~kBfsMaxNodes on-chip-guided reads,
+/// at a price: it also fails some inserts that a larger search would have
+/// placed. A table rich in redundant copies finds its terminals within a
+/// few dozen nodes (the observed shortest chains at 90% load are 1-3
+/// relocations), but one holding mostly sole copies starts to stash near
+/// 0.8 load. The multi-copy tables' BFS paths apply the cap; the
+/// multi-writer path lifts it while auto-growth can still act
+/// (McCuckooTable::ConcurrentBfsBudget).
 inline constexpr uint32_t kBfsMaxNodes = 48;
 
 inline uint32_t BfsNodeBudget(uint32_t maxloop) {

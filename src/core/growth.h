@@ -114,7 +114,10 @@ struct GrowthConfig {
 /// What the policy wants done after an insertion.
 enum class GrowthAction : uint8_t {
   kNone,        ///< No pressure (or still cooling down): do nothing.
-  kGrow,        ///< Rehash to `new_buckets_per_table` under a fresh seed.
+  kGrow,        ///< Grow to `new_buckets_per_table`: a rebuild under a
+                ///< fresh seed, or a split of every bucket under the same
+                ///< seed where the table supports it (see
+                ///< McCuckooTable::SplitGrow).
   kReseed,      ///< Rehash at the current size under a rotated seed.
   kSuppressed,  ///< Pressure exists but growth cannot act (disabled or at
                 ///< the size cap): degrade to the stash and raise the gauge.

@@ -714,60 +714,9 @@ class McCuckooTable {
       values.push_back(v);
     }
 
-    // The rebuild runs with growth disabled: a re-insertion overflow must
-    // not recursively rehash the table being built. The caller-visible
-    // growth config is restored onto the rebuilt options before commit.
-    TableOptions build_opts = new_opts;
-    build_opts.growth.enabled = false;
-    McCuckooTable rebuilt(build_opts);
+    McCuckooTable rebuilt = ScratchRebuild(new_opts);
     rebuilt.InsertBatch(keys, values);
-    rebuilt.opts_.growth = new_opts.growth;
-    // Discard any degraded-state signal the growth-disabled rebuild
-    // raised; the live policy re-evaluates pressure after the commit.
-    rebuilt.metrics_->SetGrowthSuppressed(false);
-    // Keep lifetime counters across the rebuild.
-    rebuilt.redundant_writes_ += redundant_writes_;
-    rebuilt.first_collision_items_ = first_collision_items_;
-    rebuilt.first_failure_items_ = first_failure_items_;
-    const size_t moved_items = keys.size();
-    SeqlockArray* seq = seq_;
-    if (seq == nullptr) {
-      *rebuilt.stats_ += *stats_;
-      rebuilt.metrics_->MergeFrom(*metrics_);
-      // Latency samples and the span timeline describe this table's
-      // lifetime too — carry them like the metrics (the scratch rebuild's
-      // re-insertion samples fold in on top). The recorder object itself
-      // survives the move: the Insert whose growth triggered this rehash
-      // still records into it from its ScopedLatencySample.
-      latency_->MergeFrom(*rebuilt.latency_);
-      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
-      rebuilt.spans_ = std::move(spans_);
-      // The policy and epoch describe this table's lifetime, not the
-      // scratch rebuild's: carry them across the wholesale move.
-      const uint64_t epoch = rehash_epoch_ + 1;
-      GrowthPolicy saved_growth = std::move(growth_);
-      *this = std::move(rebuilt);
-      latency_ = std::move(saved_latency);
-      growth_ = std::move(saved_growth);
-      rehash_epoch_ = epoch;
-      metrics_->RecordRehash(MetricsNowNs() - t0);
-      spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-      return Status::OK();
-    }
-    // The attached version array survives the rebuild (its mask mapping is
-    // size-independent); the swap itself reallocates every bucket, so it
-    // runs under the aux stripe to invalidate in-flight optimistic reads.
-    // The concurrent wrappers' exclusive sections already hold the aux
-    // stripe open around the whole call; only open it here when no outer
-    // writer does, so the stripe stays odd through the commit either way
-    // (WriteBegin is a blind increment — double-opening would flip it even).
-    const bool aux_held =
-        SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
-    if (!aux_held) seq->WriteBegin(seq->aux_stripe());
-    CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
-    if (!aux_held) seq->WriteEnd(seq->aux_stripe());
-    metrics_->RecordRehash(MetricsNowNs() - t0);
-    spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
+    CommitRehash(std::move(rebuilt), t0, keys.size());
     return Status::OK();
   }
 
@@ -1398,12 +1347,16 @@ class McCuckooTable {
 
   /// Exact copy location under held candidate stripes: every copy of `key`
   /// lives in one of its candidates, whose occupants cannot change while
-  /// the stripes are held.
+  /// the stripes are held. The 4-bit tag, stable under the same stripes,
+  /// screens out other occupants before their key is read, as in the
+  /// lookup probes.
   CopySet ConcurrentLocateCopies(const Key& key, const Candidates& cand) {
     CopySet out{};
+    const uint8_t tag_nibble = cand.tag & 0x0Fu;
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       const size_t idx = cand.idx[t];
-      if (counters_.PeekCounter(idx) > 0 && table_[idx].key == key) {
+      if (counters_.PeekCounter(idx) > 0 &&
+          counters_.PeekTag(idx) == tag_nibble && table_[idx].key == key) {
         out.idx[out.count++] = idx;
       }
     }
@@ -1593,6 +1546,21 @@ class McCuckooTable {
     return true;
   }
 
+  /// Node budget for one ConcurrentBfsInsert search. While the table's
+  /// growth can still act (enabled and below its size cap), a search may
+  /// expand all of maxloop nodes: with the kBfsMaxNodes cap, a table grown
+  /// by SplitGrow (fewer redundant copies than a rebuilt one) stashes
+  /// inserts from about 0.8 load, and the cache store answers each stashed
+  /// insert with two pressure evictions. Once growth cannot act, searches
+  /// keep the cap: at saturation a full budget makes every doomed insert
+  /// pay maxloop occupant reads.
+  uint32_t ConcurrentBfsBudget() const {
+    const bool growth_can_act =
+        opts_.growth.enabled &&
+        opts_.buckets_per_table < opts_.growth.max_buckets_per_table;
+    return growth_can_act ? opts_.maxloop : BfsNodeBudget(opts_.maxloop);
+  }
+
   /// BfsInsert in plan/validate/apply form. Entered with the candidate
   /// stripes held and every candidate a sole copy. The plan phase reads
   /// racily (annotated) and mutates nothing; indices stay in bounds
@@ -1600,8 +1568,9 @@ class McCuckooTable {
   /// phase try-locks nodes[1..] and the terminal (node[0] is a held
   /// root); validation re-checks the chain under the claims; the apply
   /// phase mirrors the single-writer backward shift. Skips the shared
-  /// BfsThrottle (its streak state is single-writer) and always uses the
-  /// full node budget.
+  /// BfsThrottle (its streak state is single-writer). The node budget is
+  /// ConcurrentBfsBudget(): all of maxloop while growth can still act,
+  /// BfsNodeBudget(maxloop) once it cannot.
   InsertResult ConcurrentBfsInsert(const Key& key, const Value& value,
                                    const Candidates& cand, LockStripeSet& ls,
                                    SeqlockWriterSet& ws, uint32_t* chain_len,
@@ -1609,7 +1578,7 @@ class McCuckooTable {
     const uint32_t d = opts_.num_hashes;
     std::array<uint64_t, kMaxHashes> roots{};
     for (uint32_t t = 0; t < d; ++t) roots[t] = cand.idx[t];
-    *budget_out = BfsNodeBudget(opts_.maxloop);
+    *budget_out = ConcurrentBfsBudget();
     *chain_len = 0;
     *nodes_out = 0;
     for (int attempt = 0; attempt < kMaxChainReplans; ++attempt) {
@@ -1862,7 +1831,9 @@ class McCuckooTable {
     Status s;
     const uint64_t grow_t0 = MetricsNowNs();
     try {
-      s = Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
+      s = CanSplitInto(d)
+              ? SplitGrow(d.new_buckets_per_table)
+              : Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
     } catch (const std::bad_alloc&) {
       // Graceful degradation: the table is untouched (the rebuild never
       // reached its commit), inserts keep landing in the stash.
@@ -2417,6 +2388,132 @@ class McCuckooTable {
           return false;
         },
         [&](size_t idx) { fn(table_[idx].key, table_[idx].value); });
+  }
+
+  /// An empty table with `new_opts`' geometry and seed, built with growth
+  /// disabled: a re-insertion overflow must not recursively rehash the
+  /// table being built. CommitRehash restores the growth config.
+  static McCuckooTable ScratchRebuild(TableOptions new_opts) {
+    new_opts.growth.enabled = false;
+    return McCuckooTable(new_opts);
+  }
+
+  /// Whether a growth decision can take the SplitGrow path. HashFamily maps
+  /// a key with FastRange64(h_t(key), n), and h_t does not depend on n, so
+  /// under the same seed FastRange64(h, k * n) lies in [k * b, k * b + k)
+  /// for b = FastRange64(h, n): growing by an integer factor k sends every
+  /// bucket's occupant to a bucket no other old bucket feeds.
+  /// DoubleHashFamily's mod-n index has no such property. The split keeps
+  /// each copy count but scatters a key's copies away from the buckets its
+  /// other candidates' occupants move to, which leaves true-zero counters
+  /// among a live key's candidates — sound only without the Bloom rule
+  /// ("a zero candidate counter proves absence"), i.e. in kResetCounters.
+  bool CanSplitInto(const GrowthDecision& d) const {
+    return d.action == GrowthAction::kGrow &&
+           std::is_same_v<Family, HashFamily<Key, Hasher>> &&
+           opts_.deletion_mode == DeletionMode::kResetCounters &&
+           d.new_buckets_per_table % opts_.buckets_per_table == 0;
+  }
+
+  /// Growth by bucket splitting (see CanSplitInto): walks the old and new
+  /// arrays in order, moving each occupied bucket's key, value, counter
+  /// and tag from bucket b of sub-table t to FastRange64(h_t(key), k * n)
+  /// in the same sub-table, under the unchanged seed. Counters stay equal
+  /// to live copy counts, since every copy of a key moves. Stash flags
+  /// start clear; only the stash is re-inserted, so a key that is stashed
+  /// again sets its flags afresh. Commits like Rehash.
+  Status SplitGrow(uint64_t new_buckets_per_table) {
+    const uint64_t t0 = MetricsNowNs();
+    TableOptions new_opts = opts_;
+    new_opts.buckets_per_table = new_buckets_per_table;
+    if (Status s = new_opts.Validate(); !s.ok()) return s;
+    McCuckooTable rebuilt = ScratchRebuild(new_opts);
+    const uint64_t n = opts_.buckets_per_table;
+    stats_->offchip_reads += table_.size();  // full scan of the old table
+    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+      const size_t from_base = static_cast<size_t>(t) * n;
+      const size_t to_base = static_cast<size_t>(t) * new_buckets_per_table;
+      for (size_t from = from_base; from < from_base + n; ++from) {
+        const uint64_t c = counters_.PeekCounter(from);
+        if (c == 0) continue;
+        const Bucket& b = table_[from];
+        const size_t to = to_base + rebuilt.family_.Bucket(b.key, t);
+        assert((to - to_base) / (new_buckets_per_table / n) ==
+               from - from_base);
+        Bucket& dst = rebuilt.table_[to];
+        dst.key = b.key;
+        dst.value = b.value;
+        ++rebuilt.stats_->offchip_writes;
+        rebuilt.counters_.Set(to, c);
+        rebuilt.counters_.SetTag(to, counters_.PeekTag(from));
+      }
+    }
+    rebuilt.size_ = size_.load();
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    keys.reserve(stash_.size());
+    values.reserve(stash_.size());
+    for (const auto& [k, v] : stash_.Items()) {
+      ++stats_->offchip_reads;
+      keys.push_back(k);
+      values.push_back(v);
+    }
+    rebuilt.InsertBatch(keys, values);
+    CommitRehash(std::move(rebuilt), t0, TotalItems());
+    return Status::OK();
+  }
+
+  /// Commits a filled ScratchRebuild as this table: carries the lifetime
+  /// counters, metrics, latency samples, span timeline, growth policy and
+  /// rehash epoch across, and swaps storage under the aux stripe when a
+  /// seqlock is attached. Shared by Rehash and SplitGrow.
+  void CommitRehash(McCuckooTable&& rebuilt, uint64_t t0, size_t moved_items) {
+    rebuilt.opts_.growth = opts_.growth;
+    // Discard any degraded-state signal the growth-disabled rebuild
+    // raised; the live policy re-evaluates pressure after the commit.
+    rebuilt.metrics_->SetGrowthSuppressed(false);
+    // Keep lifetime counters across the rebuild.
+    rebuilt.redundant_writes_ += redundant_writes_;
+    rebuilt.first_collision_items_ = first_collision_items_;
+    rebuilt.first_failure_items_ = first_failure_items_;
+    SeqlockArray* seq = seq_;
+    if (seq == nullptr) {
+      *rebuilt.stats_ += *stats_;
+      rebuilt.metrics_->MergeFrom(*metrics_);
+      // Latency samples and the span timeline describe this table's
+      // lifetime too — carry them like the metrics (the scratch rebuild's
+      // re-insertion samples fold in on top). The recorder object itself
+      // survives the move: the Insert whose growth triggered this rehash
+      // still records into it from its ScopedLatencySample.
+      latency_->MergeFrom(*rebuilt.latency_);
+      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
+      rebuilt.spans_ = std::move(spans_);
+      // The policy and epoch describe this table's lifetime, not the
+      // scratch rebuild's: carry them across the wholesale move.
+      const uint64_t epoch = rehash_epoch_ + 1;
+      GrowthPolicy saved_growth = std::move(growth_);
+      *this = std::move(rebuilt);
+      latency_ = std::move(saved_latency);
+      growth_ = std::move(saved_growth);
+      rehash_epoch_ = epoch;
+      metrics_->RecordRehash(MetricsNowNs() - t0);
+      spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
+      return;
+    }
+    // The attached version array survives the rebuild (its mask mapping is
+    // size-independent); the swap itself reallocates every bucket, so it
+    // runs under the aux stripe to invalidate in-flight optimistic reads.
+    // The concurrent wrappers' exclusive sections already hold the aux
+    // stripe open around the whole call; only open it here when no outer
+    // writer does, so the stripe stays odd through the commit either way
+    // (WriteBegin is a blind increment — double-opening would flip it even).
+    const bool aux_held =
+        SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
+    if (!aux_held) seq->WriteBegin(seq->aux_stripe());
+    CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
+    if (!aux_held) seq->WriteEnd(seq->aux_stripe());
+    metrics_->RecordRehash(MetricsNowNs() - t0);
+    spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
   }
 
   /// Commits a Rehash-rebuilt table while optimistic readers may be

@@ -11,6 +11,9 @@
 //    (zero user-visible failures, load factor back in the target band)
 //    and the same push with growth off (stash-backed degradation plus the
 //    growth_suppressed gauge, never an error);
+//  * grow-path selection — McCuckooTable splits buckets under the same
+//    seed only for HashFamily + kResetCounters + an integer growth factor,
+//    and every other table keeps the seed-rotating rebuild;
 //  * exporter checks — the growth counters and the rehash-duration
 //    histogram appear in the Prometheus, JSON and flat-map exporters.
 // All seeds are fixed (src/common/rng.h) so failures replay exactly.
@@ -337,6 +340,69 @@ TEST(GrowthAcceptanceTest, DisabledGrowthDegradesToStash) {
     ASSERT_EQ(v, i);
   }
   EXPECT_TRUE(t.CheckInvariants().ok());
+}
+
+// --- Grow by rebuild outside the split conditions --------------------------
+
+// McCuckooTable grows by splitting buckets under the same seed only with
+// HashFamily, an integer growth factor and kResetCounters. Every other
+// table must keep the re-insert rebuild, which rotates the seed on every
+// grow, and lose no key: a split under the Bloom rule (kDisabled,
+// kTombstone) would leave live keys behind true-zero candidate counters.
+template <typename Table>
+void RunGrowByRebuild(DeletionMode mode, double growth_factor) {
+  TableOptions o;
+  o.buckets_per_table = 256;
+  o.maxloop = 100;
+  o.deletion_mode = mode;
+  o.growth.enabled = true;
+  o.growth.growth_factor = growth_factor;
+  Table t(o);
+  const uint64_t initial_capacity = t.capacity();
+  std::unordered_map<uint64_t, uint64_t> model;
+  Xoshiro256 rng(0x5B117);
+  for (uint64_t i = 0; model.size() < initial_capacity * 4; ++i) {
+    const uint64_t k = SplitMix64(i ^ 0x4EB011D);
+    ASSERT_NE(t.Insert(k, i), InsertResult::kFailed) << i;
+    model.emplace(k, i);
+    if (mode != DeletionMode::kDisabled && rng.Bernoulli(0.1)) {
+      ASSERT_TRUE(t.Erase(k));
+      model.erase(k);
+    }
+  }
+  EXPECT_GT(t.capacity(), initial_capacity);
+  EXPECT_NE(t.options().seed, o.seed);
+  // Every committed rehash drew a fresh seed: none of them was a split.
+  EXPECT_GT(t.rehash_epoch(), 0u);
+  EXPECT_EQ(t.growth_policy().seed_rotations(), t.rehash_epoch());
+  EXPECT_EQ(t.TotalItems(), model.size());
+  for (const auto& [k, v] : model) {
+    uint64_t got = 0;
+    ASSERT_TRUE(t.Find(k, &got)) << "lost key " << k;
+    ASSERT_EQ(got, v) << k;
+  }
+  EXPECT_TRUE(t.ValidateInvariants().ok()) << t.ValidateInvariants().ToString();
+  EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+}
+
+using SingleSlotTable = McCuckooTable<uint64_t, uint64_t>;
+
+TEST(GrowByRebuildTest, DeletionDisabled) {
+  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kDisabled, 2.0);
+}
+
+TEST(GrowByRebuildTest, Tombstones) {
+  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kTombstone, 2.0);
+}
+
+TEST(GrowByRebuildTest, DoubleHashFamily) {
+  RunGrowByRebuild<McCuckooTable<uint64_t, uint64_t, BobHasher,
+                                 DoubleHashFamily<uint64_t, BobHasher>>>(
+      DeletionMode::kResetCounters, 2.0);
+}
+
+TEST(GrowByRebuildTest, NonIntegerGrowthFactor) {
+  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kResetCounters, 1.5);
 }
 
 // --- Exporter presence ------------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests of the full-rehash facility (the "costly remedy" of §I.2) on both
 // multi-copy layouts: items survive, the stash drains into the larger
 // table, invariants hold under the new hash family, and undersized targets
-// are rejected.
+// are rejected. Also the growth path that splits buckets under the same
+// seed instead of re-inserting (SplitGrowTest).
 
 #include <gtest/gtest.h>
 
@@ -213,6 +214,95 @@ TEST(RehashTest, BlockedMultiCopyReadOutVisitsEachKeyOnce) {
   for (const auto& [k, v] : expected) multi_copy += t.CountCopies(k) >= 2;
   ASSERT_GT(multi_copy, 0u);
   RehashAndCheck(t, expected, 256);
+}
+
+// --- Growth by bucket splitting (McCuckooTable::SplitGrow) ----------------
+
+// A kResetCounters table grown by an integer `factor` must keep every key
+// with its value and every main-table key's copies: the split moves each
+// copy and creates none. maxloop is tiny so the stash fills before the
+// load ceiling, and the only growth trigger left enabled is that ceiling,
+// so exactly one grow fires, on the insert that crosses it.
+void SplitGrowAndCheck(double factor, uint64_t seed) {
+  TableOptions o;
+  o.buckets_per_table = 256;
+  o.maxloop = 4;
+  o.seed = seed;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  o.growth.enabled = true;
+  o.growth.max_load_factor = 0.9;
+  o.growth.growth_factor = factor;
+  o.growth.stash_soft_limit = uint64_t{1} << 20;
+  o.growth.pressure_streak_limit = 1u << 20;
+  McCuckooTable<uint64_t, uint64_t> t(o);
+  const uint64_t ceiling = t.capacity() * 9 / 10;
+  const std::vector<uint64_t> keys = MakeUniqueKeys(ceiling * 2, seed, 0);
+  std::map<uint64_t, uint64_t> expected;
+  size_t next = 0;
+  // Fill to the ceiling with every tenth live key erased along the way, so
+  // the split also meets reset (counter 0) buckets that still hold a key.
+  while (t.TotalItems() < ceiling) {
+    const uint64_t k = keys[next++];
+    ASSERT_NE(t.Insert(k, k * 13), InsertResult::kFailed);
+    expected[k] = k * 13;
+    if (next % 10 == 0) {
+      const uint64_t victim = keys[next - 5];
+      ASSERT_TRUE(t.Erase(victim));
+      expected.erase(victim);
+    }
+  }
+  ASSERT_EQ(t.rehash_epoch(), 0u);
+  ASSERT_GT(t.stash_size(), 0u);
+  std::map<uint64_t, uint32_t> copies_before;
+  std::vector<uint64_t> stashed_before;
+  for (const auto& [k, v] : expected) {
+    copies_before[k] = t.CountCopies(k);
+    if (copies_before[k] == 0) stashed_before.push_back(k);
+  }
+  ASSERT_EQ(stashed_before.size(), t.stash_size());
+
+  const uint64_t trigger = keys[next++];
+  ASSERT_NE(t.Insert(trigger, 7), InsertResult::kFailed);
+  expected[trigger] = 7;
+  ASSERT_EQ(t.rehash_epoch(), 1u);
+  EXPECT_EQ(t.options().buckets_per_table,
+            static_cast<uint64_t>(256 * factor));
+  EXPECT_EQ(t.options().seed, seed) << "grew by rebuild, not by split";
+  EXPECT_EQ(t.growth_policy().seed_rotations(), 0u);
+
+  // The split moves copies and creates or drops none. Only the placements
+  // around it (the crossing insert and the stash re-insertion) may take
+  // over redundant copies, at most d per placed key, never a sole copy.
+  uint64_t displaced = 0;
+  for (const auto& [k, n] : copies_before) {
+    if (n == 0) continue;
+    const uint32_t now = t.CountCopies(k);
+    EXPECT_GE(now, 1u) << k;
+    EXPECT_LE(now, n) << k;
+    displaced += n - now;
+  }
+  EXPECT_LE(displaced, o.num_hashes * (stashed_before.size() + 1));
+  // Stashed keys were re-inserted: placed now, or stashed again.
+  size_t still_stashed = 0;
+  for (uint64_t k : stashed_before) still_stashed += t.CountCopies(k) == 0;
+  EXPECT_EQ(t.stash_size(), still_stashed);
+  EXPECT_EQ(t.TotalItems(), expected.size());
+  for (const auto& [k, v] : expected) {
+    uint64_t got = 0;
+    ASSERT_TRUE(t.Find(k, &got)) << k;
+    EXPECT_EQ(got, v) << k;
+  }
+  ExpectEachKeyVisitedOnce(t, expected);
+  EXPECT_TRUE(t.ValidateInvariants().ok()) << t.ValidateInvariants().ToString();
+  EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+}
+
+TEST(SplitGrowTest, Doubling) {
+  SplitGrowAndCheck(2.0, 21);
+}
+
+TEST(SplitGrowTest, Tripling) {
+  SplitGrowAndCheck(3.0, 22);
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/server/item_store.h"
 
 namespace mccuckoo {
@@ -202,6 +204,30 @@ TEST_F(TtlTest, CapacityEvictionEnforcesMaxBytes) {
     EXPECT_GT(store->items(), 0u);  // Evicts to fit, not to empty.
     EXPECT_TRUE(store->CheckInvariants().ok());
   });
+}
+
+TEST_F(TtlTest, GrowingStorePreloadsWithoutPressureEvictionOrReseed) {
+  // Growth can act the whole time, so no SET may land in the stash (each
+  // landing pressure-evicts two live items), and the growth engine must
+  // only grow, never fall back to reseeding a choked size. Multi-writer
+  // SETs place through the concurrent BFS search.
+  ItemStoreOptions options;  // 64Ki initial slots, growth enabled
+  options.clock = [this] { return now_ns_; };
+  options.multi_writer = true;
+  ItemStore store(options);
+  constexpr uint64_t kKeys = uint64_t{1} << 20;
+  char key[24];
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    std::snprintf(key, sizeof(key), "k%016llx",
+                  static_cast<unsigned long long>(SplitMix64(i)));
+    ASSERT_TRUE(store.Set(key, "v", 0).ok()) << i;
+  }
+  EXPECT_EQ(store.items(), kKeys);
+  EXPECT_EQ(store.metrics().evictions_pressure.Value(), 0u);
+  const MetricsSnapshot m = store.table().metrics_snapshot();
+  EXPECT_GT(m.growth_rehashes, 0u);
+  EXPECT_EQ(m.growth_reseeds, 0u);
+  EXPECT_TRUE(store.CheckInvariants().ok());
 }
 
 TEST_F(TtlTest, PressureEvictionWhenGrowthCapped) {
