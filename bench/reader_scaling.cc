@@ -1,10 +1,11 @@
 // Reader scaling of the one-writer-many-readers front-end: locked vs
 // optimistic reads.
 //
-// Sweeps OneWriterManyReaders<McCuckooTable> over thread counts {1,2,4,8,16}
-// under the paper's §III.H read-heavy profile (95% Find / 5% InsertOrAssign;
-// thread 0 carries the write share — it is the only writer the wrapper
-// permits — all other threads are pure readers) in both reader policies:
+// Sweeps a one-shard ShardedMcCuckoo<McCuckooTable> (the paper's §III.H
+// design) over thread counts {1,2,4,8,16} under the paper's read-heavy
+// profile (95% Find / 5% InsertOrAssign; thread 0 carries the write share —
+// it is the only writer of the single-writer mode — all other threads are
+// pure readers) in both reader policies:
 //   * locked     — every Find takes the shared lock (the paper's design),
 //   * optimistic — seqlock-validated lock-free Find with a shared-lock
 //                  fallback (src/core/seqlock.h).
@@ -45,9 +46,9 @@
 
 #include "bench/bench_reporter.h"
 #include "src/common/rng.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/obs/timing.h"
 #include "src/workload/keyset.h"
 
@@ -55,8 +56,7 @@ namespace mccuckoo {
 namespace {
 
 using Table = McCuckooTable<uint64_t, uint64_t>;
-using Locked = OneWriterManyReaders<Table>;
-using Optimistic = OptimisticReaders<Table>;
+using Wrapper = ShardedMcCuckoo<Table>;
 
 uint64_t TotalSlots() { return BenchSlotsOrDefault(9ull * 10'000); }
 
@@ -65,8 +65,8 @@ constexpr uint64_t kWritePct = 5;
 constexpr uint64_t kOpsPerThread = 1 << 15;
 
 struct Fixture {
-  std::unique_ptr<Locked> locked;
-  std::unique_ptr<Optimistic> optimistic;
+  std::unique_ptr<Wrapper> locked;
+  std::unique_ptr<Wrapper> optimistic;
   std::vector<uint64_t> keys;  // live key set
 };
 
@@ -83,9 +83,9 @@ Fixture& GetFixture() {
         static_cast<size_t>(kPrefillLoad * static_cast<double>(o.capacity()));
     fx->keys = MakeUniqueKeys(live, 7, 0);
     std::vector<uint64_t> values(fx->keys.begin(), fx->keys.end());
-    fx->locked = std::make_unique<Locked>(o);
+    fx->locked = std::make_unique<Wrapper>(o, 1);
     fx->locked->InsertBatch(fx->keys, values);
-    fx->optimistic = std::make_unique<Optimistic>(o);
+    fx->optimistic = std::make_unique<Wrapper>(o, 1, ReadMode::kOptimistic);
     fx->optimistic->InsertBatch(fx->keys, values);
     return fx;
   }();
@@ -94,7 +94,6 @@ Fixture& GetFixture() {
 
 /// One thread's share of an iteration: kOpsPerThread ops, 95/5 mixed on
 /// thread 0 (the sole permitted writer), pure reads elsewhere.
-template <typename Wrapper>
 void RunThread(Wrapper* table, const std::vector<uint64_t>* keys, int tid,
                uint64_t round, const std::atomic<bool>* go) {
   Xoshiro256 rng(SplitMix64(0xC0FFEE + tid * 1000003 + round));
@@ -112,7 +111,6 @@ void RunThread(Wrapper* table, const std::vector<uint64_t>* keys, int tid,
   }
 }
 
-template <typename Wrapper>
 void BM_ReadScaling(benchmark::State& state, Wrapper* table, int threads) {
   Fixture& fx = GetFixture();
   uint64_t round = 0;
@@ -121,7 +119,7 @@ void BM_ReadScaling(benchmark::State& state, Wrapper* table, int threads) {
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
     for (int t = 1; t < threads; ++t) {
-      pool.emplace_back(RunThread<Wrapper>, table, &fx.keys, t, round, &go);
+      pool.emplace_back(RunThread, table, &fx.keys, t, round, &go);
     }
     Stopwatch sw;  // src/obs/timing.h — the shared bench/metrics clock
     go.store(true, std::memory_order_release);
@@ -139,14 +137,13 @@ void RegisterAll() {
   for (const int threads : {1, 2, 4, 8, 16}) {
     const std::string suffix = ".t" + std::to_string(threads);
     benchmark::RegisterBenchmark(("locked" + suffix).c_str(),
-                                 BM_ReadScaling<Locked>, fx.locked.get(),
-                                 threads)
+                                 BM_ReadScaling, fx.locked.get(), threads)
         ->Repetitions(3)
         ->ReportAggregatesOnly(false)
         ->UseManualTime();
     benchmark::RegisterBenchmark(("optimistic" + suffix).c_str(),
-                                 BM_ReadScaling<Optimistic>,
-                                 fx.optimistic.get(), threads)
+                                 BM_ReadScaling, fx.optimistic.get(),
+                                 threads)
         ->Repetitions(3)
         ->ReportAggregatesOnly(false)
         ->UseManualTime();

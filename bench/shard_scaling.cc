@@ -13,15 +13,16 @@
 //
 // Sharding pays off through two stacked mechanisms, and the two workloads
 // separate them. read_heavy isolates lock contention: one shard is exactly
-// the OneWriterManyReaders design point (every writer serializes behind a
-// single lock), and the benefit of more shards only materializes with real
-// core-level parallelism. mixed adds the granularity benefit, which holds
-// on any machine: a whole-shard maintenance pass costs O(shard size) and
-// blocks only that shard, so both its amortized CPU cost and its blocking
-// scope shrink proportionally to 1/shards. Tables default to a small
-// (cache-resident) footprint because this benchmark measures
-// synchronization and maintenance granularity, not the memory hierarchy —
-// bench/batch_throughput.cc covers DRAM-bound behaviour.
+// the paper's one-writer-many-readers design point (every writer
+// serializes behind a single lock), and the benefit of more shards only
+// materializes with real core-level parallelism. mixed adds the
+// granularity benefit, which holds on any machine: a whole-shard
+// maintenance pass costs O(shard size) and blocks only that shard, so both
+// its amortized CPU cost and its blocking scope shrink proportionally to
+// 1/shards. Tables default to a small (cache-resident) footprint because
+// this benchmark measures synchronization and maintenance granularity, not
+// the memory hierarchy — bench/batch_throughput.cc covers DRAM-bound
+// behaviour.
 //
 // Results merge into BENCH_throughput.json under the "shard." prefix;
 // items/sec counts operations across all threads. 3 repetitions are run

@@ -1,14 +1,15 @@
-// Writer scaling: the single-writer lock front-end vs true multi-writer
-// striped locking.
+// Writer scaling: the single-writer lock vs true multi-writer striped
+// locking, both on a one-shard ShardedMcCuckoo.
 //
 // Sweeps thread counts {1,2,4,8} over a pure-update workload (InsertOrAssign
 // on live keys — occupancy fixed, every iteration does comparable work) in
 // both write policies:
-//   * single — OneWriterManyReaders: every write takes the one exclusive
-//     lock, so t threads serialize behind it (the pre-multi-writer design),
-//   * multi  — MultiWriter (ConcurrentMcCuckoo): writers run concurrently
-//     under striped bucket locks (src/core/lock_stripes.h), serializing
-//     only on candidate-stripe collisions.
+//   * single — WriteMode::kSingleWriter: every write takes the shard's one
+//     exclusive lock, so t threads serialize behind it (the paper's §III.H
+//     design),
+//   * multi  — WriteMode::kMultiWriter (with optimistic reads): writers run
+//     concurrently under striped bucket locks (src/core/lock_stripes.h),
+//     serializing only on candidate-stripe collisions.
 //
 // Timing is manual wall-clock over a fixed total op count, for the same
 // reason as reader_scaling.cc: google-benchmark's ->Threads() averaging is
@@ -18,10 +19,11 @@
 // worse — lock-line ping-pong) in t while multi mode scales until stripe
 // collisions or memory bandwidth bind; the CI gate checks multi.t4 >= 1.5x
 // single.t1 on >=4-core runners. On a single-core host only the t1 rows
-// are meaningful — they measure the striped path's fixed overhead, gated
-// at <= 10% over the single-writer lock (the acceptance bound). Rows above
-// t1 are skipped when hardware_concurrency < 4: oversubscribed spinning
-// writers on one core measure the scheduler, not the table.
+// are meaningful — they measure the striped path's fixed overhead over the
+// single-writer lock. That t1 ratio is recorded, not gated: CI only checks
+// that both t1 rows are emitted. Rows above t1 are skipped when
+// hardware_concurrency < 4: oversubscribed spinning writers on one core
+// measure the scheduler, not the table.
 //
 // Results merge into BENCH_throughput.json under the "concurrent." prefix
 // (concurrent.write_scaling.{single,multi}.tN); items/sec counts write
@@ -38,9 +40,9 @@
 
 #include "bench/bench_reporter.h"
 #include "src/common/rng.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/obs/timing.h"
 #include "src/workload/keyset.h"
 
@@ -48,8 +50,7 @@ namespace mccuckoo {
 namespace {
 
 using Table = McCuckooTable<uint64_t, uint64_t>;
-using Single = OneWriterManyReaders<Table>;
-using Multi = MultiWriter<Table>;
+using Wrapper = ShardedMcCuckoo<Table>;
 
 uint64_t TotalSlots() { return BenchSlotsOrDefault(9ull * 10'000); }
 
@@ -57,8 +58,8 @@ constexpr double kPrefillLoad = 0.6;
 constexpr uint64_t kOpsPerThread = 1 << 14;
 
 struct Fixture {
-  std::unique_ptr<Single> single;
-  std::unique_ptr<Multi> multi;
+  std::unique_ptr<Wrapper> single;
+  std::unique_ptr<Wrapper> multi;
   std::vector<uint64_t> keys;  // live key set; updates only, no growth
 };
 
@@ -75,9 +76,10 @@ Fixture& GetFixture() {
         static_cast<size_t>(kPrefillLoad * static_cast<double>(o.capacity()));
     fx->keys = MakeUniqueKeys(live, 7, 0);
     std::vector<uint64_t> values(fx->keys.begin(), fx->keys.end());
-    fx->single = std::make_unique<Single>(o);
+    fx->single = std::make_unique<Wrapper>(o, 1);
     fx->single->InsertBatch(fx->keys, values);
-    fx->multi = std::make_unique<Multi>(o);
+    fx->multi = std::make_unique<Wrapper>(o, 1, ReadMode::kOptimistic,
+                                          WriteMode::kMultiWriter);
     for (size_t i = 0; i < fx->keys.size(); ++i) {
       fx->multi->Insert(fx->keys[i], values[i]);
     }
@@ -87,7 +89,6 @@ Fixture& GetFixture() {
 }
 
 /// One thread's share of an iteration: kOpsPerThread updates of live keys.
-template <typename Wrapper>
 void RunThread(Wrapper* table, const std::vector<uint64_t>* keys, int tid,
                uint64_t round, const std::atomic<bool>* go) {
   Xoshiro256 rng(SplitMix64(0xBEEF + tid * 1000003 + round));
@@ -100,7 +101,6 @@ void RunThread(Wrapper* table, const std::vector<uint64_t>* keys, int tid,
   }
 }
 
-template <typename Wrapper>
 void BM_WriteScaling(benchmark::State& state, Wrapper* table, int threads) {
   Fixture& fx = GetFixture();
   uint64_t round = 0;
@@ -109,7 +109,7 @@ void BM_WriteScaling(benchmark::State& state, Wrapper* table, int threads) {
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
     for (int t = 1; t < threads; ++t) {
-      pool.emplace_back(RunThread<Wrapper>, table, &fx.keys, t, round, &go);
+      pool.emplace_back(RunThread, table, &fx.keys, t, round, &go);
     }
     Stopwatch sw;
     go.store(true, std::memory_order_release);
@@ -129,14 +129,12 @@ void RegisterAll() {
     if (threads > 1 && cores < 4) continue;  // see file comment
     const std::string suffix = ".t" + std::to_string(threads);
     benchmark::RegisterBenchmark(("single" + suffix).c_str(),
-                                 BM_WriteScaling<Single>, fx.single.get(),
-                                 threads)
+                                 BM_WriteScaling, fx.single.get(), threads)
         ->Repetitions(3)
         ->ReportAggregatesOnly(false)
         ->UseManualTime();
     benchmark::RegisterBenchmark(("multi" + suffix).c_str(),
-                                 BM_WriteScaling<Multi>, fx.multi.get(),
-                                 threads)
+                                 BM_WriteScaling, fx.multi.get(), threads)
         ->Repetitions(3)
         ->ReportAggregatesOnly(false)
         ->UseManualTime();

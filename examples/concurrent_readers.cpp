@@ -1,7 +1,8 @@
 // One-writer-many-readers in action (§III.H): a read-mostly service where
 // reader threads serve lookups continuously while a single writer streams
-// updates in. Demonstrates the OneWriterManyReaders wrapper and measures
-// aggregate reader throughput alongside writer progress.
+// updates in. Demonstrates ShardedMcCuckoo at one shard — the paper's
+// one-writer-many-readers design — and measures aggregate reader
+// throughput alongside writer progress.
 //
 //   ./build/examples/concurrent_readers
 
@@ -12,8 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
 
 using namespace mccuckoo;
@@ -25,7 +26,7 @@ int main() {
   TableOptions options;
   options.buckets_per_table = 80'000;
   options.deletion_mode = DeletionMode::kResetCounters;
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(options);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(options, 1);
 
   const auto keys = MakeUniqueKeys(kWrites, 11, 0);
   const auto missing = MakeUniqueKeys(kWrites, 11, 7);

@@ -308,7 +308,7 @@ class BlockedMcCuckooTable {
   }
 
   /// Statistics-free const lookup (see McCuckooTable::FindNoStats): the
-  /// ConcurrentMcCuckoo reader path. Performs no mutation.
+  /// ShardedMcCuckoo locked reader path. Performs no mutation.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
     return FindNoStatsImpl(key, ComputeCandidates(key), out, *metrics_);
   }

@@ -77,7 +77,7 @@ static_assert(kMaxHashes + 1 <= kMetricsPartitions,
 
 /// Multi-copy cuckoo hash table. Key must be equality-comparable and
 /// hashable by Hasher; Key and Value must be copyable. Not thread-safe (see
-/// ConcurrentMcCuckoo for the one-writer-many-readers wrapper).
+/// ShardedMcCuckoo for the concurrent front-end).
 template <typename Key, typename Value, typename Hasher = BobHasher,
           typename Family = HashFamily<Key, Hasher>>
   requires SeedableHasher<Hasher, Key>
@@ -331,10 +331,9 @@ class McCuckooTable {
 
   /// Statistics-free const lookup: same candidate/partition/stash-screen
   /// logic as Find but through the uncharged accessors, so it performs no
-  /// mutation whatsoever. This is the read path ConcurrentMcCuckoo uses —
-  /// many readers may call it under a shared lock while a writer is
-  /// excluded (see src/core/concurrent_mccuckoo.h). Not meant for
-  /// experiments: it records no access counts.
+  /// mutation whatsoever. This is ShardedMcCuckoo's locked read path —
+  /// many readers may call it under a shard's shared lock while its writer
+  /// is excluded. Not meant for experiments: it records no access counts.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
     return FindNoStatsImpl(key, ComputeCandidates(key), out, *metrics_);
   }
@@ -1035,10 +1034,11 @@ class McCuckooTable {
   //    history (those are writer-exclusion structures); TableMetrics and
   //    the latency recorder are atomic and recorded normally.
   //
-  // Callers (the ConcurrentMcCuckoo wrapper) hold a shared "drain" lock for
-  // every operation; growth escalates to the exclusive side plus a full
-  // LockStripeDrain, so in-flight operations never see a geometry change —
-  // which is also why mid-operation bucket indices stay in bounds.
+  // Callers (ShardedMcCuckoo in WriteMode::kMultiWriter) hold the shard
+  // lock shared for every operation; growth escalates to the exclusive
+  // side plus a full LockStripeDrain, so in-flight operations never see a
+  // geometry change — which is also why mid-operation bucket indices stay
+  // in bounds.
 
   /// Multi-writer insert of a key assumed not to be present (same contract
   /// as Insert: duplicates corrupt the copy invariants). `growth_mu`

@@ -1,7 +1,7 @@
 // Seqlock-striped version array for optimistic lock-free reads (§III.H).
 //
-// The OneWriterManyReaders wrapper's shared_mutex makes every reader pay at
-// least two atomic RMWs on one shared cache line — at high reader counts
+// A locked reader (ShardedMcCuckoo's ReadMode::kLocked) pays at least
+// two atomic RMWs on one shared cache line — at high reader counts
 // the lock word ping-pongs and caps throughput well below what the
 // mutation-free FindNoStats path could sustain. The observation behind the
 // optimistic protocol (Kuszmaul's kick-out eviction analysis, PAPERS.md) is

@@ -1,11 +1,14 @@
-// Sharded concurrent front-end over the multi-copy tables.
+// The concurrent front-end over the multi-copy tables.
 //
-// OneWriterManyReaders (paper §III.H) serializes all writers behind one
-// readers-writer lock, so write throughput cannot scale. This wrapper
-// hash-partitions the key space over N independent shards — each a complete
-// table (own hash family, counters, stash) behind its own shared_mutex — so
-// writers to different shards proceed in parallel and readers only contend
-// with writers of their own shard.
+// One shard is the paper's §III.H design: one writer, many readers. Readers
+// share the shard's readers-writer lock and probe through the table's
+// mutation-free FindNoStats path (or, in ReadMode::kOptimistic, run
+// seqlock-validated lock-free probes first); the single writer takes the
+// lock exclusively for the short span of an insert or erase. N shards
+// hash-partition the key space — each a complete table (own hash family,
+// counters, stash) behind its own shared_mutex — so writers to different
+// shards proceed in parallel and readers only contend with writers of
+// their own shard.
 //
 // Routing uses the top bits of a dedicated routing hash. That hash MUST be
 // decorrelated from the bucket hashes: the tables reduce hashes to bucket
@@ -89,8 +92,10 @@ class ShardedMcCuckoo {
         t.FindStriped(k, nullptr);
       };
 
-  /// Optimistic attempts per read before the shared-lock fallback (see
-  /// OneWriterManyReaders::kMaxOptimisticSpins).
+  /// Optimistic attempts per read before the lock fallback. Contention
+  /// means a writer is mid-operation; a yield gives it the core (essential
+  /// when threads are oversubscribed), and after a few losses the lock's
+  /// queueing is cheaper than spinning on.
   static constexpr int kMaxOptimisticSpins = 3;
 
   /// Builds `num_shards` (a power of two, >= 1) shards. `options` describes
@@ -290,10 +295,22 @@ class ShardedMcCuckoo {
 
   /// Batched insert: groups keys by shard, one exclusive-lock span per
   /// shard, delegating to the shard table's pipelined InsertBatch.
-  /// results[i] (optional) lines up with keys[i].
+  /// results[i] (optional) lines up with keys[i]. In multi-writer mode the
+  /// batch is a loop of scalar Inserts: the pipeline assumes writer
+  /// exclusion, and a per-key Insert escalates growth as soon as the
+  /// table asks for it rather than spilling the rest of the batch.
   void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
                    InsertResult* results = nullptr) {
     assert(keys.size() == values.size());
+    if constexpr (kMultiWriterCapable) {
+      if (write_mode_ == WriteMode::kMultiWriter) {
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const InsertResult r = Insert(keys[i], values[i]);
+          if (results != nullptr) results[i] = r;
+        }
+        return;
+      }
+    }
     const ShardGroups g = GroupByShard(keys);
     std::vector<Key> shard_keys;
     std::vector<Value> shard_vals;
@@ -310,32 +327,10 @@ class ShardedMcCuckoo {
       shard_results.resize(n);
       {
         Shard& sh = *shards_[s];
-        bool handled = false;
-        if constexpr (kMultiWriterCapable) {
-          if (write_mode_ == WriteMode::kMultiWriter) {
-            // Concurrent inserts under one shared-lock span; growth
-            // requests are coalesced and served after the span (the
-            // single-writer batch pipeline assumes writer exclusion).
-            bool wants_growth = false;
-            {
-              std::shared_lock lock(sh.mutex);
-              for (size_t j = 0; j < n; ++j) {
-                bool wg = false;
-                shard_results[j] = sh.table.ConcurrentInsert(
-                    shard_keys[j], shard_vals[j], sh.growth_mu, &wg);
-                wants_growth = wants_growth || wg;
-              }
-            }
-            if (wants_growth) GrowShardExclusive(sh);
-            handled = true;
-          }
-        }
-        if (!handled) {
-          std::unique_lock lock(sh.mutex);
-          sh.table.InsertBatch(std::span<const Key>(shard_keys.data(), n),
-                               std::span<const Value>(shard_vals.data(), n),
-                               shard_results.data());
-        }
+        std::unique_lock lock(sh.mutex);
+        sh.table.InsertBatch(std::span<const Key>(shard_keys.data(), n),
+                             std::span<const Value>(shard_vals.data(), n),
+                             shard_results.data());
       }
       if (results != nullptr) {
         for (size_t j = 0; j < n; ++j) {
@@ -466,7 +461,11 @@ class ShardedMcCuckoo {
       // and locks (the attach hook only exists on capable table types).
     }
     mutable std::shared_mutex mutex;
-    Table table;
+    // The table starts on a fresh cache line: every reader and writer RMWs
+    // the lock word, and the table's first members (its options) are read
+    // on every probe, so sharing a line with the lock costs four concurrent
+    // writers about 30% of their throughput.
+    alignas(64) Table table;
     SeqlockArray seq;
     // Striped writer locks + growth serialization for kMultiWriter shards
     // (constructed always — a few cache lines — attached only when used).

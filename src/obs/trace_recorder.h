@@ -11,12 +11,12 @@
 // which buckets are saturated with sole copies, and whether the walk was
 // cycling.
 //
-// Threading: events are recorded only from table write paths, which every
-// front-end already serializes per table (ConcurrentMcCuckoo's writer
-// lock, one shard's exclusive lock). Events() snapshots are meant for
-// post-mortem inspection under the same exclusion (WithExclusive /
-// WithExclusiveShard); the recorder itself is intentionally unsynchronized
-// so the hot path stays a couple of plain stores.
+// Threading: events are recorded only from the single-writer table paths,
+// which ShardedMcCuckoo serializes under the shard's exclusive lock (the
+// multi-writer paths record no trace). Events() snapshots are meant for
+// post-mortem inspection under the same exclusion (WithExclusiveShard);
+// the recorder itself is intentionally unsynchronized so the hot path
+// stays a couple of plain stores.
 //
 // With -DMCCUCKOO_NO_METRICS the ring is not allocated and Record() is a
 // no-op, so the whole facility (including its ~50 KB of ring memory per

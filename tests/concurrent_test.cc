@@ -1,8 +1,9 @@
-// Tests of the one-writer-many-readers wrapper (§III.H): readers running
-// concurrently with a writer never miss a committed key, never see a torn
-// value, and never observe phantom keys — for both table layouts.
+// Tests of the one-writer-many-readers design (§III.H), ShardedMcCuckoo at
+// one shard: readers running concurrently with a writer never miss a
+// committed key, never see a torn value, and never observe phantom keys —
+// for both table layouts. Then the same guarantees with many shards.
 
-#include "src/core/concurrent_mccuckoo.h"
+#include "src/core/sharded_mccuckoo.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
-#include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -83,8 +83,8 @@ TEST(FindNoStatsTest, MutatesNothing) {
 }
 
 template <typename Table>
-void RunOneWriterManyReaders(uint32_t slots_per_bucket) {
-  OneWriterManyReaders<Table> table(SmallOptions(slots_per_bucket));
+void RunOneShardUnderConcurrency(uint32_t slots_per_bucket) {
+  ShardedMcCuckoo<Table> table(SmallOptions(slots_per_bucket), 1);
   const auto keys = MakeUniqueKeys(4000, 5, 0);
   const auto missing = MakeUniqueKeys(4000, 5, 7);
 
@@ -124,21 +124,21 @@ void RunOneWriterManyReaders(uint32_t slots_per_bucket) {
 
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_EQ(table.size() + table.stash_size(), keys.size());
-  EXPECT_TRUE(table.WithExclusive(
-      [](Table& t) { return t.ValidateInvariants(); }).ok());
+  EXPECT_TRUE(table.WithExclusiveShard(
+      0, [](Table& t) { return t.ValidateInvariants(); }).ok());
 }
 
 TEST(OneWriterManyReadersTest, SingleSlotUnderConcurrency) {
-  RunOneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>>(1);
+  RunOneShardUnderConcurrency<McCuckooTable<uint64_t, uint64_t>>(1);
 }
 
 TEST(OneWriterManyReadersTest, BlockedUnderConcurrency) {
-  RunOneWriterManyReaders<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
+  RunOneShardUnderConcurrency<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
 TEST(OneWriterManyReadersTest, ConcurrentErasesStayConsistent) {
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
+                                                            1);
   const auto keys = MakeUniqueKeys(3000, 6, 0);
   for (uint64_t k : keys) table.Insert(k, k);
 
@@ -174,8 +174,8 @@ TEST(OneWriterManyReadersTest, ConcurrentErasesStayConsistent) {
 }
 
 TEST(OneWriterManyReadersTest, BatchOpsUnderConcurrency) {
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
+                                                            1);
   const auto keys = MakeUniqueKeys(4000, 9, 0);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 42;
@@ -335,8 +335,8 @@ TEST(ShardedStressTest, OneShardStillSafe) {
 }
 
 TEST(OneWriterManyReadersTest, StatsSnapshotAndSizes) {
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
+                                                            1);
   table.Insert(1, 10);
   table.InsertOrAssign(1, 11);
   uint64_t v = 0;

@@ -1,6 +1,6 @@
 // TSan-gated concurrency stress for the latency recorder: many threads
 // hammer one recorder directly while another snapshots it, then the same
-// through a real table behind the concurrent front-ends. Registered with
+// through a real table behind the concurrent front-end. Registered with
 // the "tsan" ctest label so the sanitizer CI job picks it up; it is also
 // a correctness test (deterministic total sample counts) under plain
 // builds.
@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/workload/keyset.h"
@@ -76,7 +76,8 @@ TEST(LatencyStressTest, OptimisticReadersSampleWhileWriterUpdates) {
   o.num_hashes = 3;
   o.buckets_per_table = 5'000;
   o.latency_sample_period = 1;
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(o);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      o, 1, ReadMode::kOptimistic);
 
   const auto keys = MakeUniqueKeys(6'000, 7, 0);
   std::vector<uint64_t> values(keys.begin(), keys.end());

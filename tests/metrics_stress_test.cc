@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/obs/export.h"
@@ -101,7 +100,7 @@ TEST(MetricsStressTest, OneWriterManyReadersRecordsExactly) {
   constexpr size_t kReaders = 4;
   constexpr size_t kRounds = 4;
 
-  OneWriterManyReaders<Table> table{StressOptions()};
+  ShardedMcCuckoo<Table> table{StressOptions(), 1};
   const auto warm = MakeUniqueKeys(2000, 1, 1);
   for (uint64_t k : warm) table.Insert(k, k);
 

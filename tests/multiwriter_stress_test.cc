@@ -1,6 +1,6 @@
 // Stress and differential tests of the true multi-writer path: concurrent
-// writers under striped bucket locks (ConcurrentMcCuckoo and the sharded
-// wrapper's kMultiWriter mode), with optimistic readers and the striped
+// writers under striped bucket locks (ShardedMcCuckoo's kMultiWriter mode,
+// at one shard and at several), with optimistic readers and the striped
 // Find fallback running against them. Run under TSan (-DMCCUCKOO_TSAN=ON)
 // this is the data-race check for the claim-then-move protocol; without it
 // the tests still pin down counter exactness and linearizable membership.
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
@@ -39,7 +38,8 @@ TableOptions StressOptions() {
 // the striped fallback behind them) assert that every key a writer has
 // committed is found with its exact value, and that alien keys stay absent.
 TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
-  MultiWriter<Table> table(StressOptions());
+  ShardedMcCuckoo<Table> table(StressOptions(), 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 1000;
   std::vector<std::vector<uint64_t>> keys;
@@ -102,7 +102,8 @@ TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
     }
   }
   EXPECT_TRUE(
-      table.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 #ifndef MCCUCKOO_NO_METRICS
   const MetricsSnapshot s = table.metrics_snapshot();
   EXPECT_EQ(s.inserts, kWriters * kPerWriter);
@@ -115,7 +116,8 @@ TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
 // std::unordered_map must agree with the table exactly (per-partition
 // determinism follows from partition disjointness).
 TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
-  MultiWriter<Table> table(StressOptions());
+  ShardedMcCuckoo<Table> table(StressOptions(), 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 8000;
 
@@ -185,7 +187,8 @@ TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
     EXPECT_EQ(got, v) << k;
   }
   EXPECT_TRUE(
-      table.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 }
 
 // Concurrent writers driving the table through forced growth: a small
@@ -197,7 +200,8 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
   o.maxloop = 64;
   o.growth.enabled = true;
   o.growth.stash_soft_limit = 4;
-  MultiWriter<Table> table(o);
+  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
 
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 800;  // ~8x the initial capacity in total
@@ -228,20 +232,53 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
     }
   }
   EXPECT_TRUE(
-      table.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 #ifndef MCCUCKOO_NO_METRICS
   // 8x overload of a 128-bucket table cannot fit without growing.
   EXPECT_GT(table.metrics_snapshot().growth_rehashes, 0u);
 #endif
 }
 
-// Single-threaded differential trace: the multi-writer wrapper must be
-// operation-for-operation identical to the single-writer wrapper when only
-// one thread drives it (also the ≤10%-overhead configuration the bench
-// gates — here we pin semantics, the bench pins speed).
+// A multi-writer InsertBatch far past the initial capacity must grow the
+// table as it goes, exactly as per-key Inserts do: deferring every growth
+// request to the end of the batch would pin the table at its initial size
+// and spill nearly the whole batch into the stash.
+TEST(MultiWriterStressTest, InsertBatchGrowsMidBatch) {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 1024;
+  o.growth.enabled = true;
+  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
+  const uint64_t initial_capacity = table.capacity();
+  const auto keys = MakeUniqueKeys(64 * initial_capacity, 47, 0);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 3;
+  std::vector<InsertResult> results(keys.size());
+  table.InsertBatch(keys, values, results.data());
+
+  for (InsertResult r : results) ASSERT_NE(r, InsertResult::kFailed);
+  EXPECT_EQ(table.stash_size(), 0u);
+  EXPECT_GT(table.capacity(), initial_capacity);
+  EXPECT_EQ(table.TotalItems(), keys.size());
+  for (uint64_t k : keys) {
+    uint64_t v = 0;
+    ASSERT_TRUE(table.Find(k, &v)) << k;
+    ASSERT_EQ(v, k + 3);
+  }
+  EXPECT_TRUE(
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
+}
+
+// Single-threaded differential trace: the multi-writer mode must be
+// operation-for-operation identical to the single-writer mode when only
+// one thread drives it (also the configuration whose t1 overhead the
+// write_scaling bench records — here we pin semantics, the bench speed).
 TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
-  OneWriterManyReaders<Table> single(StressOptions());
-  MultiWriter<Table> multi(StressOptions());
+  ShardedMcCuckoo<Table> single(StressOptions(), 1);
+  ShardedMcCuckoo<Table> multi(StressOptions(), 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
 
   const auto keys = MakeUniqueKeys(3000, 11, 0);
   Xoshiro256 rng(123);
@@ -273,7 +310,8 @@ TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
   EXPECT_EQ(single.size(), multi.size());
   EXPECT_EQ(single.stash_size(), multi.stash_size());
   EXPECT_TRUE(
-      multi.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      multi.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 }
 
 // The sharded wrapper's kMultiWriter mode: all writers hammer all shards

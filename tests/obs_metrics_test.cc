@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/core/blocked_mccuckoo_table.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/obs/export.h"
@@ -391,7 +390,7 @@ TEST(AggregationTest, ShardedMergeEqualsSumOfShards) {
 
 TEST(AggregationTest, ConcurrentWrapperExposesSnapshot) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  OneWriterManyReaders<Table> t{SmallOptions()};
+  ShardedMcCuckoo<Table> t{SmallOptions(), 1};
   const auto keys = MakeUniqueKeys(100, 1, 0);
   for (uint64_t k : keys) t.Insert(k, k);
   for (uint64_t k : keys) ASSERT_TRUE(t.Contains(k));

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/core/blocked_mccuckoo_table.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/common/rng.h"
@@ -41,7 +40,8 @@ TableOptions SmallOptions(uint32_t slots_per_bucket) {
 // missing keys stay missing.
 template <typename Table>
 void RunOptimisticInsertStress(uint32_t slots_per_bucket) {
-  OptimisticReaders<Table> table(SmallOptions(slots_per_bucket));
+  ShardedMcCuckoo<Table> table(SmallOptions(slots_per_bucket), 1,
+                               ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(4000, 5, 0);
   const auto missing = MakeUniqueKeys(4000, 5, 7);
 
@@ -78,8 +78,8 @@ void RunOptimisticInsertStress(uint32_t slots_per_bucket) {
 
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_EQ(table.size() + table.stash_size(), keys.size());
-  EXPECT_TRUE(table.WithExclusive(
-      [](Table& t) { return t.ValidateInvariants(); }).ok());
+  EXPECT_TRUE(table.WithExclusiveShard(
+      0, [](Table& t) { return t.ValidateInvariants(); }).ok());
 }
 
 TEST(OptimisticStressTest, SingleSlotInsertStress) {
@@ -91,7 +91,8 @@ TEST(OptimisticStressTest, BlockedInsertStress) {
 }
 
 TEST(OptimisticStressTest, ErasesStayConsistent) {
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      SmallOptions(1), 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(3000, 6, 0);
   for (uint64_t k : keys) table.Insert(k, k);
 
@@ -123,7 +124,8 @@ TEST(OptimisticStressTest, ErasesStayConsistent) {
 }
 
 TEST(OptimisticStressTest, BatchReadsUnderConcurrency) {
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      SmallOptions(1), 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(4000, 9, 0);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 42;
@@ -174,7 +176,8 @@ TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
   TableOptions o = SmallOptions(1);
   o.buckets_per_table = 64;
   o.maxloop = 8;
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(o);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      o, 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(192, 3, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
   ASSERT_GT(table.stash_size(), 0u);
@@ -186,12 +189,13 @@ TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
 }
 
 // Differential check: over one randomized insert/erase/lookup trace, the
-// optimistic wrapper and the locked wrapper return bit-identical results
-// for every scalar and batched lookup.
+// optimistic and the locked read modes return bit-identical results for
+// every scalar and batched lookup.
 template <typename Table>
 void RunDifferentialTrace(uint32_t slots_per_bucket) {
-  OneWriterManyReaders<Table> locked(SmallOptions(slots_per_bucket));
-  OptimisticReaders<Table> optimistic(SmallOptions(slots_per_bucket));
+  ShardedMcCuckoo<Table> locked(SmallOptions(slots_per_bucket), 1);
+  ShardedMcCuckoo<Table> optimistic(SmallOptions(slots_per_bucket), 1,
+                                    ReadMode::kOptimistic);
 
   const auto keys = MakeUniqueKeys(3000, 11, 0);
   Xoshiro256 rng(123);
@@ -202,7 +206,7 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
         // InsertOrAssign (not Insert): re-inserting a live key as a fresh
         // multi-copy entry leaves counter != copy-count after
         // kResetCounters erases — a pre-existing multiset quirk in both
-        // wrappers, orthogonal to what this test compares.
+        // read modes, orthogonal to what this test compares.
         const InsertResult a = locked.InsertOrAssign(k, k + op);
         const InsertResult b = optimistic.InsertOrAssign(k, k + op);
         ASSERT_EQ(a, b) << "op " << op;
@@ -242,8 +246,8 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
       }
     }
   }
-  EXPECT_TRUE(optimistic.WithExclusive(
-      [](Table& t) { return t.ValidateInvariants(); }).ok());
+  EXPECT_TRUE(optimistic.WithExclusiveShard(
+      0, [](Table& t) { return t.ValidateInvariants(); }).ok());
 }
 
 TEST(OptimisticDifferentialTest, SingleSlotTraceMatchesLocked) {
@@ -334,7 +338,7 @@ TEST(OptimisticStressTest, ShardedOptimisticReaders) {
 // stay visible afterwards.
 TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
   using Table = McCuckooTable<uint64_t, uint64_t>;
-  OptimisticReaders<Table> table(SmallOptions(1));
+  ShardedMcCuckoo<Table> table(SmallOptions(1), 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(1500, 21, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
 
@@ -354,7 +358,7 @@ TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
   }
   const uint64_t buckets = SmallOptions(1).buckets_per_table;
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(table.WithExclusive([&](Table& t) {
+    ASSERT_TRUE(table.WithExclusiveShard(0, [&](Table& t) {
       return t.Rehash(buckets, /*new_seed=*/1000 + round);
     }).ok());
   }
@@ -379,7 +383,7 @@ TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReaders) {
   o.maxloop = 200;
   o.deletion_mode = DeletionMode::kResetCounters;
   o.growth.enabled = true;
-  OptimisticReaders<Table> table(o);
+  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic);
 
   const auto keys = MakeUniqueKeys(12000, 23, 0);
   std::atomic<size_t> committed{0};
@@ -422,12 +426,13 @@ TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReaders) {
   EXPECT_LE(snap.optimistic_fallbacks, reader_ops.load());
   // Growth pressure was satisfied by growing, never by degrading.
   EXPECT_EQ(snap.growth_suppressed, 0u);
-  EXPECT_TRUE(table.WithExclusive(
-      [](Table& t) { return t.CheckInvariants(); }).ok());
+  EXPECT_TRUE(table.WithExclusiveShard(
+      0, [](Table& t) { return t.CheckInvariants(); }).ok());
 }
 
 TEST(OptimisticStressTest, MetricsCountersExported) {
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      SmallOptions(1), 1, ReadMode::kOptimistic);
   for (uint64_t k = 0; k < 500; ++k) table.Insert(k * 2654435761u, k);
   for (uint64_t k = 0; k < 500; ++k) table.Contains(k * 2654435761u);
   const MetricsSnapshot snap = table.metrics_snapshot();
