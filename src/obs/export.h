@@ -3,8 +3,8 @@
 // BENCH_throughput.json, a chrome://tracing timeline of the span ring,
 // and a JSON heatmap. All render the same snapshot types, so one scrape
 // path serves dashboards, post-mortems, and the benchmark result files
-// alike — and the StatsServer's four endpoints are just these functions
-// behind a socket.
+// alike — and the cache server's four HTTP stats routes are just these
+// functions behind a socket.
 
 #ifndef MCCUCKOO_OBS_EXPORT_H_
 #define MCCUCKOO_OBS_EXPORT_H_

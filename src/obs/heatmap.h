@@ -1,5 +1,5 @@
 // Occupancy / counter-value heatmap — the introspection snapshot behind
-// the StatsServer's /heatmap endpoint.
+// the cache server's /heatmap route.
 //
 // Aggregate load factor hides *where* a table is full: cuckoo inserts
 // degrade when some neighbourhood saturates with sole-copy items even

@@ -10,8 +10,8 @@
 //    silently mismatched results.
 //
 // HttpGet() speaks just enough HTTP/1.0 to scrape the stats routes the
-// server multiplexes onto the same port (/metrics, /json, /trace) —
-// tests use it in place of curl.
+// server multiplexes onto the same port (/metrics, /json, /trace,
+// /heatmap) — tests and tools/mccuckoo_top use it in place of curl.
 
 #ifndef MCCUCKOO_SERVER_CLIENT_H_
 #define MCCUCKOO_SERVER_CLIENT_H_

@@ -69,8 +69,7 @@ bool Connection::ProcessBinary() {
 
 bool Connection::ProcessHttp() {
   // One-shot exchange: wait for a complete request line, route it against
-  // the stats handlers, close after the response drains — the same
-  // semantics as the standalone StatsServer, on the cache port.
+  // the stats handlers, close after the response drains.
   if (in_.find('\n') == std::string::npos) {
     // A request line longer than any sane scrape is an attack or a bug.
     return in_.size() < 16 * 1024;
@@ -78,11 +77,15 @@ bool Connection::ProcessHttp() {
   if (metrics_ != nullptr) metrics_->http_requests.Inc();
   const size_t line_end = in_.find_first_of("\r\n");
   const std::string line = in_.substr(0, line_end);
+  // HEAD answers exactly like GET, minus the body.
+  const bool head = line.compare(0, 5, "HEAD ") == 0;
   std::string path;
-  if (line.compare(0, 4, "GET ") == 0) {
-    const size_t path_end = line.find(' ', 4);
-    path = path_end == std::string::npos ? line.substr(4)
-                                         : line.substr(4, path_end - 4);
+  if (head || line.compare(0, 4, "GET ") == 0) {
+    const size_t path_start = head ? 5 : 4;
+    const size_t path_end = line.find(' ', path_start);
+    path = path_end == std::string::npos
+               ? line.substr(path_start)
+               : line.substr(path_start, path_end - path_start);
   }
   const std::function<std::string()>* handler = nullptr;
   const char* content_type = "application/json";
@@ -103,7 +106,7 @@ bool Connection::ProcessHttp() {
   if (path == "/") {
     body =
         "mccuckoo cache server\n"
-        "routes: /metrics /json /trace\n";
+        "routes: /metrics /json /trace /heatmap\n";
     content_type = "text/plain";
   } else if (handler != nullptr && *handler) {
     body = (*handler)();
@@ -119,7 +122,7 @@ bool Connection::ProcessHttp() {
   out_ += "\r\nContent-Length: ";
   out_ += std::to_string(body.size());
   out_ += "\r\nConnection: close\r\n\r\n";
-  out_ += body;
+  if (!head) out_ += body;
   in_.clear();
   return false;
 }

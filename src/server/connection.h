@@ -16,23 +16,40 @@
 // the protocol answers in order; opaques exist to make client bugs loud.
 //
 // HTTP mode: a first byte of 'G'/'H' (GET/HEAD) switches the connection to
-// a one-shot HTTP exchange against the caller-supplied StatsHandlers (the
-// PR 8 StatsServer routes), answered with Connection: close semantics.
+// a one-shot HTTP exchange against the caller-supplied StatsHandlers — the
+// stats routes /metrics, /json, /trace and /heatmap — answered with
+// Connection: close semantics. A HEAD gets GET's status line and headers
+// and no body. Deliberately not a real HTTP server (no keep-alive, no TLS,
+// exact-path routing, 127.0.0.1 only): the right shape for "curl it / point
+// Prometheus at it on the same host".
 
 #ifndef MCCUCKOO_SERVER_CONNECTION_H_
 #define MCCUCKOO_SERVER_CONNECTION_H_
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/obs/server_metrics.h"
-#include "src/obs/stats_server.h"
 #include "src/server/protocol.h"
 
 namespace mccuckoo {
 namespace server {
+
+/// One render closure per route. Unset handlers answer 404, so a binary
+/// can expose only what it has (e.g. no heatmap for a baseline-only run).
+/// Handlers run on the worker thread that owns the connection, so several
+/// may run at once: they must be safe to call concurrently with the
+/// owner's workload (SnapshotMetrics and the exporters are; Heatmap()
+/// wants writer exclusion for exact numbers).
+struct StatsHandlers {
+  std::function<std::string()> metrics;  ///< /metrics — Prometheus text.
+  std::function<std::string()> json;     ///< /json — ExportJson document.
+  std::function<std::string()> trace;    ///< /trace — chrome://tracing JSON.
+  std::function<std::string()> heatmap;  ///< /heatmap — ExportHeatmapJson.
+};
 
 /// Where parsed request batches go. The production sink is StoreHandler
 /// (src/server/handler.h); tests substitute recorders.

@@ -66,6 +66,27 @@ StatsHandlers CacheServer::MakeHttpHandlers() {
     }
     return ExportChromeTrace(all, "mccuckoo_server");
   };
+  h.heatmap = [this] {
+    // Shard-major regions; counter values and totals sum across shards.
+    HeatmapSnapshot all;
+    auto& sharded = store_->table();
+    for (size_t i = 0; i < sharded.num_shards(); ++i) {
+      const HeatmapSnapshot part = sharded.WithExclusiveShard(
+          i, [](ItemStore::Table& t) { return t.Heatmap(); });
+      all.region_occupied.insert(all.region_occupied.end(),
+                                 part.region_occupied.begin(),
+                                 part.region_occupied.end());
+      all.region_slots.insert(all.region_slots.end(), part.region_slots.begin(),
+                              part.region_slots.end());
+      for (size_t v = 0; v < all.counter_values.size(); ++v) {
+        all.counter_values[v] += part.counter_values[v];
+      }
+      all.total_buckets += part.total_buckets;
+      all.occupied_slots += part.occupied_slots;
+      all.total_slots += part.total_slots;
+    }
+    return ExportHeatmapJson(all);
+  };
   return h;
 }
 

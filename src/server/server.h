@@ -11,8 +11,8 @@
 // WriteMode::kMultiWriter, so workers truly overlap.
 //
 // One port serves both planes: a first byte of 0x95 speaks the binary
-// cache protocol, 'G'/'H' speaks HTTP against the PR 8 stats routes
-// (/metrics, /json, /trace) — so `curl http://127.0.0.1:PORT/metrics`
+// cache protocol, 'G'/'H' speaks HTTP against the stats routes (/metrics,
+// /json, /trace, /heatmap) — so `curl http://127.0.0.1:PORT/metrics`
 // scrapes the same port the cache traffic uses.
 
 #ifndef MCCUCKOO_SERVER_SERVER_H_
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/obs/stats_server.h"
 #include "src/server/connection.h"
 #include "src/server/event_loop.h"
 #include "src/server/handler.h"

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +32,19 @@ namespace server {
 namespace {
 
 constexpr uint64_t kSecond = 1'000'000'000ull;
+
+/// The integer after `"key": ` at or past the first `anchor` in a JSON
+/// body (the exporters' stable flat layout); fails the test when absent.
+uint64_t JsonUint(const std::string& body, const std::string& anchor,
+                  const std::string& key) {
+  const size_t from = body.find(anchor);
+  EXPECT_NE(from, std::string::npos) << anchor;
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = body.find(needle, from == std::string::npos ? 0 : from);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
+}
 
 class ServerIntegrationTest : public ::testing::Test {
  protected:
@@ -318,6 +332,73 @@ TEST_F(ServerIntegrationTest, HttpRoutesOnTheCachePort) {
       CacheClient::HttpGet("127.0.0.1", server_->port(), "/nope", &body, &code)
           .ok());
   EXPECT_EQ(code, 404);
+}
+
+TEST_F(ServerIntegrationTest, ServesAllFourRoutesOnEphemeralPort) {
+  StartServer();  // Port 0: the kernel picks the port.
+  std::string json;
+  int code = 0;
+  ASSERT_TRUE(
+      CacheClient::HttpGet("127.0.0.1", server_->port(), "/json", &json, &code)
+          .ok());
+  EXPECT_EQ(code, 200);
+
+  // The heatmap merges every shard, so it spans the whole table that
+  // /json's table plane reports.
+  std::string body;
+  ASSERT_TRUE(CacheClient::HttpGet("127.0.0.1", server_->port(), "/heatmap",
+                                   &body, &code)
+                  .ok());
+  EXPECT_EQ(code, 200);
+  EXPECT_NE(body.find("\"counter_values\""), std::string::npos);
+  EXPECT_GT(JsonUint(body, "{", "total_slots"), 0u);
+  EXPECT_EQ(JsonUint(body, "{", "total_slots"),
+            JsonUint(json, "\"table\"", "capacity_slots"));
+
+  // The index lists all four routes.
+  ASSERT_TRUE(
+      CacheClient::HttpGet("127.0.0.1", server_->port(), "/", &body, &code)
+          .ok());
+  EXPECT_EQ(code, 200);
+  for (const char* route : {"/metrics", "/json", "/trace", "/heatmap"}) {
+    EXPECT_NE(body.find(route), std::string::npos) << route;
+  }
+
+  server_->Stop();
+  EXPECT_FALSE(server_->running());
+  server_->Stop();  // Idempotent.
+}
+
+TEST_F(ServerIntegrationTest, HttpJsonSeesLiveState) {
+  StartServer();
+  std::string body;
+  ASSERT_TRUE(
+      CacheClient::HttpGet("127.0.0.1", server_->port(), "/json", &body)
+          .ok());
+  const uint64_t before = JsonUint(body, "\"server\"", "items");
+  CacheClient client;
+  ConnectClient(&client);
+  ASSERT_TRUE(client.Set("live", "x").ok());
+  ASSERT_TRUE(
+      CacheClient::HttpGet("127.0.0.1", server_->port(), "/json", &body)
+          .ok());
+  EXPECT_GT(JsonUint(body, "\"server\"", "items"), before);
+}
+
+TEST_F(ServerIntegrationTest, PortInUseFailsCleanly) {
+  StartServer();
+  ServerOptions options;
+  options.port = server_->port();
+  CacheServer second(options);
+  EXPECT_FALSE(second.Start().ok());
+  EXPECT_FALSE(second.running());
+  // The failed Start must not have broken the first server.
+  std::string body;
+  int code = 0;
+  ASSERT_TRUE(
+      CacheClient::HttpGet("127.0.0.1", server_->port(), "/", &body, &code)
+          .ok());
+  EXPECT_EQ(code, 200);
 }
 
 TEST_F(ServerIntegrationTest, GarbageConnectionDoesNotPoisonServer) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/obs/server_metrics.h"
-#include "src/obs/stats_server.h"
 #include "src/server/connection.h"
 #include "src/server/protocol.h"
 
@@ -435,6 +434,42 @@ TEST(ConnectionTest, HttpDispatchServesStatsRoutes) {
   EXPECT_NE(out.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(out.find("fake_metric 1"), std::string::npos);
   EXPECT_TRUE(sink.ops.empty());  // HTTP never reaches the request sink.
+}
+
+TEST(ConnectionTest, HttpUnsetHandlerAnswers404) {
+  StatsHandlers handlers;
+  handlers.metrics = [] { return std::string("only metrics\n"); };
+  const auto status_line = [&handlers](const std::string& path) {
+    Connection conn(nullptr, &handlers, nullptr);
+    const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
+    EXPECT_FALSE(conn.OnData(req.data(), req.size()));
+    return conn.outbuf().substr(0, conn.outbuf().find("\r\n"));
+  };
+  EXPECT_EQ(status_line("/metrics"), "HTTP/1.1 200 OK");
+  EXPECT_EQ(status_line("/trace"), "HTTP/1.1 404 Not Found");
+  EXPECT_EQ(status_line("/heatmap"), "HTTP/1.1 404 Not Found");
+}
+
+TEST(ConnectionTest, HttpHeadAnswersHeadersWithoutBody) {
+  StatsHandlers handlers;
+  handlers.metrics = [] { return std::string("fake_metric 1\n"); };
+  const auto exchange = [&handlers](const std::string& method,
+                                    const std::string& path) {
+    Connection conn(nullptr, &handlers, nullptr);
+    const std::string req = method + " " + path + " HTTP/1.1\r\n\r\n";
+    EXPECT_FALSE(conn.OnData(req.data(), req.size()));
+    return conn.outbuf();
+  };
+  const std::string get = exchange("GET", "/metrics");
+  const std::string head = exchange("HEAD", "/metrics");
+  const size_t header_end = get.find("\r\n\r\n") + 4;
+  ASSERT_LT(header_end, get.size());
+  // Same status line and headers (Content-Length included), no body.
+  EXPECT_EQ(head, get.substr(0, header_end));
+
+  const std::string missing = exchange("HEAD", "/nope");
+  EXPECT_EQ(missing.compare(0, 22, "HTTP/1.1 404 Not Found"), 0);
+  EXPECT_EQ(missing.find("\r\n\r\n") + 4, missing.size());  // No body.
 }
 
 TEST(ConnectionTest, HttpUnknownRouteIs404) {

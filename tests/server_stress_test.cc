@@ -55,24 +55,20 @@ TEST(ServerStressTest, PipelinedConnectionsThroughGrowth) {
   };
 
   // HTTP scraper: hits the stats routes while the table is growing, so
-  // the exclusive-shard walks in /trace overlap writer traffic.
+  // the exclusive-shard walks in /trace and /heatmap overlap writer
+  // traffic.
   std::thread scraper([&] {
     while (scraping.load(std::memory_order_relaxed)) {
-      std::string body;
-      int code = 0;
-      if (!CacheClient::HttpGet("127.0.0.1", server.port(), "/metrics", &body,
-                                &code)
-               .ok() ||
-          code != 200) {
-        fail("metrics scrape failed");
-        return;
-      }
-      if (!CacheClient::HttpGet("127.0.0.1", server.port(), "/trace", &body,
-                                &code)
-               .ok() ||
-          code != 200) {
-        fail("trace scrape failed");
-        return;
+      for (const char* route : {"/metrics", "/trace", "/heatmap"}) {
+        std::string body;
+        int code = 0;
+        if (!CacheClient::HttpGet("127.0.0.1", server.port(), route, &body,
+                                  &code)
+                 .ok() ||
+            code != 200) {
+          fail(route);
+          return;
+        }
       }
     }
   });

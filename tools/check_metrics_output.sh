@@ -10,8 +10,8 @@
 #   tools/check_metrics_output.sh --file <output.txt> [schema]
 #
 # The --file form validates pre-captured text (e.g. a curled /metrics
-# scrape from the stats server) instead of running a binary; pair it with
-# tools/metrics_schema_endpoint.txt for endpoint scrapes.
+# scrape of tools/mccuckoo_server's cache port) instead of running a
+# binary; pair it with tools/metrics_schema_server.txt for daemon scrapes.
 
 set -euo pipefail
 
@@ -36,7 +36,7 @@ done < "$schema"
 
 # Histogram invariant: cumulative le="+Inf" bucket == _count, matched per
 # full label set so multi-label histograms (op latency) are each checked,
-# and label-free endpoint scrapes work too.
+# and label-free daemon scrapes work too.
 while IFS= read -r line; do
   hist=$(sed -E 's/^([a-z_]+)_bucket\{.*/\1/' <<<"$line")
   inf=$(awk '{print $2}' <<<"$line")

@@ -3,9 +3,10 @@
 //   tools/mccuckoo_server --port=11311 --threads=4 --shards=8
 //
 // Serves the binary cache protocol and the HTTP stats routes (/metrics,
-// /json, /trace) on one 127.0.0.1 port. Prints a "listening on" line once
-// the socket is bound — scripts (and the CI server job) wait for that line
-// before connecting. Runs until SIGINT/SIGTERM or --duration elapses.
+// /json, /trace, /heatmap) on one 127.0.0.1 port. Prints a "listening on"
+// line once the socket is bound — scripts (and the CI server job) wait for
+// that line before connecting. Runs until SIGINT/SIGTERM or --duration
+// elapses.
 
 #include <csignal>
 #include <cstdio>

@@ -1,23 +1,22 @@
-// Terminal dashboard for a running StatsServer — `top` for a cuckoo table.
+// Terminal dashboard for a running mccuckoo_server — `top` for its table.
 //
-// Polls http://127.0.0.1:<port>/json at a fixed interval and renders the
-// table's vitals: occupancy and load factor, per-op totals with rates
-// derived from consecutive polls, the sampled latency quantiles, and the
-// span counters that explain tail blips (growths, rehashes, reseeds, BFS
-// dead-ends, stash spills).
+// Polls http://127.0.0.1:<port>/json on the daemon's cache port at a fixed
+// interval and renders the table's vitals: occupancy and load factor,
+// per-op totals with rates derived from consecutive polls, the sampled
+// latency quantiles, and the span counters that explain tail blips
+// (growths, rehashes, reseeds, BFS dead-ends, stash spills).
 //
-//   tools/mccuckoo_top --port=8080
+//   tools/mccuckoo_top --port=11311
 //
-//   --port=N         stats server port (required)
+//   --port=N         cache server port (required)
 //   --interval-ms=N  poll period (default 1000)
 //   --iters=N        polls before exiting; 0 = until killed (default 0)
 //
 // The scraper is a deliberately tiny flat scanner over ExportJson's
 // stable output (the server pre-computes the quantiles for exactly this
-// reason) — no JSON library, no dependencies beyond POSIX sockets.
+// reason) — no JSON library. The daemon's /json nests the table plane
+// under "table" ahead of "server", so each first match is a table key.
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
@@ -30,39 +29,10 @@
 
 #include "src/common/flags.h"
 #include "src/obs/metrics.h"
+#include "src/server/client.h"
 
 namespace mccuckoo {
 namespace {
-
-/// One-shot HTTP GET against 127.0.0.1:`port`; returns the body, empty on
-/// any failure.
-std::string HttpGet(uint16_t port, const char* path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(fd);
-    return "";
-  }
-  std::string req = std::string("GET ") + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, req.data(), req.size(), 0) < 0) {
-    ::close(fd);
-    return "";
-  }
-  std::string resp;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    resp.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t body = resp.find("\r\n\r\n");
-  return body == std::string::npos ? "" : resp.substr(body + 4);
-}
 
 /// First number following `"key":` in `body` (0 when absent). Good enough
 /// for ExportJson's stable, non-nested scalar keys.
@@ -121,9 +91,11 @@ int Run(int argc, char** argv) {
   double prev_ops[3] = {0, 0, 0};  // inserts, lookups, erases
   bool have_prev = false;
   for (int64_t i = 0; iters == 0 || i < iters; ++i) {
-    const std::string body =
-        HttpGet(static_cast<uint16_t>(port), "/json");
-    if (body.empty()) {
+    std::string body;
+    int code = 0;
+    const Status s = server::CacheClient::HttpGet(
+        "127.0.0.1", static_cast<uint16_t>(port), "/json", &body, &code);
+    if (!s.ok() || code != 200) {
       std::fprintf(stderr, "mccuckoo_top: no response from 127.0.0.1:%lld\n",
                    static_cast<long long>(port));
       return 1;
