@@ -70,14 +70,32 @@ inline FlatJson BenchMetaEntries() {
   return meta;
 }
 
-/// Runs all registered benchmarks through a JsonCaptureReporter and merges
+/// True when --benchmark_filter selects every registered benchmark: the
+/// spellings google-benchmark itself treats as "run all".
+inline bool BenchFilterMatchesAll(const std::string& filter) {
+  return filter.empty() || filter == "." || filter == "all";
+}
+
+/// Writes `entries` over the file's rows with the same keys and keeps every
+/// other row.
+inline bool ReplaceFlatJsonKeys(const std::string& path,
+                                const FlatJson& entries) {
+  FlatJson data = LoadFlatJson(path);
+  for (const auto& [key, value] : entries) data[key] = value;
+  return StoreFlatJson(path, data);
+}
+
+/// Runs the registered benchmarks through a JsonCaptureReporter and merges
 /// the captured items/sec into BenchJsonPath() under `prefix` ("micro.",
-/// "batch.", ...), plus the "meta.*" machine-context rows. Returns the
-/// process exit code.
+/// "batch.", ...), plus the "meta.*" machine-context rows. An unfiltered
+/// run replaces every `prefix` row (dropping rows of benchmarks that no
+/// longer exist); a --benchmark_filter run replaces only the rows it
+/// measured. Returns the process exit code.
 inline int RunBenchmarksToJson(int argc, char** argv,
                                const std::string& prefix) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const bool filtered = !BenchFilterMatchesAll(benchmark::GetBenchmarkFilter());
   FlatJson captured;
   JsonCaptureReporter reporter(&captured);
   benchmark::RunSpecifiedBenchmarks(&reporter);
@@ -85,8 +103,9 @@ inline int RunBenchmarksToJson(int argc, char** argv,
   FlatJson prefixed;
   for (const auto& [key, value] : captured) prefixed[prefix + key] = value;
   const std::string path = BenchJsonPath();
-  if (!MergeFlatJson(path, prefix, prefixed) ||
-      !MergeFlatJson(path, "meta.", BenchMetaEntries())) {
+  const bool merged = filtered ? ReplaceFlatJsonKeys(path, prefixed)
+                              : MergeFlatJson(path, prefix, prefixed);
+  if (!merged || !MergeFlatJson(path, "meta.", BenchMetaEntries())) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;
   }

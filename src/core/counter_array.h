@@ -99,7 +99,7 @@ class CounterArray {
   /// Pointer-wise exchange of the packed storage with `other`; each array
   /// keeps its own stats sink (Rehash committing under live optimistic
   /// readers keeps the owning table's AccessStats identity-stable — see
-  /// McCuckooTable::CommitRebuildLockFree). No operand passes through a
+  /// TableSkeleton::CommitRebuildLockFree). No operand passes through a
   /// transient moved-from state.
   void SwapStorage(CounterArray& other) {
     counters_.Swap(other.counters_);

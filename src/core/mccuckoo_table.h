@@ -33,6 +33,7 @@
 // candidates — by pigeonhole inference when the partition has exactly V
 // members, by further reads otherwise. See LocateOtherCopies().
 
+
 #ifndef MCCUCKOO_CORE_MCCUCKOO_TABLE_H_
 #define MCCUCKOO_CORE_MCCUCKOO_TABLE_H_
 
@@ -40,54 +41,43 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <new>
-#include <span>
-#include <string>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/config.h"
 #include "src/core/counter_array.h"
 #include "src/core/eviction.h"
 #include "src/core/growth.h"
 #include "src/core/lock_stripes.h"
-#include "src/core/read_out.h"
 #include "src/core/seqlock.h"
-#include "src/core/stash.h"
+#include "src/core/table_skeleton.h"
 #include "src/hash/hash_family.h"
-#include "src/mem/access_stats.h"
-#include "src/obs/heatmap.h"
-#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
 #include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
 
-static_assert(kMaxHashes + 1 <= kMetricsPartitions,
-              "partition metric arrays must cover counter values 0..d");
-
 /// Multi-copy cuckoo hash table. Key must be equality-comparable and
 /// hashable by Hasher; Key and Value must be copyable. Not thread-safe (see
-/// ShardedMcCuckoo for the concurrent front-end).
+/// ShardedMcCuckoo for the concurrent front-end). The layout-independent
+/// entry points (batching, optimistic reads, Rehash, stash upkeep,
+/// introspection) live in TableSkeleton.
 template <typename Key, typename Value, typename Hasher = BobHasher,
           typename Family = HashFamily<Key, Hasher>>
   requires SeedableHasher<Hasher, Key>
-class McCuckooTable {
- public:
-  /// Exposed template parameters (used by wrappers/adapters).
-  using KeyType = Key;
-  using ValueType = Value;
-  using HasherType = Hasher;
+class McCuckooTable
+    : public TableSkeleton<McCuckooTable<Key, Value, Hasher, Family>, Key,
+                           Value, Hasher, Family> {
+  using Base = TableSkeleton<McCuckooTable, Key, Value, Hasher, Family>;
+  friend Base;
 
+ public:
   /// One off-chip bucket: the stored record plus the 1-bit stash flag that
   /// shares the bucket's memory word (§III.E). Occupancy is defined by the
   /// on-chip counter, not by the bucket itself.
@@ -98,17 +88,10 @@ class McCuckooTable {
   };
 
  private:
-  // Nested aggregates are defined before the operations: the batched and
+  // Nested aggregates are defined before the operations: the
   // candidate-reusing member signatures below mention them.
-
-  /// The d global bucket indices of a key (index = t * buckets_per_table +
-  /// h_t(key); distinct across sub-tables by construction), plus the key's
-  /// 8-bit fingerprint (derived for free from the same hash evaluation;
-  /// the counter store keeps its low nibble per bucket for probe screening).
-  struct Candidates {
-    std::array<size_t, kMaxHashes> idx;
-    uint8_t tag = 0;
-  };
+  using typename Base::Candidates;
+  using typename Base::MainOutcome;
 
   /// Candidate indices plus their counters/tombstones as read (once, all
   /// charged) at the start of an operation, and which were bucket-read.
@@ -149,39 +132,14 @@ class McCuckooTable {
   /// Constructs a table; `options` must satisfy CheckOptions() (aborts
   /// otherwise — use Create() for untrusted configuration).
   explicit McCuckooTable(const TableOptions& options)
-      : opts_(options),
-        family_(options.num_hashes, options.buckets_per_table, options.seed),
-        table_(options.num_hashes * options.buckets_per_table),
-        counters_(options.num_hashes * options.buckets_per_table,
-                  options.num_hashes, stats_.get()),
-        rng_(SplitMix64(options.seed ^ 0xA5A5A5A5A5A5A5A5ull)),
-        growth_(options.growth) {
-    if (Status s = CheckOptions(options); !s.ok()) {
-      std::fprintf(stderr, "McCuckooTable: %s\n", s.message().c_str());
-      std::abort();
-    }
-    if (options.eviction_policy == EvictionPolicy::kMinCounter) {
-      kick_history_ = KickHistory(table_.size(), options.kick_counter_bits,
-                                  stats_.get());
-    }
-    latency_->set_sample_period(options.latency_sample_period);
-  }
+      : Base(options, /*rng_salt=*/0xA5A5A5A5A5A5A5A5ull),
+        mem_{std::vector<Bucket>(options.num_hashes *
+                                 options.buckets_per_table),
+             TagCounterArray(options.num_hashes * options.buckets_per_table,
+                             options.num_hashes, stats_.get())} {}
 
-  /// Validating factory for untrusted configuration.
-  static Result<McCuckooTable> Create(const TableOptions& options) {
-    if (Status s = CheckOptions(options); !s.ok()) return s;
-    return McCuckooTable(options);
-  }
-
-  // --- Core operations -------------------------------------------------
-
-  /// Inserts a key assumed not to be present (the common case in the
-  /// paper's workloads; duplicate keys corrupt the copy invariants — use
-  /// InsertOrAssign when presence is unknown).
-  InsertResult Insert(const Key& key, const Value& value) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    return InsertWithCandidates(key, value, ComputeCandidates(key));
-  }
+  // --- Core operations (Insert, Find and the batched forms are
+  // TableSkeleton's) ------------------------------------------------------
 
   /// Inserts or, if the key exists (main table or stash), updates every
   /// copy of it. On kUpdated the replaced value is written through
@@ -199,435 +157,12 @@ class McCuckooTable {
       SeqFlush();
       return InsertResult::kUpdated;
     }
-    if (ShouldProbeStash(view)) {
-      ChargeStashProbe();
-      const bool in_stash = stash_.Find(key, previous);
-      metrics_->RecordStashProbe(in_stash);
-      if (in_stash) {
-        ChargeStashWrite();
-        SeqOpenAux();
-        stash_.Insert(key, value);
-        SeqFlush();
-        return InsertResult::kUpdated;
-      }
+    if (ShouldProbeStash(view) && AssignInStash(key, value, previous)) {
+      return InsertResult::kUpdated;
     }
-    return Insert(key, value);
+    return this->Insert(key, value);
   }
 
-  /// Looks `key` up; writes the value through `out` when found (out may be
-  /// null). Mutates only the access statistics.
-  bool Find(const Key& key, Value* out = nullptr) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    return FindImpl(key, ComputeCandidates(key), out, *metrics_);
-  }
-
-  /// Convenience wrapper over Find.
-  bool Contains(const Key& key) const { return Find(key, nullptr); }
-
-  // --- Batched operations (software-pipelined) ---------------------------
-  //
-  // The scalar operations above issue one dependent miss chain per key:
-  // hash -> counter word -> candidate bucket. The batched variants break
-  // the chain in two stages per tile of up to kBatchTile keys: stage 1
-  // hashes every key and __builtin_prefetch-es all candidate buckets and
-  // their on-chip counter words; stage 2 replays the *unchanged* scalar
-  // per-key logic against now-warm lines. The counter-partition
-  // probe-skipping rules, stash screening, and AccessStats accounting are
-  // bit-identical to a scalar loop over the same keys (differential-tested)
-  // — prefetching only hides latency, it never reads for the algorithm.
-
-  /// Internal pipeline depth: tiles bound the candidate scratch space and
-  /// keep the prefetch distance within what outstanding-miss buffers cover.
-  /// The bound is an L1 budget, not a miss-buffer one: a tile touches
-  /// d lines per key (bucket + its counter word, which usually share a
-  /// set), so at d = 3 a 64-key tile stages ~64 * 3 * 2 * 64B = 24 KB —
-  /// most of a 32 KB L1d — and by the time stage 2 replays key 0 its lines
-  /// have been evicted by keys 40+ (the batch64/batch32 load95 regression).
-  /// 16 keys * 3 candidates * 2 lines = 6 KB leaves room for the probe
-  /// loop's own working set, and 48 outstanding prefetches still cover the
-  /// ~10 line-fill buffers of current cores.
-  static constexpr size_t kBatchTile = 16;
-
-  /// Batched lookup. For key i, found[i] is set and, on a hit, out[i]
-  /// receives the value (out may be null; found must not be). Returns the
-  /// number of keys found. Equivalent to calling Find per key, in order.
-  size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
-    size_t hits = 0;
-    std::array<Candidates, kBatchTile> cand;
-    // Lookup metrics accumulate on the stack and publish once per batch:
-    // same totals as per-key recording, a fraction of the atomic RMWs.
-    LookupTally tally;
-    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
-      const size_t n = std::min(kBatchTile, keys.size() - base);
-      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/false);
-      for (size_t i = 0; i < n; ++i) {
-        const bool hit =
-            FindImpl(keys[base + i], cand[i],
-                     out != nullptr ? &out[base + i] : nullptr, tally);
-        if (found != nullptr) found[base + i] = hit;
-        hits += hit ? 1 : 0;
-      }
-    }
-    tally.FlushTo(*metrics_);
-    return hits;
-  }
-
-  /// Batched membership test: FindBatch without value extraction.
-  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
-    return FindBatch(keys, nullptr, found);
-  }
-
-  /// Batched mutation-free lookup (the sharded/concurrent reader path):
-  /// equivalent to calling FindNoStats per key, in order.
-  size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
-                          bool* found) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
-    size_t hits = 0;
-    std::array<Candidates, kBatchTile> cand;
-    LookupTally tally;
-    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
-      const size_t n = std::min(kBatchTile, keys.size() - base);
-      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/false);
-      for (size_t i = 0; i < n; ++i) {
-        const bool hit =
-            FindNoStatsImpl(keys[base + i], cand[i],
-                            out != nullptr ? &out[base + i] : nullptr, tally);
-        if (found != nullptr) found[base + i] = hit;
-        hits += hit ? 1 : 0;
-      }
-    }
-    tally.FlushTo(*metrics_);
-    return hits;
-  }
-
-  /// Batched insertion of keys assumed not to be present; results[i] (when
-  /// results is non-null) receives the per-key outcome. Equivalent to
-  /// calling Insert per key, in order — kick-out chains and stash spills
-  /// behave exactly as in the scalar path.
-  void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
-                   InsertResult* results = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
-    assert(keys.size() == values.size());
-    std::array<Candidates, kBatchTile> cand;
-    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
-      const size_t n = std::min(kBatchTile, keys.size() - base);
-      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t epoch = rehash_epoch_;
-        const InsertResult r =
-            InsertWithCandidates(keys[base + i], values[base + i], cand[i]);
-        if (results != nullptr) results[base + i] = r;
-        // An auto-growth rehash inside the insert replaced the geometry
-        // and hash seeds; the remaining staged candidates were computed
-        // against the old ones and must be re-derived.
-        if (rehash_epoch_ != epoch && i + 1 < n) {
-          StageCandidates(&keys[base + i + 1], n - i - 1, &cand[i + 1],
-                          /*for_write=*/true);
-        }
-      }
-    }
-  }
-
-  /// Statistics-free const lookup: same candidate/partition/stash-screen
-  /// logic as Find but through the uncharged accessors, so it performs no
-  /// mutation whatsoever. This is ShardedMcCuckoo's locked read path —
-  /// many readers may call it under a shard's shared lock while its writer
-  /// is excluded. Not meant for experiments: it records no access counts.
-  bool FindNoStats(const Key& key, Value* out = nullptr) const {
-    return FindNoStatsImpl(key, ComputeCandidates(key), out, *metrics_);
-  }
-
-  // --- Optimistic (seqlock-validated) read path --------------------------
-
-  /// Attaches (or, with null, detaches) the seqlock version array the
-  /// concurrent wrapper owns. While attached, every mutation opens the
-  /// stripes of the buckets it touches (odd version = in flight) and
-  /// publishes them at its commit point; TryFindOptimistic can then run
-  /// without any lock. Single-threaded users never call this and pay only
-  /// a null check per mutation choke point.
-  void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
-
-  /// Attaches (or detaches) the striped writer-lock array for the
-  /// multi-writer path (see lock_stripes.h). Must be congruent with the
-  /// attached SeqlockArray (same sizing hint): holding a lock stripe grants
-  /// exclusive writer rights over the matching seqlock stripe, which is
-  /// what keeps the blind non-RMW version bumps valid under many writers.
-  void AttachLockStripes(LockStripeArray* locks) { locks_ = locks; }
-
-  /// Sizing hint for the version array covering this table's buckets.
-  size_t seqlock_domain() const { return table_.size(); }
-
-  /// Lock-free lookup attempt: records the versions of the candidate
-  /// stripes (plus the aux stripe covering the stash), runs the
-  /// statistics-free probe, and only reports kHit/kMiss if every recorded
-  /// version was even and unchanged afterwards. Any writer overlap — or a
-  /// probe that would need the stash — yields kContended and the caller
-  /// retries or takes the shared lock. Requires an attached SeqlockArray
-  /// and a single concurrent writer (the wrapper's mutex).
-  OptimisticResult TryFindOptimistic(const Key& key,
-                                     Value* out = nullptr) const {
-    // Each optimistic attempt is one latency sample candidate; a
-    // contended attempt that gets retried or falls back to the locked
-    // Find is timed as its own (short) attempt.
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    // Torn reads of the bucket during a racing write are discarded after
-    // validation, but reading a partially-updated non-trivial type (e.g.
-    // std::string mid-reallocation) would be UB before validation happens.
-    static_assert(
-        std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>,
-        "optimistic reads require trivially copyable Key and Value");
-    if (seq_ == nullptr) return OptimisticResult::kContended;
-    size_t stripes[kMaxHashes + 1];
-    uint32_t versions[kMaxHashes + 1];
-    size_t n = 0;
-    stripes[n] = seq_->aux_stripe();
-    versions[n] = seq_->ReadBegin(stripes[n]);
-    if (SeqlockArray::IsWriting(versions[n])) {
-      return OptimisticResult::kContended;
-    }
-    ++n;
-    // The candidate computation reads the geometry and hash seeds, which
-    // Rehash replaces wholesale under the aux stripe (recorded above, so a
-    // concurrent swap fails validation). The bounds check keeps a
-    // torn-epoch index from escaping into the probe; bucket storage
-    // replaced by a racing Rehash stays dereferenceable regardless (see
-    // retired_).
-    uint32_t d;
-    Candidates cand;
-    {
-      SeqlockReadCritical crit;
-      d = opts_.num_hashes;
-      cand = ComputeCandidates(key);
-      for (uint32_t t = 0; t < d; ++t) {
-        if (cand.idx[t] >= table_.size()) return OptimisticResult::kContended;
-      }
-    }
-    for (uint32_t t = 0; t < d; ++t) {
-      const size_t s = seq_->StripeOf(cand.idx[t]);
-      bool dup = false;
-      for (size_t j = 1; j < n; ++j) {
-        if (stripes[j] == s) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-      stripes[n] = s;
-      versions[n] = seq_->ReadBegin(s);
-      if (SeqlockArray::IsWriting(versions[n])) {
-        return OptimisticResult::kContended;
-      }
-      ++n;
-    }
-    // Probe into locals: neither the out-parameter nor the shared metrics
-    // may observe a result that fails validation.
-    Value tmp{};
-    LookupTally tally;
-    MainOutcome mo;
-    {
-      SeqlockReadCritical crit;
-      mo = FindNoStatsMain(key, cand, &tmp, tally);
-    }
-    if (!seq_->Validate(stripes, versions, n)) {
-      return OptimisticResult::kContended;
-    }
-    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kContended;
-    tally.FlushTo(*metrics_);
-    if (mo == MainOutcome::kHit) {
-      if (out != nullptr) *out = tmp;
-      return OptimisticResult::kHit;
-    }
-    return OptimisticResult::kMiss;
-  }
-
-  /// All-or-nothing optimistic batch lookup over one tile (keys.size() <=
-  /// kBatchTile): stages prefetches, records the versions of every touched
-  /// stripe, probes all keys, then validates once. Returns the hit count
-  /// with out/found filled, or -1 if any stripe was (or became) active or
-  /// any key needed the stash — the caller re-runs the tile under the lock.
-  int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
-                                 bool* found) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
-    static_assert(
-        std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>,
-        "optimistic reads require trivially copyable Key and Value");
-    assert(keys.size() <= kBatchTile);
-    if (seq_ == nullptr) return -1;
-    if (keys.empty()) return 0;
-    const size_t n_keys = keys.size();
-    // Versions for every (key, candidate) stripe plus aux, recorded before
-    // any data read. Duplicates are validated twice — harmless.
-    std::array<size_t, kBatchTile * kMaxHashes + 1> stripes;
-    std::array<uint32_t, kBatchTile * kMaxHashes + 1> versions;
-    size_t n = 0;
-    stripes[n] = seq_->aux_stripe();
-    versions[n] = seq_->ReadBegin(stripes[n]);
-    if (SeqlockArray::IsWriting(versions[n])) return -1;
-    ++n;
-    // Candidates under the recorded aux version, bounds-checked before any
-    // probe (see TryFindOptimistic).
-    uint32_t d;
-    std::array<Candidates, kBatchTile> cand;
-    {
-      SeqlockReadCritical crit;
-      d = opts_.num_hashes;
-      StageCandidates(keys.data(), n_keys, cand.data(), /*for_write=*/false);
-      for (size_t i = 0; i < n_keys; ++i) {
-        for (uint32_t t = 0; t < d; ++t) {
-          if (cand[i].idx[t] >= table_.size()) return -1;
-        }
-      }
-    }
-    for (size_t i = 0; i < n_keys; ++i) {
-      for (uint32_t t = 0; t < d; ++t) {
-        const size_t s = seq_->StripeOf(cand[i].idx[t]);
-        stripes[n] = s;
-        versions[n] = seq_->ReadBegin(s);
-        if (SeqlockArray::IsWriting(versions[n])) return -1;
-        ++n;
-      }
-    }
-    std::array<Value, kBatchTile> tmpv{};
-    std::array<bool, kBatchTile> tmpf{};
-    LookupTally tally;
-    size_t hits = 0;
-    {
-      SeqlockReadCritical crit;
-      for (size_t i = 0; i < n_keys; ++i) {
-        const MainOutcome mo =
-            FindNoStatsMain(keys[i], cand[i], &tmpv[i], tally);
-        if (mo == MainOutcome::kCheckStash) return -1;
-        tmpf[i] = (mo == MainOutcome::kHit);
-        hits += tmpf[i] ? 1 : 0;
-      }
-    }
-    if (!seq_->Validate(stripes.data(), versions.data(), n)) return -1;
-    tally.FlushTo(*metrics_);
-    for (size_t i = 0; i < n_keys; ++i) {
-      if (found != nullptr) found[i] = tmpf[i];
-      if (out != nullptr && tmpf[i]) out[i] = tmpv[i];
-    }
-    return static_cast<int64_t>(hits);
-  }
-
- private:
-  /// What the main-table portion of a statistics-free lookup concluded.
-  /// kCheckStash means "miss in the buckets, and the stash screen could not
-  /// rule the stash out": the locked path probes the stash, the optimistic
-  /// path bails out instead (the stash's unordered_map must never be
-  /// traversed concurrently with a writer).
-  enum class MainOutcome : uint8_t { kHit, kMiss, kCheckStash };
-
-  /// Main-table part of FindNoStats over precomputed candidates: counters,
-  /// partitions, bucket probes, and the stash screen — everything except
-  /// the stash probe itself. `sink` is the live TableMetrics for scalar
-  /// calls, a stack-local LookupTally for batches and optimistic attempts.
-  template <typename MetricsSink>
-  MainOutcome FindNoStatsMain(const Key& key, const Candidates& cand,
-                              Value* out, MetricsSink& sink) const {
-    const uint32_t d = opts_.num_hashes;
-    uint64_t counter[kMaxHashes];
-    bool tomb[kMaxHashes];
-    bool any_zero = false, any_gt1 = false;
-    for (uint32_t t = 0; t < d; ++t) {
-      counter[t] = counters_.PeekCounter(cand.idx[t]);
-      tomb[t] = counters_.PeekTombstone(cand.idx[t]);
-      if (counter[t] == 0 && !tomb[t]) any_zero = true;
-      if (counter[t] > 1) any_gt1 = true;
-    }
-    // Probe tallies, recorded once on the way out (atomics are fine from
-    // the shared-lock reader path; AccessStats would not be).
-    uint32_t probes_total = 0;
-    std::array<uint8_t, kMaxHashes + 1> probes_by_value{};
-    auto record_lookup = [&](int32_t hit_value) {
-      if constexpr (kMetricsEnabled) {
-        sink.RecordLookupOutcome(probes_total, hit_value);
-        for (uint32_t val = 1; val <= d; ++val) {
-          sink.RecordPartitionProbes(val, probes_by_value[val]);
-        }
-      }
-    };
-    if (opts_.lookup_pruning_enabled && any_zero &&
-        opts_.deletion_mode != DeletionMode::kResetCounters) {
-      record_lookup(-1);
-      return MainOutcome::kMiss;
-    }
-    // The empty() read is a plain size check, memory-safe even when racing
-    // a writer; optimistic callers validate the aux stripe before trusting
-    // any conclusion drawn from it (including the probe skips below).
-    const bool stash_empty = stash_.empty();
-    const uint8_t tag_nibble = cand.tag & 0x0Fu;
-    bool read_flag_zero = false;
-    for (uint64_t value = d; value >= 1; --value) {
-      uint32_t members[kMaxHashes];
-      uint32_t s = 0;
-      for (uint32_t t = 0; t < d; ++t) {
-        if (!tomb[t] && counter[t] == value) members[s++] = t;
-      }
-      if (s < value && opts_.lookup_pruning_enabled) continue;
-      const uint32_t probes =
-          opts_.lookup_pruning_enabled ? s - static_cast<uint32_t>(value) + 1
-                                       : s;
-      for (uint32_t i = 0; i < probes; ++i) {
-        ++probes_total;
-        ++probes_by_value[value];
-        const size_t idx = cand.idx[members[i]];
-        if (counters_.PeekTag(idx) != tag_nibble && stash_empty) {
-          // Fingerprint mismatch proves the occupant is a different key;
-          // with the stash empty its flag can never matter, so the one
-          // DRAM line this probe models is never touched. Probe tallies
-          // still count it — the model performed this read.
-          continue;
-        }
-        const Bucket& b = table_[idx];
-        if (b.key == key) {
-          if (out != nullptr) *out = b.value;
-          record_lookup(static_cast<int32_t>(value));
-          return MainOutcome::kHit;
-        }
-        if (!b.stash_flag) read_flag_zero = true;
-      }
-    }
-    record_lookup(-1);
-    // Stash screen, mirroring ShouldProbeStash.
-    if (stash_empty) return MainOutcome::kMiss;
-    if (opts_.stash_kind == StashKind::kOnchipChs) {
-      return MainOutcome::kCheckStash;
-    }
-    if (opts_.stash_screen_enabled) {
-      if (opts_.deletion_mode == DeletionMode::kDisabled &&
-          (any_zero || any_gt1)) {
-        return MainOutcome::kMiss;
-      }
-      if (opts_.deletion_mode == DeletionMode::kTombstone && any_zero) {
-        return MainOutcome::kMiss;
-      }
-      if (read_flag_zero) return MainOutcome::kMiss;
-    }
-    return MainOutcome::kCheckStash;
-  }
-
-  /// FindNoStats body over precomputed candidates (shared with the batched
-  /// no-stats path): the main-table probe plus, when the screen allows it,
-  /// the actual stash probe.
-  template <typename MetricsSink>
-  bool FindNoStatsImpl(const Key& key, const Candidates& cand, Value* out,
-                       MetricsSink& sink) const {
-    switch (FindNoStatsMain(key, cand, out, sink)) {
-      case MainOutcome::kHit:
-        return true;
-      case MainOutcome::kMiss:
-        return false;
-      case MainOutcome::kCheckStash:
-        break;
-    }
-    const bool hit = stash_.Find(key, out);
-    sink.RecordStashProbe(hit);
-    return hit;
-  }
-
- public:
   /// Deletes `key`. Requires a deletion-enabled mode; in multi-copy tables
   /// this performs zero off-chip writes (only counters change, §III.B.3).
   bool Erase(const Key& key) {
@@ -648,9 +183,9 @@ class McCuckooTable {
       for (uint32_t i = 0; i < copies.count; ++i) {
         SeqOpen(copies.idx[i]);
         if (opts_.deletion_mode == DeletionMode::kTombstone) {
-          counters_.MarkDeleted(copies.idx[i]);
+          mem_.counters.MarkDeleted(copies.idx[i]);
         } else {
-          counters_.Set(copies.idx[i], 0);
+          mem_.counters.Set(copies.idx[i], 0);
         }
       }
       --size_;
@@ -658,347 +193,20 @@ class McCuckooTable {
       metrics_->RecordErase();
       return true;
     }
-    if (ShouldProbeStash(view)) {
-      ChargeStashProbe();
-      SeqOpenAux();
-      const bool hit = stash_.Erase(key);
-      SeqFlush();
-      metrics_->RecordStashProbe(hit);
-      if (hit) {
-        ChargeStashWrite();
-        // Flags are Bloom-like and not cleared (§III.F); false positives
-        // accumulate until RebuildStashFlags().
-        ++stale_stash_flag_keys_;
-        metrics_->RecordErase();
-        return true;
-      }
-    }
-    return false;
+    return ShouldProbeStash(view) && EraseFromStash(key);
   }
 
-  /// Full rehash into a table of `new_buckets_per_table` buckets per
-  /// sub-table under a fresh hash family seeded by `new_seed` — the costly
-  /// remedy for insertion failures that the stash exists to avoid (§I.2),
-  /// provided for completeness and for growing a long-lived table. Reads
-  /// out every live item (charged: one read per old bucket plus the
-  /// re-insertion traffic) and rebuilds through the pipelined InsertBatch;
-  /// stashed items are re-inserted after the main-table items. Fails
-  /// without touching the table if the new capacity cannot hold the
-  /// current items.
-  Status Rehash(uint64_t new_buckets_per_table, uint64_t new_seed) {
-    const uint64_t t0 = MetricsNowNs();
-    TableOptions new_opts = opts_;
-    new_opts.buckets_per_table = new_buckets_per_table;
-    new_opts.seed = new_seed;
-    Status s = new_opts.Validate();
-    if (!s.ok()) return s;
-    if (new_opts.capacity() < TotalItems()) {
-      return Status::InvalidArgument(
-          "rehash target smaller than the current item count");
-    }
-    // "Reading out all inserted items and using a different set of hash
-    // functions to put them into a bigger table" (§I.2).
-    std::vector<Key> keys;
-    std::vector<Value> values;
-    keys.reserve(TotalItems());
-    values.reserve(TotalItems());
-    stats_->offchip_reads += table_.size();  // full scan of the old table
-    ForEachMainItem([&](const Key& k, const Value& v) {
-      keys.push_back(k);
-      values.push_back(v);
-    });
-    for (const auto& [k, v] : stash_.Items()) {
-      ++stats_->offchip_reads;
-      keys.push_back(k);
-      values.push_back(v);
-    }
-
-    McCuckooTable rebuilt = ScratchRebuild(new_opts);
-    rebuilt.InsertBatch(keys, values);
-    CommitRehash(std::move(rebuilt), t0, keys.size());
-    return Status::OK();
-  }
-
-  // --- Stash maintenance (§III.E/F) -------------------------------------
-
-  /// Attempts to move stashed items back into the main table (no new
-  /// kick-out chains are started: only free/redundant buckets are used).
-  /// Returns how many items left the stash. Flags are left set (sticky).
-  size_t TryDrainStash() {
-    size_t drained = 0;
-    for (const auto& [k, v] : stash_.Items()) {
-      Candidates cand = ComputeCandidates(k);
-      const uint32_t placed = TryPlace(k, v, cand);
-      if (placed > 0) {
-        SeqOpenAux();
-        stash_.Erase(k);
-        ChargeStashWrite();
-        ++size_;
-        ++drained;
-      }
-      SeqFlush();  // per item: bucket copies and stash removal together
-    }
-    return drained;
-  }
-
-  /// Resets every stash flag and re-marks the candidates of the items
-  /// currently stashed, re-synchronizing the screen after stash deletions
-  /// (§III.F). Charges one off-chip write per flag actually changed.
-  void RebuildStashFlags() {
-    // Cleared and re-set flags publish together: a reader validating
-    // between the clear and the re-mark would false-miss a stashed key.
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      Bucket& b = table_[idx];
-      if (b.stash_flag) {
-        SeqOpen(idx);
-        b.stash_flag = false;
-        ++stats_->offchip_writes;
-      }
-    }
-    for (const auto& [k, v] : stash_.Items()) {
-      (void)v;
-      Candidates cand = ComputeCandidates(k);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) SetFlag(cand.idx[t]);
-    }
-    stale_stash_flag_keys_ = 0;
-    SeqFlush();
-  }
-
-  // --- Introspection ----------------------------------------------------
-
-  /// Live keys resident in the main table (excludes the stash).
-  size_t size() const { return size_; }
-
-  /// Keys currently parked in the stash.
-  size_t stash_size() const { return stash_.size(); }
-
-  /// Live keys anywhere (main table + stash).
-  size_t TotalItems() const { return size_ + stash_.size(); }
-
-  /// Total buckets (= key capacity for the single-slot layout).
-  uint64_t capacity() const { return table_.size(); }
-
-  /// Distinct-items-to-buckets ratio, the paper's "load ratio".
-  double load_factor() const {
-    return static_cast<double>(TotalItems()) / static_cast<double>(capacity());
-  }
-
-  const TableOptions& options() const { return opts_; }
-  const AccessStats& stats() const { return *stats_; }
-  void ResetStats() { *stats_ = AccessStats{}; }
-
-  /// Point-in-time metrics copy with the occupancy/capacity gauges filled
-  /// (all zeros under -DMCCUCKOO_NO_METRICS). Safe to call concurrently
-  /// with readers; pair with writer exclusion for exact totals.
-  MetricsSnapshot SnapshotMetrics() const {
-    MetricsSnapshot s = metrics_->Snapshot();
-    s.occupancy_items = TotalItems();
-    s.capacity_slots = capacity();
-    latency_->FoldInto(&s);
-    for (size_t k = 0; k < kSpanKinds; ++k) {
-      s.span_counts[k] += spans_.Totals()[k];
-    }
-    return s;
-  }
-
-  /// Clears the metrics, the kick-chain trace ring, the latency samples,
-  /// and the span ring (AccessStats are separate; see ResetStats).
-  void ResetMetrics() {
-    metrics_->Reset();
-    trace_.Clear();
-    latency_->Reset();
-    spans_.Clear();
-  }
-
-  /// Kick-chain trace ring (post-mortem inspection of recent chains).
-  const TraceRecorder& trace() const { return trace_; }
-
-  /// Span timeline ring (growth/rehash/reseed/dead-end/spill events) —
-  /// feed Events() to ExportChromeTrace for a chrome://tracing view.
-  const SpanRecorder& spans() const { return spans_; }
-
-  /// Sampled op-latency recorder (configure via
-  /// TableOptions::latency_sample_period or set_sample_period).
-  LatencyRecorder& latency() const { return *latency_; }
-
-  /// Scans the table into an occupancy/counter heatmap at the requested
-  /// region resolution (full-table scan; scrape-time cost only).
-  HeatmapSnapshot Heatmap(size_t regions = 64) const {
-    HeatmapSnapshot h;
-    const size_t buckets = table_.size();
-    if (regions == 0) regions = 1;
-    if (regions > buckets) regions = buckets;
-    h.region_occupied.assign(regions, 0);
-    h.region_slots.assign(regions, 0);
-    h.total_buckets = buckets;
-    h.total_slots = buckets;  // single-slot layout
-    const size_t per_region = (buckets + regions - 1) / regions;
-    for (size_t idx = 0; idx < buckets; ++idx) {
-      const size_t region = idx / per_region;
-      ++h.region_slots[region];
-      const uint8_t c = counters_.PeekCounter(idx);
-      const size_t cv = c < kMetricsPartitions ? c : kMetricsPartitions - 1;
-      ++h.counter_values[cv];
-      if (c != 0) {
-        ++h.region_occupied[region];
-        ++h.occupied_slots;
-      }
-    }
-    return h;
-  }
+  /// Attaches (or detaches) the striped writer-lock array for the
+  /// multi-writer path (see lock_stripes.h). Must be congruent with the
+  /// attached SeqlockArray (same sizing hint): holding a lock stripe grants
+  /// exclusive writer rights over the matching seqlock stripe, which is
+  /// what keeps the blind non-RMW version bumps valid under many writers.
+  void AttachLockStripes(LockStripeArray* locks) { locks_ = locks; }
 
   /// Probe kernel the lookup paths use. The single-slot table screens with
   /// one fingerprint byte per candidate — a header-screened scalar probe;
   /// only the blocked table has whole-bucket headers for the SIMD kernels.
   const char* probe_variant() const { return "scalar"; }
-
-  /// Items present when the first real collision happened (0 = none yet) —
-  /// Table I's metric.
-  uint64_t first_collision_items() const { return first_collision_items_; }
-
-  /// Items present when the first insertion failure (stash spill) happened
-  /// (0 = none yet) — Fig 11's metric.
-  uint64_t first_failure_items() const { return first_failure_items_; }
-
-  /// Total proactive redundant copy writes so far (copies beyond each
-  /// item's first). Theorem 2 bounds this by capacity * (1 + sum_{t=3..d}
-  /// 1/t); for d = 3: 5/6 of the bucket count.
-  uint64_t redundant_writes() const { return redundant_writes_; }
-
-  /// Keys erased from the stash whose flags are now stale (false-positive
-  /// pressure on the screen; see RebuildStashFlags).
-  uint64_t stale_stash_flag_keys() const { return stale_stash_flag_keys_; }
-
-  /// Times a CHS-style on-chip stash exceeded its capacity — events where a
-  /// real deployment would have had to rehash (§II.B).
-  uint64_t forced_rehash_events() const { return forced_rehash_events_; }
-
-  /// Bytes of modeled on-chip memory (copy counters, plus MinCounter's
-  /// kick-history array when that policy is active).
-  size_t onchip_memory_bytes() const {
-    return counters_.counter_bytes() + kick_history_.memory_bytes();
-  }
-
-  /// Invokes `fn(key, value)` once per live key (main table + stash), in
-  /// unspecified order. Uncharged maintenance/snapshot path.
-  template <typename Fn>
-  void ForEachItem(Fn&& fn) const {
-    ForEachMainItem(fn);
-    for (const auto& [k, v] : stash_.Items()) fn(k, v);
-  }
-
-  /// Number of live copies of `key` in the main table (uncharged; testing).
-  uint32_t CountCopies(const Key& key) const {
-    Candidates cand = ComputeCandidates(key);
-    uint32_t copies = 0;
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = cand.idx[t];
-      if (counters_.PeekCounter(idx) > 0 && table_[idx].key == key) ++copies;
-    }
-    return copies;
-  }
-
-  /// Exhaustively checks the structural invariants (uncharged; testing):
-  /// every live bucket's occupant hashes to that bucket; all copies of a
-  /// key are identical; every copy's counter equals the key's copy count;
-  /// tombstones only exist in kTombstone mode.
-  Status ValidateInvariants() const {
-    std::unordered_map<Key, std::vector<size_t>> copies;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      const uint64_t c = counters_.PeekCounter(idx);
-      if (counters_.PeekTombstone(idx)) {
-        if (opts_.deletion_mode != DeletionMode::kTombstone) {
-          return Status::Internal("tombstone outside kTombstone mode at " +
-                                  std::to_string(idx));
-        }
-        if (c != 0) {
-          return Status::Internal("tombstone with non-zero counter at " +
-                                  std::to_string(idx));
-        }
-        continue;
-      }
-      if (c == 0) continue;
-      if (c > opts_.num_hashes) {
-        return Status::Internal("counter exceeds d at " + std::to_string(idx));
-      }
-      const Key& k = table_[idx].key;
-      const uint32_t t = static_cast<uint32_t>(idx / opts_.buckets_per_table);
-      const uint64_t b = idx % opts_.buckets_per_table;
-      if (family_.Bucket(k, t) != b) {
-        return Status::Internal("occupant does not hash to bucket " +
-                                std::to_string(idx));
-      }
-      if (counters_.PeekTag(idx) != (family_.TagOf(k) & 0x0Fu)) {
-        return Status::Internal("stale bucket fingerprint at " +
-                                std::to_string(idx));
-      }
-      copies[k].push_back(idx);
-    }
-    for (const auto& [k, positions] : copies) {
-      for (size_t idx : positions) {
-        if (counters_.PeekCounter(idx) != positions.size()) {
-          return Status::Internal("counter != copy count at " +
-                                  std::to_string(idx));
-        }
-        if (!(table_[idx].value == table_[positions.front()].value)) {
-          return Status::Internal("diverged copy values for a key");
-        }
-      }
-    }
-    if (copies.size() != size_) {
-      return Status::Internal("size_ does not match live distinct keys: " +
-                              std::to_string(size_) + " vs " +
-                              std::to_string(copies.size()));
-    }
-    return Status::OK();
-  }
-
-  /// Debug-build deep check for the chaos/property harnesses:
-  /// ValidateInvariants plus the stash-screen rule that every stashed
-  /// key's candidate buckets carry the stash flag (flags may be stale-set
-  /// — they are sticky by design — but never missing). Compiles to an
-  /// unconditional OK in NDEBUG builds so release benchmarks can keep the
-  /// call sites.
-  Status CheckInvariants() const {
-#ifdef NDEBUG
-    return Status::OK();
-#else
-    if (Status s = ValidateInvariants(); !s.ok()) return s;
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      for (const auto& [k, v] : stash_.Items()) {
-        (void)v;
-        const Candidates cand = ComputeCandidates(k);
-        for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-          if (!table_[cand.idx[t]].stash_flag) {
-            return Status::Internal(
-                "stashed key lacks a candidate stash flag at bucket " +
-                std::to_string(cand.idx[t]));
-          }
-          // Without deletions the screen additionally relies on every
-          // stashed key's candidates holding sole copies forever: the key
-          // was stashed only after TryPlace saw all-ones, and a counter-1
-          // bucket can never fall to 0 nor climb past 1 again.
-          if (opts_.deletion_mode == DeletionMode::kDisabled &&
-              counters_.PeekCounter(cand.idx[t]) != 1) {
-            return Status::Internal(
-                "stashed key candidate bucket " + std::to_string(cand.idx[t]) +
-                " has counter " +
-                std::to_string(counters_.PeekCounter(cand.idx[t])) +
-                " != 1 under kDisabled; the stash screen would veto lookups");
-          }
-        }
-      }
-    }
-    return Status::OK();
-#endif
-  }
-
-  /// Read-only view of the auto-growth state machine.
-  const GrowthPolicy& growth_policy() const { return growth_; }
-
-  /// Completed rehash commits over this table's lifetime (manual and
-  /// growth-triggered). Changes exactly when the geometry/seeds may have.
-  uint64_t rehash_epoch() const { return rehash_epoch_; }
 
   // ===== Multi-writer (striped-lock) operations ===========================
   //
@@ -1109,12 +317,12 @@ class McCuckooTable {
       // writer of the same key may have inserted it.
       const CopySet copies = ConcurrentLocateCopies(key, cand);
       if (copies.count > 0) {
-        if (previous != nullptr) *previous = table_[copies.idx[0]].value;
+        if (previous != nullptr) *previous = mem_.table[copies.idx[0]].value;
         for (uint32_t i = 0; i < copies.count; ++i) {
           // Value-only update: the occupant's key, tag and counter are
           // already exactly this key's (located under the held stripes).
           SeqOpenIn(ws, copies.idx[i]);
-          table_[copies.idx[i]].value = value;
+          mem_.table[copies.idx[i]].value = value;
         }
         ConcurrentFlush(ws, ls);
         return InsertResult::kUpdated;
@@ -1173,9 +381,9 @@ class McCuckooTable {
       for (uint32_t i = 0; i < copies.count; ++i) {
         SeqOpenIn(ws, copies.idx[i]);
         if (opts_.deletion_mode == DeletionMode::kTombstone) {
-          counters_.AtomicMarkDeleted(copies.idx[i]);
+          mem_.counters.AtomicMarkDeleted(copies.idx[i]);
         } else {
-          counters_.AtomicSet(copies.idx[i], 0);
+          mem_.counters.AtomicSet(copies.idx[i], 0);
         }
       }
       size_.FetchSub(1);
@@ -1221,7 +429,7 @@ class McCuckooTable {
         SeqlockReadCritical crit;
         cand = ComputeCandidates(key);
         for (uint32_t t = 0; t < d; ++t) {
-          in_range = in_range && cand.idx[t] < table_.size();
+          in_range = in_range && cand.bucket[t] < mem_.table.size();
         }
       }
       if (!in_range) continue;  // torn mid-commit read; retry
@@ -1229,7 +437,7 @@ class McCuckooTable {
       {
         std::array<size_t, kMaxHashes> stripes;
         for (uint32_t t = 0; t < d; ++t) {
-          stripes[t] = locks_->StripeOf(cand.idx[t]);
+          stripes[t] = locks_->StripeOf(cand.bucket[t]);
         }
         ls.AcquireOrdered(stripes.data(), d);
       }
@@ -1304,7 +512,7 @@ class McCuckooTable {
     std::array<size_t, kMaxHashes> stripes;
     const uint32_t d = opts_.num_hashes;
     for (uint32_t t = 0; t < d; ++t) {
-      stripes[t] = locks_->StripeOf(cand.idx[t]);
+      stripes[t] = locks_->StripeOf(cand.bucket[t]);
     }
     ls.AcquireOrdered(stripes.data(), d);
   }
@@ -1334,15 +542,15 @@ class McCuckooTable {
   void ConcurrentStoreBucket(SeqlockWriterSet& ws, size_t idx, const Key& key,
                              const Value& value) {
     SeqOpenIn(ws, idx);
-    Bucket& b = table_[idx];
+    Bucket& b = mem_.table[idx];
     b.key = key;
     b.value = value;
-    counters_.AtomicSetTag(idx, family_.TagOf(key));
+    mem_.counters.AtomicSetTag(idx, family_.TagOf(key));
   }
 
   void ConcurrentSetFlag(SeqlockWriterSet& ws, size_t idx) {
     SeqOpenIn(ws, idx);
-    table_[idx].stash_flag = true;
+    mem_.table[idx].stash_flag = true;
   }
 
   /// Exact copy location under held candidate stripes: every copy of `key`
@@ -1352,11 +560,12 @@ class McCuckooTable {
   /// lookup probes.
   CopySet ConcurrentLocateCopies(const Key& key, const Candidates& cand) {
     CopySet out{};
-    const uint8_t tag_nibble = cand.tag & 0x0Fu;
+    const uint8_t tag_nibble = cand.tag & kTagMask;
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = cand.idx[t];
-      if (counters_.PeekCounter(idx) > 0 &&
-          counters_.PeekTag(idx) == tag_nibble && table_[idx].key == key) {
+      const size_t idx = cand.bucket[t];
+      if (mem_.counters.PeekCounter(idx) > 0 &&
+          mem_.counters.PeekTag(idx) == tag_nibble &&
+          mem_.table[idx].key == key) {
         out.idx[out.count++] = idx;
       }
     }
@@ -1381,13 +590,13 @@ class McCuckooTable {
     const uint32_t d = opts_.num_hashes;
     bool any_zero = false, any_gt1 = false, any_flag_zero = false;
     for (uint32_t t = 0; t < d; ++t) {
-      const size_t idx = cand.idx[t];
-      const uint64_t c = counters_.PeekCounter(idx);
+      const size_t idx = cand.bucket[t];
+      const uint64_t c = mem_.counters.PeekCounter(idx);
       const bool tomb = opts_.deletion_mode == DeletionMode::kTombstone &&
-                        counters_.PeekTombstone(idx);
+                        mem_.counters.PeekTombstone(idx);
       if (c == 0 && !tomb) any_zero = true;
       if (c > 1) any_gt1 = true;
-      if (!table_[idx].stash_flag) any_flag_zero = true;
+      if (!mem_.table[idx].stash_flag) any_flag_zero = true;
     }
     if (opts_.deletion_mode == DeletionMode::kDisabled &&
         (any_zero || any_gt1)) {
@@ -1401,7 +610,7 @@ class McCuckooTable {
 
   bool AllCandidatesSoleCopies(const Candidates& cand) const {
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      if (counters_.PeekCounter(cand.idx[t]) != 1) return false;
+      if (mem_.counters.PeekCounter(cand.bucket[t]) != 1) return false;
     }
     return true;
   }
@@ -1454,9 +663,9 @@ class McCuckooTable {
     // Principle 1: occupy all the empty candidate buckets (tombstones read
     // as counter 0 through PeekCounter and are recycled transparently).
     for (uint32_t t = 0; t < d; ++t) {
-      if (counters_.PeekCounter(cand.idx[t]) == 0) {
-        ConcurrentStoreBucket(ws, cand.idx[t], key, value);
-        placed[n_placed++] = cand.idx[t];
+      if (mem_.counters.PeekCounter(cand.bucket[t]) == 0) {
+        ConcurrentStoreBucket(ws, cand.bucket[t], key, value);
+        placed[n_placed++] = cand.bucket[t];
         taken[t] = true;
       }
     }
@@ -1466,25 +675,25 @@ class McCuckooTable {
       uint64_t best_v = 0;
       for (uint32_t t = 0; t < d; ++t) {
         if (taken[t]) continue;
-        const uint64_t cur = counters_.PeekCounter(cand.idx[t]);
+        const uint64_t cur = mem_.counters.PeekCounter(cand.bucket[t]);
         if (cur > best_v) {
           best_v = cur;
           best = static_cast<int>(t);
         }
       }
       if (best < 0 || best_v < 2 || best_v < n_placed + 2) break;
-      if (!ConcurrentOverwriteRedundant(ls, ws, cand.idx[best], best_v, key,
+      if (!ConcurrentOverwriteRedundant(ls, ws, cand.bucket[best], best_v, key,
                                         value)) {
         taken[best] = true;  // contended victim: consider the next-best
         continue;
       }
-      placed[n_placed++] = cand.idx[best];
+      placed[n_placed++] = cand.bucket[best];
       taken[best] = true;
     }
     if (n_placed == 0) return 0;
     for (uint32_t i = 0; i < n_placed; ++i) {
       SeqOpenIn(ws, placed[i]);
-      counters_.AtomicSet(placed[i], n_placed);
+      mem_.counters.AtomicSet(placed[i], n_placed);
     }
     redundant_writes_.FetchAdd(n_placed - 1);
     return n_placed;
@@ -1501,27 +710,28 @@ class McCuckooTable {
                                     const Key& key, const Value& value) {
     assert(v >= 2);
     const size_t held_before = ls.held_count();
-    const Key victim_key = table_[victim_idx].key;  // stripe held: stable
+    const Key victim_key = mem_.table[victim_idx].key;  // stripe held: stable
     const Candidates vc = ComputeCandidates(victim_key);
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      if (vc.idx[t] == victim_idx) continue;
-      if (!ls.TryAcquire(locks_->StripeOf(vc.idx[t]))) {
+      if (vc.bucket[t] == victim_idx) continue;
+      if (!ls.TryAcquire(locks_->StripeOf(vc.bucket[t]))) {
         ls.ReleaseSuffix(held_before);
         return false;
       }
     }
     CopySet others{};
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = vc.idx[t];
+      const size_t idx = vc.bucket[t];
       if (idx == victim_idx) continue;
-      if (counters_.PeekCounter(idx) == v && table_[idx].key == victim_key) {
+      if (mem_.counters.PeekCounter(idx) == v &&
+          mem_.table[idx].key == victim_key) {
         others.idx[others.count++] = idx;
       }
     }
     assert(others.count == v - 1);
     for (uint32_t i = 0; i < others.count; ++i) {
       SeqOpenIn(ws, others.idx[i]);
-      counters_.AtomicDecrement(others.idx[i]);
+      mem_.counters.AtomicDecrement(others.idx[i]);
     }
     ConcurrentStoreBucket(ws, victim_idx, key, value);
     return true;
@@ -1533,13 +743,13 @@ class McCuckooTable {
   bool ValidateChain(const BfsPathResult& path) const {
     for (size_t i = 0; i < path.node.size(); ++i) {
       const size_t bucket = static_cast<size_t>(path.node[i]);
-      if (counters_.PeekCounter(bucket) != 1) return false;
+      if (mem_.counters.PeekCounter(bucket) != 1) return false;
       const uint64_t next =
           i + 1 < path.node.size() ? path.node[i + 1] : path.terminal;
-      const Candidates oc = ComputeCandidates(table_[bucket].key);
+      const Candidates oc = ComputeCandidates(mem_.table[bucket].key);
       bool linked = false;
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        linked = linked || (oc.idx[t] == next);
+        linked = linked || (oc.bucket[t] == next);
       }
       if (!linked) return false;
     }
@@ -1577,7 +787,7 @@ class McCuckooTable {
                                    uint32_t* nodes_out, uint32_t* budget_out) {
     const uint32_t d = opts_.num_hashes;
     std::array<uint64_t, kMaxHashes> roots{};
-    for (uint32_t t = 0; t < d; ++t) roots[t] = cand.idx[t];
+    for (uint32_t t = 0; t < d; ++t) roots[t] = cand.bucket[t];
     *budget_out = ConcurrentBfsBudget();
     *chain_len = 0;
     *nodes_out = 0;
@@ -1589,16 +799,16 @@ class McCuckooTable {
             roots.data(), d, *budget_out,
             [&](uint64_t id, auto&& emit, auto&& terminal) {
               const size_t bucket = static_cast<size_t>(id);
-              const Key okey = table_[bucket].key;  // racy, re-validated
+              const Key okey = mem_.table[bucket].key;  // racy, re-validated
               const Candidates oc = ComputeCandidates(okey);
               for (uint32_t t = 0; t < d; ++t) {
-                const size_t alt = oc.idx[t];
+                const size_t alt = oc.bucket[t];
                 if (alt == bucket) continue;
-                if (counters_.PeekCounter(alt) != 1) {
+                if (mem_.counters.PeekCounter(alt) != 1) {
                   terminal(alt);
                   return;
                 }
-                __builtin_prefetch(&table_[alt], 0, 1);
+                __builtin_prefetch(&mem_.table[alt], 0, 1);
                 emit(alt);
               }
             });
@@ -1616,7 +826,7 @@ class McCuckooTable {
       if (claimed) claimed = ValidateChain(path);
       uint64_t term_v = 0;
       if (claimed) {
-        term_v = counters_.PeekCounter(path.terminal);
+        term_v = mem_.counters.PeekCounter(path.terminal);
         if (term_v == 1) claimed = false;  // no longer a terminal
       }
       bool applied = claimed;
@@ -1626,7 +836,7 @@ class McCuckooTable {
         size_t dst = static_cast<size_t>(path.terminal);
         for (size_t i = path.node.size(); i-- > 0;) {
           const size_t src = static_cast<size_t>(path.node[i]);
-          const Bucket moved = table_[src];
+          const Bucket moved = mem_.table[src];
           if (dst == static_cast<size_t>(path.terminal)) {
             if (term_v >= 2) {
               if (!ConcurrentOverwriteRedundant(ls, ws, dst, term_v,
@@ -1638,7 +848,7 @@ class McCuckooTable {
               ConcurrentStoreBucket(ws, dst, moved.key, moved.value);
             }
             SeqOpenIn(ws, dst);
-            counters_.AtomicSet(dst, 1);  // the moved item is a sole copy
+            mem_.counters.AtomicSet(dst, 1);  // the moved item is a sole copy
           } else {
             ConcurrentStoreBucket(ws, dst, moved.key, moved.value);
             // Counter stays 1: dst already held a sole copy.
@@ -1668,7 +878,7 @@ class McCuckooTable {
     stash_.Insert(key, value);
     if (opts_.stash_kind == StashKind::kOffchip) {
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        ConcurrentSetFlag(ws, cand.idx[t]);
+        ConcurrentSetFlag(ws, cand.bucket[t]);
       }
     } else if (stash_.size() > opts_.onchip_stash_capacity) {
       forced_rehash_events_.FetchAdd(1);
@@ -1678,70 +888,169 @@ class McCuckooTable {
   }
 
  private:
-  /// Charges one stash probe: an off-chip read for the paper's off-chip
-  /// stash, an on-chip read for the classic CHS stash.
-  void ChargeStashProbe() {
-    ++stats_->stash_probes;
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_reads;
-    } else {
-      ++stats_->onchip_reads;
-    }
-  }
+  using Base::AssignInStash;
+  using Base::bfs_throttle_;
+  using Base::ChargeStashProbe;
+  using Base::CommitRehash;
+  using Base::ComputeCandidates;
+  using Base::EraseFromStash;
+  using Base::family_;
+  using Base::first_collision_items_;
+  using Base::first_failure_items_;
+  using Base::forced_rehash_events_;
+  using Base::growth_;
+  using Base::kick_history_;
+  using Base::kNoBucket;
+  using Base::latency_;
+  using Base::MaybeGrow;
+  using Base::metrics_;
+  using Base::opts_;
+  using Base::redundant_writes_;
+  using Base::rehash_epoch_;
+  using Base::rng_;
+  using Base::ScratchRebuild;
+  using Base::seq_;
+  using Base::SeqFlush;
+  using Base::SeqOpen;
+  using Base::size_;
+  using Base::spans_;
+  using Base::stale_stash_flag_keys_;
+  using Base::stash_;
+  using Base::StashOverflow;
+  using Base::stats_;
+  using Base::trace_;
 
-  /// Charges one stash mutation (store/erase).
-  void ChargeStashWrite() {
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_writes;
-    } else {
-      ++stats_->onchip_writes;
-    }
-  }
+  static constexpr const char* kName = "McCuckooTable";
+  /// The counter byte keeps the low nibble of a key's 8-bit fingerprint.
+  static constexpr uint8_t kTagMask = 0x0F;
 
-  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
+  // --- TableSkeleton layout hooks -----------------------------------------
 
-  Candidates ComputeCandidates(const Key& key) const {
-    Candidates c{};
-    const std::array<uint64_t, kMaxHashes> b = family_.Buckets(key, &c.tag);
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      c.idx[t] = static_cast<size_t>(t) * opts_.buckets_per_table + b[t];
-    }
-    return c;
-  }
+  size_t NumBuckets() const { return mem_.table.size(); }
+  const Bucket& RecordAt(size_t idx) const { return mem_.table[idx]; }
+  bool FlagAt(size_t idx) const { return mem_.table[idx].stash_flag; }
 
-  // --- batching stage 1: hash + prefetch ---------------------------------
-
-  /// Hashes `n` keys through the family's batch entry point and issues
-  /// prefetches for every candidate's counter word and bucket line. Pure
-  /// hint stage: no AccessStats are charged (hashing is on-chip work and
-  /// prefetches are not algorithmic reads).
-  void StageCandidates(const Key* keys, size_t n, Candidates* cand,
-                       bool for_write) const {
-    std::array<std::array<uint64_t, kMaxHashes>, kBatchTile> buckets;
-    std::array<uint8_t, kBatchTile> tags;
-    family_.BucketsBatch(keys, n, buckets.data(), tags.data());
-    const uint32_t d = opts_.num_hashes;
-    for (size_t i = 0; i < n; ++i) {
-      for (uint32_t t = 0; t < d; ++t) {
-        cand[i].idx[t] = static_cast<size_t>(t) * opts_.buckets_per_table +
-                         buckets[i][t];
+  /// Clears every set stash flag: one charged write per flag changed.
+  void ClearStashFlags() {
+    for (size_t idx = 0; idx < mem_.table.size(); ++idx) {
+      Bucket& b = mem_.table[idx];
+      if (b.stash_flag) {
+        SeqOpen(idx);
+        b.stash_flag = false;
+        ++stats_->offchip_writes;
       }
-      cand[i].tag = tags[i];
     }
+  }
+
+  /// Batch stage 1's prefetches (see TableSkeleton::StageCandidates).
+  void PrefetchCandidates(const Candidates* cand, size_t n,
+                          bool for_write) const {
+    const uint32_t d = opts_.num_hashes;
     // Counter words first: stage 2 consults them before any bucket, so
     // they have the shortest deadline.
     for (size_t i = 0; i < n; ++i) {
-      for (uint32_t t = 0; t < d; ++t) counters_.Prefetch(cand[i].idx[t]);
+      for (uint32_t t = 0; t < d; ++t) {
+        mem_.counters.Prefetch(cand[i].bucket[t]);
+      }
     }
     for (size_t i = 0; i < n; ++i) {
       for (uint32_t t = 0; t < d; ++t) {
         if (for_write) {
-          __builtin_prefetch(&table_[cand[i].idx[t]], 1, 3);
+          __builtin_prefetch(&mem_.table[cand[i].bucket[t]], 1, 3);
         } else {
-          __builtin_prefetch(&table_[cand[i].idx[t]], 0, 1);
+          __builtin_prefetch(&mem_.table[cand[i].bucket[t]], 0, 1);
         }
       }
     }
+  }
+
+  /// Main-table part of FindNoStats over precomputed candidates: counters,
+  /// partitions, bucket probes, and the stash screen — everything except
+  /// the stash probe itself. `sink` is the live TableMetrics for scalar
+  /// calls, a stack-local LookupTally for batches and optimistic attempts.
+  template <typename MetricsSink>
+  MainOutcome FindNoStatsMain(const Key& key, const Candidates& cand,
+                              Value* out, MetricsSink& sink) const {
+    const uint32_t d = opts_.num_hashes;
+    uint64_t counter[kMaxHashes];
+    bool tomb[kMaxHashes];
+    bool any_zero = false, any_gt1 = false;
+    for (uint32_t t = 0; t < d; ++t) {
+      counter[t] = mem_.counters.PeekCounter(cand.bucket[t]);
+      tomb[t] = mem_.counters.PeekTombstone(cand.bucket[t]);
+      if (counter[t] == 0 && !tomb[t]) any_zero = true;
+      if (counter[t] > 1) any_gt1 = true;
+    }
+    // Probe tallies, recorded once on the way out (atomics are fine from
+    // the shared-lock reader path; AccessStats would not be).
+    uint32_t probes_total = 0;
+    std::array<uint8_t, kMaxHashes + 1> probes_by_value{};
+    auto record_lookup = [&](int32_t hit_value) {
+      if constexpr (kMetricsEnabled) {
+        sink.RecordLookupOutcome(probes_total, hit_value);
+        for (uint32_t val = 1; val <= d; ++val) {
+          sink.RecordPartitionProbes(val, probes_by_value[val]);
+        }
+      }
+    };
+    if (opts_.lookup_pruning_enabled && any_zero &&
+        opts_.deletion_mode != DeletionMode::kResetCounters) {
+      record_lookup(-1);
+      return MainOutcome::kMiss;
+    }
+    // The empty() read is a plain size check, memory-safe even when racing
+    // a writer; optimistic callers validate the aux stripe before trusting
+    // any conclusion drawn from it (including the probe skips below).
+    const bool stash_empty = stash_.empty();
+    const uint8_t tag_nibble = cand.tag & kTagMask;
+    bool read_flag_zero = false;
+    for (uint64_t value = d; value >= 1; --value) {
+      uint32_t members[kMaxHashes];
+      uint32_t s = 0;
+      for (uint32_t t = 0; t < d; ++t) {
+        if (!tomb[t] && counter[t] == value) members[s++] = t;
+      }
+      if (s < value && opts_.lookup_pruning_enabled) continue;
+      const uint32_t probes =
+          opts_.lookup_pruning_enabled ? s - static_cast<uint32_t>(value) + 1
+                                       : s;
+      for (uint32_t i = 0; i < probes; ++i) {
+        ++probes_total;
+        ++probes_by_value[value];
+        const size_t idx = cand.bucket[members[i]];
+        if (mem_.counters.PeekTag(idx) != tag_nibble && stash_empty) {
+          // Fingerprint mismatch proves the occupant is a different key;
+          // with the stash empty its flag can never matter, so the one
+          // DRAM line this probe models is never touched. Probe tallies
+          // still count it — the model performed this read.
+          continue;
+        }
+        const Bucket& b = mem_.table[idx];
+        if (b.key == key) {
+          if (out != nullptr) *out = b.value;
+          record_lookup(static_cast<int32_t>(value));
+          return MainOutcome::kHit;
+        }
+        if (!b.stash_flag) read_flag_zero = true;
+      }
+    }
+    record_lookup(-1);
+    // Stash screen, mirroring ShouldProbeStash.
+    if (stash_empty) return MainOutcome::kMiss;
+    if (opts_.stash_kind == StashKind::kOnchipChs) {
+      return MainOutcome::kCheckStash;
+    }
+    if (opts_.stash_screen_enabled) {
+      if (opts_.deletion_mode == DeletionMode::kDisabled &&
+          (any_zero || any_gt1)) {
+        return MainOutcome::kMiss;
+      }
+      if (opts_.deletion_mode == DeletionMode::kTombstone && any_zero) {
+        return MainOutcome::kMiss;
+      }
+      if (read_flag_zero) return MainOutcome::kMiss;
+    }
+    return MainOutcome::kCheckStash;
   }
 
   /// Scalar Find body over precomputed candidates (shared by Find and the
@@ -1777,129 +1086,36 @@ class McCuckooTable {
     }
   }
 
-  /// Scalar Insert body over precomputed candidates.
-  InsertResult InsertWithCandidates(const Key& key, const Value& value,
-                                    const Candidates& cand) {
-    const uint64_t t0 = MetricsNowNs();
-    const uint32_t placed = TryPlace(key, value, cand);
-    if (placed > 0) {
-      ++size_;
-      SeqFlush();
-      metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
-      growth_.ObserveInsert(/*overflowed=*/false, 0, opts_.maxloop);
-      MaybeGrow();
-      return InsertResult::kInserted;
-    }
-    // All candidates hold sole copies: a real collision (§III.D).
-    if (first_collision_items_ == 0) {
-      first_collision_items_ = TotalItems() + 1;
-    }
-    const bool bfs = opts_.eviction_policy == EvictionPolicy::kBfs;
-    uint32_t chain_len = 0;
-    uint32_t bfs_nodes = 0;
-    uint32_t bfs_budget = 0;
-    const InsertResult r =
-        bfs ? BfsInsert(key, value, cand, &chain_len, &bfs_nodes, &bfs_budget)
-            : RandomWalkInsert(key, value, &chain_len);
-    // The whole chain published at once: at no intermediate state was the
-    // in-hand key absent from a stripe readers could have validated.
-    SeqFlush();
-    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
-    metrics_->RecordPolicyChain(
-        static_cast<uint32_t>(opts_.eviction_policy), chain_len);
-    if (bfs) metrics_->RecordBfsNodes(bfs_nodes);
-    growth_.ObserveInsert(r != InsertResult::kInserted, chain_len,
-                          opts_.maxloop, bfs_nodes, bfs_budget);
-    MaybeGrow();
-    return r;
-  }
-
-  /// Runs the growth policy against the post-insert occupancy and performs
-  /// the rehash it asks for. Called with no stripes open (SeqFlush done):
-  /// Rehash opens the aux stripe itself when the outer writer section does
-  /// not already hold it, so optimistic readers stay correct whether the
-  /// trigger fires inside a concurrent wrapper's Insert or a bare table.
-  void MaybeGrow() {
-    const GrowthDecision d = growth_.Decide(
-        {TotalItems(), opts_.capacity(), stash_.size(),
-         opts_.buckets_per_table});
-    if (d.action == GrowthAction::kNone) return;
-    if (d.action == GrowthAction::kSuppressed) {
-      metrics_->SetGrowthSuppressed(true);
-      return;
-    }
-    Status s;
-    const uint64_t grow_t0 = MetricsNowNs();
-    try {
-      s = CanSplitInto(d)
-              ? SplitGrow(d.new_buckets_per_table)
-              : Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
-    } catch (const std::bad_alloc&) {
-      // Graceful degradation: the table is untouched (the rebuild never
-      // reached its commit), inserts keep landing in the stash.
-      s = Status::ResourceExhausted("auto-growth allocation failed");
-    }
-    if (s.ok()) {
-      growth_.OnRehashSuccess(d.action);
-      metrics_->RecordGrowthRehash(d.action == GrowthAction::kReseed);
-      metrics_->SetGrowthSuppressed(false);
-      spans_.Record(d.action == GrowthAction::kReseed ? SpanKind::kReseed
-                                                      : SpanKind::kGrowth,
-                    grow_t0, MetricsNowNs(), d.new_buckets_per_table);
-    } else {
-      growth_.OnRehashFailure();
-      metrics_->RecordGrowthFailure();
-      metrics_->SetGrowthSuppressed(true);
-    }
-  }
-
-  // --- seqlock writer hooks ---------------------------------------------
-  //
-  // Every reader-visible mutation flows through the choke points below,
-  // which mark the touched bucket's stripe as in-flight (odd). Stripes stay
-  // odd across the *whole* operation — a kick chain's intermediate states
-  // have the in-hand key in no bucket at all, so publishing per-store would
-  // let an optimistic reader validate cleanly and miss a live key — and are
-  // published together by SeqFlush() at each operation's consistent point.
-  // All three are no-ops when no SeqlockArray is attached.
-
-  void SeqOpen(size_t bucket_idx) {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->StripeOf(bucket_idx));
-  }
-
-  /// Opens the aux stripe covering state outside the bucket array (stash
-  /// membership and size).
-  void SeqOpenAux() {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->aux_stripe());
-  }
-
-  void SeqFlush() {
-    if (seq_ != nullptr) seq_open_.CloseAll(*seq_);
+  /// MaybeGrow's growth step: a bucket split where CanSplitInto allows
+  /// it, the full Rehash otherwise.
+  Status Grow(const GrowthDecision& d) {
+    return CanSplitInto(d) ? SplitGrow(d.new_buckets_per_table)
+                           : Base::Grow(d);
   }
 
   // --- charged memory choke points --------------------------------------
 
   const Bucket& LoadBucket(size_t idx) {
     ++stats_->offchip_reads;
-    return table_[idx];
+    return mem_.table[idx];
   }
 
   void StoreBucket(size_t idx, const Key& key, const Value& value) {
     SeqOpen(idx);
     ++stats_->offchip_writes;
-    Bucket& b = table_[idx];
+    Bucket& b = mem_.table[idx];
     b.key = key;
     b.value = value;
     // stash_flag is sticky: preserved across occupant changes.
     // The fingerprint publishes inside the same seqlock window as the key
     // it describes; uncharged (software-layout state, see TagCounterArray).
-    counters_.SetTag(idx, family_.TagOf(key));
+    mem_.counters.SetTag(idx, family_.TagOf(key));
   }
 
   void SetFlag(size_t idx) {
     SeqOpen(idx);
     ++stats_->offchip_writes;
-    table_[idx].stash_flag = true;
+    mem_.table[idx].stash_flag = true;
   }
 
   // --- insertion ---------------------------------------------------------
@@ -1914,7 +1130,7 @@ class McCuckooTable {
     std::array<uint64_t, kMaxHashes> cnt{};
     std::array<bool, kMaxHashes> taken{};
     for (uint32_t t = 0; t < d; ++t) {
-      cnt[t] = counters_.Get(cand.idx[t]);
+      cnt[t] = mem_.counters.Get(cand.bucket[t]);
       // Tombstoned entries read as counter 0: "treated as zero for
       // insertion" (§III.B.3), so principle 1 recycles them transparently.
     }
@@ -1925,8 +1141,8 @@ class McCuckooTable {
     // Principle 1: occupy all the empty candidate buckets.
     for (uint32_t t = 0; t < d; ++t) {
       if (cnt[t] == 0) {
-        StoreBucket(cand.idx[t], key, value);
-        placed[n_placed++] = cand.idx[t];
+        StoreBucket(cand.bucket[t], key, value);
+        placed[n_placed++] = cand.bucket[t];
         taken[t] = true;
       }
     }
@@ -1940,22 +1156,22 @@ class McCuckooTable {
       uint64_t best_v = 0;
       for (uint32_t t = 0; t < d; ++t) {
         if (taken[t]) continue;
-        const uint64_t cur = counters_.Get(cand.idx[t]);
+        const uint64_t cur = mem_.counters.Get(cand.bucket[t]);
         if (cur > best_v) {
           best_v = cur;
           best = static_cast<int>(t);
         }
       }
       if (best < 0 || best_v < 2 || best_v < n_placed + 2) break;
-      OverwriteRedundantCopy(cand.idx[best], best_v, key, value);
-      placed[n_placed++] = cand.idx[best];
+      OverwriteRedundantCopy(cand.bucket[best], best_v, key, value);
+      placed[n_placed++] = cand.bucket[best];
       taken[best] = true;
     }
 
     if (n_placed == 0) return 0;
     for (uint32_t i = 0; i < n_placed; ++i) {
       SeqOpen(placed[i]);
-      counters_.Set(placed[i], n_placed);
+      mem_.counters.Set(placed[i], n_placed);
     }
     redundant_writes_ += n_placed - 1;
     return n_placed;
@@ -1970,7 +1186,7 @@ class McCuckooTable {
     CopySet others = LocateOtherCopies(victim_key, victim_idx, v);
     for (uint32_t i = 0; i < others.count; ++i) {
       SeqOpen(others.idx[i]);
-      counters_.Set(others.idx[i], v - 1);
+      mem_.counters.Set(others.idx[i], v - 1);
     }
     StoreBucket(victim_idx, key, value);
   }
@@ -1985,9 +1201,9 @@ class McCuckooTable {
     std::array<size_t, kMaxHashes> group{};
     uint32_t n_group = 0;
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = cand.idx[t];
+      const size_t idx = cand.bucket[t];
       if (idx == known_idx) continue;
-      if (counters_.Get(idx) == v) group[n_group++] = idx;
+      if (mem_.counters.Get(idx) == v) group[n_group++] = idx;
     }
     const uint32_t need = static_cast<uint32_t>(v) - 1;
     assert(n_group >= need);
@@ -2018,26 +1234,6 @@ class McCuckooTable {
     CopySet out = LocateOtherCopies(key, known_idx, v);
     out.idx[out.count++] = known_idx;
     return out;
-  }
-
-  /// Shared insertion-failure tail: parks the in-hand item in the stash
-  /// (flags set for the off-chip kind, forced-rehash accounting for the
-  /// on-chip kind). The caller guarantees the item's candidates all hold
-  /// sole copies — the all-ones precondition the kDisabled stash screen
-  /// relies on — and records its own trace event.
-  InsertResult StashOverflow(const Key& key, const Value& value) {
-    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
-    ChargeStashWrite();
-    SeqOpenAux();
-    stash_.Insert(key, value);
-    spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      Candidates cand = ComputeCandidates(key);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) SetFlag(cand.idx[t]);
-    } else if (stash_.size() > opts_.onchip_stash_capacity) {
-      ++forced_rehash_events_;  // a real CHS deployment would rehash here
-    }
-    return opts_.stash_enabled ? InsertResult::kStashed : InsertResult::kFailed;
   }
 
   /// Counter-guided random walk (§III.D): at each step, if the in-hand item
@@ -2074,16 +1270,16 @@ class McCuckooTable {
       // avoiding the bucket we just wrote (no immediate ping-pong).
       const uint32_t t =
           opts_.eviction_policy == EvictionPolicy::kBubble
-              ? PickBubbleVictim(cand.idx, opts_.num_hashes, exclude,
+              ? PickBubbleVictim(cand.bucket, opts_.num_hashes, exclude,
                                  from_level)
-              : PickVictim(cand.idx, opts_.num_hashes, exclude, kick_history_,
-                           rng_);
-      const size_t idx = cand.idx[t];
+              : PickVictim(cand.bucket, opts_.num_hashes, exclude,
+                           kick_history_, rng_);
+      const size_t idx = cand.bucket[t];
       if constexpr (kMetricsEnabled) {
         if (chain < kMaxTraceSteps) {
           ev.step[chain] = KickStep{
               static_cast<uint64_t>(idx),
-              static_cast<uint32_t>(counters_.PeekCounter(idx))};
+              static_cast<uint32_t>(mem_.counters.PeekCounter(idx))};
         }
       }
       const Bucket& victim = LoadBucket(idx);
@@ -2156,7 +1352,7 @@ class McCuckooTable {
                          uint32_t* nodes_out, uint32_t* budget_out) {
     const uint32_t d = opts_.num_hashes;
     std::array<uint64_t, kMaxHashes> roots{};
-    for (uint32_t t = 0; t < d; ++t) roots[t] = cand.idx[t];
+    for (uint32_t t = 0; t < d; ++t) roots[t] = cand.bucket[t];
     *budget_out = bfs_throttle_.Budget(BfsNodeBudget(opts_.maxloop));
     const BfsPathResult path = BfsFindPath(
         roots.data(), d, *budget_out,
@@ -2165,9 +1361,9 @@ class McCuckooTable {
           const Key okey = LoadBucket(bucket).key;  // the one off-chip read
           const Candidates oc = ComputeCandidates(okey);
           for (uint32_t t = 0; t < d; ++t) {
-            const size_t alt = oc.idx[t];
+            const size_t alt = oc.bucket[t];
             if (alt == bucket) continue;
-            const uint64_t c = counters_.Get(alt);
+            const uint64_t c = mem_.counters.Get(alt);
             if (c != 1) {
               terminal(alt);  // 0 = free, >= 2 = redundant copy
               return;
@@ -2176,7 +1372,7 @@ class McCuckooTable {
             // iterations from now: issuing the fetch here overlaps the
             // DRAM latency of the whole frontier instead of paying one
             // serial miss per expanded node.
-            __builtin_prefetch(&table_[alt], 0, 1);
+            __builtin_prefetch(&mem_.table[alt], 0, 1);
             emit(alt);
           }
         });
@@ -2199,10 +1395,10 @@ class McCuckooTable {
     // moves are plain bucket stores; only the terminal changes counters.
     KickChainEvent ev{};
     size_t dst = static_cast<size_t>(path.terminal);
-    const uint64_t term_v = counters_.PeekCounter(dst);
+    const uint64_t term_v = mem_.counters.PeekCounter(dst);
     for (size_t i = path.node.size(); i-- > 0;) {
       const size_t src = static_cast<size_t>(path.node[i]);
-      const Bucket moved = table_[src];  // read during the search
+      const Bucket moved = mem_.table[src];  // read during the search
       if (dst == static_cast<size_t>(path.terminal)) {
         if (term_v >= 2) {
           // Redundant terminal: displace one copy of the occupant, which
@@ -2212,7 +1408,7 @@ class McCuckooTable {
           StoreBucket(dst, moved.key, moved.value);
         }
         SeqOpen(dst);
-        counters_.Set(dst, 1);  // the moved item is a sole copy
+        mem_.counters.Set(dst, 1);  // the moved item is a sole copy
       } else {
         StoreBucket(dst, moved.key, moved.value);
         // Counter stays 1: dst already held a sole copy.
@@ -2223,7 +1419,7 @@ class McCuckooTable {
         if (i < kMaxTraceSteps) {
           ev.step[i] = KickStep{
               static_cast<uint64_t>(src),
-              static_cast<uint32_t>(counters_.PeekCounter(src))};
+              static_cast<uint32_t>(mem_.counters.PeekCounter(src))};
         }
       }
       dst = src;
@@ -2261,17 +1457,17 @@ class McCuckooTable {
     // One bulk charge equal to what the per-candidate model read: d counter
     // reads, doubled by the tombstone probe in kTombstone mode. The byte
     // peeks below are the same logical reads through the packed layout.
-    counters_.ChargeReads(
+    mem_.counters.ChargeReads(
         static_cast<uint64_t>(d) *
         (opts_.deletion_mode == DeletionMode::kTombstone ? 2 : 1));
     CandidateView& v = *view;
     v.d = d;
     bool any_zero = false;
     for (uint32_t t = 0; t < d; ++t) {
-      v.idx[t] = cand.idx[t];
-      v.counter[t] = counters_.PeekCounter(cand.idx[t]);
+      v.idx[t] = cand.bucket[t];
+      v.counter[t] = mem_.counters.PeekCounter(cand.bucket[t]);
       v.tombstone[t] = (opts_.deletion_mode == DeletionMode::kTombstone) &&
-                       counters_.PeekTombstone(cand.idx[t]);
+                       mem_.counters.PeekTombstone(cand.bucket[t]);
       v.bucket_read[t] = false;
       v.flag_value[t] = false;
       if (v.counter[t] == 0 && !v.tombstone[t]) any_zero = true;
@@ -2284,11 +1480,12 @@ class McCuckooTable {
       return -1;
     }
 
-    const uint8_t tag_nibble = cand.tag & 0x0Fu;
+    const uint8_t tag_nibble = cand.tag & kTagMask;
     auto probe = [&](uint32_t t, uint64_t value) -> bool {
       ++v.probes_total;
       ++v.probes_by_value[value <= kMaxHashes ? value : kMaxHashes];
-      if (counters_.PeekTag(cand.idx[t]) != tag_nibble && stash_.empty()) {
+      if (mem_.counters.PeekTag(cand.bucket[t]) != tag_nibble &&
+          stash_.empty()) {
         // The fingerprint proves the occupant is a different key, and with
         // the stash empty its flag can never matter — so skip the physical
         // DRAM touch while charging the read the paper's model performs
@@ -2298,7 +1495,7 @@ class McCuckooTable {
         v.flag_value[t] = false;
         return false;
       }
-      const Bucket& b = LoadBucket(cand.idx[t]);
+      const Bucket& b = LoadBucket(cand.bucket[t]);
       v.bucket_read[t] = true;
       v.flag_value[t] = b.stash_flag;
       if (b.key == key) {
@@ -2312,7 +1509,7 @@ class McCuckooTable {
     if (!opts_.lookup_pruning_enabled) {
       for (uint32_t t = 0; t < d; ++t) {
         if (v.counter[t] == 0) continue;  // empty / tombstoned: no live copy
-        if (probe(t, v.counter[t])) return static_cast<int64_t>(cand.idx[t]);
+        if (probe(t, v.counter[t])) return static_cast<int64_t>(cand.bucket[t]);
       }
       return -1;
     }
@@ -2329,7 +1526,7 @@ class McCuckooTable {
       const uint32_t probes = s - static_cast<uint32_t>(value) + 1;
       for (uint32_t i = 0; i < probes; ++i) {
         if (probe(members[i], value)) {
-          return static_cast<int64_t>(cand.idx[members[i]]);
+          return static_cast<int64_t>(cand.bucket[members[i]]);
         }
       }
     }
@@ -2368,36 +1565,6 @@ class McCuckooTable {
     return true;
   }
 
-  /// Invokes `fn(key, value)` once per live key of the main table (stash
-  /// excluded), in ascending order of the key's first bucket: the read-out
-  /// Rehash and ForEachItem share (see read_out.h). Uncharged.
-  template <typename Fn>
-  void ForEachMainItem(Fn&& fn) const {
-    ForEachDistinctOccupant(
-        table_.size(), opts_.buckets_per_table, opts_.num_hashes,
-        [this](size_t idx) -> uint64_t { return counters_.PeekCounter(idx); },
-        [this](size_t idx, uint32_t t) {
-          const Key& key = table_[idx].key;
-          const Candidates cand = ComputeCandidates(key);
-          for (uint32_t u = 0; u < t; ++u) {
-            const size_t j = cand.idx[u];
-            if (counters_.PeekCounter(j) > 0 && table_[j].key == key) {
-              return true;
-            }
-          }
-          return false;
-        },
-        [&](size_t idx) { fn(table_[idx].key, table_[idx].value); });
-  }
-
-  /// An empty table with `new_opts`' geometry and seed, built with growth
-  /// disabled: a re-insertion overflow must not recursively rehash the
-  /// table being built. CommitRehash restores the growth config.
-  static McCuckooTable ScratchRebuild(TableOptions new_opts) {
-    new_opts.growth.enabled = false;
-    return McCuckooTable(new_opts);
-  }
-
   /// Whether a growth decision can take the SplitGrow path. HashFamily maps
   /// a key with FastRange64(h_t(key), n), and h_t does not depend on n, so
   /// under the same seed FastRange64(h, k * n) lies in [k * b, k * b + k)
@@ -2429,23 +1596,23 @@ class McCuckooTable {
     if (Status s = new_opts.Validate(); !s.ok()) return s;
     McCuckooTable rebuilt = ScratchRebuild(new_opts);
     const uint64_t n = opts_.buckets_per_table;
-    stats_->offchip_reads += table_.size();  // full scan of the old table
+    stats_->offchip_reads += mem_.table.size();  // full scan of the old table
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       const size_t from_base = static_cast<size_t>(t) * n;
       const size_t to_base = static_cast<size_t>(t) * new_buckets_per_table;
       for (size_t from = from_base; from < from_base + n; ++from) {
-        const uint64_t c = counters_.PeekCounter(from);
+        const uint64_t c = mem_.counters.PeekCounter(from);
         if (c == 0) continue;
-        const Bucket& b = table_[from];
+        const Bucket& b = mem_.table[from];
         const size_t to = to_base + rebuilt.family_.Bucket(b.key, t);
         assert((to - to_base) / (new_buckets_per_table / n) ==
                from - from_base);
-        Bucket& dst = rebuilt.table_[to];
+        Bucket& dst = rebuilt.mem_.table[to];
         dst.key = b.key;
         dst.value = b.value;
         ++rebuilt.stats_->offchip_writes;
-        rebuilt.counters_.Set(to, c);
-        rebuilt.counters_.SetTag(to, counters_.PeekTag(from));
+        rebuilt.mem_.counters.Set(to, c);
+        rebuilt.mem_.counters.SetTag(to, mem_.counters.PeekTag(from));
       }
     }
     rebuilt.size_ = size_.load();
@@ -2459,169 +1626,28 @@ class McCuckooTable {
       values.push_back(v);
     }
     rebuilt.InsertBatch(keys, values);
-    CommitRehash(std::move(rebuilt), t0, TotalItems());
+    CommitRehash(std::move(rebuilt), t0, this->TotalItems());
     return Status::OK();
   }
 
-  /// Commits a filled ScratchRebuild as this table: carries the lifetime
-  /// counters, metrics, latency samples, span timeline, growth policy and
-  /// rehash epoch across, and swaps storage under the aux stripe when a
-  /// seqlock is attached. Shared by Rehash and SplitGrow.
-  void CommitRehash(McCuckooTable&& rebuilt, uint64_t t0, size_t moved_items) {
-    rebuilt.opts_.growth = opts_.growth;
-    // Discard any degraded-state signal the growth-disabled rebuild
-    // raised; the live policy re-evaluates pressure after the commit.
-    rebuilt.metrics_->SetGrowthSuppressed(false);
-    // Keep lifetime counters across the rebuild.
-    rebuilt.redundant_writes_ += redundant_writes_;
-    rebuilt.first_collision_items_ = first_collision_items_;
-    rebuilt.first_failure_items_ = first_failure_items_;
-    SeqlockArray* seq = seq_;
-    if (seq == nullptr) {
-      *rebuilt.stats_ += *stats_;
-      rebuilt.metrics_->MergeFrom(*metrics_);
-      // Latency samples and the span timeline describe this table's
-      // lifetime too — carry them like the metrics (the scratch rebuild's
-      // re-insertion samples fold in on top). The recorder object itself
-      // survives the move: the Insert whose growth triggered this rehash
-      // still records into it from its ScopedLatencySample.
-      latency_->MergeFrom(*rebuilt.latency_);
-      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
-      rebuilt.spans_ = std::move(spans_);
-      // The policy and epoch describe this table's lifetime, not the
-      // scratch rebuild's: carry them across the wholesale move.
-      const uint64_t epoch = rehash_epoch_ + 1;
-      GrowthPolicy saved_growth = std::move(growth_);
-      *this = std::move(rebuilt);
-      latency_ = std::move(saved_latency);
-      growth_ = std::move(saved_growth);
-      rehash_epoch_ = epoch;
-      metrics_->RecordRehash(MetricsNowNs() - t0);
-      spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-      return;
+  /// The reader-visible storage: buckets plus the on-chip counter bytes.
+  /// A Rehash commit under live optimistic readers swaps it pointer-wise
+  /// and retires the old one whole (TableSkeleton::CommitRebuildLockFree).
+  struct Storage {
+    std::vector<Bucket> table;
+    TagCounterArray counters;
+    void Swap(Storage& o) {
+      table.swap(o.table);
+      counters.SwapStorage(o.counters);
     }
-    // The attached version array survives the rebuild (its mask mapping is
-    // size-independent); the swap itself reallocates every bucket, so it
-    // runs under the aux stripe to invalidate in-flight optimistic reads.
-    // The concurrent wrappers' exclusive sections already hold the aux
-    // stripe open around the whole call; only open it here when no outer
-    // writer does, so the stripe stays odd through the commit either way
-    // (WriteBegin is a blind increment — double-opening would flip it even).
-    const bool aux_held =
-        SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
-    if (!aux_held) seq->WriteBegin(seq->aux_stripe());
-    CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
-    if (!aux_held) seq->WriteEnd(seq->aux_stripe());
-    metrics_->RecordRehash(MetricsNowNs() - t0);
-    spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-  }
-
-  /// Commits a Rehash-rebuilt table while optimistic readers may be
-  /// probing this one (caller holds the aux stripe odd). Reader-visible
-  /// storage — buckets and counters — is exchanged pointer-wise, so a
-  /// racing reader sees the old or the new buffer but never a transient
-  /// moved-from state, and the replaced epoch is parked in retired_ so
-  /// lagging readers keep dereferencing live memory. Everything else is
-  /// either invisible to the optimistic probe or moves wholesale. The
-  /// stats_/metrics_ heap objects stay identity-stable — a lagging reader
-  /// flushes its tally through the pre-commit pointer after validation — so
-  /// the rebuild's deltas are merged into them rather than replacing them.
-  /// NOTE: keep in sync with the member list — a member missed here keeps
-  /// its pre-rehash value.
-  void CommitRebuildLockFree(McCuckooTable&& rebuilt) {
-    table_.swap(rebuilt.table_);
-    counters_.SwapStorage(rebuilt.counters_);
-    retired_.push_back(RetiredStorage{std::move(rebuilt.table_),
-                                      std::move(rebuilt.counters_)});
-    opts_ = rebuilt.opts_;
-    family_ = std::move(rebuilt.family_);
-    *stats_ += *rebuilt.stats_;
-    metrics_->MergeFrom(*rebuilt.metrics_);
-    latency_->MergeFrom(*rebuilt.latency_);
-    trace_ = std::move(rebuilt.trace_);
-    // spans_ deliberately keeps this table's ring: it is a lifetime
-    // timeline (the rehash span lands in it right after this commit);
-    // the scratch rebuild's ring holds nothing worth keeping.
-    kick_history_.AdoptStorage(std::move(rebuilt.kick_history_));
-    stash_ = std::move(rebuilt.stash_);
-    rng_ = std::move(rebuilt.rng_);
-    // The rebuild just freed space, so any dead-end streak is stale.
-    bfs_throttle_ = {};
-    size_ = rebuilt.size_;
-    first_collision_items_ = rebuilt.first_collision_items_;
-    first_failure_items_ = rebuilt.first_failure_items_;
-    redundant_writes_ = rebuilt.redundant_writes_;
-    stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
-    forced_rehash_events_ = rebuilt.forced_rehash_events_;
-    ++rehash_epoch_;
-    // seq_, seq_open_, locks_, retired_ and growth_ deliberately keep this
-    // table's values (the policy's backoff/reseed state spans rebuilds, and
-    // the seqlock/lock-stripe attachments belong to the wrapper, not the
-    // scratch rebuild).
-  }
-
-  TableOptions opts_;
-  Family family_;
-  std::vector<Bucket> table_;
-  // Heap-allocated so the pointer handed to CounterArray /
-  // KickHistory stays valid when the table is moved (Rehash,
-  // snapshot loading, factory returns).
-  mutable std::unique_ptr<AccessStats> stats_ =
-      std::make_unique<AccessStats>();
-  // Same pattern for the metrics: atomics are immovable, the unique_ptr
-  // keeps the table movable and lets const read paths record.
-  mutable std::unique_ptr<TableMetrics> metrics_ =
-      std::make_unique<TableMetrics>();
-  // Sampled op-latency recorder: heap-held for the same identity-stability
-  // reason as metrics_ (const read paths record through it, and lagging
-  // optimistic readers must see a live object across Rehash commits).
-  // The sample period is applied from opts_ in the constructor body.
-  mutable std::unique_ptr<LatencyRecorder> latency_ =
-      std::make_unique<LatencyRecorder>();
-  TraceRecorder trace_;
-  // Growth/rehash/dead-end/spill timeline (writer-exclusion threading
-  // model, like trace_).
-  SpanRecorder spans_;
-  TagCounterArray counters_;
-  KickHistory kick_history_;
-  Stash<Key, Value> stash_;
-  Xoshiro256 rng_;
-  BfsThrottle bfs_throttle_;
-  // Optimistic-read support: non-owning version array attached by the
-  // concurrent wrapper (null in single-threaded use) and the set of
-  // stripes the in-flight mutation holds odd until its SeqFlush().
-  SeqlockArray* seq_ = nullptr;
-  SeqlockWriterSet seq_open_;
+  };
+  Storage mem_;
   // Multi-writer support: non-owning striped writer-lock array attached by
   // the multi-writer wrapper (null in single-writer use). Congruent with
   // seq_ by construction (both size via SeqlockArray::StripesFor), so a
   // held lock stripe owns exactly one seqlock stripe's writer rights.
+  // Kept across Rehash commits.
   LockStripeArray* locks_ = nullptr;
-  // Storage epochs retired by Rehash while a seqlock was attached. Never
-  // accessed again (the CounterArray's stats pointer inside is dangling by
-  // design) — held only so lagging optimistic readers dereference live
-  // memory; freed when the table is destroyed.
-  struct RetiredStorage {
-    std::vector<Bucket> table;
-    TagCounterArray counters;
-  };
-  std::vector<RetiredStorage> retired_;
-
-  // Lifetime counters. MovableAtomic so the concurrent paths can update
-  // them with real RMWs while every single-writer use site keeps its plain
-  // ++/+=/= spelling (non-RMW loads and stores, byte-identical codegen on
-  // the hot single-writer paths).
-  MovableAtomic<size_t> size_ = 0;
-  MovableAtomic<uint64_t> first_collision_items_ = 0;
-  MovableAtomic<uint64_t> first_failure_items_ = 0;
-  MovableAtomic<uint64_t> redundant_writes_ = 0;
-  MovableAtomic<uint64_t> stale_stash_flag_keys_ = 0;
-  MovableAtomic<uint64_t> forced_rehash_events_ = 0;
-  // Auto-growth engine: the policy state machine and the commit counter
-  // the batched insert path uses to detect mid-batch geometry changes.
-  // Both survive Rehash commits (see CommitRebuildLockFree).
-  GrowthPolicy growth_;
-  MovableAtomic<uint64_t> rehash_epoch_ = 0;
 };
 
 }  // namespace mccuckoo

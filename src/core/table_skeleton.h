@@ -1,0 +1,1199 @@
+// The skeleton both multi-copy tables share (McCuckoo and B-McCuckoo).
+//
+// The paper presents B-McCuckoo as the same ideas on an l-slot bucket
+// layout (§III.G). Everything that does not depend on the layout lives
+// here, once: the scalar and software-pipelined batch entry points, the
+// seqlock-validated optimistic read path, Rehash and its commit, stash
+// upkeep, the growth trigger, introspection, the invariant checks and the
+// metrics wiring. McCuckooTable and BlockedMcCuckooTable derive from it
+// through CRTP and supply only the layout steps, as private hooks the
+// skeleton is a friend of:
+//
+//   NumBuckets()                    bucket count of the live storage
+//   RecordAt(slot)                  the record (.key/.value) in a slot
+//   FlagAt(bucket), SetFlag(bucket) the per-bucket stash flag
+//   ClearStashFlags()               clear every flag (charged, seq-opened)
+//   PrefetchCandidates(...)         batch stage 1's layout prefetches
+//   FindImpl(...)                   the charged lookup
+//   FindNoStatsMain(...)            the statistics-free main-table probe
+//   TryPlace / RandomWalkInsert / BfsInsert   insertion (Algorithm 1)
+//   Grow(decision)                  optional; defaults to a full Rehash
+//
+// plus the constants kName (message prefix), kTagMask (stored fingerprint
+// bits) and the Storage struct: every buffer an optimistic reader may
+// dereference, grouped so the Rehash commit swaps and retires it in one
+// place. Indices: a candidate is a global bucket index t * n + h_t(key);
+// slot s of bucket b is slot index b * l + s (the bucket index itself when
+// l = 1).
+
+#ifndef MCCUCKOO_CORE_TABLE_SKELETON_H_
+#define MCCUCKOO_CORE_TABLE_SKELETON_H_
+
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/status.h"
+#include "src/core/config.h"
+#include "src/core/eviction.h"
+#include "src/core/growth.h"
+#include "src/core/lock_stripes.h"
+#include "src/core/read_out.h"
+#include "src/core/seqlock.h"
+#include "src/core/stash.h"
+#include "src/mem/access_stats.h"
+#include "src/obs/heatmap.h"
+#include "src/obs/latency_recorder.h"
+#include "src/obs/metrics.h"
+#include "src/obs/span_recorder.h"
+#include "src/obs/trace_recorder.h"
+
+namespace mccuckoo {
+
+static_assert(kMaxHashes + 1 <= kMetricsPartitions,
+              "partition metric arrays must cover counter values 0..d");
+
+template <typename Derived, typename Key, typename Value, typename Hasher,
+          typename Family>
+class TableSkeleton {
+ public:
+  /// Exposed template parameters (used by wrappers/adapters).
+  using KeyType = Key;
+  using ValueType = Value;
+  using HasherType = Hasher;
+
+  /// Validating factory for untrusted configuration.
+  static Result<Derived> Create(const TableOptions& options) {
+    if (Status s = Derived::CheckOptions(options); !s.ok()) return s;
+    return Derived(options);
+  }
+
+  // --- Core operations -------------------------------------------------
+
+  /// Inserts a key assumed not to be present (the common case in the
+  /// paper's workloads; duplicate keys corrupt the copy invariants — use
+  /// InsertOrAssign when presence is unknown).
+  InsertResult Insert(const Key& key, const Value& value) {
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
+    return InsertWithCandidates(key, value, ComputeCandidates(key));
+  }
+
+  /// Looks `key` up; writes the value through `out` when found (out may be
+  /// null). Mutates only the access statistics.
+  bool Find(const Key& key, Value* out = nullptr) const {
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
+    return derived().FindImpl(key, ComputeCandidates(key), out, *metrics_);
+  }
+
+  /// Convenience wrapper over Find.
+  bool Contains(const Key& key) const { return Find(key, nullptr); }
+
+  // --- Batched operations (software-pipelined) ---------------------------
+  //
+  // The scalar operations above pay one dependent miss chain per key:
+  // hash -> counter word -> candidate bucket. The batched variants break
+  // the chain in two stages per tile of up to kBatchTile keys: stage 1
+  // hashes every key and __builtin_prefetch-es all candidate buckets and
+  // their on-chip counter words; stage 2 replays the *unchanged* scalar
+  // per-key logic against now-warm lines. The probe-skipping rules, stash
+  // screening, and AccessStats accounting are bit-identical to a scalar
+  // loop over the same keys (differential-tested) — prefetching only hides
+  // latency, it never reads for the algorithm.
+
+  /// Internal pipeline depth: tiles bound the candidate scratch space and
+  /// keep the prefetch distance within what outstanding-miss buffers cover.
+  /// The bound is an L1 budget, not a miss-buffer one: a single-slot tile
+  /// touches 2 lines per candidate (bucket + its counter word), so at d = 3
+  /// a 64-key tile stages ~64 * 3 * 2 * 64B = 24 KB — most of a 32 KB L1d —
+  /// and by the time stage 2 replays key 0 its lines have been evicted by
+  /// keys 40+ (the batch64/batch32 load95 regression). 16 keys * 3
+  /// candidates * 2 lines = 6 KB leaves room for the probe loop's own
+  /// working set, and 48 outstanding prefetches still cover the ~10
+  /// line-fill buffers of current cores. A blocked bucket spans l *
+  /// sizeof(Slot) bytes, so larger tiles would overflow L1 sooner there.
+  static constexpr size_t kBatchTile = 16;
+
+  /// Batched lookup. For key i, found[i] is set and, on a hit, out[i]
+  /// receives the value (out may be null; found must not be). Returns the
+  /// number of keys found. Equivalent to calling Find per key, in order.
+  size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
+    size_t hits = 0;
+    std::array<Candidates, kBatchTile> cand;
+    // Lookup metrics accumulate on the stack and publish once per batch:
+    // same totals as per-key recording, a fraction of the atomic RMWs.
+    LookupTally tally;
+    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
+      const size_t n = std::min(kBatchTile, keys.size() - base);
+      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/false);
+      for (size_t i = 0; i < n; ++i) {
+        const bool hit = derived().FindImpl(
+            keys[base + i], cand[i], out != nullptr ? &out[base + i] : nullptr,
+            tally);
+        if (found != nullptr) found[base + i] = hit;
+        hits += hit ? 1 : 0;
+      }
+    }
+    tally.FlushTo(*metrics_);
+    return hits;
+  }
+
+  /// Batched membership test: FindBatch without value extraction.
+  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
+    return FindBatch(keys, nullptr, found);
+  }
+
+  /// Batched mutation-free lookup (the sharded/concurrent reader path):
+  /// equivalent to calling FindNoStats per key, in order.
+  size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
+                          bool* found) const {
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
+    size_t hits = 0;
+    std::array<Candidates, kBatchTile> cand;
+    LookupTally tally;
+    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
+      const size_t n = std::min(kBatchTile, keys.size() - base);
+      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/false);
+      for (size_t i = 0; i < n; ++i) {
+        const bool hit =
+            FindNoStatsImpl(keys[base + i], cand[i],
+                            out != nullptr ? &out[base + i] : nullptr, tally);
+        if (found != nullptr) found[base + i] = hit;
+        hits += hit ? 1 : 0;
+      }
+    }
+    tally.FlushTo(*metrics_);
+    return hits;
+  }
+
+  /// Batched insertion of keys assumed not to be present; results[i] (when
+  /// results is non-null) receives the per-key outcome. Equivalent to
+  /// calling Insert per key, in order — kick-out chains and stash spills
+  /// behave exactly as in the scalar path.
+  void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
+                   InsertResult* results = nullptr) {
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
+    assert(keys.size() == values.size());
+    std::array<Candidates, kBatchTile> cand;
+    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
+      const size_t n = std::min(kBatchTile, keys.size() - base);
+      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/true);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t epoch = rehash_epoch_;
+        const InsertResult r =
+            InsertWithCandidates(keys[base + i], values[base + i], cand[i]);
+        if (results != nullptr) results[base + i] = r;
+        // An auto-growth rehash inside the insert replaced the geometry
+        // and hash seeds; the remaining staged candidates were computed
+        // against the old ones and must be re-derived.
+        if (rehash_epoch_ != epoch && i + 1 < n) {
+          StageCandidates(&keys[base + i + 1], n - i - 1, &cand[i + 1],
+                          /*for_write=*/true);
+        }
+      }
+    }
+  }
+
+  /// Statistics-free const lookup: same candidate/probe/stash-screen logic
+  /// as Find but through the uncharged accessors, so it performs no
+  /// mutation whatsoever. This is ShardedMcCuckoo's locked read path —
+  /// many readers may call it under a shard's shared lock while its writer
+  /// is excluded. Not meant for experiments: it records no access counts.
+  bool FindNoStats(const Key& key, Value* out = nullptr) const {
+    return FindNoStatsImpl(key, ComputeCandidates(key), out, *metrics_);
+  }
+
+  // --- Optimistic (seqlock-validated) read path --------------------------
+
+  /// Attaches (or, with null, detaches) the seqlock version array the
+  /// concurrent wrapper owns. While attached, every mutation opens the
+  /// stripes of the buckets it touches (odd version = in flight) and
+  /// publishes them at its commit point; TryFindOptimistic can then run
+  /// without any lock. Single-threaded users never call this and pay only
+  /// a null check per mutation choke point.
+  void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
+
+  /// Sizing hint for the version array: one potential stripe per bucket.
+  size_t seqlock_domain() const { return derived().NumBuckets(); }
+
+  /// Lock-free lookup attempt: records the versions of the candidate
+  /// stripes (plus the aux stripe covering the stash), runs the
+  /// statistics-free probe, and only reports kHit/kMiss if every recorded
+  /// version was even and unchanged afterwards. Any writer overlap — or a
+  /// probe that would need the stash — yields kContended and the caller
+  /// retries or takes the shared lock. Requires an attached SeqlockArray
+  /// and writers that open the stripes they touch.
+  OptimisticResult TryFindOptimistic(const Key& key,
+                                     Value* out = nullptr) const {
+    // Each optimistic attempt is one latency sample candidate; a
+    // contended attempt that gets retried or falls back to the locked
+    // Find is timed as its own (short) attempt.
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
+    // Torn reads of a bucket during a racing write are discarded after
+    // validation, but reading a partially-updated non-trivial type (e.g.
+    // std::string mid-reallocation) would be UB before validation happens.
+    static_assert(std::is_trivially_copyable_v<Key> &&
+                      std::is_trivially_copyable_v<Value>,
+                  "optimistic reads require trivially copyable Key and Value");
+    if (seq_ == nullptr) return OptimisticResult::kContended;
+    size_t stripes[kMaxHashes + 1];
+    uint32_t versions[kMaxHashes + 1];
+    size_t n = 0;
+    stripes[n] = seq_->aux_stripe();
+    versions[n] = seq_->ReadBegin(stripes[n]);
+    if (SeqlockArray::IsWriting(versions[n])) {
+      return OptimisticResult::kContended;
+    }
+    ++n;
+    // The candidate computation reads the geometry and hash seeds, which
+    // Rehash replaces wholesale under the aux stripe (recorded above, so a
+    // concurrent swap fails validation). The bounds check keeps a
+    // torn-epoch index from escaping into the probe; storage replaced by a
+    // racing Rehash stays dereferenceable regardless (see retired_).
+    uint32_t d;
+    Candidates cand;
+    {
+      SeqlockReadCritical crit;
+      d = opts_.num_hashes;
+      cand = ComputeCandidates(key);
+      for (uint32_t t = 0; t < d; ++t) {
+        if (cand.bucket[t] >= derived().NumBuckets()) {
+          return OptimisticResult::kContended;
+        }
+      }
+    }
+    for (uint32_t t = 0; t < d; ++t) {
+      const size_t s = seq_->StripeOf(cand.bucket[t]);
+      bool dup = false;
+      for (size_t j = 1; j < n; ++j) {
+        if (stripes[j] == s) {
+          dup = true;
+          break;
+        }
+      }
+      if (dup) continue;
+      stripes[n] = s;
+      versions[n] = seq_->ReadBegin(s);
+      if (SeqlockArray::IsWriting(versions[n])) {
+        return OptimisticResult::kContended;
+      }
+      ++n;
+    }
+    // Probe into locals: neither the out-parameter nor the shared metrics
+    // may observe a result that fails validation.
+    Value tmp{};
+    LookupTally tally;
+    MainOutcome mo;
+    {
+      SeqlockReadCritical crit;
+      mo = derived().FindNoStatsMain(key, cand, &tmp, tally);
+    }
+    if (!seq_->Validate(stripes, versions, n)) {
+      return OptimisticResult::kContended;
+    }
+    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kContended;
+    tally.FlushTo(*metrics_);
+    if (mo == MainOutcome::kHit) {
+      if (out != nullptr) *out = tmp;
+      return OptimisticResult::kHit;
+    }
+    return OptimisticResult::kMiss;
+  }
+
+  /// All-or-nothing optimistic batch lookup over one tile (keys.size() <=
+  /// kBatchTile): stages prefetches, records the versions of every touched
+  /// stripe, probes all keys, then validates once. Returns the hit count
+  /// with out/found filled, or -1 if any stripe was (or became) active or
+  /// any key needed the stash — the caller re-runs the tile under the lock.
+  int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
+                                 bool* found) const {
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
+    static_assert(std::is_trivially_copyable_v<Key> &&
+                      std::is_trivially_copyable_v<Value>,
+                  "optimistic reads require trivially copyable Key and Value");
+    assert(keys.size() <= kBatchTile);
+    if (seq_ == nullptr) return -1;
+    if (keys.empty()) return 0;
+    const size_t n_keys = keys.size();
+    // Versions for every (key, candidate) stripe plus aux, recorded before
+    // any data read. Duplicates are validated twice — harmless.
+    std::array<size_t, kBatchTile * kMaxHashes + 1> stripes;
+    std::array<uint32_t, kBatchTile * kMaxHashes + 1> versions;
+    size_t n = 0;
+    stripes[n] = seq_->aux_stripe();
+    versions[n] = seq_->ReadBegin(stripes[n]);
+    if (SeqlockArray::IsWriting(versions[n])) return -1;
+    ++n;
+    // Candidates under the recorded aux version, bounds-checked before any
+    // probe (see TryFindOptimistic).
+    uint32_t d;
+    std::array<Candidates, kBatchTile> cand;
+    {
+      SeqlockReadCritical crit;
+      d = opts_.num_hashes;
+      StageCandidates(keys.data(), n_keys, cand.data(), /*for_write=*/false);
+      for (size_t i = 0; i < n_keys; ++i) {
+        for (uint32_t t = 0; t < d; ++t) {
+          if (cand[i].bucket[t] >= derived().NumBuckets()) return -1;
+        }
+      }
+    }
+    for (size_t i = 0; i < n_keys; ++i) {
+      for (uint32_t t = 0; t < d; ++t) {
+        const size_t s = seq_->StripeOf(cand[i].bucket[t]);
+        stripes[n] = s;
+        versions[n] = seq_->ReadBegin(s);
+        if (SeqlockArray::IsWriting(versions[n])) return -1;
+        ++n;
+      }
+    }
+    std::array<Value, kBatchTile> tmpv{};
+    std::array<bool, kBatchTile> tmpf{};
+    LookupTally tally;
+    size_t hits = 0;
+    {
+      SeqlockReadCritical crit;
+      for (size_t i = 0; i < n_keys; ++i) {
+        const MainOutcome mo =
+            derived().FindNoStatsMain(keys[i], cand[i], &tmpv[i], tally);
+        if (mo == MainOutcome::kCheckStash) return -1;
+        tmpf[i] = (mo == MainOutcome::kHit);
+        hits += tmpf[i] ? 1 : 0;
+      }
+    }
+    if (!seq_->Validate(stripes.data(), versions.data(), n)) return -1;
+    tally.FlushTo(*metrics_);
+    for (size_t i = 0; i < n_keys; ++i) {
+      if (found != nullptr) found[i] = tmpf[i];
+      if (out != nullptr && tmpf[i]) out[i] = tmpv[i];
+    }
+    return static_cast<int64_t>(hits);
+  }
+
+  // --- Rehash -------------------------------------------------------------
+
+  /// Full rehash into a table of `new_buckets_per_table` buckets per
+  /// sub-table under a fresh hash family seeded by `new_seed` — the costly
+  /// remedy for insertion failures that the stash exists to avoid (§I.2),
+  /// provided for completeness and for growing a long-lived table. Reads
+  /// out every live item (charged: one read per old bucket plus the
+  /// re-insertion traffic) and rebuilds through the pipelined InsertBatch;
+  /// stashed items are re-inserted after the main-table items. Fails
+  /// without touching the table if the new capacity cannot hold the
+  /// current items.
+  Status Rehash(uint64_t new_buckets_per_table, uint64_t new_seed) {
+    const uint64_t t0 = MetricsNowNs();
+    TableOptions new_opts = opts_;
+    new_opts.buckets_per_table = new_buckets_per_table;
+    new_opts.seed = new_seed;
+    Status s = new_opts.Validate();
+    if (!s.ok()) return s;
+    if (new_opts.capacity() < TotalItems()) {
+      return Status::InvalidArgument(
+          "rehash target smaller than the current item count");
+    }
+    // "Reading out all inserted items and using a different set of hash
+    // functions to put them into a bigger table" (§I.2).
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    keys.reserve(TotalItems());
+    values.reserve(TotalItems());
+    // Full scan of the old table, one read per bucket.
+    stats_->offchip_reads += derived().NumBuckets();
+    ForEachMainItem([&](const Key& k, const Value& v) {
+      keys.push_back(k);
+      values.push_back(v);
+    });
+    for (const auto& [k, v] : stash_.Items()) {
+      ++stats_->offchip_reads;
+      keys.push_back(k);
+      values.push_back(v);
+    }
+
+    Derived rebuilt = ScratchRebuild(new_opts);
+    rebuilt.InsertBatch(keys, values);
+    CommitRehash(std::move(rebuilt), t0, keys.size());
+    return Status::OK();
+  }
+
+  // --- Stash maintenance (§III.E/F) -------------------------------------
+
+  /// Attempts to move stashed items back into the main table (no new
+  /// kick-out chains are started: only free/redundant slots are used).
+  /// Returns how many items left the stash. Flags are left set (sticky).
+  size_t TryDrainStash() {
+    size_t drained = 0;
+    for (const auto& [k, v] : stash_.Items()) {
+      const Candidates cand = ComputeCandidates(k);
+      if (derived().TryPlace(k, v, cand) > 0) {
+        SeqOpenAux();
+        stash_.Erase(k);
+        ChargeStashWrite();
+        ++size_;
+        ++drained;
+      }
+      SeqFlush();  // per item: slot copies and stash removal together
+    }
+    return drained;
+  }
+
+  /// Resets every stash flag and re-marks the candidates of the items
+  /// currently stashed, re-synchronizing the screen after stash deletions
+  /// (§III.F). Charges one off-chip write per flag actually changed.
+  void RebuildStashFlags() {
+    // Cleared and re-set flags publish together: a reader validating
+    // between the clear and the re-mark would false-miss a stashed key.
+    derived().ClearStashFlags();
+    for (const auto& [k, v] : stash_.Items()) {
+      (void)v;
+      const Candidates cand = ComputeCandidates(k);
+      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+        derived().SetFlag(cand.bucket[t]);
+      }
+    }
+    stale_stash_flag_keys_ = 0;
+    SeqFlush();
+  }
+
+  // --- Introspection ----------------------------------------------------
+
+  /// Live keys resident in the main table (excludes the stash).
+  size_t size() const { return size_; }
+
+  /// Keys currently parked in the stash.
+  size_t stash_size() const { return stash_.size(); }
+
+  /// Live keys anywhere (main table + stash).
+  size_t TotalItems() const { return size_ + stash_.size(); }
+
+  /// Total slots (= buckets for the single-slot layout).
+  uint64_t capacity() const { return opts_.capacity(); }
+
+  /// Distinct-items-to-slots ratio, the paper's "load ratio".
+  double load_factor() const {
+    return static_cast<double>(TotalItems()) / static_cast<double>(capacity());
+  }
+
+  const TableOptions& options() const { return opts_; }
+  const AccessStats& stats() const { return *stats_; }
+  void ResetStats() { *stats_ = AccessStats{}; }
+
+  /// Point-in-time metrics copy with the occupancy/capacity gauges filled
+  /// (all zeros under -DMCCUCKOO_NO_METRICS). Safe to call concurrently
+  /// with readers; pair with writer exclusion for exact totals.
+  MetricsSnapshot SnapshotMetrics() const {
+    MetricsSnapshot s = metrics_->Snapshot();
+    s.occupancy_items = TotalItems();
+    s.capacity_slots = capacity();
+    latency_->FoldInto(&s);
+    for (size_t k = 0; k < kSpanKinds; ++k) {
+      s.span_counts[k] += spans_.Totals()[k];
+    }
+    return s;
+  }
+
+  /// Clears the metrics, the kick-chain trace ring, the latency samples,
+  /// and the span ring (AccessStats are separate; see ResetStats).
+  void ResetMetrics() {
+    metrics_->Reset();
+    trace_.Clear();
+    latency_->Reset();
+    spans_.Clear();
+  }
+
+  /// Kick-chain trace ring (post-mortem inspection of recent chains).
+  const TraceRecorder& trace() const { return trace_; }
+
+  /// Span timeline ring (growth/rehash/reseed/dead-end/spill events) —
+  /// feed Events() to ExportChromeTrace for a chrome://tracing view.
+  const SpanRecorder& spans() const { return spans_; }
+
+  /// Sampled op-latency recorder (configure via
+  /// TableOptions::latency_sample_period or set_sample_period).
+  LatencyRecorder& latency() const { return *latency_; }
+
+  /// Scans the table into an occupancy/counter heatmap at the requested
+  /// region resolution (full-table scan; scrape-time cost only). Regions
+  /// are runs of whole buckets; counter_values counts slots by counter
+  /// value.
+  HeatmapSnapshot Heatmap(size_t regions = 64) const {
+    HeatmapSnapshot h;
+    const size_t buckets = derived().NumBuckets();
+    const uint32_t l = opts_.slots_per_bucket;
+    if (regions == 0) regions = 1;
+    if (regions > buckets) regions = buckets;
+    h.region_occupied.assign(regions, 0);
+    h.region_slots.assign(regions, 0);
+    h.total_buckets = buckets;
+    h.total_slots = buckets * l;
+    const size_t per_region = (buckets + regions - 1) / regions;
+    for (size_t bucket = 0; bucket < buckets; ++bucket) {
+      const size_t region = bucket / per_region;
+      h.region_slots[region] += l;
+      for (uint32_t s = 0; s < l; ++s) {
+        const uint64_t c = counters().PeekCounter(bucket * l + s);
+        const size_t cv = c < kMetricsPartitions ? c : kMetricsPartitions - 1;
+        ++h.counter_values[cv];
+        if (c != 0) {
+          ++h.region_occupied[region];
+          ++h.occupied_slots;
+        }
+      }
+    }
+    return h;
+  }
+
+  /// Items present when the first real collision happened (0 = none yet) —
+  /// Table I's metric.
+  uint64_t first_collision_items() const { return first_collision_items_; }
+
+  /// Items present when the first insertion failure (stash spill) happened
+  /// (0 = none yet) — Fig 11's metric.
+  uint64_t first_failure_items() const { return first_failure_items_; }
+
+  /// Total proactive redundant copy writes so far (copies beyond each
+  /// item's first). Theorem 2 bounds this by capacity * (1 + sum_{t=3..d}
+  /// 1/t); for d = 3: 5/6 of the bucket count.
+  uint64_t redundant_writes() const { return redundant_writes_; }
+
+  /// Keys erased from the stash whose flags are now stale (false-positive
+  /// pressure on the screen; see RebuildStashFlags).
+  uint64_t stale_stash_flag_keys() const { return stale_stash_flag_keys_; }
+
+  /// Times a CHS-style on-chip stash exceeded its capacity — events where a
+  /// real deployment would have had to rehash (§II.B).
+  uint64_t forced_rehash_events() const { return forced_rehash_events_; }
+
+  /// Bytes of modeled on-chip memory (copy counters, plus MinCounter's
+  /// kick-history array when that policy is active).
+  size_t onchip_memory_bytes() const {
+    return counters().counter_bytes() + kick_history_.memory_bytes();
+  }
+
+  /// Invokes `fn(key, value)` once per live key (main table + stash), in
+  /// unspecified order. Uncharged maintenance/snapshot path.
+  template <typename Fn>
+  void ForEachItem(Fn&& fn) const {
+    ForEachMainItem(fn);
+    for (const auto& [k, v] : stash_.Items()) fn(k, v);
+  }
+
+  /// Number of live copies of `key` in the main table (uncharged; testing).
+  uint32_t CountCopies(const Key& key) const {
+    const Candidates cand = ComputeCandidates(key);
+    const uint32_t l = opts_.slots_per_bucket;
+    uint32_t copies = 0;
+    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+      for (uint32_t s = 0; s < l; ++s) {
+        const size_t idx = cand.bucket[t] * l + s;
+        if (counters().PeekCounter(idx) > 0 &&
+            derived().RecordAt(idx).key == key) {
+          ++copies;
+        }
+      }
+    }
+    return copies;
+  }
+
+  /// Exhaustively checks the structural invariants (uncharged; testing):
+  /// every live slot's occupant hashes to that slot's bucket and carries
+  /// its fingerprint; a key has at most one copy per bucket; all copies of
+  /// a key are identical; every copy's counter equals the key's copy
+  /// count; tombstones only exist in kTombstone mode and always carry a
+  /// zero counter.
+  Status ValidateInvariants() const {
+    std::unordered_map<Key, std::vector<size_t>> copies;
+    const uint64_t nb = opts_.buckets_per_table;
+    const uint32_t l = opts_.slots_per_bucket;
+    const size_t slots = derived().NumBuckets() * l;
+    for (size_t idx = 0; idx < slots; ++idx) {
+      const uint64_t c = counters().PeekCounter(idx);
+      if (counters().PeekTombstone(idx)) {
+        if (opts_.deletion_mode != DeletionMode::kTombstone) {
+          return Status::Internal("tombstone outside kTombstone mode at " +
+                                  std::to_string(idx));
+        }
+        if (c != 0) {
+          return Status::Internal("tombstone with non-zero counter at " +
+                                  std::to_string(idx));
+        }
+        continue;
+      }
+      if (c == 0) continue;
+      if (c > opts_.num_hashes) {
+        return Status::Internal("counter exceeds d at " + std::to_string(idx));
+      }
+      const Key& k = derived().RecordAt(idx).key;
+      const size_t bucket = idx / l;
+      const uint32_t t = static_cast<uint32_t>(bucket / nb);
+      if (family_.Bucket(k, t) != bucket % nb) {
+        return Status::Internal("occupant does not hash to bucket at " +
+                                std::to_string(idx));
+      }
+      // The probe screens rely on a fingerprint mismatch proving a
+      // different key.
+      if (counters().PeekTag(idx) != (family_.TagOf(k) & Derived::kTagMask)) {
+        return Status::Internal("stale fingerprint at " + std::to_string(idx));
+      }
+      copies[k].push_back(idx);
+    }
+    for (const auto& [k, positions] : copies) {
+      std::vector<size_t> buckets;
+      for (size_t idx : positions) buckets.push_back(idx / l);
+      std::sort(buckets.begin(), buckets.end());
+      if (std::adjacent_find(buckets.begin(), buckets.end()) !=
+          buckets.end()) {
+        return Status::Internal("two copies of one key in one bucket at " +
+                                std::to_string(positions.front()));
+      }
+      for (size_t idx : positions) {
+        if (counters().PeekCounter(idx) != positions.size()) {
+          return Status::Internal("counter != copy count at " +
+                                  std::to_string(idx));
+        }
+        if (!(derived().RecordAt(idx).value ==
+              derived().RecordAt(positions.front()).value)) {
+          return Status::Internal("diverged copy values at " +
+                                  std::to_string(idx));
+        }
+      }
+    }
+    if (copies.size() != size_) {
+      return Status::Internal("size_ does not match live distinct keys: " +
+                              std::to_string(size_) + " vs " +
+                              std::to_string(copies.size()));
+    }
+    return Status::OK();
+  }
+
+  /// Debug-build deep check for the chaos/property harnesses:
+  /// ValidateInvariants plus the stash-screen rule that every stashed
+  /// key's candidate buckets carry the stash flag (flags may be stale-set
+  /// — they are sticky by design — but never missing). Compiles to an
+  /// unconditional OK in NDEBUG builds so release benchmarks can keep the
+  /// call sites.
+  Status CheckInvariants() const {
+#ifdef NDEBUG
+    return Status::OK();
+#else
+    if (Status s = ValidateInvariants(); !s.ok()) return s;
+    if (opts_.stash_kind != StashKind::kOffchip) return Status::OK();
+    const uint32_t l = opts_.slots_per_bucket;
+    for (const auto& [k, v] : stash_.Items()) {
+      (void)v;
+      const Candidates cand = ComputeCandidates(k);
+      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+        const size_t bucket = cand.bucket[t];
+        if (!derived().FlagAt(bucket)) {
+          return Status::Internal(
+              "stashed key lacks a candidate stash flag at bucket " +
+              std::to_string(bucket));
+        }
+        // Without deletions the screen additionally relies on every
+        // stashed key's candidate slots holding sole copies forever: the
+        // key was stashed only after TryPlace saw all-ones, and a
+        // counter-1 slot can never fall to 0 nor climb past 1 again.
+        if (opts_.deletion_mode != DeletionMode::kDisabled) continue;
+        for (uint32_t s = 0; s < l; ++s) {
+          const uint64_t c = counters().PeekCounter(bucket * l + s);
+          if (c != 1) {
+            return Status::Internal(
+                "stashed key candidate bucket " + std::to_string(bucket) +
+                " slot " + std::to_string(s) + " has counter " +
+                std::to_string(c) +
+                " != 1 under kDisabled; the stash screen would veto lookups");
+          }
+        }
+      }
+    }
+    return Status::OK();
+#endif
+  }
+
+  /// Read-only view of the auto-growth state machine (tests/diagnostics).
+  const GrowthPolicy& growth_policy() const { return growth_; }
+
+  /// Completed rehash commits over this table's lifetime (manual and
+  /// growth-triggered). Changes exactly when the geometry/seeds may have;
+  /// batch paths use it to detect a mid-batch change.
+  uint64_t rehash_epoch() const { return rehash_epoch_; }
+
+ protected:
+  /// The d global candidate bucket indices of a key (t * buckets_per_table
+  /// + h_t(key); distinct across sub-tables by construction), plus the
+  /// key's 8-bit fingerprint, derived in the same hashing pass.
+  struct Candidates {
+    std::array<size_t, kMaxHashes> bucket;
+    uint8_t tag = 0;
+  };
+
+  /// What the main-table portion of a statistics-free lookup concluded.
+  /// kCheckStash means "miss in the buckets, and the stash screen could not
+  /// rule the stash out": the locked path probes the stash, the optimistic
+  /// path bails out instead (the stash's unordered_map must never be
+  /// traversed concurrently with a writer).
+  enum class MainOutcome : uint8_t { kHit, kMiss, kCheckStash };
+
+  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
+
+  /// Everything but the layout storage, which the derived table builds
+  /// after this (its counters charge into stats_). Aborts on options
+  /// Derived::CheckOptions rejects, so Debug and Release builds agree on
+  /// what direct construction with unsupported options does; Create()
+  /// reports the same conditions as a Status.
+  TableSkeleton(const TableOptions& options, uint64_t rng_salt)
+      : opts_(options),
+        family_(options.num_hashes, options.buckets_per_table, options.seed),
+        rng_(SplitMix64(options.seed ^ rng_salt)),
+        growth_(options.growth) {
+    if (Status s = Derived::CheckOptions(options); !s.ok()) {
+      std::fprintf(stderr, "%s: %s\n", Derived::kName, s.message().c_str());
+      std::abort();
+    }
+    if (options.eviction_policy == EvictionPolicy::kMinCounter) {
+      kick_history_ = KickHistory(
+          static_cast<size_t>(options.num_hashes) * options.buckets_per_table,
+          options.kick_counter_bits, stats_.get());
+    }
+    latency_->set_sample_period(options.latency_sample_period);
+  }
+
+  Derived& derived() { return static_cast<Derived&>(*this); }
+  const Derived& derived() const { return static_cast<const Derived&>(*this); }
+  const auto& counters() const { return derived().mem_.counters; }
+
+  /// Charges one stash probe: an off-chip read for the paper's off-chip
+  /// stash, an on-chip read for the classic CHS stash.
+  void ChargeStashProbe() {
+    ++stats_->stash_probes;
+    if (opts_.stash_kind == StashKind::kOffchip) {
+      ++stats_->offchip_reads;
+    } else {
+      ++stats_->onchip_reads;
+    }
+  }
+
+  /// Charges one stash mutation (store/erase).
+  void ChargeStashWrite() {
+    if (opts_.stash_kind == StashKind::kOffchip) {
+      ++stats_->offchip_writes;
+    } else {
+      ++stats_->onchip_writes;
+    }
+  }
+
+  Candidates ComputeCandidates(const Key& key) const {
+    Candidates c{};
+    // Fused: the tag falls out of the hash evaluation the family already
+    // does for the bucket indices.
+    const std::array<uint64_t, kMaxHashes> b = family_.Buckets(key, &c.tag);
+    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+      c.bucket[t] = static_cast<size_t>(t) * opts_.buckets_per_table + b[t];
+    }
+    return c;
+  }
+
+  /// Batching stage 1: hashes `n` keys through the family's batch entry
+  /// point, then lets the layout prefetch every candidate's counters and
+  /// records. Pure hint stage: no AccessStats are charged (hashing is
+  /// on-chip work and prefetches are not algorithmic reads).
+  void StageCandidates(const Key* keys, size_t n, Candidates* cand,
+                       bool for_write) const {
+    std::array<std::array<uint64_t, kMaxHashes>, kBatchTile> buckets;
+    std::array<uint8_t, kBatchTile> tags;
+    family_.BucketsBatch(keys, n, buckets.data(), tags.data());
+    const uint32_t d = opts_.num_hashes;
+    for (size_t i = 0; i < n; ++i) {
+      for (uint32_t t = 0; t < d; ++t) {
+        cand[i].bucket[t] = static_cast<size_t>(t) * opts_.buckets_per_table +
+                            buckets[i][t];
+      }
+      cand[i].tag = tags[i];
+    }
+    derived().PrefetchCandidates(cand, n, for_write);
+  }
+
+  /// FindNoStats body over precomputed candidates (shared with the batched
+  /// no-stats path): the main-table probe plus, when the screen allows it,
+  /// the actual stash probe.
+  template <typename MetricsSink>
+  bool FindNoStatsImpl(const Key& key, const Candidates& cand, Value* out,
+                       MetricsSink& sink) const {
+    switch (derived().FindNoStatsMain(key, cand, out, sink)) {
+      case MainOutcome::kHit:
+        return true;
+      case MainOutcome::kMiss:
+        return false;
+      case MainOutcome::kCheckStash:
+        break;
+    }
+    const bool hit = stash_.Find(key, out);
+    sink.RecordStashProbe(hit);
+    return hit;
+  }
+
+  /// InsertOrAssign's stash step, taken once the main table missed and the
+  /// screen allows a probe: overwrites the key's stashed value (the
+  /// replaced one goes through `previous`). Returns whether the key was
+  /// stashed.
+  bool AssignInStash(const Key& key, const Value& value, Value* previous) {
+    ChargeStashProbe();
+    const bool in_stash = stash_.Find(key, previous);
+    metrics_->RecordStashProbe(in_stash);
+    if (!in_stash) return false;
+    ChargeStashWrite();
+    SeqOpenAux();
+    stash_.Insert(key, value);
+    SeqFlush();
+    return true;
+  }
+
+  /// Erase's stash step, taken once the main table missed and the screen
+  /// allows a probe. Returns whether the key was stashed.
+  bool EraseFromStash(const Key& key) {
+    ChargeStashProbe();
+    SeqOpenAux();
+    const bool hit = stash_.Erase(key);
+    SeqFlush();
+    metrics_->RecordStashProbe(hit);
+    if (!hit) return false;
+    ChargeStashWrite();
+    // Flags are Bloom-like and not cleared (§III.F); false positives
+    // accumulate until RebuildStashFlags().
+    ++stale_stash_flag_keys_;
+    metrics_->RecordErase();
+    return true;
+  }
+
+  /// Scalar Insert body over precomputed candidates.
+  InsertResult InsertWithCandidates(const Key& key, const Value& value,
+                                    const Candidates& cand) {
+    const uint64_t t0 = MetricsNowNs();
+    const uint32_t placed = derived().TryPlace(key, value, cand);
+    if (placed > 0) {
+      ++size_;
+      SeqFlush();
+      metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
+      growth_.ObserveInsert(/*overflowed=*/false, 0, opts_.maxloop);
+      MaybeGrow();
+      return InsertResult::kInserted;
+    }
+    // All candidates hold sole copies: a real collision (§III.D).
+    if (first_collision_items_ == 0) {
+      first_collision_items_ = TotalItems() + 1;
+    }
+    const bool bfs = opts_.eviction_policy == EvictionPolicy::kBfs;
+    uint32_t chain_len = 0;
+    uint32_t bfs_nodes = 0;
+    uint32_t bfs_budget = 0;
+    const InsertResult r =
+        bfs ? derived().BfsInsert(key, value, cand, &chain_len, &bfs_nodes,
+                                  &bfs_budget)
+            : derived().RandomWalkInsert(key, value, &chain_len);
+    // The whole chain published at once: at no intermediate state was the
+    // in-hand key absent from a stripe readers could have validated.
+    SeqFlush();
+    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
+    metrics_->RecordPolicyChain(
+        static_cast<uint32_t>(opts_.eviction_policy), chain_len);
+    if (bfs) metrics_->RecordBfsNodes(bfs_nodes);
+    growth_.ObserveInsert(r != InsertResult::kInserted, chain_len,
+                          opts_.maxloop, bfs_nodes, bfs_budget);
+    MaybeGrow();
+    return r;
+  }
+
+  /// Runs the growth policy against the post-insert occupancy and performs
+  /// the rehash it asks for. Called with no stripes open (SeqFlush done):
+  /// the commit opens the aux stripe itself when the outer writer section
+  /// does not already hold it, so optimistic readers stay correct whether
+  /// the trigger fires inside a concurrent wrapper's Insert or a bare
+  /// table.
+  void MaybeGrow() {
+    const GrowthDecision d = growth_.Decide(
+        {TotalItems(), opts_.capacity(), stash_.size(),
+         opts_.buckets_per_table});
+    if (d.action == GrowthAction::kNone) return;
+    if (d.action == GrowthAction::kSuppressed) {
+      metrics_->SetGrowthSuppressed(true);
+      return;
+    }
+    Status s;
+    const uint64_t grow_t0 = MetricsNowNs();
+    try {
+      s = derived().Grow(d);
+    } catch (const std::bad_alloc&) {
+      // Graceful degradation: the table is untouched (the rebuild never
+      // reached its commit), inserts keep landing in the stash.
+      s = Status::ResourceExhausted("auto-growth allocation failed");
+    }
+    if (s.ok()) {
+      growth_.OnRehashSuccess(d.action);
+      metrics_->RecordGrowthRehash(d.action == GrowthAction::kReseed);
+      metrics_->SetGrowthSuppressed(false);
+      spans_.Record(d.action == GrowthAction::kReseed ? SpanKind::kReseed
+                                                      : SpanKind::kGrowth,
+                    grow_t0, MetricsNowNs(), d.new_buckets_per_table);
+    } else {
+      growth_.OnRehashFailure();
+      metrics_->RecordGrowthFailure();
+      metrics_->SetGrowthSuppressed(true);
+    }
+  }
+
+  /// The growth step MaybeGrow takes: a full Rehash under the policy's
+  /// next seed. A derived table may hide this with a cheaper step.
+  Status Grow(const GrowthDecision& d) {
+    return Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
+  }
+
+  // --- seqlock writer hooks ---------------------------------------------
+  //
+  // Every reader-visible mutation flows through the choke points below,
+  // which mark the touched bucket's stripe as in-flight (odd). Stripes stay
+  // odd across the *whole* operation — a kick chain's intermediate states
+  // have the in-hand key in no bucket at all, so publishing per-store would
+  // let an optimistic reader validate cleanly and miss a live key — and are
+  // published together by SeqFlush() at each operation's consistent point.
+  // All three are no-ops when no SeqlockArray is attached.
+
+  void SeqOpen(size_t bucket) {
+    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->StripeOf(bucket));
+  }
+
+  /// Opens the aux stripe covering state outside the bucket array (stash
+  /// membership and size).
+  void SeqOpenAux() {
+    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->aux_stripe());
+  }
+
+  void SeqFlush() {
+    if (seq_ != nullptr) seq_open_.CloseAll(*seq_);
+  }
+
+  /// Shared insertion-failure tail: parks the in-hand item in the stash
+  /// (flags set for the off-chip kind, forced-rehash accounting for the
+  /// on-chip kind). The caller guarantees the item's candidate slots all
+  /// hold sole copies — the all-ones precondition the kDisabled stash
+  /// screen relies on — and records its own trace event.
+  InsertResult StashOverflow(const Key& key, const Value& value) {
+    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
+    ChargeStashWrite();
+    SeqOpenAux();
+    stash_.Insert(key, value);
+    spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
+    if (opts_.stash_kind == StashKind::kOffchip) {
+      const Candidates cand = ComputeCandidates(key);
+      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+        derived().SetFlag(cand.bucket[t]);
+      }
+    } else if (stash_.size() > opts_.onchip_stash_capacity) {
+      ++forced_rehash_events_;  // a real CHS deployment would rehash here
+    }
+    return opts_.stash_enabled ? InsertResult::kStashed : InsertResult::kFailed;
+  }
+
+  /// Invokes `fn(key, value)` once per live key of the main table (stash
+  /// excluded), in ascending order of the key's first slot: the read-out
+  /// Rehash and ForEachItem share (see read_out.h). A key holds at most
+  /// one slot per candidate bucket. Uncharged.
+  template <typename Fn>
+  void ForEachMainItem(Fn&& fn) const {
+    const uint32_t l = opts_.slots_per_bucket;
+    ForEachDistinctOccupant(
+        derived().NumBuckets() * l, opts_.buckets_per_table * l,
+        opts_.num_hashes,
+        [this](size_t idx) -> uint64_t { return counters().PeekCounter(idx); },
+        [this, l](size_t idx, uint32_t t) {
+          const Key& key = derived().RecordAt(idx).key;
+          const Candidates cand = ComputeCandidates(key);
+          for (uint32_t u = 0; u < t; ++u) {
+            for (uint32_t s = 0; s < l; ++s) {
+              const size_t j = cand.bucket[u] * l + s;
+              if (counters().PeekCounter(j) > 0 &&
+                  derived().RecordAt(j).key == key) {
+                return true;
+              }
+            }
+          }
+          return false;
+        },
+        [&](size_t idx) {
+          const auto& r = derived().RecordAt(idx);
+          fn(r.key, r.value);
+        });
+  }
+
+  /// An empty table with `new_opts`' geometry and seed, built with growth
+  /// disabled: a re-insertion overflow must not recursively rehash the
+  /// table being built. CommitRehash restores the growth config.
+  static Derived ScratchRebuild(TableOptions new_opts) {
+    new_opts.growth.enabled = false;
+    return Derived(new_opts);
+  }
+
+  /// Commits a filled ScratchRebuild as this table: carries the lifetime
+  /// counters, metrics, latency samples, span timeline, growth policy and
+  /// rehash epoch across, and swaps storage under the aux stripe when a
+  /// seqlock is attached.
+  void CommitRehash(Derived&& rebuilt, uint64_t t0, size_t moved_items) {
+    rebuilt.opts_.growth = opts_.growth;
+    // Discard any degraded-state signal the growth-disabled rebuild
+    // raised; the live policy re-evaluates pressure after the commit.
+    rebuilt.metrics_->SetGrowthSuppressed(false);
+    // Keep lifetime counters across the rebuild.
+    rebuilt.redundant_writes_ += redundant_writes_;
+    rebuilt.first_collision_items_ = first_collision_items_;
+    rebuilt.first_failure_items_ = first_failure_items_;
+    SeqlockArray* seq = seq_;
+    if (seq == nullptr) {
+      *rebuilt.stats_ += *stats_;
+      rebuilt.metrics_->MergeFrom(*metrics_);
+      // Latency samples and the span timeline describe this table's
+      // lifetime too — carry them like the metrics (the scratch rebuild's
+      // re-insertion samples fold in on top). The recorder object itself
+      // survives the move: the Insert whose growth triggered this rehash
+      // still records into it from its ScopedLatencySample.
+      latency_->MergeFrom(*rebuilt.latency_);
+      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
+      rebuilt.spans_ = std::move(spans_);
+      // The policy and epoch describe this table's lifetime, not the
+      // scratch rebuild's: carry them across the wholesale move.
+      const uint64_t epoch = rehash_epoch_ + 1;
+      GrowthPolicy saved_growth = std::move(growth_);
+      derived() = std::move(rebuilt);
+      latency_ = std::move(saved_latency);
+      growth_ = std::move(saved_growth);
+      rehash_epoch_ = epoch;
+    } else {
+      // The attached version array survives the rebuild (its mask mapping
+      // is size-independent); the swap itself reallocates every bucket, so
+      // it runs under the aux stripe to invalidate in-flight optimistic
+      // reads. The concurrent wrappers' exclusive sections already hold the
+      // aux stripe open around the whole call; only open it here when no
+      // outer writer does, so the stripe stays odd through the commit
+      // either way (WriteBegin is a blind increment — double-opening would
+      // flip it even).
+      const bool aux_held =
+          SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
+      if (!aux_held) seq->WriteBegin(seq->aux_stripe());
+      CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
+      if (!aux_held) seq->WriteEnd(seq->aux_stripe());
+    }
+    metrics_->RecordRehash(MetricsNowNs() - t0);
+    spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
+  }
+
+  /// Commits a rebuilt table while optimistic readers may be probing this
+  /// one (caller holds the aux stripe odd). The reader-visible Storage is
+  /// exchanged pointer-wise, so a racing reader sees the old or the new
+  /// buffers but never a transient moved-from state, and the replaced
+  /// epoch is parked in retired_ so lagging readers keep dereferencing
+  /// live memory. Everything else is either invisible to the optimistic
+  /// probe or moves wholesale. The stats_/metrics_/latency_ heap objects
+  /// stay identity-stable — a lagging reader flushes its tally through the
+  /// pre-commit pointer after validation — so the rebuild's deltas are
+  /// merged into them rather than replacing them. NOTE: keep in sync with
+  /// the member list below — a member missed here keeps its pre-rehash
+  /// value. The derived tables' own non-storage members (the lock-stripe
+  /// attachment, the resolved probe kernel) are deliberately kept.
+  void CommitRebuildLockFree(Derived&& rebuilt) {
+    using Storage = typename Derived::Storage;
+    derived().mem_.Swap(rebuilt.mem_);
+    Retired old(new Storage(std::move(rebuilt.mem_)),
+                [](void* p) { delete static_cast<Storage*>(p); });
+    retired_.push_back(std::move(old));
+    opts_ = rebuilt.opts_;
+    family_ = std::move(rebuilt.family_);
+    *stats_ += *rebuilt.stats_;
+    metrics_->MergeFrom(*rebuilt.metrics_);
+    latency_->MergeFrom(*rebuilt.latency_);
+    trace_ = std::move(rebuilt.trace_);
+    // spans_ deliberately keeps this table's ring: it is a lifetime
+    // timeline (the rehash span lands in it right after this commit);
+    // the scratch rebuild's ring holds nothing worth keeping.
+    kick_history_.AdoptStorage(std::move(rebuilt.kick_history_));
+    stash_ = std::move(rebuilt.stash_);
+    rng_ = std::move(rebuilt.rng_);
+    // The rebuild just freed space, so any dead-end streak is stale.
+    bfs_throttle_ = {};
+    size_ = rebuilt.size_;
+    first_collision_items_ = rebuilt.first_collision_items_;
+    first_failure_items_ = rebuilt.first_failure_items_;
+    redundant_writes_ = rebuilt.redundant_writes_;
+    stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
+    forced_rehash_events_ = rebuilt.forced_rehash_events_;
+    ++rehash_epoch_;
+    // seq_, seq_open_, retired_ and growth_ deliberately keep this table's
+    // values (the policy's backoff/reseed state spans rebuilds, and the
+    // seqlock attachment belongs to the wrapper, not the scratch rebuild).
+  }
+
+  TableOptions opts_;
+  Family family_;
+  // Heap-allocated so the pointer handed to the counter store /
+  // KickHistory stays valid when the table is moved (Rehash, snapshot
+  // loading, factory returns).
+  mutable std::unique_ptr<AccessStats> stats_ =
+      std::make_unique<AccessStats>();
+  // Same pattern for the metrics: atomics are immovable, the unique_ptr
+  // keeps the table movable and lets const read paths record.
+  mutable std::unique_ptr<TableMetrics> metrics_ =
+      std::make_unique<TableMetrics>();
+  // Sampled op-latency recorder: heap-held for the same identity-stability
+  // reason as metrics_ (const read paths record through it, and lagging
+  // optimistic readers must see a live object across Rehash commits).
+  mutable std::unique_ptr<LatencyRecorder> latency_ =
+      std::make_unique<LatencyRecorder>();
+  TraceRecorder trace_;
+  // Growth/rehash/dead-end/spill timeline (writer-exclusion threading
+  // model, like trace_).
+  SpanRecorder spans_;
+  KickHistory kick_history_;
+  Stash<Key, Value> stash_;
+  Xoshiro256 rng_;
+  BfsThrottle bfs_throttle_;
+  // Optimistic-read support: non-owning version array attached by the
+  // concurrent wrapper (null in single-threaded use) and the set of
+  // stripes the in-flight mutation holds odd until its SeqFlush().
+  SeqlockArray* seq_ = nullptr;
+  SeqlockWriterSet seq_open_;
+  // Storage epochs retired by Rehash while a seqlock was attached, each a
+  // Derived::Storage (incomplete here, hence the type-erased owner). Never
+  // accessed again (the counter store's stats pointer inside is dangling
+  // by design) — held only so lagging optimistic readers dereference live
+  // memory; freed when the table is destroyed.
+  using Retired = std::unique_ptr<void, void (*)(void*)>;
+  std::vector<Retired> retired_;
+
+  // Lifetime counters. MovableAtomic so the concurrent paths can update
+  // them with real RMWs while every single-writer use site keeps its plain
+  // ++/+=/= spelling (non-RMW loads and stores, byte-identical codegen on
+  // the hot single-writer paths).
+  MovableAtomic<size_t> size_ = 0;
+  MovableAtomic<uint64_t> first_collision_items_ = 0;
+  MovableAtomic<uint64_t> first_failure_items_ = 0;
+  MovableAtomic<uint64_t> redundant_writes_ = 0;
+  MovableAtomic<uint64_t> stale_stash_flag_keys_ = 0;
+  MovableAtomic<uint64_t> forced_rehash_events_ = 0;
+  // Auto-growth engine: the policy state machine and the commit counter
+  // the batched insert path uses to detect mid-batch geometry changes.
+  // Both survive Rehash commits (see CommitRehash).
+  GrowthPolicy growth_;
+  MovableAtomic<uint64_t> rehash_epoch_ = 0;
+};
+
+}  // namespace mccuckoo
+
+#endif  // MCCUCKOO_CORE_TABLE_SKELETON_H_

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/obs/metrics.h"
@@ -177,13 +178,15 @@ TEST(LatencyRecorderTest, TableWiringSamplesAtConfiguredPeriod) {
             0u);
 }
 
-TEST(LatencyRecorderTest, RehashCarriesSamplesAcrossRebuild) {
+template <typename Table>
+void RehashCarriesSamplesAcrossRebuild(uint32_t slots_per_bucket) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TableOptions o;
   o.num_hashes = 3;
   o.buckets_per_table = 500;
+  o.slots_per_bucket = slots_per_bucket;
   o.latency_sample_period = 1;
-  McCuckooTable<uint64_t, uint64_t> t(o);
+  Table t(o);
   const auto keys = MakeUniqueKeys(100, 7, 0);
   for (uint64_t k : keys) ASSERT_EQ(t.Insert(k, k), InsertResult::kInserted);
   const uint64_t before =
@@ -198,15 +201,26 @@ TEST(LatencyRecorderTest, RehashCarriesSamplesAcrossRebuild) {
   EXPECT_GE(after, before);  // history survives the rebuild
 }
 
+TEST(LatencyRecorderTest, RehashCarriesSamplesAcrossRebuild) {
+  RehashCarriesSamplesAcrossRebuild<McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(LatencyRecorderTest, RehashCarriesSamplesAcrossRebuildBlocked) {
+  RehashCarriesSamplesAcrossRebuild<BlockedMcCuckooTable<uint64_t, uint64_t>>(
+      3);
+}
+
 // An Insert whose growth rehash replaces the table's storage still records
 // its own sample on exit: the recorder object must outlive the rebuild.
-TEST(LatencyRecorderTest, SampledInsertThatGrowsTheTableRecordsItsSample) {
+template <typename Table>
+void SampledInsertThatGrowsTheTableRecordsItsSample(uint32_t slots_per_bucket) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TableOptions o;
   o.buckets_per_table = 64;
+  o.slots_per_bucket = slots_per_bucket;
   o.latency_sample_period = 1;
   o.growth.enabled = true;
-  McCuckooTable<uint64_t, uint64_t> t(o);
+  Table t(o);
   const auto keys = MakeUniqueKeys(2000, 8, 0);
   for (uint64_t k : keys) t.Insert(k, k);
   const MetricsSnapshot s = t.SnapshotMetrics();
@@ -215,6 +229,17 @@ TEST(LatencyRecorderTest, SampledInsertThatGrowsTheTableRecordsItsSample) {
   // one of the calls above.
   EXPECT_EQ(s.op_latency_ns[static_cast<size_t>(LatencyOp::kInsert)].count,
             keys.size());
+}
+
+TEST(LatencyRecorderTest, SampledInsertThatGrowsTheTableRecordsItsSample) {
+  SampledInsertThatGrowsTheTableRecordsItsSample<
+      McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(LatencyRecorderTest,
+     SampledInsertThatGrowsTheTableRecordsItsSampleBlocked) {
+  SampledInsertThatGrowsTheTableRecordsItsSample<
+      BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/seqlock.h"
+#include "src/obs/latency_recorder.h"
+#include "src/obs/metrics.h"
+#include "src/obs/span_recorder.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -108,10 +112,12 @@ TEST(RehashTest, ShrinkWorksWhenItemsFit) {
   EXPECT_TRUE(t.ValidateInvariants().ok());
 }
 
-TEST(RehashTest, StatisticsAccumulateAcrossRebuild) {
+template <typename Table>
+void StatisticsAccumulateAcrossRebuild(uint32_t slots_per_bucket) {
   TableOptions o;
   o.buckets_per_table = 256;
-  McCuckooTable<uint64_t, uint64_t> t(o);
+  o.slots_per_bucket = slots_per_bucket;
+  Table t(o);
   for (uint64_t k : MakeUniqueKeys(200, 5, 0)) t.Insert(k, k);
   const uint64_t writes_before = t.stats().offchip_writes;
   const uint64_t reads_before = t.stats().offchip_reads;
@@ -120,6 +126,107 @@ TEST(RehashTest, StatisticsAccumulateAcrossRebuild) {
   // re-insertion writes.
   EXPECT_GE(t.stats().offchip_reads, reads_before + 3 * 256);
   EXPECT_GT(t.stats().offchip_writes, writes_before);
+}
+
+TEST(RehashTest, StatisticsAccumulateAcrossRebuild) {
+  StatisticsAccumulateAcrossRebuild<McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(RehashTest, StatisticsAccumulateAcrossRebuildBlocked) {
+  StatisticsAccumulateAcrossRebuild<BlockedMcCuckooTable<uint64_t, uint64_t>>(
+      3);
+}
+
+// Rehash with a SeqlockArray attached commits by swapping the storage
+// under the aux stripe (CommitRebuildLockFree) instead of moving the
+// rebuilt table in. Both commits must carry the same lifetime state, so a
+// twin without a seqlock, fed the same operations, is the reference:
+// AccessStats totals, metric counts, latency sample counts, the span ring,
+// the growth policy and the rehash epoch. Deletion mode kResetCounters
+// lets the single-slot table's auto-growth take SplitGrow, which shares
+// the commit.
+template <typename Table>
+void SeqlockCommitKeepsLifetimeState(uint32_t slots_per_bucket) {
+  TableOptions o;
+  o.buckets_per_table = 64;
+  o.slots_per_bucket = slots_per_bucket;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  o.latency_sample_period = 1;
+  o.growth.enabled = true;
+  Table attached(o);
+  Table plain(o);
+  SeqlockArray seq(attached.seqlock_domain());
+  attached.AttachSeqlock(&seq);
+  const auto keys = MakeUniqueKeys(4 * attached.capacity(), 9, 0);
+  for (Table* t : {&attached, &plain}) {
+    for (uint64_t k : keys) t->Insert(k, k * 3);
+    for (uint64_t k : keys) ASSERT_TRUE(t->Find(k)) << k;
+    ASSERT_GT(t->rehash_epoch(), 0u) << "auto-growth never committed";
+  }
+  const uint64_t epoch = attached.rehash_epoch();
+  const AccessStats stats_before = attached.stats();
+  const uint64_t rehash_spans = attached.spans().total(SpanKind::kRehash);
+  for (Table* t : {&attached, &plain}) {
+    ASSERT_TRUE(t->Rehash(2 * t->options().buckets_per_table, 77).ok());
+  }
+
+  EXPECT_EQ(attached.rehash_epoch(), epoch + 1);
+  EXPECT_EQ(plain.rehash_epoch(), attached.rehash_epoch());
+  EXPECT_FALSE(SeqlockArray::IsWriting(seq.Version(seq.aux_stripe())));
+  EXPECT_GT(attached.stats().offchip_reads, stats_before.offchip_reads);
+  EXPECT_GT(attached.stats().offchip_writes, stats_before.offchip_writes);
+  EXPECT_EQ(attached.stats(), plain.stats());
+  if (kMetricsEnabled) {
+    EXPECT_EQ(attached.spans().total(SpanKind::kRehash), rehash_spans + 1);
+  }
+
+  const MetricsSnapshot a = attached.SnapshotMetrics();
+  const MetricsSnapshot p = plain.SnapshotMetrics();
+  EXPECT_EQ(a.inserts, p.inserts);
+  EXPECT_EQ(a.lookups, p.lookups);
+  EXPECT_EQ(a.kick_chain_len.count, p.kick_chain_len.count);
+  EXPECT_EQ(a.stash_hits + a.stash_misses, p.stash_hits + p.stash_misses);
+  EXPECT_EQ(a.growth_rehashes, p.growth_rehashes);
+  EXPECT_EQ(a.growth_reseeds, p.growth_reseeds);
+  EXPECT_EQ(a.rehash_ns.count, p.rehash_ns.count);
+  EXPECT_EQ(a.span_counts, p.span_counts);
+  for (size_t op = 0; op < kLatencyOps; ++op) {
+    EXPECT_EQ(a.op_latency_ns[op].count, p.op_latency_ns[op].count) << op;
+  }
+
+  const std::vector<Span> sa = attached.spans().Events();
+  const std::vector<Span> sp = plain.spans().Events();
+  ASSERT_EQ(sa.size(), sp.size());
+  for (size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].kind, sp[i].kind) << i;
+    EXPECT_EQ(sa[i].detail, sp[i].detail) << i;
+  }
+
+  const GrowthPolicy& ga = attached.growth_policy();
+  const GrowthPolicy& gp = plain.growth_policy();
+  EXPECT_GT(ga.attempts(), 0u);
+  EXPECT_EQ(ga.attempts(), gp.attempts());
+  EXPECT_EQ(ga.reseeds_at_size(), gp.reseeds_at_size());
+  EXPECT_EQ(ga.backoff_window(), gp.backoff_window());
+  EXPECT_EQ(ga.seed_rotations(), gp.seed_rotations());
+  EXPECT_EQ(ga.pressure_streak(), gp.pressure_streak());
+  EXPECT_EQ(ga.suppressed(), gp.suppressed());
+
+  EXPECT_EQ(attached.TotalItems(), keys.size());
+  for (uint64_t k : keys) {
+    uint64_t v = 0;
+    ASSERT_TRUE(attached.Find(k, &v)) << k;
+    EXPECT_EQ(v, k * 3);
+  }
+  EXPECT_TRUE(attached.ValidateInvariants().ok());
+}
+
+TEST(RehashTest, SeqlockCommitKeepsLifetimeStateSingleSlot) {
+  SeqlockCommitKeepsLifetimeState<McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(RehashTest, SeqlockCommitKeepsLifetimeStateBlocked) {
+  SeqlockCommitKeepsLifetimeState<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
 TEST(RehashTest, GrowPreservesAllItemsBlocked) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/obs/export.h"
@@ -97,12 +98,14 @@ TEST(SpanRecorderTest, EmptyTraceExportIsStillValid) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(SpanRecorderTest, TableRecordsRehashSpan) {
+template <typename Table>
+void TableRecordsRehashSpan(uint32_t slots_per_bucket) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TableOptions o;
   o.num_hashes = 3;
   o.buckets_per_table = 500;
-  McCuckooTable<uint64_t, uint64_t> t(o);
+  o.slots_per_bucket = slots_per_bucket;
+  Table t(o);
   const auto keys = MakeUniqueKeys(200, 7, 0);
   for (uint64_t k : keys) t.Insert(k, k);
   ASSERT_TRUE(t.Rehash(o.buckets_per_table * 2, 99).ok());
@@ -122,23 +125,42 @@ TEST(SpanRecorderTest, TableRecordsRehashSpan) {
   EXPECT_EQ(t.spans().total_events(), 0u);
 }
 
-TEST(SpanRecorderTest, TableRecordsGrowthSpanOnAutoGrow) {
+TEST(SpanRecorderTest, TableRecordsRehashSpan) {
+  TableRecordsRehashSpan<McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(SpanRecorderTest, TableRecordsRehashSpanBlocked) {
+  TableRecordsRehashSpan<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
+}
+
+template <typename Table>
+void TableRecordsGrowthSpanOnAutoGrow(uint32_t slots_per_bucket) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TableOptions o;
   o.num_hashes = 3;
   o.buckets_per_table = 64;
+  o.slots_per_bucket = slots_per_bucket;
   o.growth.enabled = true;
-  McCuckooTable<uint64_t, uint64_t> t(o);
+  Table t(o);
   const auto keys = MakeUniqueKeys(1000, 7, 0);
   size_t inserted = 0;
   for (uint64_t k : keys) {
     if (t.Insert(k, k) == InsertResult::kFailed) break;
-    if (++inserted >= 600) break;  // well past the initial capacity
+    if (++inserted >= 600) break;  // past either layout's initial capacity
   }
   const MetricsSnapshot s = t.SnapshotMetrics();
   EXPECT_GT(s.span_counts[static_cast<size_t>(SpanKind::kGrowth)] +
                 s.span_counts[static_cast<size_t>(SpanKind::kReseed)],
             0u);
+}
+
+TEST(SpanRecorderTest, TableRecordsGrowthSpanOnAutoGrow) {
+  TableRecordsGrowthSpanOnAutoGrow<McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(SpanRecorderTest, TableRecordsGrowthSpanOnAutoGrowBlocked) {
+  TableRecordsGrowthSpanOnAutoGrow<BlockedMcCuckooTable<uint64_t, uint64_t>>(
+      3);
 }
 
 }  // namespace
