@@ -1,16 +1,19 @@
 // Eviction-policy ablation (§III.D: "any existing collision resolving
 // mechanisms such as random-walk or MinCounter can be used"):
 //
-//   * kick-outs per insertion and wall-clock insert throughput while
-//     filling through 90% / 95% / 98% load, and
+//   * kick-outs per insertion, wall-clock insert throughput and the
+//     fraction of inserts that spill to the stash while filling through
+//     90% / 95% / 98% load, and
 //   * load at first insertion failure,
 //
-// for every scheme x policy combination: all four tables under
+// for every scheme x policy combination: all four schemes under
 // random-walk / MinCounter / bubbling, and counter-guided BFS everywhere
-// except BCHT (which rejects it). Shows (a) how much of McCuckoo's gain
-// comes from the multi-copy counters rather than the walk policy, (b) that
-// the policies compose with the counters, and (c) that BFS repairs the
-// multi-copy tables' insert collapse past 90% load.
+// except BCHT (BFS needs single-slot buckets on the baseline table). Shows
+// (a) how much of McCuckoo's gain comes from the multi-copy counters rather
+// than the walk policy, (b) that the policies compose with the counters,
+// and (c) that BFS repairs the multi-copy tables' insert collapse past 90%
+// load. A spilled insert returns quickly, so read ops/s next to
+// spill_fraction.
 //
 // Results are merged into BENCH_throughput.json under the
 // "ablation_eviction." prefix (see bench/bench_json.h).
@@ -36,8 +39,10 @@ struct LoadPoint {
   double reads_per_insert = 0;
   double ops = 0;
   double seconds = 0;
+  double stash_growth = 0;  // items the band's inserts left in the stash
 
   double OpsPerSec() const { return seconds > 0 ? ops / seconds : 0.0; }
+  double SpillFraction() const { return ops > 0 ? stash_growth / ops : 0.0; }
 };
 
 int Main(int argc, char** argv) {
@@ -49,13 +54,14 @@ int Main(int argc, char** argv) {
       EvictionPolicy::kBfs, EvictionPolicy::kBubble};
 
   TextTable out;
-  out.Add("config", "kicks@90", "Mops/s@90", "kicks@95", "Mops/s@95",
-          "kicks@98", "Mops/s@98", "first failure load");
+  out.Add("config", "kicks@90", "Mops/s@90", "spill@90", "kicks@95",
+          "Mops/s@95", "spill@95", "kicks@98", "Mops/s@98", "spill@98",
+          "first failure load");
   FlatJson json;
   for (const SchemeKind kind : kAllSchemes) {
     for (const EvictionPolicy policy : kPolicies) {
       if (kind == SchemeKind::kBcht && policy == EvictionPolicy::kBfs) {
-        continue;  // BchtTable::Create rejects BFS eviction.
+        continue;  // CuckooTable takes BFS only at slots_per_bucket = 1.
       }
       const std::string label =
           std::string(SchemeName(kind)) + "/" + EvictionPolicyToString(policy);
@@ -69,9 +75,12 @@ int Main(int argc, char** argv) {
         size_t cursor = 0;
         FillToLoad(*table, keys, 0.90, &cursor);
         for (int li = 0; li < 3; ++li) {
+          const size_t stash0 = table->stash_size();
           const auto t0 = std::chrono::steady_clock::now();
           const PhaseStats p = FillToLoad(*table, keys, kBandEnd[li], &cursor);
           const auto t1 = std::chrono::steady_clock::now();
+          points[li].stash_growth += static_cast<double>(table->stash_size()) -
+                                     static_cast<double>(stash0);
           points[li].kicks_per_insert += p.KickoutsPerOp();
           points[li].reads_per_insert += p.ReadsPerOp();
           points[li].ops += static_cast<double>(p.ops);
@@ -92,6 +101,7 @@ int Main(int argc, char** argv) {
       for (int li = 0; li < 3; ++li) {
         row.push_back(FormatDouble(points[li].kicks_per_insert / cfg.reps));
         row.push_back(FormatDouble(points[li].OpsPerSec() / 1e6));
+        row.push_back(FormatDouble(points[li].SpillFraction()));
         const std::string key_base = "ablation_eviction." +
                                      std::string(SchemeName(kind)) + "." +
                                      EvictionPolicyToString(policy) + ".load" +
@@ -99,6 +109,7 @@ int Main(int argc, char** argv) {
         json[key_base + ".kicks_per_insert"] =
             points[li].kicks_per_insert / cfg.reps;
         json[key_base + ".ops_per_sec"] = points[li].OpsPerSec();
+        json[key_base + ".spill_fraction"] = points[li].SpillFraction();
       }
       row.push_back(FormatPercent(fail_load / cfg.reps));
       json["ablation_eviction." + std::string(SchemeName(kind)) + "." +

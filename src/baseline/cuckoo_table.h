@@ -1,13 +1,19 @@
-// Standard d-ary Cuckoo hash table (single copy, single slot) — the paper's
-// first baseline ("Cuckoo", §IV.A.3).
+// Single-copy d-ary cuckoo hash table — both of the paper's baselines
+// (§IV.A.3) in one class: the standard table ("Cuckoo") at
+// slots_per_bucket l = 1, and the Blocked Cuckoo Hash Table [18] ("BCHT",
+// 3-hash 3-slot in the experiments) at l > 1.
 //
-// Each key lives in exactly one of its d candidate buckets. The table has no
-// on-chip helping structure, so every question about a bucket — is it
-// empty? does it hold the key? — costs one off-chip read. Collisions are
-// resolved by the classic random-walk kick-out chain bounded by maxloop;
-// overruns go to a stash (modeling the common CHS arrangement [22]) so that
-// no key is ever lost, but without McCuckoo's counters every main-table miss
-// must probe the stash.
+// Each key lives in exactly one slot of one of its d candidate buckets. The
+// table has no on-chip helping structure, so every question about a bucket
+// — does it have a free slot? does it hold the key? — costs one off-chip
+// read; one bucket is fetched per access regardless of l ([33]), so a
+// lookup costs at most d reads. The set-associativity inside a bucket
+// absorbs most collisions at l > 1, pushing the achievable load well past
+// 95%. The rest are resolved by a kick-out chain bounded by maxloop that
+// evicts one slot of the chosen victim bucket (random walk, MinCounter or
+// bubbling; BFS at l = 1 only). Overruns go to a stash (modeling the
+// common CHS arrangement [22]) so that no key is ever lost, but without
+// McCuckoo's counters every main-table miss must probe the stash.
 
 #ifndef MCCUCKOO_BASELINE_CUCKOO_TABLE_H_
 #define MCCUCKOO_BASELINE_CUCKOO_TABLE_H_
@@ -36,7 +42,8 @@
 
 namespace mccuckoo {
 
-/// Classic d-ary cuckoo hash table with random-walk insertion.
+/// Classic d-ary cuckoo hash table with l-slot buckets (l = 1: standard
+/// cuckoo; l > 1: BCHT).
 template <typename Key, typename Value, typename Hasher = BobHasher,
           typename Family = HashFamily<Key, Hasher>>
   requires SeedableHasher<Hasher, Key>
@@ -47,9 +54,9 @@ class CuckooTable {
   using ValueType = Value;
   using HasherType = Hasher;
 
-  /// One off-chip bucket. `occupied` models the valid bit stored with the
-  /// record; reading it requires reading the bucket.
-  struct Bucket {
+  /// One off-chip record slot. `occupied` models the valid bit stored with
+  /// the record; reading it requires reading the bucket.
+  struct Slot {
     Key key{};
     Value value{};
     bool occupied = false;
@@ -58,11 +65,14 @@ class CuckooTable {
   /// The configuration conditions Create() reports as Status. The
   /// constructor enforces the same conditions with an unconditional abort,
   /// so Debug and Release builds agree on what direct construction with
-  /// unsupported options does (it used to be a Debug-only assert).
+  /// unsupported options does.
   static Status CheckOptions(const TableOptions& options) {
     if (Status s = options.Validate(); !s.ok()) return s;
-    if (options.slots_per_bucket != 1) {
-      return Status::InvalidArgument("CuckooTable is single-slot; use BchtTable");
+    if (options.slots_per_bucket > 1 &&
+        options.eviction_policy == EvictionPolicy::kBfs) {
+      return Status::InvalidArgument(
+          "CuckooTable supports BFS eviction only at slots_per_bucket = 1; "
+          "use McCuckooTable or BlockedMcCuckooTable");
     }
     return Status::OK();
   }
@@ -72,14 +82,16 @@ class CuckooTable {
   explicit CuckooTable(const TableOptions& options)
       : opts_(options),
         family_(options.num_hashes, options.buckets_per_table, options.seed),
-        table_(options.num_hashes * options.buckets_per_table),
-        rng_(SplitMix64(options.seed ^ 0x1234ABCD5678EF00ull)) {
+        slots_(options.capacity()),
+        rng_(SplitMix64(options.seed ^ (options.slots_per_bucket == 1
+                                            ? kSingleSlotRngSalt
+                                            : kBlockedRngSalt))) {
     if (Status s = CheckOptions(options); !s.ok()) {
       std::fprintf(stderr, "CuckooTable: %s\n", s.message().c_str());
       std::abort();
     }
     if (options.eviction_policy == EvictionPolicy::kMinCounter) {
-      kick_history_ = KickHistory(table_.size(), options.kick_counter_bits,
+      kick_history_ = KickHistory(NumBuckets(), options.kick_counter_bits,
                                   stats_.get());
     }
     latency_->set_sample_period(options.latency_sample_period);
@@ -104,7 +116,7 @@ class CuckooTable {
   InsertResult InsertOrAssign(const Key& key, const Value& value) {
     const int64_t idx = FindInMain(key, Candidates(key), nullptr);
     if (idx >= 0) {
-      StoreBucket(static_cast<size_t>(idx), key, value, true);
+      StoreSlot(static_cast<size_t>(idx), key, value);
       return InsertResult::kUpdated;
     }
     if (!stash_.empty()) {
@@ -120,7 +132,7 @@ class CuckooTable {
     return Insert(key, value);
   }
 
-  /// Looks `key` up (candidates in order, then the stash on a miss).
+  /// Looks `key` up (candidate buckets in order, then the stash on a miss).
   bool Find(const Key& key, Value* out = nullptr) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
     return FindImpl(key, Candidates(key), out);
@@ -131,9 +143,10 @@ class CuckooTable {
   // --- Batched operations --------------------------------------------------
   //
   // Software-pipelined equivalents of the scalar operations: stage 1 hashes
-  // a tile of keys and prefetches every candidate bucket; stage 2 replays
-  // the unchanged scalar logic against the warm lines. Results and
-  // AccessStats are identical to the scalar loop by construction.
+  // a tile of keys and prefetches every candidate bucket's slot range;
+  // stage 2 replays the unchanged scalar logic against the warm lines.
+  // Results and AccessStats are identical to the scalar loop by
+  // construction.
 
   /// Internal tile width for the batched paths. Capped so one tile's
   /// staged state plus touched buckets fits in L1d (see the derivation on
@@ -182,13 +195,12 @@ class CuckooTable {
     }
   }
 
-  /// Deletes `key`: one off-chip write to clear the record's valid bit.
+  /// Deletes `key`: one off-chip write to clear the slot's valid bit.
   bool Erase(const Key& key) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
     const int64_t idx = FindInMain(key, Candidates(key), nullptr);
     if (idx >= 0) {
-      Bucket& b = table_[static_cast<size_t>(idx)];
-      b.occupied = false;
+      slots_[static_cast<size_t>(idx)].occupied = false;
       ++stats_->offchip_writes;
       --size_;
       metrics_->RecordErase();
@@ -212,7 +224,7 @@ class CuckooTable {
   size_t size() const { return size_; }
   size_t stash_size() const { return stash_.size(); }
   size_t TotalItems() const { return size_ + stash_.size(); }
-  uint64_t capacity() const { return table_.size(); }
+  uint64_t capacity() const { return slots_.size(); }
   double load_factor() const {
     return static_cast<double>(TotalItems()) / static_cast<double>(capacity());
   }
@@ -254,26 +266,27 @@ class CuckooTable {
   /// No on-chip helping structure (MinCounter's kick history when active).
   size_t onchip_memory_bytes() const { return kick_history_.memory_bytes(); }
 
-  /// Invokes `fn(key, value)` once per live key (main table + stash), in
-  /// unspecified order. Uncharged maintenance/snapshot path.
+  /// Invokes `fn(key, value)` once per live key (main table in slot order,
+  /// then the stash). Uncharged maintenance/snapshot path.
   template <typename Fn>
   void ForEachItem(Fn&& fn) const {
-    for (const Bucket& b : table_) {
-      if (b.occupied) fn(b.key, b.value);
+    for (const Slot& s : slots_) {
+      if (s.occupied) fn(s.key, s.value);
     }
     for (const auto& [k, v] : stash_.Items()) fn(k, v);
   }
 
   /// Structural check (uncharged; testing): occupants hash to their bucket
-  /// and size_ matches the number of occupied buckets.
+  /// and size_ matches the number of occupied slots.
   Status ValidateInvariants() const {
     size_t live = 0;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      if (!table_[idx].occupied) continue;
+    const uint64_t nb = opts_.buckets_per_table;
+    for (size_t idx = 0; idx < slots_.size(); ++idx) {
+      if (!slots_[idx].occupied) continue;
       ++live;
-      const uint32_t t = static_cast<uint32_t>(idx / opts_.buckets_per_table);
-      const uint64_t b = idx % opts_.buckets_per_table;
-      if (family_.Bucket(table_[idx].key, t) != b) {
+      const size_t bucket = idx / opts_.slots_per_bucket;
+      const uint32_t t = static_cast<uint32_t>(bucket / nb);
+      if (family_.Bucket(slots_[idx].key, t) != bucket % nb) {
         return Status::Internal("occupant does not hash to bucket " +
                                 std::to_string(idx));
       }
@@ -286,6 +299,13 @@ class CuckooTable {
   }
 
  private:
+  // Walk RNG salts, one per layout: each layout keeps the stream its
+  // paper outputs (bench/golden) were recorded with.
+  static constexpr uint64_t kSingleSlotRngSalt = 0x1234ABCD5678EF00ull;
+  static constexpr uint64_t kBlockedRngSalt = 0xBC47BC47BC47BC47ull;
+
+  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
+
   /// Charges one stash probe (off-chip read, or free-ish on-chip read for
   /// the classic CHS stash).
   void ChargeStashProbe() {
@@ -306,9 +326,15 @@ class CuckooTable {
     }
   }
 
-  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
+  size_t NumBuckets() const {
+    return static_cast<size_t>(opts_.num_hashes) * opts_.buckets_per_table;
+  }
 
-  /// Scan order for the empty-candidate scans: bubbling places fresh and
+  size_t SlotIndex(size_t bucket, uint32_t slot) const {
+    return bucket * opts_.slots_per_bucket + slot;
+  }
+
+  /// Scan order for the free-slot scans: bubbling places fresh and
   /// displaced items as *high* (largest sub-table index) as possible,
   /// reserving headroom in the low levels for the items its eviction cycle
   /// sweeps upward (arXiv 2501.02312); every other policy scans in table
@@ -319,34 +345,62 @@ class CuckooTable {
                : i;
   }
 
+  /// Reads bucket `bucket` (one off-chip access) and returns a free slot
+  /// index within it, or -1 if the bucket is full.
+  int FreeSlotIn(size_t bucket) {
+    ++stats_->offchip_reads;
+    for (uint32_t s = 0; s < opts_.slots_per_bucket; ++s) {
+      if (!slots_[SlotIndex(bucket, s)].occupied) return static_cast<int>(s);
+    }
+    return -1;
+  }
+
+  /// Writes the record at global slot index `idx` and sets its valid bit.
+  void StoreSlot(size_t idx, const Key& key, const Value& value) {
+    ++stats_->offchip_writes;
+    Slot& s = slots_[idx];
+    s.key = key;
+    s.value = value;
+    s.occupied = true;
+  }
+
+  /// Reads the candidates in scan order, skipping `exclude` (the bucket the
+  /// item in hand was just evicted from), and stores the item in the first
+  /// free slot found. Returns false when every scanned bucket is full.
+  bool TryPlace(const Key& key, const Value& value,
+                const std::array<size_t, kMaxHashes>& cand, size_t exclude) {
+    for (uint32_t i = 0; i < opts_.num_hashes; ++i) {
+      const uint32_t t = ScanLevel(i);
+      if (cand[t] == exclude) continue;
+      const int slot = FreeSlotIn(cand[t]);
+      if (slot >= 0) {
+        StoreSlot(SlotIndex(cand[t], static_cast<uint32_t>(slot)), key, value);
+        ++size_;
+        return true;
+      }
+    }
+    return false;
+  }
+
   /// Scalar Insert body operating on precomputed candidates.
   InsertResult InsertWithCandidates(Key key, Value value,
                                     const std::array<size_t, kMaxHashes>& cand) {
     const uint64_t t0 = MetricsNowNs();
-    // Scan candidates for an empty bucket (each check is an off-chip read).
-    for (uint32_t i = 0; i < opts_.num_hashes; ++i) {
-      const uint32_t t = ScanLevel(i);
-      if (!LoadBucket(cand[t]).occupied) {
-        StoreBucket(cand[t], key, value, true);
-        ++size_;
-        metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
-        return InsertResult::kInserted;
-      }
+    if (TryPlace(key, value, cand, kNoBucket)) {
+      metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
+      return InsertResult::kInserted;
     }
-    // All candidates occupied: resolve per the configured policy.
+    // All candidates full: resolve per the configured policy.
     if (first_collision_items_ == 0) {
       first_collision_items_ = TotalItems() + 1;
     }
     const bool bfs = opts_.eviction_policy == EvictionPolicy::kBfs;
     uint32_t chain_len = 0;
     uint32_t bfs_nodes = 0;
-    InsertResult r;
-    if (bfs) {
-      r = BfsInsert(std::move(key), std::move(value), cand, &chain_len,
-                    &bfs_nodes);
-    } else {
-      r = WalkInsert(std::move(key), std::move(value), cand, &chain_len);
-    }
+    const InsertResult r =
+        bfs ? BfsInsert(std::move(key), std::move(value), cand, &chain_len,
+                        &bfs_nodes)
+            : WalkInsert(std::move(key), std::move(value), cand, &chain_len);
     metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
     metrics_->RecordPolicyChain(
         static_cast<uint32_t>(opts_.eviction_policy), chain_len);
@@ -375,31 +429,65 @@ class CuckooTable {
   }
 
   /// Stage 1 of the batched paths: hash `n` keys, compute their global
-  /// candidate indices, and prefetch each candidate bucket. Prefetching is
-  /// a pure hint — no AccessStats are charged here.
+  /// candidate bucket indices, and prefetch each 64 B line of every
+  /// candidate bucket's slot range (one line at l = 1; l slots may straddle
+  /// lines). Prefetching is a pure hint — no AccessStats are charged here.
   void StageCandidates(const Key* keys, size_t n,
                        std::array<size_t, kMaxHashes>* cand,
                        bool for_write) const {
     std::array<std::array<uint64_t, kMaxHashes>, kBatchTile> buckets;
     family_.BucketsBatch(keys, n, buckets.data());
+    const size_t bucket_bytes = opts_.slots_per_bucket * sizeof(Slot);
     for (size_t i = 0; i < n; ++i) {
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        const size_t idx = static_cast<size_t>(t) * opts_.buckets_per_table +
-                           static_cast<size_t>(buckets[i][t]);
-        cand[i][t] = idx;
+        const size_t b = static_cast<size_t>(t) * opts_.buckets_per_table +
+                         static_cast<size_t>(buckets[i][t]);
+        cand[i][t] = b;
+        const char* base =
+            reinterpret_cast<const char*>(&slots_[SlotIndex(b, 0)]);
         // Branch outside the intrinsic: its rw/locality arguments must be
         // compile-time constants (a ?: only folds at -O1 and above).
-        if (for_write) {
-          __builtin_prefetch(&table_[idx], 1, 3);
-        } else {
-          __builtin_prefetch(&table_[idx], 0, 1);
+        for (size_t off = 0; off < bucket_bytes; off += 64) {
+          if (for_write) {
+            __builtin_prefetch(base + off, 1, 3);
+          } else {
+            __builtin_prefetch(base + off, 0, 1);
+          }
         }
       }
     }
   }
 
-  /// Random-walk / MinCounter / bubbling kick-out chain. `cand` are the
-  /// (already read, all occupied) candidates of `key`.
+  /// Closes a kick chain of `chain` relocations in the trace ring.
+  void RecordChain(KickChainEvent* ev, uint32_t chain, bool stashed) {
+    if constexpr (kMetricsEnabled) {
+      ev->chain_len = chain;
+      ev->n_steps =
+          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
+      ev->stashed = stashed;
+      trace_.Record(*ev);
+      if (stashed) trace_.NoteStashed();
+    }
+  }
+
+  /// Parks the item in hand in the stash after a failed insertion chain.
+  InsertResult Spill(Key key, Value value, KickChainEvent* ev,
+                     uint32_t chain) {
+    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
+    RecordChain(ev, chain, /*stashed=*/true);
+    ChargeStashWrite();
+    stash_.Insert(std::move(key), std::move(value));
+    if (opts_.stash_kind == StashKind::kOnchipChs &&
+        stash_.size() > opts_.onchip_stash_capacity) {
+      ++forced_rehash_events_;  // a real CHS deployment would rehash here
+    }
+    return opts_.stash_enabled ? InsertResult::kStashed
+                               : InsertResult::kFailed;
+  }
+
+  /// Random-walk / MinCounter / bubbling kick-out chain: evicts one slot of
+  /// the chosen victim bucket per step. `cand` are the (already read, all
+  /// full) candidates of `key`.
   InsertResult WalkInsert(Key key, Value value,
                           std::array<size_t, kMaxHashes> cand,
                           uint32_t* chain_len_out) {
@@ -410,21 +498,10 @@ class CuckooTable {
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       if (loop > 0) {
         cand = Candidates(key);
-        for (uint32_t i = 0; i < opts_.num_hashes; ++i) {
-          const uint32_t t = ScanLevel(i);
-          if (cand[t] == exclude) continue;  // just evicted from there
-          if (!LoadBucket(cand[t]).occupied) {
-            StoreBucket(cand[t], key, value, true);
-            ++size_;
-            *chain_len_out = chain;
-            if constexpr (kMetricsEnabled) {
-              ev.chain_len = chain;
-              ev.n_steps = static_cast<uint32_t>(
-                  std::min<size_t>(chain, kMaxTraceSteps));
-              trace_.Record(ev);
-            }
-            return InsertResult::kInserted;
-          }
+        if (TryPlace(key, value, cand, exclude)) {
+          *chain_len_out = chain;
+          RecordChain(&ev, chain, /*stashed=*/false);
+          return InsertResult::kInserted;
         }
       }
       const uint32_t t =
@@ -432,16 +509,22 @@ class CuckooTable {
               ? PickBubbleVictim(cand, opts_.num_hashes, exclude, from_level)
               : PickVictim(cand, opts_.num_hashes, exclude, kick_history_,
                            rng_);
+      // Below(1) would still consume a draw; skipping it at l = 1 keeps
+      // the standard table's walk stream.
+      const uint32_t s =
+          opts_.slots_per_bucket == 1
+              ? 0
+              : static_cast<uint32_t>(rng_.Below(opts_.slots_per_bucket));
       if constexpr (kMetricsEnabled) {
         if (chain < kMaxTraceSteps) {
           // No copy counters in the baseline: record counter 0.
           ev.step[chain] = KickStep{static_cast<uint64_t>(cand[t]), 0};
         }
       }
-      const Bucket& victim = table_[cand[t]];  // already read above
-      Key vk = victim.key;
-      Value vv = victim.value;
-      StoreBucket(cand[t], key, value, true);
+      const size_t victim = SlotIndex(cand[t], s);  // bucket already read
+      Key vk = slots_[victim].key;
+      Value vv = slots_[victim].value;
+      StoreSlot(victim, key, value);
       ++stats_->kickouts;
       if (kick_history_.enabled()) kick_history_.Increment(cand[t]);
       exclude = cand[t];
@@ -450,34 +533,19 @@ class CuckooTable {
       value = std::move(vv);
       ++chain;
     }
-    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
     *chain_len_out = chain;
-    if constexpr (kMetricsEnabled) {
-      ev.chain_len = chain;
-      ev.n_steps =
-          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-      ev.stashed = true;
-      trace_.Record(ev);
-      trace_.NoteStashed();
-    }
-    ChargeStashWrite();
-    stash_.Insert(key, value);
-    if (opts_.stash_kind == StashKind::kOnchipChs &&
-        stash_.size() > opts_.onchip_stash_capacity) {
-      ++forced_rehash_events_;  // a real CHS deployment would rehash here
-    }
-    return opts_.stash_enabled ? InsertResult::kStashed
-                               : InsertResult::kFailed;
+    return Spill(std::move(key), std::move(value), &ev, chain);
   }
 
-  /// Breadth-first search for the shortest cuckoo path [3], driven by the
-  /// shared BfsFindPath engine (src/core/eviction.h): explore the eviction
-  /// tree level by level until an empty bucket appears, then shift the
-  /// items along the path *backwards* (empty end first) so no item is ever
-  /// absent from the table. The baseline has no counters, so the only
-  /// terminal is a true hole and every child check costs a charged bucket
-  /// read; a local visited mirror keeps each bucket read at most once, as
-  /// before the refactor.
+  /// Breadth-first search for the shortest cuckoo path [3] (l = 1 only;
+  /// CheckOptions rejects it at l > 1, where a bucket has l occupants),
+  /// driven by the shared BfsFindPath engine (src/core/eviction.h): explore
+  /// the eviction tree level by level until an empty bucket appears, then
+  /// shift the items along the path *backwards* (empty end first) so no
+  /// item is ever absent from the table. The baseline has no counters, so
+  /// the only terminal is a true hole and every child check costs a charged
+  /// bucket read; a local visited mirror keeps each bucket read at most
+  /// once.
   ///
   /// The node budget is the full maxloop, NOT the kBfsMaxNodes cap the
   /// counter-guided tables use: their searches terminate on free *or*
@@ -507,17 +575,18 @@ class CuckooTable {
       if (seen_n < seen.size()) seen[seen_n++] = id;
       return true;
     };
+    // At l = 1 a bucket index is also its slot index.
     const BfsPathResult path = BfsFindPath(
         roots.data(), opts_.num_hashes,
         bfs_throttle_.Budget(opts_.maxloop),
         [&](uint64_t id, auto&& emit, auto&& terminal) {
           const size_t bucket = static_cast<size_t>(id);
-          const Key occupant = table_[bucket].key;  // read earlier
+          const Key occupant = slots_[bucket].key;  // read earlier
           const std::array<size_t, kMaxHashes> alt = Candidates(occupant);
           for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
             if (alt[t] == bucket) continue;
             if (!mark_new(alt[t])) continue;
-            if (!LoadBucket(alt[t]).occupied) {
+            if (FreeSlotIn(alt[t]) >= 0) {
               terminal(alt[t]);
               return;
             }
@@ -526,52 +595,32 @@ class CuckooTable {
         });
     bfs_throttle_.Observe(path.found);
     *nodes_out = path.nodes_expanded;
-    if (path.found) {
-      // Move items from the empty end backwards.
-      KickChainEvent ev{};
-      size_t hole = static_cast<size_t>(path.terminal);
-      for (size_t i = path.node.size(); i-- > 0;) {
-        const size_t src = static_cast<size_t>(path.node[i]);
-        const Bucket& b = table_[src];
-        StoreBucket(hole, b.key, b.value, true);
-        ++stats_->kickouts;
-        if constexpr (kMetricsEnabled) {
-          if (i < kMaxTraceSteps) {
-            // No copy counters in the baseline: record counter 0.
-            ev.step[i] = KickStep{static_cast<uint64_t>(src), 0};
-          }
-        }
-        hole = src;
-      }
-      StoreBucket(hole, key, value, true);
-      ++size_;
-      const uint32_t chain = static_cast<uint32_t>(path.node.size());
-      *chain_len_out = chain;
+    KickChainEvent ev{};
+    if (!path.found) {
+      // Node budget exhausted without finding an empty bucket.
+      *chain_len_out = 0;
+      return Spill(std::move(key), std::move(value), &ev, 0);
+    }
+    // Move items from the empty end backwards.
+    size_t hole = static_cast<size_t>(path.terminal);
+    for (size_t i = path.node.size(); i-- > 0;) {
+      const size_t src = static_cast<size_t>(path.node[i]);
+      StoreSlot(hole, slots_[src].key, slots_[src].value);
+      ++stats_->kickouts;
       if constexpr (kMetricsEnabled) {
-        ev.chain_len = chain;
-        ev.n_steps =
-            static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-        trace_.Record(ev);
+        if (i < kMaxTraceSteps) {
+          // No copy counters in the baseline: record counter 0.
+          ev.step[i] = KickStep{static_cast<uint64_t>(src), 0};
+        }
       }
-      return InsertResult::kInserted;
+      hole = src;
     }
-    // Node budget exhausted without finding an empty bucket.
-    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
-    *chain_len_out = 0;
-    if constexpr (kMetricsEnabled) {
-      KickChainEvent ev{};
-      ev.stashed = true;
-      trace_.Record(ev);
-      trace_.NoteStashed();
-    }
-    ChargeStashWrite();
-    stash_.Insert(key, value);
-    if (opts_.stash_kind == StashKind::kOnchipChs &&
-        stash_.size() > opts_.onchip_stash_capacity) {
-      ++forced_rehash_events_;  // a real CHS deployment would rehash here
-    }
-    return opts_.stash_enabled ? InsertResult::kStashed
-                               : InsertResult::kFailed;
+    StoreSlot(hole, key, value);
+    ++size_;
+    const uint32_t chain = static_cast<uint32_t>(path.node.size());
+    *chain_len_out = chain;
+    RecordChain(&ev, chain, /*stashed=*/false);
+    return InsertResult::kInserted;
   }
 
   std::array<size_t, kMaxHashes> Candidates(const Key& key) const {
@@ -583,31 +632,22 @@ class CuckooTable {
     return c;
   }
 
-  const Bucket& LoadBucket(size_t idx) {
-    ++stats_->offchip_reads;
-    return table_[idx];
-  }
-
-  void StoreBucket(size_t idx, const Key& key, const Value& value,
-                   bool occupied) {
-    ++stats_->offchip_writes;
-    Bucket& b = table_[idx];
-    b.key = key;
-    b.value = value;
-    b.occupied = occupied;
-  }
-
-  /// Probes candidates in table order; returns the hit's global index or -1.
-  /// `probes_out` (optional) receives the number of buckets read.
+  /// Probes candidate buckets in table order (one read each); returns the
+  /// hit's global slot index or -1. `probes_out` (optional) receives the
+  /// number of buckets read.
   int64_t FindInMain(const Key& key,
                      const std::array<size_t, kMaxHashes>& cand, Value* out,
                      uint32_t* probes_out = nullptr) {
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const Bucket& b = LoadBucket(cand[t]);
+      ++stats_->offchip_reads;
       if (probes_out != nullptr) ++*probes_out;
-      if (b.occupied && b.key == key) {
-        if (out != nullptr) *out = b.value;
-        return static_cast<int64_t>(cand[t]);
+      for (uint32_t s = 0; s < opts_.slots_per_bucket; ++s) {
+        const size_t idx = SlotIndex(cand[t], s);
+        const Slot& slot = slots_[idx];
+        if (slot.occupied && slot.key == key) {
+          if (out != nullptr) *out = slot.value;
+          return static_cast<int64_t>(idx);
+        }
       }
     }
     return -1;
@@ -615,10 +655,9 @@ class CuckooTable {
 
   TableOptions opts_;
   Family family_;
-  std::vector<Bucket> table_;
-  // Heap-allocated so the pointer handed to CounterArray /
-  // KickHistory stays valid when the table is moved (Rehash,
-  // snapshot loading, factory returns).
+  std::vector<Slot> slots_;  // d * n * l; bucket b owns [b*l, (b+1)*l)
+  // Heap-allocated so the pointer handed to KickHistory stays valid when
+  // the table is moved (snapshot loading, factory returns).
   mutable std::unique_ptr<AccessStats> stats_ =
       std::make_unique<AccessStats>();
   // Same pattern for the metrics: atomics are immovable, the unique_ptr

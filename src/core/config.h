@@ -45,14 +45,14 @@ enum class EvictionPolicy {
   /// multi-copy tables the search is counter-aware: a bucket whose
   /// occupant holds a redundant copy (counter > 1) terminates the chain
   /// with a pure counter decrement — no relocation. Supported by
-  /// CuckooTable, McCuckooTable and BlockedMcCuckooTable; BchtTable
-  /// rejects it at Create().
+  /// McCuckooTable, BlockedMcCuckooTable and the single-slot CuckooTable;
+  /// CuckooTable rejects it at Create() when slots_per_bucket > 1 (BCHT).
   kBfs,
   /// Bubbling-up (arXiv 2501.02312): reserve headroom in the low-numbered
   /// sub-tables by placing fresh items as "high" as possible and cycling
   /// eviction deterministically through the levels, so displaced items
   /// drift toward the reserved headroom instead of random-walking.
-  /// Supported by all four tables.
+  /// Supported by all four schemes.
   kBubble,
 };
 

@@ -56,9 +56,7 @@ ItemStore::ItemStore(const ItemStoreOptions& options)
   }
   table_ = std::make_unique<Sharded>(
       t, RoundUpPow2(std::max<size_t>(1, options.shards)),
-      ReadMode::kOptimistic,
-      options.multi_writer ? WriteMode::kMultiWriter
-                           : WriteMode::kSingleWriter);
+      ReadMode::kOptimistic, WriteMode::kMultiWriter);
 }
 
 ItemStore::~ItemStore() {

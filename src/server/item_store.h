@@ -68,8 +68,6 @@ struct ItemStoreOptions {
   uint64_t initial_slots = 1 << 16;
   /// Shard count (power of two).
   size_t shards = 8;
-  /// Run the shards' writers concurrently (WriteMode::kMultiWriter).
-  bool multi_writer = true;
   uint64_t seed = 0x5EEDCAFE;
   /// Payload budget (key + value bytes); 0 = unlimited. Exceeding it
   /// FIFO-evicts until back under.

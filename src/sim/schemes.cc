@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/common/bits.h"
 #include "src/core/blocked_mccuckoo_table.h"
@@ -13,7 +12,7 @@ namespace mccuckoo {
 
 namespace {
 
-// Adapts any of the four concrete tables to the SchemeTable interface.
+// Adapts any of the three concrete tables to the SchemeTable interface.
 template <typename Table>
 class SchemeAdapter final : public SchemeTable {
  public:
@@ -136,11 +135,10 @@ std::unique_ptr<SchemeTable> MakeScheme(SchemeKind kind,
   using V = uint64_t;
   switch (kind) {
     case SchemeKind::kCuckoo:
+    case SchemeKind::kBcht:  // the blocked layout: opts.slots_per_bucket > 1
       return std::make_unique<SchemeAdapter<CuckooTable<K, V>>>(opts);
     case SchemeKind::kMcCuckoo:
       return std::make_unique<SchemeAdapter<McCuckooTable<K, V>>>(opts);
-    case SchemeKind::kBcht:
-      return std::make_unique<SchemeAdapter<BchtTable<K, V>>>(opts);
     case SchemeKind::kBMcCuckoo:
       return std::make_unique<SchemeAdapter<BlockedMcCuckooTable<K, V>>>(opts);
   }

@@ -1,4 +1,6 @@
-#include "src/baseline/bcht_table.h"
+// The blocked layout (BCHT, slots_per_bucket > 1) of CuckooTable.
+
+#include "src/baseline/cuckoo_table.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +12,7 @@
 namespace mccuckoo {
 namespace {
 
-using Table = BchtTable<uint64_t, uint64_t>;
+using Table = CuckooTable<uint64_t, uint64_t>;
 
 TableOptions SmallOptions() {
   TableOptions o;
@@ -20,13 +22,6 @@ TableOptions SmallOptions() {
   o.maxloop = 200;
   o.seed = 0xBC;
   return o;
-}
-
-TEST(BchtTest, CreateRejectsSingleSlot) {
-  TableOptions o = SmallOptions();
-  o.slots_per_bucket = 1;
-  EXPECT_FALSE(Table::Create(o).ok());
-  EXPECT_TRUE(Table::Create(SmallOptions()).ok());
 }
 
 TEST(BchtTest, InsertFindEraseRoundTrip) {

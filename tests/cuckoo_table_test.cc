@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 
 #include "src/common/rng.h"
@@ -21,10 +22,42 @@ TableOptions SmallOptions() {
   return o;
 }
 
+TEST(CuckooTest, CreateAcceptsEveryLayoutRejectsBlockedBfs) {
+  // One class serves the standard table (l = 1) and BCHT (l > 1); only
+  // BFS eviction is limited to the single-slot layout.
+  for (uint32_t l = 1; l <= 8; ++l) {
+    TableOptions o = SmallOptions();
+    o.slots_per_bucket = l;
+    for (const EvictionPolicy p :
+         {EvictionPolicy::kRandomWalk, EvictionPolicy::kMinCounter,
+          EvictionPolicy::kBubble, EvictionPolicy::kBfs}) {
+      o.eviction_policy = p;
+      const auto r = Table::Create(o);
+      if (l > 1 && p == EvictionPolicy::kBfs) {
+        ASSERT_FALSE(r.ok()) << l;
+        EXPECT_NE(r.status().message().find("BFS"), std::string::npos);
+      } else {
+        ASSERT_TRUE(r.ok()) << l << " " << EvictionPolicyToString(p);
+        EXPECT_EQ(r.value().capacity(), 3u * 1024 * l);
+      }
+    }
+  }
+  TableOptions o = SmallOptions();
+  o.slots_per_bucket = 0;
+  EXPECT_FALSE(Table::Create(o).ok());
+}
+
 TEST(CuckooTest, CreateRejectsBlockedLayout) {
+  // The blocked layout (l > 1, BCHT) is served, except under BFS eviction,
+  // whose search is limited to single-slot buckets.
   TableOptions o = SmallOptions();
   o.slots_per_bucket = 3;
-  EXPECT_FALSE(Table::Create(o).ok());
+  o.eviction_policy = EvictionPolicy::kBfs;
+  const auto r = Table::Create(o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("BFS"), std::string::npos);
+  o.slots_per_bucket = 1;
+  EXPECT_TRUE(Table::Create(o).ok());
   EXPECT_TRUE(Table::Create(SmallOptions()).ok());
 }
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/eviction.h"
@@ -119,7 +118,7 @@ TEST(MinCounterPolicyTest, BlockedRoundTrip) {
   o.slots_per_bucket = 3;
   o.eviction_policy = EvictionPolicy::kMinCounter;
   RoundTripWithPolicy<BlockedMcCuckooTable<uint64_t, uint64_t>>(o);
-  RoundTripWithPolicy<BchtTable<uint64_t, uint64_t>>(o);
+  RoundTripWithPolicy<CuckooTable<uint64_t, uint64_t>>(o);
 }
 
 TEST(MinCounterPolicyTest, AddsOnchipMemory) {
@@ -167,7 +166,7 @@ TEST(BfsPolicyTest, AcceptedByMultiCopyTablesRejectedByBcht) {
   EXPECT_TRUE((McCuckooTable<uint64_t, uint64_t>::Create(o).ok()));
   o.slots_per_bucket = 3;
   EXPECT_TRUE((BlockedMcCuckooTable<uint64_t, uint64_t>::Create(o).ok()));
-  const auto bcht = BchtTable<uint64_t, uint64_t>::Create(o);
+  const auto bcht = CuckooTable<uint64_t, uint64_t>::Create(o);
   ASSERT_FALSE(bcht.ok());
   EXPECT_NE(bcht.status().message().find("BFS"), std::string::npos);
 }
@@ -249,7 +248,7 @@ TEST(BubblePolicyTest, RoundTripOnAllTables) {
   RoundTripWithPolicy<CuckooTable<uint64_t, uint64_t>>(o);
   o.slots_per_bucket = 3;
   RoundTripWithPolicy<BlockedMcCuckooTable<uint64_t, uint64_t>>(o);
-  RoundTripWithPolicy<BchtTable<uint64_t, uint64_t>>(o);
+  RoundTripWithPolicy<CuckooTable<uint64_t, uint64_t>>(o);
 }
 
 TEST(BubblePolicyTest, BaselinePlacesFreshKeysInHighLevels) {

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
@@ -61,7 +60,7 @@ TEST(MoveSemanticsTest, Cuckoo) {
   MoveAndKeepUsing<CuckooTable<uint64_t, uint64_t>>(1);
 }
 TEST(MoveSemanticsTest, Bcht) {
-  MoveAndKeepUsing<BchtTable<uint64_t, uint64_t>>(3);
+  MoveAndKeepUsing<CuckooTable<uint64_t, uint64_t>>(3);
 }
 
 TEST(MoveSemanticsTest, FactoryReturnedTableIsUsable) {

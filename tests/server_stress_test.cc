@@ -43,7 +43,6 @@ TEST(ServerStressTest, PipelinedConnectionsThroughGrowth) {
   options.sweep_interval_ms = 50;
   options.store.initial_slots = 1 << 10;  // Tiny: the fill forces growth.
   options.store.shards = 4;
-  options.store.multi_writer = true;
   CacheServer server(options);
   ASSERT_TRUE(server.Start().ok());
 

@@ -2,9 +2,7 @@
 // clock — no test here ever sleeps; time moves only when the test advances
 // it. Also covers the byte/item tallies and structural invariants after
 // every sequence, since expiry and eviction are exactly where a tally can
-// silently drift from the table. Every case runs under both
-// ItemStoreOptions::multi_writer values: SET relies on the value each
-// write mode's InsertOrAssign reports replacing.
+// silently drift from the table.
 
 #include <gtest/gtest.h>
 
@@ -25,20 +23,14 @@ constexpr uint64_t kSecond = 1'000'000'000ull;
 
 class TtlTest : public ::testing::Test {
  protected:
-  /// Runs `body` once per ItemStoreOptions::multi_writer value, each time
-  /// on a fresh store and a fresh clock.
+  /// Runs `body` on a fresh store.
   template <typename Body>
-  void ForEachWriteMode(ItemStoreOptions options, Body body) {
+  void WithStore(ItemStoreOptions options, Body body) {
     // The clock reads the fixture's counter; Advance() is the only way
     // time passes.
     options.clock = [this] { return now_ns_; };
-    for (const bool multi_writer : {true, false}) {
-      SCOPED_TRACE(multi_writer ? "multi_writer" : "single_writer");
-      now_ns_ = 1;
-      options.multi_writer = multi_writer;
-      ItemStore store(options);
-      body(&store);
-    }
+    ItemStore store(options);
+    body(&store);
   }
 
   void Advance(uint64_t seconds) { now_ns_ += seconds * kSecond; }
@@ -47,7 +39,7 @@ class TtlTest : public ::testing::Test {
 };
 
 TEST_F(TtlTest, EntryExpiresLazilyOnGet) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "v", /*ttl_seconds=*/10).ok());
     std::string value;
     EXPECT_TRUE(store->Get("k", &value));
@@ -66,7 +58,7 @@ TEST_F(TtlTest, EntryExpiresLazilyOnGet) {
 }
 
 TEST_F(TtlTest, TtlZeroNeverExpires) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("forever", "v", 0).ok());
     Advance(1u << 20);
     std::string value;
@@ -77,7 +69,7 @@ TEST_F(TtlTest, TtlZeroNeverExpires) {
 }
 
 TEST_F(TtlTest, TouchExtendsLifetime) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "v", 10).ok());
     Advance(8);
     EXPECT_TRUE(store->Touch("k", 10));  // New deadline: t=18s.
@@ -90,7 +82,7 @@ TEST_F(TtlTest, TouchExtendsLifetime) {
 }
 
 TEST_F(TtlTest, TouchCanRemoveExpiry) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "v", 5).ok());
     EXPECT_TRUE(store->Touch("k", 0));  // 0 = clear the TTL.
     Advance(1000);
@@ -100,7 +92,7 @@ TEST_F(TtlTest, TouchCanRemoveExpiry) {
 }
 
 TEST_F(TtlTest, TouchOnExpiredReclaimsAndReportsMiss) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "v", 5).ok());
     Advance(6);
     EXPECT_FALSE(store->Touch("k", 100));  // Too late: gone, not refreshed.
@@ -112,7 +104,7 @@ TEST_F(TtlTest, TouchOnExpiredReclaimsAndReportsMiss) {
 }
 
 TEST_F(TtlTest, DelOnExpiredReportsAbsent) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "v", 5).ok());
     Advance(6);
     EXPECT_FALSE(store->Del("k"));  // Expired before the DEL: "wasn't there".
@@ -121,7 +113,7 @@ TEST_F(TtlTest, DelOnExpiredReportsAbsent) {
 }
 
 TEST_F(TtlTest, SetOverwriteResetsTtl) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "old", 5).ok());
     Advance(4);
     ASSERT_TRUE(store->Set("k", "new", 5).ok());  // Fresh 5s from t=4.
@@ -135,7 +127,7 @@ TEST_F(TtlTest, SetOverwriteResetsTtl) {
 }
 
 TEST_F(TtlTest, SweepRemovesOnlyExpired) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     for (int i = 0; i < 50; ++i) {
       const std::string key = "short" + std::to_string(i);
       ASSERT_TRUE(store->Set(key, "v", 10).ok());
@@ -159,7 +151,7 @@ TEST_F(TtlTest, SweepRemovesOnlyExpired) {
 }
 
 TEST_F(TtlTest, GetBatchExpiresLazily) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("live", "a", 100).ok());
     ASSERT_TRUE(store->Set("dead", "b", 5).ok());
     Advance(6);
@@ -178,7 +170,7 @@ TEST_F(TtlTest, GetBatchExpiresLazily) {
 }
 
 TEST_F(TtlTest, ByteTallyTracksPayloads) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("abc", "12345", 0).ok());   // 3 + 5 = 8 bytes
     ASSERT_TRUE(store->Set("de", "6", 0).ok());        // 2 + 1 = 3 bytes
     EXPECT_EQ(store->bytes(), 11u);
@@ -194,7 +186,7 @@ TEST_F(TtlTest, ByteTallyTracksPayloads) {
 TEST_F(TtlTest, CapacityEvictionEnforcesMaxBytes) {
   ItemStoreOptions options;
   options.max_bytes = 1024;
-  ForEachWriteMode(options, [&](ItemStore* store) {
+  WithStore(options, [&](ItemStore* store) {
     const std::string value(100, 'v');
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(store->Set("key" + std::to_string(i), value, 0).ok());
@@ -213,7 +205,6 @@ TEST_F(TtlTest, GrowingStorePreloadsWithoutPressureEvictionOrReseed) {
   // SETs place through the concurrent BFS search.
   ItemStoreOptions options;  // 64Ki initial slots, growth enabled
   options.clock = [this] { return now_ns_; };
-  options.multi_writer = true;
   ItemStore store(options);
   constexpr uint64_t kKeys = uint64_t{1} << 20;
   char key[24];
@@ -237,7 +228,7 @@ TEST_F(TtlTest, PressureEvictionWhenGrowthCapped) {
   options.initial_slots = 64;
   options.shards = 1;
   options.growth_enabled = false;
-  ForEachWriteMode(options, [&](ItemStore* store) {
+  WithStore(options, [&](ItemStore* store) {
     for (int i = 0; i < 2000; ++i) {
       ASSERT_TRUE(store->Set("key" + std::to_string(i), "v", 0).ok()) << i;
     }
@@ -256,7 +247,7 @@ TEST_F(TtlTest, OverwriteOfStashedItemsUnlinksTheOldItem) {
   options.initial_slots = 64;
   options.shards = 1;
   options.growth_enabled = false;
-  ForEachWriteMode(options, [&](ItemStore* store) {
+  WithStore(options, [&](ItemStore* store) {
     for (int i = 0; i < 200; ++i) {
       ASSERT_TRUE(store->Set("key" + std::to_string(i), "old", 0).ok());
     }
@@ -286,7 +277,7 @@ TEST_F(TtlTest, OverwriteOfStashedItemsUnlinksTheOldItem) {
 }
 
 TEST_F(TtlTest, MetricsSnapshotCarriesGauges) {
-  ForEachWriteMode({}, [&](ItemStore* store) {
+  WithStore({}, [&](ItemStore* store) {
     ASSERT_TRUE(store->Set("k", "value", 0).ok());
     std::string v;
     store->Get("k", &v);

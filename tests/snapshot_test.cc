@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
@@ -59,7 +58,7 @@ TEST(SnapshotTest, CuckooRoundTrip) {
   RoundTrip<CuckooTable<uint64_t, uint64_t>>(1);
 }
 TEST(SnapshotTest, BchtRoundTrip) {
-  RoundTrip<BchtTable<uint64_t, uint64_t>>(3);
+  RoundTrip<CuckooTable<uint64_t, uint64_t>>(3);
 }
 
 TEST(SnapshotTest, StashedItemsSurvive) {
@@ -168,16 +167,17 @@ TEST(SnapshotTest, BfsAndBubblePoliciesRoundTrip) {
 
 TEST(SnapshotTest, UnsupportedPolicyForTableIsStatusNotAbort) {
   // A BCHT snapshot whose eviction byte is patched to kBfs decodes fine but
-  // must be refused by BchtTable::Create — as a Status, never an abort.
+  // must be refused by CuckooTable::Create (BFS needs slots_per_bucket = 1)
+  // — as a Status, never an abort.
   TableOptions o = SmallOptions(3);
-  BchtTable<uint64_t, uint64_t> original(o);
+  CuckooTable<uint64_t, uint64_t> original(o);
   original.Insert(1, 2);
   std::stringstream stream;
   ASSERT_TRUE(SaveSnapshot(original, stream).ok());
   std::string bytes = stream.str();
   bytes[44] = static_cast<char>(EvictionPolicy::kBfs);
   std::stringstream bad(bytes);
-  auto r = LoadSnapshot<BchtTable<uint64_t, uint64_t>>(bad);
+  auto r = LoadSnapshot<CuckooTable<uint64_t, uint64_t>>(bad);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("BFS"), std::string::npos)
       << r.status().ToString();
