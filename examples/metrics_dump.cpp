@@ -1,7 +1,7 @@
 // Metrics & tracing tour: drive a table through inserts, lookups, misses
-// and deletions, then dump all three exporter views plus the kick-chain
-// trace ring. tools/check_metrics_output.sh validates this output against
-// tools/metrics_schema.txt in CI.
+// and deletions, then dump the exporter views, the sampled latency
+// quantiles and the span ring. tools/check_metrics_output.sh validates
+// this output against tools/metrics_schema.txt in CI.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -20,10 +20,8 @@ using mccuckoo::EvictionPolicy;
 using mccuckoo::ExportChromeTrace;
 using mccuckoo::ExportJson;
 using mccuckoo::ExportPrometheus;
-using mccuckoo::FormatTraceEvents;
 using mccuckoo::HistogramSnapshot;
 using mccuckoo::InsertResult;
-using mccuckoo::KickChainEvent;
 using mccuckoo::kLatencyOpNames;
 using mccuckoo::kLatencyOps;
 using mccuckoo::kSpanKindNames;
@@ -31,13 +29,13 @@ using mccuckoo::kSpanKinds;
 using mccuckoo::McCuckooTable;
 using mccuckoo::MakeUniqueKeys;
 using mccuckoo::MetricsSnapshot;
+using mccuckoo::SpanKind;
 using mccuckoo::TableOptions;
 
 int main() {
   // A deliberately small, hard-driven table: pushing well past comfortable
-  // load makes kick chains long enough to fill the trace ring and spill a
-  // few items to the stash — exactly the situation the observability layer
-  // exists to explain.
+  // load makes kick chains long and spills a few items to the stash —
+  // exactly the situation the observability layer exists to explain.
   TableOptions options;
   options.num_hashes = 3;
   options.buckets_per_table = 2'000;
@@ -108,15 +106,6 @@ int main() {
   std::printf("=== json ===\n%s\n",
               ExportJson(snap, table.stats()).c_str());
 
-  const std::vector<KickChainEvent> events = table.trace().Events();
-  std::printf("=== trace ===\n");
-  std::printf("kick-chain events recorded: %llu (%llu stashed), showing "
-              "newest %zu\n",
-              static_cast<unsigned long long>(table.trace().total_events()),
-              static_cast<unsigned long long>(table.trace().total_stashed()),
-              events.size() < 8 ? events.size() : size_t{8});
-  std::printf("%s", FormatTraceEvents(events, 8).c_str());
-
   // The tail-latency view: per-op sampled quantiles (upper bounds of the
   // log2 histogram bucket the quantile falls in — see ALGORITHM.md §13).
   std::printf("\n=== latency quantiles ===\n");
@@ -130,14 +119,18 @@ int main() {
                 h.PercentileUpperBound(0.99), h.PercentileUpperBound(0.999));
   }
 
-  // The slow-event view: span totals for all three tables merged, then the
-  // growth table's ring as chrome://tracing JSON (load it via
-  // chrome://tracing or https://ui.perfetto.dev).
+  // The slow-event view: span totals for all three tables merged, the
+  // saturated table's own spills, then the growth table's ring as
+  // chrome://tracing JSON (load it via chrome://tracing or
+  // https://ui.perfetto.dev).
   std::printf("\n=== spans ===\n");
   for (size_t k = 0; k < kSpanKinds; ++k) {
     std::printf("%s%s=%" PRIu64, k == 0 ? "" : " ", kSpanKindNames[k],
                 snap.span_counts[k]);
   }
+  std::printf("\nsaturated table: %zu stashed inserts, %" PRIu64
+              " stash_spill spans",
+              stashed, table.spans().total(SpanKind::kStashSpill));
   std::printf("\n%s\n",
               ExportChromeTrace(growing.spans().Events(), "metrics_dump")
                   .c_str());

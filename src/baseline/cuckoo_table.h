@@ -38,7 +38,7 @@
 #include "src/mem/access_stats.h"
 #include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_recorder.h"
+#include "src/obs/span_recorder.h"
 
 namespace mccuckoo {
 
@@ -240,21 +240,25 @@ class CuckooTable {
     s.occupancy_items = TotalItems();
     s.capacity_slots = capacity();
     latency_->FoldInto(&s);
+    for (size_t k = 0; k < kSpanKinds; ++k) {
+      s.span_counts[k] += spans_.Totals()[k];
+    }
     return s;
   }
 
-  /// Clears the metrics, the kick-chain trace ring and latency samples.
+  /// Clears the metrics, the latency samples and the span ring.
   void ResetMetrics() {
     metrics_->Reset();
-    trace_.Clear();
     latency_->Reset();
+    spans_.Clear();
   }
 
   /// Sampled op-latency recorder.
   LatencyRecorder& latency() const { return *latency_; }
 
-  /// Kick-chain trace ring (post-mortem inspection of recent chains).
-  const TraceRecorder& trace() const { return trace_; }
+  /// Span ring: the BFS dead ends and stash spills (the baseline has no
+  /// growth or rehash).
+  const SpanRecorder& spans() const { return spans_; }
 
   uint64_t first_collision_items() const { return first_collision_items_; }
   uint64_t first_failure_items() const { return first_failure_items_; }
@@ -458,25 +462,13 @@ class CuckooTable {
     }
   }
 
-  /// Closes a kick chain of `chain` relocations in the trace ring.
-  void RecordChain(KickChainEvent* ev, uint32_t chain, bool stashed) {
-    if constexpr (kMetricsEnabled) {
-      ev->chain_len = chain;
-      ev->n_steps =
-          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-      ev->stashed = stashed;
-      trace_.Record(*ev);
-      if (stashed) trace_.NoteStashed();
-    }
-  }
-
-  /// Parks the item in hand in the stash after a failed insertion chain.
-  InsertResult Spill(Key key, Value value, KickChainEvent* ev,
-                     uint32_t chain) {
+  /// Parks the item in hand in the stash after a failed insertion chain
+  /// and records the stash-spill span.
+  InsertResult Spill(Key key, Value value) {
     if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
-    RecordChain(ev, chain, /*stashed=*/true);
     ChargeStashWrite();
     stash_.Insert(std::move(key), std::move(value));
+    spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
     if (opts_.stash_kind == StashKind::kOnchipChs &&
         stash_.size() > opts_.onchip_stash_capacity) {
       ++forced_rehash_events_;  // a real CHS deployment would rehash here
@@ -494,13 +486,11 @@ class CuckooTable {
     size_t exclude = kNoBucket;
     int32_t from_level = -1;  // bubbling: level the in-hand item left
     uint32_t chain = 0;
-    KickChainEvent ev{};  // populated only when metrics are compiled in
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       if (loop > 0) {
         cand = Candidates(key);
         if (TryPlace(key, value, cand, exclude)) {
           *chain_len_out = chain;
-          RecordChain(&ev, chain, /*stashed=*/false);
           return InsertResult::kInserted;
         }
       }
@@ -515,12 +505,6 @@ class CuckooTable {
           opts_.slots_per_bucket == 1
               ? 0
               : static_cast<uint32_t>(rng_.Below(opts_.slots_per_bucket));
-      if constexpr (kMetricsEnabled) {
-        if (chain < kMaxTraceSteps) {
-          // No copy counters in the baseline: record counter 0.
-          ev.step[chain] = KickStep{static_cast<uint64_t>(cand[t]), 0};
-        }
-      }
       const size_t victim = SlotIndex(cand[t], s);  // bucket already read
       Key vk = slots_[victim].key;
       Value vv = slots_[victim].value;
@@ -534,7 +518,7 @@ class CuckooTable {
       ++chain;
     }
     *chain_len_out = chain;
-    return Spill(std::move(key), std::move(value), &ev, chain);
+    return Spill(std::move(key), std::move(value));
   }
 
   /// Breadth-first search for the shortest cuckoo path [3] (l = 1 only;
@@ -595,11 +579,11 @@ class CuckooTable {
         });
     bfs_throttle_.Observe(path.found);
     *nodes_out = path.nodes_expanded;
-    KickChainEvent ev{};
     if (!path.found) {
       // Node budget exhausted without finding an empty bucket.
       *chain_len_out = 0;
-      return Spill(std::move(key), std::move(value), &ev, 0);
+      spans_.RecordInstant(SpanKind::kBfsDeadEnd, path.nodes_expanded);
+      return Spill(std::move(key), std::move(value));
     }
     // Move items from the empty end backwards.
     size_t hole = static_cast<size_t>(path.terminal);
@@ -607,19 +591,11 @@ class CuckooTable {
       const size_t src = static_cast<size_t>(path.node[i]);
       StoreSlot(hole, slots_[src].key, slots_[src].value);
       ++stats_->kickouts;
-      if constexpr (kMetricsEnabled) {
-        if (i < kMaxTraceSteps) {
-          // No copy counters in the baseline: record counter 0.
-          ev.step[i] = KickStep{static_cast<uint64_t>(src), 0};
-        }
-      }
       hole = src;
     }
     StoreSlot(hole, key, value);
     ++size_;
-    const uint32_t chain = static_cast<uint32_t>(path.node.size());
-    *chain_len_out = chain;
-    RecordChain(&ev, chain, /*stashed=*/false);
+    *chain_len_out = static_cast<uint32_t>(path.node.size());
     return InsertResult::kInserted;
   }
 
@@ -668,7 +644,9 @@ class CuckooTable {
   // paths record through it). Period applied in the constructor body.
   mutable std::unique_ptr<LatencyRecorder> latency_ =
       std::make_unique<LatencyRecorder>();
-  TraceRecorder trace_;
+  // Dead-end/spill timeline (writer-exclusion threading model; see
+  // span_recorder.h).
+  SpanRecorder spans_;
   KickHistory kick_history_;
   Stash<Key, Value> stash_;
   Xoshiro256 rng_;

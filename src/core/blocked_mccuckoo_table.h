@@ -44,7 +44,6 @@
 #include "src/hash/hash_family.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
-#include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
 
@@ -219,7 +218,6 @@ class BlockedMcCuckooTable
   using Base::stash_;
   using Base::StashOverflow;
   using Base::stats_;
-  using Base::trace_;
 
   static constexpr const char* kName = "BlockedMcCuckooTable";
   /// Bucket headers keep a key's whole 8-bit fingerprint.
@@ -729,7 +727,6 @@ class BlockedMcCuckooTable
     size_t exclude_bucket = kNoBucket;
     int32_t from_level = -1;  // bubbling: level the in-hand item left
     uint32_t chain = 0;
-    KickChainEvent ev{};  // populated only when metrics are compiled in
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       Candidates cand = ComputeCandidates(key);
       if (loop > 0) {
@@ -737,12 +734,6 @@ class BlockedMcCuckooTable
         if (placed > 0) {
           ++size_;
           *chain_len_out = chain;
-          if constexpr (kMetricsEnabled) {
-            ev.chain_len = chain;
-            ev.n_steps = static_cast<uint32_t>(
-                std::min<size_t>(chain, kMaxTraceSteps));
-            trace_.Record(ev);
-          }
           return InsertResult::kInserted;
         }
       }
@@ -755,13 +746,6 @@ class BlockedMcCuckooTable
       const uint32_t s =
           static_cast<uint32_t>(rng_.Below(opts_.slots_per_bucket));
       const Position p{cand.bucket[t], s};
-      if constexpr (kMetricsEnabled) {
-        if (chain < kMaxTraceSteps) {
-          ev.step[chain] = KickStep{
-              static_cast<uint64_t>(cand.bucket[t]),
-              static_cast<uint32_t>(mem_.counters.PeekCounter(SlotIndex(p)))};
-        }
-      }
       ChargeBucketRead();
       Slot victim = mem_.slots[SlotIndex(p)];
       Slot record;
@@ -791,24 +775,10 @@ class BlockedMcCuckooTable
       if (placed > 0) {
         ++size_;
         *chain_len_out = chain;
-        if constexpr (kMetricsEnabled) {
-          ev.chain_len = chain;
-          ev.n_steps =
-              static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-          trace_.Record(ev);
-        }
         return InsertResult::kInserted;
       }
     }
     *chain_len_out = chain;
-    if constexpr (kMetricsEnabled) {
-      ev.chain_len = chain;
-      ev.n_steps =
-          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-      ev.stashed = true;
-      trace_.Record(ev);
-      trace_.NoteStashed();
-    }
     return StashOverflow(key, value);
   }
 
@@ -865,12 +835,6 @@ class BlockedMcCuckooTable
     bfs_throttle_.Observe(path.found);
     if (!path.found) {
       *chain_len_out = 0;
-      if constexpr (kMetricsEnabled) {
-        KickChainEvent ev{};
-        ev.stashed = true;
-        trace_.Record(ev);
-        trace_.NoteStashed();
-      }
       spans_.RecordInstant(SpanKind::kBfsDeadEnd, path.nodes_expanded);
       return StashOverflow(key, value);
     }
@@ -878,7 +842,6 @@ class BlockedMcCuckooTable
     // each predecessor into its successor, the new key into the root. A
     // relocated occupant is a sole copy, so its record is rewritten with a
     // fresh hint set pointing only at its new position.
-    KickChainEvent ev{};
     auto position_of = [l](uint64_t id) {
       return Position{static_cast<size_t>(id) / l,
                       static_cast<uint32_t>(id % l)};
@@ -904,13 +867,6 @@ class BlockedMcCuckooTable
       // Interior destinations already held a sole copy: counter stays 1.
       ++stats_->kickouts;
       if (kick_history_.enabled()) kick_history_.Increment(src / l);
-      if constexpr (kMetricsEnabled) {
-        if (i < kMaxTraceSteps) {
-          ev.step[i] = KickStep{
-              static_cast<uint64_t>(src / l),
-              static_cast<uint32_t>(mem_.counters.PeekCounter(src))};
-        }
-      }
       dst = src;
     }
     const Position root_pos = position_of(path.node.front());
@@ -922,14 +878,7 @@ class BlockedMcCuckooTable
         static_cast<uint8_t>(root_pos.slot);
     WriteSlot(root_pos, record);
     ++size_;
-    const uint32_t chain = static_cast<uint32_t>(path.node.size());
-    *chain_len_out = chain;
-    if constexpr (kMetricsEnabled) {
-      ev.chain_len = chain;
-      ev.n_steps =
-          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-      trace_.Record(ev);
-    }
+    *chain_len_out = static_cast<uint32_t>(path.node.size());
     return InsertResult::kInserted;
   }
 

@@ -59,7 +59,6 @@
 #include "src/hash/hash_family.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
-#include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
 
@@ -238,9 +237,10 @@ class McCuckooTable
   //    SeqlockWriterSet and closed *before* the stripe locks are released:
   //    the next holder of a stripe owns its version cell again only after
   //    our odd window is closed.
-  //  * These paths charge no AccessStats and record no trace/span/kick
-  //    history (those are writer-exclusion structures); TableMetrics and
-  //    the latency recorder are atomic and recorded normally.
+  //  * These paths charge no AccessStats and record no kick history
+  //    (writer-exclusion structures); TableMetrics and the latency
+  //    recorder are atomic and recorded normally. The stash tail records
+  //    its dead-end and spill spans under the aux stripe.
   //
   // Callers (ShardedMcCuckoo in WriteMode::kMultiWriter) hold the shard
   // lock shared for every operation; growth escalates to the exclusive
@@ -791,6 +791,7 @@ class McCuckooTable
     *budget_out = ConcurrentBfsBudget();
     *chain_len = 0;
     *nodes_out = 0;
+    bool dead_end = false;
     for (int attempt = 0; attempt < kMaxChainReplans; ++attempt) {
       BfsPathResult path;
       {
@@ -814,7 +815,10 @@ class McCuckooTable
             });
       }
       *nodes_out += path.nodes_expanded;
-      if (!path.found) break;  // genuine dead end: stash below
+      if (!path.found) {  // genuine dead end: stash below
+        dead_end = true;
+        break;
+      }
       const size_t held_before = ls.held_count();
       bool claimed = true;
       for (size_t i = 1; i < path.node.size() && claimed; ++i) {
@@ -871,11 +875,17 @@ class McCuckooTable
     // ConcurrentTryPlace proved all-ones and nothing placed since, so the
     // kDisabled stash screen's precondition holds exactly as in the
     // single-writer path; the flags land on the held roots themselves.
+    // The aux stripe serializes every stash inserter of the table, and
+    // everything else that touches spans_ runs under the shard's exclusive
+    // lock, so the span ring needs no synchronization of its own here.
     uint64_t expect_zero = 0;
     first_failure_items_.CompareExchange(expect_zero, ApproxTotalItems() + 1);
     ls.AcquireAux();
     SeqOpenAuxIn(ws);
     stash_.Insert(key, value);
+    const uint64_t now = MetricsNowNs();
+    if (dead_end) spans_.Record(SpanKind::kBfsDeadEnd, now, now, *nodes_out);
+    spans_.Record(SpanKind::kStashSpill, now, now, stash_.size());
     if (opts_.stash_kind == StashKind::kOffchip) {
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
         ConcurrentSetFlag(ws, cand.bucket[t]);
@@ -918,7 +928,6 @@ class McCuckooTable
   using Base::stash_;
   using Base::StashOverflow;
   using Base::stats_;
-  using Base::trace_;
 
   static constexpr const char* kName = "McCuckooTable";
   /// The counter byte keeps the low nibble of a key's 8-bit fingerprint.
@@ -1249,7 +1258,6 @@ class McCuckooTable
     size_t exclude = kNoBucket;
     int32_t from_level = -1;  // bubbling: level the in-hand item left
     uint32_t chain = 0;
-    KickChainEvent ev{};  // populated only when metrics are compiled in
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       Candidates cand = ComputeCandidates(key);
       if (loop > 0) {
@@ -1257,12 +1265,6 @@ class McCuckooTable
         if (placed > 0) {
           ++size_;  // net effect of the whole chain: the original key is in
           *chain_len_out = chain;
-          if constexpr (kMetricsEnabled) {
-            ev.chain_len = chain;
-            ev.n_steps = static_cast<uint32_t>(
-                std::min<size_t>(chain, kMaxTraceSteps));
-            trace_.Record(ev);
-          }
           return InsertResult::kInserted;
         }
       }
@@ -1275,13 +1277,6 @@ class McCuckooTable
               : PickVictim(cand.bucket, opts_.num_hashes, exclude,
                            kick_history_, rng_);
       const size_t idx = cand.bucket[t];
-      if constexpr (kMetricsEnabled) {
-        if (chain < kMaxTraceSteps) {
-          ev.step[chain] = KickStep{
-              static_cast<uint64_t>(idx),
-              static_cast<uint32_t>(mem_.counters.PeekCounter(idx))};
-        }
-      }
       const Bucket& victim = LoadBucket(idx);
       Key vk = victim.key;
       Value vv = victim.value;
@@ -1307,25 +1302,11 @@ class McCuckooTable
       if (placed > 0) {
         ++size_;
         *chain_len_out = chain;
-        if constexpr (kMetricsEnabled) {
-          ev.chain_len = chain;
-          ev.n_steps =
-              static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-          trace_.Record(ev);
-        }
         return InsertResult::kInserted;
       }
     }
     // Insertion failure: park the in-hand item in the stash.
     *chain_len_out = chain;
-    if constexpr (kMetricsEnabled) {
-      ev.chain_len = chain;
-      ev.n_steps =
-          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-      ev.stashed = true;
-      trace_.Record(ev);
-      trace_.NoteStashed();
-    }
     return StashOverflow(key, value);
   }
 
@@ -1380,12 +1361,6 @@ class McCuckooTable
     bfs_throttle_.Observe(path.found);
     if (!path.found) {
       *chain_len_out = 0;
-      if constexpr (kMetricsEnabled) {
-        KickChainEvent ev{};
-        ev.stashed = true;
-        trace_.Record(ev);
-        trace_.NoteStashed();
-      }
       spans_.RecordInstant(SpanKind::kBfsDeadEnd, path.nodes_expanded);
       return StashOverflow(key, value);
     }
@@ -1393,7 +1368,6 @@ class McCuckooTable
     // terminal, each predecessor into its successor, and the new key lands
     // in the root. Every interior occupant is a sole copy (counter 1), so
     // moves are plain bucket stores; only the terminal changes counters.
-    KickChainEvent ev{};
     size_t dst = static_cast<size_t>(path.terminal);
     const uint64_t term_v = mem_.counters.PeekCounter(dst);
     for (size_t i = path.node.size(); i-- > 0;) {
@@ -1415,25 +1389,11 @@ class McCuckooTable
       }
       ++stats_->kickouts;
       if (kick_history_.enabled()) kick_history_.Increment(src);
-      if constexpr (kMetricsEnabled) {
-        if (i < kMaxTraceSteps) {
-          ev.step[i] = KickStep{
-              static_cast<uint64_t>(src),
-              static_cast<uint32_t>(mem_.counters.PeekCounter(src))};
-        }
-      }
       dst = src;
     }
     StoreBucket(static_cast<size_t>(path.node.front()), key, value);
     ++size_;
-    const uint32_t chain = static_cast<uint32_t>(path.node.size());
-    *chain_len_out = chain;
-    if constexpr (kMetricsEnabled) {
-      ev.chain_len = chain;
-      ev.n_steps =
-          static_cast<uint32_t>(std::min<size_t>(chain, kMaxTraceSteps));
-      trace_.Record(ev);
-    }
+    *chain_len_out = static_cast<uint32_t>(path.node.size());
     return InsertResult::kInserted;
   }
 

@@ -57,7 +57,6 @@
 #include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
-#include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
 
@@ -503,17 +502,13 @@ class TableSkeleton {
     return s;
   }
 
-  /// Clears the metrics, the kick-chain trace ring, the latency samples,
-  /// and the span ring (AccessStats are separate; see ResetStats).
+  /// Clears the metrics, the latency samples and the span ring
+  /// (AccessStats are separate; see ResetStats).
   void ResetMetrics() {
     metrics_->Reset();
-    trace_.Clear();
     latency_->Reset();
     spans_.Clear();
   }
-
-  /// Kick-chain trace ring (post-mortem inspection of recent chains).
-  const TraceRecorder& trace() const { return trace_; }
 
   /// Span timeline ring (growth/rehash/reseed/dead-end/spill events) —
   /// feed Events() to ExportChromeTrace for a chrome://tracing view.
@@ -984,9 +979,9 @@ class TableSkeleton {
 
   /// Shared insertion-failure tail: parks the in-hand item in the stash
   /// (flags set for the off-chip kind, forced-rehash accounting for the
-  /// on-chip kind). The caller guarantees the item's candidate slots all
-  /// hold sole copies — the all-ones precondition the kDisabled stash
-  /// screen relies on — and records its own trace event.
+  /// on-chip kind) and records the stash-spill span. The caller
+  /// guarantees the item's candidate slots all hold sole copies — the
+  /// all-ones precondition the kDisabled stash screen relies on.
   InsertResult StashOverflow(const Key& key, const Value& value) {
     if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
     ChargeStashWrite();
@@ -1119,7 +1114,6 @@ class TableSkeleton {
     *stats_ += *rebuilt.stats_;
     metrics_->MergeFrom(*rebuilt.metrics_);
     latency_->MergeFrom(*rebuilt.latency_);
-    trace_ = std::move(rebuilt.trace_);
     // spans_ deliberately keeps this table's ring: it is a lifetime
     // timeline (the rehash span lands in it right after this commit);
     // the scratch rebuild's ring holds nothing worth keeping.
@@ -1156,9 +1150,8 @@ class TableSkeleton {
   // optimistic readers must see a live object across Rehash commits).
   mutable std::unique_ptr<LatencyRecorder> latency_ =
       std::make_unique<LatencyRecorder>();
-  TraceRecorder trace_;
   // Growth/rehash/dead-end/spill timeline (writer-exclusion threading
-  // model, like trace_).
+  // model; see span_recorder.h).
   SpanRecorder spans_;
   KickHistory kick_history_;
   Stash<Key, Value> stash_;

@@ -459,28 +459,6 @@ std::map<std::string, double> MetricsFlatEntries(const MetricsSnapshot& m,
   return out;
 }
 
-std::string FormatTraceEvents(const std::vector<KickChainEvent>& events,
-                              size_t max_events) {
-  std::string out;
-  const size_t start =
-      events.size() > max_events ? events.size() - max_events : 0;
-  for (size_t i = start; i < events.size(); ++i) {
-    const KickChainEvent& ev = events[i];
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "seq=%" PRIu64 " len=%u%s steps:", ev.seq,
-                  ev.chain_len, ev.stashed ? " STASHED" : "");
-    out += buf;
-    for (uint32_t s = 0; s < ev.n_steps; ++s) {
-      std::snprintf(buf, sizeof(buf), " b%" PRIu64 "(c%u)", ev.step[s].bucket,
-                    ev.step[s].counter);
-      out += buf;
-    }
-    if (ev.n_steps < ev.chain_len) out += " ...";
-    out += '\n';
-  }
-  return out;
-}
-
 std::string ExportChromeTrace(const std::vector<Span>& spans,
                               const std::string& process_name, int pid,
                               int tid) {

@@ -19,7 +19,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/server_metrics.h"
 #include "src/obs/span_recorder.h"
-#include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
 
@@ -50,12 +49,6 @@ std::string ExportJson(const MetricsSnapshot& m, const AccessStats& stats);
 /// histogram columns for free.
 std::map<std::string, double> MetricsFlatEntries(const MetricsSnapshot& m,
                                                  const std::string& prefix);
-
-/// Human-readable dump of a trace ring, newest event last — the
-/// post-mortem view of failed inserts ("seq=12 len=500 stashed steps:
-/// b1042(c1) ...").
-std::string FormatTraceEvents(const std::vector<KickChainEvent>& events,
-                              size_t max_events = 16);
 
 /// Renders spans as a chrome://tracing "traceEvents" JSON document
 /// (load it via chrome://tracing or Perfetto). Closed spans become

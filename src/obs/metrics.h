@@ -97,7 +97,7 @@ enum class SpanKind : uint8_t {
   kRehash,         ///< One table rebuild (manual or growth-triggered).
   kReseed,         ///< Same-size rebuild under a rotated seed.
   kBfsDeadEnd,     ///< BFS eviction search exhausted without a path.
-  kStashSpill,     ///< An insert chain overran maxloop and hit the stash.
+  kStashSpill,     ///< An insert failed to place and went to the stash.
 };
 inline constexpr size_t kSpanKinds = 5;
 
@@ -236,7 +236,7 @@ struct MetricsSnapshot {
   uint64_t latency_sample_period = 0;
 
   /// Spans recorded per SpanKind (enumerator order). Totals survive the
-  /// span ring's wrap-around, like TraceRecorder::total_events().
+  /// span ring's wrap-around (SpanRecorder::Totals()).
   std::array<uint64_t, kSpanKinds> span_counts{};
 
   /// Gauges, filled by the table at snapshot time (no hot-path cost).

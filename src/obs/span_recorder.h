@@ -1,19 +1,23 @@
-// Span ring buffer — timestamped records of the rare, slow table events.
+// Span ring buffer — the one event ring: timestamped records of the rare,
+// slow table events.
 //
 // The sampled LatencyRecorder sees tail latency as a distribution; this
 // recorder captures the *causes* as discrete, timestamped spans: growth
 // decisions, rehashes, seed rotations, BFS searches that dead-ended, and
-// insert chains that spilled to the stash. Each span carries a start tick
-// and duration on the shared clock (src/obs/timing.h), so a scrape of the
-// ring lines up a p999 blip with "rehash, 41 ms, at t=...". The chrome://
-// tracing exporter (ExportChromeTrace in src/obs/export.h) renders the
-// ring as a timeline.
+// inserts that spilled to the stash (every table and write mode records
+// the last two). Kick chains themselves are only counted, in the metrics
+// histograms. Each span carries a start tick and duration on the shared
+// clock (src/obs/timing.h), so a scrape of the ring lines up a p999 blip
+// with "rehash, 41 ms, at t=...". The chrome://tracing exporter
+// (ExportChromeTrace in src/obs/export.h) renders the ring as a timeline.
 //
 // Threading: spans are recorded only from table write paths, which every
-// front-end already serializes per table (exactly the TraceRecorder's
-// model) — the ring is intentionally unsynchronized so recording stays a
-// couple of plain stores. Per-kind totals survive ring wrap-around and
-// are folded into MetricsSnapshot::span_counts by the owning table.
+// front-end already serializes per table (the multi-writer stash tail
+// records under the aux stripe, which serializes every stash inserter) —
+// the ring is intentionally unsynchronized so recording stays a couple
+// of plain stores. Scrapes of Events() run under the same exclusion.
+// Per-kind totals survive ring wrap-around and are folded into
+// MetricsSnapshot::span_counts by the owning table.
 //
 // With -DMCCUCKOO_NO_METRICS the ring is not allocated and every method
 // is a no-op returning zeros.

@@ -37,7 +37,9 @@ struct Fingerprint {
   uint64_t first_collision_items, first_failure_items, forced_rehash_events;
   uint64_t stash_after_fill, stash_after_erase;
   uint64_t find_hits, erase_hits;
-  uint64_t trace_events, trace_stashed;  // 0 under -DMCCUCKOO_NO_METRICS
+  // Policy chains (colliding inserts) and stash-spill spans; 0 under
+  // -DMCCUCKOO_NO_METRICS.
+  uint64_t trace_events, trace_stashed;
   uint64_t items_fnv;  // ForEachItem (key, value) stream, slot order
 
   bool operator==(const Fingerprint&) const = default;
@@ -133,8 +135,10 @@ Fingerprint RunCase(const Case& c) {
   f.first_collision_items = t.first_collision_items();
   f.first_failure_items = t.first_failure_items();
   f.forced_rehash_events = t.forced_rehash_events();
-  f.trace_events = t.trace().total_events();
-  f.trace_stashed = t.trace().total_stashed();
+  for (const HistogramSnapshot& h : t.SnapshotMetrics().policy_chain_len) {
+    f.trace_events += h.count;
+  }
+  f.trace_stashed = t.spans().total(SpanKind::kStashSpill);
   f.items_fnv = 0xCBF29CE484222325ull;
   t.ForEachItem([&](uint64_t k, uint64_t v) {
     FnvMix(&f.items_fnv, k);

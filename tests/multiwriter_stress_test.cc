@@ -240,6 +240,61 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
 #endif
 }
 
+// Concurrent writers overfilling a growth-off shard: every insert the
+// multi-writer BFS cannot place lands in the stash, and each must leave one
+// stash-spill span in the shard's ring, just as a single-writer spill does.
+TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpans) {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 256;
+  o.eviction_policy = EvictionPolicy::kBfs;
+  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
+
+  constexpr int kWriters = 4;
+  constexpr size_t kPerWriter = 225;  // 900 keys into 768 slots
+  std::vector<std::vector<uint64_t>> keys;
+  for (int w = 0; w < kWriters; ++w) {
+    keys.push_back(MakeUniqueKeys(kPerWriter, 53, static_cast<uint64_t>(w)));
+  }
+  std::atomic<uint64_t> stashed{0};
+  std::atomic<int> writer_errors{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t k : keys[w]) {
+        const InsertResult r = table.Insert(k, k + 5);
+        if (r == InsertResult::kStashed) stashed.fetch_add(1);
+        if (r == InsertResult::kFailed) writer_errors.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+
+  EXPECT_EQ(writer_errors.load(), 0);
+  ASSERT_GT(stashed.load(), 0u);
+  EXPECT_EQ(table.stash_size(), stashed.load());
+  for (int w = 0; w < kWriters; ++w) {
+    for (uint64_t k : keys[w]) {
+      uint64_t v = 0;
+      ASSERT_TRUE(table.Find(k, &v)) << k;
+      EXPECT_EQ(v, k + 5);
+    }
+  }
+  EXPECT_TRUE(
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
+  if constexpr (kMetricsEnabled) {
+    const MetricsSnapshot s = table.metrics_snapshot();
+    EXPECT_EQ(s.span_counts[static_cast<size_t>(SpanKind::kStashSpill)],
+              stashed.load());
+    // A spill is a dead end unless contention used up every replan.
+    const uint64_t dead_ends =
+        s.span_counts[static_cast<size_t>(SpanKind::kBfsDeadEnd)];
+    EXPECT_GT(dead_ends, 0u);
+    EXPECT_LE(dead_ends, stashed.load());
+  }
+}
+
 // A multi-writer InsertBatch far past the initial capacity must grow the
 // table as it goes, exactly as per-key Inserts do: deferring every growth
 // request to the end of the batch would pin the table at its initial size

@@ -1,6 +1,6 @@
 // Tests of the observability layer: histogram math, snapshot arithmetic,
 // per-table recording, scalar-vs-batch metric equality, sharded
-// aggregation, kick-chain tracing, and the exporters.
+// aggregation, and the exporters.
 
 #include "src/obs/metrics.h"
 
@@ -15,7 +15,6 @@
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/obs/export.h"
-#include "src/obs/trace_recorder.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -290,69 +289,6 @@ TEST(TableRecordingTest, BlockedTableRecordsLookups) {
   EXPECT_EQ(s.capacity_slots, t.capacity());
 }
 
-// --- Kick-chain tracing ---------------------------------------------------
-
-TEST(TraceRecorderTest, RingRetainsNewestEvents) {
-  TraceRecorder r(4);
-  EXPECT_EQ(r.capacity(), 4u);
-  for (uint32_t i = 0; i < 6; ++i) {
-    KickChainEvent ev;
-    ev.chain_len = i;
-    r.Record(ev);
-  }
-  const auto events = r.Events();
-  if (!kMetricsEnabled) {
-    // Compiled out: Record is a no-op, the ring holds nothing.
-    EXPECT_EQ(r.total_events(), 0u);
-    EXPECT_TRUE(events.empty());
-    return;
-  }
-  EXPECT_EQ(r.total_events(), 6u);
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest first, and the two oldest events (chain_len 0, 1) fell off.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, i + 2);
-    EXPECT_EQ(events[i].chain_len, i + 2);
-  }
-  r.NoteStashed();
-  EXPECT_EQ(r.total_stashed(), 1u);
-  r.Clear();
-  EXPECT_EQ(r.total_events(), 0u);
-  EXPECT_EQ(r.total_stashed(), 0u);
-  EXPECT_TRUE(r.Events().empty());
-}
-
-TEST(TraceRecorderTest, TableTracesCollisionChainsAndSpills) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  // A tiny table driven to saturation must log kick chains, and the spills
-  // it suffers must show up as stashed events.
-  TableOptions o = SmallOptions();
-  o.buckets_per_table = 32;
-  o.maxloop = 20;
-  Table t(o);
-  const auto keys = MakeUniqueKeys(3 * 32, 1, 0);
-  size_t stashed = 0;
-  for (uint64_t k : keys) {
-    const InsertResult r = t.Insert(k, k);
-    if (r == InsertResult::kStashed) ++stashed;
-    if (r == InsertResult::kFailed) break;
-  }
-  ASSERT_GT(t.trace().total_events(), 0u);
-  EXPECT_EQ(t.trace().total_stashed(), stashed);
-  size_t stashed_events = 0;
-  for (const KickChainEvent& ev : t.trace().Events()) {
-    EXPECT_EQ(ev.n_steps,
-              std::min<uint64_t>(ev.chain_len, kMaxTraceSteps));
-    if (ev.stashed) ++stashed_events;
-    for (uint32_t s = 0; s < ev.n_steps; ++s) {
-      EXPECT_LT(ev.step[s].bucket, t.capacity());
-    }
-  }
-  EXPECT_GT(stashed_events, 0u);
-  // Histogram agrees with the trace: some chain was non-trivial.
-  EXPECT_GT(t.SnapshotMetrics().kick_chain_len.sum, 0u);
-}
-
 // --- Aggregation across front-ends ----------------------------------------
 
 TEST(AggregationTest, ShardedMergeEqualsSumOfShards) {
@@ -494,24 +430,6 @@ TEST(ExportTest, FlatEntries) {
   EXPECT_EQ(flat.at("obs_on.McCuckoo.lookup_probes.p99"), 1.0);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.stash_hits"), 1.0);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.load_factor"), 0.25);
-}
-
-TEST(ExportTest, FormatTraceEvents) {
-  KickChainEvent ev;
-  ev.seq = 12;
-  ev.chain_len = 3;
-  ev.n_steps = 2;  // Pretend one step was beyond the capture window.
-  ev.stashed = true;
-  ev.step[0] = {1042, 1};
-  ev.step[1] = {7, 3};
-  const std::string text = FormatTraceEvents({ev});
-  EXPECT_EQ(text, "seq=12 len=3 STASHED steps: b1042(c1) b7(c3) ...\n");
-  // max_events keeps only the newest.
-  KickChainEvent ev2;
-  ev2.seq = 13;
-  ev2.chain_len = 0;
-  const std::string tail = FormatTraceEvents({ev, ev2}, 1);
-  EXPECT_EQ(tail, "seq=13 len=0 steps:\n");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
@@ -161,6 +162,58 @@ TEST(SpanRecorderTest, TableRecordsGrowthSpanOnAutoGrow) {
 TEST(SpanRecorderTest, TableRecordsGrowthSpanOnAutoGrowBlocked) {
   TableRecordsGrowthSpanOnAutoGrow<BlockedMcCuckooTable<uint64_t, uint64_t>>(
       3);
+}
+
+// A tiny table driven to saturation resolves collisions with kick chains
+// and spills the rest: every kStashed result must leave exactly one
+// stash-spill span, and every BFS spill is a dead end.
+template <typename Table>
+void TableRecordsEverySpill(uint32_t slots_per_bucket, EvictionPolicy policy) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TableOptions o;
+  o.num_hashes = 3;
+  o.buckets_per_table = 32;
+  o.slots_per_bucket = slots_per_bucket;
+  o.maxloop = 20;
+  o.seed = 0xABCDEF;
+  o.eviction_policy = policy;
+  Table t(o);
+  uint64_t stashed = 0;
+  for (uint64_t k : MakeUniqueKeys(t.capacity(), 1, 0)) {
+    const InsertResult r = t.Insert(k, k);
+    ASSERT_NE(r, InsertResult::kFailed);
+    if (r == InsertResult::kStashed) ++stashed;
+  }
+  EXPECT_GT(stashed, 0u);
+  EXPECT_EQ(t.spans().total(SpanKind::kStashSpill), stashed);
+  EXPECT_EQ(t.spans().total(SpanKind::kBfsDeadEnd),
+            policy == EvictionPolicy::kBfs ? stashed : 0u);
+  const MetricsSnapshot s = t.SnapshotMetrics();
+  EXPECT_EQ(s.span_counts[static_cast<size_t>(SpanKind::kStashSpill)],
+            stashed);
+  // Some collision was resolved by a non-trivial chain.
+  EXPECT_GT(s.policy_chain_len[static_cast<size_t>(policy)].count, 0u);
+  EXPECT_GT(s.kick_chain_len.sum, 0u);
+}
+
+TEST(SpanRecorderTest, TableRecordsEverySpill) {
+  using T = McCuckooTable<uint64_t, uint64_t>;
+  TableRecordsEverySpill<T>(1, EvictionPolicy::kRandomWalk);
+  TableRecordsEverySpill<T>(1, EvictionPolicy::kBfs);
+}
+
+TEST(SpanRecorderTest, TableRecordsEverySpillBlocked) {
+  using T = BlockedMcCuckooTable<uint64_t, uint64_t>;
+  TableRecordsEverySpill<T>(3, EvictionPolicy::kRandomWalk);
+  TableRecordsEverySpill<T>(3, EvictionPolicy::kBfs);
+}
+
+TEST(SpanRecorderTest, TableRecordsEverySpillBaseline) {
+  using T = CuckooTable<uint64_t, uint64_t>;
+  TableRecordsEverySpill<T>(1, EvictionPolicy::kRandomWalk);
+  TableRecordsEverySpill<T>(1, EvictionPolicy::kBfs);  // BFS needs l = 1
+  TableRecordsEverySpill<T>(3, EvictionPolicy::kRandomWalk);
+  TableRecordsEverySpill<T>(3, EvictionPolicy::kBubble);
 }
 
 }  // namespace
