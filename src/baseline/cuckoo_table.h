@@ -547,8 +547,8 @@ class CuckooTable {
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) roots[t] = cand[t];
     // Alloc-free visited mirror (the per-insert unordered_set it replaces
     // was the single largest cost of a successful high-load BFS insert).
-    // If a near-budget search overflows it, dedup degrades to the engine's
-    // frontier scan — a bucket may be re-read, never re-enqueued.
+    // If a near-budget search overflows it, dedup falls to the engine's
+    // own id set — a bucket may be re-read, never re-enqueued.
     std::array<uint64_t, 192> seen;
     size_t seen_n = 0;
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) seen[seen_n++] = roots[t];

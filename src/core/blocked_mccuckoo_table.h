@@ -201,6 +201,7 @@ class BlockedMcCuckooTable
   using Base::AssignInStash;
   using Base::bfs_throttle_;
   using Base::ChargeStashProbe;
+  using Base::AlternateBuckets;
   using Base::ComputeCandidates;
   using Base::EraseFromStash;
   using Base::family_;
@@ -813,9 +814,10 @@ class BlockedMcCuckooTable
           const size_t bucket = slot_idx / l;
           ChargeBucketRead();  // the occupant's record, one bucket fetch
           const Key okey = mem_.slots[slot_idx].key;
-          const Candidates oc = ComputeCandidates(okey);
+          const std::array<size_t, kMaxHashes> oc =
+              AlternateBuckets(okey, bucket);
           for (uint32_t t = 0; t < d; ++t) {
-            const size_t alt = oc.bucket[t];
+            const size_t alt = oc[t];
             if (alt == bucket) continue;
             for (uint32_t s = 0; s < l; ++s) {
               const size_t alt_idx = alt * l + s;

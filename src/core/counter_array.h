@@ -316,68 +316,58 @@ class TagCounterArray {
   }
 
   // --- Atomic update discipline (multi-writer paths) ----------------------
-  // Striped writer locks already guarantee that at most one writer mutates a
-  // given entry, and each entry is its own byte, so two writers never share
-  // a memory location. The CAS forms below are the belt-and-braces contract
-  // the multi-writer paths still want: every counter transition is a single
-  // indivisible byte RMW that can never resurrect a stale tag/tombstone
-  // nibble through a compiler-widened read-modify-write, and TSan observes
-  // them as atomics. They are uncharged — the concurrent paths deliberately
-  // leave the (non-atomic) AccessStats model untouched; the single-writer
-  // paths keep the charged plain accessors above, byte for byte.
+  // Striped writer locks guarantee that at most one writer mutates a given
+  // entry (the entry's bucket stripe is held for every counter, tombstone
+  // and tag change), and each entry is its own byte, so two writers never
+  // share a memory location. Each transition below is therefore a relaxed
+  // atomic load of the byte followed by a relaxed atomic store of the new
+  // byte: no CAS loop is needed, since no other writer can interleave, and
+  // the whole byte is written at once, so a compiler-widened
+  // read-modify-write can never resurrect a stale tag or tombstone nibble.
+  // Optimistic readers see either the old or the new byte (and validate
+  // through the seqlock), and TSan observes the stores as atomics. They
+  // are uncharged — the concurrent paths deliberately leave the
+  // (non-atomic) AccessStats model untouched; the single-writer paths keep
+  // the charged plain accessors above, byte for byte.
 
-  /// Atomically sets counter `i` to `v`, clears any tombstone, keeps the
-  /// tag nibble.
+  /// Sets counter `i` to `v`, clears any tombstone, keeps the tag nibble.
   void AtomicSet(size_t i, uint64_t v) {
     std::atomic_ref<uint8_t> cell(bytes_[i]);
-    uint8_t cur = cell.load(std::memory_order_relaxed);
-    uint8_t next;
-    do {
-      next = static_cast<uint8_t>(
-          (cur & 0xF0u) | (static_cast<uint8_t>(v) & kHdrCounterMask));
-    } while (!cell.compare_exchange_weak(cur, next, std::memory_order_relaxed,
-                                         std::memory_order_relaxed));
+    const uint8_t cur = cell.load(std::memory_order_relaxed);
+    const uint8_t counter = static_cast<uint8_t>(v) & kHdrCounterMask;
+    cell.store(static_cast<uint8_t>((cur & 0xF0u) | counter),
+               std::memory_order_relaxed);
   }
 
-  /// Atomically decrements counter `i` by one (the redundant-copy eviction:
-  /// a pure on-chip decrement). Returns the new counter value. The counter
-  /// must be non-zero and non-tombstoned.
+  /// Decrements counter `i` by one (the redundant-copy eviction: a pure
+  /// on-chip decrement). Returns the new counter value. The counter must
+  /// be non-zero and non-tombstoned.
   uint64_t AtomicDecrement(size_t i) {
     std::atomic_ref<uint8_t> cell(bytes_[i]);
-    uint8_t cur = cell.load(std::memory_order_relaxed);
-    uint8_t next;
-    do {
-      assert((cur & kHdrCounterMask) != 0);
-      assert((cur & kHdrTombBit) == 0);
-      next = static_cast<uint8_t>((cur & ~kHdrCounterMask) |
-                                  ((cur & kHdrCounterMask) - 1));
-    } while (!cell.compare_exchange_weak(cur, next, std::memory_order_relaxed,
-                                         std::memory_order_relaxed));
+    const uint8_t cur = cell.load(std::memory_order_relaxed);
+    assert((cur & kHdrCounterMask) != 0);
+    assert((cur & kHdrTombBit) == 0);
+    const uint8_t next = static_cast<uint8_t>((cur & ~kHdrCounterMask) |
+                                              ((cur & kHdrCounterMask) - 1));
+    cell.store(next, std::memory_order_relaxed);
     return next & kHdrCounterMask;
   }
 
-  /// Atomically marks entry `i` deleted (counter 0, tombstone set, tag
-  /// kept).
+  /// Marks entry `i` deleted (counter 0, tombstone set, tag kept).
   void AtomicMarkDeleted(size_t i) {
     std::atomic_ref<uint8_t> cell(bytes_[i]);
-    uint8_t cur = cell.load(std::memory_order_relaxed);
-    uint8_t next;
-    do {
-      next = static_cast<uint8_t>((cur & 0xF0u) | kHdrTombBit);
-    } while (!cell.compare_exchange_weak(cur, next, std::memory_order_relaxed,
-                                         std::memory_order_relaxed));
+    const uint8_t cur = cell.load(std::memory_order_relaxed);
+    cell.store(static_cast<uint8_t>((cur & 0xF0u) | kHdrTombBit),
+               std::memory_order_relaxed);
   }
 
-  /// Atomically records the occupant's fingerprint, keeping counter and
-  /// tombstone bits.
+  /// Records the occupant's fingerprint, keeping counter and tombstone
+  /// bits.
   void AtomicSetTag(size_t i, uint8_t tag) {
     std::atomic_ref<uint8_t> cell(bytes_[i]);
-    uint8_t cur = cell.load(std::memory_order_relaxed);
-    uint8_t next;
-    do {
-      next = static_cast<uint8_t>((cur & 0x0Fu) | (tag << 4));
-    } while (!cell.compare_exchange_weak(cur, next, std::memory_order_relaxed,
-                                         std::memory_order_relaxed));
+    const uint8_t cur = cell.load(std::memory_order_relaxed);
+    cell.store(static_cast<uint8_t>((cur & 0x0Fu) | (tag << 4)),
+               std::memory_order_relaxed);
   }
 
   /// Bulk on-chip read charge (see BucketHeaderArray::ChargeReads).

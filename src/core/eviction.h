@@ -17,8 +17,9 @@
 #define MCCUCKOO_CORE_EVICTION_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "src/common/packed_array.h"
@@ -126,11 +127,13 @@ uint32_t PickBubbleVictim(const Candidates& buckets, uint32_t d,
 /// ids of the interior chain root..last (every one occupied by a sole
 /// copy) and `terminal` the id that ends it (empty, or redundant-copy for
 /// the multi-copy tables); items shift backward terminal-first, then the
-/// new key lands in node.front(). `nodes_expanded` counts the interior
-/// nodes whose occupant was read to generate children — the search-effort
-/// signal the growth policy and metrics consume.
+/// new key lands in node.front(). `node` views the calling thread's search
+/// storage: it stays valid until that thread's next BfsFindPath call.
+/// `nodes_expanded` counts the interior nodes whose occupant was read to
+/// generate children — the search-effort signal the growth policy and
+/// metrics consume.
 struct BfsPathResult {
-  std::vector<uint64_t> node;
+  std::span<const uint64_t> node;
   uint64_t terminal = 0;
   bool found = false;
   uint32_t nodes_expanded = 0;
@@ -165,8 +168,13 @@ inline uint32_t BfsNodeBudget(uint32_t maxloop) {
 /// `kDeepProbeBudget`. Probes still notice when space opens up (free and
 /// redundant-copy terminals sit at depth 1-2 once erases or growth free
 /// room — the first probe that succeeds restores the full budget). The
-/// throttle never changes *what* is inserted, only how long a doomed
-/// search runs before stashing.
+/// throttle does change what is placed: a 16- or 4-node probe stashes
+/// keys whose shortest chain lies beyond its budget, which the full
+/// budget (48 nodes on the multi-copy tables) would have placed. The
+/// single-writer BFS paths accept that trade. The multi-writer path does
+/// not run the throttle (its streak state is single-writer); a port of it
+/// there lowered the cache benchmark's set_capped hit_ratio by
+/// 0.0007–0.0008 (EXPERIMENTS.md).
 struct BfsThrottle {
   static constexpr uint32_t kDeepTrigger = 8;
   static constexpr uint32_t kProbeBudget = 16;
@@ -183,44 +191,105 @@ struct BfsThrottle {
   void Observe(bool found) { streak = found ? 0 : streak + 1; }
 };
 
+namespace bfs_internal {
+
+/// One enqueued id and the index of the node that emitted it (-1 for a
+/// root).
+struct Node {
+  uint64_t id;
+  int32_t parent;
+};
+
+/// The storage one thread's searches reuse, so a search allocates only
+/// when it outgrows every earlier one on the thread. `seen` is an
+/// open-addressed set of the enqueued ids (linear probing, at most half
+/// full); a slot counts as occupied only when it carries the current
+/// search's stamp, so starting a search clears nothing.
+struct SearchStorage {
+  struct Slot {
+    uint64_t id;
+    uint32_t stamp;
+  };
+
+  std::vector<Node> nodes;
+  std::vector<Slot> seen;
+  std::vector<uint64_t> chain;
+  uint32_t stamp = 0;
+  uint32_t shift = 64;
+
+  void Begin() {
+    nodes.clear();
+    if (seen.empty()) {
+      Rebuild(128);
+    } else if (++stamp == 0) {  // wrapped: forget every old stamp
+      Rebuild(seen.size());
+    }
+  }
+
+  /// Appends (id, parent) unless this search already enqueued `id`.
+  void Enqueue(uint64_t id, int32_t parent) {
+    if (2 * (nodes.size() + 1) > seen.size()) Rebuild(2 * seen.size());
+    if (Insert(id)) nodes.push_back({id, parent});
+  }
+
+ private:
+  bool Insert(uint64_t id) {
+    const size_t mask = seen.size() - 1;
+    for (size_t i = (id * 0x9E3779B97F4A7C15ull) >> shift;;
+         i = (i + 1) & mask) {
+      Slot& s = seen[i];
+      if (s.stamp != stamp) {
+        s = Slot{id, stamp};
+        return true;
+      }
+      if (s.id == id) return false;
+    }
+  }
+
+  /// Resets the set to `cap` (a power of two) empty slots under stamp 1
+  /// and re-adds the ids this search has enqueued so far.
+  void Rebuild(size_t cap) {
+    seen.assign(cap, Slot{0, 0});
+    shift = 64 - static_cast<uint32_t>(std::countr_zero(cap));
+    stamp = 1;
+    for (const Node& n : nodes) Insert(n.id);
+  }
+};
+
+inline SearchStorage& ThreadStorage() {
+  thread_local SearchStorage storage;
+  return storage;
+}
+
+}  // namespace bfs_internal
+
 /// Breadth-first search for the shortest eviction path [3], shared by all
 /// tables that support EvictionPolicy::kBfs. Node ids are opaque (the
 /// single-slot tables pass bucket indices, the blocked table slot
 /// indices). The search starts from `roots` (deduplicated, all assumed
 /// non-terminal) and repeatedly invokes
 ///
-///   expand(id, emit) -> std::optional-like pair (found, terminal_id)
+///   expand(id, emit, terminal)
 ///
 /// which must inspect `id`'s occupant, call `emit(child_id)` for every
-/// non-terminal alternate, and return a terminal id as soon as it sees
-/// one. The engine deduplicates children, bounds the frontier to
-/// `max_nodes` ids, and reconstructs the root..id chain on success. No
-/// table state is mutated during the search: a failed search leaves the
-/// table untouched, which is what keeps the multi-copy stash screen's
-/// all-ones invariant intact on the failure path.
+/// non-terminal alternate, and call `terminal(id)` and return as soon as
+/// it sees a terminal. The engine deduplicates children, bounds the
+/// frontier to `max_nodes` ids, and reconstructs the root..id chain on
+/// success. Its node list and id set live in per-thread storage reused
+/// across searches, so a search makes no heap allocation once the thread
+/// has run one of the same budget. No table state is mutated during the
+/// search: a failed search leaves the table untouched, which is what keeps
+/// the multi-copy stash screen's all-ones invariant intact on the failure
+/// path.
 template <typename ExpandFn>
 BfsPathResult BfsFindPath(const uint64_t* roots, uint32_t n_roots,
                           size_t max_nodes, ExpandFn&& expand) {
-  struct Node {
-    uint64_t id;
-    int32_t parent;  // index into nodes, -1 for roots
-  };
+  bfs_internal::SearchStorage& storage = bfs_internal::ThreadStorage();
+  storage.Begin();
+  const std::vector<bfs_internal::Node>& nodes = storage.nodes;
   BfsPathResult out;
-  // The common search at load <= 95% expands a handful of nodes, so the
-  // hot path must stay allocation-light: a small inline node buffer and
-  // duplicate detection by linear scan (the ids live contiguously in
-  // `nodes`, so scanning them is cheaper than hashing until the frontier
-  // gets genuinely large — which only happens on near-dead-end searches).
-  std::vector<Node> nodes;
-  nodes.reserve(std::min<size_t>(max_nodes, 64));
-  auto enqueued = [&](uint64_t id) {
-    for (const Node& n : nodes) {
-      if (n.id == id) return true;
-    }
-    return false;
-  };
   for (uint32_t i = 0; i < n_roots && nodes.size() < max_nodes; ++i) {
-    if (!enqueued(roots[i])) nodes.push_back({roots[i], -1});
+    storage.Enqueue(roots[i], -1);
   }
   for (size_t head = 0; head < nodes.size(); ++head) {
     ++out.nodes_expanded;
@@ -229,9 +298,8 @@ BfsPathResult BfsFindPath(const uint64_t* roots, uint32_t n_roots,
     expand(
         nodes[head].id,
         [&](uint64_t child) {
-          if (nodes.size() >= max_nodes) return;
-          if (!enqueued(child)) {
-            nodes.push_back({child, static_cast<int32_t>(head)});
+          if (nodes.size() < max_nodes) {
+            storage.Enqueue(child, static_cast<int32_t>(head));
           }
         },
         [&](uint64_t id) {
@@ -241,11 +309,14 @@ BfsPathResult BfsFindPath(const uint64_t* roots, uint32_t n_roots,
     if (found_terminal) {
       out.found = true;
       out.terminal = terminal;
+      std::vector<uint64_t>& chain = storage.chain;
+      chain.clear();
       for (int32_t n = static_cast<int32_t>(head); n >= 0;
            n = nodes[n].parent) {
-        out.node.push_back(nodes[n].id);
+        chain.push_back(nodes[n].id);
       }
-      std::reverse(out.node.begin(), out.node.end());
+      std::reverse(chain.begin(), chain.end());
+      out.node = chain;
       return out;
     }
   }

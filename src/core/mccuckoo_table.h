@@ -75,6 +75,7 @@ class McCuckooTable
                            Value, Hasher, Family> {
   using Base = TableSkeleton<McCuckooTable, Key, Value, Hasher, Family>;
   friend Base;
+  friend struct McCuckooTestPeer;  // corrupts state to prove checks fire
 
  public:
   /// One off-chip bucket: the stored record plus the 1-bit stash flag that
@@ -538,14 +539,16 @@ class McCuckooTable
 
   /// Uncharged bucket store under a held stripe (the concurrent paths run
   /// outside the paper's single-writer access model, so AccessStats stay
-  /// untouched; see the section comment).
+  /// untouched; see the section comment). `tag` is the fingerprint the
+  /// caller already holds — Candidates::tag for the inserted key, the
+  /// stored nibble for a moved occupant — so a store never re-hashes.
   void ConcurrentStoreBucket(SeqlockWriterSet& ws, size_t idx, const Key& key,
-                             const Value& value) {
+                             const Value& value, uint8_t tag) {
     SeqOpenIn(ws, idx);
     Bucket& b = mem_.table[idx];
     b.key = key;
     b.value = value;
-    mem_.counters.AtomicSetTag(idx, family_.TagOf(key));
+    mem_.counters.AtomicSetTag(idx, tag);
   }
 
   void ConcurrentSetFlag(SeqlockWriterSet& ws, size_t idx) {
@@ -664,7 +667,7 @@ class McCuckooTable
     // as counter 0 through PeekCounter and are recycled transparently).
     for (uint32_t t = 0; t < d; ++t) {
       if (mem_.counters.PeekCounter(cand.bucket[t]) == 0) {
-        ConcurrentStoreBucket(ws, cand.bucket[t], key, value);
+        ConcurrentStoreBucket(ws, cand.bucket[t], key, value, cand.tag);
         placed[n_placed++] = cand.bucket[t];
         taken[t] = true;
       }
@@ -683,7 +686,7 @@ class McCuckooTable
       }
       if (best < 0 || best_v < 2 || best_v < n_placed + 2) break;
       if (!ConcurrentOverwriteRedundant(ls, ws, cand.bucket[best], best_v, key,
-                                        value)) {
+                                        value, cand.tag)) {
         taken[best] = true;  // contended victim: consider the next-best
         continue;
       }
@@ -701,39 +704,58 @@ class McCuckooTable
 
   /// OverwriteRedundantCopy under the claim-then-move discipline: try-lock
   /// the victim item's other candidate stripes, identify its copies
-  /// exactly by key compare (the copy-set is frozen — changing it would
-  /// need the victim's stripe, which we hold), decrement them, then
-  /// overwrite. Fails cleanly BEFORE any mutation when a claim fails; on
+  /// exactly (the copy-set is frozen — changing it would need the victim's
+  /// stripe, which we hold), decrement them, then overwrite with (key,
+  /// value, tag). Fails cleanly BEFORE any mutation when a claim fails; on
   /// success the claimed stripes stay held until the operation ends.
+  ///
+  /// The copies are found on-chip first: each carries the victim's counter
+  /// v and tag nibble, and exactly v - 1 of the other candidates are
+  /// copies. So when exactly v - 1 pass that screen they are the copies
+  /// (pigeonhole) and no key is read; only an equal-count occupant whose
+  /// nibble collides costs key compares.
   bool ConcurrentOverwriteRedundant(LockStripeSet& ls, SeqlockWriterSet& ws,
                                     size_t victim_idx, uint64_t v,
-                                    const Key& key, const Value& value) {
+                                    const Key& key, const Value& value,
+                                    uint8_t tag) {
     assert(v >= 2);
+    const uint32_t d = opts_.num_hashes;
     const size_t held_before = ls.held_count();
     const Key victim_key = mem_.table[victim_idx].key;  // stripe held: stable
-    const Candidates vc = ComputeCandidates(victim_key);
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      if (vc.bucket[t] == victim_idx) continue;
-      if (!ls.TryAcquire(locks_->StripeOf(vc.bucket[t]))) {
+    const std::array<size_t, kMaxHashes> vc =
+        AlternateBuckets(victim_key, victim_idx);
+    for (uint32_t t = 0; t < d; ++t) {
+      if (vc[t] == victim_idx) continue;
+      if (!ls.TryAcquire(locks_->StripeOf(vc[t]))) {
         ls.ReleaseSuffix(held_before);
         return false;
       }
     }
+    const uint8_t victim_tag = mem_.counters.PeekTag(victim_idx);
     CopySet others{};
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = vc.bucket[t];
+    for (uint32_t t = 0; t < d; ++t) {
+      const size_t idx = vc[t];
       if (idx == victim_idx) continue;
       if (mem_.counters.PeekCounter(idx) == v &&
-          mem_.table[idx].key == victim_key) {
+          mem_.counters.PeekTag(idx) == victim_tag) {
         others.idx[others.count++] = idx;
       }
+    }
+    if (others.count != v - 1) {
+      uint32_t kept = 0;
+      for (uint32_t i = 0; i < others.count; ++i) {
+        if (mem_.table[others.idx[i]].key == victim_key) {
+          others.idx[kept++] = others.idx[i];
+        }
+      }
+      others.count = kept;
     }
     assert(others.count == v - 1);
     for (uint32_t i = 0; i < others.count; ++i) {
       SeqOpenIn(ws, others.idx[i]);
       mem_.counters.AtomicDecrement(others.idx[i]);
     }
-    ConcurrentStoreBucket(ws, victim_idx, key, value);
+    ConcurrentStoreBucket(ws, victim_idx, key, value, tag);
     return true;
   }
 
@@ -801,9 +823,10 @@ class McCuckooTable
             [&](uint64_t id, auto&& emit, auto&& terminal) {
               const size_t bucket = static_cast<size_t>(id);
               const Key okey = mem_.table[bucket].key;  // racy, re-validated
-              const Candidates oc = ComputeCandidates(okey);
+              const std::array<size_t, kMaxHashes> oc =
+                  AlternateBuckets(okey, bucket);
               for (uint32_t t = 0; t < d; ++t) {
-                const size_t alt = oc.bucket[t];
+                const size_t alt = oc[t];
                 if (alt == bucket) continue;
                 if (mem_.counters.PeekCounter(alt) != 1) {
                   terminal(alt);
@@ -841,20 +864,23 @@ class McCuckooTable
         for (size_t i = path.node.size(); i-- > 0;) {
           const size_t src = static_cast<size_t>(path.node[i]);
           const Bucket moved = mem_.table[src];
+          const uint8_t moved_tag = mem_.counters.PeekTag(src);
           if (dst == static_cast<size_t>(path.terminal)) {
             if (term_v >= 2) {
               if (!ConcurrentOverwriteRedundant(ls, ws, dst, term_v,
-                                                moved.key, moved.value)) {
+                                                moved.key, moved.value,
+                                                moved_tag)) {
                 applied = false;
                 break;
               }
             } else {
-              ConcurrentStoreBucket(ws, dst, moved.key, moved.value);
+              ConcurrentStoreBucket(ws, dst, moved.key, moved.value,
+                                    moved_tag);
             }
             SeqOpenIn(ws, dst);
             mem_.counters.AtomicSet(dst, 1);  // the moved item is a sole copy
           } else {
-            ConcurrentStoreBucket(ws, dst, moved.key, moved.value);
+            ConcurrentStoreBucket(ws, dst, moved.key, moved.value, moved_tag);
             // Counter stays 1: dst already held a sole copy.
           }
           dst = src;
@@ -866,7 +892,7 @@ class McCuckooTable
         continue;
       }
       ConcurrentStoreBucket(ws, static_cast<size_t>(path.node.front()), key,
-                            value);
+                            value, cand.tag);
       size_.FetchAdd(1);
       *chain_len = static_cast<uint32_t>(path.node.size());
       return InsertResult::kInserted;
@@ -902,6 +928,7 @@ class McCuckooTable
   using Base::bfs_throttle_;
   using Base::ChargeStashProbe;
   using Base::CommitRehash;
+  using Base::AlternateBuckets;
   using Base::ComputeCandidates;
   using Base::EraseFromStash;
   using Base::family_;
@@ -1340,9 +1367,10 @@ class McCuckooTable
         [&](uint64_t id, auto&& emit, auto&& terminal) {
           const size_t bucket = static_cast<size_t>(id);
           const Key okey = LoadBucket(bucket).key;  // the one off-chip read
-          const Candidates oc = ComputeCandidates(okey);
+          const std::array<size_t, kMaxHashes> oc =
+              AlternateBuckets(okey, bucket);
           for (uint32_t t = 0; t < d; ++t) {
-            const size_t alt = oc.bucket[t];
+            const size_t alt = oc[t];
             if (alt == bucket) continue;
             const uint64_t c = mem_.counters.Get(alt);
             if (c != 1) {

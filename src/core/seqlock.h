@@ -88,7 +88,7 @@ namespace mccuckoo {
 
 /// Outcome of one optimistic lookup attempt. kContended covers every case
 /// where the attempt cannot be trusted — a writer was (or became) active in
-/// a touched stripe, the probe needs the stash (whose unordered_map must
+/// a touched stripe, the probe needs the stash (whose array must
 /// not be traversed racily), or no version array is attached — and the
 /// caller retries or falls back to the shared lock.
 enum class OptimisticResult : uint8_t { kHit, kMiss, kContended };

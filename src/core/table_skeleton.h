@@ -40,7 +40,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -601,17 +600,20 @@ class TableSkeleton {
     return copies;
   }
 
-  /// Exhaustively checks the structural invariants (uncharged; testing):
-  /// every live slot's occupant hashes to that slot's bucket and carries
-  /// its fingerprint; a key has at most one copy per bucket; all copies of
-  /// a key are identical; every copy's counter equals the key's copy
-  /// count; tombstones only exist in kTombstone mode and always carry a
-  /// zero counter.
+  /// Exhaustively checks the structural invariants (uncharged): every
+  /// live slot's occupant hashes to that slot's bucket and carries its
+  /// fingerprint; a key has at most one copy per bucket; all copies of a
+  /// key are identical; every copy's counter equals the key's copy count;
+  /// tombstones only exist in kTombstone mode and always carry a zero
+  /// counter; size_ counts the distinct keys. One pass over the slots
+  /// with no allocation: each occupied slot counts its key's copies among
+  /// the key's own candidates, and the key is counted as distinct at its
+  /// lowest-indexed copy.
   Status ValidateInvariants() const {
-    std::unordered_map<Key, std::vector<size_t>> copies;
     const uint64_t nb = opts_.buckets_per_table;
     const uint32_t l = opts_.slots_per_bucket;
     const size_t slots = derived().NumBuckets() * l;
+    size_t distinct = 0;
     for (size_t idx = 0; idx < slots; ++idx) {
       const uint64_t c = counters().PeekCounter(idx);
       if (counters().PeekTombstone(idx)) {
@@ -629,59 +631,60 @@ class TableSkeleton {
       if (c > opts_.num_hashes) {
         return Status::Internal("counter exceeds d at " + std::to_string(idx));
       }
-      const Key& k = derived().RecordAt(idx).key;
+      const auto& record = derived().RecordAt(idx);
       const size_t bucket = idx / l;
-      const uint32_t t = static_cast<uint32_t>(bucket / nb);
-      if (family_.Bucket(k, t) != bucket % nb) {
+      const Candidates cand = ComputeCandidates(record.key);
+      if (cand.bucket[bucket / nb] != bucket) {
         return Status::Internal("occupant does not hash to bucket at " +
                                 std::to_string(idx));
       }
       // The probe screens rely on a fingerprint mismatch proving a
       // different key.
-      if (counters().PeekTag(idx) != (family_.TagOf(k) & Derived::kTagMask)) {
+      if (counters().PeekTag(idx) != (cand.tag & Derived::kTagMask)) {
         return Status::Internal("stale fingerprint at " + std::to_string(idx));
       }
-      copies[k].push_back(idx);
-    }
-    for (const auto& [k, positions] : copies) {
-      std::vector<size_t> buckets;
-      for (size_t idx : positions) buckets.push_back(idx / l);
-      std::sort(buckets.begin(), buckets.end());
-      if (std::adjacent_find(buckets.begin(), buckets.end()) !=
-          buckets.end()) {
-        return Status::Internal("two copies of one key in one bucket at " +
-                                std::to_string(positions.front()));
-      }
-      for (size_t idx : positions) {
-        if (counters().PeekCounter(idx) != positions.size()) {
-          return Status::Internal("counter != copy count at " +
-                                  std::to_string(idx));
+      uint64_t copies = 0;
+      size_t first_copy = idx;
+      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+        uint32_t in_bucket = 0;
+        for (uint32_t s = 0; s < l; ++s) {
+          const size_t other = cand.bucket[t] * l + s;
+          if (counters().PeekCounter(other) == 0 ||
+              !(derived().RecordAt(other).key == record.key)) {
+            continue;
+          }
+          if (++in_bucket > 1) {
+            return Status::Internal("two copies of one key in one bucket at " +
+                                    std::to_string(other));
+          }
+          if (!(derived().RecordAt(other).value == record.value)) {
+            return Status::Internal("diverged copy values at " +
+                                    std::to_string(other));
+          }
+          first_copy = std::min(first_copy, other);
+          ++copies;
         }
-        if (!(derived().RecordAt(idx).value ==
-              derived().RecordAt(positions.front()).value)) {
-          return Status::Internal("diverged copy values at " +
-                                  std::to_string(idx));
-        }
       }
+      if (c != copies) {
+        return Status::Internal("counter != copy count at " +
+                                std::to_string(idx));
+      }
+      if (first_copy == idx) ++distinct;
     }
-    if (copies.size() != size_) {
+    if (distinct != size_) {
       return Status::Internal("size_ does not match live distinct keys: " +
                               std::to_string(size_) + " vs " +
-                              std::to_string(copies.size()));
+                              std::to_string(distinct));
     }
     return Status::OK();
   }
 
-  /// Debug-build deep check for the chaos/property harnesses:
-  /// ValidateInvariants plus the stash-screen rule that every stashed
-  /// key's candidate buckets carry the stash flag (flags may be stale-set
-  /// — they are sticky by design — but never missing). Compiles to an
-  /// unconditional OK in NDEBUG builds so release benchmarks can keep the
-  /// call sites.
+  /// The deep check for tests, harnesses and benchmark end-of-run checks,
+  /// in every build type: ValidateInvariants plus the stash-screen rule
+  /// that every stashed key's candidate buckets carry the stash flag
+  /// (flags may be stale-set — they are sticky by design — but never
+  /// missing).
   Status CheckInvariants() const {
-#ifdef NDEBUG
-    return Status::OK();
-#else
     if (Status s = ValidateInvariants(); !s.ok()) return s;
     if (opts_.stash_kind != StashKind::kOffchip) return Status::OK();
     const uint32_t l = opts_.slots_per_bucket;
@@ -713,7 +716,6 @@ class TableSkeleton {
       }
     }
     return Status::OK();
-#endif
   }
 
   /// Read-only view of the auto-growth state machine (tests/diagnostics).
@@ -736,7 +738,7 @@ class TableSkeleton {
   /// What the main-table portion of a statistics-free lookup concluded.
   /// kCheckStash means "miss in the buckets, and the stash screen could not
   /// rule the stash out": the locked path probes the stash, the optimistic
-  /// path bails out instead (the stash's unordered_map must never be
+  /// path bails out instead (the stash's array must never be
   /// traversed concurrently with a writer).
   enum class MainOutcome : uint8_t { kHit, kMiss, kCheckStash };
 
@@ -795,6 +797,22 @@ class TableSkeleton {
     const std::array<uint64_t, kMaxHashes> b = family_.Buckets(key, &c.tag);
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       c.bucket[t] = static_cast<size_t>(t) * opts_.buckets_per_table + b[t];
+    }
+    return c;
+  }
+
+  /// The global candidate buckets of a key that occupies global bucket
+  /// `own`: the entry of own's sub-table is `own` itself, the others are
+  /// hashed (d - 1 evaluations, no fingerprint). The BFS expansions' entry
+  /// point.
+  std::array<size_t, kMaxHashes> AlternateBuckets(const Key& key,
+                                                  size_t own) const {
+    const uint64_t nb = opts_.buckets_per_table;
+    const uint32_t own_t = static_cast<uint32_t>(own / nb);
+    std::array<size_t, kMaxHashes> c{};
+    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+      c[t] = t == own_t ? own
+                        : static_cast<size_t>(t) * nb + family_.Bucket(key, t);
     }
     return c;
   }

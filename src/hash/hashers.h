@@ -9,6 +9,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -68,12 +69,20 @@ struct SplitMixHasher {
   }
 };
 
-/// XXH64-backed hasher (see src/hash/xxhash.h).
+/// XXH64-backed hasher (see src/hash/xxhash.h). 8-byte keys take the
+/// inlined single-lane form; every key hashes to the same value as the
+/// byte-stream XxHash64 over its object representation.
 struct XxHasher {
   template <typename Key>
     requires std::is_trivially_copyable_v<Key>
   uint64_t operator()(const Key& key, uint64_t seed) const {
-    return XxHash64(&key, sizeof(Key), seed);
+    if constexpr (sizeof(Key) == sizeof(uint64_t)) {
+      uint64_t word;
+      std::memcpy(&word, &key, sizeof(word));
+      return XxHash64Word(word, seed);
+    } else {
+      return XxHash64(&key, sizeof(Key), seed);
+    }
   }
   uint64_t operator()(const std::string& key, uint64_t seed) const {
     return XxHash64(key.data(), key.size(), seed);

@@ -6,13 +6,13 @@ namespace mccuckoo {
 
 namespace {
 
-constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull;
-constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
-constexpr uint64_t kP3 = 0x165667B19E3779F9ull;
-constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
-constexpr uint64_t kP5 = 0x27D4EB2F165667C5ull;
-
-inline uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+using xxh64::kP1;
+using xxh64::kP2;
+using xxh64::kP3;
+using xxh64::kP4;
+using xxh64::kP5;
+using xxh64::Rotl;
+using xxh64::Round;
 
 inline uint64_t Load64(const uint8_t* p) {
   uint64_t v;
@@ -24,12 +24,6 @@ inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
-}
-
-inline uint64_t Round(uint64_t acc, uint64_t input) {
-  acc += input * kP2;
-  acc = Rotl(acc, 31);
-  return acc * kP1;
 }
 
 inline uint64_t MergeRound(uint64_t acc, uint64_t val) {
@@ -84,12 +78,7 @@ uint64_t XxHash64(const void* data, size_t len, uint64_t seed) {
     ++p;
   }
 
-  h ^= h >> 33;
-  h *= kP2;
-  h ^= h >> 29;
-  h *= kP3;
-  h ^= h >> 32;
-  return h;
+  return xxh64::Avalanche(h);
 }
 
 }  // namespace mccuckoo

@@ -24,8 +24,9 @@
 //    bump's seq_cst RMW synchronizes-with the reader's guard-entry load,
 //    so the earlier table removal happens-before the reader's lookups and
 //    the reader cannot obtain the retired pointer.
-//  * TryReclaim() frees every queued item whose retire epoch is below the
-//    minimum epoch published by any active guard.
+//  * TryReclaim() frees every queued item whose retire epoch is below both
+//    the minimum epoch published by any active guard and the global epoch
+//    read before that scan (see ReclaimBound).
 //
 // Guard slots come from a fixed pool behind a tagged-Treiber free list, so
 // guards work from any thread with no thread-local registration (and none
@@ -120,28 +121,7 @@ class EpochReclaimer {
   /// Frees every retired item no active guard can still reference.
   /// Returns the number freed. Safe from any thread, including one that
   /// currently holds a Guard (its own epoch simply caps what is freed).
-  size_t TryReclaim() {
-    uint64_t min_active = ~uint64_t{0};
-    for (int i = 0; i < kMaxSlots; ++i) {
-      const uint64_t v = slots_[i].epoch.load(std::memory_order_seq_cst);
-      if (v != kIdle && v < min_active) min_active = v;
-    }
-    std::vector<Retired> free_now;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      size_t w = 0;
-      for (size_t i = 0; i < retired_.size(); ++i) {
-        if (retired_[i].epoch < min_active) {
-          free_now.push_back(retired_[i]);
-        } else {
-          retired_[w++] = retired_[i];
-        }
-      }
-      retired_.resize(w);
-    }
-    for (const Retired& r : free_now) r.deleter(r.ptr);
-    return free_now.size();
-  }
+  size_t TryReclaim() { return FreeRetiredBelow(ReclaimBound()); }
 
   /// Items currently awaiting reclamation (tests / stats).
   size_t retired_pending() const {
@@ -158,6 +138,44 @@ class EpochReclaimer {
     void* ptr;
     void (*deleter)(void*);
   };
+
+  friend struct EpochReclaimerTestPeer;
+
+  /// TryReclaim's first step: the epoch below which no retired item can
+  /// still be referenced. The global epoch is read before the guard scan,
+  /// because the scan is not atomic with the free that follows: a guard
+  /// that enters after the scan may read an item that is retired after it,
+  /// and that item's retire epoch is at least the value read here. Items
+  /// retired before that read were removed from the table before any such
+  /// guard entered, so it cannot hold them.
+  uint64_t ReclaimBound() const {
+    uint64_t bound = global_.load(std::memory_order_seq_cst);
+    for (int i = 0; i < kMaxSlots; ++i) {
+      const uint64_t v = slots_[i].epoch.load(std::memory_order_seq_cst);
+      if (v != kIdle && v < bound) bound = v;
+    }
+    return bound;
+  }
+
+  /// TryReclaim's second step: frees every queued item whose retire epoch
+  /// is below `bound`. Returns the number freed.
+  size_t FreeRetiredBelow(uint64_t bound) {
+    std::vector<Retired> free_now;
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      size_t w = 0;
+      for (size_t i = 0; i < retired_.size(); ++i) {
+        if (retired_[i].epoch < bound) {
+          free_now.push_back(retired_[i]);
+        } else {
+          retired_[w++] = retired_[i];
+        }
+      }
+      retired_.resize(w);
+    }
+    for (const Retired& r : free_now) r.deleter(r.ptr);
+    return free_now.size();
+  }
 
   // Cache-line-sized slots: a guard's epoch publications must not
   // false-share with its neighbours'.

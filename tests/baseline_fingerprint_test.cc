@@ -40,7 +40,8 @@ struct Fingerprint {
   // Policy chains (colliding inserts) and stash-spill spans; 0 under
   // -DMCCUCKOO_NO_METRICS.
   uint64_t trace_events, trace_stashed;
-  uint64_t items_fnv;  // ForEachItem (key, value) stream, slot order
+  uint64_t items_fnv;  // ForEachItem (key, value) stream: slot order, then
+                       // the stash in ascending key order
 
   bool operator==(const Fingerprint&) const = default;
 };
@@ -167,157 +168,157 @@ const Expected kExpected[] = {
       {5317, 2678, 0, 0, 1961, 0},
       {4362, 0, 0, 0, 0, 750},
       {783, 358, 0, 0, 0, 29},
-      343, 645, 0, 33, 20, 717, 358, 146, 33, 0x906892a96fff6bddull}},
+      343, 645, 0, 33, 20, 717, 358, 146, 33, 0xde6859554e3de38dull}},
     {{1, kWalk, kChs},
      {717,
       {5317, 2645, 0, 33, 1961, 0},
       {3612, 0, 750, 0, 0, 750},
       {754, 345, 29, 13, 0, 29},
-      343, 645, 29, 33, 20, 717, 358, 146, 33, 0x906892a96fff6bddull}},
+      343, 645, 29, 33, 20, 717, 358, 146, 33, 0xde6859554e3de38dull}},
     {{1, kMin, kOff},
      {746,
       {6861, 3455, 5585, 2709, 2709, 0},
       {4580, 0, 0, 0, 0, 797},
       {854, 373, 0, 0, 0, 44},
-      343, 674, 0, 51, 23, 746, 373, 167, 51, 0xecd7d7da72074d2dull}},
+      343, 674, 0, 51, 23, 746, 373, 167, 51, 0x922a7417aa5e5fedull}},
     {{1, kMin, kChs},
      {746,
       {6861, 3404, 5585, 2760, 2709, 0},
       {3783, 0, 797, 0, 0, 797},
       {810, 345, 44, 28, 0, 44},
-      343, 674, 47, 51, 23, 746, 373, 167, 51, 0xecd7d7da72074d2dull}},
+      343, 674, 47, 51, 23, 746, 373, 167, 51, 0x922a7417aa5e5fedull}},
     {{1, kBub, kOff},
      {716,
       {5858, 2944, 0, 0, 2228, 0},
       {4354, 0, 0, 0, 0, 744},
       {785, 358, 0, 0, 0, 29},
-      255, 644, 0, 28, 15, 716, 358, 148, 28, 0x45083d80d616a385ull}},
+      255, 644, 0, 28, 15, 716, 358, 148, 28, 0xf516527894e9f165ull}},
     {{1, kBub, kChs},
      {716,
       {5858, 2916, 0, 28, 2228, 0},
       {3610, 0, 744, 0, 0, 744},
       {756, 345, 29, 13, 0, 29},
-      255, 644, 24, 28, 15, 716, 358, 148, 28, 0x45083d80d616a385ull}},
+      255, 644, 24, 28, 15, 716, 358, 148, 28, 0xf516527894e9f165ull}},
     {{1, kBfs, kOff},
      {718,
       {3939, 896, 0, 0, 178, 0},
       {4370, 0, 0, 0, 0, 752},
       {814, 359, 0, 0, 0, 36},
-      343, 646, 0, 34, 14, 718, 359, 143, 34, 0x9ff19b99aabf8cfdull}},
+      343, 646, 0, 34, 14, 718, 359, 143, 34, 0x575dc642d209377dull}},
     {{1, kBfs, kChs},
      {718,
       {3939, 862, 0, 34, 178, 0},
       {3618, 0, 752, 0, 0, 752},
       {778, 339, 36, 20, 0, 36},
-      343, 646, 30, 34, 14, 718, 359, 143, 34, 0x9ff19b99aabf8cfdull}},
+      343, 646, 30, 34, 14, 718, 359, 143, 34, 0x575dc642d209377dull}},
     {{2, kWalk, kOff},
      {765,
       {6435, 3240, 0, 0, 2475, 0},
       {4683, 0, 0, 0, 0, 811},
       {891, 382, 0, 0, 0, 43},
-      406, 693, 0, 46, 19, 765, 382, 139, 46, 0x977d162f3e317f45ull}},
+      406, 693, 0, 46, 19, 765, 382, 139, 46, 0xd3651b72f6903535ull}},
     {{2, kWalk, kChs},
      {765,
       {6435, 3194, 0, 46, 2475, 0},
       {3872, 0, 811, 0, 0, 811},
       {848, 355, 43, 27, 0, 43},
-      406, 693, 42, 46, 19, 765, 382, 139, 46, 0x977d162f3e317f45ull}},
+      406, 693, 42, 46, 19, 765, 382, 139, 46, 0xd3651b72f6903535ull}},
     {{2, kMin, kOff},
      {777,
       {7167, 3612, 5822, 2835, 2835, 0},
       {4779, 0, 0, 0, 0, 835},
       {880, 388, 0, 0, 0, 35},
-      406, 705, 0, 58, 39, 777, 388, 152, 58, 0xddf1d83a8a9cb375ull}},
+      406, 705, 0, 58, 39, 777, 388, 152, 58, 0xdf5d972495c48de5ull}},
     {{2, kMin, kChs},
      {777,
       {7167, 3554, 5822, 2893, 2835, 0},
       {3944, 0, 835, 0, 0, 835},
       {845, 369, 35, 19, 0, 35},
-      406, 705, 54, 58, 39, 777, 388, 152, 58, 0xddf1d83a8a9cb375ull}},
+      406, 705, 54, 58, 39, 777, 388, 152, 58, 0xdf5d972495c48de5ull}},
     {{2, kBub, kOff},
      {779,
       {7735, 3899, 0, 0, 3120, 0},
       {4798, 0, 0, 0, 0, 840},
       {908, 389, 0, 0, 0, 55},
-      378, 707, 0, 61, 22, 779, 389, 158, 61, 0x3382897965bde4f5ull}},
+      378, 707, 0, 61, 22, 779, 389, 158, 61, 0x708ad02ac50a0d15ull}},
     {{2, kBub, kChs},
      {779,
       {7735, 3838, 0, 61, 3120, 0},
       {3958, 0, 840, 0, 0, 840},
       {853, 350, 55, 39, 0, 55},
-      378, 707, 57, 61, 22, 779, 389, 158, 61, 0x3382897965bde4f5ull}},
+      378, 707, 57, 61, 22, 779, 389, 158, 61, 0x708ad02ac50a0d15ull}},
     {{3, kWalk, kOff},
      {774,
       {6666, 3360, 0, 0, 2586, 0},
       {4752, 0, 0, 0, 0, 828},
       {887, 387, 0, 0, 0, 40},
-      514, 702, 0, 54, 30, 774, 387, 135, 54, 0x72508768411fefc5ull}},
+      514, 702, 0, 54, 30, 774, 387, 135, 54, 0x49537692b111fba5ull}},
     {{3, kWalk, kChs},
      {774,
       {6666, 3306, 0, 54, 2586, 0},
       {3924, 0, 828, 0, 0, 828},
       {847, 363, 40, 24, 0, 40},
-      514, 702, 50, 54, 30, 774, 387, 135, 54, 0x72508768411fefc5ull}},
+      514, 702, 50, 54, 30, 774, 387, 135, 54, 0x49537692b111fba5ull}},
     {{3, kMin, kOff},
      {786,
       {7748, 3907, 6394, 3121, 3121, 0},
       {4848, 0, 0, 0, 0, 852},
       {894, 393, 0, 0, 0, 46},
-      514, 714, 0, 66, 36, 786, 393, 152, 66, 0x325f15c721a12625ull}},
+      514, 714, 0, 66, 36, 786, 393, 152, 66, 0x9a37e3f6195dc465ull}},
     {{3, kMin, kChs},
      {786,
       {7748, 3841, 6394, 3187, 3121, 0},
       {3996, 0, 852, 0, 0, 852},
       {848, 363, 46, 30, 0, 46},
-      514, 714, 62, 66, 36, 786, 393, 152, 66, 0x325f15c721a12625ull}},
+      514, 714, 62, 66, 36, 786, 393, 152, 66, 0x9a37e3f6195dc465ull}},
     {{3, kBub, kOff},
      {767,
       {6503, 3275, 0, 0, 2508, 0},
       {4696, 0, 0, 0, 0, 814},
       {879, 383, 0, 0, 0, 40},
-      509, 695, 0, 47, 23, 767, 383, 134, 47, 0x9197af8438e69699ull}},
+      509, 695, 0, 47, 23, 767, 383, 134, 47, 0x32b5e7db79bcebc9ull}},
     {{3, kBub, kChs},
      {767,
       {6503, 3228, 0, 47, 2508, 0},
       {3882, 0, 814, 0, 0, 814},
       {839, 359, 40, 24, 0, 40},
-      509, 695, 43, 47, 23, 767, 383, 134, 47, 0x9197af8438e69699ull}},
+      509, 695, 43, 47, 23, 767, 383, 134, 47, 0x32b5e7db79bcebc9ull}},
     {{4, kWalk, kOff},
      {777,
       {6763, 3410, 0, 0, 2633, 0},
       {4776, 0, 0, 0, 0, 834},
       {913, 388, 0, 0, 0, 42},
-      595, 705, 0, 57, 31, 777, 388, 122, 57, 0xe7edf8c65136b3a5ull}},
+      595, 705, 0, 57, 31, 777, 388, 122, 57, 0x6ad4042b3baa73e5ull}},
     {{4, kWalk, kChs},
      {777,
       {6763, 3353, 0, 57, 2633, 0},
       {3942, 0, 834, 0, 0, 834},
       {871, 362, 42, 26, 0, 42},
-      595, 705, 53, 57, 31, 777, 388, 122, 57, 0xe7edf8c65136b3a5ull}},
+      595, 705, 53, 57, 31, 777, 388, 122, 57, 0x6ad4042b3baa73e5ull}},
     {{4, kMin, kOff},
      {772,
       {6264, 3158, 4886, 2386, 2386, 0},
       {4736, 0, 0, 0, 0, 824},
       {864, 386, 0, 0, 0, 38},
-      595, 700, 0, 52, 30, 772, 386, 114, 52, 0xdd7fef07ba2dcd79ull}},
+      595, 700, 0, 52, 30, 772, 386, 114, 52, 0xca5a30c5886da1d9ull}},
     {{4, kMin, kChs},
      {772,
       {6264, 3106, 4886, 2438, 2386, 0},
       {3912, 0, 824, 0, 0, 824},
       {826, 364, 38, 22, 0, 38},
-      595, 700, 48, 52, 30, 772, 386, 114, 52, 0xdd7fef07ba2dcd79ull}},
+      595, 700, 48, 52, 30, 772, 386, 114, 52, 0xca5a30c5886da1d9ull}},
     {{4, kBub, kOff},
      {780,
       {7439, 3750, 0, 0, 2970, 0},
       {4802, 0, 0, 0, 0, 841},
       {897, 390, 0, 0, 0, 46},
-      493, 708, 0, 61, 31, 780, 390, 134, 61, 0x214ed5d36e7d8f45ull}},
+      493, 708, 0, 61, 31, 780, 390, 134, 61, 0x43be3b5d00e99935ull}},
     {{4, kBub, kChs},
      {780,
       {7439, 3689, 0, 61, 2970, 0},
       {3961, 0, 841, 0, 0, 841},
       {851, 360, 46, 30, 0, 46},
-      493, 708, 57, 61, 31, 780, 390, 134, 61, 0x214ed5d36e7d8f45ull}},
+      493, 708, 57, 61, 31, 780, 390, 134, 61, 0x43be3b5d00e99935ull}},
 };
 
 std::string CaseName(const Case& c) {

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "src/baseline/cuckoo_table.h"
+#include "src/common/rng.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/eviction.h"
 #include "src/core/mccuckoo_table.h"
@@ -340,6 +346,116 @@ TEST(BfsEngineTest, ExhaustsBudgetWithoutTerminal) {
   EXPECT_FALSE(r.found);
   EXPECT_LE(r.nodes_expanded, 8u);
   EXPECT_GT(r.nodes_expanded, 0u);
+}
+
+// The engine as it was before it moved to per-thread storage: a fresh node
+// vector per search and duplicate detection by linear scan. The optimized
+// engine must visit the same nodes in the same order.
+struct ReferenceBfsResult {
+  std::vector<uint64_t> node;
+  uint64_t terminal = 0;
+  bool found = false;
+  uint32_t nodes_expanded = 0;
+};
+
+template <typename ExpandFn>
+ReferenceBfsResult ReferenceBfsFindPath(const uint64_t* roots,
+                                        uint32_t n_roots, size_t max_nodes,
+                                        ExpandFn&& expand) {
+  struct Node {
+    uint64_t id;
+    int32_t parent;
+  };
+  ReferenceBfsResult out;
+  std::vector<Node> nodes;
+  auto enqueued = [&](uint64_t id) {
+    for (const Node& n : nodes) {
+      if (n.id == id) return true;
+    }
+    return false;
+  };
+  for (uint32_t i = 0; i < n_roots && nodes.size() < max_nodes; ++i) {
+    if (!enqueued(roots[i])) nodes.push_back({roots[i], -1});
+  }
+  for (size_t head = 0; head < nodes.size(); ++head) {
+    ++out.nodes_expanded;
+    bool found_terminal = false;
+    uint64_t terminal = 0;
+    expand(
+        nodes[head].id,
+        [&](uint64_t child) {
+          if (nodes.size() >= max_nodes) return;
+          if (!enqueued(child)) {
+            nodes.push_back({child, static_cast<int32_t>(head)});
+          }
+        },
+        [&](uint64_t id) {
+          found_terminal = true;
+          terminal = id;
+        });
+    if (found_terminal) {
+      out.found = true;
+      out.terminal = terminal;
+      for (int32_t n = static_cast<int32_t>(head); n >= 0;
+           n = nodes[n].parent) {
+        out.node.push_back(nodes[n].id);
+      }
+      std::reverse(out.node.begin(), out.node.end());
+      return out;
+    }
+  }
+  return out;
+}
+
+TEST(BfsEngineTest, MatchesLinearScanReferenceOnRandomGraphs) {
+  // Random eviction graphs shaped like the tables': each node has up to
+  // three alternates, a node is terminal by its own (hashed) state, and
+  // small node universes force many duplicate children. Every budget the
+  // tables use (the throttle's 4 and 16, the 48-node cap, a full maxloop
+  // of 500) must give the reference engine's result.
+  Xoshiro256 rng(0xBF5);
+  int found = 0;
+  int searches = 0;
+  for (int graph = 0; graph < 400; ++graph) {
+    const uint64_t universe = 8 + rng.Below(4000);
+    const uint64_t salt = rng.Next();
+    const uint32_t fanout = 1 + static_cast<uint32_t>(rng.Below(3));
+    const uint64_t per_mille_terminal =
+        std::array<uint64_t, 4>{0, 2, 10, 50}[rng.Below(4)];
+    auto expand = [&](uint64_t id, auto&& emit, auto&& terminal) {
+      for (uint32_t j = 0; j < fanout; ++j) {
+        const uint64_t alt = SplitMix64(id * 31 + j + salt) % universe;
+        if (SplitMix64(alt ^ ~salt) % 1000 < per_mille_terminal) {
+          terminal(alt);
+          return;
+        }
+        emit(alt);
+      }
+    };
+    uint64_t roots[kMaxHashes];
+    const uint32_t n_roots = 1 + static_cast<uint32_t>(rng.Below(kMaxHashes));
+    for (uint32_t i = 0; i < n_roots; ++i) roots[i] = rng.Below(universe);
+    for (size_t budget : {4, 16, 48, 500}) {
+      const ReferenceBfsResult want =
+          ReferenceBfsFindPath(roots, n_roots, budget, expand);
+      const BfsPathResult got = BfsFindPath(roots, n_roots, budget, expand);
+      ASSERT_EQ(got.found, want.found) << "graph " << graph << " budget "
+                                       << budget;
+      ASSERT_EQ(got.nodes_expanded, want.nodes_expanded)
+          << "graph " << graph << " budget " << budget;
+      ASSERT_EQ(std::vector<uint64_t>(got.node.begin(), got.node.end()),
+                want.node)
+          << "graph " << graph << " budget " << budget;
+      if (want.found) {
+        ASSERT_EQ(got.terminal, want.terminal);
+        ++found;
+      }
+      ++searches;
+    }
+  }
+  // Both outcomes, and both deep and shallow searches, were exercised.
+  EXPECT_GT(found, searches / 10);
+  EXPECT_LT(found, searches * 9 / 10);
 }
 
 TEST(BfsPolicyTest, OverflowStillGoesToStash) {

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/hash/hashers.h"
 #include "src/hash/murmur3.h"
@@ -48,6 +50,51 @@ TEST(XxHashTest, AvalancheOnBitFlip) {
     changed += __builtin_popcountll(base ^ XxHash64(&flipped, 8, 0));
   }
   EXPECT_NEAR(changed / 64.0, 32.0, 4.0);
+}
+
+TEST(XxHashTest, ReferenceVectors) {
+  // Published XXH64 digests (seed 0) of the canonical test strings.
+  const struct {
+    const char* text;
+    uint64_t digest;
+  } kVectors[] = {
+      {"a", 0xD24EC4F1A98C6E5Bull},
+      {"abc", 0x44BC2CF5AD770999ull},
+      {"Nobody inspects the spammish repetition", 0xFBCEA83C8A378BF1ull},
+  };
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(XxHash64(v.text, std::strlen(v.text), 0), v.digest) << v.text;
+  }
+}
+
+TEST(XxHashTest, InlineEightByteFormMatchesByteStream) {
+  // XxHasher hashes 8-byte keys with the inlined single-lane XXH64; it must
+  // equal the byte-stream XxHash64 over the key's bytes for every key and
+  // seed, including the edge words.
+  const XxHasher hasher;
+  std::vector<uint64_t> keys = {0, 1, ~0ull, 0x8000000000000000ull};
+  uint64_t eight;
+  std::memcpy(&eight, "12345678", 8);
+  keys.push_back(eight);
+  std::vector<uint64_t> seeds = {0, 1, ~0ull, 0x9E3779B97F4A7C15ull};
+  Xoshiro256 rng(0x1DEA);
+  for (int i = 0; i < 2000; ++i) keys.push_back(rng.Next());
+  for (int i = 0; i < 64; ++i) seeds.push_back(rng.Next());
+  for (uint64_t seed : seeds) {
+    for (uint64_t k : keys) {
+      ASSERT_EQ(XxHash64Word(k, seed), XxHash64(&k, 8, seed))
+          << std::hex << k << " seed " << seed;
+      ASSERT_EQ(hasher(k, seed), XxHash64(&k, 8, seed));
+      const int64_t signed_key = static_cast<int64_t>(k);
+      ASSERT_EQ(hasher(signed_key, seed), XxHash64(&signed_key, 8, seed));
+      double as_double;
+      std::memcpy(&as_double, &k, 8);
+      ASSERT_EQ(hasher(as_double, seed), XxHash64(&as_double, 8, seed));
+    }
+  }
+  // Keys of other widths keep the byte-stream path.
+  const uint32_t narrow = 0xDEADBEEF;
+  EXPECT_EQ(hasher(narrow, 7), XxHash64(&narrow, 4, 7));
 }
 
 TEST(Murmur3Test, EmptyInputZeroSeedIsZero) {

@@ -275,27 +275,45 @@ TEST(MovableAtomicTest, CompareExchangeFromZeroWinsExactlyOnce) {
 
 // --- Atomic counter-byte discipline ----------------------------------------
 
-TEST(TagCounterArrayAtomicTest, NibblesNeverClobberEachOther) {
-  // Counter and tag live in one byte; the CAS forms must let concurrent
-  // updates of the two nibbles interleave without either resurrecting a
-  // stale value of the other. Each thread owns one nibble, so each final
-  // nibble value is deterministic.
+TEST(TagCounterArrayAtomicTest, OwnerNibbleUpdatesKeepTheOtherNibble) {
+  // Counter and tag live in one byte, and the stripe protocol makes the
+  // byte's stripe holder its only writer. That owner interleaves tag,
+  // counter, decrement and tombstone updates on byte 3 while other threads
+  // own and hammer the neighbouring bytes: each update must keep the other
+  // nibble, and no neighbour's store may bleed into byte 3.
   TagCounterArray counters(8, 7, nullptr);
   constexpr int kIters = 20000;
-  std::thread tagger([&] {
+  std::thread owner([&] {
     for (int i = 0; i < kIters; ++i) {
-      counters.AtomicSetTag(3, static_cast<uint8_t>(i & 0x0F));
+      const uint8_t tag = static_cast<uint8_t>(i & 0x0F);
+      counters.AtomicSetTag(3, tag);
+      counters.AtomicSet(3, static_cast<uint64_t>(i % 6) + 2);
+      counters.AtomicDecrement(3);
+      if (counters.PeekTag(3) != tag ||
+          counters.PeekCounter(3) != static_cast<uint64_t>(i % 6) + 1) {
+        ADD_FAILURE() << "nibble lost at iteration " << i;
+        return;
+      }
+      counters.AtomicMarkDeleted(3);
+      if (counters.PeekTag(3) != tag || !counters.PeekTombstone(3)) {
+        ADD_FAILURE() << "tombstone update lost the tag at iteration " << i;
+        return;
+      }
     }
     counters.AtomicSetTag(3, 0x0A);
-  });
-  std::thread counterer([&] {
-    for (int i = 0; i < kIters; ++i) {
-      counters.AtomicSet(3, static_cast<uint64_t>(i % 7) + 1);
-    }
     counters.AtomicSet(3, 5);
   });
-  tagger.join();
-  counterer.join();
+  std::vector<std::thread> neighbours;
+  for (size_t n : {size_t{2}, size_t{4}}) {
+    neighbours.emplace_back([&, n] {
+      for (int i = 0; i < kIters; ++i) {
+        counters.AtomicSet(n, static_cast<uint64_t>(i % 7) + 1);
+        counters.AtomicSetTag(n, static_cast<uint8_t>(~i & 0x0F));
+      }
+    });
+  }
+  owner.join();
+  for (auto& t : neighbours) t.join();
   EXPECT_EQ(counters.PeekTag(3), 0x0Au);
   EXPECT_EQ(counters.PeekCounter(3), 5u);
   EXPECT_FALSE(counters.PeekTombstone(3));

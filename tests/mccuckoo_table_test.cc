@@ -3,11 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
+
+/// Reaches into a table's storage to corrupt it on purpose.
+struct McCuckooTestPeer {
+  template <typename T>
+  static size_t Slots(const T& t) {
+    return t.mem_.table.size();
+  }
+  template <typename T>
+  static uint64_t Counter(const T& t, size_t idx) {
+    return t.mem_.counters.PeekCounter(idx);
+  }
+  template <typename T>
+  static void SetCounter(T& t, size_t idx, uint64_t v) {
+    t.mem_.counters.Set(idx, v);
+  }
+};
+
 namespace {
 
 using Table = McCuckooTable<uint64_t, uint64_t>;
@@ -33,6 +51,27 @@ TEST(McCuckooTest, CreateRejectsBadOptions) {
   o.slots_per_bucket = 3;
   EXPECT_FALSE(Table::Create(o).ok());  // blocked layout is a separate type
   EXPECT_TRUE(Table::Create(SmallOptions()).ok());
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesOneCorruptCounterInEveryBuild) {
+  // The check is live in Release too: benchmark end-of-run checks and the
+  // Release test suite depend on it.
+  Table t(SmallOptions());
+  const auto keys = MakeUniqueKeys(1500, 3, 0);
+  for (uint64_t k : keys) t.Insert(k, k + 1);
+  ASSERT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+  size_t victim = 0;
+  while (McCuckooTestPeer::Counter(t, victim) == 0) ++victim;
+  ASSERT_LT(victim, McCuckooTestPeer::Slots(t));
+  const uint64_t c = McCuckooTestPeer::Counter(t, victim);
+  McCuckooTestPeer::SetCounter(t, victim, c == 1 ? 2 : c - 1);
+  const Status s = t.CheckInvariants();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("counter != copy count"), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(t.ValidateInvariants().ok());
+  McCuckooTestPeer::SetCounter(t, victim, c);
+  EXPECT_TRUE(t.CheckInvariants().ok());
 }
 
 TEST(McCuckooTest, EmptyTableFindsNothing) {

@@ -499,6 +499,80 @@ TEST(MultiWriterStressTest, ShardedMultiWriterChurn) {
   }
 }
 
+// Full-load churn with growth off: four writers keep more keys live than
+// the table has slots, so inserts run BFS searches to dead ends and spill
+// to the stash while erases of stashed keys and of sole copies run beside
+// them, all on the plain counter-byte stores of the multi-writer path.
+// After quiescence membership must match the oracle, the table must hold
+// more items than slots (the stash took the overflow) and every shard must
+// pass its invariant check.
+TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 256;
+  o.growth.enabled = false;
+  ShardedMcCuckoo<Table> table(o, /*num_shards=*/2, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
+  constexpr int kWriters = 4;
+  constexpr size_t kKeysPerWriter = 350;
+  constexpr int kOpsPerWriter = 5000;
+  struct Op {
+    bool erase;
+    uint64_t key;
+    uint64_t value;
+  };
+  std::vector<std::vector<Op>> logs(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const auto part =
+          MakeUniqueKeys(kKeysPerWriter, 47, static_cast<uint64_t>(w));
+      auto& log = logs[w];
+      log.reserve(kKeysPerWriter + kOpsPerWriter);
+      for (uint64_t k : part) {  // fill past the slot count first
+        table.InsertOrAssign(k, k);
+        log.push_back({false, k, k});
+      }
+      Xoshiro256 rng(4000 + static_cast<uint64_t>(w));
+      for (int op = 0; op < kOpsPerWriter; ++op) {
+        const uint64_t k = part[FastRange64(rng.Next(), part.size())];
+        if (rng.Next() % 3 == 0) {
+          table.Erase(k);
+          log.push_back({true, k, 0});
+        } else {
+          const uint64_t v = k ^ (static_cast<uint64_t>(op) << 20);
+          table.InsertOrAssign(k, v);
+          log.push_back({false, k, v});
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+
+  std::unordered_map<uint64_t, uint64_t> oracle;
+  for (const auto& log : logs) {
+    for (const Op& op : log) {
+      if (op.erase) {
+        oracle.erase(op.key);
+      } else {
+        oracle[op.key] = op.value;
+      }
+    }
+  }
+  EXPECT_EQ(table.TotalItems(), oracle.size());
+  EXPECT_GT(table.TotalItems(), table.capacity());
+  EXPECT_GT(table.stash_size(), 0u);
+  for (const auto& [k, v] : oracle) {
+    uint64_t got = 0;
+    ASSERT_TRUE(table.Find(k, &got)) << k;
+    EXPECT_EQ(got, v) << k;
+  }
+  for (size_t i = 0; i < table.num_shards(); ++i) {
+    const Status s = table.WithExclusiveShard(
+        i, [](Table& t) { return t.CheckInvariants(); });
+    EXPECT_TRUE(s.ok()) << "shard " << i << ": " << s.ToString();
+  }
+}
+
 // Writers race InsertOrAssign on a few shared hot keys while another thread
 // inserts fresh keys, whose kick chains move the hot keys' copies. Every
 // write stores a value unique to its writer and round and reports the value
