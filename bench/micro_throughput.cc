@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark): raw software throughput of
 // the four schemes plus a std::unordered_map reference. Not a paper figure
 // — the paper's end-to-end numbers are FPGA-based — but useful for judging
-// the pure-software cost of the counter logic.
+// the pure-software cost of the counter logic. One row, insert_grow, fills
+// the cache store's table configuration instead of a SchemeTable.
 //
 // Results are merged into BENCH_throughput.json under the "micro." prefix
 // (see bench/bench_json.h); benchmark names double as the JSON keys.
@@ -14,6 +15,9 @@
 #include <unordered_map>
 
 #include "bench/bench_reporter.h"
+#include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
+#include "src/hash/hashers.h"
 #include "src/obs/metrics.h"
 #include "src/sim/schemes.h"
 #include "src/sim/sweep.h"
@@ -73,6 +77,40 @@ void BM_Insert(benchmark::State& state, SchemeKind kind, double load,
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+// Scalar writes into a growing, DRAM-sized table: the cache store's table
+// configuration (8 shards, multi-writer, optimistic reads, d = 3,
+// kResetCounters, stash on, growth on from 64Ki slots) takes InsertOrAssign
+// of $MCCUCKOO_BENCH_SLOTS (default 4Mi) distinct keys — the write a store
+// SET makes. Unlike the cache-resident insert rows above, every write here
+// misses on its counter and bucket lines, so this row prices how those
+// misses overlap.
+void BM_InsertGrow(benchmark::State& state) {
+  using Table = McCuckooTable<uint64_t, uint64_t, XxHasher>;
+  const auto keys =
+      MakeUniqueKeys(BenchSlotsOrDefault(uint64_t{1} << 22), 7, 5);
+  TableOptions o;
+  o.num_hashes = 3;
+  o.seed = 0x5EEDCAFE;
+  o.buckets_per_table = ((uint64_t{1} << 16) + 2) / 3;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  o.stash_enabled = true;
+  o.growth.enabled = true;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto table = std::make_unique<ShardedMcCuckoo<Table>>(
+        o, 8, ReadMode::kOptimistic, WriteMode::kMultiWriter);
+    state.ResumeTiming();
+    for (const uint64_t k : keys) {
+      benchmark::DoNotOptimize(table->InsertOrAssign(k, k));
+    }
+    state.PauseTiming();
+    table.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
 }
 
 void BM_LookupHit(benchmark::State& state, SchemeKind kind, double load,
@@ -199,6 +237,9 @@ void RegisterAll() {
           ->Iterations(30000);
     }
   }
+  benchmark::RegisterBenchmark("insert_grow.McCuckoo.multi", BM_InsertGrow)
+      ->Iterations(1)
+      ->Repetitions(3);
   // Probe-kernel A/B rows for the blocked multi-copy table: same workload
   // as the plain (kAuto) keys above, pinned to one kernel each, so the
   // recorded JSON carries the simd-vs-scalar delta explicitly. The simd

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/common/bits.h"
+#include "src/common/prefetch.h"
 #include "src/common/status.h"
 #include "src/core/bucket_header.h"
 #include "src/core/config.h"
@@ -149,7 +150,7 @@ class BlockedMcCuckooTable
                               Value* previous = nullptr) {
     CandidateView view;
     Position pos;
-    if (FindInMain(key, ComputeCandidates(key), previous, &view, &pos)) {
+    if (FindInMain(key, StageWriteCandidates(key), previous, &view, &pos)) {
       CopySet copies = LocateAllCopies(key, pos, CounterAt(pos));
       for (uint32_t i = 0; i < copies.count; ++i) {
         WriteSlotValue(copies.pos[i], key, value);
@@ -174,7 +175,7 @@ class BlockedMcCuckooTable
     }
     CandidateView view;
     Position pos;
-    if (FindInMain(key, ComputeCandidates(key), nullptr, &view, &pos)) {
+    if (FindInMain(key, StageWriteCandidates(key), nullptr, &view, &pos)) {
       CopySet copies = LocateAllCopies(key, pos, CounterAt(pos));
       for (uint32_t i = 0; i < copies.count; ++i) {
         SeqOpen(copies.pos[i].bucket);
@@ -203,6 +204,7 @@ class BlockedMcCuckooTable
   using Base::ChargeStashProbe;
   using Base::AlternateBuckets;
   using Base::ComputeCandidates;
+  using Base::StageWriteCandidates;
   using Base::EraseFromStash;
   using Base::family_;
   using Base::kick_history_;
@@ -240,7 +242,8 @@ class BlockedMcCuckooTable
     mem_.flags.ClearAll();
   }
 
-  /// Batch stage 1's prefetches (see TableSkeleton::StageCandidates):
+  /// Batch stage 1's and scalar writes' prefetches (see
+  /// TableSkeleton::StageCandidates and StageWriteCandidates):
   /// every candidate bucket's header and stash-flag word, then its slot
   /// lines (a bucket spans l * sizeof(Slot) bytes, possibly several cache
   /// lines).
@@ -256,7 +259,7 @@ class BlockedMcCuckooTable
         mem_.counters.Prefetch(cand[i].bucket[t] * l);
         // The stash-flag word is consulted during every probed bucket's
         // scan; packed flags make it one explicit line.
-        __builtin_prefetch(mem_.flags.WordAddr(cand[i].bucket[t]), 0, 1);
+        PrefetchLine<0, 1>(mem_.flags.WordAddr(cand[i].bucket[t]));
       }
     }
     const size_t bucket_bytes = static_cast<size_t>(l) * sizeof(Slot);
@@ -266,9 +269,9 @@ class BlockedMcCuckooTable
             reinterpret_cast<const char*>(&mem_.slots[cand[i].bucket[t] * l]);
         for (size_t off = 0; off < bucket_bytes; off += 64) {
           if (for_write) {
-            __builtin_prefetch(base + off, 1, 3);
+            PrefetchLine<1, 3>(base + off);
           } else {
-            __builtin_prefetch(base + off, 0, 1);
+            PrefetchLine<0, 1>(base + off);
           }
         }
       }

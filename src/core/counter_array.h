@@ -22,6 +22,7 @@
 
 #include "src/common/bits.h"
 #include "src/common/packed_array.h"
+#include "src/common/prefetch.h"
 #include "src/core/bucket_header.h"
 #include "src/mem/access_stats.h"
 
@@ -92,8 +93,8 @@ class CounterArray {
   /// software they are ordinary DRAM and the hint is what keeps the modeled
   /// "free" accesses actually cheap.
   void Prefetch(size_t i) const {
-    __builtin_prefetch(counters_.WordAddr(i), 0, 3);
-    __builtin_prefetch(tombstones_.WordAddr(i), 0, 3);
+    PrefetchLine<0, 3>(counters_.WordAddr(i));
+    PrefetchLine<0, 3>(tombstones_.WordAddr(i));
   }
 
   /// Pointer-wise exchange of the packed storage with `other`; each array
@@ -223,7 +224,7 @@ class BucketHeaderArray {
   /// tags, counters and tombstones — the old layout needed two words from
   /// two allocations). Uncharged, as in CounterArray::Prefetch.
   void Prefetch(size_t i) const {
-    __builtin_prefetch(&headers_[i / l_], 0, 3);
+    PrefetchLine<0, 3>(&headers_[i / l_]);
   }
 
   /// Pointer-wise storage exchange; each array keeps its own stats sink
@@ -383,7 +384,7 @@ class TagCounterArray {
   uint8_t PeekTag(size_t i) const { return bytes_[i] >> 4; }
 
   /// Warms entry `i`'s byte. Uncharged, as in CounterArray::Prefetch.
-  void Prefetch(size_t i) const { __builtin_prefetch(&bytes_[i], 0, 3); }
+  void Prefetch(size_t i) const { PrefetchLine<0, 3>(&bytes_[i]); }
 
   /// Pointer-wise storage exchange (see CounterArray::SwapStorage).
   void SwapStorage(TagCounterArray& other) {

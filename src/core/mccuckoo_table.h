@@ -48,6 +48,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/prefetch.h"
 #include "src/common/status.h"
 #include "src/core/config.h"
 #include "src/core/counter_array.h"
@@ -147,7 +148,7 @@ class McCuckooTable
   InsertResult InsertOrAssign(const Key& key, const Value& value,
                               Value* previous = nullptr) {
     CandidateView view;
-    int64_t found = FindInMain(key, ComputeCandidates(key), previous, &view);
+    int64_t found = FindInMain(key, StageWriteCandidates(key), previous, &view);
     if (found >= 0) {
       CopySet copies = LocateAllCopies(key, static_cast<size_t>(found),
                                        view.counter[FindSlot(view, found)]);
@@ -174,7 +175,7 @@ class McCuckooTable
       std::abort();
     }
     CandidateView view;
-    const int64_t found = FindInMain(key, ComputeCandidates(key), nullptr,
+    const int64_t found = FindInMain(key, StageWriteCandidates(key), nullptr,
                                      &view);
     if (found >= 0) {
       const size_t fidx = static_cast<size_t>(found);
@@ -260,7 +261,7 @@ class McCuckooTable
     assert(locks_ != nullptr);
     *wants_growth = false;
     const uint64_t t0 = MetricsNowNs();
-    const Candidates cand = ComputeCandidates(key);
+    const Candidates cand = StageWriteCandidates(key);
     LockStripeSet ls(*locks_, metrics_.get());
     SeqlockWriterSet ws;
     bool collided = false;
@@ -305,7 +306,7 @@ class McCuckooTable
     assert(locks_ != nullptr);
     *wants_growth = false;
     const uint64_t t0 = MetricsNowNs();
-    const Candidates cand = ComputeCandidates(key);
+    const Candidates cand = StageWriteCandidates(key);
     LockStripeSet ls(*locks_, metrics_.get());
     SeqlockWriterSet ws;
     bool collided = false;
@@ -373,7 +374,7 @@ class McCuckooTable
                    "kResetCounters or kTombstone\n");
       std::abort();
     }
-    const Candidates cand = ComputeCandidates(key);
+    const Candidates cand = StageWriteCandidates(key);
     LockStripeSet ls(*locks_, metrics_.get());
     SeqlockWriterSet ws;
     AcquireCandidateStripes(ls, cand);
@@ -930,6 +931,7 @@ class McCuckooTable
   using Base::CommitRehash;
   using Base::AlternateBuckets;
   using Base::ComputeCandidates;
+  using Base::StageWriteCandidates;
   using Base::EraseFromStash;
   using Base::family_;
   using Base::first_collision_items_;
@@ -978,7 +980,8 @@ class McCuckooTable
     }
   }
 
-  /// Batch stage 1's prefetches (see TableSkeleton::StageCandidates).
+  /// Batch stage 1's and scalar writes' prefetches (see
+  /// TableSkeleton::StageCandidates and StageWriteCandidates).
   void PrefetchCandidates(const Candidates* cand, size_t n,
                           bool for_write) const {
     const uint32_t d = opts_.num_hashes;
@@ -992,9 +995,9 @@ class McCuckooTable
     for (size_t i = 0; i < n; ++i) {
       for (uint32_t t = 0; t < d; ++t) {
         if (for_write) {
-          __builtin_prefetch(&mem_.table[cand[i].bucket[t]], 1, 3);
+          PrefetchLine<1, 3>(&mem_.table[cand[i].bucket[t]]);
         } else {
-          __builtin_prefetch(&mem_.table[cand[i].bucket[t]], 0, 1);
+          PrefetchLine<0, 1>(&mem_.table[cand[i].bucket[t]]);
         }
       }
     }

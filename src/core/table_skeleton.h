@@ -13,7 +13,8 @@
 //   RecordAt(slot)                  the record (.key/.value) in a slot
 //   FlagAt(bucket), SetFlag(bucket) the per-bucket stash flag
 //   ClearStashFlags()               clear every flag (charged, seq-opened)
-//   PrefetchCandidates(...)         batch stage 1's layout prefetches
+//   PrefetchCandidates(...)         layout prefetches (batch stage 1,
+//                                   scalar writes)
 //   FindImpl(...)                   the charged lookup
 //   FindNoStatsMain(...)            the statistics-free main-table probe
 //   TryPlace / RandomWalkInsert / BfsInsert   insertion (Algorithm 1)
@@ -84,7 +85,7 @@ class TableSkeleton {
   /// InsertOrAssign when presence is unknown).
   InsertResult Insert(const Key& key, const Value& value) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    return InsertWithCandidates(key, value, ComputeCandidates(key));
+    return InsertWithCandidates(key, value, StageWriteCandidates(key));
   }
 
   /// Looks `key` up; writes the value through `out` when found (out may be
@@ -99,15 +100,17 @@ class TableSkeleton {
 
   // --- Batched operations (software-pipelined) ---------------------------
   //
-  // The scalar operations above pay one dependent miss chain per key:
-  // hash -> counter word -> candidate bucket. The batched variants break
-  // the chain in two stages per tile of up to kBatchTile keys: stage 1
-  // hashes every key and __builtin_prefetch-es all candidate buckets and
-  // their on-chip counter words; stage 2 replays the *unchanged* scalar
-  // per-key logic against now-warm lines. The probe-skipping rules, stash
-  // screening, and AccessStats accounting are bit-identical to a scalar
-  // loop over the same keys (differential-tested) — prefetching only hides
-  // latency, it never reads for the algorithm.
+  // A scalar lookup pays one dependent miss chain per key: hash -> counter
+  // word -> candidate bucket. (A scalar write overlaps its misses instead:
+  // it stages its own candidates, see StageWriteCandidates. Scalar reads
+  // deliberately do not.) The batched variants break the chain in two
+  // stages per tile of up to kBatchTile keys: stage 1 hashes every key and
+  // prefetches all candidate buckets and their on-chip counter words
+  // (PrefetchLine, which the optimizer cannot drop); stage 2 replays the
+  // *unchanged* scalar per-key logic against now-warm lines. The
+  // probe-skipping rules, stash screening, and AccessStats accounting are
+  // bit-identical to a scalar loop over the same keys (differential-tested)
+  // — prefetching only hides latency, it never reads for the algorithm.
 
   /// Internal pipeline depth: tiles bound the candidate scratch space and
   /// keep the prefetch distance within what outstanding-miss buffers cover.
@@ -835,6 +838,22 @@ class TableSkeleton {
       cand[i].tag = tags[i];
     }
     derived().PrefetchCandidates(cand, n, for_write);
+  }
+
+  /// A scalar write's candidates, with the lines the write will touch (the
+  /// candidates' counters, and their buckets for writing) prefetched before
+  /// the write takes a stripe lock or opens a seqlock window: the counter
+  /// and bucket misses then overlap instead of running back to back. Every
+  /// scalar Insert, InsertOrAssign and Erase (and their multi-writer forms)
+  /// starts here. Pure hint, like StageCandidates: nothing is read for the
+  /// algorithm or charged. Scalar reads do not do this on purpose: the
+  /// counter screen exists so a lookup can skip bucket reads, and
+  /// prefetching every candidate bucket would turn those skipped reads into
+  /// real off-chip traffic.
+  Candidates StageWriteCandidates(const Key& key) const {
+    const Candidates cand = ComputeCandidates(key);
+    derived().PrefetchCandidates(&cand, 1, /*for_write=*/true);
+    return cand;
   }
 
   /// FindNoStats body over precomputed candidates (shared with the batched

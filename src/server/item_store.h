@@ -106,8 +106,12 @@ class ItemStore {
                   std::vector<std::string>* values,
                   std::vector<uint8_t>* found);
 
-  /// Inserts or replaces `key`. ttl_seconds 0 = never expires. Fails only
-  /// when the table cannot place the key even after pressure eviction.
+  /// Inserts or replaces `key`. ttl_seconds 0 = never expires. Returns
+  /// ResourceExhausted, with the store as it was before the call (bar the
+  /// pressure eviction that still runs), when the table reports the key
+  /// unplaceable (InsertResult::kFailed: a table whose stash is disabled).
+  /// The store's own table always keeps its stash on, so that needs a
+  /// table configured otherwise.
   Status Set(std::string_view key, std::string_view value,
              uint32_t ttl_seconds);
 
@@ -181,6 +185,13 @@ class ItemStore {
   };
 
   static constexpr size_t kStripes = 64;
+
+  friend class ItemStoreTestPeer;
+
+  /// The store over shard tables built from `table` (the public
+  /// constructor derives it from `options`); tests reach it through
+  /// ItemStoreTestPeer to configure the table in ways the store never does.
+  ItemStore(const ItemStoreOptions& options, const TableOptions& table);
 
   /// Stripe of a key hash. Fibonacci-scrambled so the table's routing and
   /// bucket reductions (which consume high bits of decorrelated seeds)
