@@ -8,7 +8,9 @@
 // refills, then compares what the run produced against values recorded
 // once. Scalar writes prefetch their candidate lines before they start;
 // these pins prove the prefetch never became an algorithmic read: any
-// change to what is read, charged, placed or kicked shows up here.
+// change to what is read, charged, placed or kicked shows up here. A final
+// lookup phase (single-writer tables) pins what Find reads and charges over
+// present, erased and never-inserted keys.
 
 #include <gtest/gtest.h>
 
@@ -78,6 +80,10 @@ struct Fingerprint {
   ResultCounts results;  // every Insert / InsertOrAssign outcome
   uint64_t erase_hits, size, stash_size;
   uint64_t items_fnv;  // ForEachItem (key, value) stream
+  // Lookup phase: Find over present, erased and never-inserted keys.
+  AccessStats lookup;
+  uint64_t lookup_hits;
+  uint64_t lookup_probes;  // lookup_probes.sum; 0 under -DMCCUCKOO_NO_METRICS
 
   bool operator==(const Fingerprint&) const = default;
 };
@@ -89,7 +95,9 @@ std::string Initializer(const Fingerprint& f) {
          StatsInit(f.erase) + ", " + StatsInit(f.refill) + ", " +
          CountsInit(f.results) + ", " + std::to_string(f.erase_hits) + ", " +
          std::to_string(f.size) + ", " + std::to_string(f.stash_size) + ", " +
-         Hex(f.items_fnv) + "}";
+         Hex(f.items_fnv) + ", " + StatsInit(f.lookup) + ", " +
+         std::to_string(f.lookup_hits) + ", " +
+         std::to_string(f.lookup_probes) + "}";
 }
 
 template <typename Table>
@@ -136,10 +144,22 @@ Fingerprint RunSingleWriter(uint32_t slots_per_bucket, EvictionPolicy policy) {
 
   // Refill through InsertOrAssign into the freed slots.
   before = t.stats();
-  for (uint64_t k : MakeUniqueKeys(cap / 3, 11, 3)) {
-    f.results.Add(t.InsertOrAssign(k, k ^ 4));
-  }
+  const std::vector<uint64_t> refill = MakeUniqueKeys(cap / 3, 11, 3);
+  for (uint64_t k : refill) f.results.Add(t.InsertOrAssign(k, k ^ 4));
   f.refill = t.stats() - before;
+
+  // Look every key up once: the original keys (half of them erased), the
+  // erased overfill, the refill, and keys never inserted.
+  before = t.stats();
+  t.ResetMetrics();
+  std::vector<uint64_t> queries(keys.begin(), keys.begin() + n);
+  queries.insert(queries.end(), extra.begin(), extra.end());
+  queries.insert(queries.end(), refill.begin(), refill.end());
+  const std::vector<uint64_t> absent = MakeUniqueKeys(cap / 4, 11, 4);
+  queries.insert(queries.end(), absent.begin(), absent.end());
+  for (uint64_t k : queries) f.lookup_hits += t.Find(k) ? 1 : 0;
+  f.lookup = t.stats() - before;
+  f.lookup_probes = t.SnapshotMetrics().lookup_probes.sum;
 
   f.size = t.size();
   f.stash_size = t.stash_size();
@@ -173,25 +193,29 @@ const Expected kExpected[] = {
       {4364, 4056, 23122, 27, 3424, 8},
       {1180, 40, 3193, 612, 0, 44},
       {987, 721, 4446, 656, 167, 58},
-      {{1537, 380, 78, 0}}, 645, 932, 38, 0x281de225263bc33dull}},
+      {{1537, 380, 78, 0}}, 645, 932, 38, 0x281de225263bc33dull,
+      {3884, 0, 5745, 0, 0, 157}, 970, 3727}},
     {{Layout::kMcCuckoo, kBfs},
      {{2038, 1980, 10096, 2342, 219, 0},
       {1364, 637, 3391, 23, 1, 4},
       {1187, 71, 3131, 582, 0, 76},
       {1073, 639, 3878, 631, 104, 55},
-      {{1535, 380, 80, 0}}, 645, 961, 9, 0xd8395fbb694a58bdull}},
+      {{1535, 380, 80, 0}}, 645, 961, 9, 0xd8395fbb694a58bdull,
+      {3974, 0, 5745, 0, 0, 130}, 970, 3844}},
     {{Layout::kBlocked, kWalk},
      {{1427, 1901, 23889, 2778, 23, 0},
       {2453, 1948, 34381, 113, 1425, 0},
       {1318, 6, 10374, 636, 0, 6},
       {1376, 708, 10083, 917, 5, 2},
-      {{1593, 379, 17, 0}}, 642, 957, 11, 0xca8e53306828a1e4ull}},
+      {{1593, 379, 17, 0}}, 642, 957, 11, 0xca8e53306828a1e4ull,
+      {4651, 0, 17181, 0, 0, 18}, 968, 4633}},
     {{Layout::kBlocked, kBfs},
      {{1429, 1892, 23492, 2778, 14, 0},
       {1726, 578, 12664, 109, 49, 0},
       {1345, 19, 10283, 624, 0, 19},
       {1390, 702, 10206, 928, 2, 0},
-      {{1591, 379, 19, 0}}, 642, 968, 0, 0xdba0af103670e5a4ull}},
+      {{1591, 379, 19, 0}}, 642, 968, 0, 0xdba0af103670e5a4ull,
+      {4624, 0, 17181, 0, 0, 0}, 968, 4624}},
 };
 
 std::string CaseName(const Case& c) {
@@ -205,7 +229,8 @@ class ScalarWriteFingerprintTest : public ::testing::TestWithParam<Expected> {};
 
 TEST_P(ScalarWriteFingerprintTest, MatchesRecordedRun) {
   const Case& c = GetParam().c;
-  const Fingerprint& want = GetParam().f;
+  Fingerprint want = GetParam().f;
+  if constexpr (!kMetricsEnabled) want.lookup_probes = 0;
   const Fingerprint got =
       c.layout == Layout::kMcCuckoo
           ? RunSingleWriter<McCuckooTable<uint64_t, uint64_t>>(1, c.policy)
