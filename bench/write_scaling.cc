@@ -1,5 +1,7 @@
 // Writer scaling: the single-writer lock vs true multi-writer striped
-// locking, both on a one-shard ShardedMcCuckoo.
+// locking, both on a one-shard ShardedMcCuckoo, for both multi-copy
+// layouts (McCuckoo, d = 3 single-slot; B-McCuckoo, d = 3 with 3-slot
+// buckets, about the same slot count).
 //
 // Sweeps thread counts {1,2,4,8} over a pure-update workload (InsertOrAssign
 // on live keys — occupancy fixed, every iteration does comparable work) in
@@ -26,8 +28,10 @@
 // measure the scheduler, not the table.
 //
 // Results merge into BENCH_throughput.json under the "concurrent." prefix
-// (concurrent.write_scaling.{single,multi}.tN); items/sec counts write
-// operations across all threads. 3 repetitions, best recorded.
+// (concurrent.write_scaling.{single,multi}.tN for McCuckoo,
+// concurrent.write_scaling.B-McCuckoo.{single,multi}.tN for B-McCuckoo);
+// items/sec counts write operations across all threads. 3 repetitions,
+// best recorded.
 
 #include <benchmark/benchmark.h>
 
@@ -40,6 +44,7 @@
 
 #include "bench/bench_reporter.h"
 #include "src/common/rng.h"
+#include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
@@ -49,46 +54,44 @@
 namespace mccuckoo {
 namespace {
 
-using Table = McCuckooTable<uint64_t, uint64_t>;
-using Wrapper = ShardedMcCuckoo<Table>;
-
 uint64_t TotalSlots() { return BenchSlotsOrDefault(9ull * 10'000); }
 
 constexpr double kPrefillLoad = 0.6;
 constexpr uint64_t kOpsPerThread = 1 << 14;
 
+/// Both write modes' wrappers over one layout, prefilled with the same
+/// live key set (updates only, no growth).
+template <typename Table>
 struct Fixture {
+  using Wrapper = ShardedMcCuckoo<Table>;
   std::unique_ptr<Wrapper> single;
   std::unique_ptr<Wrapper> multi;
-  std::vector<uint64_t> keys;  // live key set; updates only, no growth
-};
+  std::vector<uint64_t> keys;
 
-Fixture& GetFixture() {
-  static Fixture* f = [] {
-    auto* fx = new Fixture();
+  explicit Fixture(uint32_t slots_per_bucket) {
     TableOptions o;
     o.num_hashes = 3;
-    o.slots_per_bucket = 1;
-    o.buckets_per_table = TotalSlots() / o.num_hashes;
+    o.slots_per_bucket = slots_per_bucket;
+    o.buckets_per_table = TotalSlots() / (o.num_hashes * slots_per_bucket);
     o.maxloop = 500;
     o.seed = 7;
     const size_t live =
         static_cast<size_t>(kPrefillLoad * static_cast<double>(o.capacity()));
-    fx->keys = MakeUniqueKeys(live, 7, 0);
-    std::vector<uint64_t> values(fx->keys.begin(), fx->keys.end());
-    fx->single = std::make_unique<Wrapper>(o, 1);
-    fx->single->InsertBatch(fx->keys, values);
-    fx->multi = std::make_unique<Wrapper>(o, 1, ReadMode::kOptimistic,
-                                          WriteMode::kMultiWriter);
-    for (size_t i = 0; i < fx->keys.size(); ++i) {
-      fx->multi->Insert(fx->keys[i], values[i]);
-    }
-    return fx;
-  }();
-  return *f;
-}
+    keys = MakeUniqueKeys(live, 7, 0);
+    std::vector<uint64_t> values(keys.begin(), keys.end());
+    single = std::make_unique<Wrapper>(o, 1);
+    single->InsertBatch(keys, values);
+    multi = std::make_unique<Wrapper>(o, 1, ReadMode::kOptimistic,
+                                      WriteMode::kMultiWriter);
+    for (size_t i = 0; i < keys.size(); ++i) multi->Insert(keys[i], values[i]);
+  }
+};
+
+using McFixture = Fixture<McCuckooTable<uint64_t, uint64_t>>;
+using BlockedFixture = Fixture<BlockedMcCuckooTable<uint64_t, uint64_t>>;
 
 /// One thread's share of an iteration: kOpsPerThread updates of live keys.
+template <typename Wrapper>
 void RunThread(Wrapper* table, const std::vector<uint64_t>* keys, int tid,
                uint64_t round, const std::atomic<bool>* go) {
   Xoshiro256 rng(SplitMix64(0xBEEF + tid * 1000003 + round));
@@ -101,19 +104,20 @@ void RunThread(Wrapper* table, const std::vector<uint64_t>* keys, int tid,
   }
 }
 
-void BM_WriteScaling(benchmark::State& state, Wrapper* table, int threads) {
-  Fixture& fx = GetFixture();
+template <typename Wrapper>
+void BM_WriteScaling(benchmark::State& state, Wrapper* table,
+                     const std::vector<uint64_t>* keys, int threads) {
   uint64_t round = 0;
   for (auto _ : state) {
     std::atomic<bool> go{false};
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
     for (int t = 1; t < threads; ++t) {
-      pool.emplace_back(RunThread, table, &fx.keys, t, round, &go);
+      pool.emplace_back(RunThread<Wrapper>, table, keys, t, round, &go);
     }
     Stopwatch sw;
     go.store(true, std::memory_order_release);
-    RunThread(table, &fx.keys, 0, round, &go);
+    RunThread(table, keys, 0, round, &go);
     for (auto& th : pool) th.join();
     state.SetIterationTime(sw.ElapsedSeconds());
     ++round;
@@ -122,23 +126,31 @@ void BM_WriteScaling(benchmark::State& state, Wrapper* table, int threads) {
                           threads * kOpsPerThread);
 }
 
-void RegisterAll() {
-  Fixture& fx = GetFixture();  // build tables before any timing starts
+/// Registers one layout's rows, `prefix` + {single,multi}.tN.
+template <typename F>
+void RegisterLayout(F& fx, const std::string& prefix) {
   const unsigned cores = std::thread::hardware_concurrency();
   for (const int threads : {1, 2, 4, 8}) {
     if (threads > 1 && cores < 4) continue;  // see file comment
     const std::string suffix = ".t" + std::to_string(threads);
-    benchmark::RegisterBenchmark(("single" + suffix).c_str(),
-                                 BM_WriteScaling, fx.single.get(), threads)
-        ->Repetitions(3)
-        ->ReportAggregatesOnly(false)
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("multi" + suffix).c_str(),
-                                 BM_WriteScaling, fx.multi.get(), threads)
-        ->Repetitions(3)
-        ->ReportAggregatesOnly(false)
-        ->UseManualTime();
+    for (auto* table : {fx.single.get(), fx.multi.get()}) {
+      const std::string mode = table == fx.single.get() ? "single" : "multi";
+      benchmark::RegisterBenchmark((prefix + mode + suffix).c_str(),
+                                   BM_WriteScaling<typename F::Wrapper>,
+                                   table, &fx.keys, threads)
+          ->Repetitions(3)
+          ->ReportAggregatesOnly(false)
+          ->UseManualTime();
+    }
   }
+}
+
+void RegisterAll() {
+  // Build every table before any timing starts.
+  static McFixture mc(1);
+  static BlockedFixture blocked(3);
+  RegisterLayout(mc, "");
+  RegisterLayout(blocked, "B-McCuckoo.");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #define MCCUCKOO_COMMON_BITS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -51,6 +52,18 @@ class BitArray {
   }
   void Set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
   void Reset(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+
+  /// Relaxed-atomic forms for a word that several threads touch at once,
+  /// each setting or testing bits of its own: Set's plain |= and Test's
+  /// plain load would race those accesses.
+  bool AtomicTest(size_t i) const {
+    return (__atomic_load_n(&words_[i >> 6], __ATOMIC_RELAXED) >> (i & 63)) &
+           1u;
+  }
+  void AtomicSet(size_t i) {
+    std::atomic_ref<uint64_t>(words_[i >> 6])
+        .fetch_or(uint64_t{1} << (i & 63), std::memory_order_relaxed);
+  }
 
   void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
 

@@ -201,6 +201,25 @@ class BucketHeaderArray {
   /// differential tests pin down.
   void SetTag(size_t i, uint8_t tag) { headers_[i / l_].tag[i % l_] = tag; }
 
+  /// Atomic variants for the multi-writer paths, uncharged. Every meta and
+  /// tag byte is its own memory location owned by its bucket's stripe, and
+  /// each update writes the whole byte, so a relaxed atomic store is exact
+  /// (see TagCounterArray's atomic section) while neighbouring headers on
+  /// the same line belong to other writers.
+  void AtomicSet(size_t i, uint64_t v) {
+    std::atomic_ref<uint8_t>(headers_[i / l_].meta[i % l_])
+        .store(static_cast<uint8_t>(v) & kHdrCounterMask,
+               std::memory_order_relaxed);
+  }
+  void AtomicMarkDeleted(size_t i) {
+    std::atomic_ref<uint8_t>(headers_[i / l_].meta[i % l_])
+        .store(kHdrTombBit, std::memory_order_relaxed);
+  }
+  void AtomicSetTag(size_t i, uint8_t tag) {
+    std::atomic_ref<uint8_t>(headers_[i / l_].tag[i % l_])
+        .store(tag, std::memory_order_relaxed);
+  }
+
   /// Bulk on-chip read charge — the lookup paths read whole headers but
   /// must charge exactly what the per-slot model charged (d*l counter
   /// reads, doubled by the tombstone probe in kTombstone mode).

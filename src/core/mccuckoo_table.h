@@ -32,6 +32,11 @@
 // then identifying B's copies inside the value-V partition of B's
 // candidates — by pigeonhole inference when the partition has exactly V
 // members, by further reads otherwise. See LocateOtherCopies().
+//
+// The write engine (TryPlace, LocateOtherCopies, RandomWalkInsert,
+// BfsInsert) is written once against a writer context and compiled for the
+// single writer and for the striped multi-writer protocol; see
+// TableSkeleton's "Writer contexts".
 
 
 #ifndef MCCUCKOO_CORE_MCCUCKOO_TABLE_H_
@@ -41,9 +46,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -54,12 +56,10 @@
 #include "src/core/counter_array.h"
 #include "src/core/eviction.h"
 #include "src/core/growth.h"
-#include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
 #include "src/core/table_skeleton.h"
 #include "src/hash/hash_family.h"
 #include "src/obs/metrics.h"
-#include "src/obs/span_recorder.h"
 
 namespace mccuckoo {
 
@@ -92,7 +92,6 @@ class McCuckooTable
   // Nested aggregates are defined before the operations: the
   // candidate-reusing member signatures below mention them.
   using typename Base::Candidates;
-  using typename Base::MainOutcome;
   using typename Base::ProbeResult;
 
   /// Up to d global indices holding copies of one key.
@@ -124,742 +123,32 @@ class McCuckooTable
              TagCounterArray(options.num_hashes * options.buckets_per_table,
                              options.num_hashes, stats_.get())} {}
 
-  // --- Core operations (Insert, InsertOrAssign, Erase, Find and the
-  // batched forms are TableSkeleton's) -------------------------------------
-
-  /// Attaches (or detaches) the striped writer-lock array for the
-  /// multi-writer path (see lock_stripes.h). Must be congruent with the
-  /// attached SeqlockArray (same sizing hint): holding a lock stripe grants
-  /// exclusive writer rights over the matching seqlock stripe, which is
-  /// what keeps the blind non-RMW version bumps valid under many writers.
-  void AttachLockStripes(LockStripeArray* locks) { locks_ = locks; }
+  // --- Core operations (Insert, InsertOrAssign, Erase, Find, their
+  // batched and multi-writer forms are TableSkeleton's) ---------------------
 
   /// Probe kernel the lookup paths use. The single-slot table screens with
   /// one fingerprint byte per candidate — a header-screened scalar probe;
   /// only the blocked table has whole-bucket headers for the SIMD kernels.
   const char* probe_variant() const { return "scalar"; }
 
-  // ===== Multi-writer (striped-lock) operations ===========================
-  //
-  // The Concurrent* entry points below let many writers mutate the table at
-  // once under an attached LockStripeArray (congruent with the attached
-  // SeqlockArray, see lock_stripes.h). The protocol, in brief:
-  //
-  //  * An operation BLOCK-acquires only its own key's candidate stripes —
-  //    sorted, deduplicated, known up front — plus (last) the aux stripe,
-  //    which is globally maximal. Everything discovered mid-operation (BFS
-  //    chain nodes, the terminal, a displaced victim's other copies) is
-  //    TRY-locked only; a failed try-lock releases the mid-op suffix and
-  //    replans or restarts. Blocking acquisition in ascending order with no
-  //    later blocking waits is deadlock-free by the classic ordering
-  //    argument.
-  //  * Every counter mutation anywhere in the table happens under that
-  //    bucket's stripe. Holding a stripe therefore pins its buckets'
-  //    counters AND the copy-sets of the items in them: displacing a copy
-  //    of item X requires try-locking all of X's other copies first, which
-  //    a holder of any one of them blocks.
-  //  * Eviction runs the BFS engine in plan/validate/apply form regardless
-  //    of the configured policy (the walk policies mutate mid-chain and
-  //    lean on shared RNG/history state). The plan phase reads racily and
-  //    mutates nothing; the chain is then try-claimed and re-validated
-  //    under the claims; the apply phase runs terminal-first, and its only
-  //    fallible step (claiming a redundant terminal occupant's other
-  //    copies) fails before any mutation — so a failure replans cleanly.
-  //  * Seqlock windows for the whole operation are opened in a stack-local
-  //    SeqlockWriterSet and closed *before* the stripe locks are released:
-  //    the next holder of a stripe owns its version cell again only after
-  //    our odd window is closed.
-  //  * These paths charge no AccessStats and record no kick history
-  //    (writer-exclusion structures); TableMetrics and the latency
-  //    recorder are atomic and recorded normally. The stash tail records
-  //    its dead-end and spill spans under the aux stripe.
-  //
-  // Callers (ShardedMcCuckoo in WriteMode::kMultiWriter) hold the shard
-  // lock shared for every operation; growth escalates to the exclusive
-  // side plus a full LockStripeDrain, so in-flight operations never see a
-  // geometry change — which is also why mid-operation bucket indices stay
-  // in bounds.
-
-  /// Multi-writer insert of a key assumed not to be present (same contract
-  /// as Insert: duplicates corrupt the copy invariants). `growth_mu`
-  /// serializes the growth-policy bookkeeping; `*wants_growth` is set when
-  /// the policy asks for a rehash/reseed, which the caller performs under
-  /// full exclusivity via MaybeGrowExclusive().
-  InsertResult ConcurrentInsert(const Key& key, const Value& value,
-                                std::mutex& growth_mu, bool* wants_growth) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    assert(locks_ != nullptr);
-    *wants_growth = false;
-    const uint64_t t0 = MetricsNowNs();
-    const Candidates cand = StageWriteCandidates(key);
-    LockStripeSet ls(*locks_, metrics_.get());
-    SeqlockWriterSet ws;
-    bool collided = false;
-    bool need_restart = false;
-    uint32_t chain_len = 0, bfs_nodes = 0, bfs_budget = 0;
-    InsertResult r;
-    for (;;) {
-      AcquireCandidateStripes(ls, cand);
-      r = ConcurrentPlaceOrEvict(key, value, cand, ls, ws, &collided,
-                                 &need_restart, &chain_len, &bfs_nodes,
-                                 &bfs_budget);
-      if (!need_restart) break;
-      // A redundant candidate's other copies are transiently claimed by
-      // another writer; back off completely (breaking hold-and-wait) and
-      // redo the acquisition. Nothing was mutated, no seq window is open.
-      ls.ReleaseAll();
-      std::this_thread::yield();
-    }
-    ConcurrentFlush(ws, ls);
-    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
-    if (collided) {
-      metrics_->RecordPolicyChain(static_cast<uint32_t>(EvictionPolicy::kBfs),
-                                  chain_len);
-      metrics_->RecordBfsNodes(bfs_nodes);
-    }
-    *wants_growth = ConcurrentGrowthCheck(
-        growth_mu, r != InsertResult::kInserted, chain_len, bfs_nodes,
-        bfs_budget);
-    return r;
-  }
-
-  /// Multi-writer InsertOrAssign: updates every copy in place when the key
-  /// exists (main table or stash), inserts otherwise. The candidate
-  /// stripes stay held across the found/stash/insert decision, so the
-  /// presence check cannot go stale before the insert. `previous` works as
-  /// in InsertOrAssign.
-  InsertResult ConcurrentInsertOrAssign(const Key& key, const Value& value,
-                                        std::mutex& growth_mu,
-                                        bool* wants_growth,
-                                        Value* previous = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    assert(locks_ != nullptr);
-    *wants_growth = false;
-    const uint64_t t0 = MetricsNowNs();
-    const Candidates cand = StageWriteCandidates(key);
-    LockStripeSet ls(*locks_, metrics_.get());
-    SeqlockWriterSet ws;
-    bool collided = false;
-    bool need_restart = false;
-    uint32_t chain_len = 0, bfs_nodes = 0, bfs_budget = 0;
-    InsertResult r;
-    for (;;) {
-      AcquireCandidateStripes(ls, cand);
-      // Re-locate on every (re)acquisition: between restarts another
-      // writer of the same key may have inserted it.
-      ProbeResult facts;
-      const CopySet copies = ConcurrentLocateCopies(key, cand, &facts);
-      if (copies.count > 0) {
-        if (previous != nullptr) *previous = mem_.table[copies.pos[0]].value;
-        for (uint32_t i = 0; i < copies.count; ++i) {
-          // Value-only update: the occupant's key, tag and counter are
-          // already exactly this key's (located under the held stripes).
-          SeqOpenIn(ws, copies.pos[i]);
-          mem_.table[copies.pos[i]].value = value;
-        }
-        ConcurrentFlush(ws, ls);
-        return InsertResult::kUpdated;
-      }
-      if (ShouldProbeStash(facts, cand)) {
-        ls.AcquireAux();
-        const bool in_stash = stash_.Find(key, previous);
-        metrics_->RecordStashProbe(in_stash);
-        if (in_stash) {
-          SeqOpenAuxIn(ws);
-          stash_.Insert(key, value);
-          ConcurrentFlush(ws, ls);
-          return InsertResult::kUpdated;
-        }
-        // Keep aux held through the insert attempt: it is the maximal
-        // stripe and any later AcquireAux is an idempotent no-op.
-      }
-      r = ConcurrentPlaceOrEvict(key, value, cand, ls, ws, &collided,
-                                 &need_restart, &chain_len, &bfs_nodes,
-                                 &bfs_budget);
-      if (!need_restart) break;
-      ls.ReleaseAll();
-      std::this_thread::yield();
-    }
-    ConcurrentFlush(ws, ls);
-    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
-    if (collided) {
-      metrics_->RecordPolicyChain(static_cast<uint32_t>(EvictionPolicy::kBfs),
-                                  chain_len);
-      metrics_->RecordBfsNodes(bfs_nodes);
-    }
-    *wants_growth = ConcurrentGrowthCheck(
-        growth_mu, r != InsertResult::kInserted, chain_len, bfs_nodes,
-        bfs_budget);
-    return r;
-  }
-
-  /// Multi-writer erase: all copies of the key lie among the held
-  /// candidates, so locating them under the stripes is exact.
-  bool ConcurrentErase(const Key& key) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
-    assert(locks_ != nullptr);
-    if (opts_.deletion_mode == DeletionMode::kDisabled) {
-      std::fprintf(stderr,
-                   "McCuckooTable::ConcurrentErase called with "
-                   "DeletionMode::kDisabled; construct the table with "
-                   "kResetCounters or kTombstone\n");
-      std::abort();
-    }
-    const Candidates cand = StageWriteCandidates(key);
-    LockStripeSet ls(*locks_, metrics_.get());
-    SeqlockWriterSet ws;
-    AcquireCandidateStripes(ls, cand);
-    ProbeResult facts;
-    const CopySet copies = ConcurrentLocateCopies(key, cand, &facts);
-    if (copies.count > 0) {
-      for (uint32_t i = 0; i < copies.count; ++i) {
-        SeqOpenIn(ws, copies.pos[i]);
-        if (opts_.deletion_mode == DeletionMode::kTombstone) {
-          mem_.counters.AtomicMarkDeleted(copies.pos[i]);
-        } else {
-          mem_.counters.AtomicSet(copies.pos[i], 0);
-        }
-      }
-      size_.FetchSub(1);
-      ConcurrentFlush(ws, ls);
-      metrics_->RecordErase();
-      return true;
-    }
-    if (ShouldProbeStash(facts, cand)) {
-      ls.AcquireAux();
-      SeqOpenAuxIn(ws);
-      const bool hit = stash_.Erase(key);
-      ConcurrentFlush(ws, ls);
-      metrics_->RecordStashProbe(hit);
-      if (hit) {
-        // Stash items are not counted in size_, so no decrement here.
-        stale_stash_flag_keys_.FetchAdd(1);
-        metrics_->RecordErase();
-        return true;
-      }
-      return false;
-    }
-    ls.ReleaseAll();
-    return false;
-  }
-
-  /// Striped-lock reader fallback for the multi-writer mode: takes the
-  /// key's candidate stripes (blocking, ordered) instead of any table-wide
-  /// lock, so a fallback read waits only for writers touching its own
-  /// candidates. Does not require the wrapper's drain lock: a rehash
-  /// cannot *start* while we hold any stripe (growth drains them all), and
-  /// one that committed between candidate computation and acquisition is
-  /// caught by the epoch check and retried.
-  bool FindStriped(const Key& key, Value* out = nullptr) const {
-    assert(locks_ != nullptr);
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    for (;;) {
-      const uint64_t epoch = rehash_epoch_.load();
-      const uint32_t d = opts_.num_hashes;
-      Candidates cand;
-      bool in_range = true;
-      {
-        // Geometry may be swapping under us until the stripes are held.
-        SeqlockReadCritical crit;
-        cand = ComputeCandidates(key);
-        for (uint32_t t = 0; t < d; ++t) {
-          in_range = in_range && cand.bucket[t] < mem_.table.size();
-        }
-      }
-      if (!in_range) continue;  // torn mid-commit read; retry
-      LockStripeSet ls(*locks_, metrics_.get());
-      {
-        std::array<size_t, kMaxHashes> stripes;
-        for (uint32_t t = 0; t < d; ++t) {
-          stripes[t] = locks_->StripeOf(cand.bucket[t]);
-        }
-        ls.AcquireOrdered(stripes.data(), d);
-      }
-      // The stripe acquisitions are acquire barriers and the committing
-      // rehash bumps the epoch before releasing its drain, so an unchanged
-      // epoch here proves the candidates match the live geometry.
-      if (rehash_epoch_.load() != epoch) continue;
-      Value tmp{};
-      LookupTally tally;
-      MainOutcome mo;
-      {
-        // Neighbouring buckets in the same cache lines may still be
-        // mutated by writers holding *other* stripes.
-        SeqlockReadCritical crit;
-        mo = this->template ProbeAndScreen<false>(key, cand, &tmp, tally);
-      }
-      bool hit = (mo == MainOutcome::kHit);
-      if (mo == MainOutcome::kCheckStash) {
-        ls.AcquireAux();
-        hit = stash_.Find(key, &tmp);
-        tally.RecordStashProbe(hit);
-      }
-      tally.FlushTo(*metrics_);
-      ls.ReleaseAll();
-      if (hit && out != nullptr) *out = tmp;
-      return hit;
-    }
-  }
-
-  /// Growth-policy bookkeeping for one concurrent insert, serialized by
-  /// the wrapper's growth mutex (GrowthPolicy state is not thread-safe).
-  /// Returns true when the policy wants a rehash/reseed; the caller then
-  /// escalates to the exclusive drain and calls MaybeGrowExclusive().
-  bool ConcurrentGrowthCheck(std::mutex& growth_mu, bool overflowed,
-                             uint32_t chain_len, uint32_t bfs_nodes,
-                             uint32_t bfs_budget) {
-    std::lock_guard<std::mutex> g(growth_mu);
-    growth_.ObserveInsert(overflowed, chain_len, opts_.maxloop, bfs_nodes,
-                          bfs_budget);
-    const GrowthDecision d = growth_.Decide(
-        {ApproxTotalItems(), opts_.capacity(), ApproxStashSize(),
-         opts_.buckets_per_table});
-    if (d.action == GrowthAction::kSuppressed) {
-      metrics_->SetGrowthSuppressed(true);
-      return false;
-    }
-    return d.action != GrowthAction::kNone;
-  }
-
-  /// Runs the growth engine under full exclusivity: the caller holds the
-  /// exclusive drain plus every lock stripe (LockStripeDrain). Re-decides
-  /// from scratch, so if a competing writer already grew the table this is
-  /// a no-op.
-  void MaybeGrowExclusive() { MaybeGrow(); }
-
-  /// Racy item-count estimates for growth decisions and wrapper
-  /// introspection (annotated: the stash map may be mutating under aux).
-  size_t ApproxStashSize() const {
-    SeqlockReadCritical crit;
-    return stash_.size();
-  }
-  size_t ApproxTotalItems() const { return size_.load() + ApproxStashSize(); }
-
  private:
-  // --- multi-writer internals --------------------------------------------
-
-  /// Bounded replans for a contended/invalidated BFS chain before the
-  /// operation falls back to the stash.
-  static constexpr int kMaxChainReplans = 3;
-
-  void AcquireCandidateStripes(LockStripeSet& ls, const Candidates& cand) {
-    std::array<size_t, kMaxHashes> stripes;
-    const uint32_t d = opts_.num_hashes;
-    for (uint32_t t = 0; t < d; ++t) {
-      stripes[t] = locks_->StripeOf(cand.bucket[t]);
-    }
-    ls.AcquireOrdered(stripes.data(), d);
-  }
-
-  // Seqlock hooks against a stack-local writer set: concurrent operations
-  // must not share the member seq_open_ (it is single-writer state).
-  void SeqOpenIn(SeqlockWriterSet& ws, size_t bucket_idx) {
-    if (seq_ != nullptr) ws.Open(*seq_, seq_->StripeOf(bucket_idx));
-  }
-  void SeqOpenAuxIn(SeqlockWriterSet& ws) {
-    if (seq_ != nullptr) ws.Open(*seq_, seq_->aux_stripe());
-  }
-
-  /// Publishes the operation's seqlock windows, then releases its stripe
-  /// locks — strictly in that order, so the next stripe holder owns the
-  /// version cells only after our odd windows closed. Also flushes the
-  /// per-operation lock-contention tallies. Safe to call with nothing
-  /// held/open.
-  void ConcurrentFlush(SeqlockWriterSet& ws, LockStripeSet& ls) {
-    if (seq_ != nullptr) ws.CloseAll(*seq_);
-    ls.ReleaseAll();
-  }
-
-  /// Uncharged bucket store under a held stripe (the concurrent paths run
-  /// outside the paper's single-writer access model, so AccessStats stay
-  /// untouched; see the section comment). `tag` is the fingerprint the
-  /// caller already holds — Candidates::tag for the inserted key, the
-  /// stored nibble for a moved occupant — so a store never re-hashes.
-  void ConcurrentStoreBucket(SeqlockWriterSet& ws, size_t idx, const Key& key,
-                             const Value& value, uint8_t tag) {
-    SeqOpenIn(ws, idx);
-    Bucket& b = mem_.table[idx];
-    b.key = key;
-    b.value = value;
-    mem_.counters.AtomicSetTag(idx, tag);
-  }
-
-  void ConcurrentSetFlag(SeqlockWriterSet& ws, size_t idx) {
-    SeqOpenIn(ws, idx);
-    mem_.table[idx].stash_flag = true;
-  }
-
-  /// Exact copy location under held candidate stripes: every copy of `key`
-  /// lives in one of its candidates, whose occupants cannot change while
-  /// the stripes are held. The 4-bit tag, stable under the same stripes,
-  /// screens out other occupants before their key is read, as in the
-  /// lookup probe. Also fills `*facts` for the stash screen. Every
-  /// candidate's flag is stable under the held stripes, so all d count as
-  /// read: a stronger screen than the lookup's, still sound, since a
-  /// stashed key set all d flags.
-  CopySet ConcurrentLocateCopies(const Key& key, const Candidates& cand,
-                                 ProbeResult* facts) {
-    CopySet out{};
-    const uint32_t d = opts_.num_hashes;
-    const uint8_t tag_nibble = cand.tag & kTagMask;
-    facts->read_mask = (1u << d) - 1;
-    for (uint32_t t = 0; t < d; ++t) {
-      const size_t idx = cand.bucket[t];
-      const uint64_t c = mem_.counters.PeekCounter(idx);
-      facts->all_sole = facts->all_sole && c == 1;
-      facts->any_true_empty = facts->any_true_empty ||
-                              (c == 0 && !mem_.counters.PeekTombstone(idx));
-      if (c > 0 && mem_.counters.PeekTag(idx) == tag_nibble &&
-          mem_.table[idx].key == key) {
-        out.pos[out.count++] = idx;
-      }
-    }
-    return out;
-  }
-
-  bool AllCandidatesSoleCopies(const Candidates& cand) const {
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      if (mem_.counters.PeekCounter(cand.bucket[t]) != 1) return false;
-    }
-    return true;
-  }
-
-  /// Place-or-evict body shared by ConcurrentInsert/InsertOrAssign. Called
-  /// with the candidate stripes held. Sets *need_restart (with nothing
-  /// mutated and no seq window open) when a redundant candidate's victim
-  /// copies could not be claimed — the caller releases everything and
-  /// retries, which cannot be done here without breaking lock ordering.
-  InsertResult ConcurrentPlaceOrEvict(const Key& key, const Value& value,
-                                      const Candidates& cand,
-                                      LockStripeSet& ls, SeqlockWriterSet& ws,
-                                      bool* collided, bool* need_restart,
-                                      uint32_t* chain_len, uint32_t* nodes,
-                                      uint32_t* budget) {
-    *collided = false;
-    *need_restart = false;
-    const uint32_t placed = ConcurrentTryPlace(key, value, cand, ls, ws);
-    if (placed > 0) {
-      size_.FetchAdd(1);
-      return InsertResult::kInserted;
-    }
-    if (!AllCandidatesSoleCopies(cand)) {
-      // A candidate still holds a redundant copy we failed to claim. BFS
-      // requires all-ones roots (and so does the stash screen), so this
-      // transient contention must be resolved by a full restart.
-      *need_restart = true;
-      return InsertResult::kFailed;
-    }
-    *collided = true;
-    uint64_t expect_zero = 0;
-    first_collision_items_.CompareExchange(expect_zero,
-                                           ApproxTotalItems() + 1);
-    return ConcurrentBfsInsert(key, value, cand, ls, ws, chain_len, nodes,
-                               budget);
-  }
-
-  /// TryPlace under held candidate stripes. Differences from the
-  /// single-writer form: counter updates go through the CAS accessors, and
-  /// a redundant victim whose other copies cannot be try-claimed is
-  /// skipped rather than waited for (the caller restarts when that leaves
-  /// a non-sole-copy candidate unplaced).
-  uint32_t ConcurrentTryPlace(const Key& key, const Value& value,
-                              const Candidates& cand, LockStripeSet& ls,
-                              SeqlockWriterSet& ws) {
-    const uint32_t d = opts_.num_hashes;
-    std::array<bool, kMaxHashes> taken{};
-    std::array<size_t, kMaxHashes> placed{};
-    uint32_t n_placed = 0;
-    // Principle 1: occupy all the empty candidate buckets (tombstones read
-    // as counter 0 through PeekCounter and are recycled transparently).
-    for (uint32_t t = 0; t < d; ++t) {
-      if (mem_.counters.PeekCounter(cand.bucket[t]) == 0) {
-        ConcurrentStoreBucket(ws, cand.bucket[t], key, value, cand.tag);
-        placed[n_placed++] = cand.bucket[t];
-        taken[t] = true;
-      }
-    }
-    // Principles 2+3, as in TryPlace (re-read each round; never touch 1).
-    while (n_placed < d) {
-      int best = -1;
-      uint64_t best_v = 0;
-      for (uint32_t t = 0; t < d; ++t) {
-        if (taken[t]) continue;
-        const uint64_t cur = mem_.counters.PeekCounter(cand.bucket[t]);
-        if (cur > best_v) {
-          best_v = cur;
-          best = static_cast<int>(t);
-        }
-      }
-      if (best < 0 || best_v < 2 || best_v < n_placed + 2) break;
-      if (!ConcurrentOverwriteRedundant(ls, ws, cand.bucket[best], best_v, key,
-                                        value, cand.tag)) {
-        taken[best] = true;  // contended victim: consider the next-best
-        continue;
-      }
-      placed[n_placed++] = cand.bucket[best];
-      taken[best] = true;
-    }
-    if (n_placed == 0) return 0;
-    for (uint32_t i = 0; i < n_placed; ++i) {
-      SeqOpenIn(ws, placed[i]);
-      mem_.counters.AtomicSet(placed[i], n_placed);
-    }
-    redundant_writes_.FetchAdd(n_placed - 1);
-    return n_placed;
-  }
-
-  /// OverwriteRedundantCopy under the claim-then-move discipline: try-lock
-  /// the victim item's other candidate stripes, identify its copies
-  /// exactly (the copy-set is frozen — changing it would need the victim's
-  /// stripe, which we hold), decrement them, then overwrite with (key,
-  /// value, tag). Fails cleanly BEFORE any mutation when a claim fails; on
-  /// success the claimed stripes stay held until the operation ends.
-  ///
-  /// The copies are found on-chip first: each carries the victim's counter
-  /// v and tag nibble, and exactly v - 1 of the other candidates are
-  /// copies. So when exactly v - 1 pass that screen they are the copies
-  /// (pigeonhole) and no key is read; only an equal-count occupant whose
-  /// nibble collides costs key compares.
-  bool ConcurrentOverwriteRedundant(LockStripeSet& ls, SeqlockWriterSet& ws,
-                                    size_t victim_idx, uint64_t v,
-                                    const Key& key, const Value& value,
-                                    uint8_t tag) {
-    assert(v >= 2);
-    const uint32_t d = opts_.num_hashes;
-    const size_t held_before = ls.held_count();
-    const Key victim_key = mem_.table[victim_idx].key;  // stripe held: stable
-    const std::array<size_t, kMaxHashes> vc =
-        AlternateBuckets(victim_key, victim_idx);
-    for (uint32_t t = 0; t < d; ++t) {
-      if (vc[t] == victim_idx) continue;
-      if (!ls.TryAcquire(locks_->StripeOf(vc[t]))) {
-        ls.ReleaseSuffix(held_before);
-        return false;
-      }
-    }
-    const uint8_t victim_tag = mem_.counters.PeekTag(victim_idx);
-    CopySet others{};
-    for (uint32_t t = 0; t < d; ++t) {
-      const size_t idx = vc[t];
-      if (idx == victim_idx) continue;
-      if (mem_.counters.PeekCounter(idx) == v &&
-          mem_.counters.PeekTag(idx) == victim_tag) {
-        others.pos[others.count++] = idx;
-      }
-    }
-    if (others.count != v - 1) {
-      uint32_t kept = 0;
-      for (uint32_t i = 0; i < others.count; ++i) {
-        if (mem_.table[others.pos[i]].key == victim_key) {
-          others.pos[kept++] = others.pos[i];
-        }
-      }
-      others.count = kept;
-    }
-    assert(others.count == v - 1);
-    for (uint32_t i = 0; i < others.count; ++i) {
-      SeqOpenIn(ws, others.pos[i]);
-      mem_.counters.AtomicDecrement(others.pos[i]);
-    }
-    ConcurrentStoreBucket(ws, victim_idx, key, value, tag);
-    return true;
-  }
-
-  /// Re-validates a racily planned BFS chain under its claimed stripes:
-  /// every interior node must still hold a sole copy whose alternates
-  /// include the next hop (linkage recomputed from the now-stable key).
-  bool ValidateChain(const BfsPathResult& path) const {
-    for (size_t i = 0; i < path.node.size(); ++i) {
-      const size_t bucket = static_cast<size_t>(path.node[i]);
-      if (mem_.counters.PeekCounter(bucket) != 1) return false;
-      const uint64_t next =
-          i + 1 < path.node.size() ? path.node[i + 1] : path.terminal;
-      const Candidates oc = ComputeCandidates(mem_.table[bucket].key);
-      bool linked = false;
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        linked = linked || (oc.bucket[t] == next);
-      }
-      if (!linked) return false;
-    }
-    return true;
-  }
-
-  /// Node budget for one ConcurrentBfsInsert search. While the table's
-  /// growth can still act (enabled and below its size cap), a search may
-  /// expand all of maxloop nodes: with the kBfsMaxNodes cap, a table grown
-  /// by SplitGrow (fewer redundant copies than a rebuilt one) stashes
-  /// inserts from about 0.8 load, and the cache store answers each stashed
-  /// insert with two pressure evictions. Once growth cannot act, searches
-  /// keep the cap: at saturation a full budget makes every doomed insert
-  /// pay maxloop occupant reads.
-  uint32_t ConcurrentBfsBudget() const {
-    const bool growth_can_act =
-        opts_.growth.enabled &&
-        opts_.buckets_per_table < opts_.growth.max_buckets_per_table;
-    return growth_can_act ? opts_.maxloop : BfsNodeBudget(opts_.maxloop);
-  }
-
-  /// BfsInsert in plan/validate/apply form. Entered with the candidate
-  /// stripes held and every candidate a sole copy. The plan phase reads
-  /// racily (annotated) and mutates nothing; indices stay in bounds
-  /// because geometry cannot change while we hold stripes. The claim
-  /// phase try-locks nodes[1..] and the terminal (node[0] is a held
-  /// root); validation re-checks the chain under the claims; the apply
-  /// phase mirrors the single-writer backward shift. Skips the shared
-  /// BfsThrottle (its streak state is single-writer). The node budget is
-  /// ConcurrentBfsBudget(): all of maxloop while growth can still act,
-  /// BfsNodeBudget(maxloop) once it cannot.
-  InsertResult ConcurrentBfsInsert(const Key& key, const Value& value,
-                                   const Candidates& cand, LockStripeSet& ls,
-                                   SeqlockWriterSet& ws, uint32_t* chain_len,
-                                   uint32_t* nodes_out, uint32_t* budget_out) {
-    const uint32_t d = opts_.num_hashes;
-    std::array<uint64_t, kMaxHashes> roots{};
-    for (uint32_t t = 0; t < d; ++t) roots[t] = cand.bucket[t];
-    *budget_out = ConcurrentBfsBudget();
-    *chain_len = 0;
-    *nodes_out = 0;
-    bool dead_end = false;
-    for (int attempt = 0; attempt < kMaxChainReplans; ++attempt) {
-      BfsPathResult path;
-      {
-        SeqlockReadCritical crit;  // unclaimed buckets mutate underneath
-        path = BfsFindPath(
-            roots.data(), d, *budget_out,
-            [&](uint64_t id, auto&& emit, auto&& terminal) {
-              const size_t bucket = static_cast<size_t>(id);
-              const Key okey = mem_.table[bucket].key;  // racy, re-validated
-              const std::array<size_t, kMaxHashes> oc =
-                  AlternateBuckets(okey, bucket);
-              for (uint32_t t = 0; t < d; ++t) {
-                const size_t alt = oc[t];
-                if (alt == bucket) continue;
-                if (mem_.counters.PeekCounter(alt) != 1) {
-                  terminal(alt);
-                  return;
-                }
-                __builtin_prefetch(&mem_.table[alt], 0, 1);
-                emit(alt);
-              }
-            });
-      }
-      *nodes_out += path.nodes_expanded;
-      if (!path.found) {  // genuine dead end: stash below
-        dead_end = true;
-        break;
-      }
-      const size_t held_before = ls.held_count();
-      bool claimed = true;
-      for (size_t i = 1; i < path.node.size() && claimed; ++i) {
-        claimed = ls.TryAcquireChain(locks_->StripeOf(path.node[i]));
-      }
-      if (claimed) {
-        claimed = ls.TryAcquireChain(locks_->StripeOf(path.terminal));
-      }
-      if (claimed) claimed = ValidateChain(path);
-      uint64_t term_v = 0;
-      if (claimed) {
-        term_v = mem_.counters.PeekCounter(path.terminal);
-        if (term_v == 1) claimed = false;  // no longer a terminal
-      }
-      bool applied = claimed;
-      if (claimed) {
-        // Apply backward. The terminal move runs first and is the only
-        // fallible step; its failure leaves the table untouched.
-        size_t dst = static_cast<size_t>(path.terminal);
-        for (size_t i = path.node.size(); i-- > 0;) {
-          const size_t src = static_cast<size_t>(path.node[i]);
-          const Bucket moved = mem_.table[src];
-          const uint8_t moved_tag = mem_.counters.PeekTag(src);
-          if (dst == static_cast<size_t>(path.terminal)) {
-            if (term_v >= 2) {
-              if (!ConcurrentOverwriteRedundant(ls, ws, dst, term_v,
-                                                moved.key, moved.value,
-                                                moved_tag)) {
-                applied = false;
-                break;
-              }
-            } else {
-              ConcurrentStoreBucket(ws, dst, moved.key, moved.value,
-                                    moved_tag);
-            }
-            SeqOpenIn(ws, dst);
-            mem_.counters.AtomicSet(dst, 1);  // the moved item is a sole copy
-          } else {
-            ConcurrentStoreBucket(ws, dst, moved.key, moved.value, moved_tag);
-            // Counter stays 1: dst already held a sole copy.
-          }
-          dst = src;
-        }
-      }
-      if (!applied) {
-        ls.ReleaseSuffix(held_before);
-        std::this_thread::yield();
-        continue;
-      }
-      ConcurrentStoreBucket(ws, static_cast<size_t>(path.node.front()), key,
-                            value, cand.tag);
-      size_.FetchAdd(1);
-      *chain_len = static_cast<uint32_t>(path.node.size());
-      return InsertResult::kInserted;
-    }
-    // Stash tail. The root stripes have been held continuously since
-    // ConcurrentTryPlace proved all-ones and nothing placed since, so the
-    // kDisabled stash screen's precondition holds exactly as in the
-    // single-writer path; the flags land on the held roots themselves.
-    // The aux stripe serializes every stash inserter of the table, and
-    // everything else that touches spans_ runs under the shard's exclusive
-    // lock, so the span ring needs no synchronization of its own here.
-    uint64_t expect_zero = 0;
-    first_failure_items_.CompareExchange(expect_zero, ApproxTotalItems() + 1);
-    ls.AcquireAux();
-    SeqOpenAuxIn(ws);
-    stash_.Insert(key, value);
-    const uint64_t now = MetricsNowNs();
-    if (dead_end) spans_.Record(SpanKind::kBfsDeadEnd, now, now, *nodes_out);
-    spans_.Record(SpanKind::kStashSpill, now, now, stash_.size());
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        ConcurrentSetFlag(ws, cand.bucket[t]);
-      }
-    } else if (stash_.size() > opts_.onchip_stash_capacity) {
-      forced_rehash_events_.FetchAdd(1);
-    }
-    return opts_.stash_enabled ? InsertResult::kStashed
-                               : InsertResult::kFailed;
-  }
-
- private:
-  using Base::bfs_throttle_;
-  using Base::CommitRehash;
   using Base::AlternateBuckets;
+  using Base::ClaimAlternates;
+  using Base::CommitRehash;
   using Base::ComputeCandidates;
-  using Base::StageWriteCandidates;
-  using Base::family_;
-  using Base::first_collision_items_;
-  using Base::first_failure_items_;
-  using Base::forced_rehash_events_;
-  using Base::growth_;
   using Base::kick_history_;
   using Base::kNoBucket;
-  using Base::latency_;
-  using Base::MaybeGrow;
-  using Base::metrics_;
   using Base::opts_;
   using Base::redundant_writes_;
-  using Base::rehash_epoch_;
   using Base::rng_;
   using Base::ScratchRebuild;
-  using Base::seq_;
-  using Base::SeqFlush;
   using Base::SeqOpen;
-  using Base::ShouldProbeStash;
   using Base::size_;
-  using Base::spans_;
-  using Base::stale_stash_flag_keys_;
   using Base::stash_;
+  using Base::StashEmpty;
   using Base::StashOverflow;
   using Base::stats_;
+  using typename Base::ChainStats;
 
   static constexpr const char* kName = "McCuckooTable";
   /// The counter byte keeps the low nibble of a key's 8-bit fingerprint.
@@ -873,6 +162,7 @@ class McCuckooTable
   bool FlagAt(size_t idx) const { return mem_.table[idx].stash_flag; }
   /// A copy set entry is already a global slot (= bucket) index.
   static size_t SlotIndex(size_t idx) { return idx; }
+  static size_t BucketOf(size_t slot) { return slot; }
 
   /// Clears every set stash flag: one charged write per flag changed.
   void ClearStashFlags() {
@@ -998,7 +288,7 @@ class McCuckooTable
     }
     record(-1);
     r.read_mask = read_mask;
-    if (!stash_.empty()) {  // the screen reads the counter facts only then
+    if (!StashEmpty()) {  // the screen reads the counter facts only then
       r.any_true_empty = any_true_empty;
       for (uint32_t t = 0; t < d; ++t) {
         r.all_sole = r.all_sole && counter[t] == 1;
@@ -1014,55 +304,52 @@ class McCuckooTable
                            : Base::Grow(d);
   }
 
-  // --- charged memory choke points --------------------------------------
+  // --- the write engine (one per layout, compiled per writer context) -----
 
-  const Bucket& LoadBucket(size_t idx) {
-    ++stats_->offchip_reads;
-    return mem_.table[idx];
-  }
-
-  void StoreBucket(size_t idx, const Key& key, const Value& value) {
-    SeqOpen(idx);
-    ++stats_->offchip_writes;
+  /// Writes (key, value) into bucket `idx` with its fingerprint `tag` (the
+  /// caller already holds it: Candidates::tag for the inserted key, the
+  /// stored nibble for a moved occupant), in the bucket's seqlock window.
+  /// The stash flag is sticky: preserved across occupant changes.
+  template <typename Ctx>
+  void Store(Ctx& ctx, size_t idx, const Key& key, const Value& value,
+             uint8_t tag) {
+    ctx.Open(idx);
+    ctx.Charge(&AccessStats::offchip_writes);
     Bucket& b = mem_.table[idx];
     b.key = key;
     b.value = value;
-    // stash_flag is sticky: preserved across occupant changes.
-    // The fingerprint publishes inside the same seqlock window as the key
-    // it describes; uncharged (software-layout state, see TagCounterArray).
-    mem_.counters.SetTag(idx, family_.TagOf(key));
+    ctx.SetTag(idx, tag);
   }
 
-  void SetFlag(size_t idx) {
-    SeqOpen(idx);
-    ++stats_->offchip_writes;
+  /// Sets bucket `idx`'s stash flag: one off-chip write. The flag is the
+  /// bucket's own byte, so the bucket's stripe owner stores it plainly.
+  template <typename Ctx>
+  void SetFlag(Ctx& ctx, size_t idx) {
+    ctx.Open(idx);
+    ctx.Charge(&AccessStats::offchip_writes);
     mem_.table[idx].stash_flag = true;
   }
 
-  // --- insertion ---------------------------------------------------------
-
   /// Applies insertion principles 1-3: fills empty candidates, then
   /// overwrites redundant copies in decreasing counter order while
-  /// V >= placed + 2. Returns the number of copies placed (0 = collision).
-  /// Updates counters of placed copies and of every displaced victim.
-  uint32_t TryPlace(const Key& key, const Value& value,
+  /// V >= placed + 2. Returns the number of copies placed (0 = none).
+  /// Updates counters of placed copies and of every displaced victim. A
+  /// victim whose other copies another writer holds is skipped; the caller
+  /// restarts when that leaves a non-sole-copy candidate unplaced.
+  template <typename Ctx>
+  uint32_t TryPlace(Ctx& ctx, const Key& key, const Value& value,
                     const Candidates& cand) {
     const uint32_t d = opts_.num_hashes;
-    std::array<uint64_t, kMaxHashes> cnt{};
     std::array<bool, kMaxHashes> taken{};
-    for (uint32_t t = 0; t < d; ++t) {
-      cnt[t] = mem_.counters.Get(cand.bucket[t]);
-      // Tombstoned entries read as counter 0: "treated as zero for
-      // insertion" (§III.B.3), so principle 1 recycles them transparently.
-    }
-
     std::array<size_t, kMaxHashes> placed{};
     uint32_t n_placed = 0;
 
-    // Principle 1: occupy all the empty candidate buckets.
+    // Principle 1: occupy all the empty candidate buckets. Tombstoned
+    // entries read as counter 0: "treated as zero for insertion"
+    // (§III.B.3), so they are recycled transparently.
     for (uint32_t t = 0; t < d; ++t) {
-      if (cnt[t] == 0) {
-        StoreBucket(cand.bucket[t], key, value);
+      if (ctx.Counter(mem_.counters, cand.bucket[t]) == 0) {
+        Store(ctx, cand.bucket[t], key, value, cand.tag);
         placed[n_placed++] = cand.bucket[t];
         taken[t] = true;
       }
@@ -1077,110 +364,130 @@ class McCuckooTable
       uint64_t best_v = 0;
       for (uint32_t t = 0; t < d; ++t) {
         if (taken[t]) continue;
-        const uint64_t cur = mem_.counters.Get(cand.bucket[t]);
+        const uint64_t cur = ctx.Counter(mem_.counters, cand.bucket[t]);
         if (cur > best_v) {
           best_v = cur;
           best = static_cast<int>(t);
         }
       }
       if (best < 0 || best_v < 2 || best_v < n_placed + 2) break;
-      OverwriteRedundantCopy(cand.bucket[best], best_v, key, value);
-      placed[n_placed++] = cand.bucket[best];
       taken[best] = true;
+      if (OverwriteRedundantCopy(ctx, cand.bucket[best], best_v, key, value,
+                                 cand.tag)) {
+        placed[n_placed++] = cand.bucket[best];
+      }
     }
 
     if (n_placed == 0) return 0;
     for (uint32_t i = 0; i < n_placed; ++i) {
-      SeqOpen(placed[i]);
-      mem_.counters.Set(placed[i], n_placed);
+      ctx.Open(placed[i]);
+      ctx.SetCounter(placed[i], n_placed);
     }
-    redundant_writes_ += n_placed - 1;
+    ctx.Add(redundant_writes_, n_placed - 1);
     return n_placed;
   }
 
   /// Displaces the redundant copy at `victim_idx` (counter `v` >= 2) with
-  /// (key, value), decrementing the victim item's other copies' counters.
-  void OverwriteRedundantCopy(size_t victim_idx, uint64_t v, const Key& key,
-                              const Value& value) {
+  /// (key, value, tag), decrementing the victim item's other copies'
+  /// counters. Fails, before any mutation, when another writer holds one
+  /// of those copies.
+  template <typename Ctx>
+  bool OverwriteRedundantCopy(Ctx& ctx, size_t victim_idx, uint64_t v,
+                              const Key& key, const Value& value,
+                              uint8_t tag) {
     assert(v >= 2);
-    const Key victim_key = LoadBucket(victim_idx).key;  // the Fig-10a read
-    CopySet others = LocateOtherCopies(victim_key, victim_idx, v);
+    ctx.Charge(&AccessStats::offchip_reads);  // the Fig-10a read
+    const Key victim_key = mem_.table[victim_idx].key;
+    const std::array<size_t, kMaxHashes> alt =
+        AlternateBuckets(victim_key, victim_idx);
+    if (!ClaimAlternates(ctx, alt, victim_idx)) return false;
+    const CopySet others = LocateOtherCopies(
+        ctx, victim_key, mem_.counters.PeekTag(victim_idx), alt, victim_idx, v);
     for (uint32_t i = 0; i < others.count; ++i) {
-      SeqOpen(others.pos[i]);
-      mem_.counters.Set(others.pos[i], v - 1);
+      ctx.Open(others.pos[i]);
+      ctx.SetCounter(others.pos[i], v - 1);
     }
-    StoreBucket(victim_idx, key, value);
+    Store(ctx, victim_idx, key, value, tag);
+    return true;
   }
 
   /// Finds the v-1 buckets other than `known_idx` holding copies of `key`
-  /// (whose counter value is `v`). All of them lie in the value-v partition
-  /// of key's candidates; when the partition has exactly v members no reads
-  /// are needed, otherwise members are read until the unread remainder must
-  /// be the key's by pigeonhole.
-  CopySet LocateOtherCopies(const Key& key, size_t known_idx, uint64_t v) {
-    Candidates cand = ComputeCandidates(key);
+  /// (fingerprint nibble `tag`, counter value `v`, claimed candidate
+  /// buckets `cand`). All copies lie in the value-v partition of the
+  /// candidates. They are found on-chip first: exactly
+  /// v - 1 partition members are copies and all carry the tag, so when
+  /// exactly v - 1 members pass the tag screen they are the copies and no
+  /// key is read; only a colliding tag costs key compares. The charges are
+  /// the paper's model, which has no tags: it reads partition members in
+  /// order until the unread remainder must be the key's by pigeonhole.
+  template <typename Ctx>
+  CopySet LocateOtherCopies(Ctx& ctx, const Key& key, uint8_t tag,
+                            const std::array<size_t, kMaxHashes>& cand,
+                            size_t known_idx, uint64_t v) {
     std::array<size_t, kMaxHashes> group{};
+    std::array<bool, kMaxHashes> copy{};
     uint32_t n_group = 0;
+    uint32_t n_tagged = 0;
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = cand.bucket[t];
-      if (idx == known_idx) continue;
-      if (mem_.counters.Get(idx) == v) group[n_group++] = idx;
+      const size_t idx = cand[t];
+      if (idx == known_idx || ctx.Counter(mem_.counters, idx) != v) continue;
+      copy[n_group] = mem_.counters.PeekTag(idx) == tag;
+      n_tagged += copy[n_group];
+      group[n_group++] = idx;
     }
     const uint32_t need = static_cast<uint32_t>(v) - 1;
     assert(n_group >= need);
-
-    CopySet out{};
     uint32_t confirmed = 0;
-    for (uint32_t i = 0; i < n_group && confirmed < need; ++i) {
-      const uint32_t unread = n_group - i;
-      if (unread == need - confirmed) {
-        // Pigeonhole: every remaining partition member must be a copy.
-        for (uint32_t j = i; j < n_group; ++j) {
-          out.pos[out.count++] = group[j];
-          ++confirmed;
-        }
-        break;
+    for (uint32_t i = 0; i < n_group; ++i) {
+      if (n_tagged != need) {
+        copy[i] = copy[i] && mem_.table[group[i]].key == key;
       }
-      if (LoadBucket(group[i]).key == key) {
-        out.pos[out.count++] = group[i];
-        ++confirmed;
+      if (confirmed < need && n_group - i > need - confirmed) {
+        ctx.Charge(&AccessStats::offchip_reads);
+        confirmed += copy[i];
       }
     }
-    assert(confirmed == need);
+    CopySet out{};
+    for (uint32_t i = 0; i < n_group; ++i) {
+      if (copy[i]) out.pos[out.count++] = group[i];
+    }
+    assert(out.count == need);
     return out;
   }
 
-  /// Every copy of `key`, found at `known_idx`, for erase/update: its
-  /// counter (read by the probe, uncharged here) gives the copy count.
-  CopySet LocateAllCopies(const Key& key, size_t known_idx) {
-    CopySet out = LocateOtherCopies(key, known_idx,
-                                    mem_.counters.PeekCounter(known_idx));
+  /// Every copy of `key`, found at `known_idx` among its claimed candidates
+  /// `cand`, for erase/update: its counter (read by the probe, uncharged
+  /// here) gives the copy count.
+  template <typename Ctx>
+  CopySet LocateAllCopies(Ctx& ctx, const Key& key, const Candidates& cand,
+                          size_t known_idx) {
+    CopySet out =
+        LocateOtherCopies(ctx, key, cand.tag & kTagMask, cand.bucket,
+                          known_idx, mem_.counters.PeekCounter(known_idx));
     out.pos[out.count++] = known_idx;
     return out;
   }
 
-  /// Counter-guided random walk (§III.D): at each step, if the in-hand item
-  /// has any empty or redundant candidate the counters reveal it and the
-  /// chain ends immediately; otherwise a sole-copy occupant (never the
-  /// bucket just written) is evicted per the configured policy — uniform
-  /// random, MinCounter's coldest bucket, or bubbling's deterministic
-  /// level cycle. On maxloop overrun the in-hand item gets one final
-  /// placement attempt and is otherwise stashed — candidates provably all
-  /// sole copies — with its flags set (§III.E).
-  InsertResult RandomWalkInsert(Key key, Value value,
+  /// Counter-guided random walk (§III.D), single writer only: at each
+  /// step, if the in-hand item has any empty or redundant candidate the
+  /// counters reveal it and the chain ends immediately; otherwise a
+  /// sole-copy occupant (never the bucket just written) is evicted per the
+  /// configured policy — uniform random, MinCounter's coldest bucket, or
+  /// bubbling's deterministic level cycle. On maxloop overrun the in-hand
+  /// item gets one final placement attempt and is otherwise stashed —
+  /// candidates provably all sole copies — with its flags set (§III.E).
+  template <typename Ctx>
+  InsertResult RandomWalkInsert(Ctx& ctx, Key key, Value value,
                                 uint32_t* chain_len_out) {
     size_t exclude = kNoBucket;
     int32_t from_level = -1;  // bubbling: level the in-hand item left
     uint32_t chain = 0;
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       Candidates cand = ComputeCandidates(key);
-      if (loop > 0) {
-        const uint32_t placed = TryPlace(key, value, cand);
-        if (placed > 0) {
-          ++size_;  // net effect of the whole chain: the original key is in
-          *chain_len_out = chain;
-          return InsertResult::kInserted;
-        }
+      if (loop > 0 && TryPlace(ctx, key, value, cand) > 0) {
+        ctx.Add(size_, size_t{1});  // net effect of the whole chain
+        *chain_len_out = chain;
+        return InsertResult::kInserted;
       }
       // All candidates hold sole copies: evict per the configured policy,
       // avoiding the bucket we just wrote (no immediate ping-pong).
@@ -1191,13 +498,12 @@ class McCuckooTable
               : PickVictim(cand.bucket, opts_.num_hashes, exclude,
                            kick_history_, rng_);
       const size_t idx = cand.bucket[t];
-      const Bucket& victim = LoadBucket(idx);
-      Key vk = victim.key;
-      Value vv = victim.value;
-      StoreBucket(idx, key, value);
+      ctx.Charge(&AccessStats::offchip_reads);
+      Key vk = mem_.table[idx].key;
+      Value vv = mem_.table[idx].value;
+      Store(ctx, idx, key, value, cand.tag);
       // Counter stays 1: the bucket still holds a sole copy.
-      ++stats_->kickouts;
-      if (kick_history_.enabled()) kick_history_.Increment(idx);
+      ctx.Kick(idx);
       exclude = idx;
       from_level = static_cast<int32_t>(t);
       key = std::move(vk);
@@ -1210,25 +516,21 @@ class McCuckooTable
     // candidate lands in the stash, and the kDisabled stash screen — which
     // relies on every stashed key having seen all-ones counters — would
     // veto that key's own lookups.
-    {
-      const Candidates cand = ComputeCandidates(key);
-      const uint32_t placed = TryPlace(key, value, cand);
-      if (placed > 0) {
-        ++size_;
-        *chain_len_out = chain;
-        return InsertResult::kInserted;
-      }
+    *chain_len_out = chain;
+    const Candidates cand = ComputeCandidates(key);
+    if (TryPlace(ctx, key, value, cand) > 0) {
+      ctx.Add(size_, size_t{1});
+      return InsertResult::kInserted;
     }
     // Insertion failure: park the in-hand item in the stash.
-    *chain_len_out = chain;
-    return StashOverflow(key, value);
+    return StashOverflow(ctx, key, value, cand, /*dead_end=*/false, 0);
   }
 
   /// Counter-aware breadth-first search for the shortest eviction chain
-  /// (§III.D crossed with [3]). Entered only when TryPlace placed nothing,
-  /// which proves every candidate of the in-hand key holds a sole copy —
-  /// so all roots are valid interior nodes. The search itself reads one
-  /// off-chip bucket per expanded node (the occupant key, to compute its
+  /// (§III.D crossed with [3]). Entered only when TryPlace placed nothing
+  /// and every candidate of the in-hand key holds a sole copy — so all
+  /// roots are valid interior nodes. The search itself reads one off-chip
+  /// bucket per expanded node (the occupant key, to compute its
   /// alternates) and otherwise steers entirely by the on-chip counters:
   ///
   ///   counter == 0  -> free terminal (empty or tombstoned bucket);
@@ -1238,78 +540,101 @@ class McCuckooTable
   ///                    the single-copy BFS must walk to a true hole;
   ///   counter == 1  -> interior node, children = occupant's alternates.
   ///
-  /// On success the chain shifts backward terminal-first under open seqlock
-  /// stripes (published by the caller's single SeqFlush). On failure the
-  /// table is untouched — BfsFindPath mutates nothing — so the stash tail
-  /// inherits the all-ones invariant directly from the TryPlace screen.
-  InsertResult BfsInsert(const Key& key, const Value& value,
-                         const Candidates& cand, uint32_t* chain_len_out,
-                         uint32_t* nodes_out, uint32_t* budget_out) {
+  /// The search mutates nothing (a striped writer runs it racily over
+  /// unclaimed buckets). The chain is then claimed and checked
+  /// (ctx.ClaimChain) and shifted backward terminal-first under open
+  /// seqlock stripes, published by the caller's ctx.Finish(). On a dead
+  /// end the table is untouched, so the stash tail inherits the all-ones
+  /// invariant directly from the TryPlace screen; a striped writer also
+  /// stashes after kChainAttempts contended chains.
+  template <typename Ctx>
+  InsertResult BfsInsert(Ctx& ctx, const Key& key, const Value& value,
+                         const Candidates& cand, ChainStats* chain) {
     const uint32_t d = opts_.num_hashes;
     std::array<uint64_t, kMaxHashes> roots{};
     for (uint32_t t = 0; t < d; ++t) roots[t] = cand.bucket[t];
-    *budget_out = bfs_throttle_.Budget(BfsNodeBudget(opts_.maxloop));
-    const BfsPathResult path = BfsFindPath(
-        roots.data(), d, *budget_out,
-        [&](uint64_t id, auto&& emit, auto&& terminal) {
-          const size_t bucket = static_cast<size_t>(id);
-          const Key okey = LoadBucket(bucket).key;  // the one off-chip read
-          const std::array<size_t, kMaxHashes> oc =
-              AlternateBuckets(okey, bucket);
-          for (uint32_t t = 0; t < d; ++t) {
-            const size_t alt = oc[t];
-            if (alt == bucket) continue;
-            const uint64_t c = mem_.counters.Get(alt);
-            if (c != 1) {
-              terminal(alt);  // 0 = free, >= 2 = redundant copy
-              return;
-            }
-            // The child will be expanded (one occupant read) a few
-            // iterations from now: issuing the fetch here overlaps the
-            // DRAM latency of the whole frontier instead of paying one
-            // serial miss per expanded node.
-            __builtin_prefetch(&mem_.table[alt], 0, 1);
-            emit(alt);
-          }
-        });
-    *nodes_out = path.nodes_expanded;
-    bfs_throttle_.Observe(path.found);
-    if (!path.found) {
-      *chain_len_out = 0;
-      spans_.RecordInstant(SpanKind::kBfsDeadEnd, path.nodes_expanded);
-      return StashOverflow(key, value);
-    }
-    // Apply the chain backward: the last interior occupant moves into the
-    // terminal, each predecessor into its successor, and the new key lands
-    // in the root. Every interior occupant is a sole copy (counter 1), so
-    // moves are plain bucket stores; only the terminal changes counters.
-    size_t dst = static_cast<size_t>(path.terminal);
-    const uint64_t term_v = mem_.counters.PeekCounter(dst);
-    for (size_t i = path.node.size(); i-- > 0;) {
-      const size_t src = static_cast<size_t>(path.node[i]);
-      const Bucket moved = mem_.table[src];  // read during the search
-      if (dst == static_cast<size_t>(path.terminal)) {
-        if (term_v >= 2) {
-          // Redundant terminal: displace one copy of the occupant, which
-          // decrements its other copies' counters (zero relocations).
-          OverwriteRedundantCopy(dst, term_v, moved.key, moved.value);
-        } else {
-          StoreBucket(dst, moved.key, moved.value);
-        }
-        SeqOpen(dst);
-        mem_.counters.Set(dst, 1);  // the moved item is a sole copy
-      } else {
-        StoreBucket(dst, moved.key, moved.value);
-        // Counter stays 1: dst already held a sole copy.
+    chain->budget = ctx.BfsBudget();
+    bool dead_end = false;
+    for (int attempt = 0; attempt < Ctx::kChainAttempts; ++attempt) {
+      BfsPathResult path;
+      {
+        SeqlockReadCritical crit;  // unclaimed buckets mutate underneath
+        path = BfsFindPath(
+            roots.data(), d, chain->budget,
+            [&](uint64_t id, auto&& emit, auto&& terminal) {
+              const size_t bucket = static_cast<size_t>(id);
+              ctx.Charge(&AccessStats::offchip_reads);  // the one read
+              const std::array<size_t, kMaxHashes> oc =
+                  AlternateBuckets(mem_.table[bucket].key, bucket);
+              for (uint32_t t = 0; t < d; ++t) {
+                const size_t alt = oc[t];
+                if (alt == bucket) continue;
+                if (ctx.Counter(mem_.counters, alt) != 1) {
+                  terminal(alt);  // 0 = free, >= 2 = redundant copy
+                  return;
+                }
+                // The child will be expanded (one occupant read) a few
+                // iterations from now: issuing the fetch here overlaps the
+                // DRAM latency of the whole frontier instead of paying one
+                // serial miss per expanded node.
+                __builtin_prefetch(&mem_.table[alt], 0, 1);
+                emit(alt);
+              }
+            });
       }
-      ++stats_->kickouts;
-      if (kick_history_.enabled()) kick_history_.Increment(src);
-      dst = src;
+      chain->nodes += path.nodes_expanded;
+      ctx.ObserveBfs(path.found);
+      if (!path.found) {
+        dead_end = true;
+        break;
+      }
+      const size_t mark = ctx.Mark();
+      bool applied = ctx.ClaimChain(path);
+      const size_t terminal = static_cast<size_t>(path.terminal);
+      const uint64_t term_v =
+          applied ? mem_.counters.PeekCounter(terminal) : 0;
+      applied = applied && term_v != 1;  // else no longer a terminal
+      // Apply backward: the last interior occupant moves into the
+      // terminal, each predecessor into its successor, and the new key
+      // lands in the root. Interior occupants are sole copies, so moves
+      // are plain bucket stores; only the terminal changes counters, and
+      // it moves first: its redundant-copy claim is the only step that can
+      // fail, and it fails before any mutation.
+      size_t dst = terminal;
+      for (size_t i = path.node.size(); applied && i-- > 0;) {
+        const size_t src = static_cast<size_t>(path.node[i]);
+        const Bucket moved = mem_.table[src];  // read during the search
+        const uint8_t moved_tag = mem_.counters.PeekTag(src);
+        if (dst == terminal) {
+          if (term_v >= 2) {
+            // Redundant terminal: displace one copy of the occupant, which
+            // decrements its other copies' counters (zero relocations).
+            applied = OverwriteRedundantCopy(ctx, dst, term_v, moved.key,
+                                             moved.value, moved_tag);
+            if (!applied) break;
+          } else {
+            Store(ctx, dst, moved.key, moved.value, moved_tag);
+          }
+          ctx.Open(dst);
+          ctx.SetCounter(dst, 1);  // the moved item is a sole copy
+        } else {
+          Store(ctx, dst, moved.key, moved.value, moved_tag);
+          // Counter stays 1: dst already held a sole copy.
+        }
+        ctx.Kick(src);
+        dst = src;
+      }
+      if (applied) {
+        Store(ctx, static_cast<size_t>(path.node.front()), key, value,
+              cand.tag);
+        ctx.Add(size_, size_t{1});
+        chain->len = static_cast<uint32_t>(path.node.size());
+        return InsertResult::kInserted;
+      }
+      ctx.Release(mark);
+      std::this_thread::yield();
     }
-    StoreBucket(static_cast<size_t>(path.node.front()), key, value);
-    ++size_;
-    *chain_len_out = static_cast<uint32_t>(path.node.size());
-    return InsertResult::kInserted;
+    return StashOverflow(ctx, key, value, cand, dead_end, chain->nodes);
   }
 
   /// Whether a growth decision can take the SplitGrow path. HashFamily maps
@@ -1389,12 +714,6 @@ class McCuckooTable
     }
   };
   Storage mem_;
-  // Multi-writer support: non-owning striped writer-lock array attached by
-  // the multi-writer wrapper (null in single-writer use). Congruent with
-  // seq_ by construction (both size via SeqlockArray::StripesFor), so a
-  // held lock stripe owns exactly one seqlock stripe's writer rights.
-  // Kept across Rehash commits.
-  LockStripeArray* locks_ = nullptr;
 };
 
 }  // namespace mccuckoo

@@ -36,8 +36,9 @@
 // escalates to the exclusive side plus a full stripe drain, and — since the
 // shared shard lock no longer excludes writers — readers fall back to the
 // table's FindStriped (candidate-stripe locks + rehash-epoch revalidation)
-// instead of the shared-lock FindNoStats. Demoted to kSingleWriter when the
-// table type has no concurrent write path.
+// instead of the shared-lock FindNoStats. Both tables run it: each
+// layout's one write engine is compiled for the striped writer context
+// (see TableSkeleton's "Writer contexts").
 
 #ifndef MCCUCKOO_CORE_SHARDED_MCCUCKOO_H_
 #define MCCUCKOO_CORE_SHARDED_MCCUCKOO_H_
@@ -81,17 +82,6 @@ class ShardedMcCuckoo {
   static constexpr bool kOptimisticCapable =
       std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>;
 
-  /// Whether the table type exposes the striped-lock concurrent write path
-  /// (McCuckooTable does; tables without it demote kMultiWriter requests).
-  static constexpr bool kMultiWriterCapable =
-      requires(Table& t, const Key& k, const Value& v, std::mutex& m,
-               bool* w) {
-        t.ConcurrentInsert(k, v, m, w);
-        t.ConcurrentInsertOrAssign(k, v, m, w);
-        t.ConcurrentErase(k);
-        t.FindStriped(k, nullptr);
-      };
-
   /// Optimistic attempts per read before the lock fallback. Contention
   /// means a writer is mid-operation; a yield gives it the core (essential
   /// when threads are oversubscribed), and after a few losses the lock's
@@ -103,16 +93,15 @@ class ShardedMcCuckoo {
   /// its own decorrelated seed, and the same policy knobs. `read_mode`
   /// opts every shard into seqlock-validated lock-free reads; it demotes
   /// to kLocked when the key/value types cannot support them. `write_mode`
-  /// opts every shard into concurrent writers under its striped locks; it
-  /// demotes to kSingleWriter when the table type has no concurrent path.
+  /// opts every shard into concurrent writers under its striped locks, on
+  /// either table type.
   ShardedMcCuckoo(const TableOptions& options, size_t num_shards,
                   ReadMode read_mode = ReadMode::kLocked,
                   WriteMode write_mode = WriteMode::kSingleWriter)
       : shard_bits_(FloorLog2(num_shards)),
         route_seed_(SplitMix64(options.seed ^ 0x9E3779B97F4A7C15ull)),
         read_mode_(kOptimisticCapable ? read_mode : ReadMode::kLocked),
-        write_mode_(kMultiWriterCapable ? write_mode
-                                        : WriteMode::kSingleWriter) {
+        write_mode_(write_mode) {
     assert(num_shards >= 1 && (num_shards & (num_shards - 1)) == 0);
     shards_.reserve(num_shards);
     TableOptions shard_opts = options;
@@ -122,15 +111,13 @@ class ShardedMcCuckoo {
       shard_opts.seed =
           SplitMix64(options.seed + 0xA24BAED4963EE407ull * (i + 1));
       shards_.push_back(std::make_unique<Shard>(shard_opts, read_mode_));
-      if constexpr (kMultiWriterCapable) {
-        if (write_mode_ == WriteMode::kMultiWriter) {
-          Shard& s = *shards_.back();
-          // Concurrent writers also need the seqlock attached: their
-          // counter/bucket mutations must land inside version windows even
-          // when readers are on the striped-lock path.
-          s.table.AttachSeqlock(&s.seq);
-          s.table.AttachLockStripes(&s.locks);
-        }
+      if (write_mode_ == WriteMode::kMultiWriter) {
+        Shard& s = *shards_.back();
+        // Concurrent writers also need the seqlock attached: their
+        // counter/bucket mutations must land inside version windows even
+        // when readers are on the striped-lock path.
+        s.table.AttachSeqlock(&s.seq);
+        s.table.AttachLockStripes(&s.locks);
       }
     }
   }
@@ -140,7 +127,7 @@ class ShardedMcCuckoo {
   /// The reader policy actually in effect (post type-capability demotion).
   ReadMode read_mode() const { return read_mode_; }
 
-  /// The writer policy actually in effect (post table-capability demotion).
+  /// The writer policy in effect (as requested; it is never demoted).
   WriteMode write_mode() const { return write_mode_; }
 
   /// Shard index of `key` (top shard_bits_ of the routing hash).
@@ -154,18 +141,15 @@ class ShardedMcCuckoo {
 
   InsertResult Insert(const Key& key, const Value& value) {
     Shard& s = *shards_[ShardOf(key)];
-    if constexpr (kMultiWriterCapable) {
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        bool wants_growth = false;
-        InsertResult r;
-        {
-          std::shared_lock lock(s.mutex);
-          r = s.table.ConcurrentInsert(key, value, s.growth_mu,
-                                       &wants_growth);
-        }
-        if (wants_growth) GrowShardExclusive(s);
-        return r;
+    if (write_mode_ == WriteMode::kMultiWriter) {
+      bool wants_growth = false;
+      InsertResult r;
+      {
+        std::shared_lock lock(s.mutex);
+        r = s.table.ConcurrentInsert(key, value, s.growth_mu, &wants_growth);
       }
+      if (wants_growth) GrowShardExclusive(s);
+      return r;
     }
     std::unique_lock lock(s.mutex);
     return s.table.Insert(key, value);
@@ -177,18 +161,16 @@ class ShardedMcCuckoo {
   InsertResult InsertOrAssign(const Key& key, const Value& value,
                               Value* previous = nullptr) {
     Shard& s = *shards_[ShardOf(key)];
-    if constexpr (kMultiWriterCapable) {
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        bool wants_growth = false;
-        InsertResult r;
-        {
-          std::shared_lock lock(s.mutex);
-          r = s.table.ConcurrentInsertOrAssign(key, value, s.growth_mu,
-                                               &wants_growth, previous);
-        }
-        if (wants_growth) GrowShardExclusive(s);
-        return r;
+    if (write_mode_ == WriteMode::kMultiWriter) {
+      bool wants_growth = false;
+      InsertResult r;
+      {
+        std::shared_lock lock(s.mutex);
+        r = s.table.ConcurrentInsertOrAssign(key, value, s.growth_mu,
+                                             &wants_growth, previous);
       }
+      if (wants_growth) GrowShardExclusive(s);
+      return r;
     }
     std::unique_lock lock(s.mutex);
     return s.table.InsertOrAssign(key, value, previous);
@@ -196,11 +178,9 @@ class ShardedMcCuckoo {
 
   bool Erase(const Key& key) {
     Shard& s = *shards_[ShardOf(key)];
-    if constexpr (kMultiWriterCapable) {
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        std::shared_lock lock(s.mutex);
-        return s.table.ConcurrentErase(key);
-      }
+    if (write_mode_ == WriteMode::kMultiWriter) {
+      std::shared_lock lock(s.mutex);
+      return s.table.ConcurrentErase(key);
     }
     std::unique_lock lock(s.mutex);
     return s.table.Erase(key);
@@ -224,12 +204,10 @@ class ShardedMcCuckoo {
         if constexpr (kMetricsEnabled) s.optimistic_fallbacks.Inc();
       }
     }
-    if constexpr (kMultiWriterCapable) {
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        // The shared shard lock no longer excludes writers; the striped
-        // fallback waits only for writers on this key's own candidates.
-        return s.table.FindStriped(key, out);
-      }
+    if (write_mode_ == WriteMode::kMultiWriter) {
+      // The shared shard lock no longer excludes writers; the striped
+      // fallback waits only for writers on this key's own candidates.
+      return s.table.FindStriped(key, out);
     }
     std::shared_lock lock(s.mutex);
     return s.table.FindNoStats(key, out);
@@ -269,13 +247,9 @@ class ShardedMcCuckoo {
             done = true;
           }
         }
-        if constexpr (kMultiWriterCapable) {
-          if (!done && write_mode_ == WriteMode::kMultiWriter) {
-            hits += StripedGroupFind(sh, group, group_vals, group_found);
-            done = true;
-          }
-        }
-        if (!done) {
+        if (!done && write_mode_ == WriteMode::kMultiWriter) {
+          hits += StripedGroupFind(sh, group, group_vals, group_found);
+        } else if (!done) {
           std::shared_lock lock(sh.mutex);
           hits += sh.table.FindBatchNoStats(group, group_vals, group_found);
         }
@@ -302,14 +276,12 @@ class ShardedMcCuckoo {
   void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
                    InsertResult* results = nullptr) {
     assert(keys.size() == values.size());
-    if constexpr (kMultiWriterCapable) {
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        for (size_t i = 0; i < keys.size(); ++i) {
-          const InsertResult r = Insert(keys[i], values[i]);
-          if (results != nullptr) results[i] = r;
-        }
-        return;
+    if (write_mode_ == WriteMode::kMultiWriter) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const InsertResult r = Insert(keys[i], values[i]);
+        if (results != nullptr) results[i] = r;
       }
+      return;
     }
     const ShardGroups g = GroupByShard(keys);
     std::vector<Key> shard_keys;
@@ -458,7 +430,7 @@ class ShardedMcCuckoo {
           locks(table.seqlock_domain()) {
       if (mode == ReadMode::kOptimistic) table.AttachSeqlock(&seq);
       // In WriteMode::kMultiWriter the wrapper additionally attaches seq
-      // and locks (the attach hook only exists on capable table types).
+      // and locks.
     }
     mutable std::shared_mutex mutex;
     // The table starts on a fresh cache line: every reader and writer RMWs
@@ -478,12 +450,8 @@ class ShardedMcCuckoo {
   /// Stash size of one shard under its (at least shared) lock: exact in
   /// single-writer mode, an annotated estimate under concurrent writers.
   size_t ShardStashSize(const Shard& s) const {
-    if constexpr (kMultiWriterCapable) {
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        return s.table.ApproxStashSize();
-      }
-    }
-    return s.table.stash_size();
+    return write_mode_ == WriteMode::kMultiWriter ? s.table.ApproxStashSize()
+                                                  : s.table.stash_size();
   }
 
   /// Per-key striped lookup for one shard's batch group (multi-writer
@@ -543,18 +511,13 @@ class ShardedMcCuckoo {
       }
       if (r < 0) {
         if constexpr (kMetricsEnabled) sh.optimistic_fallbacks.Inc();
-        bool striped = false;
-        if constexpr (kMultiWriterCapable) {
+        if (write_mode_ == WriteMode::kMultiWriter) {
           // Under multi-writer the shared shard lock no longer excludes
           // writers, so the locked batch fallback would race them (the
           // stash especially); fall back per key through the stripes.
-          if (write_mode_ == WriteMode::kMultiWriter) {
-            r = static_cast<int64_t>(
-                StripedGroupFind(sh, tile, tile_out, tile_found));
-            striped = true;
-          }
-        }
-        if (!striped) {
+          r = static_cast<int64_t>(
+              StripedGroupFind(sh, tile, tile_out, tile_found));
+        } else {
           std::shared_lock lock(sh.mutex);
           r = static_cast<int64_t>(
               sh.table.FindBatchNoStats(tile, tile_out, tile_found));

@@ -12,6 +12,7 @@
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/obs/metrics.h"
 #include "src/workload/keyset.h"
 
@@ -240,6 +241,47 @@ TEST(LatencyRecorderTest,
      SampledInsertThatGrowsTheTableRecordsItsSampleBlocked) {
   SampledInsertThatGrowsTheTableRecordsItsSample<
       BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
+}
+
+// Every InsertOrAssign records exactly one kInsert sample in both write
+// modes: an update of a present key as much as a miss, and a miss takes no
+// second sample from the insert it continues into.
+template <typename Table>
+void InsertOrAssignSamplesEveryCall(uint32_t slots_per_bucket) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TableOptions o;
+  o.buckets_per_table = 500;
+  o.slots_per_bucket = slots_per_bucket;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  o.latency_sample_period = 1;
+  const auto keys = MakeUniqueKeys(100, 9, 0);
+  for (const WriteMode mode :
+       {WriteMode::kSingleWriter, WriteMode::kMultiWriter}) {
+    SCOPED_TRACE(mode == WriteMode::kSingleWriter ? "single" : "multi");
+    ShardedMcCuckoo<Table> t(o, 1, ReadMode::kOptimistic, mode);
+    ASSERT_EQ(t.write_mode(), mode);
+    auto inserts = [&] {
+      return t.metrics_snapshot()
+          .op_latency_ns[static_cast<size_t>(LatencyOp::kInsert)]
+          .count;
+    };
+    for (uint64_t k : keys) {
+      ASSERT_EQ(t.InsertOrAssign(k, k), InsertResult::kInserted);
+    }
+    EXPECT_EQ(inserts(), keys.size());
+    for (uint64_t k : keys) {
+      ASSERT_EQ(t.InsertOrAssign(k, k + 1), InsertResult::kUpdated);
+    }
+    EXPECT_EQ(inserts(), 2 * keys.size());
+  }
+}
+
+TEST(LatencyRecorderTest, InsertOrAssignSamplesEveryCall) {
+  InsertOrAssignSamplesEveryCall<McCuckooTable<uint64_t, uint64_t>>(1);
+}
+
+TEST(LatencyRecorderTest, InsertOrAssignSamplesEveryCallBlocked) {
+  InsertOrAssignSamplesEveryCall<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
 }  // namespace

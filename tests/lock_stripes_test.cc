@@ -1,9 +1,10 @@
 // Unit tests for the multi-writer building blocks: the striped writer
 // locks (LockStripeArray / LockStripeSet / LockStripeDrain), the
-// MovableAtomic counter cell, and the atomic counter-byte discipline of
-// TagCounterArray / PackedArray. The end-to-end multi-writer protocol is
-// exercised in multiwriter_stress_test.cc; this file pins down the local
-// contracts those tests build on.
+// MovableAtomic counter cell, the atomic counter-byte discipline of
+// TagCounterArray / PackedArray, and the atomic flag words of BitArray.
+// The end-to-end multi-writer protocol is exercised in
+// multiwriter_stress_test.cc; this file pins down the local contracts
+// those tests build on.
 
 #include <atomic>
 #include <chrono>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bits.h"
 #include "src/common/packed_array.h"
 #include "src/core/counter_array.h"
 #include "src/core/lock_stripes.h"
@@ -357,6 +359,31 @@ TEST(TagCounterArrayAtomicTest, ConcurrentDisjointEntriesStayExact) {
     EXPECT_EQ(counters.PeekCounter(i), (i % 7) + 1) << "entry " << i;
     EXPECT_EQ(counters.PeekTag(i), static_cast<uint8_t>(i & 0x0F))
         << "entry " << i;
+  }
+}
+
+TEST(BitArrayAtomicTest, ConcurrentSetsOfOneWordKeepEveryBit) {
+  // The blocked table packs 64 buckets' stash flags into one word, and
+  // those buckets belong to up to 64 lock stripes: concurrent writers set
+  // disjoint bits of the same word. A plain |= loses bits here.
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 200; ++round) {
+    BitArray flags(64);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (size_t i = static_cast<size_t>(t); i < 64; i += kThreads) {
+          flags.AtomicSet(i);
+        }
+      });
+    }
+    for (auto& t : ts) t.join();
+    ASSERT_EQ(flags.Word(0), ~uint64_t{0}) << "round " << round;
+    for (size_t i = 0; i < 64; ++i) EXPECT_TRUE(flags.AtomicTest(i));
   }
 }
 

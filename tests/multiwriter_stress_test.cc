@@ -4,6 +4,9 @@
 // Find fallback running against them. Run under TSan (-DMCCUCKOO_TSAN=ON)
 // this is the data-race check for the claim-then-move protocol; without it
 // the tests still pin down counter exactness and linearizable membership.
+// The one-shard cases run on both layouts: each `...Blocked` id repeats its
+// McCuckoo namesake on BlockedMcCuckooTable (3-slot buckets, about the same
+// slot count), whose write engine is the same protocol at slot level.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +14,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
@@ -25,6 +30,7 @@ namespace mccuckoo {
 namespace {
 
 using Table = McCuckooTable<uint64_t, uint64_t>;
+using BlockedTable = BlockedMcCuckooTable<uint64_t, uint64_t>;
 
 TableOptions StressOptions() {
   TableOptions o;
@@ -34,12 +40,37 @@ TableOptions StressOptions() {
   return o;
 }
 
+/// `o` on the blocked layout: 3-slot buckets, a third as many of them.
+TableOptions Blocked(TableOptions o) {
+  o.slots_per_bucket = 3;
+  o.buckets_per_table = (o.buckets_per_table + 2) / 3;
+  return o;
+}
+
+/// A one-shard multi-writer table with optimistic reads; asserts the write
+/// mode was honoured, not demoted.
+template <typename T>
+std::unique_ptr<ShardedMcCuckoo<T>> MultiWriterShard(const TableOptions& o) {
+  auto table = std::make_unique<ShardedMcCuckoo<T>>(
+      o, 1, ReadMode::kOptimistic, WriteMode::kMultiWriter);
+  EXPECT_EQ(table->write_mode(), WriteMode::kMultiWriter);
+  return table;
+}
+
+template <typename T>
+void ExpectInvariants(ShardedMcCuckoo<T>& table) {
+  const Status s =
+      table.WithExclusiveShard(0, [](T& t) { return t.CheckInvariants(); });
+  EXPECT_TRUE(s.ok()) << s.message();
+}
+
 // Writer threads insert disjoint key ranges while optimistic readers (with
 // the striped fallback behind them) assert that every key a writer has
 // committed is found with its exact value, and that alien keys stay absent.
-TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
-  ShardedMcCuckoo<Table> table(StressOptions(), 1, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+template <typename T>
+void DisjointInsertersWithReaders(const TableOptions& o) {
+  auto table_ptr = MultiWriterShard<T>(o);
+  ShardedMcCuckoo<T>& table = *table_ptr;
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 1000;
   std::vector<std::vector<uint64_t>> keys;
@@ -101,9 +132,7 @@ TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
       EXPECT_EQ(v, k + 42);
     }
   }
-  EXPECT_TRUE(
-      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
-          .ok());
+  ExpectInvariants(table);
 #ifndef MCCUCKOO_NO_METRICS
   const MetricsSnapshot s = table.metrics_snapshot();
   EXPECT_EQ(s.inserts, kWriters * kPerWriter);
@@ -111,13 +140,22 @@ TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
 #endif
 }
 
+TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
+  DisjointInsertersWithReaders<Table>(StressOptions());
+}
+
+TEST(MultiWriterStressTest, DisjointInsertersWithReadersBlocked) {
+  DisjointInsertersWithReaders<BlockedTable>(Blocked(StressOptions()));
+}
+
 // Mixed insert/erase churn from several writers over disjoint partitions,
 // then a differential oracle: each writer's op log replayed serially into a
 // std::unordered_map must agree with the table exactly (per-partition
 // determinism follows from partition disjointness).
-TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
-  ShardedMcCuckoo<Table> table(StressOptions(), 1, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+template <typename T>
+void MixedChurnMatchesSerializedOracle(const TableOptions& o) {
+  auto table_ptr = MultiWriterShard<T>(o);
+  ShardedMcCuckoo<T>& table = *table_ptr;
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 8000;
 
@@ -186,22 +224,25 @@ TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
     ASSERT_TRUE(table.Find(k, &got)) << k;
     EXPECT_EQ(got, v) << k;
   }
-  EXPECT_TRUE(
-      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
-          .ok());
+  ExpectInvariants(table);
 }
 
-// Concurrent writers driving the table through forced growth: a small
-// table with the growth engine on must escalate to the table-wide drain,
-// rehash, and lose nothing.
-TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
-  TableOptions o = StressOptions();
-  o.buckets_per_table = 128;
-  o.maxloop = 64;
-  o.growth.enabled = true;
-  o.growth.stash_soft_limit = 4;
-  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
+  MixedChurnMatchesSerializedOracle<Table>(StressOptions());
+}
+
+TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracleBlocked) {
+  MixedChurnMatchesSerializedOracle<BlockedTable>(Blocked(StressOptions()));
+}
+
+// Concurrent writers driving the table through forced growth under
+// optimistic readers: a small table with the growth engine on must
+// escalate to the table-wide drain, rehash, and lose nothing, and no
+// reader may miss a key its writer has committed.
+template <typename T>
+void GrowthUnderConcurrentWriters(const TableOptions& o) {
+  auto table_ptr = MultiWriterShard<T>(o);
+  ShardedMcCuckoo<T>& table = *table_ptr;
 
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 800;  // ~8x the initial capacity in total
@@ -209,20 +250,44 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
   for (int w = 0; w < kWriters; ++w) {
     keys.push_back(MakeUniqueKeys(kPerWriter, 31, static_cast<uint64_t>(w)));
   }
+  std::array<std::atomic<size_t>, kWriters> committed{};
+  std::atomic<bool> stop{false};
+  std::atomic<int> reader_errors{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t i = static_cast<uint64_t>(r) * 104729;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int w = static_cast<int>(i % kWriters);
+        const size_t limit = committed[w].load(std::memory_order_acquire);
+        if (limit > 0) {
+          const uint64_t k = keys[w][i % limit];
+          uint64_t v = 0;
+          if (!table.Find(k, &v) || v != k + 1) reader_errors.fetch_add(1);
+        }
+        ++i;
+      }
+    });
+  }
   std::vector<std::thread> writers;
   std::atomic<int> writer_errors{0};
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      for (uint64_t k : keys[w]) {
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t k = keys[w][i];
         if (table.Insert(k, k + 1) == InsertResult::kFailed) {
           writer_errors.fetch_add(1);
         }
+        committed[w].store(i + 1, std::memory_order_release);
       }
     });
   }
   for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
 
   EXPECT_EQ(writer_errors.load(), 0);
+  EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_EQ(table.size() + table.stash_size(), kWriters * kPerWriter);
   for (int w = 0; w < kWriters; ++w) {
     for (uint64_t k : keys[w]) {
@@ -231,27 +296,43 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
       EXPECT_EQ(v, k + 1);
     }
   }
-  EXPECT_TRUE(
-      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
-          .ok());
+  ExpectInvariants(table);
 #ifndef MCCUCKOO_NO_METRICS
-  // 8x overload of a 128-bucket table cannot fit without growing.
+  // 8x overload of the initial table cannot fit without growing.
   EXPECT_GT(table.metrics_snapshot().growth_rehashes, 0u);
 #endif
+}
+
+TableOptions GrowthOptions() {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 128;
+  o.maxloop = 64;
+  o.growth.enabled = true;
+  o.growth.stash_soft_limit = 4;
+  return o;
+}
+
+TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
+  GrowthUnderConcurrentWriters<Table>(GrowthOptions());
+}
+
+TEST(MultiWriterStressTest, GrowthUnderConcurrentWritersBlocked) {
+  GrowthUnderConcurrentWriters<BlockedTable>(Blocked(GrowthOptions()));
 }
 
 // Concurrent writers overfilling a growth-off shard: every insert the
 // multi-writer BFS cannot place lands in the stash, and each must leave one
 // stash-spill span in the shard's ring, just as a single-writer spill does.
-TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpans) {
-  TableOptions o = StressOptions();
-  o.buckets_per_table = 256;
-  o.eviction_policy = EvictionPolicy::kBfs;
-  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+// Every other insert is an InsertOrAssign, whose stash screen reads the
+// flags of its candidates while other writers spill: on the blocked layout
+// those flags are bits of words shared with other writers' buckets.
+template <typename T>
+void ConcurrentSpillsRecordSpans(const TableOptions& o) {
+  auto table_ptr = MultiWriterShard<T>(o);
+  ShardedMcCuckoo<T>& table = *table_ptr;
 
   constexpr int kWriters = 4;
-  constexpr size_t kPerWriter = 225;  // 900 keys into 768 slots
+  constexpr size_t kPerWriter = 225;  // 900 keys into about 770 slots
   std::vector<std::vector<uint64_t>> keys;
   for (int w = 0; w < kWriters; ++w) {
     keys.push_back(MakeUniqueKeys(kPerWriter, 53, static_cast<uint64_t>(w)));
@@ -261,8 +342,10 @@ TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpans) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      for (uint64_t k : keys[w]) {
-        const InsertResult r = table.Insert(k, k + 5);
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t k = keys[w][i];
+        const InsertResult r = i % 2 == 0 ? table.Insert(k, k + 5)
+                                          : table.InsertOrAssign(k, k + 5);
         if (r == InsertResult::kStashed) stashed.fetch_add(1);
         if (r == InsertResult::kFailed) writer_errors.fetch_add(1);
       }
@@ -280,9 +363,8 @@ TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpans) {
       EXPECT_EQ(v, k + 5);
     }
   }
-  EXPECT_TRUE(
-      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
-          .ok());
+  // Includes the rule that every stashed key's candidate flags are set.
+  ExpectInvariants(table);
   if constexpr (kMetricsEnabled) {
     const MetricsSnapshot s = table.metrics_snapshot();
     EXPECT_EQ(s.span_counts[static_cast<size_t>(SpanKind::kStashSpill)],
@@ -293,6 +375,21 @@ TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpans) {
     EXPECT_GT(dead_ends, 0u);
     EXPECT_LE(dead_ends, stashed.load());
   }
+}
+
+TableOptions SpillOptions() {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 256;
+  o.eviction_policy = EvictionPolicy::kBfs;
+  return o;
+}
+
+TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpans) {
+  ConcurrentSpillsRecordSpans<Table>(SpillOptions());
+}
+
+TEST(MultiWriterStressTest, ConcurrentSpillsRecordSpansBlocked) {
+  ConcurrentSpillsRecordSpans<BlockedTable>(Blocked(SpillOptions()));
 }
 
 // A multi-writer InsertBatch far past the initial capacity must grow the
@@ -367,6 +464,50 @@ TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
   EXPECT_TRUE(
       multi.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
           .ok());
+}
+
+// The same trace on the blocked layout.
+template <typename T>
+void SingleThreadMatchesSingleWriterWrapper(const TableOptions& o) {
+  ShardedMcCuckoo<T> single(o, 1);
+  auto multi_ptr = MultiWriterShard<T>(o);
+  ShardedMcCuckoo<T>& multi = *multi_ptr;
+
+  const auto keys = MakeUniqueKeys(3000, 11, 0);
+  Xoshiro256 rng(123);
+  for (int op = 0; op < 30000; ++op) {
+    const uint64_t k = keys[FastRange64(rng.Next(), keys.size())];
+    switch (rng.Next() % 4) {
+      case 0: {
+        const InsertResult a = single.InsertOrAssign(k, k + op);
+        const InsertResult b = multi.InsertOrAssign(k, k + op);
+        ASSERT_EQ(a, b) << "op " << op;
+        break;
+      }
+      case 1: {
+        ASSERT_EQ(single.Erase(k), multi.Erase(k)) << "op " << op;
+        break;
+      }
+      default: {
+        uint64_t va = 0, vb = 0;
+        const bool fa = single.Find(k, &va);
+        const bool fb = multi.Find(k, &vb);
+        ASSERT_EQ(fa, fb) << "op " << op;
+        if (fa) {
+          ASSERT_EQ(va, vb) << "op " << op;
+        }
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(single.size(), multi.size());
+  EXPECT_EQ(single.stash_size(), multi.stash_size());
+  ExpectInvariants(multi);
+}
+
+TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapperBlocked) {
+  SingleThreadMatchesSingleWriterWrapper<BlockedTable>(
+      Blocked(StressOptions()));
 }
 
 // The sharded wrapper's kMultiWriter mode: all writers hammer all shards
