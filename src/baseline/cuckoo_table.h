@@ -44,8 +44,7 @@ namespace mccuckoo {
 
 /// Classic d-ary cuckoo hash table with l-slot buckets (l = 1: standard
 /// cuckoo; l > 1: BCHT).
-template <typename Key, typename Value, typename Hasher = BobHasher,
-          typename Family = HashFamily<Key, Hasher>>
+template <typename Key, typename Value, typename Hasher = BobHasher>
   requires SeedableHasher<Hasher, Key>
 class CuckooTable {
  public:
@@ -630,7 +629,7 @@ class CuckooTable {
   }
 
   TableOptions opts_;
-  Family family_;
+  HashFamily<Key, Hasher> family_;
   std::vector<Slot> slots_;  // d * n * l; bucket b owns [b*l, (b+1)*l)
   // Heap-allocated so the pointer handed to KickHistory stays valid when
   // the table is moved (snapshot loading, factory returns).

@@ -1,20 +1,17 @@
 // A densely packed array of fixed-width unsigned integers.
 //
-// This is the storage substrate for the on-chip counter arrays: a McCuckoo
-// table with d = 3 needs only 2 bits per bucket, and packing them keeps the
-// whole counter array small enough to live in on-chip SRAM (the premise of
-// the paper). Widths from 1 to 32 bits are supported; entries never straddle
-// a 64-bit word when the width divides 64, and straddling is handled
-// correctly otherwise.
+// MinCounter's kick-history counters (core/eviction.h) live here: the
+// paper's premise is that such per-bucket counters sit in small on-chip
+// SRAM, so each takes only its few bits (5 in [17]). Widths from 1 to 32
+// bits are supported; an entry whose width does not divide 64 may straddle
+// two words, and Get/Set handle that.
 
 #ifndef MCCUCKOO_COMMON_PACKED_ARRAY_H_
 #define MCCUCKOO_COMMON_PACKED_ARRAY_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace mccuckoo {
@@ -27,7 +24,7 @@ class PackedArray {
   /// Creates an array of `size` entries of `bits` bits each, zero-filled.
   /// Requires 1 <= bits <= 32.
   PackedArray(size_t size, uint32_t bits)
-      : size_(size), bits_(bits), mask_((bits >= 64) ? ~0ull : ((1ull << bits) - 1)) {
+      : size_(size), bits_(bits), mask_((1ull << bits) - 1) {
     assert(bits >= 1 && bits <= 32);
     words_.assign((size * bits + 63) / 64, 0);
   }
@@ -70,52 +67,6 @@ class PackedArray {
       const uint64_t himask = (1ull << hi) - 1;
       words_[word + 1] = (words_[word + 1] & ~himask) | (v >> (64 - off));
     }
-  }
-
-  /// True when entries can never straddle a word boundary (the width
-  /// divides 64) — the precondition for AtomicSet.
-  bool AtomicCapable() const { return bits_ != 0 && 64 % bits_ == 0; }
-
-  /// Atomically writes entry `i` = v via a CAS loop on the containing
-  /// 64-bit word. Only legal when AtomicCapable(): a straddling entry would
-  /// need a two-word transaction no single CAS can provide — which is why
-  /// the multi-writer tables run on the byte-per-entry TagCounterArray
-  /// rather than 3-bit packed counters.
-  void AtomicSet(size_t i, uint64_t v) {
-    assert(i < size_);
-    assert(v <= mask_);
-    assert(AtomicCapable());
-    const size_t bit = i * bits_;
-    const uint32_t off = static_cast<uint32_t>(bit & 63);
-    std::atomic_ref<uint64_t> word(words_[bit >> 6]);
-    uint64_t cur = word.load(std::memory_order_relaxed);
-    uint64_t next;
-    do {
-      next = (cur & ~(mask_ << off)) | (v << off);
-    } while (!word.compare_exchange_weak(cur, next, std::memory_order_relaxed,
-                                         std::memory_order_relaxed));
-  }
-
-  /// Zero-fills every entry.
-  void Clear() { words_.assign(words_.size(), 0); }
-
-  /// Pointer-wise storage exchange. Unlike std::swap (three moves), no
-  /// operand ever passes through a transient moved-from state, so a
-  /// seqlock-validated reader racing the exchange always dereferences one
-  /// of the two live buffers (see core/seqlock.h).
-  void Swap(PackedArray& other) {
-    std::swap(size_, other.size_);
-    std::swap(bits_, other.bits_);
-    std::swap(mask_, other.mask_);
-    words_.swap(other.words_);
-  }
-
-  /// Address of the 64-bit word holding (the start of) entry `i`, for
-  /// software prefetching. Not an accessor: reading through it would bypass
-  /// the charged Get/Set choke points.
-  const void* WordAddr(size_t i) const {
-    assert(i < size_);
-    return &words_[(i * bits_) >> 6];
   }
 
  private:

@@ -48,13 +48,12 @@ namespace mccuckoo {
 
 /// Blocked multi-copy cuckoo hash table (d hashes, l slots per bucket). The
 /// layout-independent entry points live in TableSkeleton.
-template <typename Key, typename Value, typename Hasher = BobHasher,
-          typename Family = HashFamily<Key, Hasher>>
+template <typename Key, typename Value, typename Hasher = BobHasher>
   requires SeedableHasher<Hasher, Key>
 class BlockedMcCuckooTable
-    : public TableSkeleton<BlockedMcCuckooTable<Key, Value, Hasher, Family>,
-                           Key, Value, Hasher, Family> {
-  using Base = TableSkeleton<BlockedMcCuckooTable, Key, Value, Hasher, Family>;
+    : public TableSkeleton<BlockedMcCuckooTable<Key, Value, Hasher>, Key,
+                           Value, Hasher> {
+  using Base = TableSkeleton<BlockedMcCuckooTable, Key, Value, Hasher>;
   friend Base;
 
  public:

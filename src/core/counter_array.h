@@ -1,15 +1,19 @@
-// The on-chip copy-counter array (paper §III.C).
+// The on-chip copy-counter arrays (paper §III.C).
 //
 // One small counter per bucket (single-slot) or per slot (blocked) records
 // how many live copies the occupying item currently has in the whole table:
 // 0 = empty, 1..d = copy count. For d = 3 each counter is exactly 2 bits,
 // which is what lets the whole array fit in on-chip SRAM next to a large
 // off-chip table. Tombstone ("deleted") marks — used by
-// DeletionMode::kTombstone — are kept in a parallel 1-bit array: they are
-// treated as empty by insertion and as non-zero by the lookup Bloom rule.
+// DeletionMode::kTombstone — are treated as empty by insertion and as
+// non-zero by the lookup Bloom rule.
 //
-// The array charges every logical read/write to an AccessStats so the
-// experiment harness can report on-chip traffic separately (Figs 15-16).
+// Software keeps each entry's counter, tombstone bit and key fingerprint in
+// one byte (TagCounterArray for the single-slot table, BucketHeaderArray
+// for the blocked one), so one load screens a candidate. Both report the
+// paper's packed on-chip size (ModeledPackedBytes) and charge every logical
+// read/write to an AccessStats, so the experiment harness can report
+// on-chip traffic separately (Figs 15-16).
 
 #ifndef MCCUCKOO_CORE_COUNTER_ARRAY_H_
 #define MCCUCKOO_CORE_COUNTER_ARRAY_H_
@@ -21,126 +25,27 @@
 #include <vector>
 
 #include "src/common/bits.h"
-#include "src/common/packed_array.h"
 #include "src/common/prefetch.h"
 #include "src/core/bucket_header.h"
 #include "src/mem/access_stats.h"
 
 namespace mccuckoo {
 
-/// Packed per-bucket (or per-slot) copy counters with optional tombstones.
-class CounterArray {
- public:
-  /// `size` counters wide enough to hold values 0..max_count. `stats` (may
-  /// be null) receives on-chip access charges and must outlive the array.
-  CounterArray(size_t size, uint32_t max_count, AccessStats* stats)
-      : counters_(size, BitWidthFor(max_count)),
-        tombstones_(size, 1),
-        stats_(stats) {}
-
-  size_t size() const { return counters_.size(); }
-
-  /// Counter value at `i` (0 for tombstoned entries). One on-chip read.
-  uint64_t Get(size_t i) const {
-    Charge(&AccessStats::onchip_reads);
-    return counters_.Get(i);
-  }
-
-  /// True if entry `i` carries the "deleted" mark. Charged together with
-  /// Get() in practice; reading the mark alone is also one on-chip read.
-  bool IsTombstone(size_t i) const {
-    Charge(&AccessStats::onchip_reads);
-    return tombstones_.Get(i) != 0;
-  }
-
-  /// Sets counter `i` to `v` and clears any tombstone. One on-chip write.
-  void Set(size_t i, uint64_t v) {
-    Charge(&AccessStats::onchip_writes);
-    counters_.Set(i, v);
-    tombstones_.Set(i, 0);
-  }
-
-  /// Marks entry `i` deleted (counter reads as 0, tombstone set).
-  void MarkDeleted(size_t i) {
-    Charge(&AccessStats::onchip_writes);
-    counters_.Set(i, 0);
-    tombstones_.Set(i, 1);
-  }
-
-  /// Atomic variants of Set/MarkDeleted for multi-writer paths (uncharged —
-  /// see TagCounterArray's atomic section). Each packed store is one CAS on
-  /// its containing word; legal only when the counter width divides 64
-  /// (PackedArray::AtomicCapable), which 3-bit counters are not — the
-  /// multi-writer tables therefore run on TagCounterArray, and these exist
-  /// for atomic-capable widths (1/2/4/8...) and the CAS-exactness tests.
-  bool AtomicCapable() const { return counters_.AtomicCapable(); }
-  void AtomicSet(size_t i, uint64_t v) {
-    counters_.AtomicSet(i, v);
-    tombstones_.AtomicSet(i, 0);
-  }
-  void AtomicMarkDeleted(size_t i) {
-    counters_.AtomicSet(i, 0);
-    tombstones_.AtomicSet(i, 1);
-  }
-
-  /// Uncharged accessors for tests / invariant validation.
-  uint64_t PeekCounter(size_t i) const { return counters_.Get(i); }
-  bool PeekTombstone(size_t i) const { return tombstones_.Get(i) != 0; }
-
-  /// Hints the hardware to pull entry `i`'s counter and tombstone words
-  /// into cache (batched-lookup stage 1). Uncharged: in the paper's model
-  /// the counters are on-chip SRAM, so warming them costs nothing — in
-  /// software they are ordinary DRAM and the hint is what keeps the modeled
-  /// "free" accesses actually cheap.
-  void Prefetch(size_t i) const {
-    PrefetchLine<0, 3>(counters_.WordAddr(i));
-    PrefetchLine<0, 3>(tombstones_.WordAddr(i));
-  }
-
-  /// Pointer-wise exchange of the packed storage with `other`; each array
-  /// keeps its own stats sink (Rehash committing under live optimistic
-  /// readers keeps the owning table's AccessStats identity-stable — see
-  /// TableSkeleton::CommitRebuildLockFree). No operand passes through a
-  /// transient moved-from state.
-  void SwapStorage(CounterArray& other) {
-    counters_.Swap(other.counters_);
-    tombstones_.Swap(other.tombstones_);
-  }
-
-  /// Bytes of on-chip memory this array models (counters + tombstones).
-  size_t memory_bytes() const {
-    return counters_.memory_bytes() + tombstones_.memory_bytes();
-  }
-
-  /// Bytes for the counters alone (the paper's reported cost excludes
-  /// tombstones, which only exist in kTombstone mode).
-  size_t counter_bytes() const { return counters_.memory_bytes(); }
-
- private:
-  void Charge(uint64_t AccessStats::* field) const {
-    if (stats_ != nullptr) ++(stats_->*field);
-  }
-
-  PackedArray counters_;
-  PackedArray tombstones_;
-  AccessStats* stats_;
-};
-
-/// Modeled on-chip byte cost of `size` packed counters of `bits` bits each
-/// — the word arithmetic PackedArray uses. The cache-conscious arrays
-/// below store tags and padding the paper's hardware would not, so they
-/// report this *modeled* figure (identical to the pre-header layout) and
-/// expose the real footprint separately.
+/// Modeled on-chip byte cost of `size` packed counters of `bits` bits each,
+/// rounded up to whole 64-bit words. The arrays below store tags and
+/// padding the paper's hardware would not, so they report this *modeled*
+/// figure and expose the real footprint separately.
 inline size_t ModeledPackedBytes(size_t size, uint32_t bits) {
   return ((size * bits + 63) / 64) * 8;
 }
 
 /// The blocked table's counter store, reorganized as cache-line-friendly
 /// BucketHeaders (see bucket_header.h): slot s of bucket b lives in
-/// headers_[b].meta[s] / .tag[s]. The charged interface is call-for-call
-/// compatible with CounterArray (per-slot indexing, identical AccessStats
-/// charges) so the insert/erase/eviction paths carry over unchanged; the
-/// lookup paths bypass it via HeaderAt() + an explicit bulk ChargeReads().
+/// headers_[b].meta[s] / .tag[s]. The charged interface matches
+/// TagCounterArray's (per-slot indexing, one AccessStats charge per logical
+/// access), so the insert/erase/eviction paths are written once for both
+/// layouts; the lookup paths bypass it via HeaderAt() + an explicit bulk
+/// ChargeReads().
 class BucketHeaderArray {
  public:
   /// `num_slots` slot entries grouped `slots_per_bucket` to a header.
@@ -240,14 +145,14 @@ class BucketHeaderArray {
   const BucketHeader& HeaderAt(size_t b) const { return headers_[b]; }
 
   /// Warms the header of the bucket containing slot `i` (one line covers
-  /// tags, counters and tombstones — the old layout needed two words from
-  /// two allocations). Uncharged, as in CounterArray::Prefetch.
+  /// its tags, counters and tombstones). Uncharged, as in
+  /// TagCounterArray::Prefetch.
   void Prefetch(size_t i) const {
     PrefetchLine<0, 3>(&headers_[i / l_]);
   }
 
   /// Pointer-wise storage exchange; each array keeps its own stats sink
-  /// (see CounterArray::SwapStorage).
+  /// (see TagCounterArray::SwapStorage).
   void SwapStorage(BucketHeaderArray& other) {
     headers_.swap(other.headers_);
     std::swap(num_slots_, other.num_slots_);
@@ -258,12 +163,12 @@ class BucketHeaderArray {
   }
 
   /// Modeled on-chip bytes (counters + tombstones, packed as the paper's
-  /// hardware would) — identical to the pre-header CounterArray figures.
+  /// hardware would).
   size_t memory_bytes() const {
     return modeled_counter_bytes_ + modeled_tombstone_bytes_;
   }
 
-  /// Modeled bytes for the counters alone (see CounterArray).
+  /// Modeled bytes for the counters alone (see TagCounterArray).
   size_t counter_bytes() const { return modeled_counter_bytes_; }
 
   /// Real DRAM footprint of the header storage (tags included).
@@ -287,9 +192,8 @@ class BucketHeaderArray {
 
 /// The single-slot table's counter store: one byte per bucket packing the
 /// copy counter (bits 0..2), the tombstone mark (bit 3) and a 4-bit key
-/// fingerprint (bits 4..7). One byte read screens a candidate bucket —
-/// counter, tombstone and tag were three separate packed-word reads from
-/// two allocations before. Charged interface is CounterArray-compatible.
+/// fingerprint (bits 4..7), so one byte read screens a candidate bucket.
+/// The charged interface matches BucketHeaderArray's.
 class TagCounterArray {
  public:
   TagCounterArray(size_t size, uint32_t max_count, AccessStats* stats)
@@ -359,20 +263,6 @@ class TagCounterArray {
                std::memory_order_relaxed);
   }
 
-  /// Decrements counter `i` by one (the redundant-copy eviction: a pure
-  /// on-chip decrement). Returns the new counter value. The counter must
-  /// be non-zero and non-tombstoned.
-  uint64_t AtomicDecrement(size_t i) {
-    std::atomic_ref<uint8_t> cell(bytes_[i]);
-    const uint8_t cur = cell.load(std::memory_order_relaxed);
-    assert((cur & kHdrCounterMask) != 0);
-    assert((cur & kHdrTombBit) == 0);
-    const uint8_t next = static_cast<uint8_t>((cur & ~kHdrCounterMask) |
-                                              ((cur & kHdrCounterMask) - 1));
-    cell.store(next, std::memory_order_relaxed);
-    return next & kHdrCounterMask;
-  }
-
   /// Marks entry `i` deleted (counter 0, tombstone set, tag kept).
   void AtomicMarkDeleted(size_t i) {
     std::atomic_ref<uint8_t> cell(bytes_[i]);
@@ -402,20 +292,31 @@ class TagCounterArray {
   }
   uint8_t PeekTag(size_t i) const { return bytes_[i] >> 4; }
 
-  /// Warms entry `i`'s byte. Uncharged, as in CounterArray::Prefetch.
+  /// Warms entry `i`'s byte (batched-lookup stage 1). Uncharged: in the
+  /// paper's model the counters are on-chip SRAM, so warming them costs
+  /// nothing — in software they are ordinary DRAM, and the hint is what
+  /// keeps the modeled "free" accesses actually cheap.
   void Prefetch(size_t i) const { PrefetchLine<0, 3>(&bytes_[i]); }
 
-  /// Pointer-wise storage exchange (see CounterArray::SwapStorage).
+  /// Pointer-wise exchange of the storage with `other`; each array keeps
+  /// its own stats sink (Rehash committing under live optimistic readers
+  /// keeps the owning table's AccessStats identity-stable — see
+  /// TableSkeleton::CommitRebuildLockFree). No operand passes through a
+  /// transient moved-from state.
   void SwapStorage(TagCounterArray& other) {
     bytes_.swap(other.bytes_);
     std::swap(modeled_counter_bytes_, other.modeled_counter_bytes_);
     std::swap(modeled_tombstone_bytes_, other.modeled_tombstone_bytes_);
   }
 
-  /// Modeled on-chip bytes — identical to the pre-tag CounterArray figures.
+  /// Modeled on-chip bytes (counters + tombstones, packed as the paper's
+  /// hardware would).
   size_t memory_bytes() const {
     return modeled_counter_bytes_ + modeled_tombstone_bytes_;
   }
+
+  /// Modeled bytes for the counters alone (the paper's reported cost
+  /// excludes tombstones, which only exist in kTombstone mode).
   size_t counter_bytes() const { return modeled_counter_bytes_; }
 
   /// Real DRAM footprint (tags included).

@@ -47,7 +47,6 @@
 #include <cassert>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "src/common/prefetch.h"
@@ -68,13 +67,12 @@ namespace mccuckoo {
 /// ShardedMcCuckoo for the concurrent front-end). The layout-independent
 /// entry points (batching, optimistic reads, Rehash, stash upkeep,
 /// introspection) live in TableSkeleton.
-template <typename Key, typename Value, typename Hasher = BobHasher,
-          typename Family = HashFamily<Key, Hasher>>
+template <typename Key, typename Value, typename Hasher = BobHasher>
   requires SeedableHasher<Hasher, Key>
 class McCuckooTable
-    : public TableSkeleton<McCuckooTable<Key, Value, Hasher, Family>, Key,
-                           Value, Hasher, Family> {
-  using Base = TableSkeleton<McCuckooTable, Key, Value, Hasher, Family>;
+    : public TableSkeleton<McCuckooTable<Key, Value, Hasher>, Key, Value,
+                           Hasher> {
+  using Base = TableSkeleton<McCuckooTable, Key, Value, Hasher>;
   friend Base;
   friend struct McCuckooTestPeer;  // corrupts state to prove checks fire
 
@@ -641,15 +639,13 @@ class McCuckooTable
   /// a key with FastRange64(h_t(key), n), and h_t does not depend on n, so
   /// under the same seed FastRange64(h, k * n) lies in [k * b, k * b + k)
   /// for b = FastRange64(h, n): growing by an integer factor k sends every
-  /// bucket's occupant to a bucket no other old bucket feeds.
-  /// DoubleHashFamily's mod-n index has no such property. The split keeps
+  /// bucket's occupant to a bucket no other old bucket feeds. The split keeps
   /// each copy count but scatters a key's copies away from the buckets its
   /// other candidates' occupants move to, which leaves true-zero counters
   /// among a live key's candidates — sound only without the Bloom rule
   /// ("a zero candidate counter proves absence"), i.e. in kResetCounters.
   bool CanSplitInto(const GrowthDecision& d) const {
     return d.action == GrowthAction::kGrow &&
-           std::is_same_v<Family, HashFamily<Key, Hasher>> &&
            opts_.deletion_mode == DeletionMode::kResetCounters &&
            d.new_buckets_per_table % opts_.buckets_per_table == 0;
   }

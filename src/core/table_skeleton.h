@@ -69,6 +69,7 @@
 #include "src/core/read_out.h"
 #include "src/core/seqlock.h"
 #include "src/core/stash.h"
+#include "src/hash/hash_family.h"
 #include "src/mem/access_stats.h"
 #include "src/obs/heatmap.h"
 #include "src/obs/latency_recorder.h"
@@ -80,8 +81,7 @@ namespace mccuckoo {
 static_assert(kMaxHashes + 1 <= kMetricsPartitions,
               "partition metric arrays must cover counter values 0..d");
 
-template <typename Derived, typename Key, typename Value, typename Hasher,
-          typename Family>
+template <typename Derived, typename Key, typename Value, typename Hasher>
 class TableSkeleton {
  public:
   /// Exposed template parameters (used by wrappers/adapters).
@@ -1826,7 +1826,7 @@ class TableSkeleton {
   }
 
   TableOptions opts_;
-  Family family_;
+  HashFamily<Key, Hasher> family_;
   // Heap-allocated so the pointer handed to the counter store /
   // KickHistory stays valid when the table is moved (Rehash, snapshot
   // loading, factory returns).

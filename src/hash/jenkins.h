@@ -1,17 +1,15 @@
-// Bob Jenkins' hash functions.
+// Bob Jenkins' lookup2 hash.
 //
 // The paper uses "BOB Hash" (burtleburtle.net/bob/hash/evahash.html), which
-// is Jenkins' 1996 `lookup2` hash. We provide a faithful reimplementation of
-// lookup2 plus the stronger 2006 `lookup3` (hashlittle2) variant, both
-// seedable, so a d-hash family can be derived from one algorithm with d
-// seeds exactly as the paper's experiments do.
+// is Jenkins' 1996 `lookup2` hash. This is a faithful, seedable
+// reimplementation, so a d-hash family can be derived from one algorithm
+// with d seeds exactly as the paper's experiments do.
 //
 // Everything is defined inline: the tables hash fixed-size keys on every
 // operation, and with the length visible at the call site the tail switch
 // folds to straight-line code and the d per-key evaluations interleave in
 // the out-of-order window instead of serializing behind call overhead (the
-// single hottest non-memory cost of a lookup). Values are identical to the
-// previous out-of-line definitions.
+// single hottest non-memory cost of a lookup).
 
 #ifndef MCCUCKOO_HASH_JENKINS_H_
 #define MCCUCKOO_HASH_JENKINS_H_
@@ -23,8 +21,6 @@
 namespace mccuckoo {
 
 namespace jenkins_internal {
-
-// --- lookup2 (1996) ---------------------------------------------------------
 
 inline void Mix2(uint32_t& a, uint32_t& b, uint32_t& c) {
   a -= b; a -= c; a ^= (c >> 13);
@@ -42,29 +38,6 @@ inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;  // little-endian platform assumed (x86/ARM LE), as in evahash
-}
-
-// --- lookup3 (2006) ---------------------------------------------------------
-
-inline uint32_t Rot(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
-
-inline void Mix3(uint32_t& a, uint32_t& b, uint32_t& c) {
-  a -= c; a ^= Rot(c, 4);  c += b;
-  b -= a; b ^= Rot(a, 6);  a += c;
-  c -= b; c ^= Rot(b, 8);  b += a;
-  a -= c; a ^= Rot(c, 16); c += b;
-  b -= a; b ^= Rot(a, 19); a += c;
-  c -= b; c ^= Rot(b, 4);  b += a;
-}
-
-inline void Final3(uint32_t& a, uint32_t& b, uint32_t& c) {
-  c ^= b; c -= Rot(b, 14);
-  a ^= c; a -= Rot(c, 11);
-  b ^= a; b -= Rot(a, 25);
-  c ^= b; c -= Rot(b, 16);
-  a ^= c; a -= Rot(c, 4);
-  b ^= a; b -= Rot(a, 14);
-  c ^= b; c -= Rot(b, 24);
 }
 
 }  // namespace jenkins_internal
@@ -107,50 +80,6 @@ inline uint32_t JenkinsLookup2(const void* data, size_t len, uint32_t seed) {
   }
   Mix2(a, b, c);
   return c;
-}
-
-/// Jenkins lookup3 `hashlittle2` (2006): computes two independent 32-bit
-/// hashes in one pass, returned packed as (pc | pb << 32). `seed` seeds both
-/// lanes.
-inline uint64_t JenkinsLookup3(const void* data, size_t len, uint64_t seed) {
-  using jenkins_internal::Final3;
-  using jenkins_internal::Load32;
-  using jenkins_internal::Mix3;
-  const uint8_t* k = static_cast<const uint8_t*>(data);
-  uint32_t a = 0xDEADBEEFu + static_cast<uint32_t>(len) +
-               static_cast<uint32_t>(seed);
-  uint32_t b = a;
-  uint32_t c = a + static_cast<uint32_t>(seed >> 32);
-  size_t remaining = len;
-
-  while (remaining > 12) {
-    a += Load32(k);
-    b += Load32(k + 4);
-    c += Load32(k + 8);
-    Mix3(a, b, c);
-    k += 12;
-    remaining -= 12;
-  }
-
-  switch (remaining) {
-    case 12: c += static_cast<uint32_t>(k[11]) << 24; [[fallthrough]];
-    case 11: c += static_cast<uint32_t>(k[10]) << 16; [[fallthrough]];
-    case 10: c += static_cast<uint32_t>(k[9]) << 8; [[fallthrough]];
-    case 9:  c += static_cast<uint32_t>(k[8]); [[fallthrough]];
-    case 8:  b += static_cast<uint32_t>(k[7]) << 24; [[fallthrough]];
-    case 7:  b += static_cast<uint32_t>(k[6]) << 16; [[fallthrough]];
-    case 6:  b += static_cast<uint32_t>(k[5]) << 8; [[fallthrough]];
-    case 5:  b += static_cast<uint32_t>(k[4]); [[fallthrough]];
-    case 4:  a += static_cast<uint32_t>(k[3]) << 24; [[fallthrough]];
-    case 3:  a += static_cast<uint32_t>(k[2]) << 16; [[fallthrough]];
-    case 2:  a += static_cast<uint32_t>(k[1]) << 8; [[fallthrough]];
-    case 1:  a += static_cast<uint32_t>(k[0]);
-             Final3(a, b, c);
-             break;
-    case 0:  // Empty tail: lookup3 returns the running state unmixed.
-             break;
-  }
-  return static_cast<uint64_t>(c) | (static_cast<uint64_t>(b) << 32);
 }
 
 /// 64-bit convenience built from two lookup2 passes with decorrelated

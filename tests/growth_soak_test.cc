@@ -12,8 +12,8 @@
 //    and the same push with growth off (stash-backed degradation plus the
 //    growth_suppressed gauge, never an error);
 //  * grow-path selection — McCuckooTable splits buckets under the same
-//    seed only for HashFamily + kResetCounters + an integer growth factor,
-//    and every other table keeps the seed-rotating rebuild;
+//    seed only for kResetCounters + an integer growth factor, and every
+//    other table keeps the seed-rotating rebuild;
 //  * exporter checks — the growth counters and the rehash-duration
 //    histogram appear in the Prometheus, JSON and flat-map exporters.
 // All seeds are fixed (src/common/rng.h) so failures replay exactly.
@@ -351,10 +351,10 @@ TEST(GrowthAcceptanceTest, DisabledGrowthDegradesToStash) {
 // --- Grow by rebuild outside the split conditions --------------------------
 
 // McCuckooTable grows by splitting buckets under the same seed only with
-// HashFamily, an integer growth factor and kResetCounters. Every other
-// table must keep the re-insert rebuild, which rotates the seed on every
-// grow, and lose no key: a split under the Bloom rule (kDisabled,
-// kTombstone) would leave live keys behind true-zero candidate counters.
+// an integer growth factor and kResetCounters. Every other table must keep
+// the re-insert rebuild, which rotates the seed on every grow, and lose no
+// key: a split under the Bloom rule (kDisabled, kTombstone) would leave
+// live keys behind true-zero candidate counters.
 template <typename Table>
 void RunGrowByRebuild(DeletionMode mode, double growth_factor) {
   TableOptions o;
@@ -399,12 +399,6 @@ TEST(GrowByRebuildTest, DeletionDisabled) {
 
 TEST(GrowByRebuildTest, Tombstones) {
   RunGrowByRebuild<SingleSlotTable>(DeletionMode::kTombstone, 2.0);
-}
-
-TEST(GrowByRebuildTest, DoubleHashFamily) {
-  RunGrowByRebuild<McCuckooTable<uint64_t, uint64_t, BobHasher,
-                                 DoubleHashFamily<uint64_t, BobHasher>>>(
-      DeletionMode::kResetCounters, 2.0);
 }
 
 TEST(GrowByRebuildTest, NonIntegerGrowthFactor) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
+
+#include "src/common/bits.h"
+#include "src/common/rng.h"
 
 namespace mccuckoo {
 namespace {
@@ -64,6 +68,43 @@ TEST(HashFamilyTest, SupportsDifferentD) {
     EXPECT_EQ(f.d(), d);
     const auto b = f.Buckets(12345);
     for (uint32_t t = 0; t < d; ++t) EXPECT_LT(b[t], 100u);
+  }
+}
+
+TEST(HashFamilyTest, BucketsMatchesBucket) {
+  // Every fused entry point must agree with the per-table Bucket() and
+  // take the tag from the t = 0 hash.
+  constexpr size_t kKeys = 300;
+  std::vector<uint64_t> keys(kKeys);
+  for (size_t i = 0; i < kKeys; ++i) keys[i] = i * 0x9E3779B97F4A7C15ull;
+  const BobHasher hasher;
+  for (uint32_t d = 2; d <= kMaxHashes; ++d) {
+    HashFamily<uint64_t> f(d, 512, 11);
+    std::vector<std::array<uint64_t, kMaxHashes>> batch(kKeys);
+    std::vector<std::array<uint64_t, kMaxHashes>> tagged_batch(kKeys);
+    std::vector<uint8_t> batch_tags(kKeys);
+    f.BucketsBatch(keys.data(), kKeys, batch.data());
+    f.BucketsBatch(keys.data(), kKeys, tagged_batch.data(), batch_tags.data());
+    // The family's t = 0 seed; the assertion on Bucket(k, 0) below checks
+    // that this reconstruction of it is right.
+    const uint64_t seed0 = SplitMix64(11 + 0x517CC1B727220A95ull);
+    for (size_t i = 0; i < kKeys; ++i) {
+      const uint64_t k = keys[i];
+      const uint64_t h0 = hasher(k, seed0);
+      ASSERT_EQ(FastRange64(h0, 512), f.Bucket(k, 0)) << k;
+      uint8_t tag = 0;
+      const auto plain = f.Buckets(k);
+      const auto tagged = f.Buckets(k, &tag);
+      EXPECT_EQ(tag, TagFromHash(h0)) << k;
+      EXPECT_EQ(batch_tags[i], tag) << k;
+      for (uint32_t t = 0; t < d; ++t) {
+        const uint64_t want = f.Bucket(k, t);
+        EXPECT_EQ(plain[t], want) << "d " << d << " key " << k;
+        EXPECT_EQ(tagged[t], want) << "d " << d << " key " << k;
+        EXPECT_EQ(batch[i][t], want) << "d " << d << " key " << k;
+        EXPECT_EQ(tagged_batch[i][t], want) << "d " << d << " key " << k;
+      }
+    }
   }
 }
 

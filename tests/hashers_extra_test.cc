@@ -1,7 +1,7 @@
-// Tests of the alternative hashers (XXH64, MurmurHash3 x64_128, the
-// FPGA-style simple mixer), plus typed tests running the McCuckoo table
-// under every hasher and with string keys — the table logic must be
-// entirely hasher- and key-type-agnostic.
+// Tests of XXH64 and XxHasher, the store's hasher, plus typed tests running
+// the McCuckoo table under both production hashers (BobHasher, XxHasher)
+// and with string keys — the table logic must be entirely hasher- and
+// key-type-agnostic.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "src/common/rng.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/hash/hashers.h"
-#include "src/hash/murmur3.h"
 #include "src/hash/xxhash.h"
 #include "src/workload/keyset.h"
 
@@ -97,63 +96,12 @@ TEST(XxHashTest, InlineEightByteFormMatchesByteStream) {
   EXPECT_EQ(hasher(narrow, 7), XxHash64(&narrow, 4, 7));
 }
 
-TEST(Murmur3Test, EmptyInputZeroSeedIsZero) {
-  // Known property of MurmurHash3 x64_128: all-zero state stays zero.
-  const auto [h1, h2] = Murmur3x64_128(nullptr, 0, 0);
-  EXPECT_EQ(h1, 0u);
-  EXPECT_EQ(h2, 0u);
-}
-
-TEST(Murmur3Test, DeterministicAndSeedSensitive) {
-  const char* s = "mccuckoo";
-  EXPECT_EQ(Murmur3x64(s, 8, 5), Murmur3x64(s, 8, 5));
-  EXPECT_NE(Murmur3x64(s, 8, 5), Murmur3x64(s, 8, 6));
-}
-
-TEST(Murmur3Test, HalvesAreIndependent) {
-  uint64_t key = 42;
-  const auto [h1, h2] = Murmur3x64_128(&key, 8, 7);
-  EXPECT_NE(h1, h2);
-}
-
-TEST(Murmur3Test, AllTailLengthsDistinct) {
-  std::set<uint64_t> hashes;
-  std::vector<uint8_t> buf(40, 0x5C);
-  for (size_t len = 0; len <= 17; ++len) {
-    hashes.insert(Murmur3x64(buf.data(), len, 3));
-  }
-  EXPECT_EQ(hashes.size(), 18u);
-}
-
-TEST(SimpleFpgaHasherTest, UniformEnoughForBuckets) {
-  SimpleFpgaHasher h;
-  constexpr uint64_t kBuckets = 64;
-  std::vector<int> counts(kBuckets, 0);
-  for (uint64_t k = 0; k < 64000; ++k) {
-    ++counts[FastRange64(h(k, 12345), kBuckets)];
-  }
-  for (uint64_t b = 0; b < kBuckets; ++b) {
-    EXPECT_NEAR(counts[b], 1000, 250) << b;
-  }
-}
-
-TEST(SimpleFpgaHasherTest, SeedSeparates) {
-  SimpleFpgaHasher h;
-  int same = 0;
-  for (uint64_t k = 0; k < 1000; ++k) {
-    same += (FastRange64(h(k, 1), 1 << 16) == FastRange64(h(k, 2), 1 << 16));
-  }
-  EXPECT_LT(same, 10);
-}
-
-// The table must behave identically (correctness-wise) under any uniform
+// The table must behave identically (correctness-wise) under either
 // hasher.
 template <typename Hasher>
 class TableHasherTest : public ::testing::Test {};
 
-using AllHashers = ::testing::Types<BobHasher, Lookup3Hasher, SplitMixHasher,
-                                    XxHasher, Murmur3Hasher,
-                                    SimpleFpgaHasher>;
+using AllHashers = ::testing::Types<BobHasher, XxHasher>;
 TYPED_TEST_SUITE(TableHasherTest, AllHashers);
 
 TYPED_TEST(TableHasherTest, HighLoadRoundTrip) {

@@ -52,19 +52,6 @@ TEST(Lookup2Test, AvalancheOnSingleBitFlip) {
   EXPECT_NEAR(total_changed_bits / 64.0, 16.0, 3.0);
 }
 
-TEST(Lookup3Test, DeterministicAndSeedSensitive) {
-  const char* data = "the quick brown fox";
-  EXPECT_EQ(JenkinsLookup3(data, 19, 1), JenkinsLookup3(data, 19, 1));
-  EXPECT_NE(JenkinsLookup3(data, 19, 1), JenkinsLookup3(data, 19, 2));
-}
-
-TEST(Lookup3Test, TwoLanesAreIndependent) {
-  // The packed (pb, pc) lanes should not be equal for typical inputs.
-  uint64_t key = 42;
-  const uint64_t h = JenkinsLookup3(&key, 8, 0);
-  EXPECT_NE(static_cast<uint32_t>(h), static_cast<uint32_t>(h >> 32));
-}
-
 TEST(Lookup2x64Test, FillsBothHalves) {
   int hi_nonzero = 0;
   for (uint64_t k = 0; k < 64; ++k) {
@@ -88,12 +75,6 @@ TEST(BobHasherTest, WorksOnIntegersAndStrings) {
   EXPECT_NE(h(uint64_t{1}, 0), h(uint64_t{2}, 0));
   EXPECT_NE(h(std::string("abc"), 0), h(std::string("abd"), 0));
   EXPECT_EQ(h(std::string("abc"), 0), h(std::string_view("abc"), 0));
-}
-
-TEST(SplitMixHasherTest, SeedSeparation) {
-  SplitMixHasher h;
-  EXPECT_NE(h(1, 10), h(1, 11));
-  EXPECT_EQ(h(1, 10), h(1, 10));
 }
 
 }  // namespace

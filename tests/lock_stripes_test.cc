@@ -1,7 +1,7 @@
 // Unit tests for the multi-writer building blocks: the striped writer
 // locks (LockStripeArray / LockStripeSet / LockStripeDrain), the
 // MovableAtomic counter cell, the atomic counter-byte discipline of
-// TagCounterArray / PackedArray, and the atomic flag words of BitArray.
+// TagCounterArray, and the atomic flag words of BitArray.
 // The end-to-end multi-writer protocol is exercised in
 // multiwriter_stress_test.cc; this file pins down the local contracts
 // those tests build on.
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bits.h"
-#include "src/common/packed_array.h"
 #include "src/core/counter_array.h"
 #include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
@@ -290,7 +289,7 @@ TEST(TagCounterArrayAtomicTest, OwnerNibbleUpdatesKeepTheOtherNibble) {
       const uint8_t tag = static_cast<uint8_t>(i & 0x0F);
       counters.AtomicSetTag(3, tag);
       counters.AtomicSet(3, static_cast<uint64_t>(i % 6) + 2);
-      counters.AtomicDecrement(3);
+      counters.AtomicSet(3, counters.PeekCounter(3) - 1);
       if (counters.PeekTag(3) != tag ||
           counters.PeekCounter(3) != static_cast<uint64_t>(i % 6) + 1) {
         ADD_FAILURE() << "nibble lost at iteration " << i;
@@ -325,8 +324,10 @@ TEST(TagCounterArrayAtomicTest, DecrementTombstoneAndSetSemantics) {
   TagCounterArray counters(4, 7, nullptr);
   counters.AtomicSetTag(1, 0x0C);
   counters.AtomicSet(1, 3);
-  EXPECT_EQ(counters.AtomicDecrement(1), 2u);
-  EXPECT_EQ(counters.AtomicDecrement(1), 1u);
+  counters.AtomicSet(1, counters.PeekCounter(1) - 1);
+  EXPECT_EQ(counters.PeekCounter(1), 2u);
+  counters.AtomicSet(1, counters.PeekCounter(1) - 1);
+  EXPECT_EQ(counters.PeekCounter(1), 1u);
   EXPECT_EQ(counters.PeekCounter(1), 1u);
   counters.AtomicMarkDeleted(1);
   EXPECT_EQ(counters.PeekCounter(1), 0u);  // tombstones read as counter 0
@@ -385,44 +386,6 @@ TEST(BitArrayAtomicTest, ConcurrentSetsOfOneWordKeepEveryBit) {
     ASSERT_EQ(flags.Word(0), ~uint64_t{0}) << "round " << round;
     for (size_t i = 0; i < 64; ++i) EXPECT_TRUE(flags.AtomicTest(i));
   }
-}
-
-TEST(PackedArrayAtomicTest, AtomicCapableAndConcurrentDisjointWrites) {
-  PackedArray byte_packed(128, 8);
-  EXPECT_TRUE(byte_packed.AtomicCapable());
-  PackedArray odd_packed(128, 3);  // 3 bits straddle word boundaries
-  EXPECT_FALSE(odd_packed.AtomicCapable());
-
-  // Entries sharing a 64-bit word are updated by different threads; the CAS
-  // form must keep every lane exact.
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 4; ++t) {
-    ts.emplace_back([&, t] {
-      for (size_t i = static_cast<size_t>(t); i < 128; i += 4) {
-        for (int r = 0; r < 1000; ++r) {
-          byte_packed.AtomicSet(i, i & 0xFF);
-        }
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_EQ(byte_packed.Get(i), i & 0xFF) << "entry " << i;
-  }
-}
-
-TEST(CounterArrayAtomicTest, AtomicSetAndMarkDeleted) {
-  // 0..15 needs 4 bits, which divides 64 — atomic-capable. (The 3-bit
-  // counters of d=7 tables are not; multi-writer runs on TagCounterArray.)
-  CounterArray counters(16, 15, nullptr);
-  ASSERT_TRUE(counters.AtomicCapable());
-  counters.AtomicSet(4, 3);
-  EXPECT_EQ(counters.Get(4), 3u);
-  counters.AtomicMarkDeleted(4);
-  EXPECT_EQ(counters.Get(4), 0u);
-  EXPECT_TRUE(counters.IsTombstone(4));
-  counters.AtomicSet(4, 1);
-  EXPECT_FALSE(counters.IsTombstone(4));
 }
 
 }  // namespace

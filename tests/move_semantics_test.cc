@@ -1,8 +1,9 @@
-// Regression tests for table move semantics: the on-chip structures
-// (CounterArray, KickHistory) hold a pointer to the table's AccessStats,
-// which must survive moves — Rehash's self-assignment, snapshot loading and
-// factory returns all move tables. (Caught originally by ASan as a
-// stack-buffer-underflow when the pointer dangled into a dead frame.)
+// Regression tests for table move semantics: the on-chip structures (the
+// counter store, TagCounterArray or BucketHeaderArray, and KickHistory)
+// hold a pointer to the table's AccessStats, which must survive moves —
+// Rehash's self-assignment, snapshot loading and factory returns all move
+// tables. A dangling pointer here shows up under ASan as a
+// stack-buffer-underflow into a dead frame.
 
 #include <gtest/gtest.h>
 

@@ -45,13 +45,6 @@ TEST(PackedArrayTest, MemoryIsPacked) {
   EXPECT_GE(a.memory_bytes(), 250'000u);
 }
 
-TEST(PackedArrayTest, ClearResetsEverything) {
-  PackedArray a(50, 3);
-  for (size_t i = 0; i < a.size(); ++i) a.Set(i, 7);
-  a.Clear();
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.Get(i), 0u);
-}
-
 // Widths that straddle 64-bit word boundaries must still round-trip.
 class PackedArrayWidthTest : public ::testing::TestWithParam<uint32_t> {};
 
