@@ -2,11 +2,11 @@
 //
 // All wall-clock benches merge their results into one machine-readable
 // file (BENCH_throughput.json): a single flat JSON object mapping
-// "<bench>.<case>" keys to numbers (items/sec). Each binary owns a key
-// prefix ("micro.", "batch.", "shard.") and replaces only its own keys on
-// rewrite, so the file accumulates results across binaries without any
-// external JSON dependency. The parser below only needs to read the flat
-// format the writer emits.
+// "<bench>.<case>" keys to numbers (items/sec). Each binary owns its key
+// namespaces ("micro.", "batch.", "shard." and "concurrent.", ...) and
+// replaces only its own keys on rewrite, so the file accumulates results
+// across binaries without any external JSON dependency. The parser below
+// only needs to read the flat format the writer emits.
 
 #ifndef MCCUCKOO_BENCH_BENCH_JSON_H_
 #define MCCUCKOO_BENCH_BENCH_JSON_H_

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_json.h"
 
@@ -76,23 +77,23 @@ inline bool BenchFilterMatchesAll(const std::string& filter) {
   return filter.empty() || filter == "." || filter == "all";
 }
 
-/// Writes `entries` over the file's rows with the same keys and keeps every
-/// other row.
-inline bool ReplaceFlatJsonKeys(const std::string& path,
-                                const FlatJson& entries) {
-  FlatJson data = LoadFlatJson(path);
-  for (const auto& [key, value] : entries) data[key] = value;
-  return StoreFlatJson(path, data);
-}
-
 /// Runs the registered benchmarks through a JsonCaptureReporter and merges
-/// the captured items/sec into BenchJsonPath() under `prefix` ("micro.",
-/// "batch.", ...), plus the "meta.*" machine-context rows. An unfiltered
-/// run replaces every `prefix` row (dropping rows of benchmarks that no
-/// longer exist); a --benchmark_filter run replaces only the rows it
-/// measured. Returns the process exit code.
+/// the captured items/sec into BenchJsonPath() under the key `prefix` +
+/// benchmark name, plus the "meta.*" machine-context rows. The binary owns
+/// the key namespaces in `owned` ("micro.", "shard.", ...; just `prefix`
+/// when `owned` is empty). An unfiltered run replaces every row under them
+/// (dropping rows of benchmarks that no longer exist) and keeps every other
+/// row; a --benchmark_filter run replaces only the rows it measured. An
+/// empty namespace would own the whole file, so it is refused. Returns the
+/// process exit code.
 inline int RunBenchmarksToJson(int argc, char** argv,
-                               const std::string& prefix) {
+                               const std::string& prefix,
+                               std::vector<std::string> owned = {}) {
+  if (owned.empty()) owned.push_back(prefix);
+  if (std::ranges::find(owned, "") != owned.end()) {
+    std::fprintf(stderr, "refusing to own every row: empty key namespace\n");
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const bool filtered = !BenchFilterMatchesAll(benchmark::GetBenchmarkFilter());
@@ -100,17 +101,23 @@ inline int RunBenchmarksToJson(int argc, char** argv,
   JsonCaptureReporter reporter(&captured);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  FlatJson prefixed;
-  for (const auto& [key, value] : captured) prefixed[prefix + key] = value;
   const std::string path = BenchJsonPath();
-  const bool merged = filtered ? ReplaceFlatJsonKeys(path, prefixed)
-                              : MergeFlatJson(path, prefix, prefixed);
-  if (!merged || !MergeFlatJson(path, "meta.", BenchMetaEntries())) {
+  FlatJson data = LoadFlatJson(path);
+  if (!filtered) {
+    std::erase_if(data, [&](const auto& row) {
+      return std::ranges::any_of(owned, [&](const std::string& ns) {
+        return row.first.starts_with(ns);
+      });
+    });
+  }
+  for (const auto& [key, value] : captured) data[prefix + key] = value;
+  if (!StoreFlatJson(path, data) ||
+      !MergeFlatJson(path, "meta.", BenchMetaEntries())) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(stderr, "wrote %zu '%s*' entries to %s\n", prefixed.size(),
-               prefix.c_str(), path.c_str());
+  std::fprintf(stderr, "wrote %zu rows to %s\n", captured.size(),
+               path.c_str());
   return 0;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -40,12 +41,16 @@ class BenchReporterTest : public ::testing::Test {
     std::remove(path_.c_str());
   }
 
-  // Runs the registered benchmarks as a bench binary would, with `filter`.
-  FlatJson RunWithFilter(const std::string& filter) {
+  // Runs the registered benchmarks as a bench binary would, with `filter`,
+  // keying rows `prefix` + name and owning `owned` (default: `prefix`).
+  FlatJson RunWithFilter(const std::string& filter,
+                         const std::string& prefix = "micro.",
+                         std::vector<std::string> owned = {}) {
     std::string name = "bench_reporter_test";
     std::string flag = "--benchmark_filter=" + filter;
     std::vector<char*> argv = {name.data(), flag.data(), nullptr};
-    EXPECT_EQ(RunBenchmarksToJson(2, argv.data(), "micro."), 0);
+    EXPECT_EQ(RunBenchmarksToJson(2, argv.data(), prefix, std::move(owned)),
+              0);
     return LoadFlatJson(path_);
   }
 
@@ -68,6 +73,40 @@ TEST_F(BenchReporterTest, UnfilteredRunReplacesItsWholePrefix) {
   EXPECT_TRUE(data.count("micro.insert.fake"));
   EXPECT_FALSE(data.count("micro.unrelated.row"));
   EXPECT_EQ(data.at("batch.other.row"), 7.0);
+}
+
+// A binary that owns several namespaces (bench/scaling owns "shard." and
+// "concurrent.") registers full keys under an empty prefix: an unfiltered
+// run drops the stale rows of each namespace it owns and keeps every
+// neighbour's rows.
+TEST_F(BenchReporterTest, UnfilteredRunReplacesOnlyItsOwnedNamespaces) {
+  FlatJson seeded = LoadFlatJson(path_);
+  for (const char* key :
+       {"lookup_hit.stale", "insert.stale", "write_scaling_ab.x.median",
+        "insert_grow_ab.x.median", "obs_on.x", "lat_overhead.ratio"}) {
+    seeded[key] = 3.0;
+  }
+  ASSERT_TRUE(StoreFlatJson(path_, seeded));
+  const FlatJson data = RunWithFilter("all", "", {"lookup_hit.", "insert."});
+  EXPECT_TRUE(data.count("lookup_hit.fake"));
+  EXPECT_TRUE(data.count("insert.fake"));
+  EXPECT_FALSE(data.count("lookup_hit.stale"));
+  EXPECT_FALSE(data.count("insert.stale"));
+  EXPECT_EQ(data.at("micro.unrelated.row"), 5.0);
+  EXPECT_EQ(data.at("batch.other.row"), 7.0);
+  for (const char* key : {"write_scaling_ab.x.median",
+                          "insert_grow_ab.x.median", "obs_on.x",
+                          "lat_overhead.ratio"}) {
+    ASSERT_TRUE(data.count(key)) << key;
+    EXPECT_EQ(data.at(key), 3.0) << key;
+  }
+}
+
+TEST_F(BenchReporterTest, EmptyNamespaceIsRefused) {
+  std::string name = "bench_reporter_test";
+  std::vector<char*> argv = {name.data(), nullptr};
+  EXPECT_NE(RunBenchmarksToJson(1, argv.data(), ""), 0);
+  EXPECT_EQ(LoadFlatJson(path_).size(), 2u);
 }
 
 }  // namespace

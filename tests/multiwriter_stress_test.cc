@@ -425,8 +425,9 @@ TEST(MultiWriterStressTest, InsertBatchGrowsMidBatch) {
 
 // Single-threaded differential trace: the multi-writer mode must be
 // operation-for-operation identical to the single-writer mode when only
-// one thread drives it (also the configuration whose t1 overhead the
-// write_scaling bench records — here we pin semantics, the bench speed).
+// one thread drives it (also the configuration whose t1 overhead
+// bench/scaling's concurrent.write_scaling rows record — here we pin
+// semantics, the bench speed).
 TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
   ShardedMcCuckoo<Table> single(StressOptions(), 1);
   ShardedMcCuckoo<Table> multi(StressOptions(), 1, ReadMode::kOptimistic,
