@@ -5,6 +5,27 @@
 // path serves dashboards, post-mortems, and the benchmark result files
 // alike — and the cache server's four HTTP stats routes are just these
 // functions behind a socket.
+//
+// Every table and server metric is declared once, in one of the metric
+// lists in export.cc: its name, kind (counter, gauge, histogram or ratio),
+// help text, optional label axis (policy, partition, op, kind) and how to
+// read it from a snapshot. The Prometheus, JSON and flat renderers walk
+// those lists and apply the same rules to every entry:
+//  - Name. One name per metric in every format: the Prometheus name
+//    without its "mccuckoo_" / "mccuckoo_server_" prefix and "_total"
+//    suffix (mccuckoo_kick_chain_length -> "kick_chain_length",
+//    mccuckoo_spans_total -> "spans").
+//  - Presence. Unlabelled series are always rendered. Members of a
+//    labelled histogram are rendered only when non-empty; members of a
+//    labelled counter always.
+//  - Prometheus. One "# HELP" / "# TYPE" pair per family, its members
+//    contiguous after it; counters carry "_total"; ratios are gauges.
+//  - JSON. A scalar is "<name>": value and a histogram "<name>": {"count",
+//    "sum", "buckets": [{"le", "n"}...]}; a labelled family is one object
+//    keyed by label value, e.g. "spans": {"growth": 3, ...}.
+//  - Flat (table plane only). "<name>[.<label>]" for a counter, gauge or
+//    ratio, with ".{count,mean,p50,p99,p999}" appended for a histogram,
+//    e.g. "spans.rehash", "op_latency_ns.find.p99".
 
 #ifndef MCCUCKOO_OBS_EXPORT_H_
 #define MCCUCKOO_OBS_EXPORT_H_
@@ -28,25 +49,26 @@ namespace mccuckoo {
 std::string PrometheusLabels(
     const std::vector<std::pair<std::string, std::string>>& labels);
 
-/// Prometheus text exposition of a snapshot: counters as *_total, the
-/// gauges, and the three histograms in cumulative-bucket form. `labels`
-/// are attached to every sample (histogram buckets additionally get their
-/// "le", partition counters their "partition"). The AccessStats totals are
-/// exported as counters too, plus a trailing human-readable comment
+/// Prometheus text exposition of the table plane (mccuckoo_* families),
+/// histograms in cumulative-bucket form. `labels` are attached to every
+/// sample (histogram buckets additionally get their "le", labelled
+/// families their axis label). The AccessStats totals are exported as
+/// counters too, plus a trailing human-readable comment
 /// (AccessStats::ToString) for eyeballing dumps.
 std::string ExportPrometheus(
     const MetricsSnapshot& m, const AccessStats& stats,
     const std::vector<std::pair<std::string, std::string>>& labels = {});
 
 /// JSON object with the same content (raw, non-cumulative buckets), plus
-/// the access stats as a nested object. Stable key order; parseable by any
-/// JSON reader and by bench/bench_json.h's flat scanner.
+/// "op_latency_quantiles" (p50/p99/p999 bucket bounds per op, so scanners
+/// such as tools/mccuckoo_top need no histogram math) and the access stats
+/// as a nested "access_stats" object. Stable key order.
 std::string ExportJson(const MetricsSnapshot& m, const AccessStats& stats);
 
-/// Flattens the headline numbers to "<prefix><metric>" -> value entries
-/// (mean/p50/p99 for the histograms, totals for the counters) — the form
+/// Flattens a snapshot to "<prefix><row>" -> value entries — the form
 /// bench binaries merge into BENCH_throughput.json so throughput rows gain
-/// histogram columns for free.
+/// histogram columns for free. Covers the MetricsSnapshot series only (no
+/// AccessStats totals).
 std::map<std::string, double> MetricsFlatEntries(const MetricsSnapshot& m,
                                                  const std::string& prefix);
 
@@ -74,11 +96,6 @@ std::string ExportServerPrometheus(
 /// JSON object of the same counters (the server's STATS opcode body and a
 /// "server" section of its /json route).
 std::string ExportServerJson(const ServerMetricsSnapshot& s);
-
-/// Flat "<prefix><metric>" -> value entries for the bench harness,
-/// mirroring MetricsFlatEntries.
-std::map<std::string, double> ServerFlatEntries(const ServerMetricsSnapshot& s,
-                                                const std::string& prefix);
 
 }  // namespace mccuckoo
 

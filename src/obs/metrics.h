@@ -341,18 +341,6 @@ class Log2Histogram {
     return s;
   }
 
-  /// Adds pre-aggregated bucket counts and a value sum in one pass,
-  /// skipping untouched cells (LookupTally's flush path).
-  void MergeCounts(const std::array<uint64_t, kHistogramBuckets>& buckets,
-                   uint64_t sum) {
-    for (size_t i = 0; i < kHistogramBuckets; ++i) {
-      if (buckets[i] != 0) {
-        bucket_[i].fetch_add(buckets[i], std::memory_order_relaxed);
-      }
-    }
-    if (sum != 0) sum_.fetch_add(sum, std::memory_order_relaxed);
-  }
-
   void MergeFrom(const Log2Histogram& o) {
     for (size_t i = 0; i < kHistogramBuckets; ++i) {
       bucket_[i].fetch_add(o.bucket_[i].load(std::memory_order_relaxed),
@@ -382,19 +370,16 @@ struct TableMetrics {
   Log2Histogram kick_chain_len;
   std::array<Log2Histogram, kMetricsPolicies> policy_chain_len;
   Log2Histogram insert_ns;
-  Log2Histogram lookup_probes;
   /// Fused (outcome row x probe count) cells: the lookup hot paths record
   /// probe histogram and partition hit with ONE relaxed fetch_add instead
   /// of three. On x86 every atomic RMW is a full barrier that stalls the
   /// next iteration's loads, so this is a measurable share of lookup
-  /// latency. Snapshot() folds the grid back into lookup_probes /
-  /// partition_hits, exactly; the legacy cells stay live for callers that
-  /// record the pieces separately.
+  /// latency. Snapshot() folds the grid into lookup_probes /
+  /// partition_hits exactly; the grid is their only record.
   std::array<std::atomic<uint64_t>, kLookupOutcomeRows * kLookupOutcomeCols>
       lookup_outcome{};
   Counter bfs_nodes_expanded;
   std::array<Counter, kMetricsPartitions> partition_probes;
-  std::array<Counter, kMetricsPartitions> partition_hits;
   Counter erases;
   Counter stash_hits;
   Counter stash_misses;
@@ -424,14 +409,9 @@ struct TableMetrics {
   /// The BFS engine expanded `n` interior nodes during one search.
   void RecordBfsNodes(uint64_t n) { bfs_nodes_expanded.Inc(n); }
 
-  void RecordLookup(uint64_t total_probes) {
-    lookup_probes.Record(total_probes);
-  }
-
   /// Fused hot-path recording: one lookup's probe count plus its outcome
   /// (`hit_value` < 0 for a miss, else the resolving partition value) in a
-  /// single relaxed fetch_add. Equivalent to RecordLookup(total_probes)
-  /// plus, on a hit, RecordPartitionHit(hit_value).
+  /// single relaxed fetch_add.
   void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
     const size_t row =
         hit_value < 0 ? 0
@@ -450,11 +430,6 @@ struct TableMetrics {
     partition_probes[value < kMetricsPartitions ? value
                                                 : kMetricsPartitions - 1]
         .Inc(probes);
-  }
-
-  void RecordPartitionHit(uint32_t value) {
-    partition_hits[value < kMetricsPartitions ? value : kMetricsPartitions - 1]
-        .Inc();
   }
 
   void RecordStashProbe(bool hit) { (hit ? stash_hits : stash_misses).Inc(); }
@@ -497,11 +472,9 @@ struct TableMetrics {
       s.policy_chain_len[i] = policy_chain_len[i].Snapshot();
     }
     s.insert_ns = insert_ns.Snapshot();
-    s.lookup_probes = lookup_probes.Snapshot();
     s.bfs_nodes_expanded = bfs_nodes_expanded.Value();
     for (size_t i = 0; i < kMetricsPartitions; ++i) {
       s.partition_probes[i] = partition_probes[i].Value();
-      s.partition_hits[i] = partition_hits[i].Value();
     }
     // Fold the fused grid into the probe histogram and hit counters; the
     // column index IS the probe count, so the fold is exact.
@@ -541,7 +514,6 @@ struct TableMetrics {
       policy_chain_len[i].MergeFrom(o.policy_chain_len[i]);
     }
     insert_ns.MergeFrom(o.insert_ns);
-    lookup_probes.MergeFrom(o.lookup_probes);
     for (size_t i = 0; i < lookup_outcome.size(); ++i) {
       lookup_outcome[i].fetch_add(
           o.lookup_outcome[i].load(std::memory_order_relaxed),
@@ -550,7 +522,6 @@ struct TableMetrics {
     bfs_nodes_expanded.Inc(o.bfs_nodes_expanded.Value());
     for (size_t i = 0; i < kMetricsPartitions; ++i) {
       partition_probes[i].Inc(o.partition_probes[i].Value());
-      partition_hits[i].Inc(o.partition_hits[i].Value());
     }
     erases.Inc(o.erases.Value());
     stash_hits.Inc(o.stash_hits.Value());
@@ -572,11 +543,9 @@ struct TableMetrics {
     kick_chain_len.Reset();
     for (auto& h : policy_chain_len) h.Reset();
     insert_ns.Reset();
-    lookup_probes.Reset();
     for (auto& c : lookup_outcome) c.store(0, std::memory_order_relaxed);
     bfs_nodes_expanded.Reset();
     for (auto& c : partition_probes) c.Reset();
-    for (auto& c : partition_hits) c.Reset();
     erases.Reset();
     stash_hits.Reset();
     stash_misses.Reset();
@@ -606,11 +575,6 @@ inline uint64_t MetricsNowNs() { return NowNs(); }
 /// TableMetrics so the per-key lookup code is generic over its sink.
 class LookupTally {
  public:
-  void RecordLookup(uint64_t total_probes) {
-    ++lookup_bucket_[HistogramBucketOf(total_probes)];
-    lookup_sum_ += total_probes;
-  }
-
   /// Plain-integer mirror of TableMetrics::RecordLookupOutcome; flushed
   /// into the shared grid cell-for-cell.
   void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
@@ -632,17 +596,11 @@ class LookupTally {
         probes;
   }
 
-  void RecordPartitionHit(uint32_t value) {
-    ++partition_hits_[value < kMetricsPartitions ? value
-                                                 : kMetricsPartitions - 1];
-  }
-
   void RecordStashProbe(bool hit) { ++(hit ? stash_hits_ : stash_misses_); }
 
   /// Publishes the tallies into `m` (one fetch_add per non-zero cell) and
   /// resets this tally for reuse.
   void FlushTo(TableMetrics& m) {
-    m.lookup_probes.MergeCounts(lookup_bucket_, lookup_sum_);
     for (size_t i = 0; i < lookup_outcome_.size(); ++i) {
       if (lookup_outcome_[i] != 0) {
         m.lookup_outcome[i].fetch_add(lookup_outcome_[i],
@@ -653,7 +611,6 @@ class LookupTally {
       if (partition_probes_[i] != 0) {
         m.partition_probes[i].Inc(partition_probes_[i]);
       }
-      if (partition_hits_[i] != 0) m.partition_hits[i].Inc(partition_hits_[i]);
     }
     if (stash_hits_ != 0) m.stash_hits.Inc(stash_hits_);
     if (stash_misses_ != 0) m.stash_misses.Inc(stash_misses_);
@@ -661,12 +618,9 @@ class LookupTally {
   }
 
  private:
-  std::array<uint64_t, kHistogramBuckets> lookup_bucket_{};
   std::array<uint64_t, kLookupOutcomeRows * kLookupOutcomeCols>
       lookup_outcome_{};
-  uint64_t lookup_sum_ = 0;
   std::array<uint64_t, kMetricsPartitions> partition_probes_{};
-  std::array<uint64_t, kMetricsPartitions> partition_hits_{};
   uint64_t stash_hits_ = 0;
   uint64_t stash_misses_ = 0;
 };
@@ -679,10 +633,8 @@ struct TableMetrics {
   void RecordInsert(uint64_t, uint64_t) {}
   void RecordPolicyChain(uint32_t, uint64_t) {}
   void RecordBfsNodes(uint64_t) {}
-  void RecordLookup(uint64_t) {}
   void RecordLookupOutcome(uint64_t, int32_t) {}
   void RecordPartitionProbes(uint32_t, uint64_t) {}
-  void RecordPartitionHit(uint32_t) {}
   void RecordStashProbe(bool) {}
   void RecordErase() {}
   void RecordRehash(uint64_t) {}
@@ -701,10 +653,8 @@ inline uint64_t MetricsNowNs() { return 0; }
 
 /// No-op batch tally matching the enabled interface.
 struct LookupTally {
-  void RecordLookup(uint64_t) {}
   void RecordLookupOutcome(uint64_t, int32_t) {}
   void RecordPartitionProbes(uint32_t, uint64_t) {}
-  void RecordPartitionHit(uint32_t) {}
   void RecordStashProbe(bool) {}
   void FlushTo(TableMetrics&) {}
 };

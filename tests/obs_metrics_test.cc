@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -155,11 +158,10 @@ TEST(TableMetricsTest, DerivedCountsAndClamping) {
   TableMetrics m;
   m.RecordInsert(0, 100);
   m.RecordInsert(5, 900);
-  m.RecordLookup(3);
+  m.RecordLookupOutcome(3, 3);  // 3 probes, hit in partition 3.
   m.RecordPartitionProbes(1, 2);
   m.RecordPartitionProbes(2, 0);    // Zero probes: not recorded.
   m.RecordPartitionProbes(99, 1);   // Out of range: clamps to the last slot.
-  m.RecordPartitionHit(3);
   m.RecordStashProbe(true);
   m.RecordStashProbe(false);
   m.RecordErase();
@@ -358,6 +360,19 @@ MetricsSnapshot SyntheticSnapshot() {
   return m;
 }
 
+/// Braces and brackets balance (cheap well-formedness check).
+void ExpectBalancedJson(const std::string& json) {
+  int braces = 0, brackets = 0;
+  for (char c : json) {
+    braces += c == '{' ? 1 : c == '}' ? -1 : 0;
+    brackets += c == '[' ? 1 : c == ']' ? -1 : 0;
+    ASSERT_GE(braces, 0);
+    ASSERT_GE(brackets, 0);
+  }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
+}
+
 TEST(ExportTest, PrometheusTextFormat) {
   const AccessStats stats{7, 6, 5, 4, 3, 2};
   const std::string text =
@@ -402,34 +417,203 @@ TEST(ExportTest, JsonSnapshot) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');
   EXPECT_NE(json.find("\"inserts\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"kick_chain_len\": {\"count\": 3, \"sum\": 2"),
+  EXPECT_NE(json.find("\"kick_chain_length\": {\"count\": 3, \"sum\": 2"),
             std::string::npos);
-  EXPECT_NE(json.find("\"partition_probes\": [0, 0, 0, 4, 0]"),
+  EXPECT_NE(json.find("\"partition_probes\": {\"0\": 0, \"1\": 0, \"2\": 0, "
+                      "\"3\": 4, \"4\": 0}"),
             std::string::npos);
   EXPECT_NE(json.find("\"load_factor\": 0.25"), std::string::npos);
   EXPECT_NE(json.find("\"access_stats\": {"), std::string::npos);
   EXPECT_NE(json.find("\"offchip_reads\": 7"), std::string::npos);
-  // Braces and brackets balance (cheap well-formedness check).
-  int braces = 0, brackets = 0;
-  for (char c : json) {
-    braces += c == '{' ? 1 : c == '}' ? -1 : 0;
-    brackets += c == '[' ? 1 : c == ']' ? -1 : 0;
-    ASSERT_GE(braces, 0);
-    ASSERT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  ExpectBalancedJson(json);
 }
 
 TEST(ExportTest, FlatEntries) {
   const auto flat = MetricsFlatEntries(SyntheticSnapshot(), "obs_on.McCuckoo.");
   EXPECT_EQ(flat.at("obs_on.McCuckoo.inserts"), 3.0);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.lookups"), 5.0);
-  EXPECT_NEAR(flat.at("obs_on.McCuckoo.kick_chain_len.mean"), 2.0 / 3, 1e-12);
+  EXPECT_NEAR(flat.at("obs_on.McCuckoo.kick_chain_length.mean"), 2.0 / 3,
+              1e-12);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.lookup_probes.p50"), 1.0);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.lookup_probes.p99"), 1.0);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.stash_hits"), 1.0);
   EXPECT_EQ(flat.at("obs_on.McCuckoo.load_factor"), 0.25);
+}
+
+// Every family of both planes, every field non-zero (two policies and three
+// ops recorded): each metric renders under one name, once per format.
+TEST(ExportTest, EveryMetricOncePerFormat) {
+  const auto one_sample = [](HistogramSnapshot& h, uint64_t v) {
+    h.bucket[HistogramBucketOf(v)] = 1;
+    h.count = 1;
+    h.sum = v;
+  };
+  MetricsSnapshot m;
+  m.inserts = 1;
+  m.lookups = 2;
+  m.erases = 3;
+  one_sample(m.kick_chain_len, 4);
+  one_sample(m.policy_chain_len[0], 5);  // random_walk
+  one_sample(m.policy_chain_len[2], 6);  // bfs
+  one_sample(m.insert_ns, 7);
+  one_sample(m.lookup_probes, 2);
+  m.bfs_nodes_expanded = 8;
+  for (size_t v = 0; v < kMetricsPartitions; ++v) {
+    m.partition_probes[v] = 10 + v;
+    m.partition_hits[v] = 20 + v;
+  }
+  m.stash_hits = 9;
+  m.stash_misses = 10;
+  m.optimistic_retries = 11;
+  m.optimistic_fallbacks = 12;
+  m.writer_lock_acquisitions = 13;
+  m.writer_lock_contended = 14;
+  m.writer_chain_handoffs = 15;
+  one_sample(m.writer_lock_wait_ns, 16);
+  m.growth_rehashes = 17;
+  m.growth_reseeds = 18;
+  m.growth_failures = 19;
+  m.growth_suppressed = 1;
+  one_sample(m.rehash_ns, 20);
+  for (size_t op = 0; op < 3; ++op) one_sample(m.op_latency_ns[op], 100 + op);
+  m.latency_sample_period = 32;
+  for (size_t k = 0; k < kSpanKinds; ++k) m.span_counts[k] = 30 + k;
+  m.occupancy_items = 40;
+  m.capacity_slots = 80;
+  const AccessStats stats{1, 2, 3, 4, 5, 6};
+
+  ServerMetricsSnapshot s;
+  for (size_t op = 0; op < kServerOps; ++op) s.requests[op] = 1 + op;
+  s.connections_accepted = 7;
+  s.connections_closed = 8;
+  s.protocol_errors = 9;
+  s.http_requests = 10;
+  s.bytes_read = 11;
+  s.bytes_written = 12;
+  s.get_hits = 13;
+  s.get_misses = 14;
+  s.mget_keys = 15;
+  s.batched_lookups = 16;
+  s.expired_lazy = 17;
+  s.expired_swept = 18;
+  s.sweep_runs = 19;
+  s.evictions_capacity = 20;
+  s.evictions_pressure = 21;
+  s.hash_collisions = 22;
+  s.items = 23;
+  s.bytes = 24;
+  s.open_connections = 25;
+
+  const std::vector<std::string> table_scalars = {
+      "inserts", "lookups", "erases", "bfs_nodes_expanded", "stash_hits",
+      "stash_misses", "optimistic_retries", "optimistic_fallbacks",
+      "writer_lock_acquisitions", "writer_lock_contended",
+      "writer_chain_handoffs", "growth_rehashes", "growth_reseeds",
+      "growth_failures", "growth_suppressed", "latency_sample_period",
+      "occupancy_items", "capacity_slots", "load_factor"};
+  const std::vector<std::string> table_histograms = {
+      "kick_chain_length", "insert_latency_ns", "lookup_probes",
+      "writer_lock_wait_ns", "rehash_duration_ns"};
+  const std::map<std::string, std::vector<std::string>> table_labelled = {
+      {"policy_chain_length", {"random_walk", "bfs"}},
+      {"op_latency_ns", {"insert", "find", "erase"}},
+      {"partition_probes", {"0", "1", "2", "3", "4"}},
+      {"partition_hits", {"0", "1", "2", "3", "4"}},
+      {"spans", {"growth", "rehash", "reseed", "bfs_dead_end", "stash_spill"}}};
+  const std::vector<std::string> access_names = {
+      "offchip_reads", "offchip_writes", "onchip_reads",
+      "onchip_writes", "kickouts",       "stash_probes"};
+  const std::vector<std::string> server_names = {
+      "requests", "connections_accepted", "connections_closed",
+      "protocol_errors", "http_requests", "bytes_read", "bytes_written",
+      "get_hits", "get_misses", "mget_keys", "batched_lookups",
+      "expired_lazy", "expired_swept", "sweep_runs", "evictions_capacity",
+      "evictions_pressure", "hash_collisions", "items", "bytes",
+      "open_connections", "hit_ratio"};
+  std::vector<std::string> table_names = table_scalars;
+  table_names.insert(table_names.end(), table_histograms.begin(),
+                     table_histograms.end());
+  for (const auto& [name, labels] : table_labelled) table_names.push_back(name);
+  ASSERT_EQ(table_names.size(), 29u);
+
+  // Prometheus: one HELP and one TYPE line per family, and every sample
+  // sits in the run of its own family (members contiguous).
+  const std::string prom =
+      ExportPrometheus(m, stats) + ExportServerPrometheus(s);
+  std::map<std::string, int> help, type;
+  std::string family;
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream words(line);
+    std::string w0, w1, w2;
+    words >> w0 >> w1 >> w2;
+    if (w0 == "#" && w1 == "HELP") ++help[w2];
+    if (w0 == "#" && w1 == "TYPE") ++type[family = w2];
+    if (w0 == "#") continue;
+    const std::string sample = w0.substr(0, w0.find('{'));
+    EXPECT_TRUE(sample == family || sample == family + "_bucket" ||
+                sample == family + "_sum" || sample == family + "_count")
+        << line << " after TYPE " << family;
+  }
+  EXPECT_EQ(help.size(), type.size());
+  for (const auto& [name, n] : type) {
+    EXPECT_EQ(n, 1) << "TYPE " << name;
+    EXPECT_EQ(help[name], 1) << "HELP " << name;
+  }
+  const auto expect_family = [&](const std::string& prefix,
+                                 const std::string& name) {
+    EXPECT_EQ(type.count(prefix + name) + type.count(prefix + name + "_total"),
+              1u)
+        << name;
+  };
+  for (const std::string& name : table_names) expect_family("mccuckoo_", name);
+  for (const std::string& name : access_names) expect_family("mccuckoo_", name);
+  for (const std::string& name : server_names) {
+    expect_family("mccuckoo_server_", name);
+  }
+  EXPECT_EQ(type.size(),
+            table_names.size() + access_names.size() + server_names.size());
+
+  // JSON: balanced, and each name keys exactly one member.
+  const auto expect_once = [](const std::string& json,
+                              const std::vector<std::string>& names) {
+    ExpectBalancedJson(json);
+    for (const std::string& name : names) {
+      const std::string key = "\"" + name + "\":";
+      const size_t first = json.find(key);
+      EXPECT_NE(first, std::string::npos) << name;
+      EXPECT_EQ(json.find(key, first + 1), std::string::npos) << name;
+    }
+  };
+  std::vector<std::string> json_names = table_names;
+  json_names.insert(json_names.end(), access_names.begin(), access_names.end());
+  json_names.push_back("op_latency_quantiles");
+  json_names.push_back("access_stats");
+  expect_once(ExportJson(m, stats), json_names);
+  expect_once(ExportServerJson(s), server_names);
+
+  // Flat: exactly the documented rows.
+  std::set<std::string> want;
+  const auto add_histogram = [&](const std::string& base) {
+    for (const char* stat : {"count", "mean", "p50", "p99", "p999"}) {
+      want.insert("t." + base + "." + stat);
+    }
+  };
+  for (const std::string& name : table_scalars) want.insert("t." + name);
+  for (const std::string& name : table_histograms) add_histogram(name);
+  for (const auto& [name, labels] : table_labelled) {
+    for (const std::string& label : labels) {
+      if (name == "policy_chain_length" || name == "op_latency_ns") {
+        add_histogram(name + "." + label);
+      } else {
+        want.insert("t." + name + "." + label);
+      }
+    }
+  }
+  std::set<std::string> got;
+  for (const auto& [key, value] : MetricsFlatEntries(m, "t.")) got.insert(key);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(want.size(), 84u);
 }
 
 }  // namespace

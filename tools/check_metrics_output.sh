@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Validates exporter output against a checked-in schema: every non-comment
 # line of the schema is an extended regex that must match somewhere in the
-# output. Also cross-checks internal consistency of the Prometheus section
-# (the cumulative +Inf bucket of each histogram must equal its _count
-# sample, per label set for labelled histograms like op latency).
+# output. Also cross-checks internal consistency of the Prometheus section:
+#  - the cumulative +Inf bucket of each histogram must equal its _count
+#    sample, per label set for labelled histograms like op latency;
+#  - each family has one "# HELP" and one "# TYPE" line, and its samples
+#    form one contiguous run (no other family's samples in between).
 #
 # Usage:
 #   tools/check_metrics_output.sh <path-to-metrics_dump> [schema]
@@ -52,6 +54,35 @@ while IFS= read -r line; do
     fail=1
   fi
 done < <(grep -E '^[a-z_]+_bucket\{.*le="\+Inf"\} [0-9]+$' <<<"$out")
+
+# Exposition-format rules: a family may not carry a second HELP or TYPE
+# line, and no other family's samples may split its samples into two runs.
+# A histogram's _bucket/_sum/_count samples belong to its TYPE'd family.
+if ! grep -E '^# (HELP|TYPE) |^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [-+0-9.eEInfa]+$' \
+    <<<"$out" | awk '
+  $1 == "#" {
+    if (++meta[$2 " " $3] > 1) {
+      print "DUPLICATE: # " $2 " " $3 > "/dev/stderr"; bad = 1
+    }
+    if ($2 == "TYPE") type[$3] = $4
+    next
+  }
+  {
+    family = $1; sub(/\{.*/, "", family)
+    base = family; sub(/_(bucket|sum|count)$/, "", base)
+    if (type[base] == "histogram") family = base
+    if (family != current) {
+      if (family in closed) {
+        print "SPLIT: " family " resumes after " current > "/dev/stderr"
+        bad = 1
+      }
+      if (current != "") closed[current] = 1
+      current = family
+    }
+  }
+  END { exit bad }'; then
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "metrics output schema check FAILED" >&2

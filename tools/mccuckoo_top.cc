@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -132,16 +131,11 @@ int Run(int argc, char** argv) {
     PrintLatencyRow("find", ScanQuantiles(body, "find"));
     PrintLatencyRow("find_batch", ScanQuantiles(body, "find_batch"));
     std::printf("\n  spans:");
-    // "spans": [g, rh, rs, bfs, spill] — positional per kSpanKindNames.
+    // "spans": {"growth": N, ...} — one member per span kind, by name.
     const size_t spans_at = body.find("\"spans\":");
-    if (spans_at != std::string::npos) {
-      const char* p = body.c_str() + spans_at;
-      p = std::strchr(p, '[');
-      for (size_t k = 0; p != nullptr && k < kSpanKinds; ++k) {
-        ++p;  // past '[' or ','
-        std::printf(" %s=%.0f", kSpanKindNames[k], std::strtod(p, nullptr));
-        p = std::strchr(p, k + 1 < kSpanKinds ? ',' : ']');
-      }
+    for (size_t k = 0; spans_at != std::string::npos && k < kSpanKinds; ++k) {
+      std::printf(" %s=%.0f", kSpanKindNames[k],
+                  ScanNumber(body, kSpanKindNames[k], spans_at));
     }
     std::printf("\n");
     std::fflush(stdout);
