@@ -11,33 +11,17 @@
 #ifndef MCCUCKOO_BENCH_BENCH_JSON_H_
 #define MCCUCKOO_BENCH_BENCH_JSON_H_
 
-#include <cstdint>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace mccuckoo {
 
 /// Flat string -> number mapping (std::map keeps the file diff-stable).
 using FlatJson = std::map<std::string, double>;
-
-/// Table size for a throughput bench: $MCCUCKOO_BENCH_SLOTS, or
-/// `fallback` when unset. Rejects unparseable or zero values up front —
-/// they would otherwise surface as an abort deep inside table creation.
-inline uint64_t BenchSlotsOrDefault(uint64_t fallback) {
-  const char* env = std::getenv("MCCUCKOO_BENCH_SLOTS");
-  if (env == nullptr) return fallback;
-  char* end = nullptr;
-  const uint64_t slots = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || slots == 0) {
-    std::fprintf(stderr,
-                 "invalid MCCUCKOO_BENCH_SLOTS='%s' (want a positive integer)\n",
-                 env);
-    std::exit(1);
-  }
-  return slots;
-}
 
 /// Escapes `s` for use inside a JSON string literal: backslash, double
 /// quote, and control characters (RFC 8259 §7). Everything else passes
@@ -165,23 +149,27 @@ inline bool StoreFlatJson(const std::string& path, const FlatJson& data) {
   return true;
 }
 
-/// Replaces every key starting with `prefix` in the file with `entries`
-/// (which should all carry that prefix) and rewrites it. This is how the
-/// bench binaries share one results file. A key present both on disk and
-/// in `entries` is deterministically overwritten with the entry value,
-/// whether or not it carries the prefix.
-inline bool MergeFlatJson(const std::string& path, const std::string& prefix,
+/// Replaces every key starting with one of `prefixes` in the file with
+/// `entries` (which should all carry one of them) and rewrites it. This is
+/// how the bench binaries share one results file. A key present both on
+/// disk and in `entries` is deterministically overwritten with the entry
+/// value, whether or not it carries a prefix.
+inline bool MergeFlatJson(const std::string& path,
+                          const std::vector<std::string>& prefixes,
                           const FlatJson& entries) {
   FlatJson data = LoadFlatJson(path);
-  for (auto it = data.begin(); it != data.end();) {
-    if (it->first.rfind(prefix, 0) == 0) {
-      it = data.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(data, [&](const auto& row) {
+    return std::ranges::any_of(prefixes, [&](const std::string& prefix) {
+      return row.first.starts_with(prefix);
+    });
+  });
   for (const auto& [key, value] : entries) data[key] = value;
   return StoreFlatJson(path, data);
+}
+
+inline bool MergeFlatJson(const std::string& path, const std::string& prefix,
+                          const FlatJson& entries) {
+  return MergeFlatJson(path, std::vector<std::string>{prefix}, entries);
 }
 
 /// Results file location: $MCCUCKOO_BENCH_JSON or ./BENCH_throughput.json.

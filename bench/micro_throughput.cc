@@ -1,24 +1,25 @@
-// Wall-clock microbenchmarks (google-benchmark): raw software throughput of
-// the four schemes plus a std::unordered_map reference. Not a paper figure
-// — the paper's end-to-end numbers are FPGA-based — but useful for judging
-// the pure-software cost of the counter logic. One row, insert_grow, fills
-// the cache store's table configuration instead of a SchemeTable.
+// Wall-clock microbenchmarks: raw software throughput of the four schemes
+// plus a std::unordered_map reference. Not a paper figure — the paper's
+// end-to-end numbers are FPGA-based — but useful for judging the
+// pure-software cost of the counter logic. One row, insert_grow, fills the
+// cache store's table configuration instead of a SchemeTable.
 //
-// Results are merged into BENCH_throughput.json under the "micro." prefix
-// (see bench/bench_json.h); benchmark names double as the JSON keys.
-
-#include <benchmark/benchmark.h>
+// Rows are timed by bench/bench_driver.h and merged into
+// BENCH_throughput.json under the "micro." prefix. Lookup rows at one load
+// form one group, so every scheme and probe kernel at that load is timed in
+// the same interleaved reps. --slots sets insert_grow's key count
+// (default 4Mi).
 
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
-#include "bench/bench_reporter.h"
+#include "bench/bench_driver.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/hash/hashers.h"
-#include "src/obs/metrics.h"
+#include "src/obs/export.h"
 #include "src/sim/schemes.h"
 #include "src/sim/sweep.h"
 #include "src/workload/keyset.h"
@@ -27,22 +28,21 @@ namespace mccuckoo {
 namespace {
 
 constexpr uint64_t kSlots = 9 * 20'000;
+constexpr uint64_t kLookupOps = 1 << 20;   // lookups per rep
+constexpr uint64_t kKernelIters = 1 << 21;  // probe-kernel rounds per rep
 
-SchemeConfig Config() {
+/// A scheme table filled to `load`; `latency_period` 1 times every op.
+std::unique_ptr<SchemeTable> FilledTable(
+    SchemeKind kind, double load,
+    EvictionPolicy policy = EvictionPolicy::kRandomWalk,
+    ProbeKind probe = ProbeKind::kAuto, uint32_t latency_period = 0) {
   SchemeConfig c;
   c.total_slots = kSlots;
   c.maxloop = 500;
   c.seed = 7;
-  return c;
-}
-
-std::unique_ptr<SchemeTable> FilledTable(
-    SchemeKind kind, double load,
-    EvictionPolicy policy = EvictionPolicy::kRandomWalk,
-    ProbeKind probe = ProbeKind::kAuto) {
-  SchemeConfig c = Config();
   c.eviction_policy = policy;
   c.probe = probe;
+  c.latency_sample_period = latency_period;
   auto t = MakeScheme(kind, c);
   const auto keys = MakeUniqueKeys(t->capacity(), 7, 0);
   size_t cursor = 0;
@@ -50,104 +50,112 @@ std::unique_ptr<SchemeTable> FilledTable(
   return t;
 }
 
-/// Advances a cyclic key cursor without the 64-bit division a `% size`
-/// would put on the critical path: the divide's latency serializes the
-/// key load against the previous iteration and dominates short lookups,
-/// so all lookup loops below use this instead.
-inline size_t NextIndex(size_t i, size_t size) {
-  return i + 1 == size ? 0 : i + 1;
+std::string LoadSuffix(const std::string& scheme, int load) {
+  return "." + scheme + ".load" + std::to_string(load);
 }
 
-void BM_Insert(benchmark::State& state, SchemeKind kind, double load,
-               EvictionPolicy policy = EvictionPolicy::kRandomWalk) {
-  // Rebuild periodically: inserting past the target load would distort the
-  // measurement, so insert in bounded bursts from the prefill point.
-  auto table = FilledTable(kind, load, policy);
-  const auto fresh = MakeUniqueKeys(kSlots, 7, 3);
-  size_t i = 0;
-  const size_t burst_limit = static_cast<size_t>(kSlots) / 20;
-  for (auto _ : state) {
-    if (i >= burst_limit) {
-      state.PauseTiming();
-      table = FilledTable(kind, load, policy);
-      i = 0;
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(table->Insert(fresh[i], fresh[i]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
+// One insert row: each rep rebuilds the table at `load` (untimed) and times
+// a burst of fresh inserts from that point — inserting past the target load
+// would distort the measurement, so the burst is bounded.
+BenchRow InsertRow(const std::string& key, SchemeKind kind, int load,
+                   EvictionPolicy policy) {
+  auto table = std::make_shared<std::unique_ptr<SchemeTable>>();
+  const auto fresh = std::make_shared<const std::vector<uint64_t>>(
+      MakeUniqueKeys(kSlots, 7, 3));
+  const size_t burst = static_cast<size_t>(kSlots) / 20;
+  return {key,
+          [=] {
+            SchemeTable& t = **table;
+            const uint64_t* k = fresh->data();
+            for (size_t i = 0; i < burst; ++i) {
+              DoNotOptimize(t.Insert(k[i], k[i]));
+            }
+            return uint64_t{burst};
+          },
+          [=] { *table = FilledTable(kind, load / 100.0, policy); }};
 }
 
 // Scalar writes into a growing, DRAM-sized table: the cache store's table
 // configuration (8 shards, multi-writer, optimistic reads, d = 3,
 // kResetCounters, stash on, growth on from 64Ki slots) takes InsertOrAssign
-// of $MCCUCKOO_BENCH_SLOTS (default 4Mi) distinct keys — the write a store
-// SET makes. Unlike the cache-resident insert rows above, every write here
-// misses on its counter and bucket lines, so this row prices how those
-// misses overlap.
-void BM_InsertGrow(benchmark::State& state) {
+// of `count` distinct keys — the write a store SET makes. Unlike the
+// cache-resident insert rows, every write here misses on its counter and
+// bucket lines, so this row prices how those misses overlap. Each rep
+// builds (and drops the previous rep's) table untimed.
+BenchRow InsertGrowRow(uint64_t count) {
   using Table = McCuckooTable<uint64_t, uint64_t, XxHasher>;
-  const auto keys =
-      MakeUniqueKeys(BenchSlotsOrDefault(uint64_t{1} << 22), 7, 5);
-  TableOptions o;
-  o.num_hashes = 3;
-  o.seed = 0x5EEDCAFE;
-  o.buckets_per_table = ((uint64_t{1} << 16) + 2) / 3;
-  o.deletion_mode = DeletionMode::kResetCounters;
-  o.stash_enabled = true;
-  o.growth.enabled = true;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto table = std::make_unique<ShardedMcCuckoo<Table>>(
-        o, 8, ReadMode::kOptimistic, WriteMode::kMultiWriter);
-    state.ResumeTiming();
-    for (const uint64_t k : keys) {
-      benchmark::DoNotOptimize(table->InsertOrAssign(k, k));
-    }
-    state.PauseTiming();
-    table.reset();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(keys.size()));
+  using Sharded = ShardedMcCuckoo<Table>;
+  auto table = std::make_shared<std::unique_ptr<Sharded>>();
+  const auto keys = std::make_shared<const std::vector<uint64_t>>(
+      MakeUniqueKeys(count, 7, 5));
+  return {"micro.insert_grow.McCuckoo.multi",
+          [=] {
+            Sharded& t = **table;
+            for (const uint64_t k : *keys) {
+              DoNotOptimize(t.InsertOrAssign(k, k));
+            }
+            return uint64_t{keys->size()};
+          },
+          [=] {
+            TableOptions o;
+            o.num_hashes = 3;
+            o.seed = 0x5EEDCAFE;
+            o.buckets_per_table = ((uint64_t{1} << 16) + 2) / 3;
+            o.deletion_mode = DeletionMode::kResetCounters;
+            o.stash_enabled = true;
+            o.growth.enabled = true;
+            table->reset();
+            *table = std::make_unique<Sharded>(o, 8, ReadMode::kOptimistic,
+                                               WriteMode::kMultiWriter);
+          }};
 }
 
-void BM_LookupHit(benchmark::State& state, SchemeKind kind, double load,
-                  ProbeKind probe = ProbeKind::kAuto) {
-  auto table = FilledTable(kind, load, EvictionPolicy::kRandomWalk, probe);
-  const auto keys = MakeUniqueKeys(table->TotalItems(), 7, 0);
-  size_t i = 0;
-  uint64_t v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table->Find(keys[i], &v));
-    i = NextIndex(i, keys.size());
-  }
-  state.SetItemsProcessed(state.iterations());
+/// Never-inserted probe keys, shared by every lookup_miss row.
+const std::vector<uint64_t>& MissingKeys() {
+  static const std::vector<uint64_t> keys = MakeUniqueKeys(100'000, 7, 7);
+  return keys;
 }
 
-void BM_LookupMiss(benchmark::State& state, SchemeKind kind, double load,
-                   ProbeKind probe = ProbeKind::kAuto) {
-  auto table = FilledTable(kind, load, EvictionPolicy::kRandomWalk, probe);
-  const auto missing = MakeUniqueKeys(100'000, 7, 7);
+/// One rep of a lookup row: kLookupOps calls of `find`, cycling over `keys`.
+template <typename Find>
+uint64_t LookupRep(const std::vector<uint64_t>& keys, Find find) {
+  const uint64_t* k = keys.data();
+  const size_t n = keys.size();
   size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table->Find(missing[i], nullptr));
-    i = NextIndex(i, missing.size());
+  for (uint64_t op = 0; op < kLookupOps; ++op) {
+    DoNotOptimize(find(k[i]));
+    // No `% n`: the divide's latency would serialize the key load against
+    // the previous iteration and dominate short lookups.
+    i = i + 1 == n ? 0 : i + 1;
   }
-  state.SetItemsProcessed(state.iterations());
+  return kLookupOps;
 }
 
-void BM_StdUnorderedMapLookup(benchmark::State& state) {
-  std::unordered_map<uint64_t, uint64_t> map;
-  const auto keys = MakeUniqueKeys(kSlots / 2, 7, 0);
-  for (uint64_t k : keys) map.emplace(k, k);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(keys[i]));
-    i = NextIndex(i, keys.size());
-  }
-  state.SetItemsProcessed(state.iterations());
+/// lookup_hit and lookup_miss rows `suffix` over `hits` and MissingKeys();
+/// `find(key, value_out)` owns its table.
+template <typename Find>
+void AddLookupRows(BenchGroup* group, const std::string& suffix,
+                   std::vector<uint64_t> hits, Find find) {
+  auto keys = std::make_shared<const std::vector<uint64_t>>(std::move(hits));
+  group->push_back({"micro.lookup_hit" + suffix, [keys, find] {
+                      uint64_t v = 0;
+                      return LookupRep(*keys,
+                                       [&](uint64_t k) { return find(k, &v); });
+                    }});
+  group->push_back({"micro.lookup_miss" + suffix, [find] {
+                      return LookupRep(MissingKeys(), [&](uint64_t k) {
+                        return find(k, nullptr);
+                      });
+                    }});
+}
+
+/// The lookup rows `suffix` on a `kind` table filled to `load`.
+void AddSchemeLookupRows(BenchGroup* group, const std::string& suffix,
+                         SchemeKind kind, int load, ProbeKind probe) {
+  std::shared_ptr<SchemeTable> table = FilledTable(
+      kind, load / 100.0, EvictionPolicy::kRandomWalk, probe);
+  AddLookupRows(group, suffix, MakeUniqueKeys(table->TotalItems(), 7, 0),
+                [table](uint64_t k, uint64_t* v) { return table->Find(k, v); });
 }
 
 // Tag-probe kernel microbenchmark: the match kernels in isolation over
@@ -156,25 +164,13 @@ void BM_StdUnorderedMapLookup(benchmark::State& state) {
 // relative speed is only visible here; the CI probe gate asserts the
 // SIMD-vs-SWAR ratio on these keys.
 template <bool kSimd>
-void BM_ProbeKernel(benchmark::State& state) {
+uint64_t ProbeKernelRep(const std::vector<BucketHeader>& headers) {
   constexpr size_t kHeaders = 4096;  // 64 KiB: L1/L2 resident
-  std::vector<BucketHeader> headers(kHeaders + 2);  // +2: window overhang
-  uint64_t x = 0x9E3779B97F4A7C15ull;
-  auto next = [&x] {
-    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-    return x;
-  };
-  for (auto& h : headers) {
-    for (int i = 0; i < 8; ++i) {
-      h.tag[i] = static_cast<uint8_t>(next());
-      h.meta[i] = static_cast<uint8_t>(next() & 0x0F);
-    }
-  }
   size_t i = 0;
   uint32_t sink = 0;
   // Four d=3 screening rounds per iteration so the loop bookkeeping is
   // amortized and the measured time is the kernels', not the harness's.
-  for (auto _ : state) {
+  for (uint64_t it = 0; it < kKernelIters; ++it) {
     for (int r = 0; r < 4; ++r) {
       const size_t base = (i + 3 * static_cast<size_t>(r)) & (kHeaders - 1);
       const uint8_t tag = static_cast<uint8_t>(base + r);
@@ -190,144 +186,112 @@ void BM_ProbeKernel(benchmark::State& state) {
     }
     i = (i + 12) & (kHeaders - 1);
   }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * 12);  // headers screened
+  DoNotOptimize(sink);
+  return kKernelIters * 12;  // headers screened
 }
 
-void BM_StdUnorderedMapLookupMiss(benchmark::State& state) {
-  std::unordered_map<uint64_t, uint64_t> map;
-  const auto keys = MakeUniqueKeys(kSlots / 2, 7, 0);
-  for (uint64_t k : keys) map.emplace(k, k);
-  const auto missing = MakeUniqueKeys(100'000, 7, 7);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(missing[i]));
-    i = NextIndex(i, missing.size());
+BenchGroup ProbeKernelGroup() {
+  auto headers = std::make_shared<std::vector<BucketHeader>>(4096 + 2);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  auto next = [&x] {
+    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+    return x;
+  };
+  for (auto& h : *headers) {  // +2: window overhang
+    for (int i = 0; i < 8; ++i) {
+      h.tag[i] = static_cast<uint8_t>(next());
+      h.meta[i] = static_cast<uint8_t>(next() & 0x0F);
+    }
   }
-  state.SetItemsProcessed(state.iterations());
+  BenchGroup group = {{"micro.probe_kernel.scalar",
+                       [headers] { return ProbeKernelRep<false>(*headers); }}};
+  if (kSimdProbeAvailable) {
+    group.push_back({"micro.probe_kernel.simd",
+                     [headers] { return ProbeKernelRep<true>(*headers); }});
+  }
+  return group;
 }
 
-void RegisterAll() {
-  for (const SchemeKind kind : kAllSchemes) {
-    for (const int load : {50, 90}) {
-      const std::string suffix =
-          std::string(".") + SchemeName(kind) + ".load" + std::to_string(load);
-      benchmark::RegisterBenchmark(("insert" + suffix).c_str(), BM_Insert,
-                                   kind, load / 100.0,
-                                   EvictionPolicy::kRandomWalk)
-          ->Iterations(30000);
-      benchmark::RegisterBenchmark(("lookup_hit" + suffix).c_str(),
-                                   BM_LookupHit, kind, load / 100.0,
-                                   ProbeKind::kAuto);
-      benchmark::RegisterBenchmark(("lookup_miss" + suffix).c_str(),
-                                   BM_LookupMiss, kind, load / 100.0,
-                                   ProbeKind::kAuto);
-    }
-  }
-  // Counter-guided BFS insert variants on the tables that support kBfs —
-  // the load90 rows are the direct fix for the recorded insert collapse
-  // (micro.insert.McCuckoo.load90 under random walk).
-  for (const SchemeKind kind :
-       {SchemeKind::kCuckoo, SchemeKind::kMcCuckoo, SchemeKind::kBMcCuckoo}) {
-    for (const int load : {50, 90}) {
-      const std::string name = std::string("insert_bfs.") + SchemeName(kind) +
-                               ".load" + std::to_string(load);
-      benchmark::RegisterBenchmark(name.c_str(), BM_Insert, kind, load / 100.0,
-                                   EvictionPolicy::kBfs)
-          ->Iterations(30000);
-    }
-  }
-  benchmark::RegisterBenchmark("insert_grow.McCuckoo.multi", BM_InsertGrow)
-      ->Iterations(1)
-      ->Repetitions(3);
-  // Probe-kernel A/B rows for the blocked multi-copy table: same workload
-  // as the plain (kAuto) keys above, pinned to one kernel each, so the
-  // recorded JSON carries the simd-vs-scalar delta explicitly. The simd
-  // rows exist only when the kernel was compiled in.
+std::vector<BenchGroup> Groups(uint64_t grow_keys) {
+  std::vector<BenchGroup> groups;
   for (const int load : {50, 90}) {
+    BenchGroup inserts, lookups;
+    for (const SchemeKind kind : kAllSchemes) {
+      const std::string suffix = LoadSuffix(SchemeName(kind), load);
+      inserts.push_back(InsertRow("micro.insert" + suffix, kind, load,
+                                  EvictionPolicy::kRandomWalk));
+      AddSchemeLookupRows(&lookups, suffix, kind, load, ProbeKind::kAuto);
+    }
+    // Counter-guided BFS insert variants on the tables that support kBfs —
+    // the load90 rows are the direct fix for the recorded insert collapse
+    // (micro.insert.McCuckoo.load90 under random walk).
+    for (const SchemeKind kind :
+         {SchemeKind::kCuckoo, SchemeKind::kMcCuckoo, SchemeKind::kBMcCuckoo}) {
+      inserts.push_back(InsertRow(
+          "micro.insert_bfs" + LoadSuffix(SchemeName(kind), load), kind, load,
+          EvictionPolicy::kBfs));
+    }
+    // Probe-kernel A/B rows for the blocked multi-copy table: same workload
+    // as its plain (kAuto) rows, pinned to one kernel each, so the recorded
+    // JSON carries the simd-vs-scalar delta explicitly. The simd rows exist
+    // only when the kernel was compiled in.
     for (const ProbeKind probe : {ProbeKind::kScalar, ProbeKind::kSimd}) {
       if (probe == ProbeKind::kSimd && !kSimdProbeAvailable) continue;
-      const std::string suffix = std::string(".") +
-                                 SchemeName(SchemeKind::kBMcCuckoo) + "." +
-                                 ProbeKindToString(probe) + ".load" +
-                                 std::to_string(load);
-      benchmark::RegisterBenchmark(("lookup_hit" + suffix).c_str(),
-                                   BM_LookupHit, SchemeKind::kBMcCuckoo,
-                                   load / 100.0, probe);
-      benchmark::RegisterBenchmark(("lookup_miss" + suffix).c_str(),
-                                   BM_LookupMiss, SchemeKind::kBMcCuckoo,
-                                   load / 100.0, probe);
+      AddSchemeLookupRows(
+          &lookups, LoadSuffix(std::string("B-McCuckoo.") +
+                                   ProbeKindToString(probe), load),
+          SchemeKind::kBMcCuckoo, load, probe);
     }
+    groups.push_back(std::move(inserts));
+    groups.push_back(std::move(lookups));
   }
-  benchmark::RegisterBenchmark("lookup_hit.std_unordered_map",
-                               BM_StdUnorderedMapLookup);
-  benchmark::RegisterBenchmark("lookup_miss.std_unordered_map",
-                               BM_StdUnorderedMapLookupMiss);
-  benchmark::RegisterBenchmark("probe_kernel.scalar", BM_ProbeKernel<false>);
-  if (kSimdProbeAvailable) {
-    benchmark::RegisterBenchmark("probe_kernel.simd", BM_ProbeKernel<true>);
-  }
+  groups.push_back({InsertGrowRow(grow_keys)});
+  auto map = std::make_shared<std::unordered_map<uint64_t, uint64_t>>();
+  std::vector<uint64_t> hits = MakeUniqueKeys(kSlots / 2, 7, 0);
+  for (const uint64_t k : hits) map->emplace(k, k);
+  groups.emplace_back();
+  AddLookupRows(&groups.back(), ".std_unordered_map", std::move(hits),
+                [map](uint64_t k, uint64_t*) { return map->find(k); });
+  groups.push_back(ProbeKernelGroup());
+  return groups;
 }
 
-// Sampled-latency quantiles for the two core tables, run after the
-// throughput rows. A separate pass with the recorder at period 1 (every op
-// timed — useless for throughput, exactly right for quantiles): fill to 90%
-// load (the fill's single-key Inserts are the insert samples), then one
-// all-hit lookup sweep over the live keys. Lands in BENCH_throughput.json as
-//
-//   micro.latency.{insert,lookup_hit}.<Scheme>.load90.{samples,p50,p99,p999}
-//
-// with nanosecond upper bounds from the log2 histogram.
-int MergeLatencyQuantiles() {
-  FlatJson entries;
+// Sampled-latency quantiles for the two core tables, after the timed rows.
+// A separate pass with the recorder at period 1 (every op timed — useless
+// for throughput, exactly right for quantiles): fill to 90% load (the
+// fill's single-key Inserts are the insert samples), then one all-hit
+// lookup sweep over the live keys. The rows are the metric list's own
+// op_latency_ns.{insert,find}.{count,mean,p50,p99,p999} entries under
+// "micro.latency.<Scheme>.load90.", with nanosecond upper bounds from the
+// log2 histogram.
+FlatJson LatencyRows(const BenchResults&) {
+  FlatJson rows;
   for (const SchemeKind kind : {SchemeKind::kMcCuckoo, SchemeKind::kBMcCuckoo}) {
-    SchemeConfig c = Config();
-    c.latency_sample_period = 1;
-    auto table = MakeScheme(kind, c);
-    const auto keys = MakeUniqueKeys(table->capacity(), 7, 0);
-    size_t cursor = 0;
-    FillToLoad(*table, keys, 0.9, &cursor);
+    auto table = FilledTable(kind, 0.9, EvictionPolicy::kRandomWalk,
+                             ProbeKind::kAuto, 1);
     uint64_t v = 0;
-    for (size_t i = 0; i < cursor; ++i) {
-      benchmark::DoNotOptimize(table->Find(keys[i], &v));
+    for (const uint64_t k : MakeUniqueKeys(table->TotalItems(), 7, 0)) {
+      DoNotOptimize(table->Find(k, &v));
     }
-    const MetricsSnapshot snap = table->SnapshotMetrics();
-    const auto add = [&](LatencyOp op, const char* opname) {
-      const HistogramSnapshot& h =
-          snap.op_latency_ns[static_cast<size_t>(op)];
-      std::string base = "micro.latency.";
-      base += opname;
-      base += '.';
-      base += SchemeName(kind);
-      base += ".load90.";
-      entries[base + "samples"] = static_cast<double>(h.count);
-      entries[base + "p50"] =
-          static_cast<double>(h.PercentileUpperBound(0.50));
-      entries[base + "p99"] =
-          static_cast<double>(h.PercentileUpperBound(0.99));
-      entries[base + "p999"] =
-          static_cast<double>(h.PercentileUpperBound(0.999));
-      std::printf("%-45s p50<=%4.0f p99<=%6.0f p999<=%7.0f ns (%.0f samples)\n",
-                  base.c_str(), entries[base + "p50"], entries[base + "p99"],
-                  entries[base + "p999"], entries[base + "samples"]);
-    };
-    add(LatencyOp::kInsert, "insert");
-    add(LatencyOp::kFind, "lookup_hit");
+    const std::string base =
+        std::string("micro.latency.") + SchemeName(kind) + ".load90.";
+    for (const auto& [key, value] :
+         MetricsFlatEntries(table->SnapshotMetrics(), base)) {
+      if (key.starts_with(base + "op_latency_ns.insert.") ||
+          key.starts_with(base + "op_latency_ns.find.")) {
+        rows[key] = value;
+        std::printf("%-60s %12.6g\n", key.c_str(), value);
+      }
+    }
   }
-  const std::string path = BenchJsonPath();
-  if (!MergeFlatJson(path, "micro.latency.", entries)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  return 0;
+  return rows;
 }
 
 }  // namespace
 }  // namespace mccuckoo
 
 int main(int argc, char** argv) {
-  mccuckoo::RegisterAll();
-  const int rc = mccuckoo::RunBenchmarksToJson(argc, argv, "micro.");
-  if (rc != 0) return rc;
-  return mccuckoo::MergeLatencyQuantiles();
+  using namespace mccuckoo;
+  const BenchOptions opt = ParseBenchOptions(argc, argv, uint64_t{1} << 22);
+  return RunBenchToJson(opt, Groups(opt.slots), {"micro."}, LatencyRows);
 }

@@ -33,24 +33,22 @@
 //     above t1 are skipped when hardware_concurrency < 4: oversubscribed
 //     spinning writers on one core measure the scheduler, not the table.
 //
-// Every table is d = 3 with 0.6 x $MCCUCKOO_BENCH_SLOTS (default 90000)
-// live keys, maxloop 500, seed 7, and is built once, on first use, for
-// each (layout, shards, read mode, write mode) a row names. All writes
-// update live keys, so occupancy stays fixed and every iteration does
-// comparable work. Tables are cache-resident on purpose: this measures
+// Every table is d = 3 with 0.6 x --slots (default 90000) live keys,
+// maxloop 500, seed 7, and is built once, on first use, for each (layout,
+// shards, read mode, write mode) a row names. All writes update live keys,
+// so occupancy stays fixed and every rep does comparable work. Tables are cache-resident on purpose: this measures
 // synchronization and maintenance granularity, not the memory hierarchy
 // (bench/batch_throughput.cc covers DRAM-bound behaviour).
 //
-// Timing is manual: each iteration launches the thread set behind a start
-// barrier, every thread runs a fixed op count, and the wall time from
-// barrier to last join is the iteration time. google-benchmark's
-// ->Threads() timing averages per-thread clocks, which under
-// oversubscription can report real_time below cpu_time — meaningless as
-// aggregate throughput. items/sec counts operations across all threads;
-// 3 repetitions, best recorded (see bench_reporter.h). The binary owns the
-// "shard." and "concurrent." namespaces of the results file.
-
-#include <benchmark/benchmark.h>
+// Rows are timed by bench/bench_driver.h. A row's untimed setup launches
+// its thread set, which waits behind a start barrier; its timed body
+// releases the barrier, runs thread 0's share and joins the rest, so the
+// timed window runs from barrier to last join and thread spawn stays
+// outside it. Every thread runs a fixed op count, and items/sec counts
+// operations across all threads. The rows of one sweep at one thread count
+// (every shard count, or both read or write modes) form one group of
+// interleaved reps. The binary owns the "shard." and "concurrent."
+// namespaces of the results file.
 
 #include <atomic>
 #include <cstdint>
@@ -61,13 +59,12 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_reporter.h"
+#include "bench/bench_driver.h"
 #include "src/common/rng.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
-#include "src/obs/timing.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -79,7 +76,7 @@ using BlockedTable = BlockedMcCuckooTable<uint64_t, uint64_t>;
 enum class Layout : uint8_t { kMcCuckoo, kBlocked };
 
 constexpr double kPrefillLoad = 0.6;
-constexpr uint64_t kOpsPerThread = 1 << 15;
+constexpr uint64_t kOpsPerThread = 1 << 17;
 constexpr uint64_t kMaintEvery = 4096;
 
 /// Which prefilled table a row runs on.
@@ -104,42 +101,40 @@ constexpr Mix kMixed{50, true, true};
 constexpr Mix kOneWriter{5, false, false};
 constexpr Mix kUpdates{100, true, false};
 
-/// One row family: rows `name`.t1, .t2, .t4, ... .t`max_threads`.
-struct Family {
-  std::string name;
-  TableKey table;
+/// One row sweep: rows `stem`<variant>.t1, .t2, .t4, ... .t`max_threads`
+/// for each variant, each variant on its own table.
+struct Sweep {
+  std::string stem;
+  std::vector<std::pair<std::string, TableKey>> variants;
   Mix mix;
   int max_threads;
   bool needs_cores;  // rows above t1 need >= 4 hardware threads
 };
 
-std::vector<Family> Families() {
-  constexpr Layout kMc = Layout::kMcCuckoo;
-  constexpr ReadMode kLocked = ReadMode::kLocked;
-  constexpr ReadMode kOptimistic = ReadMode::kOptimistic;
-  constexpr WriteMode kSingle = WriteMode::kSingleWriter;
-  constexpr WriteMode kMulti = WriteMode::kMultiWriter;
-  std::vector<Family> rows;
+std::vector<Sweep> Sweeps() {
+  using enum Layout;
+  using enum ReadMode;
+  using enum WriteMode;
+  std::vector<std::pair<std::string, TableKey>> shards;
   for (const size_t s : {1, 2, 4, 8, 16}) {
-    const TableKey t{kMc, s, kLocked, kSingle};
-    const std::string shards = ".shards" + std::to_string(s);
-    rows.push_back({"shard.read_heavy" + shards, t, kReadHeavy, 16, false});
-    rows.push_back({"shard.mixed" + shards, t, kMixed, 16, false});
+    shards.push_back({"shards" + std::to_string(s),
+                      {kMcCuckoo, s, kLocked, kSingleWriter}});
   }
-  rows.push_back({"concurrent.read_scaling.locked",
-                  {kMc, 1, kLocked, kSingle}, kOneWriter, 16, false});
-  rows.push_back({"concurrent.read_scaling.optimistic",
-                  {kMc, 1, kOptimistic, kSingle}, kOneWriter, 16, false});
-  for (const auto& [layout, infix] :
-       {std::pair<Layout, std::string>{kMc, ""},
-        std::pair<Layout, std::string>{Layout::kBlocked, "B-McCuckoo."}}) {
-    const std::string name = "concurrent.write_scaling." + infix;
-    rows.push_back({name + "single", {layout, 1, kLocked, kSingle}, kUpdates,
-                    8, true});
-    rows.push_back({name + "multi", {layout, 1, kOptimistic, kMulti},
-                    kUpdates, 8, true});
+  std::vector<Sweep> sweeps = {
+      {"shard.read_heavy.", shards, kReadHeavy, 16, false},
+      {"shard.mixed.", shards, kMixed, 16, false},
+      {"concurrent.read_scaling.",
+       {{"locked", {kMcCuckoo, 1, kLocked, kSingleWriter}},
+        {"optimistic", {kMcCuckoo, 1, kOptimistic, kSingleWriter}}},
+       kOneWriter, 16, false}};
+  for (const Layout layout : {kMcCuckoo, kBlocked}) {
+    sweeps.push_back({std::string("concurrent.write_scaling.") +
+                          (layout == kBlocked ? "B-McCuckoo." : ""),
+                      {{"single", {layout, 1, kLocked, kSingleWriter}},
+                       {"multi", {layout, 1, kOptimistic, kMultiWriter}}},
+                      kUpdates, 8, true});
   }
-  return rows;
+  return sweeps;
 }
 
 template <typename Table>
@@ -160,15 +155,14 @@ struct Fixture {
 /// The prefilled table `k` names, built on first use (before the timed
 /// loop) and shared by every row that names it.
 template <typename Table>
-Fixture<Table>& GetFixture(const TableKey& k) {
+Fixture<Table>& GetFixture(const TableKey& k, uint64_t slots) {
   static std::map<TableKey, std::unique_ptr<Fixture<Table>>> built;
   std::unique_ptr<Fixture<Table>>& fx = built[k];
   if (fx == nullptr) {
     TableOptions o;
     o.num_hashes = 3;
     o.slots_per_bucket = k.layout == Layout::kBlocked ? 3 : 1;
-    o.buckets_per_table =
-        BenchSlotsOrDefault(90'000) / (o.num_hashes * o.slots_per_bucket);
+    o.buckets_per_table = slots / (o.num_hashes * o.slots_per_bucket);
     o.maxloop = 500;
     o.seed = 7;
     fx = std::make_unique<Fixture<Table>>(o, k);
@@ -176,7 +170,7 @@ Fixture<Table>& GetFixture(const TableKey& k) {
   return *fx;
 }
 
-/// One thread's share of an iteration: kOpsPerThread ops of `mix`.
+/// One thread's share of a rep: kOpsPerThread ops of `mix`.
 template <typename Table>
 void RunThread(const Mix& mix, Fixture<Table>& fx, int tid, uint64_t round,
                const std::atomic<bool>& go) {
@@ -191,9 +185,9 @@ void RunThread(const Mix& mix, Fixture<Table>& fx, int tid, uint64_t round,
     const uint64_t r = rng.Next();
     const uint64_t key = keys[r % keys.size()];
     if (writes && r % 100 < mix.write_pct) {
-      benchmark::DoNotOptimize(table.InsertOrAssign(key, r));
+      DoNotOptimize(table.InsertOrAssign(key, r));
     } else {
-      benchmark::DoNotOptimize(table.Find(key, &v));
+      DoNotOptimize(table.Find(key, &v));
     }
     if (mix.maintenance && i % kMaintEvery == 0) {
       // Dedup-scan every live item of the key's shard under its exclusive
@@ -202,55 +196,66 @@ void RunThread(const Mix& mix, Fixture<Table>& fx, int tid, uint64_t round,
       table.WithExclusiveShard(table.ShardOf(key), [&](const auto& t) {
         t.ForEachItem([&](uint64_t, uint64_t) { ++live; });
       });
-      benchmark::DoNotOptimize(live);
+      DoNotOptimize(live);
     }
   }
 }
 
+/// The row `key`: `threads` threads each running one share of `mix`.
 template <typename Table>
-void BM_Row(benchmark::State& state, const Family* f, int threads) {
-  Fixture<Table>& fx = GetFixture<Table>(f->table);
-  uint64_t round = 0;
-  for (auto _ : state) {
+BenchRow MakeRow(const std::string& key, const TableKey& table, const Mix& mix,
+                 int threads, uint64_t slots) {
+  struct Launch {
+    Fixture<Table>* fx = nullptr;
     std::atomic<bool> go{false};
     std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (int t = 1; t < threads; ++t) {
-      pool.emplace_back([&, t] { RunThread(f->mix, fx, t, round, go); });
-    }
-    Stopwatch sw;  // src/obs/timing.h — the shared bench/metrics clock
-    go.store(true, std::memory_order_release);
-    RunThread(f->mix, fx, 0, round, go);
-    for (auto& th : pool) th.join();
-    state.SetIterationTime(sw.ElapsedSeconds());
-    ++round;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          threads * kOpsPerThread);
+    uint64_t round = 0;
+  };
+  auto l = std::make_shared<Launch>();
+  return {key,
+          [l, mix, threads] {
+            l->go.store(true, std::memory_order_release);
+            RunThread(mix, *l->fx, 0, l->round, l->go);
+            for (auto& th : l->pool) th.join();
+            l->pool.clear();
+            ++l->round;
+            return static_cast<uint64_t>(threads) * kOpsPerThread;
+          },
+          [l, table, mix, threads, slots] {
+            l->fx = &GetFixture<Table>(table, slots);
+            l->go.store(false, std::memory_order_relaxed);
+            for (int t = 1; t < threads; ++t) {
+              l->pool.emplace_back(
+                  [l, mix, t] { RunThread(mix, *l->fx, t, l->round, l->go); });
+            }
+          }};
 }
 
-void RegisterAll() {
-  static const std::vector<Family> families = Families();
+std::vector<BenchGroup> Groups(uint64_t slots) {
   const bool few_cores = std::thread::hardware_concurrency() < 4;
-  for (const Family& f : families) {
-    for (int t = 1; t <= f.max_threads; t *= 2) {
-      if (t > 1 && f.needs_cores && few_cores) continue;
-      const auto bm = f.table.layout == Layout::kBlocked ? BM_Row<BlockedTable>
-                                                         : BM_Row<McTable>;
-      benchmark::RegisterBenchmark((f.name + ".t" + std::to_string(t)).c_str(),
-                                   bm, &f, t)
-          ->Repetitions(3)
-          ->ReportAggregatesOnly(false)
-          ->UseManualTime();
+  std::vector<BenchGroup> groups;
+  for (const Sweep& sweep : Sweeps()) {
+    for (int t = 1; t <= sweep.max_threads; t *= 2) {
+      if (t > 1 && sweep.needs_cores && few_cores) continue;
+      BenchGroup group;
+      for (const auto& [variant, table] : sweep.variants) {
+        const auto make = table.layout == Layout::kBlocked
+                              ? MakeRow<BlockedTable>
+                              : MakeRow<McTable>;
+        group.push_back(make(sweep.stem + variant + ".t" + std::to_string(t),
+                             table, sweep.mix, t, slots));
+      }
+      groups.push_back(std::move(group));
     }
   }
+  return groups;
 }
 
 }  // namespace
 }  // namespace mccuckoo
 
 int main(int argc, char** argv) {
-  mccuckoo::RegisterAll();
-  return mccuckoo::RunBenchmarksToJson(argc, argv, "",
-                                       {"shard.", "concurrent."});
+  using namespace mccuckoo;
+  const BenchOptions opt = ParseBenchOptions(argc, argv, 90'000);
+  return RunBenchToJson(opt, Groups(opt.slots), {"shard.", "concurrent."});
 }
