@@ -171,11 +171,6 @@ class CuckooTable {
     return hits;
   }
 
-  /// Batched Contains: found[i] = Contains(keys[i]). Returns the hit count.
-  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
-    return FindBatch(keys, nullptr, found);
-  }
-
   /// Batched Insert of keys assumed not present. results[i] (optional)
   /// receives the InsertResult for keys[i].
   void InsertBatch(std::span<const Key> keys, std::span<const Value> values,

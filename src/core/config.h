@@ -167,7 +167,7 @@ struct TableOptions {
   /// portable SWAR kernel otherwise; forcing kScalar lets one binary run
   /// both variants for differential testing and the `.scalar.` bench keys.
   /// Purely a software-execution knob: probe results and AccessStats are
-  /// identical across kinds, so it is not part of the snapshot format.
+  /// identical across kinds.
   ProbeKind probe = ProbeKind::kAuto;
 
   /// Validates ranges; returns InvalidArgument describing the problem.

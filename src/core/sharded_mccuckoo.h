@@ -219,7 +219,8 @@ class ShardedMcCuckoo {
 
   /// Batched lookup: groups keys by shard, then runs each shard's group
   /// through its prefetch-pipelined FindBatchNoStats under one shared-lock
-  /// span. out[i]/found[i] line up with keys[i]; returns the hit count.
+  /// span. out[i]/found[i] line up with keys[i] (out may be null); returns
+  /// the hit count.
   size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
     const ShardGroups g = GroupByShard(keys);
     size_t hits = 0;
@@ -261,10 +262,6 @@ class ShardedMcCuckoo {
       }
     }
     return hits;
-  }
-
-  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
-    return FindBatch(keys, nullptr, found);
   }
 
   /// Batched insert: groups keys by shard, one exclusive-lock span per

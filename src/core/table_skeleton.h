@@ -151,11 +151,6 @@ class TableSkeleton {
     return FindBatchWith<true>(keys, out, found);
   }
 
-  /// Batched membership test: FindBatch without value extraction.
-  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
-    return FindBatch(keys, nullptr, found);
-  }
-
   /// Batched mutation-free lookup (the sharded/concurrent reader path):
   /// equivalent to calling FindNoStats per key, in order.
   size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
@@ -605,26 +600,6 @@ class TableSkeleton {
   }
 
   // --- Stash maintenance (§III.E/F) -------------------------------------
-
-  /// Attempts to move stashed items back into the main table (no new
-  /// kick-out chains are started: only free/redundant slots are used).
-  /// Returns how many items left the stash. Flags are left set (sticky).
-  size_t TryDrainStash() {
-    size_t drained = 0;
-    SoloWriter w(*this);
-    for (const auto& [k, v] : stash_.Items()) {
-      const Candidates cand = ComputeCandidates(k);
-      if (derived().TryPlace(w, k, v, cand) > 0) {
-        SeqOpenAux();
-        stash_.Erase(k);
-        ChargeStashWrite();
-        ++size_;
-        ++drained;
-      }
-      SeqFlush();  // per item: slot copies and stash removal together
-    }
-    return drained;
-  }
 
   /// Resets every stash flag and re-marks the candidates of the items
   /// currently stashed, re-synchronizing the screen after stash deletions

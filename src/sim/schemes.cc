@@ -33,10 +33,6 @@ class SchemeAdapter final : public SchemeTable {
                    bool* found) const override {
     return table_.FindBatch(keys, out, found);
   }
-  size_t ContainsBatch(std::span<const uint64_t> keys,
-                       bool* found) const override {
-    return table_.ContainsBatch(keys, found);
-  }
   void InsertBatch(std::span<const uint64_t> keys,
                    std::span<const uint64_t> values,
                    InsertResult* results) override {

@@ -83,8 +83,6 @@ class SchemeTable {
   // identical to the scalar loops; only wall-clock time differs.
   virtual size_t FindBatch(std::span<const uint64_t> keys, uint64_t* out,
                            bool* found) const = 0;
-  virtual size_t ContainsBatch(std::span<const uint64_t> keys,
-                               bool* found) const = 0;
   virtual void InsertBatch(std::span<const uint64_t> keys,
                            std::span<const uint64_t> values,
                            InsertResult* results) = 0;

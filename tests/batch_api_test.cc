@@ -113,7 +113,7 @@ TYPED_TEST(BatchApiTest, MatchesScalarResultsStateAndStats) {
   EXPECT_TRUE(batched.ValidateInvariants().ok());
 }
 
-TYPED_TEST(BatchApiTest, ContainsBatchAndEdgeCases) {
+TYPED_TEST(BatchApiTest, FindBatchWithoutValuesAndEdgeCases) {
   using Table = typename TypeParam::Table;
   Table t(TypeParam::Options());
   const auto keys = MakeUniqueKeys(500, 12, 0);
@@ -125,8 +125,8 @@ TYPED_TEST(BatchApiTest, ContainsBatchAndEdgeCases) {
   EXPECT_EQ(t.size() + t.stash_size(), keys.size());
 
   std::vector<uint8_t> found(keys.size());
-  EXPECT_EQ(t.ContainsBatch(std::span<const K>(keys.data(), keys.size()),
-                            reinterpret_cast<bool*>(found.data())),
+  EXPECT_EQ(t.FindBatch(std::span<const K>(keys.data(), keys.size()), nullptr,
+                        reinterpret_cast<bool*>(found.data())),
             keys.size());
   for (uint8_t f : found) EXPECT_TRUE(f);
 
@@ -233,8 +233,8 @@ TEST(ShardedMcCuckooTest, ScalarAndBatchOpsAgree) {
   const auto missing = MakeUniqueKeys(3000, 21, 7);
   std::vector<uint8_t> miss_found(missing.size());
   EXPECT_EQ(
-      table.ContainsBatch(std::span<const K>(missing.data(), missing.size()),
-                          reinterpret_cast<bool*>(miss_found.data())),
+      table.FindBatch(std::span<const K>(missing.data(), missing.size()),
+                      nullptr, reinterpret_cast<bool*>(miss_found.data())),
       0u);
   for (uint8_t f : miss_found) EXPECT_FALSE(f);
 

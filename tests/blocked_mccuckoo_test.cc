@@ -134,22 +134,6 @@ TEST(BlockedMcCuckooTest, StashOverflowStaysFindable) {
   EXPECT_EQ(t.stash_size(), stashed);
 }
 
-TEST(BlockedMcCuckooTest, TryDrainStashAfterErases) {
-  TableOptions o = SmallOptions();
-  o.buckets_per_table = 16;
-  o.maxloop = 10;
-  o.deletion_mode = DeletionMode::kResetCounters;
-  Table t(o);
-  const auto keys = MakeUniqueKeys(150, 22, 0);
-  for (uint64_t k : keys) t.Insert(k, k);
-  if (t.stash_size() == 0) GTEST_SKIP() << "no overflow at this seed";
-  for (size_t i = 0; i < 60; ++i) t.Erase(keys[i]);
-  const size_t drained = t.TryDrainStash();
-  EXPECT_GT(drained, 0u);
-  for (size_t i = 60; i < keys.size(); ++i) EXPECT_TRUE(t.Contains(keys[i]));
-  EXPECT_TRUE(t.ValidateInvariants().ok());
-}
-
 TEST(BlockedMcCuckooTest, HintsSurviveThirdPartyOverwrites) {
   // Fill past the point where redundant copies get consumed; stale hints
   // must never corrupt counters (ValidateInvariants catches that).

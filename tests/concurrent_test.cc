@@ -128,15 +128,15 @@ void RunOneShardUnderConcurrency(uint32_t slots_per_bucket) {
       0, [](Table& t) { return t.ValidateInvariants(); }).ok());
 }
 
-TEST(OneWriterManyReadersTest, SingleSlotUnderConcurrency) {
+TEST(ShardedMcCuckooOneShardTest, SingleSlotUnderConcurrency) {
   RunOneShardUnderConcurrency<McCuckooTable<uint64_t, uint64_t>>(1);
 }
 
-TEST(OneWriterManyReadersTest, BlockedUnderConcurrency) {
+TEST(ShardedMcCuckooOneShardTest, BlockedUnderConcurrency) {
   RunOneShardUnderConcurrency<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
-TEST(OneWriterManyReadersTest, ConcurrentErasesStayConsistent) {
+TEST(ShardedMcCuckooOneShardTest, ConcurrentErasesStayConsistent) {
   ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
                                                             1);
   const auto keys = MakeUniqueKeys(3000, 6, 0);
@@ -173,7 +173,7 @@ TEST(OneWriterManyReadersTest, ConcurrentErasesStayConsistent) {
   EXPECT_EQ(table.size(), keys.size() / 2);
 }
 
-TEST(OneWriterManyReadersTest, BatchOpsUnderConcurrency) {
+TEST(ShardedMcCuckooOneShardTest, BatchOpsUnderConcurrency) {
   ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
                                                             1);
   const auto keys = MakeUniqueKeys(4000, 9, 0);
@@ -334,7 +334,7 @@ TEST(ShardedStressTest, OneShardStillSafe) {
   RunShardedStress<McCuckooTable<uint64_t, uint64_t>>(1, 1);
 }
 
-TEST(OneWriterManyReadersTest, StatsSnapshotAndSizes) {
+TEST(ShardedMcCuckooOneShardTest, StatsSnapshotAndSizes) {
   ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
                                                             1);
   table.Insert(1, 10);

@@ -235,9 +235,9 @@ TEST(BatchDifferentialTest, BatchPathsMatchScalarBitForBit) {
         << SchemeName(kind) << " stats diverged after hit lookups";
 
     std::vector<uint8_t> miss_found(missing.size());
-    EXPECT_EQ(batched->ContainsBatch(
+    EXPECT_EQ(batched->FindBatch(
                   std::span<const uint64_t>(missing.data(), missing.size()),
-                  reinterpret_cast<bool*>(miss_found.data())),
+                  nullptr, reinterpret_cast<bool*>(miss_found.data())),
               0u)
         << SchemeName(kind);
     for (size_t i = 0; i < missing.size(); ++i) {

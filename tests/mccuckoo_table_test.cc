@@ -270,25 +270,6 @@ TEST(McCuckooTest, EraseFromStash) {
   for (uint64_t k : keys) EXPECT_FALSE(t.Contains(k));
 }
 
-TEST(McCuckooTest, TryDrainStash) {
-  TableOptions o = SmallOptions();
-  o.buckets_per_table = 64;
-  o.maxloop = 10;
-  o.deletion_mode = DeletionMode::kResetCounters;
-  Table t(o);
-  const auto keys = MakeUniqueKeys(192, 9, 0);
-  for (uint64_t k : keys) t.Insert(k, k);
-  ASSERT_GT(t.stash_size(), 0u);
-  // Free up room, then drain.
-  for (size_t i = 0; i < 96; ++i) t.Erase(keys[i]);
-  const size_t before = t.stash_size();
-  const size_t drained = t.TryDrainStash();
-  EXPECT_GT(drained, 0u);
-  EXPECT_EQ(t.stash_size(), before - drained);
-  for (size_t i = 96; i < keys.size(); ++i) EXPECT_TRUE(t.Contains(keys[i]));
-  EXPECT_TRUE(t.ValidateInvariants().ok());
-}
-
 TEST(McCuckooTest, RebuildStashFlagsRestoresScreen) {
   TableOptions o = SmallOptions();
   o.buckets_per_table = 64;

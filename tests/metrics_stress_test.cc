@@ -96,7 +96,7 @@ TEST(MetricsStressTest, ShardedReadersWritersAndSnapshots) {
   EXPECT_EQ(s.occupancy_items, table.TotalItems());
 }
 
-TEST(MetricsStressTest, OneWriterManyReadersRecordsExactly) {
+TEST(MetricsStressTest, ShardedMcCuckooOneShardRecordsExactly) {
   constexpr size_t kReaders = 4;
   constexpr size_t kRounds = 4;
 
