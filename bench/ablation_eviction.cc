@@ -16,13 +16,16 @@
 // spill_fraction.
 //
 // Results are merged into BENCH_throughput.json under the
-// "ablation_eviction." prefix (see bench/bench_json.h).
+// "ablation_eviction." prefix, with the meta.* rows (bench/bench_driver.h).
+// Each ops_per_sec row pools every rep's inserts and time, and gains
+// .median, .p25, .p75 and .reps siblings over the per-rep (per-seed) rates,
+// as the driver's rows do.
 
-#include <chrono>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_driver.h"
 #include "bench/bench_json.h"
 
 namespace mccuckoo {
@@ -40,6 +43,7 @@ struct LoadPoint {
   double ops = 0;
   double seconds = 0;
   double stash_growth = 0;  // items the band's inserts left in the stash
+  std::vector<double> rep_rates;  // each rep's ops/sec
 
   double OpsPerSec() const { return seconds > 0 ? ops / seconds : 0.0; }
   double SpillFraction() const { return ops > 0 ? stash_growth / ops : 0.0; }
@@ -58,6 +62,7 @@ int Main(int argc, char** argv) {
           "Mops/s@95", "spill@95", "kicks@98", "Mops/s@98", "spill@98",
           "first failure load");
   FlatJson json;
+  BenchResults rates;  // ops_per_sec rows, written with their siblings
   for (const SchemeKind kind : kAllSchemes) {
     for (const EvictionPolicy policy : kPolicies) {
       if (kind == SchemeKind::kBcht && policy == EvictionPolicy::kBfs) {
@@ -76,16 +81,16 @@ int Main(int argc, char** argv) {
         FillToLoad(*table, keys, 0.90, &cursor);
         for (int li = 0; li < 3; ++li) {
           const size_t stash0 = table->stash_size();
-          const auto t0 = std::chrono::steady_clock::now();
+          const Stopwatch sw;
           const PhaseStats p = FillToLoad(*table, keys, kBandEnd[li], &cursor);
-          const auto t1 = std::chrono::steady_clock::now();
+          const double seconds = sw.ElapsedSeconds();
           points[li].stash_growth += static_cast<double>(table->stash_size()) -
                                      static_cast<double>(stash0);
           points[li].kicks_per_insert += p.KickoutsPerOp();
           points[li].reads_per_insert += p.ReadsPerOp();
           points[li].ops += static_cast<double>(p.ops);
-          points[li].seconds +=
-              std::chrono::duration<double>(t1 - t0).count();
+          points[li].seconds += seconds;
+          points[li].rep_rates.push_back(static_cast<double>(p.ops) / seconds);
         }
         while (table->first_failure_items() == 0 && cursor < keys.size()) {
           const uint64_t k = keys[cursor++];
@@ -108,7 +113,9 @@ int Main(int argc, char** argv) {
                                      std::to_string(kLoadPct[li]);
         json[key_base + ".kicks_per_insert"] =
             points[li].kicks_per_insert / cfg.reps;
-        json[key_base + ".ops_per_sec"] = points[li].OpsPerSec();
+        RowStats spread = SummarizeReps(points[li].rep_rates);
+        spread.best = points[li].OpsPerSec();  // the pooled rate, not a rep
+        rates[key_base + ".ops_per_sec"] = spread;
         json[key_base + ".spill_fraction"] = points[li].SpillFraction();
       }
       row.push_back(FormatPercent(fail_load / cfg.reps));
@@ -119,9 +126,8 @@ int Main(int argc, char** argv) {
     }
   }
   Status s = EmitTable(out, cfg.flags);
-  if (!MergeFlatJson(BenchJsonPath(), "ablation_eviction.", json)) {
-    std::fprintf(stderr, "warning: could not update %s\n",
-                 BenchJsonPath().c_str());
+  if (WriteBenchRows(rates, {"ablation_eviction."}, std::move(json)) != 0) {
+    return 1;
   }
   std::printf(
       "expected: BFS fewest kicks everywhere it runs and the only policy "

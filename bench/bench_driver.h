@@ -7,9 +7,11 @@
 // once, in the group's order rotated by r, so a drift in host speed spreads
 // across the rows instead of landing on whichever row runs last.
 //
-// Each row records its best rep (items/sec) under its key, the estimator
-// every CI gate and doc reads, plus four siblings: <key>.median, <key>.p25,
-// <key>.p75 (linear-interpolated quartiles of the rep rates) and <key>.reps.
+// Each row records its best rep (items/sec) under its key plus four
+// siblings: <key>.median, <key>.p25, <key>.p75 (linear-interpolated
+// quartiles of the rep rates) and <key>.reps. The CI gates (bench/gates.txt,
+// bench/check_gates.h) and the docs read the median and quartiles; the best
+// rep follows the host's fastest moment.
 //
 // Flags shared by every wall-clock bench binary:
 //   --reps=N     timed reps per row (default 5)
@@ -162,13 +164,37 @@ inline BenchResults RunBenchGroups(const BenchOptions& opt,
   return results;
 }
 
-/// Runs `groups` and merges the measured rows, each with its four siblings,
-/// plus `extra(results)` and the "meta.*" rows into BenchJsonPath(). The
-/// binary owns the key namespaces in `owned` ("micro.", "shard.", ...): an
-/// unfiltered run replaces every row under them (dropping rows that no
-/// longer exist) and keeps every other row; a --filter run replaces only the
-/// rows it wrote. An empty namespace would own the whole file, so it is
-/// refused before anything runs. Returns the process exit code.
+/// Merges `results`, each row with its four siblings, plus `extra` and the
+/// "meta.*" rows into BenchJsonPath(). Every old row under a namespace in
+/// `replaced` ("micro.", "shard.", ...) is dropped first; other old rows
+/// are kept unless written again. Returns the process exit code.
+inline int WriteBenchRows(const BenchResults& results,
+                          std::vector<std::string> replaced,
+                          FlatJson extra = {}) {
+  FlatJson rows = std::move(extra);
+  for (const auto& [key, s] : results) {
+    rows[key] = s.best;
+    rows[key + ".median"] = s.median;
+    rows[key + ".p25"] = s.p25;
+    rows[key + ".p75"] = s.p75;
+    rows[key + ".reps"] = s.reps;
+  }
+  rows.merge(BenchMetaEntries());
+  replaced.push_back("meta.");
+  const std::string path = BenchJsonPath();
+  if (!MergeFlatJson(path, replaced, rows)) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "wrote %zu rows to %s\n", rows.size(), path.c_str());
+  return 0;
+}
+
+/// Runs `groups` and writes the measured rows plus `extra(results)` with
+/// WriteBenchRows. The binary owns the key namespaces in `owned`: an
+/// unfiltered run replaces every row under them; a --filter run replaces
+/// only the rows it wrote. An empty namespace would own the whole file, so
+/// it is refused before anything runs. Returns the process exit code.
 inline int RunBenchToJson(
     const BenchOptions& opt, std::vector<BenchGroup> groups,
     const std::vector<std::string>& owned,
@@ -178,26 +204,9 @@ inline int RunBenchToJson(
     return 1;
   }
   const BenchResults results = RunBenchGroups(opt, std::move(groups));
-  FlatJson rows;
-  for (const auto& [key, s] : results) {
-    rows[key] = s.best;
-    rows[key + ".median"] = s.median;
-    rows[key + ".p25"] = s.p25;
-    rows[key + ".p75"] = s.p75;
-    rows[key + ".reps"] = s.reps;
-  }
-  if (extra) rows.merge(extra(results));
-  rows.merge(BenchMetaEntries());
-  std::vector<std::string> replaced = {"meta."};
-  if (opt.filter.empty()) replaced.insert(replaced.end(), owned.begin(),
-                                          owned.end());
-  const std::string path = BenchJsonPath();
-  if (!MergeFlatJson(path, replaced, rows)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "wrote %zu rows to %s\n", rows.size(), path.c_str());
-  return 0;
+  return WriteBenchRows(
+      results, opt.filter.empty() ? owned : std::vector<std::string>{},
+      extra ? extra(results) : FlatJson{});
 }
 
 }  // namespace mccuckoo

@@ -8,13 +8,17 @@
 //   set    value writes
 //   mixed  90/10 GET/SET Zipf stream (GenerateZipfMixStream)
 //
-// Every phase records per-key throughput plus p50/p99/p999 of the
-// *request* latency (per round trip; an MGET round trip covers --batch
-// keys) into BENCH_throughput.json under "server.". The interesting
-// number is mget vs get: batching is the protocol-level analogue of the
-// table's FindBatch, and the CI gate asserts server.mget.ops >=
-// 1.3 * server.get.ops — if batched GETs stop paying for themselves, the
-// pipeline into FindBatch has regressed.
+// The phases are rows of the one bench timing loop (bench/bench_driver.h):
+// get and mget run in the same --reps interleaved rounds, as do set and
+// mixed. Each server.<phase>.ops row records per-key throughput (best rep
+// plus .median, .p25, .p75 and .reps), and server.<phase>.p50/.p99/.p999
+// the *request* latency pooled over the rounds (per round trip; an MGET
+// round trip covers --batch keys), all in BENCH_throughput.json with the
+// meta.* rows. The interesting number is mget vs get: batching is the
+// protocol-level analogue of the table's FindBatch, and the mget gate in
+// bench/gates.txt asserts the server.mget.ops median >= 1.3x the
+// server.get.ops median with separated quartiles. If batched GETs stop
+// paying for themselves, the pipeline into FindBatch has regressed.
 //
 // All keys are "k%016llx" renderings of SplitMix64-scrambled Zipf ranks,
 // so popularity skew and table placement stay independent (same trick as
@@ -24,9 +28,12 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_driver.h"
 #include "bench/bench_json.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
@@ -38,6 +45,7 @@
 
 namespace {
 
+using mccuckoo::BenchGroup;
 using mccuckoo::Flags;
 using mccuckoo::NowNs;
 using mccuckoo::server::CacheClient;
@@ -51,46 +59,18 @@ std::string KeyFor(uint64_t scrambled) {
   return std::string(buf);
 }
 
-struct PhaseResult {
-  double ops = 0;   // keys (or writes) per second
-  double p50 = 0;   // request-latency percentiles, nanoseconds
-  double p99 = 0;
-  double p999 = 0;
-};
-
-PhaseResult Summarize(std::vector<uint64_t>* lat_ns, uint64_t keys_done,
-                      uint64_t elapsed_ns) {
-  PhaseResult r;
-  r.ops = elapsed_ns == 0 ? 0
-                          : static_cast<double>(keys_done) * 1e9 /
-                                static_cast<double>(elapsed_ns);
-  if (!lat_ns->empty()) {
-    std::sort(lat_ns->begin(), lat_ns->end());
-    const auto pct = [&](double q) {
-      const size_t idx = static_cast<size_t>(
-          q * static_cast<double>(lat_ns->size() - 1) + 0.5);
-      return static_cast<double>((*lat_ns)[idx]);
-    };
-    r.p50 = pct(0.50);
-    r.p99 = pct(0.99);
-    r.p999 = pct(0.999);
-  }
-  return r;
+/// Nearest-rank quantile `q` of `sorted` (non-empty), as a double.
+double Quantile(const std::vector<uint64_t>& sorted, double q) {
+  const size_t idx =
+      static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return static_cast<double>(sorted[idx]);
 }
 
-void Record(mccuckoo::FlatJson* out, const std::string& phase,
-            const PhaseResult& r) {
-  (*out)["server." + phase + ".ops"] = r.ops;
-  (*out)["server." + phase + ".p50"] = r.p50;
-  (*out)["server." + phase + ".p99"] = r.p99;
-  (*out)["server." + phase + ".p999"] = r.p999;
-  std::printf("%-8s %12.0f ops/s   p50 %8.0f ns   p99 %8.0f ns   p999 %8.0f ns\n",
-              phase.c_str(), r.ops, r.p50, r.p99, r.p999);
-}
-
-int Die(const mccuckoo::Status& s, const char* where) {
+/// Exits on a failed request: a round whose request failed has no rate.
+void Check(const mccuckoo::Status& s, const char* where) {
+  if (s.ok()) return;
   std::fprintf(stderr, "%s: %s\n", where, s.ToString().c_str());
-  return 1;
+  std::exit(1);
 }
 
 }  // namespace
@@ -108,30 +88,31 @@ int main(int argc, char** argv) {
   const size_t value_size = static_cast<size_t>(flags.GetInt("value-size", 64));
   const size_t batch = static_cast<size_t>(flags.GetInt("batch", 16));
   const double theta = flags.GetDouble("theta", 0.99);
+  const int reps = static_cast<int>(flags.GetInt("reps", 5));
+  if (reps < 1) {
+    std::fprintf(stderr, "--reps must be positive\n");
+    return 2;
+  }
 
   ServerOptions options;
   options.threads = static_cast<int>(flags.GetInt("server-threads", 2));
   options.store.initial_slots = key_universe * 2;
   options.store.shards = 8;
   CacheServer server(options);
-  if (mccuckoo::Status s = server.Start(); !s.ok()) return Die(s, "start");
-  std::printf("server on 127.0.0.1:%u, %" PRIu64 " ops x 4 phases, "
-              "%" PRIu64 " keys, theta %.2f\n",
-              server.port(), ops, key_universe, theta);
+  Check(server.Start(), "start");
+  std::printf("server on 127.0.0.1:%u, %" PRIu64 " ops x 4 phases x %d "
+              "reps, %" PRIu64 " keys, theta %.2f\n",
+              server.port(), ops, reps, key_universe, theta);
 
   CacheClient client;
-  if (mccuckoo::Status s = client.Connect("127.0.0.1", server.port()); !s.ok())
-    return Die(s, "connect");
+  Check(client.Connect("127.0.0.1", server.port()), "connect");
 
   const std::string value(value_size, 'v');
 
   // Preload every key so the GET phases measure hits.
   for (uint64_t rank = 0; rank < key_universe; ++rank) {
-    if (mccuckoo::Status s = client.Set(KeyFor(mccuckoo::SplitMix64(rank)),
-                                        value);
-        !s.ok()) {
-      return Die(s, "preload set");
-    }
+    Check(client.Set(KeyFor(mccuckoo::SplitMix64(rank)), value),
+          "preload set");
   }
 
   // One shared Zipf key sequence: get and mget fetch the *same* keys, so
@@ -143,92 +124,90 @@ int main(int argc, char** argv) {
   for (uint64_t i = 0; i < ops; ++i) {
     keys.push_back(KeyFor(mccuckoo::SplitMix64(zipf.Sample(rng))));
   }
+  mccuckoo::ZipfMixConfig mix;
+  mix.key_universe = key_universe;
+  mix.theta = theta;
+  mix.set_fraction = 0.10;
+  const std::vector<mccuckoo::Op> stream =
+      mccuckoo::GenerateZipfMixStream(ops, mix);
 
-  mccuckoo::FlatJson out;
-  std::vector<uint64_t> lat;
-  lat.reserve(ops);
+  // Request latencies per phase, pooled over every round.
+  std::map<std::string, std::vector<uint64_t>> lat;
+  const auto timed = [](std::vector<uint64_t>& sink, auto request) {
+    const uint64_t r0 = NowNs();
+    request();
+    sink.push_back(NowNs() - r0);
+  };
 
-  {  // ---- get: one key per round trip ---------------------------------
-    lat.clear();
+  const auto get = [&] {  // one key per round trip
+    std::vector<uint64_t>& sink = lat["get"];
     std::string v;
     bool found = false;
-    const uint64_t t0 = NowNs();
     for (const std::string& k : keys) {
-      const uint64_t r0 = NowNs();
-      if (mccuckoo::Status s = client.Get(k, &v, &found); !s.ok())
-        return Die(s, "get");
-      lat.push_back(NowNs() - r0);
+      timed(sink, [&] { Check(client.Get(k, &v, &found), "get"); });
     }
-    Record(&out, "get", Summarize(&lat, ops, NowNs() - t0));
-  }
-
-  {  // ---- mget: the same keys, `batch` per frame -----------------------
-    lat.clear();
+    return ops;
+  };
+  const auto mget = [&] {  // the same keys, `batch` per frame
+    std::vector<uint64_t>& sink = lat["mget"];
     std::vector<std::string> group;
     std::vector<MgetResult> results;
-    const uint64_t t0 = NowNs();
     for (size_t i = 0; i < keys.size(); i += batch) {
+      const size_t end = std::min(i + batch, keys.size());
       group.assign(keys.begin() + static_cast<ptrdiff_t>(i),
-                   keys.begin() +
-                       static_cast<ptrdiff_t>(std::min(i + batch, keys.size())));
-      const uint64_t r0 = NowNs();
-      if (mccuckoo::Status s = client.MGet(group, &results); !s.ok())
-        return Die(s, "mget");
-      lat.push_back(NowNs() - r0);
+                   keys.begin() + static_cast<ptrdiff_t>(end));
+      timed(sink, [&] { Check(client.MGet(group, &results), "mget"); });
     }
-    Record(&out, "mget", Summarize(&lat, ops, NowNs() - t0));
-  }
-
-  {  // ---- set ----------------------------------------------------------
-    lat.clear();
-    const uint64_t t0 = NowNs();
+    return ops;
+  };
+  const auto set = [&] {
+    std::vector<uint64_t>& sink = lat["set"];
     for (const std::string& k : keys) {
-      const uint64_t r0 = NowNs();
-      if (mccuckoo::Status s = client.Set(k, value); !s.ok())
-        return Die(s, "set");
-      lat.push_back(NowNs() - r0);
+      timed(sink, [&] { Check(client.Set(k, value), "set"); });
     }
-    Record(&out, "set", Summarize(&lat, ops, NowNs() - t0));
-  }
-
-  {  // ---- mixed: 90/10 GET/SET Zipf stream -----------------------------
-    mccuckoo::ZipfMixConfig mix;
-    mix.key_universe = key_universe;
-    mix.theta = theta;
-    mix.set_fraction = 0.10;
-    const std::vector<mccuckoo::Op> stream =
-        mccuckoo::GenerateZipfMixStream(ops, mix);
-    lat.clear();
+    return ops;
+  };
+  const auto mixed = [&] {  // 90/10 GET/SET Zipf stream
+    std::vector<uint64_t>& sink = lat["mixed"];
     std::string v;
     bool found = false;
-    const uint64_t t0 = NowNs();
     for (const mccuckoo::Op& op : stream) {
       const std::string k = KeyFor(op.key);
-      const uint64_t r0 = NowNs();
-      const mccuckoo::Status s = op.kind == mccuckoo::Op::Kind::kInsert
-                                     ? client.Set(k, value)
-                                     : client.Get(k, &v, &found);
-      if (!s.ok()) return Die(s, "mixed");
-      lat.push_back(NowNs() - r0);
+      timed(sink, [&] {
+        Check(op.kind == mccuckoo::Op::Kind::kInsert
+                  ? client.Set(k, value)
+                  : client.Get(k, &v, &found),
+              "mixed");
+      });
     }
-    Record(&out, "mixed", Summarize(&lat, ops, NowNs() - t0));
-  }
+    return ops;
+  };
+  std::vector<BenchGroup> groups = {
+      {{"server.get.ops", get}, {"server.mget.ops", mget}},
+      {{"server.set.ops", set}, {"server.mixed.ops", mixed}}};
 
-  const double speedup = out["server.get.ops"] > 0
-                             ? out["server.mget.ops"] / out["server.get.ops"]
-                             : 0;
-  out["server.mget_over_get"] = speedup;
-  std::printf("mget/get speedup: %.2fx\n", speedup);
-
+  const auto latency_rows = [&lat](const mccuckoo::BenchResults& results) {
+    mccuckoo::FlatJson out;
+    for (auto& [phase, ns] : lat) {
+      std::sort(ns.begin(), ns.end());
+      const std::string key = "server." + phase;
+      out[key + ".p50"] = Quantile(ns, 0.50);
+      out[key + ".p99"] = Quantile(ns, 0.99);
+      out[key + ".p999"] = Quantile(ns, 0.999);
+      std::printf("%-8s request latency p50 %8.0f ns   p99 %8.0f ns   "
+                  "p999 %8.0f ns\n",
+                  phase.c_str(), out[key + ".p50"], out[key + ".p99"],
+                  out[key + ".p999"]);
+    }
+    const double speedup = results.at("server.mget.ops").median /
+                           results.at("server.get.ops").median;
+    out["server.mget_over_get"] = speedup;
+    std::printf("mget/get speedup (medians): %.2fx\n", speedup);
+    return out;
+  };
+  const int rc = mccuckoo::RunBenchToJson({.reps = reps}, std::move(groups),
+                                          {"server."}, latency_rows);
   client.Close();
   server.Stop();
-
-  const std::string path = mccuckoo::BenchJsonPath();
-  if (!mccuckoo::MergeFlatJson(path, "server.", out)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "wrote %zu 'server.*' entries to %s\n", out.size(),
-               path.c_str());
-  return 0;
+  return rc;
 }
