@@ -102,8 +102,7 @@ BenchRow InsertGrowRow(uint64_t count) {
             o.seed = 0x5EEDCAFE;
             o.buckets_per_table = ((uint64_t{1} << 16) + 2) / 3;
             o.deletion_mode = DeletionMode::kResetCounters;
-            o.stash_enabled = true;
-            o.growth.enabled = true;
+            o.growth_enabled = true;
             table->reset();
             *table = std::make_unique<Sharded>(o, 8, ReadMode::kOptimistic,
                                                WriteMode::kMultiWriter);

@@ -66,7 +66,7 @@ int main() {
   TableOptions grow_options;
   grow_options.num_hashes = 3;
   grow_options.buckets_per_table = 256;
-  grow_options.growth.enabled = true;
+  grow_options.growth_enabled = true;
   McCuckooTable<uint64_t, uint64_t> growing(grow_options);
   const uint64_t grow_target = growing.capacity() * 8;
   for (uint64_t k = 0; k < grow_target; ++k) {

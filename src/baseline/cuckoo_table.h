@@ -90,8 +90,7 @@ class CuckooTable {
       std::abort();
     }
     if (options.eviction_policy == EvictionPolicy::kMinCounter) {
-      kick_history_ = KickHistory(NumBuckets(), options.kick_counter_bits,
-                                  stats_.get());
+      kick_history_ = KickHistory(NumBuckets(), stats_.get());
     }
     latency_->set_sample_period(options.latency_sample_period);
   }
@@ -464,11 +463,10 @@ class CuckooTable {
     stash_.Insert(std::move(key), std::move(value));
     spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
     if (opts_.stash_kind == StashKind::kOnchipChs &&
-        stash_.size() > opts_.onchip_stash_capacity) {
+        stash_.size() > kOnchipStashCapacity) {
       ++forced_rehash_events_;  // a real CHS deployment would rehash here
     }
-    return opts_.stash_enabled ? InsertResult::kStashed
-                               : InsertResult::kFailed;
+    return InsertResult::kStashed;
   }
 
   /// Random-walk / MinCounter / bubbling kick-out chain: evicts one slot of

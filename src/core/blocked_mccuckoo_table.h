@@ -701,7 +701,7 @@ class BlockedMcCuckooTable
   /// The reader-visible storage: slots, per-bucket stash flags and bucket
   /// headers. A Rehash commit under live optimistic readers swaps it
   /// pointer-wise and retires the old one whole
-  /// (TableSkeleton::CommitRebuildLockFree).
+  /// (TableSkeleton::CommitRebuild).
   struct Storage {
     std::vector<Slot> slots;
     // One stash flag per bucket (off-chip). Packed uint64_t words, not

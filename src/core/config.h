@@ -3,11 +3,11 @@
 #ifndef MCCUCKOO_CORE_CONFIG_H_
 #define MCCUCKOO_CORE_CONFIG_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/status.h"
 #include "src/core/bucket_header.h"
-#include "src/core/growth.h"
 #include "src/hash/hash_family.h"
 
 namespace mccuckoo {
@@ -74,11 +74,14 @@ enum class StashKind {
   /// screen matters; capacity is effectively unlimited.
   kOffchip,
   /// Classic CHS [22]: a tiny stash in on-chip memory, probed for free on
-  /// every main-table miss but holding only a handful of items. Overruns
-  /// beyond its capacity are counted as forced-rehash events (the items are
+  /// every main-table miss but holding only kOnchipStashCapacity items.
+  /// Overruns beyond it are counted as forced-rehash events (the items are
   /// still retained so no data is ever lost in this library).
   kOnchipChs,
 };
+
+/// Capacity of the on-chip CHS stash (4 suffices for ~95% load whp [24]).
+inline constexpr size_t kOnchipStashCapacity = 4;
 
 /// Outcome of an insertion.
 enum class InsertResult {
@@ -87,12 +90,9 @@ enum class InsertResult {
   /// The key already existed and its copies were updated (InsertOrAssign).
   kUpdated,
   /// The insertion chain hit maxloop; some item (the inserted key or a
-  /// displaced victim) went to the stash. All keys remain findable.
+  /// displaced victim) went to the stash (§III.E). All keys remain
+  /// findable.
   kStashed,
-  /// As kStashed, but the caller configured stash_enabled = false; the item
-  /// was still kept in the overflow area so no data is lost, but the caller
-  /// asked to treat overflow as failure (e.g. to measure failure load).
-  kFailed,
 };
 
 /// Returns a short stable name ("inserted", "stashed", ...).
@@ -101,7 +101,6 @@ inline const char* InsertResultToString(InsertResult r) {
     case InsertResult::kInserted: return "inserted";
     case InsertResult::kUpdated:  return "updated";
     case InsertResult::kStashed:  return "stashed";
-    case InsertResult::kFailed:   return "failed";
   }
   return "unknown";
 }
@@ -130,19 +129,9 @@ struct TableOptions {
   /// Victim selection during kick-outs (see EvictionPolicy).
   EvictionPolicy eviction_policy = EvictionPolicy::kRandomWalk;
 
-  /// Width of MinCounter's per-bucket kick-history counters (5 in [17]).
-  uint32_t kick_counter_bits = 5;
-
-  /// If false, insertion-chain failures are reported as kFailed instead of
-  /// kStashed (overflow items are still retained and findable).
-  bool stash_enabled = true;
-
   /// Stash placement (see StashKind). The multi-copy tables default to the
   /// paper's off-chip stash; the sim façade gives baselines kOnchipChs.
   StashKind stash_kind = StashKind::kOffchip;
-
-  /// Capacity of the on-chip CHS stash (4 suffices for ~95% load whp [24]).
-  uint32_t onchip_stash_capacity = 4;
 
   /// Ablation: use the on-chip counter rules and off-chip flags to screen
   /// stash probes. Off = probe the stash on every main-table miss.
@@ -152,9 +141,10 @@ struct TableOptions {
   /// buckets during lookup. Off = read every non-empty candidate.
   bool lookup_pruning_enabled = true;
 
-  /// Auto-growth engine knobs (src/core/growth.h). Disabled by default so
-  /// fixed-size experiments stay reproducible.
-  GrowthConfig growth;
+  /// Auto-growth (src/core/growth.h, whose constants fix the triggers,
+  /// factor and backoff). Off by default: the paper's experiments measure
+  /// fixed-size tables, and they must stay reproducible.
+  bool growth_enabled = false;
 
   /// 1-in-N sampling period for the wall-clock op-latency recorder
   /// (src/obs/latency_recorder.h), rounded up to a power of two; 0
@@ -181,15 +171,11 @@ struct TableOptions {
     if (slots_per_bucket == 0 || slots_per_bucket > 8) {
       return Status::InvalidArgument("slots_per_bucket must be in [1, 8]");
     }
-    if (kick_counter_bits < 1 || kick_counter_bits > 16) {
-      return Status::InvalidArgument("kick_counter_bits must be in [1, 16]");
-    }
     if (probe == ProbeKind::kSimd && !kSimdProbeAvailable) {
       return Status::InvalidArgument(
           "probe=kSimd but this build has no SIMD probe kernel "
           "(non-SSE2 target or MCCUCKOO_PORTABLE_PROBE)");
     }
-    if (Status s = growth.Validate(); !s.ok()) return s;
     return Status::OK();
   }
 

@@ -301,7 +301,7 @@ class TagCounterArray {
   /// Pointer-wise exchange of the storage with `other`; each array keeps
   /// its own stats sink (Rehash committing under live optimistic readers
   /// keeps the owning table's AccessStats identity-stable — see
-  /// TableSkeleton::CommitRebuildLockFree). No operand passes through a
+  /// TableSkeleton::CommitRebuild). No operand passes through a
   /// transient moved-from state.
   void SwapStorage(TagCounterArray& other) {
     bytes_.swap(other.bytes_);

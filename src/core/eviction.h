@@ -29,8 +29,11 @@
 
 namespace mccuckoo {
 
-/// MinCounter's per-bucket kick-history array: `bits`-wide saturating
-/// counters (5 bits in [17]) living on-chip next to the copy counters.
+/// Width of MinCounter's per-bucket kick-history counters (5 bits in [17]).
+inline constexpr uint32_t kKickCounterBits = 5;
+
+/// MinCounter's per-bucket kick-history array: kKickCounterBits-wide
+/// saturating counters living on-chip next to the copy counters.
 class KickHistory {
  public:
   /// Disabled history (random-walk tables carry this empty object).
@@ -38,8 +41,8 @@ class KickHistory {
 
   /// Enabled history over `buckets` buckets. `stats` (may be null) receives
   /// on-chip access charges and must outlive the object.
-  KickHistory(size_t buckets, uint32_t bits, AccessStats* stats)
-      : counters_(buckets, bits), stats_(stats), enabled_(true) {}
+  KickHistory(size_t buckets, AccessStats* stats)
+      : counters_(buckets, kKickCounterBits), stats_(stats), enabled_(true) {}
 
   bool enabled() const { return enabled_; }
 

@@ -11,21 +11,23 @@
 //
 //  * Triggers. Growth fires on any of three pressure signals, checked
 //    after every insertion:
-//      - load factor above `max_load_factor` (the target band's ceiling);
-//      - stash occupancy above `stash_soft_limit` (each stashed item costs
-//        a charged off-chip probe on the lookups that reach it);
-//      - a streak of `pressure_streak_limit` consecutive "hard" inserts
-//        (a stash spill, or a kick chain that ran at least half of
-//        maxloop) — the leading indicator that the current geometry is
-//        nearly saturated even when the load factor still looks healthy.
+//      - load factor above `kGrowthMaxLoadFactor` (the target band's
+//        ceiling);
+//      - stash occupancy above `kGrowthStashSoftLimit` (each stashed item
+//        costs a charged off-chip probe on the lookups that reach it);
+//      - a streak of `kGrowthPressureStreakLimit` consecutive "hard"
+//        inserts (a stash spill, or a kick chain that ran at least half
+//        of maxloop) — the leading indicator that the current geometry
+//        is nearly saturated even when the load factor still looks
+//        healthy.
 //  * Seed rotation. A pathological key set (or simple bad luck) can choke
 //    a table well below its nominal capacity. When pressure fires without
 //    the load-factor ceiling, the policy first retries the *same* size
-//    under a freshly rotated hash seed, up to `max_reseeds_per_size`
+//    under a freshly rotated hash seed, up to `kGrowthMaxReseedsPerSize`
 //    times, before conceding that the table is genuinely full.
 //  * Exponential backoff. Every committed or failed attempt starts a
 //    cooldown measured in insertions; the window doubles after each
-//    reseed or failure (capped at `backoff_max_inserts`) so a key set
+//    reseed or failure (capped at `kGrowthBackoffMaxInserts`) so a key set
 //    that defeats every seed cannot cause a rehash storm. A successful
 //    capacity grow resets the window.
 //  * Graceful degradation. When growth is disabled, the size cap is hit,
@@ -43,73 +45,44 @@
 #ifndef MCCUCKOO_CORE_GROWTH_H_
 #define MCCUCKOO_CORE_GROWTH_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/common/rng.h"
-#include "src/common/status.h"
 
 namespace mccuckoo {
 
-/// Auto-growth knobs, embedded in TableOptions as `growth`. Disabled by
-/// default: the paper's experiments measure fixed-size tables, and growth
-/// must be an explicit opt-in for them to stay reproducible.
-struct GrowthConfig {
-  /// Master switch. Off: the table never rehashes on its own; pressure
-  /// that would have triggered growth raises the growth_suppressed gauge.
-  bool enabled = false;
+// The policy's fixed tuning. A table switches growth on or off with
+// TableOptions::growth_enabled; everything else is one of these values.
 
-  /// Load-factor ceiling (TotalItems / capacity) that triggers a capacity
-  /// grow. 0.85 leaves the random walk enough slack that chains stay
-  /// short; the post-grow floor is max_load_factor / growth_factor.
-  double max_load_factor = 0.85;
+/// Load-factor ceiling (TotalItems / capacity) that triggers a capacity
+/// grow. 0.85 leaves the random walk enough slack that chains stay short;
+/// the post-grow floor is kGrowthMaxLoadFactor / kGrowthFactor.
+inline constexpr double kGrowthMaxLoadFactor = 0.85;
 
-  /// Bucket-count multiplier per capacity grow (> 1).
-  double growth_factor = 2.0;
+/// Bucket-count multiplier per capacity grow. An integer factor lets
+/// McCuckooTable grow by splitting buckets (see McCuckooTable::SplitGrow).
+inline constexpr uint64_t kGrowthFactor = 2;
 
-  /// Stashed items tolerated before growth is triggered.
-  uint64_t stash_soft_limit = 8;
+/// Stashed items tolerated before growth is triggered.
+inline constexpr uint64_t kGrowthStashSoftLimit = 8;
 
-  /// Consecutive hard inserts (stash spill or chain >= maxloop/2) that
-  /// trigger growth.
-  uint32_t pressure_streak_limit = 8;
+/// Consecutive hard inserts (stash spill or chain >= maxloop/2) that
+/// trigger growth.
+inline constexpr uint32_t kGrowthPressureStreakLimit = 8;
 
-  /// Seed rotations attempted at the current size before growing anyway.
-  uint32_t max_reseeds_per_size = 1;
+/// Seed rotations attempted at the current size before growing anyway.
+inline constexpr uint32_t kGrowthMaxReseedsPerSize = 1;
 
-  /// Hard size cap per sub-table; at the cap the policy suppresses
-  /// instead of growing.
-  uint64_t max_buckets_per_table = uint64_t{1} << 32;
+/// Size cap per sub-table; at the cap the policy suppresses instead of
+/// growing.
+inline constexpr uint64_t kGrowthMaxBucketsPerTable = uint64_t{1} << 32;
 
-  /// Initial cooldown after a rehash attempt, in insertions.
-  uint64_t backoff_initial_inserts = 64;
+/// Initial cooldown after a rehash attempt, in insertions.
+inline constexpr uint64_t kGrowthBackoffInitialInserts = 64;
 
-  /// Cooldown ceiling for the exponential backoff.
-  uint64_t backoff_max_inserts = uint64_t{1} << 20;
-
-  Status Validate() const {
-    if (!(max_load_factor > 0.0 && max_load_factor <= 1.0)) {
-      return Status::InvalidArgument(
-          "growth.max_load_factor must be in (0, 1]");
-    }
-    if (!(growth_factor > 1.0)) {
-      return Status::InvalidArgument("growth.growth_factor must exceed 1");
-    }
-    if (pressure_streak_limit == 0) {
-      return Status::InvalidArgument(
-          "growth.pressure_streak_limit must be positive");
-    }
-    if (max_buckets_per_table == 0) {
-      return Status::InvalidArgument(
-          "growth.max_buckets_per_table must be positive");
-    }
-    if (backoff_initial_inserts == 0 ||
-        backoff_initial_inserts > backoff_max_inserts) {
-      return Status::InvalidArgument(
-          "growth backoff window must satisfy 0 < initial <= max");
-    }
-    return Status::OK();
-  }
-};
+/// Cooldown ceiling for the exponential backoff.
+inline constexpr uint64_t kGrowthBackoffMaxInserts = uint64_t{1} << 20;
 
 /// What the policy wants done after an insertion.
 enum class GrowthAction : uint8_t {
@@ -140,14 +113,15 @@ struct GrowthInputs {
 /// the owning table's writer exclusion, so no atomics are needed.
 class GrowthPolicy {
  public:
-  GrowthPolicy() = default;
-  explicit GrowthPolicy(const GrowthConfig& config) : cfg_(config) {}
+  /// `enabled` off: the table never rehashes on its own; pressure that
+  /// would have triggered growth raises the growth_suppressed gauge.
+  explicit GrowthPolicy(bool enabled = false) : enabled_(enabled) {}
 
-  const GrowthConfig& config() const { return cfg_; }
+  bool enabled() const { return enabled_; }
 
   /// Feeds one insertion outcome into the pressure tracker. `overflowed`
-  /// is true when the insert spilled to the stash (kStashed/kFailed); a
-  /// chain of at least maxloop/2 also counts as a hard insert. BFS-driven
+  /// is true when the insert spilled to the stash (kStashed); a chain of
+  /// at least maxloop/2 also counts as a hard insert. BFS-driven
   /// tables additionally report the search effort: a search that expanded
   /// at least half its node budget (`2 * search_nodes >= search_budget`)
   /// is a near-dead-end and counts as hard even when the path it finally
@@ -169,21 +143,22 @@ class GrowthPolicy {
     const bool over_load =
         in.capacity_slots > 0 &&
         static_cast<double>(in.total_items) >
-            cfg_.max_load_factor * static_cast<double>(in.capacity_slots);
-    const bool over_stash = in.stash_items > cfg_.stash_soft_limit;
-    const bool over_streak = pressure_streak_ >= cfg_.pressure_streak_limit;
+            kGrowthMaxLoadFactor * static_cast<double>(in.capacity_slots);
+    const bool over_stash = in.stash_items > kGrowthStashSoftLimit;
+    const bool over_streak = pressure_streak_ >= kGrowthPressureStreakLimit;
     if (!over_load && !over_stash && !over_streak) return {};
-    if (!cfg_.enabled) {
+    if (!enabled_) {
       suppressed_ = true;
       return {GrowthAction::kSuppressed, 0};
     }
     if (attempts_ > 0 && inserts_since_attempt_ < backoff_window_) return {};
     // Pressure without the load-factor ceiling smells like a bad seed, not
     // a full table: rotate first, grow once rotations are spent.
-    if (!over_load && reseeds_at_size_ < cfg_.max_reseeds_per_size) {
+    if (!over_load && reseeds_at_size_ < kGrowthMaxReseedsPerSize) {
       return {GrowthAction::kReseed, in.buckets_per_table};
     }
-    const uint64_t target = NextBucketCount(in.buckets_per_table);
+    const uint64_t target = std::min(in.buckets_per_table * kGrowthFactor,
+                                     kGrowthMaxBucketsPerTable);
     if (target <= in.buckets_per_table) {
       suppressed_ = true;  // at the size cap
       return {GrowthAction::kSuppressed, 0};
@@ -211,7 +186,7 @@ class GrowthPolicy {
       backoff_window_ = NextBackoff();
     } else {
       reseeds_at_size_ = 0;
-      backoff_window_ = cfg_.backoff_initial_inserts;
+      backoff_window_ = kGrowthBackoffInitialInserts;
     }
   }
 
@@ -236,21 +211,12 @@ class GrowthPolicy {
  private:
   uint64_t NextBackoff() const {
     const uint64_t base =
-        backoff_window_ > 0 ? backoff_window_ : cfg_.backoff_initial_inserts;
-    return base >= cfg_.backoff_max_inserts / 2 ? cfg_.backoff_max_inserts
+        backoff_window_ > 0 ? backoff_window_ : kGrowthBackoffInitialInserts;
+    return base >= kGrowthBackoffMaxInserts / 2 ? kGrowthBackoffMaxInserts
                                                 : base * 2;
   }
 
-  uint64_t NextBucketCount(uint64_t buckets) const {
-    const double scaled = static_cast<double>(buckets) * cfg_.growth_factor;
-    uint64_t target = scaled >= static_cast<double>(cfg_.max_buckets_per_table)
-                          ? cfg_.max_buckets_per_table
-                          : static_cast<uint64_t>(scaled);
-    if (target <= buckets) target = buckets + 1;  // growth_factor ~1+eps
-    return target > cfg_.max_buckets_per_table ? buckets : target;
-  }
-
-  GrowthConfig cfg_;
+  bool enabled_;
   uint32_t pressure_streak_ = 0;
   uint32_t reseeds_at_size_ = 0;
   uint64_t attempts_ = 0;

@@ -700,7 +700,7 @@ class McCuckooTable
 
   /// The reader-visible storage: buckets plus the on-chip counter bytes.
   /// A Rehash commit under live optimistic readers swaps it pointer-wise
-  /// and retires the old one whole (TableSkeleton::CommitRebuildLockFree).
+  /// and retires the old one whole (TableSkeleton::CommitRebuild).
   struct Storage {
     std::vector<Bucket> table;
     TagCounterArray counters;

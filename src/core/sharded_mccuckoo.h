@@ -23,7 +23,7 @@
 // and never holding more than one shard lock at once — so no lock-order
 // deadlock is possible against concurrent batches.
 //
-// Auto-growth (options.growth.enabled) is per shard: each shard's table
+// Auto-growth (options.growth_enabled) is per shard: each shard's table
 // runs its own GrowthPolicy inside Insert, under that shard's unique_lock
 // — a hot shard grows without pausing the others, and with optimistic
 // reads the growing shard's rehash commits under its aux seqlock stripe
@@ -45,6 +45,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -98,7 +99,7 @@ class ShardedMcCuckoo {
   ShardedMcCuckoo(const TableOptions& options, size_t num_shards,
                   ReadMode read_mode = ReadMode::kLocked,
                   WriteMode write_mode = WriteMode::kSingleWriter)
-      : shard_bits_(FloorLog2(num_shards)),
+      : shard_bits_(std::countr_zero(num_shards)),
         route_seed_(SplitMix64(options.seed ^ 0x9E3779B97F4A7C15ull)),
         read_mode_(kOptimisticCapable ? read_mode : ReadMode::kLocked),
         write_mode_(write_mode) {
@@ -546,15 +547,6 @@ class ShardedMcCuckoo {
       g.order[cursor[shard_of[i]]++] = i;
     }
     return g;
-  }
-
-  static size_t FloorLog2(size_t n) {
-    size_t b = 0;
-    while (n > 1) {
-      n >>= 1;
-      ++b;
-    }
-    return b;
   }
 
   size_t shard_bits_;

@@ -935,7 +935,7 @@ class TableSkeleton {
       : opts_(options),
         family_(options.num_hashes, options.buckets_per_table, options.seed),
         rng_(SplitMix64(options.seed ^ rng_salt)),
-        growth_(options.growth) {
+        growth_(options.growth_enabled) {
     if (Status s = Derived::CheckOptions(options); !s.ok()) {
       std::fprintf(stderr, "%s: %s\n", Derived::kName, s.message().c_str());
       std::abort();
@@ -943,7 +943,7 @@ class TableSkeleton {
     if (options.eviction_policy == EvictionPolicy::kMinCounter) {
       kick_history_ = KickHistory(
           static_cast<size_t>(options.num_hashes) * options.buckets_per_table,
-          options.kick_counter_bits, stats_.get());
+          stats_.get());
     }
     latency_->set_sample_period(options.latency_sample_period);
   }
@@ -1352,8 +1352,8 @@ class TableSkeleton {
   /// maxloop occupant reads.
   uint32_t ConcurrentBfsBudget() const {
     const bool growth_can_act =
-        opts_.growth.enabled &&
-        opts_.buckets_per_table < opts_.growth.max_buckets_per_table;
+        opts_.growth_enabled &&
+        opts_.buckets_per_table < kGrowthMaxBucketsPerTable;
     return growth_can_act ? opts_.maxloop : BfsNodeBudget(opts_.maxloop);
   }
 
@@ -1458,11 +1458,11 @@ class TableSkeleton {
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
         derived().SetFlag(ctx, cand.bucket[t]);
       }
-    } else if (stash_.size() > opts_.onchip_stash_capacity) {
+    } else if (stash_.size() > kOnchipStashCapacity) {
       // A real CHS deployment would rehash here.
       ctx.Add(forced_rehash_events_, uint64_t{1});
     }
-    return opts_.stash_enabled ? InsertResult::kStashed : InsertResult::kFailed;
+    return InsertResult::kStashed;
   }
 
   // --- Writer contexts ----------------------------------------------------
@@ -1696,88 +1696,66 @@ class TableSkeleton {
 
   /// An empty table with `new_opts`' geometry and seed, built with growth
   /// disabled: a re-insertion overflow must not recursively rehash the
-  /// table being built. CommitRehash restores the growth config.
+  /// table being built. CommitRehash restores the growth switch.
   static Derived ScratchRebuild(TableOptions new_opts) {
-    new_opts.growth.enabled = false;
+    new_opts.growth_enabled = false;
     return Derived(new_opts);
   }
 
   /// Commits a filled ScratchRebuild as this table: carries the lifetime
   /// counters, metrics, latency samples, span timeline, growth policy and
-  /// rehash epoch across, and swaps storage under the aux stripe when a
-  /// seqlock is attached.
+  /// rehash epoch across. With a seqlock attached (the version array
+  /// survives the rebuild: its mask mapping is size-independent), the swap
+  /// runs under the aux stripe: it reallocates every bucket, so in-flight
+  /// optimistic reads must fail validation. The concurrent wrappers'
+  /// exclusive sections already hold the aux stripe open around the whole
+  /// call; it is opened here only when no outer writer does, so the stripe
+  /// stays odd through the commit either way (WriteBegin is a blind
+  /// increment — opening it twice would flip it even).
   void CommitRehash(Derived&& rebuilt, uint64_t t0, size_t moved_items) {
-    rebuilt.opts_.growth = opts_.growth;
-    // Discard any degraded-state signal the growth-disabled rebuild
-    // raised; the live policy re-evaluates pressure after the commit.
-    rebuilt.metrics_->SetGrowthSuppressed(false);
-    // Keep lifetime counters across the rebuild.
-    rebuilt.redundant_writes_ += redundant_writes_;
-    rebuilt.first_collision_items_ = first_collision_items_;
-    rebuilt.first_failure_items_ = first_failure_items_;
     SeqlockArray* seq = seq_;
-    if (seq == nullptr) {
-      *rebuilt.stats_ += *stats_;
-      rebuilt.metrics_->MergeFrom(*metrics_);
-      // Latency samples and the span timeline describe this table's
-      // lifetime too — carry them like the metrics (the scratch rebuild's
-      // re-insertion samples fold in on top). The recorder object itself
-      // survives the move: the Insert whose growth triggered this rehash
-      // still records into it from its ScopedLatencySample.
-      latency_->MergeFrom(*rebuilt.latency_);
-      std::unique_ptr<LatencyRecorder> saved_latency = std::move(latency_);
-      rebuilt.spans_ = std::move(spans_);
-      // The policy and epoch describe this table's lifetime, not the
-      // scratch rebuild's: carry them across the wholesale move.
-      const uint64_t epoch = rehash_epoch_ + 1;
-      GrowthPolicy saved_growth = std::move(growth_);
-      LockStripeArray* locks = locks_;
-      derived() = std::move(rebuilt);
-      latency_ = std::move(saved_latency);
-      growth_ = std::move(saved_growth);
-      locks_ = locks;
-      rehash_epoch_ = epoch;
-    } else {
-      // The attached version array survives the rebuild (its mask mapping
-      // is size-independent); the swap itself reallocates every bucket, so
-      // it runs under the aux stripe to invalidate in-flight optimistic
-      // reads. The concurrent wrappers' exclusive sections already hold the
-      // aux stripe open around the whole call; only open it here when no
-      // outer writer does, so the stripe stays odd through the commit
-      // either way (WriteBegin is a blind increment — double-opening would
-      // flip it even).
-      const bool aux_held =
-          SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
-      if (!aux_held) seq->WriteBegin(seq->aux_stripe());
-      CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
-      if (!aux_held) seq->WriteEnd(seq->aux_stripe());
-    }
+    const bool open_aux =
+        seq != nullptr &&
+        !SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
+    if (open_aux) seq->WriteBegin(seq->aux_stripe());
+    CommitRebuild(std::move(rebuilt));  // leaves seq_ untouched
+    if (open_aux) seq->WriteEnd(seq->aux_stripe());
     metrics_->RecordRehash(MetricsNowNs() - t0);
     spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
   }
 
-  /// Commits a rebuilt table while optimistic readers may be probing this
-  /// one (caller holds the aux stripe odd). The reader-visible Storage is
-  /// exchanged pointer-wise, so a racing reader sees the old or the new
-  /// buffers but never a transient moved-from state, and the replaced
-  /// epoch is parked in retired_ so lagging readers keep dereferencing
-  /// live memory. Everything else is either invisible to the optimistic
-  /// probe or moves wholesale. The stats_/metrics_/latency_ heap objects
-  /// stay identity-stable — a lagging reader flushes its tally through the
-  /// pre-commit pointer after validation — so the rebuild's deltas are
-  /// merged into them rather than replacing them. NOTE: keep in sync with
-  /// the member list below — a member missed here keeps its pre-rehash
-  /// value. The derived tables' own non-storage members (the resolved probe
-  /// kernel) are deliberately kept.
-  void CommitRebuildLockFree(Derived&& rebuilt) {
+  /// Installs a rebuilt table in place, safe while optimistic readers may
+  /// be probing this one (caller holds the aux stripe odd when a seqlock
+  /// is attached). The reader-visible Storage is exchanged pointer-wise, so
+  /// a racing reader sees the old or the new buffers but never a transient
+  /// moved-from state. With a seqlock attached the replaced epoch is parked
+  /// in retired_ so lagging readers keep dereferencing live memory; with
+  /// none there are no such readers and it is freed at once. Everything
+  /// else is either invisible to the optimistic probe or moves wholesale.
+  /// The stats_/metrics_/latency_ heap objects stay identity-stable — a
+  /// lagging reader flushes its tally through the pre-commit pointer after
+  /// validation, and the Insert whose growth triggered the rehash still
+  /// records into latency_ — so the rebuild's deltas are merged into them
+  /// rather than replacing them. NOTE: keep in sync with the member list
+  /// below — a member missed here keeps its pre-rehash value. The derived
+  /// tables' own non-storage members (the resolved probe kernel) are
+  /// deliberately kept: the rebuild resolves the same options to the same
+  /// kernel.
+  void CommitRebuild(Derived&& rebuilt) {
     using Storage = typename Derived::Storage;
     derived().mem_.Swap(rebuilt.mem_);
-    Retired old(new Storage(std::move(rebuilt.mem_)),
-                [](void* p) { delete static_cast<Storage*>(p); });
-    retired_.push_back(std::move(old));
+    auto old = std::make_unique<Storage>(std::move(rebuilt.mem_));
+    if (seq_ != nullptr) {
+      retired_.push_back(Retired(
+          old.release(), [](void* p) { delete static_cast<Storage*>(p); }));
+    }
+    rebuilt.opts_.growth_enabled = opts_.growth_enabled;  // see ScratchRebuild
     opts_ = rebuilt.opts_;
     family_ = std::move(rebuilt.family_);
     *stats_ += *rebuilt.stats_;
+    // Discard any degraded-state signal the growth-disabled rebuild
+    // raised; the live policy re-evaluates pressure after the commit.
+    rebuilt.metrics_->SetGrowthSuppressed(false);
     metrics_->MergeFrom(*rebuilt.metrics_);
     latency_->MergeFrom(*rebuilt.latency_);
     // spans_ deliberately keeps this table's ring: it is a lifetime
@@ -1789,15 +1767,16 @@ class TableSkeleton {
     // The rebuild just freed space, so any dead-end streak is stale.
     bfs_throttle_ = {};
     size_ = rebuilt.size_;
-    first_collision_items_ = rebuilt.first_collision_items_;
-    first_failure_items_ = rebuilt.first_failure_items_;
-    redundant_writes_ = rebuilt.redundant_writes_;
+    // first_collision_items_ and first_failure_items_ are lifetime
+    // counters: the rebuild's re-insertions never set them here.
+    redundant_writes_ += rebuilt.redundant_writes_;
     stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
     forced_rehash_events_ = rebuilt.forced_rehash_events_;
     ++rehash_epoch_;
-    // seq_, seq_open_, locks_, retired_ and growth_ deliberately keep this
-    // table's values (the policy's backoff/reseed state spans rebuilds, and the
-    // seqlock attachment belongs to the wrapper, not the scratch rebuild).
+    // seq_, seq_open_, locks_, retired_, spans_ and growth_ deliberately
+    // keep this table's values (the policy's backoff/reseed state spans
+    // rebuilds, and the seqlock attachment belongs to the wrapper, not the
+    // scratch rebuild).
   }
 
   TableOptions opts_;

@@ -1,5 +1,6 @@
 #include "src/server/item_store.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -10,12 +11,6 @@ namespace mccuckoo {
 namespace server {
 
 namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 TableOptions StoreTableOptions(const ItemStoreOptions& options) {
   TableOptions t;
@@ -28,11 +23,7 @@ TableOptions StoreTableOptions(const ItemStoreOptions& options) {
   // DEL, TTL expiry and eviction all erase; counter resets keep erased
   // buckets reusable at zero off-chip writes (tombstones would accrete).
   t.deletion_mode = DeletionMode::kResetCounters;
-  t.stash_enabled = true;
-  t.growth.enabled = options.growth_enabled;
-  if (options.max_buckets_per_table != 0) {
-    t.growth.max_buckets_per_table = options.max_buckets_per_table;
-  }
+  t.growth_enabled = options.growth_enabled;
   return t;
 }
 
@@ -54,15 +45,13 @@ ItemStore::Item* ItemStore::Item::New(uint64_t hash, std::string_view key,
 }
 
 ItemStore::ItemStore(const ItemStoreOptions& options)
-    : ItemStore(options, StoreTableOptions(options)) {}
-
-ItemStore::ItemStore(const ItemStoreOptions& options, const TableOptions& t)
     : key_seed_(SplitMix64(options.seed ^ 0xD6E8FEB86659FD93ull)),
       clock_(options.clock ? options.clock
                            : StoreClock([] { return NowNs(); })),
       max_bytes_(options.max_bytes) {
   table_ = std::make_unique<Sharded>(
-      t, RoundUpPow2(std::max<size_t>(1, options.shards)),
+      StoreTableOptions(options),
+      std::bit_ceil(std::max<size_t>(1, options.shards)),
       ReadMode::kOptimistic, WriteMode::kMultiWriter);
 }
 
@@ -213,31 +202,22 @@ Status ItemStore::Set(std::string_view key, std::string_view value,
     // value InsertOrAssign replaced is the item to unlink.
     uint64_t pv = 0;
     r = table_->InsertOrAssign(h, reinterpret_cast<uint64_t>(fresh), &pv);
-    if (r == InsertResult::kFailed) {
-      // The table kept the key in its overflow area (it loses no data) but
-      // reports the insert as failed, so the store takes it back out. A
-      // lock-free reader may have seen `fresh` meanwhile: retire, not free.
-      // kFailed never replaces an entry, so the list and tallies stand.
-      table_->Erase(h);
-      epoch_.Retire(fresh, &Item::Free);
-    } else {
-      if (r == InsertResult::kUpdated) {
-        Item* old = reinterpret_cast<Item*>(pv);
-        if (old->key() != key) metrics_.hash_collisions.Inc();
-        Unlink(s, old);
-        items_.fetch_sub(1, std::memory_order_relaxed);
-        bytes_.fetch_sub(old->payload_bytes(), std::memory_order_relaxed);
-        epoch_.Retire(old, &Item::Free);
-      }
-      Link(s, fresh);
-      items_.fetch_add(1, std::memory_order_relaxed);
-      bytes_.fetch_add(fresh->payload_bytes(), std::memory_order_relaxed);
+    if (r == InsertResult::kUpdated) {
+      Item* old = reinterpret_cast<Item*>(pv);
+      if (old->key() != key) metrics_.hash_collisions.Inc();
+      Unlink(s, old);
+      items_.fetch_sub(1, std::memory_order_relaxed);
+      bytes_.fetch_sub(old->payload_bytes(), std::memory_order_relaxed);
+      epoch_.Retire(old, &Item::Free);
     }
+    Link(s, fresh);
+    items_.fetch_add(1, std::memory_order_relaxed);
+    bytes_.fetch_add(fresh->payload_bytes(), std::memory_order_relaxed);
   }
   // Eviction runs after the stripe lock drops: victims live on other
   // stripes, and taking a second stripe lock while holding ours could
   // deadlock against a Set evicting in the other direction.
-  if (r == InsertResult::kStashed || r == InsertResult::kFailed) {
+  if (r == InsertResult::kStashed) {
     // The table absorbed the key into its stash — the GrowthPolicy
     // graceful-degradation signal that it cannot grow (disabled, capped,
     // or backing off). Relieve the pressure by evicting the oldest items.
@@ -246,9 +226,6 @@ Status ItemStore::Set(std::string_view key, std::string_view value,
   while (max_bytes_ != 0 &&
          bytes_.load(std::memory_order_relaxed) > max_bytes_) {
     if (EvictOldest(1, /*pressure=*/false) == 0) break;
-  }
-  if (r == InsertResult::kFailed) {
-    return Status::ResourceExhausted("table cannot place the key");
   }
   return Status::OK();
 }

@@ -73,11 +73,9 @@ struct ItemStoreOptions {
   /// FIFO-evicts until back under.
   uint64_t max_bytes = 0;
   /// Let shards grow under load. When growth cannot act (disabled here, or
-  /// capped via max_buckets_per_table), inserts degrade to the stash and
-  /// the store answers with pressure eviction instead.
+  /// at kGrowthMaxBucketsPerTable), inserts degrade to the stash and the
+  /// store answers with pressure eviction instead.
   bool growth_enabled = true;
-  /// Per-shard bucket cap forwarded to GrowthConfig (0 = unbounded).
-  uint64_t max_buckets_per_table = 0;
   /// Time source for TTL decisions; defaults to the shared NowNs() clock.
   /// Tests inject a fake to exercise expiry without sleeping.
   StoreClock clock;
@@ -106,12 +104,9 @@ class ItemStore {
                   std::vector<std::string>* values,
                   std::vector<uint8_t>* found);
 
-  /// Inserts or replaces `key`. ttl_seconds 0 = never expires. Returns
-  /// ResourceExhausted, with the store as it was before the call (bar the
-  /// pressure eviction that still runs), when the table reports the key
-  /// unplaceable (InsertResult::kFailed: a table whose stash is disabled).
-  /// The store's own table always keeps its stash on, so that needs a
-  /// table configured otherwise.
+  /// Inserts or replaces `key`. ttl_seconds 0 = never expires. The table
+  /// always places the key (a stash landing triggers pressure eviction),
+  /// so only an empty key is an error.
   Status Set(std::string_view key, std::string_view value,
              uint32_t ttl_seconds);
 
@@ -185,13 +180,6 @@ class ItemStore {
   };
 
   static constexpr size_t kStripes = 64;
-
-  friend class ItemStoreTestPeer;
-
-  /// The store over shard tables built from `table` (the public
-  /// constructor derives it from `options`); tests reach it through
-  /// ItemStoreTestPeer to configure the table in ways the store never does.
-  ItemStore(const ItemStoreOptions& options, const TableOptions& table);
 
   /// Stripe of a key hash. Fibonacci-scrambled so the table's routing and
   /// bucket reductions (which consume high bits of decorrelated seeds)

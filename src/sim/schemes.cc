@@ -95,7 +95,6 @@ TableOptions ToTableOptions(const SchemeConfig& c, bool blocked,
   o.seed = c.seed;
   o.deletion_mode = c.deletion_mode;
   o.eviction_policy = c.eviction_policy;
-  o.stash_enabled = c.stash_enabled;
   o.stash_kind = (!multi_copy && c.baseline_onchip_stash)
                      ? StashKind::kOnchipChs
                      : StashKind::kOffchip;

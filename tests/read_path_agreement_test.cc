@@ -101,7 +101,6 @@ TableOptions OptionsFor(const ReadCase& c) {
   o.seed = 0xA9EE;
   o.deletion_mode = c.deletion;
   o.stash_kind = c.stash;
-  o.onchip_stash_capacity = 1024;
   o.stash_screen_enabled = c.screen;
   o.lookup_pruning_enabled = c.pruning;
   o.probe = c.probe;

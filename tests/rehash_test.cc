@@ -137,9 +137,9 @@ TEST(RehashTest, StatisticsAccumulateAcrossRebuildBlocked) {
       3);
 }
 
-// Rehash with a SeqlockArray attached commits by swapping the storage
-// under the aux stripe (CommitRebuildLockFree) instead of moving the
-// rebuilt table in. Both commits must carry the same lifetime state, so a
+// Rehash with a SeqlockArray attached commits under the aux stripe and
+// parks the replaced storage for lagging readers; without one it frees it
+// at once (CommitRebuild). Both must carry the same lifetime state, so a
 // twin without a seqlock, fed the same operations, is the reference:
 // AccessStats totals, metric counts, latency sample counts, the span ring,
 // the growth policy and the rehash epoch. Deletion mode kResetCounters
@@ -152,7 +152,7 @@ void SeqlockCommitKeepsLifetimeState(uint32_t slots_per_bucket) {
   o.slots_per_bucket = slots_per_bucket;
   o.deletion_mode = DeletionMode::kResetCounters;
   o.latency_sample_period = 1;
-  o.growth.enabled = true;
+  o.growth_enabled = true;
   Table attached(o);
   Table plain(o);
   SeqlockArray seq(attached.seqlock_domain());
@@ -325,24 +325,21 @@ TEST(RehashTest, BlockedMultiCopyReadOutVisitsEachKeyOnce) {
 
 // --- Growth by bucket splitting (McCuckooTable::SplitGrow) ----------------
 
-// A kResetCounters table grown by an integer `factor` must keep every key
-// with its value and every main-table key's copies: the split moves each
-// copy and creates none. maxloop is tiny so the stash fills before the
-// load ceiling, and the only growth trigger left enabled is that ceiling,
-// so exactly one grow fires, on the insert that crosses it.
-void SplitGrowAndCheck(double factor, uint64_t seed) {
+// A kResetCounters table grown by kGrowthFactor must keep every key with
+// its value and every main-table key's copies: the split moves each copy
+// and creates none. maxloop is long enough that nothing stashes and no
+// chain runs hard below the load ceiling, so the only growth trigger that
+// fires is that ceiling: exactly one grow, on the insert that crosses it.
+void SplitGrowAndCheck(uint64_t seed) {
   TableOptions o;
   o.buckets_per_table = 256;
-  o.maxloop = 4;
+  o.maxloop = 500;
   o.seed = seed;
   o.deletion_mode = DeletionMode::kResetCounters;
-  o.growth.enabled = true;
-  o.growth.max_load_factor = 0.9;
-  o.growth.growth_factor = factor;
-  o.growth.stash_soft_limit = uint64_t{1} << 20;
-  o.growth.pressure_streak_limit = 1u << 20;
+  o.growth_enabled = true;
   McCuckooTable<uint64_t, uint64_t> t(o);
-  const uint64_t ceiling = t.capacity() * 9 / 10;
+  const auto ceiling = static_cast<uint64_t>(
+      kGrowthMaxLoadFactor * static_cast<double>(t.capacity()));
   const std::vector<uint64_t> keys = MakeUniqueKeys(ceiling * 2, seed, 0);
   std::map<uint64_t, uint64_t> expected;
   size_t next = 0;
@@ -350,7 +347,7 @@ void SplitGrowAndCheck(double factor, uint64_t seed) {
   // the split also meets reset (counter 0) buckets that still hold a key.
   while (t.TotalItems() < ceiling) {
     const uint64_t k = keys[next++];
-    ASSERT_NE(t.Insert(k, k * 13), InsertResult::kFailed);
+    t.Insert(k, k * 13);
     expected[k] = k * 13;
     if (next % 10 == 0) {
       const uint64_t victim = keys[next - 5];
@@ -359,7 +356,6 @@ void SplitGrowAndCheck(double factor, uint64_t seed) {
     }
   }
   ASSERT_EQ(t.rehash_epoch(), 0u);
-  ASSERT_GT(t.stash_size(), 0u);
   std::map<uint64_t, uint32_t> copies_before;
   std::vector<uint64_t> stashed_before;
   for (const auto& [k, v] : expected) {
@@ -369,11 +365,10 @@ void SplitGrowAndCheck(double factor, uint64_t seed) {
   ASSERT_EQ(stashed_before.size(), t.stash_size());
 
   const uint64_t trigger = keys[next++];
-  ASSERT_NE(t.Insert(trigger, 7), InsertResult::kFailed);
+  t.Insert(trigger, 7);
   expected[trigger] = 7;
   ASSERT_EQ(t.rehash_epoch(), 1u);
-  EXPECT_EQ(t.options().buckets_per_table,
-            static_cast<uint64_t>(256 * factor));
+  EXPECT_EQ(t.options().buckets_per_table, 256 * kGrowthFactor);
   EXPECT_EQ(t.options().seed, seed) << "grew by rebuild, not by split";
   EXPECT_EQ(t.growth_policy().seed_rotations(), 0u);
 
@@ -405,11 +400,7 @@ void SplitGrowAndCheck(double factor, uint64_t seed) {
 }
 
 TEST(SplitGrowTest, Doubling) {
-  SplitGrowAndCheck(2.0, 21);
-}
-
-TEST(SplitGrowTest, Tripling) {
-  SplitGrowAndCheck(3.0, 22);
+  SplitGrowAndCheck(21);
 }
 
 }  // namespace

@@ -110,7 +110,6 @@ Fingerprint RunSingleWriter(uint32_t slots_per_bucket, EvictionPolicy policy) {
   o.seed = 0x5CA1A7;
   o.eviction_policy = policy;
   o.deletion_mode = DeletionMode::kResetCounters;
-  o.stash_enabled = true;
   Table t(o);
   Fingerprint f{};
   const uint64_t cap = t.capacity();
@@ -279,8 +278,7 @@ MultiWriterFingerprint RunMultiWriter(bool growth) {
   o.buckets_per_table = growth ? 64 : 800;
   o.seed = 0x5EEDCAFE;
   o.deletion_mode = DeletionMode::kResetCounters;
-  o.stash_enabled = true;
-  o.growth.enabled = growth;
+  o.growth_enabled = growth;
   ShardedMcCuckoo<Table> t(o, 2, ReadMode::kOptimistic,
                            WriteMode::kMultiWriter);
   EXPECT_EQ(t.write_mode(), WriteMode::kMultiWriter);

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,15 +17,6 @@
 
 namespace mccuckoo {
 namespace server {
-
-/// Builds a store over shard tables the store itself never configures.
-class ItemStoreTestPeer {
- public:
-  static std::unique_ptr<ItemStore> WithTable(const ItemStoreOptions& options,
-                                              const TableOptions& table) {
-    return std::unique_ptr<ItemStore>(new ItemStore(options, table));
-  }
-};
 
 namespace {
 
@@ -287,48 +277,6 @@ TEST_F(TtlTest, OverwriteOfStashedItemsUnlinksTheOldItem) {
     }
     EXPECT_TRUE(store->CheckInvariants().ok());
   });
-}
-
-TEST_F(TtlTest, SetFailsCleanlyWhenTheTableCannotPlaceTheKey) {
-  // A stash-disabled table reports an unplaceable key as kFailed (keeping
-  // it in its overflow area). Set must then return ResourceExhausted and
-  // leave no trace of the key: not linked, not counted, not findable.
-  // Pressure eviction still runs.
-  ItemStoreOptions options;
-  options.shards = 1;
-  options.growth_enabled = false;
-  options.clock = [this] { return now_ns_; };
-  TableOptions table;
-  table.num_hashes = 3;
-  table.buckets_per_table = 8;
-  table.seed = options.seed;
-  table.deletion_mode = DeletionMode::kResetCounters;
-  table.stash_enabled = false;
-  const std::unique_ptr<ItemStore> store =
-      ItemStoreTestPeer::WithTable(options, table);
-  int failed = 0;
-  for (int i = 0; i < 300; ++i) {
-    const std::string key = "key" + std::to_string(i);
-    const uint64_t items = store->items();
-    const uint64_t bytes = store->bytes();
-    const uint64_t evicted = store->metrics().evictions_pressure.Value();
-    const Status st = store->Set(key, "value", 0);
-    const uint64_t now_evicted =
-        store->metrics().evictions_pressure.Value() - evicted;
-    if (st.ok()) {
-      EXPECT_TRUE(store->Get(key, nullptr)) << key;
-      continue;
-    }
-    ++failed;
-    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.message();
-    EXPECT_FALSE(store->Get(key, nullptr)) << key;
-    EXPECT_GT(now_evicted, 0u);
-    EXPECT_EQ(store->items(), items - now_evicted);
-    EXPECT_LT(store->bytes(), bytes);
-    ASSERT_TRUE(store->CheckInvariants().ok()) << key;
-  }
-  EXPECT_GT(failed, 0);
-  EXPECT_TRUE(store->CheckInvariants().ok());
 }
 
 TEST_F(TtlTest, MetricsSnapshotCarriesGauges) {

@@ -46,12 +46,11 @@ TEST(StashKindTest, OffchipProbesCostOneRead) {
 
 TEST(StashKindTest, ChsOverrunsCountForcedRehashes) {
   TableOptions o = TinyOptions(StashKind::kOnchipChs);
-  o.onchip_stash_capacity = 4;
   CuckooTable<uint64_t, uint64_t> t(o);
   const auto keys = MakeUniqueKeys(192, 2, 0);  // 100% attempt on a 10-loop table
   for (uint64_t k : keys) t.Insert(k, k);
-  ASSERT_GT(t.stash_size(), 4u);
-  EXPECT_EQ(t.forced_rehash_events(), t.stash_size() - 4);
+  ASSERT_GT(t.stash_size(), kOnchipStashCapacity);
+  EXPECT_EQ(t.forced_rehash_events(), t.stash_size() - kOnchipStashCapacity);
   // Data safety regardless: everything stays findable.
   for (uint64_t k : keys) EXPECT_TRUE(t.Contains(k)) << k;
 }

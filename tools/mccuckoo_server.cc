@@ -9,7 +9,9 @@
 // elapses.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
@@ -23,31 +25,49 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
+int Usage(const std::string& error) {
+  std::fprintf(stderr, "%s\n", error.c_str());
+  std::fprintf(stderr,
+               "usage: mccuckoo_server [--port=N] [--threads=N] "
+               "[--shards=N] [--slots=N] [--max-bytes=N] [--sweep-ms=N] "
+               "[--duration=SECONDS]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using mccuckoo::Flags;
   auto parsed = Flags::Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-    std::fprintf(stderr,
-                 "usage: mccuckoo_server [--port=N] [--threads=N] "
-                 "[--shards=N] [--slots=N] [--max-bytes=N] [--sweep-ms=N] "
-                 "[--duration=SECONDS]\n");
-    return 2;
-  }
+  if (!parsed.ok()) return Usage(parsed.status().ToString());
   const Flags& flags = parsed.value();
 
+  // Each flag is range-checked before it is narrowed: an out-of-range port
+  // would otherwise wrap to another port, and a negative shard count to
+  // 2^64 - 1.
+  std::string bad;
+  auto get = [&](const char* name, int64_t def, int64_t lo, int64_t hi) {
+    const int64_t x = flags.GetInt(name, def);
+    if ((x < lo || x > hi) && bad.empty()) {
+      bad = "--" + std::string(name) + "=" + std::to_string(x) +
+            " is out of range [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "]";
+    }
+    return x;
+  };
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   mccuckoo::server::ServerOptions options;
-  options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  options.threads = static_cast<int>(flags.GetInt("threads", 2));
+  options.port = static_cast<uint16_t>(get("port", 0, 0, 65535));
+  options.threads = static_cast<int>(
+      get("threads", 2, 1, std::numeric_limits<int>::max()));
   options.sweep_interval_ms =
-      static_cast<uint64_t>(flags.GetInt("sweep-ms", 1000));
-  options.store.shards = static_cast<size_t>(flags.GetInt("shards", 8));
+      static_cast<uint64_t>(get("sweep-ms", 1000, 0, kMax));
+  options.store.shards = static_cast<size_t>(get("shards", 8, 1, 65536));
   options.store.initial_slots =
-      static_cast<size_t>(flags.GetInt("slots", 1 << 16));
-  options.store.max_bytes = static_cast<size_t>(flags.GetInt("max-bytes", 0));
-  const int64_t duration_s = flags.GetInt("duration", 0);
+      static_cast<uint64_t>(get("slots", 1 << 16, 1, kMax));
+  options.store.max_bytes = static_cast<uint64_t>(get("max-bytes", 0, 0, kMax));
+  const int64_t duration_s = get("duration", 0, 0, kMax);
+  if (!bad.empty()) return Usage(bad);
 
   mccuckoo::server::CacheServer server(options);
   if (mccuckoo::Status s = server.Start(); !s.ok()) {
