@@ -97,10 +97,8 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
   Result<Flags> parsed = Flags::Parse(argc, argv);
   if (!parsed.ok()) fail(parsed.status().ToString());
   const Flags& flags = parsed.value();
-  for (const std::string& name : flags.names()) {
-    if (name != "reps" && name != "filter" && name != "slots") {
-      fail("unknown flag --" + name + " (want --reps, --filter, --slots)");
-    }
+  if (Status s = flags.CheckKnown({"reps", "filter", "slots"}); !s.ok()) {
+    fail(s.message());
   }
   const int64_t reps = flags.GetInt("reps", 5);
   const int64_t slots =

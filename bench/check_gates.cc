@@ -34,10 +34,8 @@ int main(int argc, char** argv) {
   Result<Flags> parsed = Flags::Parse(argc, argv);
   if (!parsed.ok()) return usage(parsed.status().ToString());
   const Flags& flags = parsed.value();
-  for (const std::string& name : flags.names()) {
-    if (name != "filter") {
-      return usage("unknown flag --" + name + " (want --filter)");
-    }
+  if (Status s = flags.CheckKnown({"filter"}); !s.ok()) {
+    return usage(s.message());
   }
   const std::string gates_path = MCCUCKOO_SOURCE_DIR "/bench/gates.txt";
   const std::string json_path = BenchJsonPath();

@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,17 +8,32 @@ namespace mccuckoo {
 
 namespace {
 
-// Parses a decimal integer; aborts on garbage so sweeps never run with a
-// silently-defaulted parameter.
-int64_t ParseIntOrDie(const std::string& name, const std::string& raw) {
+// Parses a decimal integer, rejecting garbage and values strtoll would
+// clamp to the int64 range.
+Result<int64_t> ParseInt(const std::string& name, const std::string& raw) {
   char* end = nullptr;
-  const int64_t v = std::strtoll(raw.c_str(), &end, 10);
+  errno = 0;
+  const long long v = std::strtoll(raw.c_str(), &end, 10);
   if (end == raw.c_str() || *end != '\0') {
-    std::fprintf(stderr, "flag --%s: not an integer: '%s'\n", name.c_str(),
-                 raw.c_str());
+    return Status::InvalidArgument("flag --" + name + ": not an integer: '" +
+                                   raw + "'");
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("flag --" + name +
+                                   ": does not fit in 64 bits: '" + raw + "'");
+  }
+  return static_cast<int64_t>(v);
+}
+
+// ParseInt, aborting on an error so sweeps never run with a
+// silently-defaulted or clamped parameter.
+int64_t ParseIntOrDie(const std::string& name, const std::string& raw) {
+  Result<int64_t> v = ParseInt(name, raw);
+  if (!v.ok()) {
+    std::fprintf(stderr, "%s\n", v.status().message().c_str());
     std::abort();
   }
-  return v;
+  return v.value();
 }
 
 }  // namespace
@@ -45,6 +61,27 @@ Result<Flags> Flags::Parse(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+Status Flags::CheckKnown(std::initializer_list<const char*> known) const {
+  for (const auto& [name, value] : values_) {
+    bool found = false;
+    for (const char* k : known) found = found || name == k;
+    if (found) continue;
+    std::string want;
+    for (const char* k : known) {
+      want += (want.empty() ? "--" : ", --") + std::string(k);
+    }
+    return Status::InvalidArgument("unknown flag --" + name + " (want " +
+                                   want + ")");
+  }
+  return Status::OK();
+}
+
+Result<int64_t> Flags::TryGetInt(const std::string& name, int64_t def) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return def;
+  return ParseInt(name, it->second);
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {

@@ -1,13 +1,16 @@
-// Minimal command-line flag parsing for bench and example binaries.
+// Minimal command-line flag parsing for the bench, tool and example
+// binaries.
 //
 // Supports `--name=value` and `--name value` syntax plus bare `--name` for
-// booleans. Unknown flags are an error so typos in experiment sweeps fail
-// loudly instead of silently running the default configuration.
+// booleans. Parse accepts any flag name; a binary that calls CheckKnown()
+// rejects names outside its list, so a typo fails loudly instead of
+// silently running the default configuration.
 
 #ifndef MCCUCKOO_COMMON_FLAGS_H_
 #define MCCUCKOO_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,8 +29,17 @@ class Flags {
   /// True if the flag was present on the command line.
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
-  /// Typed getters returning `def` when the flag is absent. Malformed
-  /// numeric values abort with a message (bench binaries want loud failure).
+  /// OK when every flag set is in `known`; otherwise InvalidArgument naming
+  /// the first unknown one and the known names.
+  Status CheckKnown(std::initializer_list<const char*> known) const;
+
+  /// The integer value of `name`, `def` when absent; InvalidArgument when
+  /// the value is not a decimal integer or does not fit in 64 bits.
+  Result<int64_t> TryGetInt(const std::string& name, int64_t def) const;
+
+  /// Typed getters returning `def` when the flag is absent. Malformed or
+  /// overflowing numeric values abort with a message (bench binaries want
+  /// loud failure).
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;

@@ -4,14 +4,14 @@
 // single mutex, capping write throughput at one core per table no matter
 // how many threads the cache-server scenario throws at it. Following the
 // fine-grained kick-out locking line of work (arXiv 1605.05236, PAPERS.md),
-// this header provides per-stripe spinlocks sized and mapped exactly like
-// the seqlock version array: holding the lock stripe of bucket b grants
-// exclusive *writer* rights over every bucket in b's seqlock stripe, so the
-// existing single-writer seqlock protocol (blind non-RMW version bumps, see
+// writers instead take per-stripe spinlocks: the writer-lock cells of the
+// table's SeqlockArray (seqlock.h). Holding the lock of bucket b's stripe
+// grants exclusive *writer* rights over every bucket in that stripe, so the
+// single-writer seqlock protocol (blind non-RMW version bumps, see
 // SeqlockArray::WriteBegin) remains valid with many concurrent writers —
 // two writers can never hold the same stripe, hence never race a version
-// cell. Optimistic readers keep running lock-free against the seqlock
-// exactly as before.
+// cell. Optimistic readers keep running lock-free against the versions
+// exactly as before. This header holds the discipline over those locks.
 //
 // Deadlock freedom rests on a two-tier acquisition discipline:
 //
@@ -43,8 +43,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
-#include <vector>
 
 #include "src/core/seqlock.h"
 #include "src/obs/metrics.h"
@@ -117,99 +115,12 @@ class MovableAtomic {
   std::atomic<T> v_;
 };
 
-/// Striped spinlock array, congruent with SeqlockArray: same stripe count
-/// (min(next_pow2(buckets), 1024)), same low-bit mask mapping, same aux
-/// stripe at index mask + 1 covering whole-table state (the stash). The
-/// congruence is the multi-writer protocol's keystone — see file comment.
-class LockStripeArray {
- public:
-  static constexpr size_t kMaxStripes = SeqlockArray::kMaxStripes;
-
-  explicit LockStripeArray(size_t buckets = 1)
-      : mask_(SeqlockArray::StripesFor(buckets) - 1),
-        blocks_((SeqlockArray::StripesFor(buckets) + 1 + kCellsPerBlock - 1) /
-                kCellsPerBlock) {}
-
-  LockStripeArray(LockStripeArray&&) = default;
-  LockStripeArray& operator=(LockStripeArray&&) = default;
-  LockStripeArray(const LockStripeArray&) = delete;
-  LockStripeArray& operator=(const LockStripeArray&) = delete;
-
-  /// Bucket stripes (excluding aux), matching SeqlockArray::num_stripes.
-  size_t num_stripes() const { return mask_ + 1; }
-
-  size_t StripeOf(size_t bucket) const { return bucket & mask_; }
-
-  /// The aux stripe: the highest index, always acquired last, serializing
-  /// stash mutation and stash probes that the screen could not veto.
-  size_t aux_stripe() const { return mask_ + 1; }
-
-  /// Non-blocking acquisition attempt.
-  bool TryLock(size_t stripe) {
-    auto& c = Cell(stripe);
-    if (c.load(std::memory_order_relaxed) != 0) return false;
-    return c.exchange(1, std::memory_order_acquire) == 0;
-  }
-
-  /// Blocking acquisition (test-and-test-and-set with yields). Returns the
-  /// nanoseconds spent waiting (0 on the uncontended fast path — the clock
-  /// is only read once the first attempt has already failed).
-  uint64_t Lock(size_t stripe) {
-    if (TryLock(stripe)) return 0;
-    const uint64_t t0 = MetricsNowNs();
-    auto& c = Cell(stripe);
-    int spins = 0;
-    for (;;) {
-      if (c.load(std::memory_order_relaxed) == 0 &&
-          c.exchange(1, std::memory_order_acquire) == 0) {
-        return MetricsNowNs() - t0 + 1;  // >= 1: "contended" is detectable
-      }
-      if (++spins >= kSpinsBeforeYield) {
-        spins = 0;
-        std::this_thread::yield();
-      }
-    }
-  }
-
-  void Unlock(size_t stripe) {
-    assert(Cell(stripe).load(std::memory_order_relaxed) == 1);
-    Cell(stripe).store(0, std::memory_order_release);
-  }
-
-  /// Test/debug: whether a stripe is currently held by someone.
-  bool IsLocked(size_t stripe) const {
-    return Cell(stripe).load(std::memory_order_relaxed) != 0;
-  }
-
- private:
-  // One cache line of 16 cells, like SeqlockArray's version blocks.
-  static constexpr size_t kCellsPerBlock = 16;
-  static constexpr int kSpinsBeforeYield = 64;
-
-  struct alignas(64) CellBlock {
-    std::atomic<uint32_t> v[kCellsPerBlock];
-    CellBlock() {
-      for (auto& c : v) c.store(0, std::memory_order_relaxed);
-    }
-  };
-
-  std::atomic<uint32_t>& Cell(size_t i) {
-    return blocks_[i / kCellsPerBlock].v[i % kCellsPerBlock];
-  }
-  const std::atomic<uint32_t>& Cell(size_t i) const {
-    return blocks_[i / kCellsPerBlock].v[i % kCellsPerBlock];
-  }
-
-  size_t mask_ = 0;
-  std::vector<CellBlock> blocks_;
-};
-
 /// The lock set one operation holds, enforcing the two-tier acquisition
 /// discipline (see file comment) and tallying contention metrics locally —
 /// flushed into the table's TableMetrics once, at ReleaseAll/destruction.
 class LockStripeSet {
  public:
-  LockStripeSet(LockStripeArray& arr, TableMetrics* metrics)
+  LockStripeSet(SeqlockArray& arr, TableMetrics* metrics)
       : arr_(arr), metrics_(metrics) {}
   ~LockStripeSet() { ReleaseAll(); }
   LockStripeSet(const LockStripeSet&) = delete;
@@ -312,7 +223,7 @@ class LockStripeSet {
     held_[held_n_++] = stripe;
   }
 
-  LockStripeArray& arr_;
+  SeqlockArray& arr_;
   TableMetrics* metrics_;
   size_t held_[kMaxHeld];
   size_t held_n_ = 0;
@@ -328,19 +239,18 @@ class LockStripeSet {
 /// stripe as before.
 class LockStripeDrain {
  public:
-  explicit LockStripeDrain(LockStripeArray& arr) : arr_(arr) {
-    const size_t total = arr_.aux_stripe() + 1;
-    for (size_t s = 0; s < total; ++s) arr_.Lock(s);
+  explicit LockStripeDrain(SeqlockArray& arr) : arr_(arr) {
+    for (size_t s = 0; s <= arr_.aux_stripe(); ++s) arr_.Lock(s);
   }
   ~LockStripeDrain() {
-    const size_t total = arr_.aux_stripe() + 1;
-    for (size_t s = total; s-- > 0;) arr_.Unlock(s);
+    const size_t aux = arr_.aux_stripe();
+    for (size_t i = 0; i <= aux; ++i) arr_.Unlock(aux - i);
   }
   LockStripeDrain(const LockStripeDrain&) = delete;
   LockStripeDrain& operator=(const LockStripeDrain&) = delete;
 
  private:
-  LockStripeArray& arr_;
+  SeqlockArray& arr_;
 };
 
 }  // namespace mccuckoo

@@ -1,4 +1,5 @@
-// Seqlock-striped version array for optimistic lock-free reads (§III.H).
+// The stripe array: seqlock versions for optimistic lock-free reads
+// (§III.H) and the writer locks of the multi-writer mode.
 //
 // A locked reader (ShardedMcCuckoo's ReadMode::kLocked) pays at least
 // two atomic RMWs on one shared cache line — at high reader counts
@@ -11,12 +12,16 @@
 //
 // This header provides the detection machinery:
 //
-//  * SeqlockArray — a power-of-two array of 32-bit version cells
-//    ("stripes"), cache-line aligned, plus one auxiliary cell covering
-//    whole-table state (the stash, exclusive maintenance). Buckets map to
-//    stripes by low-bit masking; the mapping is independent of the table
-//    size, so a Rehash can keep the same array. Odd version = a mutation of
-//    some bucket in that stripe is in flight.
+//  * SeqlockArray — a power-of-two array of stripes, plus one auxiliary
+//    stripe covering whole-table state (the stash, exclusive maintenance).
+//    Buckets map to stripes by low-bit masking; the mapping is independent
+//    of the table size, so a Rehash can keep the same array. Each stripe
+//    has a 32-bit version cell (odd = a mutation of some bucket in that
+//    stripe is in flight) and a writer-lock cell for the multi-writer mode
+//    (lock_stripes.h). The two kinds of cell live in separate cache-line
+//    blocks, so readers' version lines take no lock RMW traffic, and since
+//    one type owns the one mapping, the lock that grants a stripe's writer
+//    rights always covers exactly that stripe's version cell.
 //  * SeqlockWriterSet — the writer-side open set. A multi-copy mutation
 //    touches several buckets (all copies of a key, every bucket of a kick
 //    chain), and the table must hold *all* of them odd until the operation
@@ -46,12 +51,16 @@
 #ifndef MCCUCKOO_CORE_SEQLOCK_H_
 #define MCCUCKOO_CORE_SEQLOCK_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
+
+#include "src/obs/metrics.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define MCCUCKOO_THREAD_SANITIZER 1
@@ -71,9 +80,10 @@ void AnnotateIgnoreReadsEnd(const char* file, int line);
 // GCC's -Wtsan (an error under -Werror) flags standalone atomic fences
 // because ThreadSanitizer's happens-before model does not track them. The
 // racy loads those fences order are already excluded from race detection
-// (SeqlockReadCritical), and the writer side is single-threaded under the
-// wrapper's writer mutex, so the untracked fences cannot produce false
-// negatives here — suppress the diagnostic rather than weaken the protocol.
+// (SeqlockReadCritical), and each stripe's writer side is serialized (by the
+// wrapper's writer mutex or the stripe's writer lock), so the untracked
+// fences cannot produce false negatives here — suppress the diagnostic
+// rather than weaken the protocol.
 #if defined(MCCUCKOO_THREAD_SANITIZER) && defined(__GNUC__) && \
     !defined(__clang__)
 #define MCCUCKOO_PUSH_IGNORE_WTSAN \
@@ -98,43 +108,38 @@ enum class OptimisticResult : uint8_t { kHit, kMiss, kContended };
 /// reads first.
 enum class ReadMode : uint8_t { kLocked, kOptimistic };
 
-/// Striped seqlock version array. One writer per *stripe* at a time — either
-/// the table-wide writer mutex of the single-writer wrappers, or ownership of
-/// the congruent LockStripeArray stripe in the multi-writer wrappers — with
-/// any number of concurrent readers. The non-RMW WriteBegin/WriteEnd bumps
-/// stay valid under multiple writers precisely because the writer-lock
-/// stripes partition buckets identically to these version stripes.
+/// Striped seqlock: per stripe a version cell and a writer-lock cell. One
+/// writer per stripe at a time — either the table-wide writer mutex of the
+/// single-writer wrappers, or the stripe's own writer lock in the
+/// multi-writer wrappers — with any number of concurrent readers. The
+/// non-RMW WriteBegin/WriteEnd bumps stay valid under many writers because
+/// holding a stripe's lock makes its holder the only writer of that
+/// stripe's version cell.
 class SeqlockArray {
  public:
   /// Stripe-count cap: 1024 cells = 4 KB of versions, enough granularity
   /// that a writer invalidates ~0.1% of the key space per touched bucket.
   static constexpr size_t kMaxStripes = 1024;
 
-  /// Stripe count for a bucket-count hint: min(next_pow2(buckets), cap).
-  /// Public so sibling striped structures (LockStripeArray) can size
-  /// themselves congruently — the multi-writer protocol requires the writer
-  /// locks and the seqlock versions to partition buckets identically.
-  static size_t StripesFor(size_t buckets) {
-    const size_t stripes = std::bit_ceil(buckets == 0 ? size_t{1} : buckets);
-    return stripes > kMaxStripes ? kMaxStripes : stripes;
-  }
-
-  /// Builds an array of min(next_pow2(buckets), kMaxStripes) stripes plus
-  /// the auxiliary cell. `buckets` is a sizing hint only — the mask mapping
-  /// stays valid for any bucket index.
+  /// Builds min(next_pow2(buckets), kMaxStripes) stripes plus the aux
+  /// stripe. `buckets` is a sizing hint only — the mask mapping stays valid
+  /// for any bucket index.
   explicit SeqlockArray(size_t buckets = 1)
       // Count-construction builds the blocks in place (atomics cannot be
-      // moved, so resize() would not compile); the vector is never resized
+      // moved, so resize() would not compile); the vectors are never resized
       // afterwards, and vector moves just steal the pointer.
-      : mask_(StripesFor(buckets) - 1),
-        blocks_((StripesFor(buckets) + 1 + kCellsPerBlock - 1) /
-                kCellsPerBlock) {}
+      : mask_(std::min(std::bit_ceil(std::max(buckets, size_t{1})),
+                       kMaxStripes) -
+              1),
+        version_cells_((mask_ + 2 + kCellsPerBlock - 1) / kCellsPerBlock),
+        lock_cells_(version_cells_.size()) {}
 
   SeqlockArray(SeqlockArray&&) = default;
   SeqlockArray& operator=(SeqlockArray&&) = default;
   SeqlockArray(const SeqlockArray&) = delete;
   SeqlockArray& operator=(const SeqlockArray&) = delete;
 
+  /// Bucket stripes (the aux stripe excluded).
   size_t num_stripes() const { return mask_ + 1; }
 
   /// Stripe covering bucket index `bucket` (any non-negative index).
@@ -142,14 +147,16 @@ class SeqlockArray {
 
   /// The auxiliary stripe: whole-table state outside the bucket array
   /// (stash membership, exclusive maintenance). Readers validate it on
-  /// every attempt.
+  /// every attempt; it is the highest index, so writers lock it last.
   size_t aux_stripe() const { return mask_ + 1; }
+
+  // --- Versions -------------------------------------------------------------
 
   static bool IsWriting(uint32_t version) { return (version & 1) != 0; }
 
   /// Reader step 1: record a stripe's version before touching its data.
   uint32_t ReadBegin(size_t stripe) const {
-    return Cell(stripe).load(std::memory_order_acquire);
+    return At(version_cells_, stripe).load(std::memory_order_acquire);
   }
 
   /// Reader step 2: after the data loads, check that every recorded stripe
@@ -161,7 +168,8 @@ class SeqlockArray {
                 size_t n) const {
     std::atomic_thread_fence(std::memory_order_acquire);
     for (size_t i = 0; i < n; ++i) {
-      if (Cell(stripes[i]).load(std::memory_order_relaxed) != versions[i]) {
+      if (At(version_cells_, stripes[i]).load(std::memory_order_relaxed) !=
+          versions[i]) {
         return false;
       }
     }
@@ -170,9 +178,9 @@ class SeqlockArray {
 
   /// Writer: marks a stripe as mutation-in-flight (even -> odd). The
   /// release fence keeps the odd store ahead of the data stores that
-  /// follow. Single-writer: no RMW needed.
+  /// follow. One writer per stripe: no RMW needed.
   void WriteBegin(size_t stripe) {
-    auto& c = Cell(stripe);
+    auto& c = At(version_cells_, stripe);
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
   }
@@ -181,28 +189,67 @@ class SeqlockArray {
   /// Writer: publishes a stripe (odd -> even); the release store orders
   /// every prior data store before the new version.
   void WriteEnd(size_t stripe) {
-    auto& c = Cell(stripe);
+    auto& c = At(version_cells_, stripe);
     assert(IsWriting(c.load(std::memory_order_relaxed)));
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_release);
   }
 
   /// Current raw version of a stripe (tests/debugging).
   uint32_t Version(size_t stripe) const {
-    return Cell(stripe).load(std::memory_order_relaxed);
+    return At(version_cells_, stripe).load(std::memory_order_relaxed);
   }
 
   /// Test hook: plants a raw version (e.g. near UINT32_MAX to exercise
   /// wraparound). Must not be used while readers are active.
   void TestSetVersion(size_t stripe, uint32_t version) {
-    Cell(stripe).store(version, std::memory_order_relaxed);
+    At(version_cells_, stripe).store(version, std::memory_order_relaxed);
+  }
+
+  // --- Writer locks (the multi-writer mode's discipline: lock_stripes.h) ---
+
+  /// Non-blocking acquisition attempt.
+  bool TryLock(size_t stripe) {
+    auto& c = At(lock_cells_, stripe);
+    if (c.load(std::memory_order_relaxed) != 0) return false;
+    return c.exchange(1, std::memory_order_acquire) == 0;
+  }
+
+  /// Blocking acquisition (test-and-test-and-set with yields). Returns the
+  /// nanoseconds spent waiting (0 on the uncontended fast path — the clock
+  /// is only read once the first attempt has already failed).
+  uint64_t Lock(size_t stripe) {
+    if (TryLock(stripe)) return 0;
+    const uint64_t t0 = MetricsNowNs();
+    auto& c = At(lock_cells_, stripe);
+    int spins = 0;
+    for (;;) {
+      if (c.load(std::memory_order_relaxed) == 0 &&
+          c.exchange(1, std::memory_order_acquire) == 0) {
+        return MetricsNowNs() - t0 + 1;  // >= 1: "contended" is detectable
+      }
+      if (++spins >= kSpinsBeforeYield) {
+        spins = 0;
+        std::this_thread::yield();
+      }
+    }
+  }
+
+  void Unlock(size_t stripe) {
+    assert(At(lock_cells_, stripe).load(std::memory_order_relaxed) == 1);
+    At(lock_cells_, stripe).store(0, std::memory_order_release);
+  }
+
+  /// Test/debug: whether a stripe's writer lock is currently held.
+  bool IsLocked(size_t stripe) const {
+    return At(lock_cells_, stripe).load(std::memory_order_relaxed) != 0;
   }
 
  private:
   // Cells live in cache-line-aligned blocks: the array start never
   // straddles a line, and 16 cells share one line (readers touch d + 1
-  // scattered cells; per-cell padding would cost 64 KB for no gain with a
-  // single writer).
+  // scattered cells; per-cell padding would cost 64 KB for no gain).
   static constexpr size_t kCellsPerBlock = 16;
+  static constexpr int kSpinsBeforeYield = 64;
 
   struct alignas(64) CellBlock {
     std::atomic<uint32_t> v[kCellsPerBlock];
@@ -211,15 +258,17 @@ class SeqlockArray {
     }
   };
 
-  std::atomic<uint32_t>& Cell(size_t i) {
-    return blocks_[i / kCellsPerBlock].v[i % kCellsPerBlock];
+  using Cells = std::vector<CellBlock>;
+  static std::atomic<uint32_t>& At(Cells& cells, size_t i) {
+    return cells[i / kCellsPerBlock].v[i % kCellsPerBlock];
   }
-  const std::atomic<uint32_t>& Cell(size_t i) const {
-    return blocks_[i / kCellsPerBlock].v[i % kCellsPerBlock];
+  static const std::atomic<uint32_t>& At(const Cells& cells, size_t i) {
+    return cells[i / kCellsPerBlock].v[i % kCellsPerBlock];
   }
 
   size_t mask_ = 0;
-  std::vector<CellBlock> blocks_;
+  Cells version_cells_;
+  Cells lock_cells_;
 };
 
 /// Writer-side open set: the stripes held odd by the operation in flight.

@@ -32,7 +32,8 @@
 //
 // WriteMode::kMultiWriter additionally runs writers concurrently *within*
 // one shard: writers take the shard mutex SHARED and serialize per bucket
-// through the shard's striped locks (src/core/lock_stripes.h), growth
+// through the writer locks of the shard's stripe array (src/core/seqlock.h,
+// discipline in src/core/lock_stripes.h), growth
 // escalates to the exclusive side plus a full stripe drain, and — since the
 // shared shard lock no longer excludes writers — readers fall back to the
 // table's FindStriped (candidate-stripe locks + rehash-epoch revalidation)
@@ -111,15 +112,7 @@ class ShardedMcCuckoo {
     for (size_t i = 0; i < num_shards; ++i) {
       shard_opts.seed =
           SplitMix64(options.seed + 0xA24BAED4963EE407ull * (i + 1));
-      shards_.push_back(std::make_unique<Shard>(shard_opts, read_mode_));
-      if (write_mode_ == WriteMode::kMultiWriter) {
-        Shard& s = *shards_.back();
-        // Concurrent writers also need the seqlock attached: their
-        // counter/bucket mutations must land inside version windows even
-        // when readers are on the striped-lock path.
-        s.table.AttachSeqlock(&s.seq);
-        s.table.AttachLockStripes(&s.locks);
-      }
+      shards_.push_back(std::make_unique<Shard>(shard_opts, Striped()));
     }
   }
 
@@ -325,7 +318,7 @@ class ShardedMcCuckoo {
     size_t total = 0;
     for (const auto& s : shards_) {
       std::shared_lock lock(s->mutex);
-      total += ShardStashSize(*s);
+      total += s->table.ApproxStashSize();
     }
     return total;
   }
@@ -334,7 +327,7 @@ class ShardedMcCuckoo {
     size_t total = 0;
     for (const auto& s : shards_) {
       std::shared_lock lock(s->mutex);
-      total += s->table.size() + ShardStashSize(*s);
+      total += s->table.size() + s->table.ApproxStashSize();
     }
     return total;
   }
@@ -401,7 +394,7 @@ class ShardedMcCuckoo {
     Shard& s = *shards_[shard];
     std::unique_lock lock(s.mutex);
     std::optional<LockStripeDrain> drain;
-    if (write_mode_ == WriteMode::kMultiWriter) drain.emplace(s.locks);
+    if (write_mode_ == WriteMode::kMultiWriter) drain.emplace(s.stripes);
     struct AuxGuard {
       SeqlockArray* seq;
       explicit AuxGuard(SeqlockArray* s_) : seq(s_) {
@@ -410,25 +403,18 @@ class ShardedMcCuckoo {
       ~AuxGuard() {
         if (seq != nullptr) seq->WriteEnd(seq->aux_stripe());
       }
-    } guard(read_mode_ == ReadMode::kOptimistic ||
-                    write_mode_ == WriteMode::kMultiWriter
-                ? &s.seq
-                : nullptr);
+    } guard(Striped() ? &s.stripes : nullptr);
     return std::forward<Fn>(fn)(s.table);
   }
 
  private:
   // Padded to its own cache line(s) so one shard's lock traffic does not
   // false-share with its neighbours. Heap-allocated behind unique_ptr, so
-  // &seq stays stable for the table's attached pointer.
+  // &stripes stays stable for the table's attached pointer.
   struct alignas(64) Shard {
-    Shard(const TableOptions& options, ReadMode mode)
-        : table(options),
-          seq(table.seqlock_domain()),
-          locks(table.seqlock_domain()) {
-      if (mode == ReadMode::kOptimistic) table.AttachSeqlock(&seq);
-      // In WriteMode::kMultiWriter the wrapper additionally attaches seq
-      // and locks.
+    Shard(const TableOptions& options, bool striped)
+        : table(options), stripes(table.seqlock_domain()) {
+      if (striped) table.AttachSeqlock(&stripes);
     }
     mutable std::shared_mutex mutex;
     // The table starts on a fresh cache line: every reader and writer RMWs
@@ -436,20 +422,22 @@ class ShardedMcCuckoo {
     // on every probe, so sharing a line with the lock costs four concurrent
     // writers about 30% of their throughput.
     alignas(64) Table table;
-    SeqlockArray seq;
-    // Striped writer locks + growth serialization for kMultiWriter shards
-    // (constructed always — a few cache lines — attached only when used).
-    LockStripeArray locks;
+    // Versions for optimistic readers and writer locks for concurrent
+    // writers (constructed always — a few cache lines — attached only when
+    // used; see Striped()).
+    SeqlockArray stripes;
+    // Growth serialization for kMultiWriter shards.
     std::mutex growth_mu;
     mutable Counter optimistic_retries;
     mutable Counter optimistic_fallbacks;
   };
 
-  /// Stash size of one shard under its (at least shared) lock: exact in
-  /// single-writer mode, an annotated estimate under concurrent writers.
-  size_t ShardStashSize(const Shard& s) const {
-    return write_mode_ == WriteMode::kMultiWriter ? s.table.ApproxStashSize()
-                                                  : s.table.stash_size();
+  /// Whether the shards attach their stripe arrays: optimistic readers
+  /// validate against its versions, and concurrent writers take its locks
+  /// and must open version windows even when readers use the stripe locks.
+  bool Striped() const {
+    return read_mode_ == ReadMode::kOptimistic ||
+           write_mode_ == WriteMode::kMultiWriter;
   }
 
   /// Per-key striped lookup for one shard's batch group (multi-writer
@@ -472,7 +460,7 @@ class ShardedMcCuckoo {
   /// escalation already grew the shard (the policy re-decides inside).
   void GrowShardExclusive(Shard& s) {
     std::unique_lock lock(s.mutex);
-    LockStripeDrain drain(s.locks);
+    LockStripeDrain drain(s.stripes);
     s.table.MaybeGrowExclusive();
   }
 

@@ -219,13 +219,13 @@ class TableSkeleton {
   // --- Multi-writer (striped-lock) operations ----------------------------
   //
   // The same protocol as Insert/InsertOrAssign/Erase, run by a
-  // StripedWriter so that many writers mutate the table at once under an
-  // attached LockStripeArray (congruent with the attached SeqlockArray, see
-  // lock_stripes.h). Callers (ShardedMcCuckoo in WriteMode::kMultiWriter)
-  // hold the shard lock shared for every operation; growth escalates to the
-  // exclusive side plus a full LockStripeDrain, so in-flight operations
-  // never see a geometry change, which is also why mid-operation bucket
-  // indices stay in bounds. The protocol, in brief:
+  // StripedWriter so that many writers mutate the table at once under the
+  // writer locks of the attached SeqlockArray (see lock_stripes.h). Callers
+  // (ShardedMcCuckoo in WriteMode::kMultiWriter) hold the shard lock shared
+  // for every operation; growth escalates to the exclusive side plus a full
+  // LockStripeDrain, so in-flight operations never see a geometry change,
+  // which is also why mid-operation bucket indices stay in bounds. The
+  // protocol, in brief:
   //
   //  * An operation BLOCK-acquires only its own key's candidate stripes
   //    (sorted, deduplicated, known up front) plus, last, the aux stripe,
@@ -253,13 +253,6 @@ class TableSkeleton {
   //    (writer-exclusion structures); TableMetrics and the latency recorder
   //    are atomic and recorded normally. The stash tail records its
   //    dead-end and spill spans under the aux stripe.
-
-  /// Attaches (or detaches) the striped writer-lock array of the
-  /// multi-writer operations (see lock_stripes.h). Must be congruent with
-  /// the attached SeqlockArray (same sizing hint): holding a lock stripe
-  /// grants exclusive writer rights over the matching seqlock stripe, which
-  /// is what keeps the blind non-RMW version bumps valid under many writers.
-  void AttachLockStripes(LockStripeArray* locks) { locks_ = locks; }
 
   /// Multi-writer Insert (same contract: duplicates corrupt the copy
   /// invariants). `growth_mu` serializes the growth-policy bookkeeping;
@@ -306,25 +299,16 @@ class TableSkeleton {
   /// one that committed between candidate computation and acquisition is
   /// caught by the epoch check and retried.
   bool FindStriped(const Key& key, Value* out = nullptr) const {
-    assert(locks_ != nullptr);
+    assert(seq_ != nullptr);
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
     for (;;) {
       const uint64_t epoch = rehash_epoch_.load();
-      uint32_t d;
+      // Geometry (and the options) may be swapping under us until the
+      // stripes are held.
       Candidates cand;
-      bool in_range = true;
-      {
-        // Geometry (and the options) may be swapping under us until the
-        // stripes are held.
-        SeqlockReadCritical crit;
-        d = opts_.num_hashes;
-        cand = ComputeCandidates(key);
-        for (uint32_t t = 0; t < d; ++t) {
-          in_range = in_range && cand.bucket[t] < derived().NumBuckets();
-        }
-      }
-      if (!in_range) continue;  // torn mid-commit read; retry
-      LockStripeSet ls(*locks_, metrics_.get());
+      const uint32_t d = RacyCandidates<1>(&key, 1, &cand);
+      if (d == 0) continue;  // torn mid-commit read; retry
+      LockStripeSet ls(*seq_, metrics_.get());
       AcquireCandidateStripes(ls, cand, d);
       // The stripe acquisitions are acquire barriers and the committing
       // rehash bumps the epoch before releasing its drain, so an unchanged
@@ -388,15 +372,16 @@ class TableSkeleton {
 
   // --- Optimistic (seqlock-validated) read path --------------------------
 
-  /// Attaches (or, with null, detaches) the seqlock version array the
-  /// concurrent wrapper owns. While attached, every mutation opens the
-  /// stripes of the buckets it touches (odd version = in flight) and
-  /// publishes them at its commit point; TryFindOptimistic can then run
-  /// without any lock. Single-threaded users never call this and pay only
-  /// a null check per mutation choke point.
+  /// Attaches (or, with null, detaches) the stripe array the concurrent
+  /// wrapper owns. While attached, every mutation opens the stripes of the
+  /// buckets it touches (odd version = in flight) and publishes them at its
+  /// commit point, so TryFindOptimistic can run without any lock, and the
+  /// multi-writer operations serialize on the array's writer locks.
+  /// Single-threaded users never call this and pay only a null check per
+  /// mutation choke point.
   void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
 
-  /// Sizing hint for the version array: one potential stripe per bucket.
+  /// Sizing hint for the stripe array: one potential stripe per bucket.
   size_t seqlock_domain() const { return derived().NumBuckets(); }
 
   /// Lock-free lookup attempt: records the versions of the candidate
@@ -412,75 +397,11 @@ class TableSkeleton {
     // contended attempt that gets retried or falls back to the locked
     // Find is timed as its own (short) attempt.
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    // Torn reads of a bucket during a racing write are discarded after
-    // validation, but reading a partially-updated non-trivial type (e.g.
-    // std::string mid-reallocation) would be UB before validation happens.
-    static_assert(std::is_trivially_copyable_v<Key> &&
-                      std::is_trivially_copyable_v<Value>,
-                  "optimistic reads require trivially copyable Key and Value");
-    if (seq_ == nullptr) return OptimisticResult::kContended;
-    size_t stripes[kMaxHashes + 1];
-    uint32_t versions[kMaxHashes + 1];
-    size_t n = 0;
-    stripes[n] = seq_->aux_stripe();
-    versions[n] = seq_->ReadBegin(stripes[n]);
-    if (SeqlockArray::IsWriting(versions[n])) {
+    bool hit = false;
+    if (OptimisticFind<1>(&key, 1, out, &hit) < 0) {
       return OptimisticResult::kContended;
     }
-    ++n;
-    // The candidate computation reads the geometry and hash seeds, which
-    // Rehash replaces wholesale under the aux stripe (recorded above, so a
-    // concurrent swap fails validation). The bounds check keeps a
-    // torn-epoch index from escaping into the probe; storage replaced by a
-    // racing Rehash stays dereferenceable regardless (see retired_).
-    uint32_t d;
-    Candidates cand;
-    {
-      SeqlockReadCritical crit;
-      d = opts_.num_hashes;
-      cand = ComputeCandidates(key);
-      for (uint32_t t = 0; t < d; ++t) {
-        if (cand.bucket[t] >= derived().NumBuckets()) {
-          return OptimisticResult::kContended;
-        }
-      }
-    }
-    for (uint32_t t = 0; t < d; ++t) {
-      const size_t s = seq_->StripeOf(cand.bucket[t]);
-      bool dup = false;
-      for (size_t j = 1; j < n; ++j) {
-        if (stripes[j] == s) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-      stripes[n] = s;
-      versions[n] = seq_->ReadBegin(s);
-      if (SeqlockArray::IsWriting(versions[n])) {
-        return OptimisticResult::kContended;
-      }
-      ++n;
-    }
-    // Probe into locals: neither the out-parameter nor the shared metrics
-    // may observe a result that fails validation.
-    Value tmp{};
-    LookupTally tally;
-    MainOutcome mo;
-    {
-      SeqlockReadCritical crit;
-      mo = ProbeAndScreen<false>(key, cand, &tmp, tally);
-    }
-    if (!seq_->Validate(stripes, versions, n)) {
-      return OptimisticResult::kContended;
-    }
-    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kContended;
-    tally.FlushTo(*metrics_);
-    if (mo == MainOutcome::kHit) {
-      if (out != nullptr) *out = tmp;
-      return OptimisticResult::kHit;
-    }
-    return OptimisticResult::kMiss;
+    return hit ? OptimisticResult::kHit : OptimisticResult::kMiss;
   }
 
   /// All-or-nothing optimistic batch lookup over one tile (keys.size() <=
@@ -491,66 +412,7 @@ class TableSkeleton {
   int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
                                  bool* found) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
-    static_assert(std::is_trivially_copyable_v<Key> &&
-                      std::is_trivially_copyable_v<Value>,
-                  "optimistic reads require trivially copyable Key and Value");
-    assert(keys.size() <= kBatchTile);
-    if (seq_ == nullptr) return -1;
-    if (keys.empty()) return 0;
-    const size_t n_keys = keys.size();
-    // Versions for every (key, candidate) stripe plus aux, recorded before
-    // any data read. Duplicates are validated twice — harmless.
-    std::array<size_t, kBatchTile * kMaxHashes + 1> stripes;
-    std::array<uint32_t, kBatchTile * kMaxHashes + 1> versions;
-    size_t n = 0;
-    stripes[n] = seq_->aux_stripe();
-    versions[n] = seq_->ReadBegin(stripes[n]);
-    if (SeqlockArray::IsWriting(versions[n])) return -1;
-    ++n;
-    // Candidates under the recorded aux version, bounds-checked before any
-    // probe (see TryFindOptimistic).
-    uint32_t d;
-    std::array<Candidates, kBatchTile> cand;
-    {
-      SeqlockReadCritical crit;
-      d = opts_.num_hashes;
-      StageCandidates(keys.data(), n_keys, cand.data(), /*for_write=*/false);
-      for (size_t i = 0; i < n_keys; ++i) {
-        for (uint32_t t = 0; t < d; ++t) {
-          if (cand[i].bucket[t] >= derived().NumBuckets()) return -1;
-        }
-      }
-    }
-    for (size_t i = 0; i < n_keys; ++i) {
-      for (uint32_t t = 0; t < d; ++t) {
-        const size_t s = seq_->StripeOf(cand[i].bucket[t]);
-        stripes[n] = s;
-        versions[n] = seq_->ReadBegin(s);
-        if (SeqlockArray::IsWriting(versions[n])) return -1;
-        ++n;
-      }
-    }
-    std::array<Value, kBatchTile> tmpv{};
-    std::array<bool, kBatchTile> tmpf{};
-    LookupTally tally;
-    size_t hits = 0;
-    {
-      SeqlockReadCritical crit;
-      for (size_t i = 0; i < n_keys; ++i) {
-        const MainOutcome mo =
-            ProbeAndScreen<false>(keys[i], cand[i], &tmpv[i], tally);
-        if (mo == MainOutcome::kCheckStash) return -1;
-        tmpf[i] = (mo == MainOutcome::kHit);
-        hits += tmpf[i] ? 1 : 0;
-      }
-    }
-    if (!seq_->Validate(stripes.data(), versions.data(), n)) return -1;
-    tally.FlushTo(*metrics_);
-    for (size_t i = 0; i < n_keys; ++i) {
-      if (found != nullptr) found[i] = tmpf[i];
-      if (out != nullptr && tmpf[i]) out[i] = tmpv[i];
-    }
-    return static_cast<int64_t>(hits);
+    return OptimisticFind<kBatchTile>(keys.data(), keys.size(), out, found);
   }
 
   // --- Rehash -------------------------------------------------------------
@@ -1124,6 +986,96 @@ class TableSkeleton {
     return hits;
   }
 
+  /// The candidates of keys[0, n) computed while a racing Rehash commit may
+  /// be swapping the geometry and hash seeds: one key (kMaxKeys == 1) by
+  /// ComputeCandidates, with no bucket prefetch (see StageWriteCandidates),
+  /// a tile by StageCandidates. Returns d, or 0 when a torn read produced
+  /// an out-of-range index, which must not reach a probe: the caller
+  /// retries or falls back. Storage a racing commit replaced stays
+  /// dereferenceable regardless (see retired_).
+  template <size_t kMaxKeys>
+  uint32_t RacyCandidates(const Key* keys, size_t n, Candidates* cand) const {
+    assert(n <= kMaxKeys);
+    SeqlockReadCritical crit;
+    const uint32_t d = opts_.num_hashes;
+    if constexpr (kMaxKeys == 1) {
+      cand[0] = ComputeCandidates(keys[0]);
+    } else {
+      StageCandidates(keys, n, cand, /*for_write=*/false);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (uint32_t t = 0; t < d; ++t) {
+        if (cand[i].bucket[t] >= derived().NumBuckets()) return 0;
+      }
+    }
+    return d;
+  }
+
+  /// The optimistic read protocol, once for TryFindOptimistic (kMaxKeys ==
+  /// 1) and a TryFindBatchOptimistic tile:
+  ///   1. record the aux version (it covers the geometry and the stash);
+  ///   2. compute the candidates under it, bounds-checked;
+  ///   3. record every candidate stripe's version (a stripe recorded twice
+  ///      is validated twice, harmlessly);
+  ///   4. probe into locals;
+  ///   5. validate;
+  ///   6. only then publish the lookup tallies and the results, so neither
+  ///      the outputs nor the shared metrics observe a failed attempt.
+  /// Returns the hit count with found[i] (when non-null) and, on a hit,
+  /// out[i] (when non-null) set; or -1 when a stripe was (or became)
+  /// active, an index was torn, or a key needs the stash, whose array must
+  /// not be traversed racily.
+  template <size_t kMaxKeys>
+  int64_t OptimisticFind(const Key* keys, size_t n_keys, Value* out,
+                         bool* found) const {
+    // Torn reads of a bucket during a racing write are discarded after
+    // validation, but reading a partially-updated non-trivial type (e.g.
+    // std::string mid-reallocation) would be UB before validation happens.
+    static_assert(std::is_trivially_copyable_v<Key> &&
+                      std::is_trivially_copyable_v<Value>,
+                  "optimistic reads require trivially copyable Key and Value");
+    assert(n_keys <= kMaxKeys);
+    if (seq_ == nullptr) return -1;
+    std::array<size_t, kMaxKeys * kMaxHashes + 1> stripes;
+    std::array<uint32_t, kMaxKeys * kMaxHashes + 1> versions;
+    size_t n = 0;
+    const auto record = [&](size_t stripe) {
+      stripes[n] = stripe;
+      versions[n] = seq_->ReadBegin(stripe);
+      return !SeqlockArray::IsWriting(versions[n++]);
+    };
+    if (!record(seq_->aux_stripe())) return -1;
+    std::array<Candidates, kMaxKeys> cand;
+    const uint32_t d = RacyCandidates<kMaxKeys>(keys, n_keys, cand.data());
+    if (d == 0) return -1;
+    for (size_t i = 0; i < n_keys; ++i) {
+      for (uint32_t t = 0; t < d; ++t) {
+        if (!record(seq_->StripeOf(cand[i].bucket[t]))) return -1;
+      }
+    }
+    std::array<Value, kMaxKeys> vals{};
+    std::array<bool, kMaxKeys> hit{};
+    LookupTally tally;
+    {
+      SeqlockReadCritical crit;
+      for (size_t i = 0; i < n_keys; ++i) {
+        const MainOutcome mo =
+            ProbeAndScreen<false>(keys[i], cand[i], &vals[i], tally);
+        if (mo == MainOutcome::kCheckStash) return -1;
+        hit[i] = mo == MainOutcome::kHit;
+      }
+    }
+    if (!seq_->Validate(stripes.data(), versions.data(), n)) return -1;
+    tally.FlushTo(*metrics_);
+    int64_t hits = 0;
+    for (size_t i = 0; i < n_keys; ++i) {
+      if (found != nullptr) found[i] = hit[i];
+      if (out != nullptr && hit[i]) out[i] = vals[i];
+      hits += hit[i] ? 1 : 0;
+    }
+    return hits;
+  }
+
   /// What a collision's eviction reports for the metrics and the growth
   /// policy: the chain length, and for BFS the nodes expanded and the
   /// node budget of the search.
@@ -1362,7 +1314,7 @@ class TableSkeleton {
                                uint32_t d) const {
     std::array<size_t, kMaxHashes> stripes;
     for (uint32_t t = 0; t < d; ++t) {
-      stripes[t] = locks_->StripeOf(cand.bucket[t]);
+      stripes[t] = seq_->StripeOf(cand.bucket[t]);
     }
     ls.AcquireOrdered(stripes.data(), d);
   }
@@ -1564,8 +1516,8 @@ class TableSkeleton {
 
     /// `growth_mu` (null for erases) serializes the growth bookkeeping.
     StripedWriter(TableSkeleton& t, std::mutex* growth_mu)
-        : t_(t), ls_(*t.locks_, t.metrics_.get()), growth_mu_(growth_mu) {
-      assert(t.locks_ != nullptr);
+        : t_(t), ls_(*t.seq_, t.metrics_.get()), growth_mu_(growth_mu) {
+      assert(t.seq_ != nullptr);
     }
 
     void ClaimCandidates(const Candidates& cand) {
@@ -1573,19 +1525,19 @@ class TableSkeleton {
     }
     void ClaimAux() { ls_.AcquireAux(); }
     bool Claim(size_t bucket) {
-      return ls_.TryAcquire(t_.locks_->StripeOf(bucket));
+      return ls_.TryAcquire(t_.seq_->StripeOf(bucket));
     }
     /// Try-claims nodes[1..] (node[0] is a held root) and the terminal,
     /// then re-validates the chain under the claims.
     bool ClaimChain(const BfsPathResult& path) {
       for (size_t i = 1; i < path.node.size(); ++i) {
         if (!ls_.TryAcquireChain(
-                t_.locks_->StripeOf(t_.derived().BucketOf(path.node[i])))) {
+                t_.seq_->StripeOf(t_.derived().BucketOf(path.node[i])))) {
           return false;
         }
       }
       return ls_.TryAcquireChain(
-                 t_.locks_->StripeOf(t_.derived().BucketOf(path.terminal))) &&
+                 t_.seq_->StripeOf(t_.derived().BucketOf(path.terminal))) &&
              t_.ChainHolds(path);
     }
     size_t Mark() const { return ls_.held_count(); }
@@ -1609,12 +1561,8 @@ class TableSkeleton {
       return (1u << t_.opts_.num_hashes) - 1;
     }
 
-    void Open(size_t bucket) {
-      if (t_.seq_ != nullptr) ws_.Open(*t_.seq_, t_.seq_->StripeOf(bucket));
-    }
-    void OpenAux() {
-      if (t_.seq_ != nullptr) ws_.Open(*t_.seq_, t_.seq_->aux_stripe());
-    }
+    void Open(size_t bucket) { ws_.Open(*t_.seq_, t_.seq_->StripeOf(bucket)); }
+    void OpenAux() { ws_.Open(*t_.seq_, t_.seq_->aux_stripe()); }
     void SetCounter(size_t slot, uint64_t v) {
       t_.counters().AtomicSet(slot, v);
     }
@@ -1644,7 +1592,7 @@ class TableSkeleton {
     /// in that order (see the section comment), and flushes the
     /// lock-contention tallies. Safe with nothing held or open.
     void Finish() {
-      if (t_.seq_ != nullptr) ws_.CloseAll(*t_.seq_);
+      ws_.CloseAll(*t_.seq_);
       ls_.ReleaseAll();
     }
     void ObserveInsert(bool overflowed, const ChainStats& chain) {
@@ -1773,7 +1721,7 @@ class TableSkeleton {
     stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
     forced_rehash_events_ = rebuilt.forced_rehash_events_;
     ++rehash_epoch_;
-    // seq_, seq_open_, locks_, retired_, spans_ and growth_ deliberately
+    // seq_, seq_open_, retired_, spans_ and growth_ deliberately
     // keep this table's values (the policy's backoff/reseed state spans
     // rebuilds, and the seqlock attachment belongs to the wrapper, not the
     // scratch rebuild).
@@ -1802,17 +1750,13 @@ class TableSkeleton {
   Stash<Key, Value> stash_;
   Xoshiro256 rng_;
   BfsThrottle bfs_throttle_;
-  // Optimistic-read support: non-owning version array attached by the
-  // concurrent wrapper (null in single-threaded use) and the set of
-  // stripes the in-flight mutation holds odd until its SeqFlush().
+  // Concurrency support: the non-owning stripe array (versions for the
+  // optimistic readers, writer locks for the multi-writer operations)
+  // attached by the concurrent wrapper, null in single-threaded use and
+  // kept across Rehash commits; and the set of stripes the in-flight
+  // single-writer mutation holds odd until its SeqFlush().
   SeqlockArray* seq_ = nullptr;
   SeqlockWriterSet seq_open_;
-  // Multi-writer support: non-owning striped writer-lock array attached by
-  // the multi-writer wrapper (null in single-writer use). Congruent with
-  // seq_ by construction (both size via SeqlockArray::StripesFor), so a
-  // held lock stripe owns exactly one seqlock stripe's writer rights.
-  // Kept across Rehash commits.
-  LockStripeArray* locks_ = nullptr;
   // Storage epochs retired by Rehash while a seqlock was attached, each a
   // Derived::Storage (incomplete here, hence the type-erased owner). Never
   // accessed again (the counter store's stats pointer inside is dangling

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace mccuckoo {
@@ -62,6 +64,31 @@ TEST(FlagsTest, PositionalArgumentRejected) {
       Flags::Parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FlagsTest, TryGetIntRejectsOverflowAndGarbage) {
+  Flags f = ParseOrDie(
+      {"--big=99999999999999999999", "--small=-99999999999999999999",
+       "--word=abc", "--max=9223372036854775807",
+       "--min=-9223372036854775808"});
+  for (const char* name : {"big", "small", "word"}) {
+    const Result<int64_t> r = f.TryGetInt(name, 0);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(name), std::string::npos);
+  }
+  EXPECT_EQ(f.TryGetInt("max", 0).value(), INT64_MAX);
+  EXPECT_EQ(f.TryGetInt("min", 0).value(), INT64_MIN);
+  EXPECT_EQ(f.TryGetInt("absent", 7).value(), 7);
+}
+
+TEST(FlagsTest, CheckKnownNamesTheUnknownFlag) {
+  Flags f = ParseOrDie({"--shard=4", "--port=1"});
+  EXPECT_TRUE(f.CheckKnown({"port", "shard"}).ok());
+  const Status s = f.CheckKnown({"port", "shards"});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "unknown flag --shard (want --port, --shards)");
 }
 
 TEST(FlagsTest, NamesListsEverything) {

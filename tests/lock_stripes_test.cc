@@ -1,5 +1,5 @@
 // Unit tests for the multi-writer building blocks: the striped writer
-// locks (LockStripeArray / LockStripeSet / LockStripeDrain), the
+// locks (SeqlockArray's lock cells, LockStripeSet, LockStripeDrain), the
 // MovableAtomic counter cell, the atomic counter-byte discipline of
 // TagCounterArray, and the atomic flag words of BitArray.
 // The end-to-end multi-writer protocol is exercised in
@@ -23,32 +23,51 @@
 namespace mccuckoo {
 namespace {
 
-// --- LockStripeArray geometry ---------------------------------------------
+// --- Writer locks of the stripe array -------------------------------------
 
 TEST(LockStripeArrayTest, CongruentWithSeqlockArray) {
+  // The multi-writer protocol's keystone: holding the lock of a bucket's
+  // stripe makes its holder the only writer of that same stripe's version
+  // cell. Lock and version operations on a bucket must therefore land on
+  // one stripe, and on no other.
   for (size_t buckets : {size_t{1}, size_t{7}, size_t{64}, size_t{1000},
                          size_t{4096}, size_t{1} << 20}) {
-    LockStripeArray locks(buckets);
-    SeqlockArray seq(buckets);
-    EXPECT_EQ(locks.num_stripes(), SeqlockArray::StripesFor(buckets))
-        << "buckets=" << buckets;
-    EXPECT_EQ(locks.num_stripes(), seq.num_stripes()) << "buckets=" << buckets;
-    EXPECT_EQ(locks.aux_stripe(), locks.num_stripes());
-    // Same low-bit mapping as the seqlock: congruence is the keystone of
-    // the multi-writer protocol (stripe holder owns the version cells).
+    SeqlockArray arr(buckets);
+    ASSERT_EQ(arr.aux_stripe(), arr.num_stripes());
     for (size_t b : {size_t{0}, buckets / 2, buckets - 1, buckets + 3}) {
-      EXPECT_EQ(locks.StripeOf(b), b & (locks.num_stripes() - 1));
+      const size_t s = arr.StripeOf(b);
+      ASSERT_LT(s, arr.num_stripes());
+      ASSERT_TRUE(arr.TryLock(s));
+      arr.WriteBegin(s);
+      for (size_t t = 0; t <= arr.aux_stripe(); ++t) {
+        EXPECT_EQ(arr.IsLocked(t), t == s)
+            << "buckets=" << buckets << " bucket=" << b << " stripe " << t;
+        EXPECT_EQ(SeqlockArray::IsWriting(arr.Version(t)), t == s)
+            << "buckets=" << buckets << " bucket=" << b << " stripe " << t;
+      }
+      arr.WriteEnd(s);
+      arr.Unlock(s);
     }
+    // The aux stripe's lock and version are its own, too.
+    ASSERT_TRUE(arr.TryLock(arr.aux_stripe()));
+    arr.WriteBegin(arr.aux_stripe());
+    for (size_t t = 0; t < arr.num_stripes(); ++t) {
+      EXPECT_FALSE(arr.IsLocked(t)) << "buckets=" << buckets;
+      EXPECT_FALSE(SeqlockArray::IsWriting(arr.Version(t)))
+          << "buckets=" << buckets;
+    }
+    arr.WriteEnd(arr.aux_stripe());
+    arr.Unlock(arr.aux_stripe());
   }
 }
 
 TEST(LockStripeArrayTest, StripeCountIsCapped) {
-  LockStripeArray locks(size_t{1} << 22);
-  EXPECT_EQ(locks.num_stripes(), LockStripeArray::kMaxStripes);
+  SeqlockArray locks(size_t{1} << 22);
+  EXPECT_EQ(locks.num_stripes(), SeqlockArray::kMaxStripes);
 }
 
 TEST(LockStripeArrayTest, TryLockLockUnlock) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   EXPECT_FALSE(locks.IsLocked(3));
   EXPECT_TRUE(locks.TryLock(3));
   EXPECT_TRUE(locks.IsLocked(3));
@@ -60,7 +79,7 @@ TEST(LockStripeArrayTest, TryLockLockUnlock) {
 }
 
 TEST(LockStripeArrayTest, ContendedLockReportsNonZeroWait) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   // Scheduling can always slip the unlock in before the waiter arrives
   // (making the acquisition legitimately uncontended), so retry the
   // scenario until one attempt genuinely waits.
@@ -87,7 +106,7 @@ TEST(LockStripeArrayTest, ContendedLockReportsNonZeroWait) {
 // --- LockStripeSet discipline ---------------------------------------------
 
 TEST(LockStripeSetTest, AcquireOrderedSortsAndDedups) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   LockStripeSet ls(locks, nullptr);
   const size_t stripes[] = {9, 2, 9, 5};
   ls.AcquireOrdered(stripes, 4);
@@ -106,7 +125,7 @@ TEST(LockStripeSetTest, AcquireOrderedSortsAndDedups) {
 }
 
 TEST(LockStripeSetTest, TryAcquireFailsOnForeignStripeWithoutBlocking) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   ASSERT_TRUE(locks.TryLock(7));  // someone else holds stripe 7
   LockStripeSet ls(locks, nullptr);
   const size_t roots[] = {1, 4};
@@ -119,7 +138,7 @@ TEST(LockStripeSetTest, TryAcquireFailsOnForeignStripeWithoutBlocking) {
 }
 
 TEST(LockStripeSetTest, ReleaseSuffixKeepsRoots) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   LockStripeSet ls(locks, nullptr);
   const size_t roots[] = {1, 4};
   ls.AcquireOrdered(roots, 2);
@@ -135,7 +154,7 @@ TEST(LockStripeSetTest, ReleaseSuffixKeepsRoots) {
 }
 
 TEST(LockStripeSetTest, AcquireAuxIsIdempotentAndHighest) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   LockStripeSet ls(locks, nullptr);
   const size_t roots[] = {0, 63};
   ls.AcquireOrdered(roots, 2);
@@ -147,7 +166,7 @@ TEST(LockStripeSetTest, AcquireAuxIsIdempotentAndHighest) {
 }
 
 TEST(LockStripeSetTest, DestructorReleasesEverything) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   {
     LockStripeSet ls(locks, nullptr);
     const size_t roots[] = {3, 8};
@@ -161,7 +180,7 @@ TEST(LockStripeSetTest, DestructorReleasesEverything) {
 
 #ifndef MCCUCKOO_NO_METRICS
 TEST(LockStripeSetTest, FlushesContentionTalliesOncePerOperation) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   TableMetrics metrics;
   ASSERT_TRUE(locks.TryLock(12));  // provoke one contended try-failure
   {
@@ -185,7 +204,7 @@ TEST(LockStripeSetTest, FlushesContentionTalliesOncePerOperation) {
 }
 
 TEST(LockStripeSetTest, BlockingContendedWaitRecordsHistogramSample) {
-  LockStripeArray locks(64);
+  SeqlockArray locks(64);
   TableMetrics metrics;
   // Retry like ContendedLockReportsNonZeroWait: the holder's unlock can
   // race in before AcquireOrdered blocks, making an attempt legitimately
@@ -211,7 +230,7 @@ TEST(LockStripeSetTest, BlockingContendedWaitRecordsHistogramSample) {
 #endif  // MCCUCKOO_NO_METRICS
 
 TEST(LockStripeDrainTest, HoldsEveryStripeIncludingAux) {
-  LockStripeArray locks(256);
+  SeqlockArray locks(256);
   {
     LockStripeDrain drain(locks);
     for (size_t s = 0; s <= locks.aux_stripe(); ++s) {

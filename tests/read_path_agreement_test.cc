@@ -281,12 +281,9 @@ void CheckAllReadFormsAgree(const ReadCase& c) {
   }
 
   if constexpr (std::is_same_v<Table, McTable>) {
-    LockStripeArray locks(t.seqlock_domain());
-    t.AttachLockStripes(&locks);
     check_metered("FindStriped", [&](uint64_t k, uint64_t* v) {
       return t.FindStriped(k, v);
     });
-    t.AttachLockStripes(nullptr);
   }
   t.AttachSeqlock(nullptr);
   EXPECT_TRUE(t.CheckInvariants().ok());

@@ -41,13 +41,24 @@ int main(int argc, char** argv) {
   auto parsed = Flags::Parse(argc, argv);
   if (!parsed.ok()) return Usage(parsed.status().ToString());
   const Flags& flags = parsed.value();
+  if (mccuckoo::Status s = flags.CheckKnown({"port", "threads", "shards",
+                                             "slots", "max-bytes", "sweep-ms",
+                                             "duration"});
+      !s.ok()) {
+    return Usage(s.message());
+  }
 
-  // Each flag is range-checked before it is narrowed: an out-of-range port
-  // would otherwise wrap to another port, and a negative shard count to
-  // 2^64 - 1.
+  // Each flag is parsed with overflow detection and range-checked before it
+  // is narrowed: an out-of-range port would otherwise wrap to another port,
+  // and a negative shard count to 2^64 - 1.
   std::string bad;
   auto get = [&](const char* name, int64_t def, int64_t lo, int64_t hi) {
-    const int64_t x = flags.GetInt(name, def);
+    const mccuckoo::Result<int64_t> r = flags.TryGetInt(name, def);
+    if (!r.ok()) {
+      if (bad.empty()) bad = r.status().message();
+      return def;
+    }
+    const int64_t x = r.value();
     if ((x < lo || x > hi) && bad.empty()) {
       bad = "--" + std::string(name) + "=" + std::to_string(x) +
             " is out of range [" + std::to_string(lo) + ", " +
