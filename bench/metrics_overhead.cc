@@ -1,14 +1,22 @@
-// Measures the cost of the observability layer on the lookup hot path.
+// Measures the cost of the observability layer on the lookup and insert
+// hot paths.
 //
 // This source is compiled twice: `metrics_overhead` with metrics on (the
 // default build mode) and `metrics_overhead_off` with -DMCCUCKOO_NO_METRICS.
-// Both fill a McCuckooTable to 90% load and time one bulk FindBatch pass
-// over every live key per rep (bench/bench_driver.h); their rows land in
-// BENCH_throughput.json under the "obs_on." / "obs_off." prefixes, so
+// Both time two rows (bench/bench_driver.h), whose results land in
+// BENCH_throughput.json under the "obs_on." / "obs_off." prefixes:
 //
-//   obs_on.lookup_hit.McCuckoo.load90 / obs_off.lookup_hit.McCuckoo.load90
+//   lookup_hit.McCuckoo.load90    one bulk FindBatch pass over every live
+//                                 key of a McCuckooTable filled to 90% load
+//   insert_grow.McCuckoo.multi    InsertOrAssign of --slots distinct keys
+//                                 into the cache store's table
+//                                 configuration (8 shards, multi-writer,
+//                                 growth on from 64Ki slots), rebuilt
+//                                 untimed before every rep
 //
-// is the measured relative cost of metrics recording (acceptance: >= 0.95).
+// so obs_on.X / obs_off.X is the measured relative cost of metrics
+// recording on each path (lookup acceptance: >= 0.95; the insert ratio is
+// reported only).
 // Both binaries link only mccuckoo_base and instantiate the table in this
 // translation unit — linking the full library would mix metrics-on and
 // metrics-off template instantiations in one binary (an ODR violation).
@@ -24,7 +32,8 @@
 //   lat_overhead.ratio                   (lat_on / lat_off medians;
 //                                         acceptance >= 0.95)
 //
-//   --slots=N   total slot capacity (default 270000)
+//   --slots=N   the lookup table's slot capacity and the insert row's key
+//               count (default 270000)
 //   --reps=N    timed passes per row (default 5)
 //   --filter=RE run only the rows whose key matches RE
 
@@ -33,9 +42,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bench/bench_driver.h"
+#include "bench/insert_grow_row.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/obs/export.h"
 #include "src/workload/keyset.h"
@@ -81,8 +92,11 @@ int Run(int argc, char** argv) {
   const uint32_t kDefault = LatencyRecorder::kDefaultSamplePeriod;
   const std::string prefix = kMetricsEnabled ? "obs_on." : "obs_off.";
   BenchGroup group = {row(prefix + "lookup_hit.McCuckoo.load90", kDefault)};
+  BenchGroup inserts = {
+      InsertGrowRow(prefix + "insert_grow.McCuckoo.multi", opt.slots)};
   if (!kMetricsEnabled) {
-    return RunBenchToJson(opt, {std::move(group)}, {prefix});
+    return RunBenchToJson(opt, {std::move(group), std::move(inserts)},
+                          {prefix});
   }
   group.push_back(row("lat_on.lookup_hit.McCuckoo.load90", kDefault));
   group.push_back(row("lat_off.lookup_hit.McCuckoo.load90", 0));
@@ -101,7 +115,8 @@ int Run(int argc, char** argv) {
     }
     return rows;
   };
-  return RunBenchToJson(opt, {std::move(group)}, {prefix, "lat_"}, extra);
+  return RunBenchToJson(opt, {std::move(group), std::move(inserts)},
+                        {prefix, "lat_"}, extra);
 }
 
 }  // namespace

@@ -16,9 +16,8 @@
 #include <unordered_map>
 
 #include "bench/bench_driver.h"
-#include "src/core/mccuckoo_table.h"
-#include "src/core/sharded_mccuckoo.h"
-#include "src/hash/hashers.h"
+#include "bench/insert_grow_row.h"
+#include "src/core/bucket_header.h"
 #include "src/obs/export.h"
 #include "src/sim/schemes.h"
 #include "src/sim/sweep.h"
@@ -73,40 +72,6 @@ BenchRow InsertRow(const std::string& key, SchemeKind kind, int load,
             return uint64_t{burst};
           },
           [=] { *table = FilledTable(kind, load / 100.0, policy); }};
-}
-
-// Scalar writes into a growing, DRAM-sized table: the cache store's table
-// configuration (8 shards, multi-writer, optimistic reads, d = 3,
-// kResetCounters, stash on, growth on from 64Ki slots) takes InsertOrAssign
-// of `count` distinct keys — the write a store SET makes. Unlike the
-// cache-resident insert rows, every write here misses on its counter and
-// bucket lines, so this row prices how those misses overlap. Each rep
-// builds (and drops the previous rep's) table untimed.
-BenchRow InsertGrowRow(uint64_t count) {
-  using Table = McCuckooTable<uint64_t, uint64_t, XxHasher>;
-  using Sharded = ShardedMcCuckoo<Table>;
-  auto table = std::make_shared<std::unique_ptr<Sharded>>();
-  const auto keys = std::make_shared<const std::vector<uint64_t>>(
-      MakeUniqueKeys(count, 7, 5));
-  return {"micro.insert_grow.McCuckoo.multi",
-          [=] {
-            Sharded& t = **table;
-            for (const uint64_t k : *keys) {
-              DoNotOptimize(t.InsertOrAssign(k, k));
-            }
-            return uint64_t{keys->size()};
-          },
-          [=] {
-            TableOptions o;
-            o.num_hashes = 3;
-            o.seed = 0x5EEDCAFE;
-            o.buckets_per_table = ((uint64_t{1} << 16) + 2) / 3;
-            o.deletion_mode = DeletionMode::kResetCounters;
-            o.growth_enabled = true;
-            table->reset();
-            *table = std::make_unique<Sharded>(o, 8, ReadMode::kOptimistic,
-                                               WriteMode::kMultiWriter);
-          }};
 }
 
 /// Never-inserted probe keys, shared by every lookup_miss row.
@@ -244,7 +209,8 @@ std::vector<BenchGroup> Groups(uint64_t grow_keys) {
     groups.push_back(std::move(inserts));
     groups.push_back(std::move(lookups));
   }
-  groups.push_back({InsertGrowRow(grow_keys)});
+  groups.push_back(
+      {InsertGrowRow("micro.insert_grow.McCuckoo.multi", grow_keys)});
   auto map = std::make_shared<std::unordered_map<uint64_t, uint64_t>>();
   std::vector<uint64_t> hits = MakeUniqueKeys(kSlots / 2, 7, 0);
   for (const uint64_t k : hits) map->emplace(k, k);

@@ -107,7 +107,8 @@ class CuckooTable {
   InsertResult Insert(Key key, Value value) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     const std::array<size_t, kMaxHashes> cand = Candidates(key);
-    return InsertWithCandidates(std::move(key), std::move(value), cand);
+    return InsertWithCandidates(std::move(key), std::move(value), cand,
+                                lat.weight());
   }
 
   /// Inserts or updates the single copy of an existing key.
@@ -176,13 +177,15 @@ class CuckooTable {
                    InsertResult* results = nullptr) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
     assert(keys.size() == values.size());
+    const uint32_t period = latency_->sample_period();
     std::array<std::array<size_t, kMaxHashes>, kBatchTile> cand;
     for (size_t base = 0; base < keys.size(); base += kBatchTile) {
       const size_t n = std::min(kBatchTile, keys.size() - base);
       StageCandidates(&keys[base], n, cand.data(), /*for_write=*/true);
       for (size_t i = 0; i < n; ++i) {
-        const InsertResult r =
-            InsertWithCandidates(keys[base + i], values[base + i], cand[i]);
+        const InsertResult r = InsertWithCandidates(
+            keys[base + i], values[base + i], cand[i],
+            BatchTimerWeight(base + i, keys.size(), period));
         if (results != nullptr) results[base + i] = r;
       }
     }
@@ -379,12 +382,18 @@ class CuckooTable {
     return false;
   }
 
-  /// Scalar Insert body operating on precomputed candidates.
+  /// Scalar Insert body operating on precomputed candidates; the insert
+  /// timer runs for a `timer_weight` other than 0 (see
+  /// TableSkeleton::WriteWith).
   InsertResult InsertWithCandidates(Key key, Value value,
-                                    const std::array<size_t, kMaxHashes>& cand) {
-    const uint64_t t0 = MetricsNowNs();
+                                    const std::array<size_t, kMaxHashes>& cand,
+                                    uint32_t timer_weight) {
+    const uint64_t t0 = timer_weight != 0 ? MetricsNowNs() : 0;
+    const auto elapsed = [&] {
+      return timer_weight != 0 ? MetricsNowNs() - t0 : 0;
+    };
     if (TryPlace(key, value, cand, kNoBucket)) {
-      metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
+      metrics_->RecordInsert(/*chain_len=*/0, elapsed(), timer_weight);
       return InsertResult::kInserted;
     }
     // All candidates full: resolve per the configured policy.
@@ -398,7 +407,7 @@ class CuckooTable {
         bfs ? BfsInsert(std::move(key), std::move(value), cand, &chain_len,
                         &bfs_nodes)
             : WalkInsert(std::move(key), std::move(value), cand, &chain_len);
-    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
+    metrics_->RecordInsert(chain_len, elapsed(), timer_weight);
     metrics_->RecordPolicyChain(
         static_cast<uint32_t>(opts_.eviction_policy), chain_len);
     if (bfs) metrics_->RecordBfsNodes(bfs_nodes);

@@ -137,7 +137,6 @@ class BlockedMcCuckooTable
   using Base::opts_;
   using Base::redundant_writes_;
   using Base::rng_;
-  using Base::SeqOpen;
   using Base::size_;
   using Base::StashEmpty;
   using Base::StashOverflow;
@@ -150,21 +149,8 @@ class BlockedMcCuckooTable
 
   // --- TableSkeleton layout hooks -----------------------------------------
 
-  size_t NumBuckets() const { return mem_.flags.size(); }
   const Slot& RecordAt(size_t idx) const { return mem_.slots[idx]; }
   Slot& RecordAt(size_t idx) { return mem_.slots[idx]; }
-  /// Atomic: other writers may be setting other bits of the same word.
-  bool FlagAt(size_t bucket) const { return mem_.flags.AtomicTest(bucket); }
-
-  /// Clears every set stash flag: a word-at-a-time scan of the set bits,
-  /// one charged write per flag actually cleared.
-  void ClearStashFlags() {
-    mem_.flags.ForEachSetBit([&](size_t bucket) {
-      SeqOpen(bucket);
-      ++stats_->offchip_writes;
-    });
-    mem_.flags.ClearAll();
-  }
 
   /// Batch stage 1's and scalar writes' prefetches (see
   /// TableSkeleton::StageCandidates and StageWriteCandidates):
@@ -328,15 +314,6 @@ class BlockedMcCuckooTable
     const size_t idx = SlotIndex(p);
     mem_.slots[idx] = record;
     ctx.SetTag(idx, tag);
-  }
-
-  /// Sets bucket `bucket`'s stash flag: one off-chip write. Up to 64
-  /// buckets, owned by up to 64 stripes, share one flag word.
-  template <typename Ctx>
-  void SetFlag(Ctx& ctx, size_t bucket) {
-    ctx.Open(bucket);
-    ctx.Charge(&AccessStats::offchip_writes);
-    ctx.SetBit(mem_.flags, bucket);
   }
 
   /// Algorithm 1's placement phases, decided entirely on-chip before any

@@ -21,9 +21,10 @@
 //    inserted (Bloom property: zero off-chip accesses).
 //  * Deletion (§III.B.3) — all V copies are located, then only their on-chip
 //    counters are reset (or tombstoned): zero off-chip writes.
-//  * Stash screening (§III.E/F) — a 1-bit flag per bucket (stored with the
-//    bucket, read back for free during lookups) plus the rule "a stashed
-//    item always saw all-ones counters" suppress almost every stash probe.
+//  * Stash screening (§III.E/F) — a 1-bit flag per bucket (charged as part
+//    of the bucket, read back for free during lookups) plus the rule "a
+//    stashed item always saw all-ones counters" suppress almost every stash
+//    probe.
 //
 // One point the paper leaves implicit is made explicit here: overwriting a
 // redundant copy of victim B (counter V >= 2) requires decrementing B's
@@ -77,13 +78,15 @@ class McCuckooTable
   friend struct McCuckooTestPeer;  // corrupts state to prove checks fire
 
  public:
-  /// One off-chip bucket: the stored record plus the 1-bit stash flag that
-  /// shares the bucket's memory word (§III.E). Occupancy is defined by the
-  /// on-chip counter, not by the bucket itself.
+  /// One off-chip bucket: the stored record alone. The paper keeps the
+  /// bucket's 1-bit stash flag (§III.E) in the same memory word, and the
+  /// charges still bill it with the bucket read; physically it lives in the
+  /// Storage's flag array (TableSkeleton::FlagAt), so an 8-byte key and
+  /// value make a 16 B bucket that never straddles a cache line.
+  /// Occupancy is defined by the on-chip counter, not by the bucket itself.
   struct Bucket {
     Key key{};
     Value value{};
-    bool stash_flag = false;
   };
 
  private:
@@ -118,6 +121,8 @@ class McCuckooTable
       : Base(options, /*rng_salt=*/0xA5A5A5A5A5A5A5A5ull),
         mem_{std::vector<Bucket>(options.num_hashes *
                                  options.buckets_per_table),
+             BitArray(static_cast<size_t>(options.num_hashes) *
+                      options.buckets_per_table),
              TagCounterArray(options.num_hashes * options.buckets_per_table,
                              options.num_hashes, stats_.get())} {}
 
@@ -140,7 +145,6 @@ class McCuckooTable
   using Base::redundant_writes_;
   using Base::rng_;
   using Base::ScratchRebuild;
-  using Base::SeqOpen;
   using Base::size_;
   using Base::stash_;
   using Base::StashEmpty;
@@ -154,25 +158,11 @@ class McCuckooTable
 
   // --- TableSkeleton layout hooks -----------------------------------------
 
-  size_t NumBuckets() const { return mem_.table.size(); }
   const Bucket& RecordAt(size_t idx) const { return mem_.table[idx]; }
   Bucket& RecordAt(size_t idx) { return mem_.table[idx]; }
-  bool FlagAt(size_t idx) const { return mem_.table[idx].stash_flag; }
   /// A copy set entry is already a global slot (= bucket) index.
   static size_t SlotIndex(size_t idx) { return idx; }
   static size_t BucketOf(size_t slot) { return slot; }
-
-  /// Clears every set stash flag: one charged write per flag changed.
-  void ClearStashFlags() {
-    for (size_t idx = 0; idx < mem_.table.size(); ++idx) {
-      Bucket& b = mem_.table[idx];
-      if (b.stash_flag) {
-        SeqOpen(idx);
-        b.stash_flag = false;
-        ++stats_->offchip_writes;
-      }
-    }
-  }
 
   /// Batch stage 1's and scalar writes' prefetches (see
   /// TableSkeleton::StageCandidates and StageWriteCandidates).
@@ -307,7 +297,8 @@ class McCuckooTable
   /// Writes (key, value) into bucket `idx` with its fingerprint `tag` (the
   /// caller already holds it: Candidates::tag for the inserted key, the
   /// stored nibble for a moved occupant), in the bucket's seqlock window.
-  /// The stash flag is sticky: preserved across occupant changes.
+  /// The bucket's stash flag, kept apart, is sticky: occupant changes leave
+  /// it as it is.
   template <typename Ctx>
   void Store(Ctx& ctx, size_t idx, const Key& key, const Value& value,
              uint8_t tag) {
@@ -317,15 +308,6 @@ class McCuckooTable
     b.key = key;
     b.value = value;
     ctx.SetTag(idx, tag);
-  }
-
-  /// Sets bucket `idx`'s stash flag: one off-chip write. The flag is the
-  /// bucket's own byte, so the bucket's stripe owner stores it plainly.
-  template <typename Ctx>
-  void SetFlag(Ctx& ctx, size_t idx) {
-    ctx.Open(idx);
-    ctx.Charge(&AccessStats::offchip_writes);
-    mem_.table[idx].stash_flag = true;
   }
 
   /// Applies insertion principles 1-3: fills empty candidates, then
@@ -698,14 +680,17 @@ class McCuckooTable
     return Status::OK();
   }
 
-  /// The reader-visible storage: buckets plus the on-chip counter bytes.
-  /// A Rehash commit under live optimistic readers swaps it pointer-wise
-  /// and retires the old one whole (TableSkeleton::CommitRebuild).
+  /// The reader-visible storage: buckets, per-bucket stash flags and the
+  /// on-chip counter bytes. A Rehash commit under live optimistic readers
+  /// swaps it pointer-wise and retires the old one whole
+  /// (TableSkeleton::CommitRebuild).
   struct Storage {
     std::vector<Bucket> table;
+    BitArray flags;  // one stash flag per bucket (TableSkeleton::FlagAt)
     TagCounterArray counters;
     void Swap(Storage& o) {
       table.swap(o.table);
+      flags.Swap(o.flags);
       counters.SwapStorage(o.counters);
     }
   };

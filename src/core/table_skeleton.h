@@ -12,11 +12,7 @@
 // supply only the layout steps, as private hooks the skeleton is a friend
 // of:
 //
-//   NumBuckets()                    bucket count of the live storage
 //   RecordAt(slot)                  the record (.key/.value) in a slot
-//   FlagAt(bucket)                  the per-bucket stash flag
-//   SetFlag(ctx, bucket)            set it
-//   ClearStashFlags()               clear every flag (charged, seq-opened)
 //   PrefetchCandidates(...)         layout prefetches (batch stage 1,
 //                                   scalar writes)
 //   ProbeMain<kCharged>(...)        the one main-table probe (§III.B.2,
@@ -37,9 +33,11 @@
 // plus the constants kName (message prefix), kTagMask (stored fingerprint
 // bits) and the Storage struct: every buffer an optimistic reader may
 // dereference, grouped so the Rehash commit swaps and retires it in one
-// place. Indices: a candidate is a global bucket index t * n + h_t(key);
-// slot s of bucket b is slot index b * l + s (the bucket index itself when
-// l = 1).
+// place. Every Storage holds `counters` and `flags`, the per-bucket stash
+// flags (§III.E) in a BitArray outside the records, which the skeleton
+// reads and writes itself (FlagAt, SetFlag, ClearStashFlags). Indices: a
+// candidate is a global bucket index t * n + h_t(key); slot s of bucket b
+// is slot index b * l + s (the bucket index itself when l = 1).
 
 #ifndef MCCUCKOO_CORE_TABLE_SKELETON_H_
 #define MCCUCKOO_CORE_TABLE_SKELETON_H_
@@ -104,7 +102,7 @@ class TableSkeleton {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     SoloWriter w(*this);
     return WriteWith(w, key, value, StageWriteCandidates(key),
-                     /*assign=*/false, nullptr);
+                     /*assign=*/false, nullptr, lat.weight());
   }
 
   /// Looks `key` up; writes the value through `out` when found (out may be
@@ -166,6 +164,7 @@ class TableSkeleton {
                    InsertResult* results = nullptr) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
     assert(keys.size() == values.size());
+    const uint32_t period = latency_->sample_period();
     std::array<Candidates, kBatchTile> cand;
     for (size_t base = 0; base < keys.size(); base += kBatchTile) {
       const size_t n = std::min(kBatchTile, keys.size() - base);
@@ -173,8 +172,9 @@ class TableSkeleton {
       for (size_t i = 0; i < n; ++i) {
         const uint64_t epoch = rehash_epoch_;
         SoloWriter w(*this);
-        const InsertResult r = WriteWith(w, keys[base + i], values[base + i],
-                                         cand[i], /*assign=*/false, nullptr);
+        const InsertResult r = WriteWith(
+            w, keys[base + i], values[base + i], cand[i], /*assign=*/false,
+            nullptr, BatchTimerWeight(base + i, keys.size(), period));
         if (results != nullptr) results[base + i] = r;
         // An auto-growth rehash inside the insert replaced the geometry
         // and hash seeds; the remaining staged candidates were computed
@@ -204,7 +204,7 @@ class TableSkeleton {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     SoloWriter w(*this);
     return WriteWith(w, key, value, StageWriteCandidates(key),
-                     /*assign=*/true, previous);
+                     /*assign=*/true, previous, lat.weight());
   }
 
   /// Deletes `key` (§III.B.3, Algorithm 3): every copy's on-chip counter is
@@ -263,7 +263,7 @@ class TableSkeleton {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     StripedWriter w(*this, &growth_mu);
     const InsertResult r = WriteWith(w, key, value, StageWriteCandidates(key),
-                                     /*assign=*/false, nullptr);
+                                     /*assign=*/false, nullptr, lat.weight());
     *wants_growth = w.wants_growth;
     return r;
   }
@@ -278,7 +278,7 @@ class TableSkeleton {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     StripedWriter w(*this, &growth_mu);
     const InsertResult r = WriteWith(w, key, value, StageWriteCandidates(key),
-                                     /*assign=*/true, previous);
+                                     /*assign=*/true, previous, lat.weight());
     *wants_growth = w.wants_growth;
     return r;
   }
@@ -382,7 +382,7 @@ class TableSkeleton {
   void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
 
   /// Sizing hint for the stripe array: one potential stripe per bucket.
-  size_t seqlock_domain() const { return derived().NumBuckets(); }
+  size_t seqlock_domain() const { return NumBuckets(); }
 
   /// Lock-free lookup attempt: records the versions of the candidate
   /// stripes (plus the aux stripe covering the stash), runs the
@@ -444,7 +444,7 @@ class TableSkeleton {
     keys.reserve(TotalItems());
     values.reserve(TotalItems());
     // Full scan of the old table, one read per bucket.
-    stats_->offchip_reads += derived().NumBuckets();
+    stats_->offchip_reads += NumBuckets();
     ForEachMainItem([&](const Key& k, const Value& v) {
       keys.push_back(k);
       values.push_back(v);
@@ -469,13 +469,13 @@ class TableSkeleton {
   void RebuildStashFlags() {
     // Cleared and re-set flags publish together: a reader validating
     // between the clear and the re-mark would false-miss a stashed key.
-    derived().ClearStashFlags();
+    ClearStashFlags();
     SoloWriter w(*this);
     for (const auto& [k, v] : stash_.Items()) {
       (void)v;
       const Candidates cand = ComputeCandidates(k);
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        derived().SetFlag(w, cand.bucket[t]);
+        SetFlag(w, cand.bucket[t]);
       }
     }
     stale_stash_flag_keys_ = 0;
@@ -541,7 +541,7 @@ class TableSkeleton {
   /// value.
   HeatmapSnapshot Heatmap(size_t regions = 64) const {
     HeatmapSnapshot h;
-    const size_t buckets = derived().NumBuckets();
+    const size_t buckets = NumBuckets();
     const uint32_t l = opts_.slots_per_bucket;
     if (regions == 0) regions = 1;
     if (regions > buckets) regions = buckets;
@@ -630,7 +630,7 @@ class TableSkeleton {
   Status ValidateInvariants() const {
     const uint64_t nb = opts_.buckets_per_table;
     const uint32_t l = opts_.slots_per_bucket;
-    const size_t slots = derived().NumBuckets() * l;
+    const size_t slots = NumBuckets() * l;
     size_t distinct = 0;
     for (size_t idx = 0; idx < slots; ++idx) {
       const uint64_t c = counters().PeekCounter(idx);
@@ -711,7 +711,7 @@ class TableSkeleton {
       const Candidates cand = ComputeCandidates(k);
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
         const size_t bucket = cand.bucket[t];
-        if (!derived().FlagAt(bucket)) {
+        if (!FlagAt(bucket)) {
           return Status::Internal(
               "stashed key lacks a candidate stash flag at bucket " +
               std::to_string(bucket));
@@ -814,6 +814,45 @@ class TableSkeleton {
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
   const auto& counters() const { return derived().mem_.counters; }
   auto& counters() { return derived().mem_.counters; }
+
+  // --- The stash flags (§III.E) -------------------------------------------
+  //
+  // One bit per bucket in the Storage's BitArray. The paper keeps the flag
+  // in the bucket's own off-chip word, and the charges model that: reading
+  // a flag is free with the bucket read the stash screen already charged
+  // (ShouldProbeStash reads only the probed buckets'), and setting or
+  // clearing one costs one off-chip write. Physically the flags sit apart,
+  // so a record stays its own size (16 B for 8-byte keys and values, never
+  // straddling a cache line). Up to 64 buckets, owned by up to 64 stripes,
+  // share one flag word: striped writers set bits with an atomic OR
+  // (StripedWriter::SetBit), and reads are relaxed atomic loads.
+
+  /// Bucket count of the live storage.
+  size_t NumBuckets() const { return derived().mem_.flags.size(); }
+
+  /// Bucket `bucket`'s stash flag.
+  bool FlagAt(size_t bucket) const {
+    return derived().mem_.flags.AtomicTest(bucket);
+  }
+
+  /// Sets bucket `bucket`'s stash flag: one off-chip write.
+  template <typename Ctx>
+  void SetFlag(Ctx& ctx, size_t bucket) {
+    ctx.Open(bucket);
+    ctx.Charge(&AccessStats::offchip_writes);
+    ctx.SetBit(derived().mem_.flags, bucket);
+  }
+
+  /// Clears every set stash flag: a word-at-a-time scan of the set bits,
+  /// one charged write per flag actually cleared.
+  void ClearStashFlags() {
+    BitArray& flags = derived().mem_.flags;
+    flags.ForEachSetBit([&](size_t bucket) {
+      SeqOpen(bucket);
+      ++stats_->offchip_writes;
+    });
+    flags.ClearAll();
+  }
 
   /// Charges one stash probe: an off-chip read for the paper's off-chip
   /// stash, an on-chip read for the classic CHS stash.
@@ -927,7 +966,7 @@ class TableSkeleton {
       return false;
     }
     for (uint32_t m = p.read_mask; m != 0; m &= m - 1) {
-      if (!derived().FlagAt(cand.bucket[__builtin_ctz(m)])) return false;
+      if (!FlagAt(cand.bucket[__builtin_ctz(m)])) return false;
     }
     return true;
   }
@@ -1005,7 +1044,7 @@ class TableSkeleton {
     }
     for (size_t i = 0; i < n; ++i) {
       for (uint32_t t = 0; t < d; ++t) {
-        if (cand[i].bucket[t] >= derived().NumBuckets()) return 0;
+        if (cand[i].bucket[t] >= NumBuckets()) return 0;
       }
     }
     return d;
@@ -1089,13 +1128,15 @@ class TableSkeleton {
   /// candidates, for either writer context. InsertOrAssign updates every
   /// copy in place when the key exists (main table or stash) and inserts
   /// otherwise; on kUpdated the replaced value is written through
-  /// `previous` (when non-null). The insert timer (insert_ns) starts once
+  /// `previous` (when non-null). The insert timer (insert_ns) runs only
+  /// for a `timer_weight` other than 0 (the caller's sampling draw, see
+  /// ScopedLatencySample::weight and BatchTimerWeight), and starts once
   /// the write is known to be an insert, so an update reads no clock.
   template <typename Ctx>
   InsertResult WriteWith(Ctx& ctx, const Key& key, const Value& value,
-                         const Candidates& cand, bool assign,
-                         Value* previous) {
-    uint64_t t0 = 0;  // set once, on the first placement attempt
+                         const Candidates& cand, bool assign, Value* previous,
+                         uint32_t timer_weight) {
+    uint64_t t0 = 0;  // set once, on the first timed placement attempt
     ChainStats chain;
     bool collided = false;
     InsertResult r;
@@ -1107,7 +1148,7 @@ class TableSkeleton {
         ctx.Finish();
         return InsertResult::kUpdated;
       }
-      if (t0 == 0) t0 = MetricsNowNs();
+      if (timer_weight != 0 && t0 == 0) t0 = MetricsNowNs();
       if (PlaceOrEvict(ctx, key, value, cand, &r, &collided, &chain)) break;
       // A redundant candidate's other copies are claimed by another
       // writer: back off completely (breaking hold-and-wait) and redo the
@@ -1117,7 +1158,9 @@ class TableSkeleton {
     // The whole chain published at once: at no intermediate state was the
     // in-hand key absent from a stripe readers could have validated.
     ctx.Finish();
-    metrics_->RecordInsert(chain.len, MetricsNowNs() - t0);
+    metrics_->RecordInsert(chain.len,
+                           timer_weight != 0 ? MetricsNowNs() - t0 : 0,
+                           timer_weight);
     if (collided) {
       const bool bfs = EvictsByBfs<Ctx>();
       metrics_->RecordPolicyChain(
@@ -1408,7 +1451,7 @@ class TableSkeleton {
     spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
     if (opts_.stash_kind == StashKind::kOffchip) {
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        derived().SetFlag(ctx, cand.bucket[t]);
+        SetFlag(ctx, cand.bucket[t]);
       }
     } else if (stash_.size() > kOnchipStashCapacity) {
       // A real CHS deployment would rehash here.
@@ -1619,8 +1662,7 @@ class TableSkeleton {
   void ForEachMainItem(Fn&& fn) const {
     const uint32_t l = opts_.slots_per_bucket;
     ForEachDistinctOccupant(
-        derived().NumBuckets() * l, opts_.buckets_per_table * l,
-        opts_.num_hashes,
+        NumBuckets() * l, opts_.buckets_per_table * l, opts_.num_hashes,
         [this](size_t idx) -> uint64_t { return counters().PeekCounter(idx); },
         [this, l](size_t idx, uint32_t t) {
           const Key& key = derived().RecordAt(idx).key;

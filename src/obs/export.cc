@@ -112,7 +112,9 @@ constexpr Metric<M> kTableMetrics[] = {
      &kPolicyAxis,
      [](const M& m, size_t i) { return Hist(m.policy_chain_len[i]); }},
     {"insert_latency_ns", Kind::kHistogram,
-     "Wall-clock nanoseconds per insertion.", nullptr,
+     "Wall-clock nanoseconds per insertion, timed 1 in "
+     "latency_sample_period and weighted by it.",
+     nullptr,
      [](const M& m, size_t) { return Hist(m.insert_ns); }},
     {"lookup_probes", Kind::kHistogram,
      "Off-chip bucket probes per lookup (0 = Bloom-pruned).", nullptr,

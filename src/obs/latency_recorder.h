@@ -19,6 +19,11 @@
 // the recorder is thread-safe (relaxed atomics), not copyable, owned by
 // each table behind a unique_ptr, and compiled down to a no-op shell
 // under -DMCCUCKOO_NO_METRICS.
+//
+// The tables' insert timer (TableMetrics::insert_ns) rides on the same
+// draw: a scalar insert reads the clock only when its operation was
+// sampled, and records its time with weight N (ScopedLatencySample::
+// weight); a batch insert times every N-th key (BatchTimerWeight).
 
 #ifndef MCCUCKOO_OBS_LATENCY_RECORDER_H_
 #define MCCUCKOO_OBS_LATENCY_RECORDER_H_
@@ -153,11 +158,24 @@ class ScopedLatencySample {
 
   ~ScopedLatencySample() { r_->Finish(op_, start_); }
 
+  /// The insert timer's weight for this operation: the sample period when
+  /// this operation drew a sample, 0 (untimed) otherwise.
+  uint32_t weight() const { return start_ != 0 ? r_->sample_period() : 0; }
+
  private:
   LatencyRecorder* r_;
   LatencyOp op_;
   uint64_t start_;
 };
+
+/// The insert timer's weight for key `i` of an `n`-key batch insert at
+/// sample period `period`: every period-th key is timed and stands for
+/// itself and the untimed keys up to the next timed one, so a batch's
+/// weights sum to exactly `n` (0 = untimed; period 0 times no key).
+inline uint32_t BatchTimerWeight(size_t i, size_t n, uint32_t period) {
+  if (period == 0 || (i & (period - 1)) != 0) return 0;
+  return static_cast<uint32_t>(n - i < period ? n - i : period);
+}
 
 }  // namespace mccuckoo
 

@@ -178,7 +178,10 @@ struct MetricsSnapshot {
   /// aggregate kick_chain_len answers "how often do inserts collide";
   /// these answer "how long a chain does each policy build when they do".
   std::array<HistogramSnapshot, kMetricsPolicies> policy_chain_len;
-  /// Wall-clock nanoseconds per insertion.
+  /// Wall-clock nanoseconds per insertion, from the sampled insert timer:
+  /// each timed insert counts as the inserts it stands for (its sampling
+  /// weight), so count and sum estimate every insertion's (exact at
+  /// sample period 1, empty at period 0).
   HistogramSnapshot insert_ns;
   /// Off-chip bucket probes per lookup (0 = Bloom-pruned miss).
   HistogramSnapshot lookup_probes;
@@ -323,9 +326,11 @@ class Gauge {
 /// being a third hot-path atomic.
 class Log2Histogram {
  public:
-  void Record(uint64_t v) {
-    bucket_[HistogramBucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+  /// Records `v` as `w` observations (a 1-in-w sample standing for the w
+  /// values it was drawn from): bucket count += w, sum += v * w.
+  void Record(uint64_t v, uint64_t w = 1) {
+    bucket_[HistogramBucketOf(v)].fetch_add(w, std::memory_order_relaxed);
+    sum_.fetch_add(v * w, std::memory_order_relaxed);
   }
 
   /// Consistent-enough copy: cells are read individually (relaxed), which
@@ -393,9 +398,12 @@ struct TableMetrics {
   Counter writer_chain_handoffs;
   Log2Histogram writer_lock_wait_ns;
 
-  void RecordInsert(uint64_t chain_len, uint64_t ns) {
+  /// One insert: its kick-chain length, always, and its wall-clock time
+  /// `ns` when it was timed, as `weight` observations (the insert timer's
+  /// sampling weight; 0 = untimed).
+  void RecordInsert(uint64_t chain_len, uint64_t ns, uint64_t weight = 1) {
     kick_chain_len.Record(chain_len);
-    insert_ns.Record(ns);
+    if (weight != 0) insert_ns.Record(ns, weight);
   }
 
   /// A colliding insert was resolved by the policy at index `policy`
@@ -630,7 +638,7 @@ class LookupTally {
 /// No-op stand-in: every recording call site compiles to nothing and the
 /// struct occupies no meaningful space.
 struct TableMetrics {
-  void RecordInsert(uint64_t, uint64_t) {}
+  void RecordInsert(uint64_t, uint64_t, uint64_t = 1) {}
   void RecordPolicyChain(uint32_t, uint64_t) {}
   void RecordBfsNodes(uint64_t) {}
   void RecordLookupOutcome(uint64_t, int32_t) {}

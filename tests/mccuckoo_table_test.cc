@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,32 @@ struct McCuckooTestPeer {
   template <typename T>
   static void SetCounter(T& t, size_t idx, uint64_t v) {
     t.mem_.counters.Set(idx, v);
+  }
+  /// The buckets whose stash flag is set, ascending.
+  template <typename T>
+  static std::vector<size_t> SetFlags(const T& t) {
+    std::vector<size_t> out;
+    t.mem_.flags.ForEachSetBit([&](size_t b) { out.push_back(b); });
+    return out;
+  }
+  /// The candidate buckets of the one stashed key, ascending.
+  template <typename T>
+  static std::vector<size_t> StashedKeyCandidates(const T& t) {
+    const auto items = t.stash_.Items();
+    EXPECT_EQ(items.size(), 1u);
+    const auto cand = t.ComputeCandidates(items.at(0).first);
+    std::vector<size_t> out(cand.bucket.begin(),
+                            cand.bucket.begin() + t.options().num_hashes);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  template <typename T>
+  static void ClearStashFlags(T& t) {
+    t.ClearStashFlags();
+  }
+  template <typename T>
+  static Status SplitGrow(T& t, uint64_t new_buckets_per_table) {
+    return t.SplitGrow(new_buckets_per_table);
   }
 };
 
@@ -358,6 +385,47 @@ TEST(McCuckooTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats().kickouts, b.stats().kickouts);
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.stash_size(), b.stash_size());
+}
+
+static_assert(sizeof(Table::Bucket) == 16,
+              "an 8-byte key and value make a 16 B bucket: one cache line");
+
+TEST(McCuckooTest, StashFlagsLiveInTheFlagArray) {
+  TableOptions o = SmallOptions();
+  o.buckets_per_table = 64;
+  o.maxloop = 8;
+  o.deletion_mode = DeletionMode::kResetCounters;  // SplitGrow's mode
+  Table t(o);
+  const auto keys = MakeUniqueKeys(3 * 64, 17, 0);
+  size_t i = 0;
+  while (i < keys.size() &&
+         t.Insert(keys[i], keys[i]) != InsertResult::kStashed) {
+    EXPECT_TRUE(McCuckooTestPeer::SetFlags(t).empty());
+    ++i;
+  }
+  ASSERT_LT(i, keys.size()) << "the table never stashed";
+
+  // The stash landing set exactly its key's d candidate bits.
+  const std::vector<size_t> cand = McCuckooTestPeer::StashedKeyCandidates(t);
+  ASSERT_EQ(cand.size(), o.num_hashes);
+  EXPECT_EQ(McCuckooTestPeer::SetFlags(t), cand);
+  ASSERT_TRUE(t.CheckInvariants().ok());
+
+  // Clearing charges one off-chip write per set bit and leaves none set.
+  const uint64_t writes = t.stats().offchip_writes;
+  McCuckooTestPeer::ClearStashFlags(t);
+  EXPECT_EQ(t.stats().offchip_writes - writes, cand.size());
+  EXPECT_TRUE(McCuckooTestPeer::SetFlags(t).empty());
+  t.RebuildStashFlags();
+  EXPECT_EQ(McCuckooTestPeer::SetFlags(t), cand);
+
+  // A split re-inserts the stash into the doubled table, whose fresh flag
+  // array stays clear once the stashed key finds a bucket.
+  ASSERT_TRUE(McCuckooTestPeer::SplitGrow(t, 2 * o.buckets_per_table).ok());
+  EXPECT_EQ(t.stash_size(), 0u);
+  EXPECT_TRUE(McCuckooTestPeer::SetFlags(t).empty());
+  EXPECT_EQ(t.TotalItems(), i + 1);
+  EXPECT_TRUE(t.CheckInvariants().ok());
 }
 
 }  // namespace

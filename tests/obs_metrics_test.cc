@@ -153,6 +153,31 @@ TEST(Log2HistogramTest, RecordSnapshotReset) {
   EXPECT_EQ(h.Snapshot(), HistogramSnapshot{});
 }
 
+// Record(v, w) is w recordings of v: the sampled insert timer's weight.
+TEST(Log2HistogramTest, WeightedRecordCountsAsItsWeight) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  Log2Histogram h;
+  h.Record(6, 32);
+  h.Record(100, 1);
+  HistogramSnapshot s = h.Snapshot();
+  EXPECT_EQ(s.bucket[HistogramBucketOf(6)], 32u);
+  EXPECT_EQ(s.bucket[HistogramBucketOf(100)], 1u);
+  EXPECT_EQ(s.count, 33u);
+  EXPECT_EQ(s.sum, 6u * 32 + 100);
+
+  Log2Histogram unweighted;
+  for (int i = 0; i < 32; ++i) unweighted.Record(6);
+  Log2Histogram weighted;
+  weighted.Record(6, 32);
+  EXPECT_EQ(weighted.Snapshot(), unweighted.Snapshot());
+
+  h.MergeFrom(weighted);
+  s = h.Snapshot();
+  EXPECT_EQ(s.bucket[HistogramBucketOf(6)], 64u);
+  EXPECT_EQ(s.count, 65u);
+  EXPECT_EQ(s.sum, 6u * 64 + 100);
+}
+
 TEST(TableMetricsTest, DerivedCountsAndClamping) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TableMetrics m;
@@ -192,7 +217,9 @@ TEST(TableMetricsTest, DerivedCountsAndClamping) {
 
 TEST(TableRecordingTest, LookupInsertEraseCounts) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  Table t(SmallOptions());
+  TableOptions o = SmallOptions();
+  o.latency_sample_period = 1;  // the insert timer times every insert
+  Table t(o);
   const auto keys = MakeUniqueKeys(500, 1, 0);
   const auto missing = MakeUniqueKeys(200, 1, 7);
   for (uint64_t k : keys) ASSERT_EQ(t.Insert(k, k + 1), InsertResult::kInserted);
@@ -225,6 +252,57 @@ TEST(TableRecordingTest, LookupInsertEraseCounts) {
   EXPECT_EQ(zeroed.inserts, 0u);
   // Gauges are still live after a reset.
   EXPECT_EQ(zeroed.occupancy_items, t.TotalItems());
+}
+
+// At period N the insert timer reads the clock only for inserts whose
+// operation drew a latency sample, and records each with weight N.
+TEST(TableRecordingTest, InsertTimerSamplesAtThePeriodWithItsWeight) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TableOptions o = SmallOptions();
+  o.latency_sample_period = 32;
+  Table t(o);
+  const auto keys = MakeUniqueKeys(500, 1, 0);
+  for (uint64_t k : keys) ASSERT_EQ(t.Insert(k, k), InsertResult::kInserted);
+  const MetricsSnapshot s = t.SnapshotMetrics();
+  const uint64_t sampled =
+      s.op_latency_ns[static_cast<size_t>(LatencyOp::kInsert)].count;
+  EXPECT_EQ(sampled, (keys.size() + 31) / 32);  // inserts 0, 32, 64, ...
+  EXPECT_EQ(s.inserts, keys.size());  // chain lengths still count them all
+  // Only the sampled placements were timed: 32 observations each.
+  EXPECT_EQ(s.insert_ns.count, 32 * sampled);
+  EXPECT_GT(s.insert_ns.sum, 0u);
+  EXPECT_EQ(s.insert_ns.sum % 32, 0u);
+
+  // An update is no placement: sampled or not, it records nothing.
+  t.ResetMetrics();
+  for (size_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(t.InsertOrAssign(keys[i], 0), InsertResult::kUpdated);
+  }
+  EXPECT_EQ(t.SnapshotMetrics().insert_ns.count, 0u);
+
+  // A batch times every 32nd key, each standing for the keys up to the
+  // next timed one: the weights sum to the batch size exactly.
+  Table batched(o);
+  batched.InsertBatch(keys, keys);
+  const MetricsSnapshot b = batched.SnapshotMetrics();
+  EXPECT_EQ(b.inserts, keys.size());
+  EXPECT_EQ(b.insert_ns.count, keys.size());
+}
+
+TEST(TableRecordingTest, InsertTimerIsOffAtPeriodZero) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TableOptions o = SmallOptions();
+  o.latency_sample_period = 0;
+  Table t(o);
+  const auto keys = MakeUniqueKeys(300, 1, 0);
+  for (uint64_t k : keys) ASSERT_EQ(t.Insert(k, k), InsertResult::kInserted);
+  Table batched(o);
+  batched.InsertBatch(keys, keys);
+  for (const Table* table : {&t, &batched}) {
+    const MetricsSnapshot s = table->SnapshotMetrics();
+    EXPECT_EQ(s.inserts, keys.size());
+    EXPECT_EQ(s.insert_ns, HistogramSnapshot{});
+  }
 }
 
 TEST(TableRecordingTest, FindNoStatsRecordsMetricsButNotStats) {
