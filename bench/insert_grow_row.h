@@ -47,8 +47,7 @@ inline BenchRow InsertGrowRow(const std::string& key, uint64_t count) {
             o.deletion_mode = DeletionMode::kResetCounters;
             o.growth_enabled = true;
             table->reset();
-            *table = std::make_unique<Sharded>(o, 8, ReadMode::kOptimistic,
-                                               WriteMode::kMultiWriter);
+            *table = std::make_unique<Sharded>(o, 8);
           }};
 }
 

@@ -1,8 +1,9 @@
-// One-writer-many-readers in action (§III.H): a read-mostly service where
-// reader threads serve lookups continuously while a single writer streams
-// updates in. Demonstrates ShardedMcCuckoo at one shard — the paper's
-// one-writer-many-readers design — and measures aggregate reader
-// throughput alongside writer progress.
+// A read-mostly service (the paper's §III.H deployment): reader threads
+// serve lookups continuously while one writer streams updates in.
+// Demonstrates ShardedMcCuckoo at one shard — its readers take no lock
+// (seqlock-validated probes, with a fallback that waits only on the key's
+// own bucket stripes), and its writers take only striped bucket locks —
+// and measures aggregate reader throughput alongside writer progress.
 //
 //   ./build/examples/concurrent_readers
 

@@ -1,17 +1,18 @@
-// Striped writer locks for true multi-writer concurrency (ROADMAP item 2).
+// Striped writer locks: how ShardedMcCuckoo runs many writers per table.
 //
-// The one-writer-many-readers wrapper serializes every mutation behind a
-// single mutex, capping write throughput at one core per table no matter
-// how many threads the cache-server scenario throws at it. Following the
-// fine-grained kick-out locking line of work (arXiv 1605.05236, PAPERS.md),
-// writers instead take per-stripe spinlocks: the writer-lock cells of the
-// table's SeqlockArray (seqlock.h). Holding the lock of bucket b's stripe
-// grants exclusive *writer* rights over every bucket in that stripe, so the
-// single-writer seqlock protocol (blind non-RMW version bumps, see
-// SeqlockArray::WriteBegin) remains valid with many concurrent writers —
-// two writers can never hold the same stripe, hence never race a version
-// cell. Optimistic readers keep running lock-free against the versions
-// exactly as before. This header holds the discipline over those locks.
+// The paper's one-writer-many-readers design (§III.H) serializes every
+// mutation behind a single mutex, capping write throughput at one core per
+// table no matter how many threads the cache-server scenario throws at it.
+// Following the fine-grained kick-out locking line of work (arXiv
+// 1605.05236, PAPERS.md), writers instead take per-stripe spinlocks: the
+// writer-lock cells of the table's SeqlockArray (seqlock.h). Holding the
+// lock of bucket b's stripe grants exclusive *writer* rights over every
+// bucket in that stripe, so the single-writer seqlock protocol (blind
+// non-RMW version bumps, see SeqlockArray::WriteBegin) remains valid with
+// many concurrent writers — two writers can never hold the same stripe,
+// hence never race a version cell. Optimistic readers keep running
+// lock-free against the versions exactly as before. This header holds the
+// discipline over those locks.
 //
 // Deadlock freedom rests on a two-tier acquisition discipline:
 //
@@ -48,11 +49,6 @@
 #include "src/obs/metrics.h"
 
 namespace mccuckoo {
-
-/// Writer policy of the concurrent wrappers: serialize all mutations behind
-/// one mutex (the classic design) or run writers concurrently under striped
-/// bucket locks.
-enum class WriteMode : uint8_t { kSingleWriter, kMultiWriter };
 
 /// A std::atomic<T> that is copyable and movable (value-wise), so plain
 /// counters inside movable aggregates (tables that relocate themselves on

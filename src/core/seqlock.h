@@ -1,7 +1,7 @@
 // The stripe array: seqlock versions for optimistic lock-free reads
-// (§III.H) and the writer locks of the multi-writer mode.
+// (§III.H) and the writer locks of concurrent writers.
 //
-// A locked reader (ShardedMcCuckoo's ReadMode::kLocked) pays at least
+// A reader behind the paper's readers-writer lock pays at least
 // two atomic RMWs on one shared cache line — at high reader counts
 // the lock word ping-pongs and caps throughput well below what the
 // mutation-free FindNoStats path could sustain. The observation behind the
@@ -17,7 +17,7 @@
 //    Buckets map to stripes by low-bit masking; the mapping is independent
 //    of the table size, so a Rehash can keep the same array. Each stripe
 //    has a 32-bit version cell (odd = a mutation of some bucket in that
-//    stripe is in flight) and a writer-lock cell for the multi-writer mode
+//    stripe is in flight) and a writer-lock cell for concurrent writers
 //    (lock_stripes.h). The two kinds of cell live in separate cache-line
 //    blocks, so readers' version lines take no lock RMW traffic, and since
 //    one type owns the one mapping, the lock that grants a stripe's writer
@@ -81,7 +81,7 @@ void AnnotateIgnoreReadsEnd(const char* file, int line);
 // because ThreadSanitizer's happens-before model does not track them. The
 // racy loads those fences order are already excluded from race detection
 // (SeqlockReadCritical), and each stripe's writer side is serialized (by the
-// wrapper's writer mutex or the stripe's writer lock), so the untracked
+// stripe's writer lock, or by a table's single owning thread), so the untracked
 // fences cannot produce false negatives here — suppress the diagnostic
 // rather than weaken the protocol.
 #if defined(MCCUCKOO_THREAD_SANITIZER) && defined(__GNUC__) && \
@@ -100,18 +100,13 @@ namespace mccuckoo {
 /// where the attempt cannot be trusted — a writer was (or became) active in
 /// a touched stripe, the probe needs the stash (whose array must
 /// not be traversed racily), or no version array is attached — and the
-/// caller retries or falls back to the shared lock.
+/// caller retries or falls back to a locked lookup.
 enum class OptimisticResult : uint8_t { kHit, kMiss, kContended };
 
-/// Reader policy of the concurrent wrappers: take the shared lock per read
-/// (the paper's baseline design) or attempt seqlock-validated lock-free
-/// reads first.
-enum class ReadMode : uint8_t { kLocked, kOptimistic };
-
 /// Striped seqlock: per stripe a version cell and a writer-lock cell. One
-/// writer per stripe at a time — either the table-wide writer mutex of the
-/// single-writer wrappers, or the stripe's own writer lock in the
-/// multi-writer wrappers — with any number of concurrent readers. The
+/// writer per stripe at a time — the stripe's own writer lock under
+/// ShardedMcCuckoo, or a table's single owning thread — with any number of
+/// concurrent readers. The
 /// non-RMW WriteBegin/WriteEnd bumps stay valid under many writers because
 /// holding a stripe's lock makes its holder the only writer of that
 /// stripe's version cell.
@@ -205,7 +200,7 @@ class SeqlockArray {
     At(version_cells_, stripe).store(version, std::memory_order_relaxed);
   }
 
-  // --- Writer locks (the multi-writer mode's discipline: lock_stripes.h) ---
+  // --- Writer locks (the concurrent writers' discipline: lock_stripes.h) --
 
   /// Non-blocking acquisition attempt.
   bool TryLock(size_t stripe) {
@@ -304,8 +299,8 @@ class SeqlockWriterSet {
   size_t size() const { return inline_n_ + spill_.size(); }
 
  private:
-  // Inline storage keeps the per-operation writer sets of the multi-writer
-  // paths (constructed fresh each op) off the heap; long rehash-time window
+  // Inline storage keeps the per-operation writer sets of the striped
+  // writers (constructed fresh each op) off the heap; long rehash-time window
   // sets spill into the vector, which stays unallocated until then.
   static constexpr size_t kInline = 16;
   size_t inline_[kInline];

@@ -149,8 +149,8 @@ class TableSkeleton {
     return FindBatchWith<true>(keys, out, found);
   }
 
-  /// Batched mutation-free lookup (the sharded/concurrent reader path):
-  /// equivalent to calling FindNoStats per key, in order.
+  /// Batched mutation-free lookup: equivalent to calling FindNoStats per
+  /// key, in order.
   size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
                           bool* found) const {
     return FindBatchWith<false>(keys, out, found);
@@ -188,10 +188,10 @@ class TableSkeleton {
   }
 
   /// Statistics-free const lookup: Find's probe and stash screen in their
-  /// uncharged instantiation, so it performs no mutation whatsoever. This
-  /// is ShardedMcCuckoo's locked read path — many readers may call it
-  /// under a shard's shared lock while its writer is excluded. Not meant
-  /// for experiments: it records no access counts.
+  /// uncharged instantiation, so it performs no mutation whatsoever: many
+  /// readers may call it at once while every writer is excluded (the
+  /// paper's rwlock design, which bench/scaling.cc keeps as its
+  /// reference). Not meant for experiments: it records no access counts.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
     return FindWith<false>(key, ComputeCandidates(key), out, *metrics_);
   }
@@ -220,9 +220,9 @@ class TableSkeleton {
   //
   // The same protocol as Insert/InsertOrAssign/Erase, run by a
   // StripedWriter so that many writers mutate the table at once under the
-  // writer locks of the attached SeqlockArray (see lock_stripes.h). Callers
-  // (ShardedMcCuckoo in WriteMode::kMultiWriter) hold the shard lock shared
-  // for every operation; growth escalates to the exclusive side plus a full
+  // writer locks of the attached SeqlockArray (see lock_stripes.h). The
+  // caller (ShardedMcCuckoo) holds the shard lock shared for every
+  // operation; growth escalates to the exclusive side plus a full
   // LockStripeDrain, so in-flight operations never see a geometry change,
   // which is also why mid-operation bucket indices stay in bounds. The
   // protocol, in brief:
@@ -291,7 +291,7 @@ class TableSkeleton {
     return EraseWith(w, key);
   }
 
-  /// Striped-lock reader fallback for the multi-writer mode: takes the
+  /// Striped-lock reader fallback of ShardedMcCuckoo's Find: takes the
   /// key's candidate stripes (blocking, ordered) instead of any table-wide
   /// lock, so a fallback read waits only for writers touching its own
   /// candidates. Does not require the wrapper's drain lock: a rehash
@@ -389,13 +389,13 @@ class TableSkeleton {
   /// statistics-free probe, and only reports kHit/kMiss if every recorded
   /// version was even and unchanged afterwards. Any writer overlap — or a
   /// probe that would need the stash — yields kContended and the caller
-  /// retries or takes the shared lock. Requires an attached SeqlockArray
+  /// retries or falls back to FindStriped. Requires an attached SeqlockArray
   /// and writers that open the stripes they touch.
   OptimisticResult TryFindOptimistic(const Key& key,
                                      Value* out = nullptr) const {
     // Each optimistic attempt is one latency sample candidate; a
-    // contended attempt that gets retried or falls back to the locked
-    // Find is timed as its own (short) attempt.
+    // contended attempt that gets retried or falls back to FindStriped
+    // is timed as its own (short) attempt.
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
     bool hit = false;
     if (OptimisticFind<1>(&key, 1, out, &hit) < 0) {
@@ -408,7 +408,8 @@ class TableSkeleton {
   /// kBatchTile): stages prefetches, records the versions of every touched
   /// stripe, probes all keys, then validates once. Returns the hit count
   /// with out/found filled, or -1 if any stripe was (or became) active or
-  /// any key needed the stash — the caller re-runs the tile under the lock.
+  /// any key needed the stash — the caller retries or re-runs the tile per
+  /// key through FindStriped.
   int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
                                  bool* found) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
@@ -1366,8 +1367,8 @@ class TableSkeleton {
   /// the rehash it asks for. Called with no stripes open (SeqFlush done):
   /// the commit opens the aux stripe itself when the outer writer section
   /// does not already hold it, so optimistic readers stay correct whether
-  /// the trigger fires inside a concurrent wrapper's Insert or a bare
-  /// table.
+  /// the trigger fires in ShardedMcCuckoo's growth escalation or a bare
+  /// table's Insert.
   void MaybeGrow() {
     const GrowthDecision d = growth_.Decide(
         {TotalItems(), opts_.capacity(), stash_.size(),
@@ -1697,8 +1698,8 @@ class TableSkeleton {
   /// rehash epoch across. With a seqlock attached (the version array
   /// survives the rebuild: its mask mapping is size-independent), the swap
   /// runs under the aux stripe: it reallocates every bucket, so in-flight
-  /// optimistic reads must fail validation. The concurrent wrappers'
-  /// exclusive sections already hold the aux stripe open around the whole
+  /// optimistic reads must fail validation. ShardedMcCuckoo's
+  /// WithExclusiveShard already holds the aux stripe open around the whole
   /// call; it is opened here only when no outer writer does, so the stripe
   /// stays odd through the commit either way (WriteBegin is a blind
   /// increment — opening it twice would flip it even).

@@ -382,23 +382,9 @@ std::string RenderJson(const Metric<Snapshot> (&list)[N], const Snapshot& s,
   return out;
 }
 
-}  // namespace
-
-std::string PrometheusLabels(const LabelList& labels) {
-  return LabelBlock(labels);
-}
-
-std::string ExportPrometheus(const MetricsSnapshot& m, const AccessStats& stats,
-                             const LabelList& labels) {
-  std::string out;
-  out.reserve(4096);
-  RenderPrometheus(&out, kTableMetrics, m, "mccuckoo_", labels);
-  RenderPrometheus(&out, kAccessMetrics, stats, "mccuckoo_", labels);
-  out += "# AccessStats " + stats.ToString() + "\n";
-  return out;
-}
-
-std::string ExportJson(const MetricsSnapshot& m, const AccessStats& stats) {
+/// The table plane's JSON object up to, not including, its closing brace:
+/// every table metric, then "op_latency_quantiles".
+std::string TableJsonFields(const MetricsSnapshot& m) {
   std::string out = "{\n" + RenderJson(kTableMetrics, m, "  ") + ",\n";
   // Pre-computed quantiles so flat scanners (mccuckoo_top, shell scripts)
   // need no histogram math; values are conservative bucket upper bounds.
@@ -414,10 +400,39 @@ std::string ExportJson(const MetricsSnapshot& m, const AccessStats& stats) {
                   h.PercentileUpperBound(0.999));
     out += buf;
   }
-  out += "},\n  \"access_stats\": {\n";
-  out += RenderJson(kAccessMetrics, stats, "    ");
-  out += "\n  }\n}\n";
+  out += "}";
   return out;
+}
+
+}  // namespace
+
+std::string PrometheusLabels(const LabelList& labels) {
+  return LabelBlock(labels);
+}
+
+std::string ExportPrometheus(const MetricsSnapshot& m,
+                             const LabelList& labels) {
+  std::string out;
+  out.reserve(4096);
+  RenderPrometheus(&out, kTableMetrics, m, "mccuckoo_", labels);
+  return out;
+}
+
+std::string ExportPrometheus(const MetricsSnapshot& m, const AccessStats& stats,
+                             const LabelList& labels) {
+  std::string out = ExportPrometheus(m, labels);
+  RenderPrometheus(&out, kAccessMetrics, stats, "mccuckoo_", labels);
+  out += "# AccessStats " + stats.ToString() + "\n";
+  return out;
+}
+
+std::string ExportJson(const MetricsSnapshot& m) {
+  return TableJsonFields(m) + "\n}\n";
+}
+
+std::string ExportJson(const MetricsSnapshot& m, const AccessStats& stats) {
+  return TableJsonFields(m) + ",\n  \"access_stats\": {\n" +
+         RenderJson(kAccessMetrics, stats, "    ") + "\n  }\n}\n";
 }
 
 std::map<std::string, double> MetricsFlatEntries(const MetricsSnapshot& m,

@@ -52,17 +52,26 @@ std::string PrometheusLabels(
 /// Prometheus text exposition of the table plane (mccuckoo_* families),
 /// histograms in cumulative-bucket form. `labels` are attached to every
 /// sample (histogram buckets additionally get their "le", labelled
-/// families their axis label). The AccessStats totals are exported as
-/// counters too, plus a trailing human-readable comment
-/// (AccessStats::ToString) for eyeballing dumps.
+/// families their axis label).
+std::string ExportPrometheus(
+    const MetricsSnapshot& m,
+    const std::vector<std::pair<std::string, std::string>>& labels = {});
+
+/// The same, followed by a charged table's AccessStats totals as counters
+/// plus a trailing human-readable comment (AccessStats::ToString) for
+/// eyeballing dumps. The concurrent front-end charges no AccessStats, so
+/// its exports (the daemon's) use the form above.
 std::string ExportPrometheus(
     const MetricsSnapshot& m, const AccessStats& stats,
     const std::vector<std::pair<std::string, std::string>>& labels = {});
 
 /// JSON object with the same content (raw, non-cumulative buckets), plus
 /// "op_latency_quantiles" (p50/p99/p999 bucket bounds per op, so scanners
-/// such as tools/mccuckoo_top need no histogram math) and the access stats
-/// as a nested "access_stats" object. Stable key order.
+/// such as tools/mccuckoo_top need no histogram math). Stable key order.
+std::string ExportJson(const MetricsSnapshot& m);
+
+/// The same, with the access stats as a last, nested "access_stats"
+/// object.
 std::string ExportJson(const MetricsSnapshot& m, const AccessStats& stats);
 
 /// Flattens a snapshot to "<prefix><row>" -> value entries — the form

@@ -200,13 +200,13 @@ struct MetricsSnapshot {
   uint64_t stash_hits = 0;    ///< Stash probes that found the key.
   uint64_t stash_misses = 0;  ///< Stash probes that came back empty.
 
-  /// Optimistic read path (concurrent front-ends; zero outside
-  /// ReadMode::kOptimistic): attempts discarded by seqlock validation, and
-  /// reads that exhausted their retries and took the shared lock.
+  /// Optimistic read path (ShardedMcCuckoo; zero on a bare table): attempts
+  /// discarded by seqlock validation, and reads that exhausted their
+  /// retries and took the striped fallback.
   uint64_t optimistic_retries = 0;
   uint64_t optimistic_fallbacks = 0;
 
-  /// Multi-writer path (zero outside WriteMode::kMultiWriter): striped
+  /// Striped writers (ShardedMcCuckoo; zero on a bare table): striped
   /// writer-lock acquisitions, the subset that contended (a blocking wait
   /// or a failed mid-chain try-lock), and successful kick-chain bucket
   /// claims (the claim-then-move hand-offs).

@@ -51,8 +51,7 @@ ItemStore::ItemStore(const ItemStoreOptions& options)
       max_bytes_(options.max_bytes) {
   table_ = std::make_unique<Sharded>(
       StoreTableOptions(options),
-      std::bit_ceil(std::max<size_t>(1, options.shards)),
-      ReadMode::kOptimistic, WriteMode::kMultiWriter);
+      std::bit_ceil(std::max<size_t>(1, options.shards)));
 }
 
 ItemStore::~ItemStore() {

@@ -23,8 +23,8 @@
 //    allocated until the guard drops. MGET rides the table's FindBatch —
 //    the same batched prefetch pipeline the paper's lookups use.
 //  * SET/DEL/TOUCH serialize per stripe (hash-partitioned, so unrelated
-//    keys rarely contend) and run the table write under WriteMode::
-//    kMultiWriter, so writers to different stripes truly overlap.
+//    keys rarely contend) and run the table write through the front-end's
+//    striped writers, so writers to different stripes truly overlap.
 //  * TTL expiry is lazy-on-read (an expired item is removed by the reader
 //    that trips over it, after re-verification under the stripe lock) plus
 //    a periodic SweepExpired() walk. The clock is injected, so TTL tests

@@ -40,15 +40,13 @@ StatsHandlers CacheServer::MakeHttpHandlers() {
   StatsHandlers h;
   h.metrics = [this] {
     std::string out =
-        ExportPrometheus(store_->table().metrics_snapshot(),
-                         store_->table().stats_snapshot());
+        ExportPrometheus(store_->table().metrics_snapshot());
     out += ExportServerPrometheus(store_->MetricsSnapshot());
     return out;
   };
   h.json = [this] {
     std::string out = "{\n\"table\": ";
-    out += ExportJson(store_->table().metrics_snapshot(),
-                      store_->table().stats_snapshot());
+    out += ExportJson(store_->table().metrics_snapshot());
     out += ",\n\"server\": ";
     out += ExportServerJson(store_->MetricsSnapshot());
     out += "}\n";

@@ -7,8 +7,9 @@
 // worker's thread (its Connection object, buffers, and the worker's
 // fd->state map are thread-confined — no locks). The ItemStore underneath
 // is the concurrent piece: GET/MGET are epoch-guarded lock-free reads,
-// SET/DEL/TOUCH serialize per key stripe, and the table runs
-// WriteMode::kMultiWriter, so workers truly overlap.
+// SET/DEL/TOUCH serialize per key stripe, and the table's writers take
+// only striped bucket locks, so workers truly overlap. The table charges no
+// AccessStats, so /metrics and /json carry no access counters.
 //
 // One port serves both planes: a first byte of 0x95 speaks the binary
 // cache protocol, 'G'/'H' speaks HTTP against the stats routes (/metrics,

@@ -1,7 +1,8 @@
-// Tests of the one-writer-many-readers design (§III.H), ShardedMcCuckoo at
-// one shard: readers running concurrently with a writer never miss a
-// committed key, never see a torn value, and never observe phantom keys —
-// for both table layouts. Then the same guarantees with many shards.
+// Tests of the concurrent front-end, ShardedMcCuckoo at one shard: readers
+// running concurrently with a writer (the paper's §III.H deployment) never
+// miss a committed key, never see a torn value, and never observe phantom
+// keys — for both table layouts. Then the same guarantees with many shards
+// and many writers.
 
 #include "src/core/sharded_mccuckoo.h"
 
@@ -344,7 +345,6 @@ TEST(ShardedMcCuckooOneShardTest, StatsSnapshotAndSizes) {
   EXPECT_EQ(v, 11u);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.stash_size(), 0u);
-  EXPECT_GT(table.stats_snapshot().offchip_writes, 0u);
   EXPECT_GT(table.load_factor(), 0.0);
 }
 

@@ -90,12 +90,10 @@ TEST(InsertOrAssignTest, BlockedPreviousReportsReplacedValue) {
   EXPECT_TRUE(t.ValidateInvariants().ok());
 }
 
-class ShardedPreviousTest : public ::testing::TestWithParam<WriteMode> {};
-
-TEST_P(ShardedPreviousTest, PreviousReportsReplacedValue) {
-  ShardedMcCuckoo<Table> t(PreviousOptions(), /*num_shards=*/1,
-                           ReadMode::kOptimistic, GetParam());
-  ASSERT_EQ(t.write_mode(), GetParam());
+// The front-end's striped writer against the same expectations the bare
+// table's SoloWriter meets in PreviousReportsReplacedValue above.
+TEST(ShardedPreviousTest, PreviousReportsReplacedValue) {
+  ShardedMcCuckoo<Table> t(PreviousOptions(), /*num_shards=*/1);
   const auto copies = [&](uint64_t k) {
     return t.WithExclusiveShard(0, [&](Table& s) { return s.CountCopies(k); });
   };
@@ -104,14 +102,6 @@ TEST_P(ShardedPreviousTest, PreviousReportsReplacedValue) {
                  return s.ValidateInvariants();
                }).ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    WriteModes, ShardedPreviousTest,
-    ::testing::Values(WriteMode::kSingleWriter, WriteMode::kMultiWriter),
-    [](const ::testing::TestParamInfo<WriteMode>& info) {
-      return info.param == WriteMode::kMultiWriter ? "MultiWriter"
-                                                   : "SingleWriter";
-    });
 
 TEST(InsertOrAssignTest, UpdatesStashedKey) {
   TableOptions o;

@@ -243,9 +243,28 @@ TEST(LatencyRecorderTest,
       BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
-// Every InsertOrAssign records exactly one kInsert sample in both write
-// modes: an update of a present key as much as a miss, and a miss takes no
-// second sample from the insert it continues into.
+// Every InsertOrAssign records exactly one kInsert sample under both
+// writers, the bare table's and the front-end's striped one: an update of a
+// present key as much as a miss, and a miss takes no second sample from the
+// insert it continues into.
+template <typename Front, typename SnapshotFn>
+void ExpectOneInsertSamplePerCall(Front& t, SnapshotFn snapshot) {
+  const auto keys = MakeUniqueKeys(100, 9, 0);
+  auto inserts = [&] {
+    return snapshot()
+        .op_latency_ns[static_cast<size_t>(LatencyOp::kInsert)]
+        .count;
+  };
+  for (uint64_t k : keys) {
+    ASSERT_EQ(t.InsertOrAssign(k, k), InsertResult::kInserted);
+  }
+  EXPECT_EQ(inserts(), keys.size());
+  for (uint64_t k : keys) {
+    ASSERT_EQ(t.InsertOrAssign(k, k + 1), InsertResult::kUpdated);
+  }
+  EXPECT_EQ(inserts(), 2 * keys.size());
+}
+
 template <typename Table>
 void InsertOrAssignSamplesEveryCall(uint32_t slots_per_bucket) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
@@ -254,25 +273,15 @@ void InsertOrAssignSamplesEveryCall(uint32_t slots_per_bucket) {
   o.slots_per_bucket = slots_per_bucket;
   o.deletion_mode = DeletionMode::kResetCounters;
   o.latency_sample_period = 1;
-  const auto keys = MakeUniqueKeys(100, 9, 0);
-  for (const WriteMode mode :
-       {WriteMode::kSingleWriter, WriteMode::kMultiWriter}) {
-    SCOPED_TRACE(mode == WriteMode::kSingleWriter ? "single" : "multi");
-    ShardedMcCuckoo<Table> t(o, 1, ReadMode::kOptimistic, mode);
-    ASSERT_EQ(t.write_mode(), mode);
-    auto inserts = [&] {
-      return t.metrics_snapshot()
-          .op_latency_ns[static_cast<size_t>(LatencyOp::kInsert)]
-          .count;
-    };
-    for (uint64_t k : keys) {
-      ASSERT_EQ(t.InsertOrAssign(k, k), InsertResult::kInserted);
-    }
-    EXPECT_EQ(inserts(), keys.size());
-    for (uint64_t k : keys) {
-      ASSERT_EQ(t.InsertOrAssign(k, k + 1), InsertResult::kUpdated);
-    }
-    EXPECT_EQ(inserts(), 2 * keys.size());
+  {
+    SCOPED_TRACE("bare table");
+    Table t(o);
+    ExpectOneInsertSamplePerCall(t, [&] { return t.SnapshotMetrics(); });
+  }
+  {
+    SCOPED_TRACE("sharded");
+    ShardedMcCuckoo<Table> t(o, 1);
+    ExpectOneInsertSamplePerCall(t, [&] { return t.metrics_snapshot(); });
   }
 }
 

@@ -1,6 +1,6 @@
 // Stress and differential tests of the true multi-writer path: concurrent
-// writers under striped bucket locks (ShardedMcCuckoo's kMultiWriter mode,
-// at one shard and at several), with optimistic readers and the striped
+// writers under striped bucket locks (ShardedMcCuckoo's writers, at one
+// shard and at several), with optimistic readers and the striped
 // Find fallback running against them. Run under TSan (-DMCCUCKOO_TSAN=ON)
 // this is the data-race check for the claim-then-move protocol; without it
 // the tests still pin down counter exactness and linearizable membership.
@@ -47,14 +47,10 @@ TableOptions Blocked(TableOptions o) {
   return o;
 }
 
-/// A one-shard multi-writer table with optimistic reads; asserts the write
-/// mode was honoured, not demoted.
+/// A one-shard front-end table.
 template <typename T>
 std::unique_ptr<ShardedMcCuckoo<T>> MultiWriterShard(const TableOptions& o) {
-  auto table = std::make_unique<ShardedMcCuckoo<T>>(
-      o, 1, ReadMode::kOptimistic, WriteMode::kMultiWriter);
-  EXPECT_EQ(table->write_mode(), WriteMode::kMultiWriter);
-  return table;
+  return std::make_unique<ShardedMcCuckoo<T>>(o, 1);
 }
 
 template <typename T>
@@ -219,6 +215,13 @@ void MixedChurnMatchesSerializedOracle(const TableOptions& o) {
     ASSERT_TRUE(table.Find(k, &got)) << k;
     EXPECT_EQ(got, v) << k;
   }
+  for (int w = 0; w < kWriters; ++w) {
+    for (uint64_t k : MakeUniqueKeys(512, 17, static_cast<uint64_t>(w))) {
+      if (!oracle.contains(k)) {
+        EXPECT_FALSE(table.Contains(k)) << k;
+      }
+    }
+  }
   ExpectInvariants(table);
 }
 
@@ -228,6 +231,24 @@ TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
 
 TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracleBlocked) {
   MixedChurnMatchesSerializedOracle<BlockedTable>(Blocked(StressOptions()));
+}
+
+// The same churn in kTombstone mode: concurrent erases mark every copy
+// deleted through the striped writer (StripedWriter::MarkDeleted), and
+// re-inserts land on the tombstones. The store erases with
+// kResetCounters, so only this case runs that writer's tombstone mark.
+TableOptions TombstoneOptions() {
+  TableOptions o = StressOptions();
+  o.deletion_mode = DeletionMode::kTombstone;
+  return o;
+}
+
+TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracleTombstone) {
+  MixedChurnMatchesSerializedOracle<Table>(TombstoneOptions());
+}
+
+TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracleTombstoneBlocked) {
+  MixedChurnMatchesSerializedOracle<BlockedTable>(Blocked(TombstoneOptions()));
 }
 
 // Concurrent writers driving the table through forced growth under
@@ -387,8 +408,7 @@ TEST(MultiWriterStressTest, InsertBatchGrowsMidBatch) {
   TableOptions o = StressOptions();
   o.buckets_per_table = 1024;
   o.growth_enabled = true;
-  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+  ShardedMcCuckoo<Table> table(o, 1);
   const uint64_t initial_capacity = table.capacity();
   const auto keys = MakeUniqueKeys(64 * initial_capacity, 47, 0);
   std::vector<uint64_t> values(keys.size());
@@ -409,56 +429,19 @@ TEST(MultiWriterStressTest, InsertBatchGrowsMidBatch) {
           .ok());
 }
 
-// Single-threaded differential trace: the multi-writer mode must be
-// operation-for-operation identical to the single-writer mode when only
-// one thread drives it (also the configuration whose t1 overhead
-// bench/scaling's concurrent.write_scaling rows record — here we pin
-// semantics, the bench speed).
-TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
-  ShardedMcCuckoo<Table> single(StressOptions(), 1);
-  ShardedMcCuckoo<Table> multi(StressOptions(), 1, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
-
-  const auto keys = MakeUniqueKeys(3000, 11, 0);
-  Xoshiro256 rng(123);
-  for (int op = 0; op < 30000; ++op) {
-    const uint64_t k = keys[FastRange64(rng.Next(), keys.size())];
-    switch (rng.Next() % 4) {
-      case 0: {
-        const InsertResult a = single.InsertOrAssign(k, k + op);
-        const InsertResult b = multi.InsertOrAssign(k, k + op);
-        ASSERT_EQ(a, b) << "op " << op;
-        break;
-      }
-      case 1: {
-        ASSERT_EQ(single.Erase(k), multi.Erase(k)) << "op " << op;
-        break;
-      }
-      default: {
-        uint64_t va = 0, vb = 0;
-        const bool fa = single.Find(k, &va);
-        const bool fb = multi.Find(k, &vb);
-        ASSERT_EQ(fa, fb) << "op " << op;
-        if (fa) {
-          ASSERT_EQ(va, vb) << "op " << op;
-        }
-        break;
-      }
-    }
-  }
-  EXPECT_EQ(single.size(), multi.size());
-  EXPECT_EQ(single.stash_size(), multi.stash_size());
-  EXPECT_TRUE(
-      multi.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
-          .ok());
-}
-
-// The same trace on the blocked layout.
+// Single-threaded differential trace: the front-end's striped writers and
+// optimistic reads must be operation-for-operation identical to the bare
+// table's single writer (SoloWriter plus FindNoStats, the paper's §III.H
+// writer) when only one thread drives them. The bare table is built from
+// the one shard's own options, so both share geometry and seeds. This is
+// also the configuration whose t1 overhead bench/scaling's
+// concurrent.write_scaling rows record — here we pin semantics, the bench
+// speed.
 template <typename T>
 void SingleThreadMatchesSingleWriterWrapper(const TableOptions& o) {
-  ShardedMcCuckoo<T> single(o, 1);
   auto multi_ptr = MultiWriterShard<T>(o);
   ShardedMcCuckoo<T>& multi = *multi_ptr;
+  T single(multi.WithExclusiveShard(0, [](T& t) { return t.options(); }));
 
   const auto keys = MakeUniqueKeys(3000, 11, 0);
   Xoshiro256 rng(123);
@@ -477,7 +460,7 @@ void SingleThreadMatchesSingleWriterWrapper(const TableOptions& o) {
       }
       default: {
         uint64_t va = 0, vb = 0;
-        const bool fa = single.Find(k, &va);
+        const bool fa = single.FindNoStats(k, &va);
         const bool fb = multi.Find(k, &vb);
         ASSERT_EQ(fa, fb) << "op " << op;
         if (fa) {
@@ -492,12 +475,16 @@ void SingleThreadMatchesSingleWriterWrapper(const TableOptions& o) {
   ExpectInvariants(multi);
 }
 
+TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
+  SingleThreadMatchesSingleWriterWrapper<Table>(StressOptions());
+}
+
 TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapperBlocked) {
   SingleThreadMatchesSingleWriterWrapper<BlockedTable>(
       Blocked(StressOptions()));
 }
 
-// The sharded wrapper's kMultiWriter mode: all writers hammer all shards
+// The sharded front-end at four shards: all writers hammer all shards
 // (no partitioning), batched and scalar reads run concurrently, and the
 // final state must match the per-shard serialized oracle of disjoint key
 // ownership (keys are unique, so last-writer-wins doesn't arise for
@@ -505,9 +492,7 @@ TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapperBlocked) {
 TEST(MultiWriterStressTest, ShardedMultiWriterInsertStress) {
   TableOptions o = StressOptions();
   o.buckets_per_table = 512;
-  ShardedMcCuckoo<Table> table(o, /*num_shards=*/4, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
-  ASSERT_EQ(table.write_mode(), WriteMode::kMultiWriter);
+  ShardedMcCuckoo<Table> table(o, /*num_shards=*/4);
 
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 1000;
@@ -564,13 +549,12 @@ TEST(MultiWriterStressTest, ShardedMultiWriterInsertStress) {
 #endif
 }
 
-// Erase/insert churn against the sharded multi-writer mode with concurrent
+// Erase/insert churn against the sharded front-end with concurrent
 // Contains probes; membership after quiescence must match the oracle.
 TEST(MultiWriterStressTest, ShardedMultiWriterChurn) {
   TableOptions o = StressOptions();
   o.buckets_per_table = 512;
-  ShardedMcCuckoo<Table> table(o, /*num_shards=*/2, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+  ShardedMcCuckoo<Table> table(o, /*num_shards=*/2);
 
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 6000;
@@ -632,8 +616,7 @@ TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
   TableOptions o = StressOptions();
   o.buckets_per_table = 256;
   o.growth_enabled = false;
-  ShardedMcCuckoo<Table> table(o, /*num_shards=*/2, ReadMode::kOptimistic,
-                               WriteMode::kMultiWriter);
+  ShardedMcCuckoo<Table> table(o, /*num_shards=*/2);
   constexpr int kWriters = 4;
   constexpr size_t kKeysPerWriter = 350;
   constexpr int kOpsPerWriter = 5000;
@@ -702,8 +685,7 @@ TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
 // writes back to the initial value, each value replaced exactly once: the
 // guarantee ItemStore::Set relies on to unlink exactly the item it replaced.
 TEST(MultiWriterStressTest, ShardedInsertOrAssignPreviousChains) {
-  ShardedMcCuckoo<Table> table(StressOptions(), /*num_shards=*/2,
-                               ReadMode::kOptimistic, WriteMode::kMultiWriter);
+  ShardedMcCuckoo<Table> table(StressOptions(), /*num_shards=*/2);
   constexpr int kWriters = 4;
   constexpr uint64_t kRounds = 3000;
   const auto hot = MakeUniqueKeys(6, 43, 0);

@@ -40,8 +40,7 @@ TableOptions SmallOptions(uint32_t slots_per_bucket) {
 // missing keys stay missing.
 template <typename Table>
 void RunOptimisticInsertStress(uint32_t slots_per_bucket) {
-  ShardedMcCuckoo<Table> table(SmallOptions(slots_per_bucket), 1,
-                               ReadMode::kOptimistic);
+  ShardedMcCuckoo<Table> table(SmallOptions(slots_per_bucket), 1);
   const auto keys = MakeUniqueKeys(4000, 5, 0);
   const auto missing = MakeUniqueKeys(4000, 5, 7);
 
@@ -91,8 +90,7 @@ TEST(OptimisticStressTest, BlockedInsertStress) {
 }
 
 TEST(OptimisticStressTest, ErasesStayConsistent) {
-  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1), 1, ReadMode::kOptimistic);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1), 1);
   const auto keys = MakeUniqueKeys(3000, 6, 0);
   for (uint64_t k : keys) table.Insert(k, k);
 
@@ -124,8 +122,7 @@ TEST(OptimisticStressTest, ErasesStayConsistent) {
 }
 
 TEST(OptimisticStressTest, BatchReadsUnderConcurrency) {
-  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1), 1, ReadMode::kOptimistic);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1), 1);
   const auto keys = MakeUniqueKeys(4000, 9, 0);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 42;
@@ -171,13 +168,12 @@ TEST(OptimisticStressTest, BatchReadsUnderConcurrency) {
 }
 
 // Keys pushed to the stash must stay visible through the optimistic path's
-// lock fallback (the stash itself is never probed locklessly).
+// striped fallback (the stash itself is never probed locklessly).
 TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
   TableOptions o = SmallOptions(1);
   o.buckets_per_table = 64;
   o.maxloop = 8;
-  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
-      o, 1, ReadMode::kOptimistic);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(o, 1);
   const auto keys = MakeUniqueKeys(192, 3, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
   ASSERT_GT(table.stash_size(), 0u);
@@ -189,13 +185,16 @@ TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
 }
 
 // Differential check: over one randomized insert/erase/lookup trace, the
-// optimistic and the locked read modes return bit-identical results for
-// every scalar and batched lookup.
+// front-end (striped writers, optimistic reads) and the bare table behind
+// the paper's lock (SoloWriter, FindNoStats, FindBatchNoStats) return
+// bit-identical results for every scalar and batched lookup. The bare table
+// is built from the one shard's own options, so both share geometry and
+// seeds.
 template <typename Table>
 void RunDifferentialTrace(uint32_t slots_per_bucket) {
-  ShardedMcCuckoo<Table> locked(SmallOptions(slots_per_bucket), 1);
-  ShardedMcCuckoo<Table> optimistic(SmallOptions(slots_per_bucket), 1,
-                                    ReadMode::kOptimistic);
+  ShardedMcCuckoo<Table> optimistic(SmallOptions(slots_per_bucket), 1);
+  Table locked(optimistic.WithExclusiveShard(
+      0, [](Table& t) { return t.options(); }));
 
   const auto keys = MakeUniqueKeys(3000, 11, 0);
   Xoshiro256 rng(123);
@@ -205,8 +204,8 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
       case 0: {
         // InsertOrAssign (not Insert): re-inserting a live key as a fresh
         // multi-copy entry leaves counter != copy-count after
-        // kResetCounters erases — a pre-existing multiset quirk in both
-        // read modes, orthogonal to what this test compares.
+        // kResetCounters erases — a pre-existing multiset quirk on both
+        // sides, orthogonal to what this test compares.
         const InsertResult a = locked.InsertOrAssign(k, k + op);
         const InsertResult b = optimistic.InsertOrAssign(k, k + op);
         ASSERT_EQ(a, b) << "op " << op;
@@ -218,7 +217,7 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
       }
       default: {
         uint64_t va = 0, vb = 0;
-        const bool fa = locked.Find(k, &va);
+        const bool fa = locked.FindNoStats(k, &va);
         const bool fb = optimistic.Find(k, &vb);
         ASSERT_EQ(fa, fb) << "op " << op;
         if (fa) {
@@ -229,6 +228,7 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
     }
   }
   ASSERT_EQ(locked.size(), optimistic.size());
+  ASSERT_EQ(locked.stash_size(), optimistic.stash_size());
 
   // Batched sweep over the full key set, several tiles per call.
   constexpr size_t kB = 40;
@@ -236,7 +236,7 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
   bool found_a[kB], found_b[kB];
   for (size_t base = 0; base + kB <= keys.size(); base += kB) {
     const std::span<const uint64_t> batch(&keys[base], kB);
-    const size_t ha = locked.FindBatch(batch, out_a, found_a);
+    const size_t ha = locked.FindBatchNoStats(batch, out_a, found_a);
     const size_t hb = optimistic.FindBatch(batch, out_b, found_b);
     ASSERT_EQ(ha, hb) << "base " << base;
     for (size_t j = 0; j < kB; ++j) {
@@ -265,8 +265,7 @@ TEST(OptimisticStressTest, ShardedOptimisticReaders) {
   using Table = McCuckooTable<uint64_t, uint64_t>;
   TableOptions o = SmallOptions(1);
   o.buckets_per_table *= 4;
-  ShardedMcCuckoo<Table> table(o, 4, ReadMode::kOptimistic);
-  ASSERT_EQ(table.read_mode(), ReadMode::kOptimistic);
+  ShardedMcCuckoo<Table> table(o, 4);
 
   constexpr int kWriters = 2;
   constexpr size_t kPerWriter = 3000;
@@ -334,11 +333,12 @@ TEST(OptimisticStressTest, ShardedOptimisticReaders) {
 }
 
 // Rehash restructures the whole bucket array; the aux stripe must force
-// optimistic readers onto the lock for its duration, and every key must
+// optimistic readers off the lock-free path for its duration, and every
+// key must
 // stay visible afterwards.
 TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
   using Table = McCuckooTable<uint64_t, uint64_t>;
-  ShardedMcCuckoo<Table> table(SmallOptions(1), 1, ReadMode::kOptimistic);
+  ShardedMcCuckoo<Table> table(SmallOptions(1), 1);
   const auto keys = MakeUniqueKeys(1500, 21, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
 
@@ -372,7 +372,7 @@ TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
 // Auto-growth firing repeatedly while optimistic readers run: the writer
 // pushes ~16x the initial capacity so growth rehashes land mid-stream,
 // every committed key must stay visible with its exact value across each
-// growth commit, and the readers' lock fallbacks stay bounded — each
+// growth commit, and the readers' striped fallbacks stay bounded — each
 // scalar read can fall back at most once, so fallbacks <= reads performed
 // holds on any scheduler (non-flaky), while torn reads or lost keys would
 // show up as reader_errors.
@@ -383,7 +383,7 @@ TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReaders) {
   o.maxloop = 200;
   o.deletion_mode = DeletionMode::kResetCounters;
   o.growth_enabled = true;
-  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic);
+  ShardedMcCuckoo<Table> table(o, 1);
 
   const auto keys = MakeUniqueKeys(12000, 23, 0);
   std::atomic<size_t> committed{0};
@@ -433,8 +433,7 @@ TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReaders) {
 }
 
 TEST(OptimisticStressTest, MetricsCountersExported) {
-  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1), 1, ReadMode::kOptimistic);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1), 1);
   for (uint64_t k = 0; k < 500; ++k) table.Insert(k * 2654435761u, k);
   for (uint64_t k = 0; k < 500; ++k) table.Contains(k * 2654435761u);
   const MetricsSnapshot snap = table.metrics_snapshot();

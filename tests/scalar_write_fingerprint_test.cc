@@ -279,9 +279,7 @@ MultiWriterFingerprint RunMultiWriter(bool growth) {
   o.seed = 0x5EEDCAFE;
   o.deletion_mode = DeletionMode::kResetCounters;
   o.growth_enabled = growth;
-  ShardedMcCuckoo<Table> t(o, 2, ReadMode::kOptimistic,
-                           WriteMode::kMultiWriter);
-  EXPECT_EQ(t.write_mode(), WriteMode::kMultiWriter);
+  ShardedMcCuckoo<Table> t(o, 2);
   MultiWriterFingerprint f{};
   const size_t n = 2400 * 95 / 100;
   const std::vector<uint64_t> keys = MakeUniqueKeys(n, 13, 0);

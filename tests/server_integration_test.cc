@@ -314,6 +314,8 @@ TEST_F(ServerIntegrationTest, HttpRoutesOnTheCachePort) {
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("mccuckoo_server_requests_total"), std::string::npos);
   EXPECT_NE(body.find("mccuckoo_inserts_total"), std::string::npos);
+  // The front-end charges no AccessStats, so the daemon exports none.
+  EXPECT_EQ(body.find("mccuckoo_offchip_reads_total"), std::string::npos);
 
   ASSERT_TRUE(
       CacheClient::HttpGet("127.0.0.1", server_->port(), "/json", &body, &code)
@@ -321,6 +323,7 @@ TEST_F(ServerIntegrationTest, HttpRoutesOnTheCachePort) {
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("\"server\""), std::string::npos);
   EXPECT_NE(body.find("\"table\""), std::string::npos);
+  EXPECT_EQ(body.find("\"access_stats\""), std::string::npos);
 
   ASSERT_TRUE(
       CacheClient::HttpGet("127.0.0.1", server_->port(), "/trace", &body, &code)
