@@ -48,6 +48,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/common/movable_atomic.h"
 #include "src/common/rng.h"
 
 namespace mccuckoo {
@@ -109,8 +110,10 @@ struct GrowthInputs {
   uint64_t buckets_per_table = 0;   ///< Current geometry.
 };
 
-/// The state machine. One instance per table; mutations happen only under
-/// the owning table's writer exclusion, so no atomics are needed.
+/// The state machine. One instance per table. With growth on, all but
+/// ObserveQuietInsert need the table's writer exclusion (one writer, or a
+/// multi-writer shard's aux stripe). The fields racing writers may touch
+/// are relaxed atomics: at worst a count or a streak step is lost.
 class GrowthPolicy {
  public:
   /// `enabled` off: the table never rehashes on its own; pressure that
@@ -132,21 +135,31 @@ class GrowthPolicy {
                      uint32_t search_nodes = 0, uint32_t search_budget = 0) {
     ++inserts_since_attempt_;
     const bool hard =
-        overflowed || (chain_len > 0 && 2 * chain_len >= maxloop) ||
-        (search_budget > 0 && 2 * search_nodes >= search_budget);
+        IsHard(overflowed, chain_len, maxloop, search_nodes, search_budget);
     pressure_streak_ = hard ? pressure_streak_ + 1 : 0;
+  }
+
+  /// Whether ObserveInsert counts an insertion as hard.
+  static bool IsHard(bool overflowed, uint32_t chain_len, uint32_t maxloop,
+                     uint32_t search_nodes, uint32_t search_budget) {
+    return overflowed || (chain_len > 0 && 2 * chain_len >= maxloop) ||
+           (search_budget > 0 && 2 * search_nodes >= search_budget);
+  }
+
+  /// Concurrent writers' fast path: for an easy insert (`hard` false) with
+  /// no streak and no trigger firing on `in`, ObserveInsert plus Decide
+  /// would only bump the cooldown count and answer kNone, so this bumps it
+  /// (a relaxed RMW) and returns true. Otherwise false, touching nothing.
+  bool ObserveQuietInsert(bool hard, const GrowthInputs& in) {
+    if (hard || pressure_streak_ != 0 || Triggered(in)) return false;
+    if (enabled_) inserts_since_attempt_.FetchAdd(1);
+    return true;
   }
 
   /// Evaluates the triggers against the table's current occupancy. Cheap
   /// enough to call after every insertion (a handful of compares).
   GrowthDecision Decide(const GrowthInputs& in) {
-    const bool over_load =
-        in.capacity_slots > 0 &&
-        static_cast<double>(in.total_items) >
-            kGrowthMaxLoadFactor * static_cast<double>(in.capacity_slots);
-    const bool over_stash = in.stash_items > kGrowthStashSoftLimit;
-    const bool over_streak = pressure_streak_ >= kGrowthPressureStreakLimit;
-    if (!over_load && !over_stash && !over_streak) return {};
+    if (!Triggered(in)) return {};
     if (!enabled_) {
       suppressed_ = true;
       return {GrowthAction::kSuppressed, 0};
@@ -154,7 +167,7 @@ class GrowthPolicy {
     if (attempts_ > 0 && inserts_since_attempt_ < backoff_window_) return {};
     // Pressure without the load-factor ceiling smells like a bad seed, not
     // a full table: rotate first, grow once rotations are spent.
-    if (!over_load && reseeds_at_size_ < kGrowthMaxReseedsPerSize) {
+    if (!OverLoad(in) && reseeds_at_size_ < kGrowthMaxReseedsPerSize) {
       return {GrowthAction::kReseed, in.buckets_per_table};
     }
     const uint64_t target = std::min(in.buckets_per_table * kGrowthFactor,
@@ -209,6 +222,18 @@ class GrowthPolicy {
   uint64_t seed_rotations() const { return seed_rotations_; }
 
  private:
+  static bool OverLoad(const GrowthInputs& in) {
+    return in.capacity_slots > 0 &&
+           static_cast<double>(in.total_items) >
+               kGrowthMaxLoadFactor * static_cast<double>(in.capacity_slots);
+  }
+
+  /// The load ceiling, the stash limit or the pressure streak.
+  bool Triggered(const GrowthInputs& in) const {
+    return OverLoad(in) || in.stash_items > kGrowthStashSoftLimit ||
+           pressure_streak_ >= kGrowthPressureStreakLimit;
+  }
+
   uint64_t NextBackoff() const {
     const uint64_t base =
         backoff_window_ > 0 ? backoff_window_ : kGrowthBackoffInitialInserts;
@@ -217,13 +242,13 @@ class GrowthPolicy {
   }
 
   bool enabled_;
-  uint32_t pressure_streak_ = 0;
+  MovableAtomic<uint32_t> pressure_streak_ = 0;
   uint32_t reseeds_at_size_ = 0;
   uint64_t attempts_ = 0;
-  uint64_t inserts_since_attempt_ = 0;
+  MovableAtomic<uint64_t> inserts_since_attempt_ = 0;
   uint64_t backoff_window_ = 0;
   uint64_t seed_rotations_ = 0;
-  bool suppressed_ = false;
+  MovableAtomic<bool> suppressed_ = false;
 };
 
 }  // namespace mccuckoo

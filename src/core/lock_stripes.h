@@ -14,12 +14,21 @@
 // lock-free against the versions exactly as before. This header holds the
 // discipline over those locks.
 //
+// The stripes are a shard's only exclusion. Growth and the exclusive
+// maintenance sections take every stripe (LockStripeDrain), so a writer
+// holding any one stripe pins the geometry; a writer that computed its
+// candidates before a rehash committed sees the table's rehash epoch moved
+// once its candidate stripes are held, and starts over. The aux stripe
+// also serializes the stash, the span ring and the growth policy's slow
+// path, and metric scrapes read under it alone.
+//
 // Deadlock freedom rests on a two-tier acquisition discipline:
 //
 //  * Blocking acquisition is only allowed in globally ascending stripe
 //    order, and only for lock sets known up front: an operation's d
 //    candidate stripes (acquired once, sorted, at the start) and the aux
 //    stripe (the highest index, covering the stash — always acquired last).
+//    A drain is the same rule over every stripe.
 //  * Everything discovered mid-operation — BFS kick-chain buckets, a
 //    victim's other copies — is acquired by *try-lock only*. A failed
 //    try-lock never blocks: the owner releases the speculative suffix and
@@ -40,76 +49,15 @@
 #define MCCUCKOO_CORE_LOCK_STRIPES_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "src/core/seqlock.h"
 #include "src/obs/metrics.h"
 
 namespace mccuckoo {
-
-/// A std::atomic<T> that is copyable and movable (value-wise), so plain
-/// counters inside movable aggregates (tables that relocate themselves on
-/// Rehash) can become concurrency-safe without losing their move semantics.
-/// Two increment disciplines coexist:
-///  * operator++/operator+=/store — single-writer updates, implemented as
-///    non-RMW relaxed load+store pairs (no lock-prefixed instruction on the
-///    hot path). Legal only under writer exclusion.
-///  * FetchAdd/FetchSub/CompareExchange — real RMWs for the multi-writer
-///    paths, where several threads update the same cell concurrently.
-/// Reads are always relaxed atomic loads, so either discipline is safe to
-/// observe from any thread.
-template <typename T>
-class MovableAtomic {
- public:
-  MovableAtomic(T v = T{}) : v_(v) {}  // NOLINT(google-explicit-constructor)
-  MovableAtomic(const MovableAtomic& o) : v_(o.load()) {}
-  MovableAtomic(MovableAtomic&& o) noexcept : v_(o.load()) {}
-  MovableAtomic& operator=(const MovableAtomic& o) {
-    store(o.load());
-    return *this;
-  }
-  MovableAtomic& operator=(MovableAtomic&& o) noexcept {
-    store(o.load());
-    return *this;
-  }
-  MovableAtomic& operator=(T v) {
-    store(v);
-    return *this;
-  }
-
-  operator T() const { return load(); }  // NOLINT(google-explicit-constructor)
-  T load() const { return v_.load(std::memory_order_relaxed); }
-  void store(T v) { v_.store(v, std::memory_order_relaxed); }
-
-  // Single-writer updates (non-RMW; require writer exclusion).
-  MovableAtomic& operator+=(T d) {
-    store(static_cast<T>(load() + d));
-    return *this;
-  }
-  MovableAtomic& operator++() {
-    store(static_cast<T>(load() + 1));
-    return *this;
-  }
-  MovableAtomic& operator--() {
-    store(static_cast<T>(load() - 1));
-    return *this;
-  }
-
-  // Multi-writer updates (real RMWs).
-  T FetchAdd(T d) { return v_.fetch_add(d, std::memory_order_relaxed); }
-  T FetchSub(T d) { return v_.fetch_sub(d, std::memory_order_relaxed); }
-  bool CompareExchange(T& expected, T desired) {
-    return v_.compare_exchange_strong(expected, desired,
-                                      std::memory_order_relaxed,
-                                      std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<T> v_;
-};
 
 /// The lock set one operation holds, enforcing the two-tier acquisition
 /// discipline (see file comment) and tallying contention metrics locally —
@@ -122,21 +70,25 @@ class LockStripeSet {
   LockStripeSet(const LockStripeSet&) = delete;
   LockStripeSet& operator=(const LockStripeSet&) = delete;
 
+  /// Most stripes AcquireOrdered takes: a key's candidates (kMaxHashes).
+  static constexpr size_t kMaxOrdered = 4;
+
   /// Blocking ordered acquisition of an up-front-known stripe set (the
   /// operation's candidate stripes): sorted ascending, deduplicated. Must
   /// be the first acquisition of this set (blocking out of global order
-  /// would reintroduce deadlock).
+  /// would reintroduce deadlock). The sort is the five-comparator network
+  /// for four values over a copy padded past every stripe index.
   void AcquireOrdered(const size_t* stripes, size_t n) {
     assert(held_n_ == 0);
-    assert(n <= kMaxHeld);
-    size_t sorted[kMaxHeld];
-    std::copy(stripes, stripes + n, sorted);
-    std::sort(sorted, sorted + n);
-    size_t prev = static_cast<size_t>(-1);
+    assert(n <= kMaxOrdered);
+    size_t s[kMaxOrdered] = {kPad, kPad, kPad, kPad};
+    std::copy(stripes, stripes + n, s);
+    for (const auto& [a, b] :
+         {std::pair{0, 1}, {2, 3}, {0, 2}, {1, 3}, {1, 2}}) {
+      if (s[b] < s[a]) std::swap(s[a], s[b]);
+    }
     for (size_t i = 0; i < n; ++i) {
-      if (sorted[i] == prev) continue;
-      prev = sorted[i];
-      LockBlocking(sorted[i]);
+      if (i == 0 || s[i] != s[i - 1]) LockBlocking(s[i]);
     }
   }
 
@@ -207,6 +159,7 @@ class LockStripeSet {
   // digits) + a victim's other copies + aux all fit with headroom. A chain
   // that somehow needs more fails its TryAcquire and re-plans.
   static constexpr size_t kMaxHeld = 32;
+  static constexpr size_t kPad = ~size_t{0};
 
   void LockBlocking(size_t stripe) {
     assert(held_n_ < kMaxHeld);

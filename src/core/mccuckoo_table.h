@@ -523,7 +523,7 @@ class McCuckooTable
   /// The search mutates nothing (a striped writer runs it racily over
   /// unclaimed buckets). The chain is then claimed and checked
   /// (ctx.ClaimChain) and shifted backward terminal-first under open
-  /// seqlock stripes, published by the caller's ctx.Finish(). On a dead
+  /// seqlock stripes, published by the caller's ctx.Publish(). On a dead
   /// end the table is untouched, so the stash tail inherits the all-ones
   /// invariant directly from the TryPlace screen; a striped writer also
   /// stashes after kChainAttempts contended chains.

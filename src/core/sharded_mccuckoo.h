@@ -8,21 +8,24 @@
 //    src/core/seqlock.h) and, after kMaxOptimisticSpins lost attempts,
 //    fall back to the table's FindStriped, which takes only the key's
 //    candidate stripes. No read touches a table-wide lock.
-//  * Writers run concurrently within a shard. Each takes the shard mutex
-//    SHARED and serializes per bucket through the writer locks of the
-//    shard's stripe array (discipline in src/core/lock_stripes.h). Both
-//    tables run it: each layout's one write engine is compiled for the
-//    striped writer context (see TableSkeleton's "Writer contexts"). That
-//    context always evicts by BFS with ConcurrentBfsBudget (kBfsOnly) and
-//    charges no AccessStats, so TableOptions::eviction_policy has no
-//    effect here and the simulator's access counts come from bare tables.
-//  * Growth is the only exclusive step: it takes the shard mutex
-//    EXCLUSIVELY plus a full stripe drain (GrowShardExclusive), and so does
-//    WithExclusiveShard.
+//  * Writers run concurrently within a shard and serialize per bucket
+//    through the writer locks of the shard's stripe array (discipline in
+//    src/core/lock_stripes.h). Both tables run it: each layout's one write
+//    engine is compiled for the striped writer context (see TableSkeleton's
+//    "Writer contexts"). That context always evicts by BFS with
+//    ConcurrentBfsBudget (kBfsOnly) and charges no AccessStats, so
+//    TableOptions::eviction_policy has no effect here and the simulator's
+//    access counts come from bare tables.
+//  * Growth is the only exclusive step: it drains every stripe
+//    (GrowShardExclusive), and so does WithExclusiveShard. There is no
+//    other lock: a writer re-checks the rehash epoch under its candidate
+//    stripes and starts over if a rehash committed meanwhile, and
+//    introspection (sizes, metrics, the span ring) reads under the aux
+//    stripe alone, so a scrape never waits for writers on other stripes.
 //
 // N shards hash-partition the key space, each a complete table (own hash
-// family, counters, stash) with its own stripe array and shared_mutex, so
-// one shard's growth or maintenance pass pauses only that shard.
+// family, counters, stash) with its own stripe array, so one shard's growth
+// or maintenance pass pauses only that shard.
 //
 // Routing uses the top bits of a dedicated routing hash. That hash MUST be
 // decorrelated from the bucket hashes: the tables reduce hashes to bucket
@@ -34,11 +37,11 @@
 // FindBatch groups the batch by destination shard and validates each
 // group per kBatchTile-sized tile; InsertBatch is a loop of scalar
 // Inserts, so a per-key Insert escalates growth as soon as the table asks
-// for it. Neither ever holds more than one shard lock at once.
+// for it. Neither ever holds stripes of two shards at once.
 //
 // Auto-growth (options.growth_enabled) is per shard: each shard's table
-// runs its own GrowthPolicy, and the rehash commits under the shard's aux
-// stripe, so a hot shard grows without pausing the others. Aggregate
+// runs its own GrowthPolicy, and the rehash commits under the shard's
+// drain, so a hot shard grows without pausing the others. Aggregate
 // metrics sum the per-shard growth counters; growth_suppressed counts
 // degraded shards.
 
@@ -50,8 +53,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -64,6 +65,7 @@
 #include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
 #include "src/obs/metrics.h"
+#include "src/obs/span_recorder.h"
 
 namespace mccuckoo {
 
@@ -120,11 +122,8 @@ class ShardedMcCuckoo {
   InsertResult Insert(const Key& key, const Value& value) {
     Shard& s = *shards_[ShardOf(key)];
     bool wants_growth = false;
-    InsertResult r;
-    {
-      std::shared_lock lock(s.mutex);
-      r = s.table.ConcurrentInsert(key, value, s.growth_mu, &wants_growth);
-    }
+    const InsertResult r = s.table.ConcurrentWrite(
+        key, value, /*assign=*/false, nullptr, &wants_growth);
     if (wants_growth) GrowShardExclusive(s);
     return r;
   }
@@ -136,20 +135,14 @@ class ShardedMcCuckoo {
                               Value* previous = nullptr) {
     Shard& s = *shards_[ShardOf(key)];
     bool wants_growth = false;
-    InsertResult r;
-    {
-      std::shared_lock lock(s.mutex);
-      r = s.table.ConcurrentInsertOrAssign(key, value, s.growth_mu,
-                                           &wants_growth, previous);
-    }
+    const InsertResult r = s.table.ConcurrentWrite(
+        key, value, /*assign=*/true, previous, &wants_growth);
     if (wants_growth) GrowShardExclusive(s);
     return r;
   }
 
   bool Erase(const Key& key) {
-    Shard& s = *shards_[ShardOf(key)];
-    std::shared_lock lock(s.mutex);
-    return s.table.ConcurrentErase(key);
+    return shards_[ShardOf(key)]->table.ConcurrentErase(key);
   }
 
   /// Mutation-free lookup: bounded seqlock-validated lock-free attempts
@@ -216,45 +209,26 @@ class ShardedMcCuckoo {
   }
 
   // --- Merged introspection -----------------------------------------------
+  //
+  // Each shard is read under its aux stripe: the stash, the geometry and
+  // the span ring are written only under it, the item count and metrics
+  // are atomics. Writers on other stripes keep running, so a total is a
+  // point-in-time sum per shard, exact once writers quiesce.
 
   size_t size() const {
-    size_t total = 0;
-    for (const auto& s : shards_) {
-      std::shared_lock lock(s->mutex);
-      total += s->table.size();
-    }
-    return total;
+    return SumShards([](const Table& t) { return t.size(); });
   }
 
   size_t stash_size() const {
-    size_t total = 0;
-    for (const auto& s : shards_) {
-      std::shared_lock lock(s->mutex);
-      total += s->table.ApproxStashSize();
-    }
-    return total;
+    return SumShards([](const Table& t) { return t.stash_size(); });
   }
 
   size_t TotalItems() const {
-    size_t total = 0;
-    for (const auto& s : shards_) {
-      std::shared_lock lock(s->mutex);
-      total += s->table.size() + s->table.ApproxStashSize();
-    }
-    return total;
+    return SumShards([](const Table& t) { return t.TotalItems(); });
   }
 
   uint64_t capacity() const {
-    // Capacity is no longer a construction-time constant: a shard's
-    // auto-growth rehash (GrowShardExclusive, under the shard's
-    // unique_lock) changes its geometry, so reading it requires the shard
-    // lock too.
-    uint64_t total = 0;
-    for (const auto& s : shards_) {
-      std::shared_lock lock(s->mutex);
-      total += s->table.capacity();
-    }
-    return total;
+    return SumShards([](const Table& t) { return t.capacity(); });
   }
 
   double load_factor() const {
@@ -263,16 +237,11 @@ class ShardedMcCuckoo {
   }
 
   /// Component-wise sum of all shards' metrics (histograms merge bucket-
-  /// wise; occupancy/capacity gauges sum to the aggregate view). Takes each
-  /// shard's lock exclusively: writers hold the shared side, and exact
-  /// totals need a quiesced shard.
+  /// wise; occupancy/capacity gauges sum to the aggregate view).
   MetricsSnapshot metrics_snapshot() const {
     MetricsSnapshot merged;
-    for (const auto& s : shards_) {
-      std::unique_lock lock(s->mutex);
-      merged += s->table.SnapshotMetrics();
-      merged.optimistic_retries += s->optimistic_retries.Value();
-      merged.optimistic_fallbacks += s->optimistic_fallbacks.Value();
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      merged += shard_metrics_snapshot(i);
     }
     return merged;
   }
@@ -280,22 +249,26 @@ class ShardedMcCuckoo {
   /// One shard's metrics snapshot (testing / per-shard dashboards).
   MetricsSnapshot shard_metrics_snapshot(size_t shard) const {
     const Shard& s = *shards_[shard];
-    std::unique_lock lock(s.mutex);
-    MetricsSnapshot snap = s.table.SnapshotMetrics();
+    MetricsSnapshot snap =
+        WithAux(s, [](const Table& t) { return t.SnapshotMetrics(); });
     snap.optimistic_retries = s.optimistic_retries.Value();
     snap.optimistic_fallbacks = s.optimistic_fallbacks.Value();
     return snap;
   }
 
-  /// Exclusive access to one shard's table (setup/validation only): the
-  /// shard lock exclusively, every stripe drained so striped readers
-  /// quiesce, and the aux stripe's version held odd for `fn`'s duration, so
-  /// lock-free readers retry while `fn` may restructure storage (e.g.
-  /// Rehash).
+  /// A copy of one shard's span ring, oldest first.
+  std::vector<Span> shard_spans(size_t shard) const {
+    return WithAux(*shards_[shard],
+                   [](const Table& t) { return t.spans().Events(); });
+  }
+
+  /// Exclusive access to one shard's table (setup/validation only): every
+  /// stripe drained so writers and striped readers quiesce, and the aux
+  /// stripe's version held odd for `fn`'s duration, so lock-free readers
+  /// retry while `fn` may restructure storage (e.g. Rehash).
   template <typename Fn>
   auto WithExclusiveShard(size_t shard, Fn&& fn) {
     Shard& s = *shards_[shard];
-    std::unique_lock lock(s.mutex);
     LockStripeDrain drain(s.stripes);
     struct AuxGuard {
       SeqlockArray& seq;
@@ -308,33 +281,43 @@ class ShardedMcCuckoo {
   }
 
  private:
-  // Padded to its own cache line(s) so one shard's lock traffic does not
-  // false-share with its neighbours. Heap-allocated behind unique_ptr, so
-  // &stripes stays stable for the table's attached pointer.
+  // Padded to its own cache line(s) so one shard's counter traffic does
+  // not false-share with its neighbours. Heap-allocated behind unique_ptr,
+  // so &stripes stays stable for the table's attached pointer.
   struct alignas(64) Shard {
     explicit Shard(const TableOptions& options)
         : table(options), stripes(table.seqlock_domain()) {
       table.AttachSeqlock(&stripes);
     }
-    // Growth exclusion: writers hold it shared, growth and
-    // WithExclusiveShard exclusively.
-    mutable std::shared_mutex mutex;
-    // The table starts on a fresh cache line: every reader and writer RMWs
-    // the lock word, and the table's first members (its options) are read
-    // on every probe, so sharing a line with the lock costs four concurrent
-    // writers about 30% of their throughput.
-    alignas(64) Table table;
+    Table table;
     // Versions for optimistic readers and writer locks for concurrent
-    // writers.
-    SeqlockArray stripes;
-    // Serializes the growth policy's bookkeeping across writers.
-    std::mutex growth_mu;
+    // writers, with the aux stripe scrapes read under: the shard's only
+    // exclusion. Mutable: a const scrape locks the aux stripe.
+    mutable SeqlockArray stripes;
     mutable Counter optimistic_retries;
     mutable Counter optimistic_fallbacks;
   };
 
+  /// `fn(table)` with the shard's aux stripe held (no version bump: it
+  /// only reads).
+  template <typename Fn>
+  static auto WithAux(const Shard& s, Fn&& fn) {
+    LockStripeSet ls(s.stripes, /*metrics=*/nullptr);
+    ls.AcquireAux();
+    return fn(s.table);
+  }
+
+  /// The sum of `fn(table)` over the shards, each read under its aux
+  /// stripe.
+  template <typename Fn>
+  auto SumShards(Fn&& fn) const {
+    decltype(fn(shards_[0]->table)) total = 0;
+    for (const auto& s : shards_) total += WithAux(*s, fn);
+    return total;
+  }
+
   /// Per-key striped lookup for a tile whose optimistic attempts all lost
-  /// (the shared shard lock does not exclude writers, so the unlocked
+  /// (nothing excludes writers from the whole shard, so the unlocked
   /// batch pipeline is off the table).
   size_t StripedGroupFind(const Shard& sh, std::span<const Key> keys,
                           Value* out, bool* found) const {
@@ -348,11 +331,10 @@ class ShardedMcCuckoo {
     return hits;
   }
 
-  /// Escalates one shard to full exclusivity (unique shard lock + stripe
-  /// drain) and runs its growth engine; a no-op if a competing writer's
-  /// escalation already grew the shard (the policy re-decides inside).
+  /// Escalates one shard to full exclusivity (a drain of every stripe) and
+  /// runs its growth engine; a no-op if a competing writer's escalation
+  /// already grew the shard (the policy re-decides inside).
   void GrowShardExclusive(Shard& s) {
-    std::unique_lock lock(s.mutex);
     LockStripeDrain drain(s.stripes);
     s.table.MaybeGrowExclusive();
   }

@@ -49,7 +49,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <span>
 #include <string>
@@ -58,6 +57,7 @@
 #include <vector>
 
 #include "src/common/bits.h"
+#include "src/common/movable_atomic.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/config.h"
@@ -78,6 +78,8 @@ namespace mccuckoo {
 
 static_assert(kMaxHashes + 1 <= kMetricsPartitions,
               "partition metric arrays must cover counter values 0..d");
+static_assert(kMaxHashes <= LockStripeSet::kMaxOrdered,
+              "a key's candidate stripes must fit one ordered acquisition");
 
 template <typename Derived, typename Key, typename Value, typename Hasher>
 class TableSkeleton {
@@ -101,8 +103,8 @@ class TableSkeleton {
   InsertResult Insert(const Key& key, const Value& value) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     SoloWriter w(*this);
-    return WriteWith(w, key, value, StageWriteCandidates(key),
-                     /*assign=*/false, nullptr, lat.weight());
+    return WriteWith(w, key, value, w.Stage(key), /*assign=*/false, nullptr,
+                     lat.weight());
   }
 
   /// Looks `key` up; writes the value through `out` when found (out may be
@@ -203,8 +205,8 @@ class TableSkeleton {
                               Value* previous = nullptr) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
     SoloWriter w(*this);
-    return WriteWith(w, key, value, StageWriteCandidates(key),
-                     /*assign=*/true, previous, lat.weight());
+    return WriteWith(w, key, value, w.Stage(key), /*assign=*/true, previous,
+                     lat.weight());
   }
 
   /// Deletes `key` (§III.B.3, Algorithm 3): every copy's on-chip counter is
@@ -220,21 +222,20 @@ class TableSkeleton {
   //
   // The same protocol as Insert/InsertOrAssign/Erase, run by a
   // StripedWriter so that many writers mutate the table at once under the
-  // writer locks of the attached SeqlockArray (see lock_stripes.h). The
-  // caller (ShardedMcCuckoo) holds the shard lock shared for every
-  // operation; growth escalates to the exclusive side plus a full
-  // LockStripeDrain, so in-flight operations never see a geometry change,
-  // which is also why mid-operation bucket indices stay in bounds. The
-  // protocol, in brief:
+  // writer locks of the attached SeqlockArray (see lock_stripes.h), which
+  // are also their only exclusion against growth. The protocol, in brief:
   //
-  //  * An operation BLOCK-acquires only its own key's candidate stripes
-  //    (sorted, deduplicated, known up front) plus, last, the aux stripe,
-  //    which is globally maximal. Everything discovered mid-operation (BFS
-  //    chain nodes, the terminal, a displaced victim's other copies) is
-  //    TRY-locked only; a failed try-lock releases the mid-op suffix and
-  //    replans or restarts. Blocking acquisition in ascending order with no
-  //    later blocking waits is deadlock-free by the classic ordering
-  //    argument.
+  //  * An operation computes its key's candidates at a recorded rehash
+  //    epoch and BLOCK-acquires their stripes (sorted, deduplicated, known
+  //    up front; ClaimCandidatesAtEpoch, which retries until the epoch is
+  //    still current under the claims) plus, last, the aux stripe, which is
+  //    globally maximal. Growth commits only under every stripe, so no
+  //    rehash runs while an operation holds any. Everything discovered
+  //    mid-operation (BFS chain nodes, the terminal, a displaced victim's
+  //    other copies) is TRY-locked only; a failed try-lock releases the
+  //    mid-op suffix and replans or restarts. Blocking acquisition in
+  //    ascending order with no later blocking waits is deadlock-free by the
+  //    classic ordering argument.
   //  * Every counter mutation happens under that bucket's stripe. Holding a
   //    stripe therefore pins its buckets' counters AND the copy-sets of the
   //    items in them: displacing a copy of item X requires try-locking all
@@ -249,36 +250,26 @@ class TableSkeleton {
   //  * Seqlock windows are opened in a stack-local SeqlockWriterSet and
   //    closed *before* the stripe locks are released: the next holder of a
   //    stripe owns its version cell again only after our odd window closed.
+  //  * An insert's growth bookkeeping runs before the release
+  //    (ConcurrentGrowthCheck).
   //  * No AccessStats are charged and no kick history is recorded
   //    (writer-exclusion structures); TableMetrics and the latency recorder
-  //    are atomic and recorded normally. The stash tail records its
-  //    dead-end and spill spans under the aux stripe.
+  //    are atomic and recorded normally. The stash, its span records and
+  //    the span totals are written only under the aux stripe.
 
-  /// Multi-writer Insert (same contract: duplicates corrupt the copy
-  /// invariants). `growth_mu` serializes the growth-policy bookkeeping;
+  /// Multi-writer Insert (assign = false; same contract: duplicates
+  /// corrupt the copy invariants) and InsertOrAssign (assign = true, with
+  /// `previous` as there; the candidate stripes stay held across the
+  /// found/stash/insert decision, so the presence check cannot go stale).
   /// `*wants_growth` is set when the policy asks for a rehash/reseed, which
   /// the caller performs under full exclusivity via MaybeGrowExclusive().
-  InsertResult ConcurrentInsert(const Key& key, const Value& value,
-                                std::mutex& growth_mu, bool* wants_growth) {
+  InsertResult ConcurrentWrite(const Key& key, const Value& value,
+                               bool assign, Value* previous,
+                               bool* wants_growth) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    StripedWriter w(*this, &growth_mu);
-    const InsertResult r = WriteWith(w, key, value, StageWriteCandidates(key),
-                                     /*assign=*/false, nullptr, lat.weight());
-    *wants_growth = w.wants_growth;
-    return r;
-  }
-
-  /// Multi-writer InsertOrAssign. The candidate stripes stay held across
-  /// the found/stash/insert decision, so the presence check cannot go stale
-  /// before the insert. `previous` works as in InsertOrAssign.
-  InsertResult ConcurrentInsertOrAssign(const Key& key, const Value& value,
-                                        std::mutex& growth_mu,
-                                        bool* wants_growth,
-                                        Value* previous = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    StripedWriter w(*this, &growth_mu);
-    const InsertResult r = WriteWith(w, key, value, StageWriteCandidates(key),
-                                     /*assign=*/true, previous, lat.weight());
+    StripedWriter w(*this);
+    const InsertResult r = WriteWith(w, key, value, w.Stage(key), assign,
+                                     previous, lat.weight());
     *wants_growth = w.wants_growth;
     return r;
   }
@@ -287,73 +278,40 @@ class TableSkeleton {
   /// candidates, so locating them under the stripes is exact.
   bool ConcurrentErase(const Key& key) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
-    StripedWriter w(*this, /*growth_mu=*/nullptr);  // erases never grow
+    StripedWriter w(*this);
     return EraseWith(w, key);
   }
 
   /// Striped-lock reader fallback of ShardedMcCuckoo's Find: takes the
   /// key's candidate stripes (blocking, ordered) instead of any table-wide
   /// lock, so a fallback read waits only for writers touching its own
-  /// candidates. Does not require the wrapper's drain lock: a rehash
-  /// cannot *start* while we hold any stripe (growth drains them all), and
-  /// one that committed between candidate computation and acquisition is
-  /// caught by the epoch check and retried.
+  /// candidates. It claims them as the writers do
+  /// (ClaimCandidatesAtEpoch).
   bool FindStriped(const Key& key, Value* out = nullptr) const {
     assert(seq_ != nullptr);
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    for (;;) {
-      const uint64_t epoch = rehash_epoch_.load();
-      // Geometry (and the options) may be swapping under us until the
-      // stripes are held.
-      Candidates cand;
-      const uint32_t d = RacyCandidates<1>(&key, 1, &cand);
-      if (d == 0) continue;  // torn mid-commit read; retry
-      LockStripeSet ls(*seq_, metrics_.get());
-      AcquireCandidateStripes(ls, cand, d);
-      // The stripe acquisitions are acquire barriers and the committing
-      // rehash bumps the epoch before releasing its drain, so an unchanged
-      // epoch here proves the candidates match the live geometry.
-      if (rehash_epoch_.load() != epoch) continue;
-      Value tmp{};
-      LookupTally tally;
-      MainOutcome mo;
-      {
-        // Neighbouring buckets in the same cache lines may still be
-        // mutated by writers holding *other* stripes.
-        SeqlockReadCritical crit;
-        mo = ProbeAndScreen<false>(key, cand, &tmp, tally);
-      }
-      bool hit = (mo == MainOutcome::kHit);
-      if (mo == MainOutcome::kCheckStash) {
-        ls.AcquireAux();
-        hit = stash_.Find(key, &tmp);
-        tally.RecordStashProbe(hit);
-      }
-      tally.FlushTo(*metrics_);
-      ls.ReleaseAll();
-      if (hit && out != nullptr) *out = tmp;
-      return hit;
+    Candidates cand;
+    LockStripeSet ls(*seq_, metrics_.get());
+    ClaimCandidatesAtEpoch(ls, key, &cand, /*for_write=*/false);
+    Value tmp{};
+    LookupTally tally;
+    MainOutcome mo;
+    {
+      // Neighbouring buckets in the same cache lines may still be mutated
+      // by writers holding *other* stripes.
+      SeqlockReadCritical crit;
+      mo = ProbeAndScreen<false>(key, cand, &tmp, tally);
     }
-  }
-
-  /// Growth-policy bookkeeping for one concurrent insert, serialized by
-  /// the wrapper's growth mutex (GrowthPolicy state is not thread-safe).
-  /// Returns true when the policy wants a rehash/reseed; the caller then
-  /// escalates to the exclusive drain and calls MaybeGrowExclusive().
-  bool ConcurrentGrowthCheck(std::mutex& growth_mu, bool overflowed,
-                             uint32_t chain_len, uint32_t bfs_nodes,
-                             uint32_t bfs_budget) {
-    std::lock_guard<std::mutex> g(growth_mu);
-    growth_.ObserveInsert(overflowed, chain_len, opts_.maxloop, bfs_nodes,
-                          bfs_budget);
-    const GrowthDecision d = growth_.Decide(
-        {ApproxTotalItems(), opts_.capacity(), ApproxStashSize(),
-         opts_.buckets_per_table});
-    if (d.action == GrowthAction::kSuppressed) {
-      metrics_->SetGrowthSuppressed(true);
-      return false;
+    bool hit = (mo == MainOutcome::kHit);
+    if (mo == MainOutcome::kCheckStash) {
+      ls.AcquireAux();
+      hit = stash_.Find(key, &tmp);
+      tally.RecordStashProbe(hit);
     }
-    return d.action != GrowthAction::kNone;
+    tally.FlushTo(*metrics_);
+    ls.ReleaseAll();
+    if (hit && out != nullptr) *out = tmp;
+    return hit;
   }
 
   /// Runs the growth engine under full exclusivity: the caller holds the
@@ -361,14 +319,6 @@ class TableSkeleton {
   /// from scratch, so if a competing writer already grew the table this is
   /// a no-op.
   void MaybeGrowExclusive() { MaybeGrow(); }
-
-  /// Racy item-count estimates for growth decisions and wrapper
-  /// introspection (annotated: the stash map may be mutating under aux).
-  size_t ApproxStashSize() const {
-    SeqlockReadCritical crit;
-    return stash_.size();
-  }
-  size_t ApproxTotalItems() const { return size_.load() + ApproxStashSize(); }
 
   // --- Optimistic (seqlock-validated) read path --------------------------
 
@@ -926,12 +876,13 @@ class TableSkeleton {
   /// candidates' counters, and their buckets for writing) prefetched before
   /// the write takes a stripe lock or opens a seqlock window: the counter
   /// and bucket misses then overlap instead of running back to back. Every
-  /// scalar Insert, InsertOrAssign and Erase (and their multi-writer forms)
-  /// starts here. Pure hint, like StageCandidates: nothing is read for the
-  /// algorithm or charged. Scalar reads do not do this on purpose: the
-  /// counter screen exists so a lookup can skip bucket reads, and
-  /// prefetching every candidate bucket would turn those skipped reads into
-  /// real off-chip traffic.
+  /// single-writer Insert, InsertOrAssign and Erase starts here (the
+  /// multi-writer forms prefetch the same lines in RacyCandidates). Pure
+  /// hint, like StageCandidates: nothing is read for the algorithm or
+  /// charged. Scalar reads do not do this on purpose: the counter screen
+  /// exists so a lookup can skip bucket reads, and prefetching every
+  /// candidate bucket would turn those skipped reads into real off-chip
+  /// traffic.
   Candidates StageWriteCandidates(const Key& key) const {
     const Candidates cand = ComputeCandidates(key);
     derived().PrefetchCandidates(&cand, 1, /*for_write=*/true);
@@ -1028,13 +979,14 @@ class TableSkeleton {
 
   /// The candidates of keys[0, n) computed while a racing Rehash commit may
   /// be swapping the geometry and hash seeds: one key (kMaxKeys == 1) by
-  /// ComputeCandidates, with no bucket prefetch (see StageWriteCandidates),
-  /// a tile by StageCandidates. Returns d, or 0 when a torn read produced
-  /// an out-of-range index, which must not reach a probe: the caller
-  /// retries or falls back. Storage a racing commit replaced stays
-  /// dereferenceable regardless (see retired_).
+  /// ComputeCandidates, with its lines prefetched only `for_write` (see
+  /// StageWriteCandidates), a tile by StageCandidates. Returns d, or 0 when
+  /// a torn read produced an out-of-range index, which must not reach a
+  /// probe: the caller retries or falls back. Storage a racing commit
+  /// replaced stays dereferenceable regardless (see retired_).
   template <size_t kMaxKeys>
-  uint32_t RacyCandidates(const Key* keys, size_t n, Candidates* cand) const {
+  uint32_t RacyCandidates(const Key* keys, size_t n, Candidates* cand,
+                          bool for_write = false) const {
     assert(n <= kMaxKeys);
     SeqlockReadCritical crit;
     const uint32_t d = opts_.num_hashes;
@@ -1048,7 +1000,34 @@ class TableSkeleton {
         if (cand[i].bucket[t] >= NumBuckets()) return 0;
       }
     }
+    if (for_write) derived().PrefetchCandidates(cand, n, /*for_write=*/true);
     return d;
+  }
+
+  /// How every striped operation starts: computes `key`'s candidates at a
+  /// recorded rehash epoch (while a commit may be racing) and claims their
+  /// stripes. A commit bumps the epoch before its drain lets go of the
+  /// stripes, and the claims are acquire barriers, so an epoch still
+  /// current under the claims proves the candidates current; a moved one
+  /// releases them and computes again. Returns d.
+  uint32_t ClaimCandidatesAtEpoch(LockStripeSet& ls, const Key& key,
+                                  Candidates* cand, bool for_write) const {
+    for (;;) {
+      // The acquire pairs with the commit's release bump.
+      const uint64_t epoch = rehash_epoch_.LoadAcquire();
+      const uint32_t d = RacyCandidates<1>(&key, 1, cand, for_write);
+      if (d == 0) continue;  // a torn mid-commit read
+      AcquireCandidateStripes(ls, *cand, d);
+      if (rehash_epoch_.load() == epoch) [[likely]] return d;
+      DropStaleClaims(ls);
+    }
+  }
+
+  /// ClaimCandidatesAtEpoch's retry path, kept out of line: inlined, the
+  /// release and its tally flush cost one-thread B-McCuckoo updates about
+  /// 5% in a same-binary A/B.
+  [[gnu::cold, gnu::noinline]] static void DropStaleClaims(LockStripeSet& ls) {
+    ls.ReleaseAll();
   }
 
   /// The optimistic read protocol, once for TryFindOptimistic (kMaxKeys ==
@@ -1126,7 +1105,8 @@ class TableSkeleton {
   };
 
   /// Insert (assign = false) and InsertOrAssign (assign = true) over staged
-  /// candidates, for either writer context. InsertOrAssign updates every
+  /// candidates (ctx.Stage; a striped writer replaces them at every claim),
+  /// for either writer context. InsertOrAssign updates every
   /// copy in place when the key exists (main table or stash) and inserts
   /// otherwise; on kUpdated the replaced value is written through
   /// `previous` (when non-null). The insert timer (insert_ns) runs only
@@ -1135,14 +1115,14 @@ class TableSkeleton {
   /// the write is known to be an insert, so an update reads no clock.
   template <typename Ctx>
   InsertResult WriteWith(Ctx& ctx, const Key& key, const Value& value,
-                         const Candidates& cand, bool assign, Value* previous,
+                         Candidates cand, bool assign, Value* previous,
                          uint32_t timer_weight) {
     uint64_t t0 = 0;  // set once, on the first timed placement attempt
     ChainStats chain;
     bool collided = false;
     InsertResult r;
     for (;;) {
-      ctx.ClaimCandidates(cand);
+      ctx.ClaimCandidates(key, cand);
       // Located again after every restart: another writer of the same key
       // may have inserted it meanwhile.
       if (assign && UpdateIfPresent(ctx, key, value, cand, previous)) {
@@ -1158,7 +1138,7 @@ class TableSkeleton {
     }
     // The whole chain published at once: at no intermediate state was the
     // in-hand key absent from a stripe readers could have validated.
-    ctx.Finish();
+    ctx.Publish();
     metrics_->RecordInsert(chain.len,
                            timer_weight != 0 ? MetricsNowNs() - t0 : 0,
                            timer_weight);
@@ -1170,7 +1150,10 @@ class TableSkeleton {
           chain.len);
       if (bfs) metrics_->RecordBfsNodes(chain.nodes);
     }
+    // Before the claims go: a striped writer reads the growth inputs under
+    // its held stripes, so no rehash commits meanwhile.
     ctx.ObserveInsert(r != InsertResult::kInserted, chain);
+    ctx.Finish();
     return r;
   }
 
@@ -1241,6 +1224,10 @@ class TableSkeleton {
   /// Erase for either writer context (see Erase).
   template <typename Ctx>
   bool EraseWith(Ctx& ctx, const Key& key) {
+    Candidates cand = ctx.Stage(key);
+    ctx.ClaimCandidates(key, cand);
+    // Checked under the claims: a striped writer reads the options only
+    // once no rehash can be committing them.
     if (opts_.deletion_mode == DeletionMode::kDisabled) {
       std::fprintf(stderr,
                    "%s::Erase called with DeletionMode::kDisabled; construct "
@@ -1248,8 +1235,6 @@ class TableSkeleton {
                    Derived::kName);
       std::abort();
     }
-    const Candidates cand = StageWriteCandidates(key);
-    ctx.ClaimCandidates(cand);
     NoLookupMetrics none;
     ProbeResult p = derived().template ProbeMain<Ctx::kCharged>(
         key, cand, nullptr, none);
@@ -1363,6 +1348,42 @@ class TableSkeleton {
     ls.AcquireOrdered(stripes.data(), d);
   }
 
+  /// Racy item-count estimates (annotated: the stash may be mutating).
+  size_t ApproxStashSize() const {
+    SeqlockReadCritical crit;
+    return stash_.size();
+  }
+  size_t ApproxTotalItems() const { return size_.load() + ApproxStashSize(); }
+
+  /// The growth policy's view of the table (exact under exclusion).
+  GrowthInputs CurrentGrowthInputs() const {
+    return {ApproxTotalItems(), opts_.capacity(), ApproxStashSize(),
+            opts_.buckets_per_table};
+  }
+
+  /// Growth-policy bookkeeping for one concurrent insert, under its held
+  /// stripes (so the geometry is current). An easy insert settles it with
+  /// one relaxed bump (ObserveQuietInsert); any other serializes the policy
+  /// on the aux stripe (the highest index: waiting on it is always legal),
+  /// except with growth off, where it can only raise the gauge. True when
+  /// the policy wants a rehash/reseed: the caller escalates to the drain.
+  bool ConcurrentGrowthCheck(LockStripeSet& ls, bool overflowed,
+                             const ChainStats& chain) {
+    const bool hard = GrowthPolicy::IsHard(overflowed, chain.len,
+                                           opts_.maxloop, chain.nodes,
+                                           chain.budget);
+    if (growth_.ObserveQuietInsert(hard, CurrentGrowthInputs())) return false;
+    if (growth_.enabled()) ls.AcquireAux();
+    growth_.ObserveInsert(overflowed, chain.len, opts_.maxloop, chain.nodes,
+                          chain.budget);
+    const GrowthDecision d = growth_.Decide(CurrentGrowthInputs());
+    if (d.action == GrowthAction::kSuppressed) {
+      metrics_->SetGrowthSuppressed(true);
+      return false;
+    }
+    return d.action != GrowthAction::kNone;
+  }
+
   /// Runs the growth policy against the post-insert occupancy and performs
   /// the rehash it asks for. Called with no stripes open (SeqFlush done):
   /// the commit opens the aux stripe itself when the outer writer section
@@ -1370,9 +1391,7 @@ class TableSkeleton {
   /// the trigger fires in ShardedMcCuckoo's growth escalation or a bare
   /// table's Insert.
   void MaybeGrow() {
-    const GrowthDecision d = growth_.Decide(
-        {TotalItems(), opts_.capacity(), stash_.size(),
-         opts_.buckets_per_table});
+    const GrowthDecision d = growth_.Decide(CurrentGrowthInputs());
     if (d.action == GrowthAction::kNone) return;
     if (d.action == GrowthAction::kSuppressed) {
       metrics_->SetGrowthSuppressed(true);
@@ -1467,9 +1486,11 @@ class TableSkeleton {
   // and the write engines (the protocol above, each layout's TryPlace, copy
   // location and BfsInsert) are written against those operations only:
   //
-  //   claims     ClaimCandidates, ClaimAux, Claim(bucket), ClaimChain(path)
-  //              (claims the chain, then checks it with ChainHolds),
-  //              Mark/Release (drop the claims made since a mark), Restart
+  //   claims     Stage (candidates computed up front, by the solo writer
+  //              only), ClaimCandidates, ClaimAux,
+  //              Claim(bucket), ClaimChain(path) (claims the chain, then
+  //              checks it with ChainHolds), Mark/Release (drop the claims
+  //              made since a mark), Restart
   //   reads      Counter(counters, slot), Charge(field),
   //              ChargeStashProbe/Write, ScreenMask (which candidates' flags
   //              the stash screen reads)
@@ -1477,7 +1498,8 @@ class TableSkeleton {
   //              SetTag, SetBit (a shared flag word), Add/Sub/SetOnce (the
   //              lifetime counters), Kick (kick-out accounting)
   //   eviction   BfsBudget, ObserveBfs, kChainAttempts, kBfsOnly
-  //   finish     Finish (publish and release), ObserveInsert (growth)
+  //   finish     Publish (close the seqlock windows), ObserveInsert
+  //              (growth; claims still held), Finish (publish and release)
 
   /// The single writer (§III.H): charges AccessStats exactly as the paper's
   /// model does, opens the member seq_open_, and every claim succeeds. It
@@ -1490,7 +1512,10 @@ class TableSkeleton {
 
     explicit SoloWriter(TableSkeleton& t) : t_(t), stats_(t.stats_.get()) {}
 
-    void ClaimCandidates(const Candidates&) {}
+    Candidates Stage(const Key& key) const {
+      return t_.StageWriteCandidates(key);
+    }
+    void ClaimCandidates(const Key&, Candidates&) {}
     void ClaimAux() {}
     bool Claim(size_t) { return true; }
     bool ClaimChain(const BfsPathResult&) { return true; }
@@ -1534,6 +1559,7 @@ class TableSkeleton {
     }
     void ObserveBfs(bool found) { t_.bfs_throttle_.Observe(found); }
 
+    void Publish() { t_.SeqFlush(); }
     void Finish() { t_.SeqFlush(); }
     void ObserveInsert(bool overflowed, const ChainStats& chain) {
       t_.growth_.ObserveInsert(overflowed, chain.len, t_.opts_.maxloop,
@@ -1547,9 +1573,10 @@ class TableSkeleton {
   };
 
   /// One of many concurrent writers (see "Multi-writer operations"): holds
-  /// a LockStripeSet and a stack-local SeqlockWriterSet, try-claims victims
-  /// and chain nodes, writes counters, tags and shared flag words with
-  /// relaxed atomics, and charges nothing. It always evicts by BFS, with
+  /// a LockStripeSet and a stack-local SeqlockWriterSet, claims its
+  /// candidates at the epoch it computed them in, try-claims victims and
+  /// chain nodes, writes counters, tags and shared flag words with relaxed
+  /// atomics, and charges nothing. It always evicts by BFS, with
   /// ConcurrentBfsBudget() and up to kChainAttempts searches (a contended
   /// or invalidated chain is planned again) before the stash.
   class StripedWriter {
@@ -1558,14 +1585,16 @@ class TableSkeleton {
     static constexpr bool kBfsOnly = true;
     static constexpr int kChainAttempts = 3;
 
-    /// `growth_mu` (null for erases) serializes the growth bookkeeping.
-    StripedWriter(TableSkeleton& t, std::mutex* growth_mu)
-        : t_(t), ls_(*t.seq_, t.metrics_.get()), growth_mu_(growth_mu) {
+    explicit StripedWriter(TableSkeleton& t)
+        : t_(t), ls_(*t.seq_, t.metrics_.get()) {
       assert(t.seq_ != nullptr);
     }
 
-    void ClaimCandidates(const Candidates& cand) {
-      t_.AcquireCandidateStripes(ls_, cand, t_.opts_.num_hashes);
+    /// Nothing up front: the candidates are computed (and prefetched) at
+    /// every claim, at an epoch the claim then proves current.
+    Candidates Stage(const Key&) const { return {}; }
+    void ClaimCandidates(const Key& key, Candidates& cand) {
+      t_.ClaimCandidatesAtEpoch(ls_, key, &cand, /*for_write=*/true);
     }
     void ClaimAux() { ls_.AcquireAux(); }
     bool Claim(size_t bucket) {
@@ -1632,17 +1661,16 @@ class TableSkeleton {
     uint32_t BfsBudget() const { return t_.ConcurrentBfsBudget(); }
     void ObserveBfs(bool) {}
 
+    void Publish() { ws_.CloseAll(*t_.seq_); }
     /// Publishes the seqlock windows, then releases the stripes, strictly
     /// in that order (see the section comment), and flushes the
     /// lock-contention tallies. Safe with nothing held or open.
     void Finish() {
-      ws_.CloseAll(*t_.seq_);
+      Publish();
       ls_.ReleaseAll();
     }
     void ObserveInsert(bool overflowed, const ChainStats& chain) {
-      wants_growth = t_.ConcurrentGrowthCheck(*growth_mu_, overflowed,
-                                              chain.len, chain.nodes,
-                                              chain.budget);
+      wants_growth = t_.ConcurrentGrowthCheck(ls_, overflowed, chain);
     }
 
     /// Set by ObserveInsert when the policy asks for growth.
@@ -1652,7 +1680,6 @@ class TableSkeleton {
     TableSkeleton& t_;
     LockStripeSet ls_;
     SeqlockWriterSet ws_;
-    std::mutex* growth_mu_;
   };
 
   /// Invokes `fn(key, value)` once per live key of the main table (stash
@@ -1763,7 +1790,9 @@ class TableSkeleton {
     redundant_writes_ += rebuilt.redundant_writes_;
     stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
     forced_rehash_events_ = rebuilt.forced_rehash_events_;
-    ++rehash_epoch_;
+    // A release store: a striped operation that loads the new epoch (with
+    // acquire, before computing its candidates) sees everything above.
+    rehash_epoch_.StoreRelease(rehash_epoch_ + 1);
     // seq_, seq_open_, retired_, spans_ and growth_ deliberately
     // keep this table's values (the policy's backoff/reseed state spans
     // rebuilds, and the seqlock attachment belongs to the wrapper, not the

@@ -11,11 +11,13 @@
 // with "rehash, 41 ms, at t=...". The chrome://tracing exporter
 // (ExportChromeTrace in src/obs/export.h) renders the ring as a timeline.
 //
-// Threading: spans are recorded only from table write paths, which every
-// front-end already serializes per table (the multi-writer stash tail
-// records under the aux stripe, which serializes every stash inserter) —
-// the ring is intentionally unsynchronized so recording stays a couple
-// of plain stores. Scrapes of Events() run under the same exclusion.
+// Threading: spans are recorded only from table write paths, each under
+// the one exclusion that covers the ring: a bare table's single writer,
+// or a multi-writer shard's aux stripe (the stash tail takes it, and
+// growth's drain includes it) — the ring is intentionally unsynchronized
+// so recording stays a couple of plain stores. Scrapes of Events() and the
+// totals take the same aux stripe (ShardedMcCuckoo::shard_spans and
+// metrics_snapshot), so they never wait for writers on other stripes.
 // Per-kind totals survive ring wrap-around and are folded into
 // MetricsSnapshot::span_counts by the owning table.
 //

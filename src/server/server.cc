@@ -57,10 +57,8 @@ StatsHandlers CacheServer::MakeHttpHandlers() {
     std::vector<Span> all;
     auto& sharded = store_->table();
     for (size_t i = 0; i < sharded.num_shards(); ++i) {
-      sharded.WithExclusiveShard(i, [&all](ItemStore::Table& t) {
-        for (const Span& s : t.spans().Events()) all.push_back(s);
-        return 0;
-      });
+      const std::vector<Span> part = sharded.shard_spans(i);
+      all.insert(all.end(), part.begin(), part.end());
     }
     return ExportChromeTrace(all, "mccuckoo_server");
   };

@@ -6,6 +6,7 @@
 // multiwriter_stress_test.cc; this file pins down the local contracts
 // those tests build on.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bits.h"
+#include "src/common/movable_atomic.h"
 #include "src/core/counter_array.h"
 #include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
@@ -121,6 +123,34 @@ TEST(LockStripeSetTest, AcquireOrderedSortsAndDedups) {
   EXPECT_EQ(ls.held_count(), 0u);
   for (size_t s : {size_t{2}, size_t{5}, size_t{9}}) {
     EXPECT_FALSE(locks.IsLocked(s));
+  }
+
+  // Every sequence of n = 1..4 stripes over four values covers every
+  // permutation and every pattern of duplicates. Each must lock exactly
+  // its distinct stripes, in ascending order: releasing the newest claim
+  // first must always drop the largest stripe still held.
+  const size_t values[] = {3, 17, 40, 63};
+  for (size_t n = 1; n <= LockStripeSet::kMaxOrdered; ++n) {
+    size_t combos = 1;
+    for (size_t i = 0; i < n; ++i) combos *= 4;
+    for (size_t c = 0; c < combos; ++c) {
+      size_t seq[LockStripeSet::kMaxOrdered];
+      std::vector<size_t> want;
+      for (size_t i = 0, code = c; i < n; ++i, code /= 4) {
+        seq[i] = values[code % 4];
+        want.push_back(seq[i]);
+      }
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      ls.AcquireOrdered(seq, n);
+      ASSERT_EQ(ls.held_count(), want.size()) << "n=" << n << " c=" << c;
+      for (size_t k = want.size(); k-- > 0;) {
+        ASSERT_TRUE(locks.IsLocked(want[k])) << "n=" << n << " c=" << c;
+        ls.ReleaseSuffix(k);
+        ASSERT_FALSE(locks.IsLocked(want[k])) << "n=" << n << " c=" << c;
+        for (size_t j = 0; j < k; ++j) ASSERT_TRUE(locks.IsLocked(want[j]));
+      }
+    }
   }
 }
 

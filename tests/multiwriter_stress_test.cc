@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -22,6 +23,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/blocked_mccuckoo_table.h"
+#include "src/core/growth.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
@@ -824,6 +826,209 @@ TEST(MultiWriterStressTest, RehashUnderMultiWriterTraffic) {
   EXPECT_EQ(table.WithExclusiveShard(0, [](Table& t) {
     return t.rehash_epoch();
   }), static_cast<uint64_t>(rehashes));
+  ExpectInvariants(table);
+}
+
+// Writers racing auto-growth from a tiny table: each insert computes its
+// candidates before claiming their stripes, with nothing else holding
+// growth off, so every one of the many rehashes can land between a
+// writer's candidate computation and its claim. The writer must see the
+// rehash epoch move under its claims and start over; one that inserted
+// with candidates of the old geometry would leave keys in buckets they do
+// not hash to, which the readers or the final checks catch.
+TEST(MultiWriterStressTest, WritersRestartOnRehashEpoch) {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 8;
+  o.growth_enabled = true;
+  auto table_ptr = MultiWriterShard<Table>(o);
+  ShardedMcCuckoo<Table>& table = *table_ptr;
+  const uint64_t initial_capacity = table.capacity();
+  constexpr int kWriters = 3;
+  constexpr size_t kPerWriter = 1500;
+  std::vector<std::vector<uint64_t>> keys;
+  for (int w = 0; w < kWriters; ++w) {
+    keys.push_back(MakeUniqueKeys(kPerWriter, 59, static_cast<uint64_t>(w)));
+  }
+  std::array<std::atomic<size_t>, kWriters> committed{};
+  std::atomic<bool> stop{false};
+  std::atomic<int> reader_errors{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t i = static_cast<uint64_t>(r) * 7919;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int w = static_cast<int>(i % kWriters);
+        const size_t limit = committed[w].load(std::memory_order_acquire);
+        if (limit > 0) {
+          const uint64_t k = keys[w][i % limit];
+          uint64_t v = 0;
+          if (!table.Find(k, &v) || v != k + 7) reader_errors.fetch_add(1);
+        }
+        ++i;
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        table.Insert(keys[w][i], keys[w][i] + 7);
+        committed[w].store(i + 1, std::memory_order_release);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(reader_errors.load(), 0);
+  // 4500 keys from 24 slots: at least seven doublings.
+  EXPECT_GE(table.capacity(), initial_capacity << 7);
+  EXPECT_EQ(table.TotalItems(), kWriters * kPerWriter);
+  for (int w = 0; w < kWriters; ++w) {
+    for (uint64_t k : keys[w]) {
+      uint64_t v = 0;
+      ASSERT_TRUE(table.Find(k, &v)) << k;
+      EXPECT_EQ(v, k + 7);
+    }
+  }
+  ExpectInvariants(table);
+}
+
+// Growth bookkeeping with four writers on one growth-enabled shard: the
+// easy inserts settle it with a relaxed bump and the rest serialize the
+// policy on the aux stripe. The load trigger must still fire on time (a
+// fast path that skipped it would let the table fill until BFS searches
+// turn hard, well past the ceiling), the shard must grow repeatedly, and
+// nothing may degrade. A sampler reads the items before the capacity, so
+// a growth between the two reads can only lower a sample.
+TEST(MultiWriterStressTest, GrowthBookkeepingKeepsTriggersUnderWriters) {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 128;
+  // Searches may expand 1000 nodes, so no search below saturation runs
+  // half of that: pressure comes from the load trigger alone.
+  o.maxloop = 1000;
+  o.growth_enabled = true;
+  auto table_ptr = MultiWriterShard<Table>(o);
+  ShardedMcCuckoo<Table>& table = *table_ptr;
+  const uint64_t initial_capacity = table.capacity();
+  constexpr int kWriters = 4;
+  constexpr size_t kPerWriter = 800;  // ~8x the initial capacity in total
+  std::vector<std::vector<uint64_t>> keys;
+  for (int w = 0; w < kWriters; ++w) {
+    keys.push_back(MakeUniqueKeys(kPerWriter, 61, static_cast<uint64_t>(w)));
+  }
+  std::atomic<bool> stop{false};
+  double max_load = 0;
+  std::thread sampler([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const double items = static_cast<double>(table.TotalItems());
+      max_load =
+          std::max(max_load, items / static_cast<double>(table.capacity()));
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t k : keys[w]) table.Insert(k, k + 9);
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  sampler.join();
+
+  // The ceiling is kGrowthMaxLoadFactor; every writer checks the triggers
+  // right after its own insert, so the overshoot is a few keys (0.03 of
+  // the initial 384 slots is 11). Without the load trigger the table
+  // fills to its first stash spill, past 0.9.
+  EXPECT_LE(max_load, kGrowthMaxLoadFactor + 0.03);
+  EXPECT_GE(table.capacity(), initial_capacity * 4);  // grew at least twice
+  EXPECT_EQ(table.stash_size(), 0u);
+  EXPECT_EQ(table.TotalItems(), kWriters * kPerWriter);
+  for (int w = 0; w < kWriters; ++w) {
+    for (uint64_t k : keys[w]) {
+      uint64_t v = 0;
+      ASSERT_TRUE(table.Find(k, &v)) << k;
+      EXPECT_EQ(v, k + 9);
+    }
+  }
+  const MetricsSnapshot m = table.metrics_snapshot();
+  EXPECT_EQ(m.growth_suppressed, 0u);
+  if constexpr (kMetricsEnabled) {
+    EXPECT_GE(m.growth_rehashes, 2u);
+  }
+  ExpectInvariants(table);
+}
+
+// Scrapes while writers grow a shard: metrics_snapshot(), capacity() and
+// the span-ring copy take only the aux stripe, under which the geometry,
+// the stash and the ring are written. Each capacity read must be one the
+// shard really had: the initial one or a growth span's target. Run under
+// TSan, a scrape that read any of them outside the aux stripe is a race.
+TEST(MultiWriterStressTest, ScrapesReadUnderAuxWhileShardGrows) {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 64;
+  o.growth_enabled = true;
+  auto table_ptr = MultiWriterShard<Table>(o);
+  ShardedMcCuckoo<Table>& table = *table_ptr;
+  const uint64_t slots_per_bucket_row =
+      uint64_t{o.num_hashes} * o.slots_per_bucket;
+  constexpr int kWriters = 3;
+  constexpr size_t kPerWriter = 1000;
+  std::vector<std::vector<uint64_t>> keys;
+  for (int w = 0; w < kWriters; ++w) {
+    keys.push_back(MakeUniqueKeys(kPerWriter, 67, static_cast<uint64_t>(w)));
+  }
+  std::atomic<bool> stop{false};
+  std::vector<uint64_t> seen;  // every capacity a scrape read
+  std::atomic<int> scrape_errors{0};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const MetricsSnapshot m = table.metrics_snapshot();
+      seen.push_back(m.capacity_slots);
+      seen.push_back(table.capacity());
+      const std::vector<Span> spans = table.shard_spans(0);
+      for (size_t i = 1; i < spans.size(); ++i) {
+        if (spans[i].seq != spans[i - 1].seq + 1) scrape_errors.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t k : keys[w]) table.Insert(k, k + 11);
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_EQ(scrape_errors.load(), 0);
+  ASSERT_FALSE(seen.empty());
+  std::vector<uint64_t> had = {o.buckets_per_table};
+  for (const Span& sp : table.shard_spans(0)) {
+    if (sp.kind == SpanKind::kGrowth || sp.kind == SpanKind::kReseed) {
+      had.push_back(sp.detail);
+    }
+  }
+  if constexpr (kMetricsEnabled) {
+    EXPECT_GT(had.size(), 1u);  // the shard grew
+  }
+  const uint64_t final_buckets = table.capacity() / slots_per_bucket_row;
+  for (uint64_t c : seen) {
+    ASSERT_EQ(c % slots_per_bucket_row, 0u) << c;
+    const uint64_t buckets = c / slots_per_bucket_row;
+    if constexpr (kMetricsEnabled) {
+      EXPECT_NE(std::find(had.begin(), had.end(), buckets), had.end()) << c;
+    } else {
+      // No span ring: every geometry is the initial one doubled.
+      EXPECT_TRUE(buckets % o.buckets_per_table == 0 &&
+                  std::has_single_bit(buckets / o.buckets_per_table))
+          << c;
+    }
+    EXPECT_LE(buckets, final_buckets) << c;
+  }
+  EXPECT_EQ(table.TotalItems(), kWriters * kPerWriter);
   ExpectInvariants(table);
 }
 
