@@ -248,6 +248,9 @@ constexpr Metric<S> kServerMetrics[] = {
      [](const S& s, size_t) { return Count(s.evictions_capacity); }},
     {"evictions_pressure", Kind::kCounter, kServerHelp, nullptr,
      [](const S& s, size_t) { return Count(s.evictions_pressure); }},
+    {"evictions_spared", Kind::kCounter,
+     "Eviction candidates spared for another pass by their access count.",
+     nullptr, [](const S& s, size_t) { return Count(s.evictions_spared); }},
     {"hash_collisions", Kind::kCounter, kServerHelp, nullptr,
      [](const S& s, size_t) { return Count(s.hash_collisions); }},
     {"items", Kind::kGauge, "Live items in the item store.", nullptr,

@@ -55,6 +55,8 @@ struct ServerMetricsSnapshot {
   uint64_t evictions_pressure = 0;  ///< Evicted because the table degraded
                                     ///< to stash-backed inserts (growth
                                     ///< suppressed/capped).
+  uint64_t evictions_spared = 0;  ///< Eviction candidates kept for another
+                                  ///< pass by their access count.
   uint64_t hash_collisions = 0;   ///< Distinct keys mapping to one 64-bit
                                   ///< hash (second writer wins).
   uint64_t items = 0;             ///< Gauge: live items in the store.
@@ -90,6 +92,7 @@ struct ServerMetricsSnapshot {
     sweep_runs += o.sweep_runs;
     evictions_capacity += o.evictions_capacity;
     evictions_pressure += o.evictions_pressure;
+    evictions_spared += o.evictions_spared;
     hash_collisions += o.hash_collisions;
     items += o.items;
     bytes += o.bytes;
@@ -118,6 +121,7 @@ struct ServerMetrics {
   Counter sweep_runs;
   Counter evictions_capacity;
   Counter evictions_pressure;
+  Counter evictions_spared;
   Counter hash_collisions;
   Gauge items;
   Gauge bytes;
@@ -148,6 +152,7 @@ struct ServerMetrics {
     s.sweep_runs = sweep_runs.Value();
     s.evictions_capacity = evictions_capacity.Value();
     s.evictions_pressure = evictions_pressure.Value();
+    s.evictions_spared = evictions_spared.Value();
     s.hash_collisions = hash_collisions.Value();
     s.items = items.Value();
     s.bytes = bytes.Value();

@@ -35,7 +35,7 @@ ItemStore::Item* ItemStore::Item::New(uint64_t hash, std::string_view key,
   void* mem = ::operator new(sizeof(Item) + key.size() + value.size());
   Item* it = new (mem) Item();
   it->hash = hash;
-  it->key_len = static_cast<uint32_t>(key.size());
+  it->key_len = static_cast<uint16_t>(key.size());
   it->val_len = static_cast<uint32_t>(value.size());
   it->expire_at_ns.store(expire_at_ns, std::memory_order_relaxed);
   char* dst = reinterpret_cast<char*>(it + 1);
@@ -129,10 +129,11 @@ bool ItemStore::Get(std::string_view key, std::string* value_out) {
     EpochReclaimer::Guard g(epoch_);
     uint64_t pv = 0;
     if (table_->Find(h, &pv)) {
-      const Item* it = reinterpret_cast<const Item*>(pv);
+      Item* it = reinterpret_cast<Item*>(pv);
       if (it->key() == key) {
         if (!Expired(it, now)) {
           if (value_out != nullptr) value_out->assign(it->value());
+          it->MarkHit();
           metrics_.get_hits.Inc();
           return true;
         }
@@ -170,13 +171,14 @@ size_t ItemStore::GetBatch(std::span<const std::string_view> keys,
                       reinterpret_cast<bool*>(table_found.data()));
     for (size_t i = 0; i < n; ++i) {
       if (table_found[i] == 0) continue;
-      const Item* it = reinterpret_cast<const Item*>(ptrs[i]);
+      Item* it = reinterpret_cast<Item*>(ptrs[i]);
       if (it->key() != keys[i]) continue;
       if (Expired(it, now)) {
         expired.emplace_back(hashes[i], it);
         continue;
       }
       (*values)[i].assign(it->value());
+      it->MarkHit();
       (*found)[i] = 1;
       ++hits;
     }
@@ -191,7 +193,12 @@ size_t ItemStore::GetBatch(std::span<const std::string_view> keys,
 Status ItemStore::Set(std::string_view key, std::string_view value,
                       uint32_t ttl_seconds) {
   if (key.empty()) return Status::InvalidArgument("empty key");
-  const uint64_t h = HashKey(key);
+  if (key.size() > kMaxKeyLen) return Status::InvalidArgument("key too long");
+  return SetHashed(HashKey(key), key, value, ttl_seconds);
+}
+
+Status ItemStore::SetHashed(uint64_t h, std::string_view key,
+                            std::string_view value, uint32_t ttl_seconds) {
   Item* fresh = Item::New(h, key, value, ExpireAt(ttl_seconds));
   Stripe& s = stripes_[StripeOf(h)];
   InsertResult r;
@@ -203,7 +210,16 @@ Status ItemStore::Set(std::string_view key, std::string_view value,
     r = table_->InsertOrAssign(h, reinterpret_cast<uint64_t>(fresh), &pv);
     if (r == InsertResult::kUpdated) {
       Item* old = reinterpret_cast<Item*>(pv);
-      if (old->key() != key) metrics_.hash_collisions.Inc();
+      if (old->key() != key) {
+        metrics_.hash_collisions.Inc();
+      } else if (!Expired(old, clock_())) {
+        // An update is an access: the fresh item inherits the old count
+        // plus one. A reader may already have marked `fresh`; overwriting
+        // that mark only misjudges warmth by one.
+        fresh->hits.store(old->hits.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+        fresh->MarkHit();
+      }
       Unlink(s, old);
       items_.fetch_sub(1, std::memory_order_relaxed);
       bytes_.fetch_sub(old->payload_bytes(), std::memory_order_relaxed);
@@ -219,7 +235,8 @@ Status ItemStore::Set(std::string_view key, std::string_view value,
   if (r == InsertResult::kStashed) {
     // The table absorbed the key into its stash — the GrowthPolicy
     // graceful-degradation signal that it cannot grow (disabled, capped,
-    // or backing off). Relieve the pressure by evicting the oldest items.
+    // or backing off). Relieve the pressure by evicting two items the
+    // access counts mark as cold.
     EvictOldest(2, /*pressure=*/true);
   }
   while (max_bytes_ != 0 &&
@@ -285,6 +302,7 @@ size_t ItemStore::SweepExpired() {
 
 size_t ItemStore::EvictOldest(size_t n, bool pressure) {
   size_t evicted = 0;
+  size_t spared = 0;
   size_t empty_streak = 0;
   while (evicted < n && empty_streak < kStripes) {
     Stripe& s = stripes_[evict_cursor_.fetch_add(1, std::memory_order_relaxed) %
@@ -295,11 +313,23 @@ size_t ItemStore::EvictOldest(size_t n, bool pressure) {
       continue;
     }
     empty_streak = 0;
-    RemoveLocked(s, s.head);
+    // A counted head gives one count back and goes to the tail. Each spare
+    // undoes one access, so the walk ends, amortized O(1) per access.
+    Item* victim = s.head;
+    while (const uint8_t c = victim->hits.load(std::memory_order_relaxed)) {
+      victim->hits.store(static_cast<uint8_t>(c - 1),
+                         std::memory_order_relaxed);
+      Unlink(s, victim);
+      Link(s, victim);
+      ++spared;
+      victim = s.head;
+    }
+    RemoveLocked(s, victim);
     (pressure ? metrics_.evictions_pressure : metrics_.evictions_capacity)
         .Inc();
     ++evicted;
   }
+  metrics_.evictions_spared.Inc(spared);
   return evicted;
 }
 

@@ -13,9 +13,10 @@
 // Full key bytes live in the Item and are verified on every read, so a
 // 64-bit hash collision can never serve the wrong value (on write, the
 // colliding newcomer overwrites and the collision is counted). Items are
-// threaded onto 64 striped FIFO lists for sweep and eviction; each stripe's
-// mutex also serializes writers per key-hash, which is what makes the
-// remove-then-retire dance race-free.
+// threaded onto 64 striped lists for sweep and eviction, in insertion order
+// except that eviction moves a spared item to its list's tail; each
+// stripe's mutex also serializes writers per key-hash, which is what makes
+// the remove-then-retire dance race-free.
 //
 // Concurrency model:
 //  * GET/MGET are lock-free: an EpochReclaimer::Guard brackets the table
@@ -29,10 +30,14 @@
 //    that trips over it, after re-verification under the stripe lock) plus
 //    a periodic SweepExpired() walk. The clock is injected, so TTL tests
 //    never sleep.
-//  * Eviction is FIFO (oldest stripe-list head): capacity eviction enforces
-//    max_bytes; pressure eviction fires when an insert lands in the stash —
-//    the GrowthPolicy graceful-degradation signal that the table cannot
-//    absorb more keys (growth disabled, capped, or backing off).
+//  * Eviction is FIFO-reinsertion by access count (the main queue of
+//    S3-FIFO): each item carries a 2-bit saturating count that read hits
+//    and same-key SETs raise. The victim is a stripe's oldest item whose
+//    count is 0; a counted head gives up one count and moves to its
+//    stripe's tail instead. Capacity eviction enforces max_bytes; pressure
+//    eviction fires when an insert lands in the stash — the GrowthPolicy
+//    graceful-degradation signal that the table cannot absorb more keys
+//    (growth disabled, capped, or backing off).
 
 #ifndef MCCUCKOO_SERVER_ITEM_STORE_H_
 #define MCCUCKOO_SERVER_ITEM_STORE_H_
@@ -41,6 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -55,6 +61,7 @@
 #include "src/hash/hashers.h"
 #include "src/obs/server_metrics.h"
 #include "src/server/epoch.h"
+#include "src/server/protocol.h"
 
 namespace mccuckoo {
 namespace server {
@@ -70,7 +77,7 @@ struct ItemStoreOptions {
   size_t shards = 8;
   uint64_t seed = 0x5EEDCAFE;
   /// Payload budget (key + value bytes); 0 = unlimited. Exceeding it
-  /// FIFO-evicts until back under.
+  /// evicts (EvictOldest's rule) until back under.
   uint64_t max_bytes = 0;
   /// Let shards grow under load. When growth cannot act (disabled here, or
   /// at kGrowthMaxBucketsPerTable), inserts degrade to the stash and the
@@ -106,7 +113,7 @@ class ItemStore {
 
   /// Inserts or replaces `key`. ttl_seconds 0 = never expires. The table
   /// always places the key (a stash landing triggers pressure eviction),
-  /// so only an empty key is an error.
+  /// so only an empty key or one longer than kMaxKeyLen is an error.
   Status Set(std::string_view key, std::string_view value,
              uint32_t ttl_seconds);
 
@@ -120,8 +127,11 @@ class ItemStore {
   /// reclaimed.
   size_t SweepExpired();
 
-  /// FIFO-evicts up to `n` items. `pressure` selects which eviction
-  /// counter the removals land in. Returns the number evicted.
+  /// Evicts up to `n` items, one per visited stripe: the oldest item whose
+  /// access count is 0. A counted head is spared instead: its count drops
+  /// by one and it moves to the stripe's tail, without touching the table.
+  /// `pressure` selects which eviction counter the removals land in.
+  /// Returns the number evicted.
   size_t EvictOldest(size_t n, bool pressure);
 
   // --- Introspection ------------------------------------------------------
@@ -154,15 +164,31 @@ class ItemStore {
  private:
   /// One cache entry: header + key bytes + value bytes in a single
   /// allocation. prev/next are guarded by the owning stripe's mutex;
-  /// expire_at_ns is atomic so TOUCH/lazy-expiry race benignly with
-  /// readers. Items are immutable after Link() except for expire_at_ns.
+  /// expire_at_ns and hits are atomic so TOUCH/lazy-expiry and read marking
+  /// race benignly with readers and the evictor. Items are immutable after
+  /// Link() except for expire_at_ns and hits.
   struct Item {
+    static constexpr uint8_t kMaxHits = 3;  ///< 2-bit saturating count.
+
     Item* prev = nullptr;
     Item* next = nullptr;
     std::atomic<uint64_t> expire_at_ns{0};  ///< 0 = never expires.
     uint64_t hash = 0;
-    uint32_t key_len = 0;
+    uint16_t key_len = 0;
+    /// Access count: raised by read hits and same-key SETs, lowered by
+    /// each eviction spare.
+    std::atomic<uint8_t> hits{0};
     uint32_t val_len = 0;
+
+    /// Records a read hit. A lost update against another reader or the
+    /// evictor only misjudges warmth, so a relaxed load-then-store does;
+    /// a saturated item is not written at all.
+    void MarkHit() {
+      const uint8_t c = hits.load(std::memory_order_relaxed);
+      if (c < kMaxHits) {
+        hits.store(static_cast<uint8_t>(c + 1), std::memory_order_relaxed);
+      }
+    }
 
     const char* key_data() const {
       return reinterpret_cast<const char*>(this + 1);
@@ -178,6 +204,14 @@ class ItemStore {
                      std::string_view value, uint64_t expire_at_ns);
     static void Free(void* p) { ::operator delete(p); }
   };
+  static_assert(sizeof(Item) == 40, "the item header must stay 40 bytes");
+  static_assert(kMaxKeyLen <=
+                    std::numeric_limits<decltype(Item::key_len)>::max(),
+                "key_len must hold kMaxKeyLen");
+
+  /// Eviction tests reach the stripe map, the key hash and Set with a
+  /// chosen hash (to force a 64-bit collision) through this peer.
+  friend class ItemStoreTestPeer;
 
   static constexpr size_t kStripes = 64;
 
@@ -191,7 +225,7 @@ class ItemStore {
   struct alignas(64) Stripe {
     std::mutex mu;
     Item* head = nullptr;  ///< Oldest (eviction side).
-    Item* tail = nullptr;  ///< Newest (append side).
+    Item* tail = nullptr;  ///< Newest or just spared (append side).
   };
 
   /// List maintenance; callers hold the stripe's mutex.
@@ -201,6 +235,10 @@ class ItemStore {
   /// Removes `it` from table + list and retires it; caller holds the
   /// stripe's mutex and has verified `it` is the current table entry.
   void RemoveLocked(Stripe& s, Item* it);
+
+  /// Set's body for a key already hashed to `h`.
+  Status SetHashed(uint64_t h, std::string_view key, std::string_view value,
+                   uint32_t ttl_seconds);
 
   uint64_t HashKey(std::string_view key) const;
   uint64_t ExpireAt(uint32_t ttl_seconds) const;

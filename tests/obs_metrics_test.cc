@@ -577,6 +577,7 @@ TEST(ExportTest, EveryMetricOncePerFormat) {
   s.sweep_runs = 19;
   s.evictions_capacity = 20;
   s.evictions_pressure = 21;
+  s.evictions_spared = 26;
   s.hash_collisions = 22;
   s.items = 23;
   s.bytes = 24;
@@ -606,8 +607,8 @@ TEST(ExportTest, EveryMetricOncePerFormat) {
       "protocol_errors", "http_requests", "bytes_read", "bytes_written",
       "get_hits", "get_misses", "mget_keys", "batched_lookups",
       "expired_lazy", "expired_swept", "sweep_runs", "evictions_capacity",
-      "evictions_pressure", "hash_collisions", "items", "bytes",
-      "open_connections", "hit_ratio"};
+      "evictions_pressure", "evictions_spared", "hash_collisions", "items",
+      "bytes", "open_connections", "hit_ratio"};
   std::vector<std::string> table_names = table_scalars;
   table_names.insert(table_names.end(), table_histograms.begin(),
                      table_histograms.end());

@@ -6,10 +6,14 @@
 // threads. Afterwards the test demands exact bookkeeping: the item-layer
 // invariants hold and the live-item count equals what a full sweep of the
 // keyspace finds, modulo only the pressure evictions the store reported.
+// A second case drives the ItemStore directly: readers mark items while
+// writers overfill a growth-off store, so eviction spares and relinks the
+// very items the readers are marking.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -19,6 +23,7 @@
 
 #include "src/common/rng.h"
 #include "src/server/client.h"
+#include "src/server/item_store.h"
 #include "src/server/server.h"
 
 namespace mccuckoo {
@@ -35,6 +40,12 @@ std::string OwnedKey(int conn, int i) {
   key += '-';
   key += std::to_string(i);
   return key;
+}
+
+std::string ValueOf(int i) {
+  std::string value = "v";
+  value += std::to_string(i);
+  return value;
 }
 
 TEST(ServerStressTest, PipelinedConnectionsThroughGrowth) {
@@ -199,6 +210,109 @@ TEST(ServerStressTest, PipelinedConnectionsThroughGrowth) {
 
   server.Stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(ServerStressTest, ReadMarkingRacesSparingEviction) {
+  // Readers raise access counts through Get and GetBatch, without a lock,
+  // while writers SET into a capped growth-off store (every stash landing
+  // walks a stripe, sparing and relinking marked items) and DEL every
+  // third key a little after setting it.
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 2;
+  constexpr int kKeys = 3000;
+  constexpr int kDelLag = 16;
+  ItemStoreOptions options;
+  options.initial_slots = 1 << 11;  // Overfilled several times over.
+  options.shards = 2;
+  options.growth_enabled = false;
+  ItemStore store(options);
+
+  std::array<std::atomic<int>, kWriters> progress{};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kKeys; ++i) {
+        if (!store.Set(OwnedKey(w, i), ValueOf(i), 0).ok()) {
+          failures.fetch_add(1);
+        }
+        progress[w].store(i + 1, std::memory_order_release);
+        const int d = i - kDelLag;
+        if (d >= 0 && d % 3 == 0) store.Del(OwnedKey(w, d));
+      }
+      for (int d = std::max(0, kKeys - kDelLag); d < kKeys; ++d) {
+        if (d % 3 == 0) store.Del(OwnedKey(w, d));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Xoshiro256 rng(77 + static_cast<uint64_t>(r));
+      std::vector<std::string> keys;
+      std::vector<std::string_view> views;
+      std::vector<std::string> values;
+      std::vector<uint8_t> found;
+      std::string value;
+      const auto pick = [&](int* idx) {
+        const int w = static_cast<int>(rng.Below(kWriters));
+        const int n = progress[w].load(std::memory_order_acquire);
+        // Recent keys are the likeliest to be live, hence to be marked.
+        *idx = n == 0 ? 0 : n - 1 - static_cast<int>(rng.Below(
+                                        static_cast<uint64_t>(std::min(n, 64))));
+        return OwnedKey(w, *idx);
+      };
+      while (writers_left.load(std::memory_order_relaxed) > 0) {
+        int idx = 0;
+        const std::string key = pick(&idx);
+        if (store.Get(key, &value) && value != ValueOf(idx)) {
+          failures.fetch_add(1);
+        }
+        keys.clear();
+        std::vector<int> idxs;
+        for (int k = 0; k < 8; ++k) {
+          keys.push_back(pick(&idx));
+          idxs.push_back(idx);
+        }
+        views.assign(keys.begin(), keys.end());
+        store.GetBatch(views, &values, &found);
+        for (size_t k = 0; k < keys.size(); ++k) {
+          if (found[k] && values[k] != ValueOf(idxs[k])) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_TRUE(store.CheckInvariants().ok());
+
+  // Same accounting as the server case: the only removals besides DEL are
+  // the pressure evictions the store counted.
+  uint64_t found_owned = 0;
+  uint64_t found_deleted = 0;
+  std::string value;
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeys; ++i) {
+      if (!store.Get(OwnedKey(w, i), &value)) continue;
+      ++(i % 3 == 0 ? found_deleted : found_owned);
+    }
+  }
+  const ServerMetricsSnapshot snap = store.MetricsSnapshot();
+  const uint64_t expected_live =
+      static_cast<uint64_t>(kWriters) * (kKeys - (kKeys + 2) / 3);
+  EXPECT_EQ(found_deleted, 0u);
+  EXPECT_EQ(store.items(), found_owned);
+  EXPECT_LE(found_owned, expected_live);
+  EXPECT_GT(snap.evictions_pressure, 0u);
+  EXPECT_GT(snap.evictions_spared, 0u);
+  EXPECT_GE(found_owned + snap.evictions_pressure, expected_live);
+
+  // Every retired item is reclaimable once no guard is held.
+  store.ReclaimRetired();
+  EXPECT_EQ(store.ReclaimRetired(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // clock — no test here ever sleeps; time moves only when the test advances
 // it. Also covers the byte/item tallies and structural invariants after
 // every sequence, since expiry and eviction are exactly where a tally can
-// silently drift from the table.
+// silently drift from the table. The eviction-rule cases put every key on
+// one stripe, so the victim order is the documented one, not a mix of
+// stripes.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,43 @@
 
 namespace mccuckoo {
 namespace server {
+
+/// Reaches the store's stripe map, item access counts and a Set with a
+/// chosen key hash (the only way to make two keys collide in 64 bits).
+class ItemStoreTestPeer {
+ public:
+  static uint64_t Hash(const ItemStore& store, std::string_view key) {
+    return store.HashKey(key);
+  }
+
+  /// The first `n` keys "<prefix><i>" that share the stripe of key 0.
+  static std::vector<std::string> SameStripeKeys(const ItemStore& store,
+                                                 const std::string& prefix,
+                                                 size_t n) {
+    const size_t stripe = ItemStore::StripeOf(Hash(store, prefix + "0"));
+    std::vector<std::string> keys;
+    for (int i = 0; keys.size() < n; ++i) {
+      std::string key = prefix + std::to_string(i);
+      if (ItemStore::StripeOf(Hash(store, key)) == stripe) keys.push_back(key);
+    }
+    return keys;
+  }
+
+  /// Access count of the item the table holds under hash `h`; -1 if none.
+  static int Hits(ItemStore& store, uint64_t h) {
+    uint64_t pv = 0;
+    if (!store.table().Find(h, &pv)) return -1;
+    return reinterpret_cast<const ItemStore::Item*>(pv)->hits.load();
+  }
+  static int Hits(ItemStore& store, std::string_view key) {
+    return Hits(store, Hash(store, key));
+  }
+
+  static Status SetWithHash(ItemStore& store, uint64_t h, std::string_view key,
+                            std::string_view value) {
+    return store.SetHashed(h, key, value, 0);
+  }
+};
 
 namespace {
 
@@ -237,7 +276,8 @@ TEST_F(TtlTest, PressureEvictionWhenGrowthCapped) {
     }
     EXPECT_GT(store->metrics().evictions_pressure.Value(), 0u);
     EXPECT_TRUE(store->CheckInvariants().ok());
-    // Recent keys should still be retrievable (FIFO evicts the oldest).
+    // Recent keys should still be retrievable: nothing read them, so the
+    // victims were each stripe's oldest.
     std::string value;
     EXPECT_TRUE(store->Get("key1999", &value));
   });
@@ -276,6 +316,192 @@ TEST_F(TtlTest, OverwriteOfStashedItemsUnlinksTheOldItem) {
       EXPECT_EQ(value, "new!");
     }
     EXPECT_TRUE(store->CheckInvariants().ok());
+  });
+}
+
+TEST_F(TtlTest, PressureEvictionSparesAReadItem) {
+  // One stripe, a tiny growth-off table: the first stash landing evicts two
+  // items. The oldest item was read, so it is spared (moved to the tail)
+  // and the next two unread items go instead.
+  ItemStoreOptions options;
+  options.initial_slots = 64;
+  options.shards = 1;
+  options.growth_enabled = false;
+  WithStore(options, [&](ItemStore* store) {
+    const std::vector<std::string> keys =
+        ItemStoreTestPeer::SameStripeKeys(*store, "p", 400);
+    std::string value;
+    ASSERT_TRUE(store->Set(keys[0], "v", 0).ok());
+    ASSERT_TRUE(store->Get(keys[0], &value));
+    size_t landed = 0;  // Index of the SET whose stash landing evicted.
+    for (size_t i = 1; i < keys.size() && landed == 0; ++i) {
+      ASSERT_TRUE(store->Set(keys[i], "v", 0).ok());
+      if (store->metrics().evictions_pressure.Value() != 0) landed = i;
+    }
+    ASSERT_GT(landed, 2u) << "no stash landing";
+    EXPECT_EQ(store->metrics().evictions_pressure.Value(), 2u);
+    EXPECT_EQ(store->metrics().evictions_spared.Value(), 1u);
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, keys[0]), 0);
+    EXPECT_FALSE(store->Get(keys[1], &value));
+    EXPECT_FALSE(store->Get(keys[2], &value));
+    for (size_t i = 3; i <= landed; ++i) {
+      EXPECT_TRUE(store->Get(keys[i], &value)) << i;
+    }
+    EXPECT_TRUE(store->Get(keys[0], &value));
+    EXPECT_TRUE(store->CheckInvariants().ok());
+  });
+}
+
+TEST_F(TtlTest, CapacityEvictionSparesAReadItem) {
+  // max_bytes fits four 10-byte payloads; the fifth SET evicts one item.
+  // The oldest was read, so the second-oldest goes.
+  ItemStoreOptions options;
+  options.shards = 1;
+  options.max_bytes = 40;
+  WithStore(options, [&](ItemStore* store) {
+    const std::vector<std::string> keys =
+        ItemStoreTestPeer::SameStripeKeys(*store, "c", 5);
+    const auto value_for = [](const std::string& key) {
+      return std::string(10 - key.size(), 'v');
+    };
+    for (size_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store->Set(keys[i], value_for(keys[i]), 0).ok());
+    }
+    std::string value;
+    ASSERT_TRUE(store->Get(keys[0], &value));
+    ASSERT_TRUE(store->Set(keys[4], value_for(keys[4]), 0).ok());
+    EXPECT_EQ(store->metrics().evictions_capacity.Value(), 1u);
+    EXPECT_EQ(store->metrics().evictions_spared.Value(), 1u);
+    EXPECT_EQ(store->bytes(), 40u);
+    EXPECT_FALSE(store->Get(keys[1], &value));
+    for (const size_t i : {0, 2, 3, 4}) {
+      EXPECT_TRUE(store->Get(keys[i], &value)) << i;
+    }
+    EXPECT_TRUE(store->CheckInvariants().ok());
+  });
+}
+
+TEST_F(TtlTest, FullyMarkedStripeEvictsExactlyN) {
+  // Every item on the stripe was read once. EvictOldest(2) spares each of
+  // them once, which brings the oldest back to the head at count 0, so it
+  // still evicts exactly two (the two oldest) and returns; the survivors
+  // end one count lower.
+  ItemStoreOptions options;
+  options.shards = 1;
+  WithStore(options, [&](ItemStore* store) {
+    const std::vector<std::string> keys =
+        ItemStoreTestPeer::SameStripeKeys(*store, "m", 5);
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(store->Set(key, "v", 0).ok());
+    }
+    // A batched read marks as a single GET does.
+    const std::vector<std::string_view> views(keys.begin(), keys.end());
+    std::vector<std::string> values;
+    std::vector<uint8_t> found;
+    ASSERT_EQ(store->GetBatch(views, &values, &found), keys.size());
+    EXPECT_EQ(store->EvictOldest(2, /*pressure=*/false), 2u);
+    EXPECT_EQ(store->metrics().evictions_spared.Value(), keys.size());
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, keys[0]), -1);
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, keys[1]), -1);
+    for (size_t i = 2; i < keys.size(); ++i) {
+      EXPECT_EQ(ItemStoreTestPeer::Hits(*store, keys[i]), 0) << i;
+    }
+    EXPECT_EQ(store->items(), keys.size() - 2);
+    EXPECT_TRUE(store->CheckInvariants().ok());
+  });
+}
+
+TEST_F(TtlTest, SetUpdateCarriesTheCountACollisionDoesNot) {
+  ItemStoreOptions options;
+  options.shards = 1;
+  WithStore(options, [&](ItemStore* store) {
+    const std::vector<std::string> keys =
+        ItemStoreTestPeer::SameStripeKeys(*store, "u", 3);
+    const std::string& a = keys[0];
+    std::string value;
+    // An update counts as an access and inherits the old count, capped at
+    // three.
+    ASSERT_TRUE(store->Set(a, "v", 0).ok());
+    ASSERT_TRUE(store->Get(a, &value));
+    ASSERT_TRUE(store->Set(a, "v2", 0).ok());
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, a), 2);
+    ASSERT_TRUE(store->Set(a, "v3", 0).ok());
+    ASSERT_TRUE(store->Set(a, "v4", 0).ok());
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, a), 3);
+    ASSERT_TRUE(store->Del(a));
+
+    // Order a, b, a' (update), c: FIFO would evict b and a'. The update's
+    // count spares a' once, so b and c go.
+    ASSERT_TRUE(store->Set(a, "v", 0).ok());
+    ASSERT_TRUE(store->Set(keys[1], "v", 0).ok());
+    ASSERT_TRUE(store->Set(a, "v2", 0).ok());
+    ASSERT_TRUE(store->Set(keys[2], "v", 0).ok());
+    EXPECT_EQ(store->EvictOldest(2, /*pressure=*/true), 2u);
+    EXPECT_TRUE(store->Get(a, &value));
+    EXPECT_EQ(value, "v2");
+    EXPECT_FALSE(store->Get(keys[1], &value));
+    EXPECT_FALSE(store->Get(keys[2], &value));
+
+    // A different key with a's 64-bit hash replaces it but starts unread.
+    const uint64_t h = ItemStoreTestPeer::Hash(*store, a);
+    ASSERT_GT(ItemStoreTestPeer::Hits(*store, h), 0);
+    ASSERT_TRUE(ItemStoreTestPeer::SetWithHash(*store, h, "other", "x").ok());
+    EXPECT_EQ(store->metrics().hash_collisions.Value(), 1u);
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, h), 0);
+    EXPECT_FALSE(store->Get(a, &value));
+    EXPECT_EQ(store->items(), 1u);
+    EXPECT_TRUE(store->CheckInvariants().ok());
+  });
+}
+
+TEST_F(TtlTest, DelTouchAndLazyExpiryIgnoreTheRule) {
+  // TOUCH does not mark, a read count does not shield an item from expiry
+  // or DEL, and an expired read marks nothing.
+  ItemStoreOptions options;
+  options.shards = 1;
+  WithStore(options, [&](ItemStore* store) {
+    const std::vector<std::string> keys =
+        ItemStoreTestPeer::SameStripeKeys(*store, "d", 5);
+    ASSERT_TRUE(store->Set(keys[0], "v", 100).ok());
+    ASSERT_TRUE(store->Set(keys[1], "v", 100).ok());
+    ASSERT_TRUE(store->Set(keys[2], "v", 5).ok());
+    ASSERT_TRUE(store->Set(keys[3], "v", 0).ok());
+    ASSERT_TRUE(store->Set(keys[4], "v", 5).ok());
+    std::string value;
+    ASSERT_TRUE(store->Get(keys[0], &value));
+    ASSERT_TRUE(store->Get(keys[4], &value));
+    EXPECT_TRUE(store->Touch(keys[1], 200));
+    EXPECT_EQ(ItemStoreTestPeer::Hits(*store, keys[1]), 0);
+
+    Advance(6);  // keys[2] and the read keys[4] expire.
+    EXPECT_FALSE(store->Get(keys[2], &value));
+    EXPECT_EQ(store->metrics().expired_lazy.Value(), 1u);
+    EXPECT_FALSE(store->Touch(keys[4], 100));
+    EXPECT_EQ(store->metrics().expired_lazy.Value(), 2u);
+
+    // Stripe order keys[0] (read), keys[1] (touched), keys[3].
+    EXPECT_EQ(store->EvictOldest(1, /*pressure=*/false), 1u);
+    EXPECT_EQ(store->metrics().evictions_spared.Value(), 1u);
+    EXPECT_FALSE(store->Get(keys[1], &value));
+    EXPECT_TRUE(store->Del(keys[0]));
+    EXPECT_FALSE(store->Get(keys[0], &value));
+    EXPECT_EQ(store->items(), 1u);
+    EXPECT_TRUE(store->CheckInvariants().ok());
+  });
+}
+
+TEST_F(TtlTest, KeyLongerThanTheProtocolLimitIsRejected) {
+  // An item stores its key length in 16 bits; the store takes the keys the
+  // protocol accepts and refuses longer ones instead of truncating.
+  WithStore({}, [&](ItemStore* store) {
+    const std::string longest(kMaxKeyLen, 'k');
+    ASSERT_TRUE(store->Set(longest, "v", 0).ok());
+    std::string value;
+    EXPECT_TRUE(store->Get(longest, &value));
+    const Status s = store->Set(std::string(kMaxKeyLen + 1, 'k'), "v", 0);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(store->items(), 1u);
+    EXPECT_EQ(store->bytes(), kMaxKeyLen + 1);
   });
 }
 
