@@ -30,7 +30,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "src/common/bits.h"
@@ -39,7 +38,6 @@
 #include "src/core/bucket_header.h"
 #include "src/core/config.h"
 #include "src/core/counter_array.h"
-#include "src/core/eviction.h"
 #include "src/core/table_skeleton.h"
 #include "src/hash/hash_family.h"
 #include "src/obs/metrics.h"
@@ -71,24 +69,9 @@ class BlockedMcCuckooTable
 
 
  private:
-  // Nested aggregates are defined before the operations: the
-  // candidate-reusing member signatures below mention them.
   using typename Base::Candidates;
+  using typename Base::CopySet;
   using typename Base::ProbeResult;
-
-  /// A (sub-table, bucket, slot) position, held as (bucket index, slot).
-  struct Position {
-    size_t bucket = 0;
-    uint32_t slot = 0;
-    bool operator==(const Position& o) const {
-      return bucket == o.bucket && slot == o.slot;
-    }
-  };
-
-  struct CopySet {
-    std::array<Position, kMaxHashes> pos;
-    uint32_t count = 0;
-  };
 
  public:
   /// The configuration conditions Create() reports as Status. The
@@ -129,19 +112,9 @@ class BlockedMcCuckooTable
   const char* probe_variant() const { return probe_simd_ ? "simd" : "scalar"; }
 
  private:
-  using Base::AlternateBuckets;
-  using Base::ClaimAlternates;
-  using Base::ComputeCandidates;
-  using Base::kick_history_;
-  using Base::kNoBucket;
   using Base::opts_;
-  using Base::redundant_writes_;
-  using Base::rng_;
-  using Base::size_;
   using Base::StashEmpty;
-  using Base::StashOverflow;
   using Base::stats_;
-  using typename Base::ChainStats;
 
   static constexpr const char* kName = "BlockedMcCuckooTable";
   /// Bucket headers keep a key's whole 8-bit fingerprint.
@@ -151,6 +124,23 @@ class BlockedMcCuckooTable
 
   const Slot& RecordAt(size_t idx) const { return mem_.slots[idx]; }
   Slot& RecordAt(size_t idx) { return mem_.slots[idx]; }
+  uint32_t SlotsPerBucket() const { return opts_.slots_per_bucket; }
+
+  /// The record every copy of a placed key shares: its hints name the
+  /// slot of each of the `n` copies in `slots` (global slot indices), by
+  /// sub-table.
+  Slot CopyRecord(const Key& key, const Value& value, const size_t* slots,
+                  uint32_t n) const {
+    const uint32_t l = opts_.slots_per_bucket;
+    Slot record;
+    record.key = key;
+    record.value = value;
+    for (uint32_t i = 0; i < n; ++i) {
+      record.hint[slots[i] / l / opts_.buckets_per_table] =
+          static_cast<uint8_t>(slots[i] % l);
+    }
+    return record;
+  }
 
   /// Batch stage 1's and scalar writes' prefetches (see
   /// TableSkeleton::StageCandidates and StageWriteCandidates):
@@ -276,168 +266,28 @@ class BlockedMcCuckooTable
     return r;
   }
 
-  size_t SlotIndex(const Position& p) const {
-    return p.bucket * opts_.slots_per_bucket + p.slot;
-  }
-
-  size_t BucketOf(size_t slot) const { return slot / opts_.slots_per_bucket; }
-
-  Position PositionOf(size_t slot) const {
-    const uint32_t l = opts_.slots_per_bucket;
-    return Position{slot / l, static_cast<uint32_t>(slot % l)};
-  }
-
-  /// A record for (key, value) whose only hint names its own position.
-  Slot SoleRecord(const Key& key, const Value& value, const Position& p) const {
-    Slot record;
-    record.key = key;
-    record.value = value;
-    record.hint[p.bucket / opts_.buckets_per_table] =
-        static_cast<uint8_t>(p.slot);
-    return record;
-  }
-
   /// Fetches a whole bucket: one off-chip access regardless of l ([33]).
   void ChargeBucketRead() const { ++stats_->offchip_reads; }
 
-  // --- the write engine (one per layout, compiled per writer context) -----
+  // --- Copy location (the skeleton's placement and eviction call it) -------
 
-  /// Writes one slot (record + hints share the slot's memory word) and
-  /// its header tag `tag` in the same seqlock window, so readers never see
-  /// a fresh key behind a stale fingerprint. The tag store is layout
-  /// state, not a modeled access (uncharged).
-  template <typename Ctx>
-  void WriteSlot(Ctx& ctx, const Position& p, const Slot& record,
-                 uint8_t tag) {
-    ctx.Open(p.bucket);
-    ctx.Charge(&AccessStats::offchip_writes);
-    const size_t idx = SlotIndex(p);
-    mem_.slots[idx] = record;
-    ctx.SetTag(idx, tag);
-  }
-
-  /// Algorithm 1's placement phases, decided entirely on-chip before any
-  /// write. Returns the number of copies placed (0 = none). A victim whose
-  /// other copies another writer holds is skipped; the caller restarts
-  /// when that leaves a non-sole-copy candidate unplaced.
-  template <typename Ctx>
-  uint32_t TryPlace(Ctx& ctx, const Key& key, const Value& value,
-                    const Candidates& cand) {
-    const uint32_t d = opts_.num_hashes;
-    const uint32_t l = opts_.slots_per_bucket;
-
-    std::array<Position, kMaxHashes> placed{};
-    std::array<bool, kMaxHashes> bucket_taken{};
-    uint32_t n_placed = 0;
-
-    // Phase 1: one copy into an empty slot of every candidate bucket.
-    for (uint32_t t = 0; t < d; ++t) {
-      for (uint32_t s = 0; s < l; ++s) {
-        const Position p{cand.bucket[t], s};
-        if (ctx.Counter(mem_.counters, SlotIndex(p)) == 0) {
-          placed[n_placed++] = p;
-          bucket_taken[t] = true;
-          break;
-        }
-      }
-    }
-
-    // Phase 2: overwrite redundant copies, most-redundant victim first,
-    // while the victim keeps a two-copy lead (V >= n_placed + 2). Counters
-    // are re-read per round (one insert can hit the same victim twice).
-    while (n_placed < d) {
-      int best_t = -1;
-      Position best_pos{};
-      uint64_t best_v = 0;
-      uint64_t best_sum = 0;
-      for (uint32_t t = 0; t < d; ++t) {
-        if (bucket_taken[t]) continue;
-        uint64_t sum = 0;
-        uint64_t bucket_best_v = 0;
-        uint32_t bucket_best_s = 0;
-        for (uint32_t s = 0; s < l; ++s) {
-          const uint64_t c =
-              ctx.Counter(mem_.counters, cand.bucket[t] * l + s);
-          sum += c;
-          if (c > bucket_best_v) {
-            bucket_best_v = c;
-            bucket_best_s = s;
-          }
-        }
-        // Bucket availability is judged by the counter sum (§III.G); the
-        // victim inside it is the highest-counter slot.
-        if (bucket_best_v > best_v ||
-            (bucket_best_v == best_v && sum > best_sum)) {
-          best_v = bucket_best_v;
-          best_sum = sum;
-          best_t = static_cast<int>(t);
-          best_pos = Position{cand.bucket[t], bucket_best_s};
-        }
-      }
-      if (best_t < 0 || best_v < 2 || best_v < n_placed + 2) break;
-      bucket_taken[best_t] = true;
-      if (OverwriteRedundantCopy(ctx, best_pos, best_v)) {
-        placed[n_placed++] = best_pos;
-      }
-    }
-
-    if (n_placed == 0) return 0;
-    // Write the record once per placed copy (hints included) and set the
-    // copies' counters.
-    Slot record;
-    record.key = key;
-    record.value = value;
-    for (uint32_t i = 0; i < n_placed; ++i) {
-      record.hint[placed[i].bucket / opts_.buckets_per_table] =
-          static_cast<uint8_t>(placed[i].slot);
-    }
-    for (uint32_t i = 0; i < n_placed; ++i) {
-      WriteSlot(ctx, placed[i], record, cand.tag);  // opens the stripe
-      ctx.SetCounter(SlotIndex(placed[i]), n_placed);
-    }
-    ctx.Add(redundant_writes_, n_placed - 1);
-    return n_placed;
-  }
-
-  /// Displaces the redundant copy at `victim` (counter `v` >= 2): reads its
-  /// bucket to learn the victim's key and hints, then decrements the
-  /// victim's other copies. The slot itself is left for the caller to
-  /// overwrite. Fails, before any mutation, when another writer holds one
-  /// of those copies.
-  template <typename Ctx>
-  bool OverwriteRedundantCopy(Ctx& ctx, const Position& victim, uint64_t v) {
-    assert(v >= 2);
-    ctx.Charge(&AccessStats::offchip_reads);
-    const size_t idx = SlotIndex(victim);
-    const Slot record = mem_.slots[idx];
-    const std::array<size_t, kMaxHashes> alt =
-        AlternateBuckets(record.key, victim.bucket);
-    if (!ClaimAlternates(ctx, alt, victim.bucket)) return false;
-    const CopySet others =
-        LocateOtherCopies(ctx, record.key, mem_.counters.PeekTag(idx), alt,
-                          victim, v, record.hint);
-    for (uint32_t i = 0; i < others.count; ++i) {
-      ctx.Open(others.pos[i].bucket);
-      ctx.SetCounter(SlotIndex(others.pos[i]), v - 1);
-    }
-    return true;
-  }
-
-  /// Finds the v-1 positions besides `known` holding copies of `key`
+  /// Finds the v-1 slots besides `known_slot` holding copies of `key`
   /// (fingerprint `tag`, claimed candidate buckets `cand`, all counters
   /// equal v). Candidate slots are the value-v slots of the other
-  /// candidate buckets; buckets are resolved hint-first, and a bucket whose
-  /// remaining candidates must all be copies (pigeonhole) is not read.
+  /// candidate buckets; buckets are resolved first where the record in
+  /// `known_slot` hints a copy, and a bucket whose remaining candidates
+  /// must all be copies (pigeonhole) is not read.
   template <typename Ctx>
   CopySet LocateOtherCopies(Ctx& ctx, const Key& key, uint8_t tag,
                             const std::array<size_t, kMaxHashes>& cand,
-                            const Position& known, uint64_t v,
-                            const std::array<uint8_t, kMaxHashes>& hints) {
+                            size_t known_slot, uint64_t v) {
     const uint32_t d = opts_.num_hashes;
     const uint32_t l = opts_.slots_per_bucket;
+    const size_t known_bucket = known_slot / l;
+    const std::array<uint8_t, kMaxHashes>& hints = mem_.slots[known_slot].hint;
 
     // Group: candidate slots with counter == v, per bucket, excluding the
-    // bucket that contains `known` (one copy per bucket at most).
+    // bucket of `known_slot` (one copy per bucket at most).
     struct BucketGroup {
       size_t bucket;
       std::array<uint32_t, 8> slots;
@@ -450,7 +300,7 @@ class BlockedMcCuckooTable
     uint32_t total_slots = 0;
     for (int pass = 0; pass < 2; ++pass) {
       for (uint32_t t = 0; t < d; ++t) {
-        if (cand[t] == known.bucket) continue;
+        if (cand[t] == known_bucket) continue;
         if ((hints[t] != kNoHint) != (pass == 0)) continue;
         BucketGroup g{};
         g.bucket = cand[t];
@@ -481,18 +331,16 @@ class BlockedMcCuckooTable
         }
         if (single_slots) {
           for (uint32_t gj = gi; gj < n_groups; ++gj) {
-            out.pos[out.count++] = Position{groups[gj].bucket,
-                                              groups[gj].slots[0]};
+            out.pos[out.count++] = groups[gj].bucket * l + groups[gj].slots[0];
           }
           break;
         }
       }
       ctx.Charge(&AccessStats::offchip_reads);
       for (uint32_t i = 0; i < g.n_slots; ++i) {
-        const Position p{g.bucket, g.slots[i]};
-        const size_t idx = SlotIndex(p);
+        const size_t idx = g.bucket * l + g.slots[i];
         if (mem_.counters.PeekTag(idx) == tag && mem_.slots[idx].key == key) {
-          out.pos[out.count++] = p;
+          out.pos[out.count++] = idx;
           break;  // at most one copy per bucket
         }
       }
@@ -509,170 +357,11 @@ class BlockedMcCuckooTable
   template <typename Ctx>
   CopySet LocateAllCopies(Ctx& ctx, const Key& key, const Candidates& cand,
                           size_t known_slot) {
-    const Position known = PositionOf(known_slot);
-    CopySet out = LocateOtherCopies(ctx, key, cand.tag, cand.bucket, known,
-                                    ctx.Counter(mem_.counters, known_slot),
-                                    mem_.slots[known_slot].hint);
-    out.pos[out.count++] = known;
+    CopySet out = LocateOtherCopies(ctx, key, cand.tag, cand.bucket,
+                                    known_slot,
+                                    ctx.Counter(mem_.counters, known_slot));
+    out.pos[out.count++] = known_slot;
     return out;
-  }
-
-  /// Random walk at slot granularity, single writer only: eviction targets
-  /// are sole copies (all candidate slot counters are 1 when this is
-  /// reached). The victim bucket follows the configured policy — uniform
-  /// random, MinCounter's coldest, or bubbling's deterministic level cycle
-  /// — the slot within it is uniform. On maxloop overrun the in-hand item
-  /// gets one final placement attempt and is otherwise stashed — candidate
-  /// buckets provably all-ones.
-  template <typename Ctx>
-  InsertResult RandomWalkInsert(Ctx& ctx, Key key, Value value,
-                                uint32_t* chain_len_out) {
-    size_t exclude_bucket = kNoBucket;
-    int32_t from_level = -1;  // bubbling: level the in-hand item left
-    uint32_t chain = 0;
-    for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
-      Candidates cand = ComputeCandidates(key);
-      if (loop > 0 && TryPlace(ctx, key, value, cand) > 0) {
-        ctx.Add(size_, size_t{1});
-        *chain_len_out = chain;
-        return InsertResult::kInserted;
-      }
-      const uint32_t t =
-          opts_.eviction_policy == EvictionPolicy::kBubble
-              ? PickBubbleVictim(cand.bucket, opts_.num_hashes,
-                                 exclude_bucket, from_level)
-              : PickVictim(cand.bucket, opts_.num_hashes, exclude_bucket,
-                           kick_history_, rng_);
-      const uint32_t s =
-          static_cast<uint32_t>(rng_.Below(opts_.slots_per_bucket));
-      const Position p{cand.bucket[t], s};
-      ctx.Charge(&AccessStats::offchip_reads);
-      Slot victim = mem_.slots[SlotIndex(p)];
-      WriteSlot(ctx, p, SoleRecord(key, value, p), cand.tag);
-      // Counter stays 1: the slot still holds a sole copy.
-      ctx.Kick(cand.bucket[t]);
-      exclude_bucket = cand.bucket[t];
-      from_level = static_cast<int32_t>(t);
-      key = std::move(victim.key);
-      value = std::move(victim.value);
-      ++chain;
-    }
-    // The loop's last iteration evicted one more victim without giving the
-    // newly carried item a placement attempt of its own. Complete that step
-    // before stashing: otherwise an item with an empty or redundant
-    // candidate lands in the stash, and the kDisabled stash screen — which
-    // relies on every stashed key having seen all-ones counters — would
-    // veto that key's own lookups.
-    *chain_len_out = chain;
-    const Candidates cand = ComputeCandidates(key);
-    if (TryPlace(ctx, key, value, cand) > 0) {
-      ctx.Add(size_, size_t{1});
-      return InsertResult::kInserted;
-    }
-    return StashOverflow(ctx, key, value, cand, /*dead_end=*/false, 0);
-  }
-
-  /// Counter-aware BFS at slot granularity: a counter-0 slot is a free
-  /// terminal, a counter >= 2 slot a redundant one (displacing it only
-  /// decrements the occupant's other copies), a counter-1 slot an interior
-  /// node whose children are the occupant's alternate slots. Node ids are
-  /// global slot indices. Entered only when TryPlace placed nothing and
-  /// every candidate slot of the in-hand key holds a sole copy, so all d*l
-  /// candidate slots are valid interior roots. Expanding a node costs one
-  /// charged bucket fetch (occupant key + hints); the occupant's alternate
-  /// buckets are screened slot-by-slot entirely on-chip. Search, claim and
-  /// apply run as in McCuckooTable::BfsInsert.
-  template <typename Ctx>
-  InsertResult BfsInsert(Ctx& ctx, const Key& key, const Value& value,
-                         const Candidates& cand, ChainStats* chain) {
-    const uint32_t d = opts_.num_hashes;
-    const uint32_t l = opts_.slots_per_bucket;
-    std::array<uint64_t, kMaxHashes * 8> roots{};
-    uint32_t n_roots = 0;
-    for (uint32_t t = 0; t < d; ++t) {
-      for (uint32_t s = 0; s < l; ++s) {
-        roots[n_roots++] = static_cast<uint64_t>(cand.bucket[t] * l + s);
-      }
-    }
-    chain->budget = ctx.BfsBudget();
-    bool dead_end = false;
-    for (int attempt = 0; attempt < Ctx::kChainAttempts; ++attempt) {
-      BfsPathResult path;
-      {
-        SeqlockReadCritical crit;  // unclaimed buckets mutate underneath
-        path = BfsFindPath(
-            roots.data(), n_roots, chain->budget,
-            [&](uint64_t id, auto&& emit, auto&& terminal) {
-              const size_t slot_idx = static_cast<size_t>(id);
-              const size_t bucket = slot_idx / l;
-              ctx.Charge(&AccessStats::offchip_reads);  // one bucket fetch
-              const std::array<size_t, kMaxHashes> oc =
-                  AlternateBuckets(mem_.slots[slot_idx].key, bucket);
-              for (uint32_t t = 0; t < d; ++t) {
-                const size_t alt = oc[t];
-                if (alt == bucket) continue;
-                for (uint32_t s = 0; s < l; ++s) {
-                  const size_t alt_idx = alt * l + s;
-                  if (ctx.Counter(mem_.counters, alt_idx) != 1) {
-                    terminal(alt_idx);  // 0 = free, >= 2 = redundant copy
-                    return;
-                  }
-                  // The child is expanded a few iterations from now:
-                  // fetching it here overlaps the whole frontier's DRAM
-                  // latency.
-                  __builtin_prefetch(&mem_.slots[alt_idx], 0, 1);
-                  emit(alt_idx);
-                }
-              }
-            });
-      }
-      chain->nodes += path.nodes_expanded;
-      ctx.ObserveBfs(path.found);
-      if (!path.found) {
-        dead_end = true;
-        break;
-      }
-      const size_t mark = ctx.Mark();
-      bool applied = ctx.ClaimChain(path);
-      const size_t terminal = static_cast<size_t>(path.terminal);
-      const uint64_t term_v =
-          applied ? mem_.counters.PeekCounter(terminal) : 0;
-      applied = applied && term_v != 1;  // else no longer a terminal
-      // Apply backward: the last interior occupant moves into the
-      // terminal, each predecessor into its successor, the new key into
-      // the root. A relocated occupant is a sole copy, so its record is
-      // rewritten with a fresh hint set pointing only at its new position.
-      size_t dst = terminal;
-      for (size_t i = path.node.size(); applied && i-- > 0;) {
-        const size_t src = static_cast<size_t>(path.node[i]);
-        const Position dst_pos = PositionOf(dst);
-        const Slot& moved = mem_.slots[src];  // read during the search
-        if (dst == terminal && term_v >= 2) {
-          // Redundant terminal: displace one copy of the occupant, which
-          // decrements its other copies' counters (zero relocations).
-          applied = OverwriteRedundantCopy(ctx, dst_pos, term_v);
-          if (!applied) break;
-        }
-        WriteSlot(ctx, dst_pos, SoleRecord(moved.key, moved.value, dst_pos),
-                  mem_.counters.PeekTag(src));  // opens the bucket's stripe
-        if (dst == terminal) {
-          ctx.SetCounter(dst, 1);  // the moved item is a sole copy
-        }
-        // Interior destinations already held a sole copy: counter stays 1.
-        ctx.Kick(src / l);
-        dst = src;
-      }
-      if (applied) {
-        const Position root = PositionOf(path.node.front());
-        WriteSlot(ctx, root, SoleRecord(key, value, root), cand.tag);
-        ctx.Add(size_, size_t{1});
-        chain->len = static_cast<uint32_t>(path.node.size());
-        return InsertResult::kInserted;
-      }
-      ctx.Release(mark);
-      std::this_thread::yield();
-    }
-    return StashOverflow(ctx, key, value, cand, dead_end, chain->nodes);
   }
 
   /// The reader-visible storage: slots, per-bucket stash flags and bucket

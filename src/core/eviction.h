@@ -207,7 +207,12 @@ struct Node {
 /// when it outgrows every earlier one on the thread. `seen` is an
 /// open-addressed set of the enqueued ids (linear probing, at most half
 /// full); a slot counts as occupied only when it carries the current
-/// search's stamp, so starting a search clears nothing.
+/// search's stamp, so starting a search clears nothing. `nodes` is kept
+/// at half the set's size, so its first `count` entries (the enqueued
+/// nodes) never outgrow it between two rebuilds, and an enqueue is a plain
+/// store: with a vector push_back, GCC left the growth path's call in the
+/// search loop of some units (measured in EXPERIMENTS.md, "One write
+/// engine for both layouts").
 struct SearchStorage {
   struct Slot {
     uint64_t id;
@@ -215,13 +220,14 @@ struct SearchStorage {
   };
 
   std::vector<Node> nodes;
+  size_t count = 0;
   std::vector<Slot> seen;
   std::vector<uint64_t> chain;
   uint32_t stamp = 0;
   uint32_t shift = 64;
 
   void Begin() {
-    nodes.clear();
+    count = 0;
     if (seen.empty()) {
       Rebuild(128);
     } else if (++stamp == 0) {  // wrapped: forget every old stamp
@@ -231,8 +237,8 @@ struct SearchStorage {
 
   /// Appends (id, parent) unless this search already enqueued `id`.
   void Enqueue(uint64_t id, int32_t parent) {
-    if (2 * (nodes.size() + 1) > seen.size()) Rebuild(2 * seen.size());
-    if (Insert(id)) nodes.push_back({id, parent});
+    if (2 * (count + 1) > seen.size()) Rebuild(2 * seen.size());
+    if (Insert(id)) nodes[count++] = Node{id, parent};
   }
 
  private:
@@ -249,13 +255,15 @@ struct SearchStorage {
     }
   }
 
-  /// Resets the set to `cap` (a power of two) empty slots under stamp 1
-  /// and re-adds the ids this search has enqueued so far.
+  /// Resets the set to `cap` (a power of two) empty slots under stamp 1,
+  /// sizes `nodes` to match, and re-adds the ids this search has enqueued
+  /// so far.
   void Rebuild(size_t cap) {
     seen.assign(cap, Slot{0, 0});
+    nodes.resize(cap / 2);
     shift = 64 - static_cast<uint32_t>(std::countr_zero(cap));
     stamp = 1;
-    for (const Node& n : nodes) Insert(n.id);
+    for (size_t i = 0; i < count; ++i) Insert(nodes[i].id);
   }
 };
 
@@ -291,17 +299,17 @@ BfsPathResult BfsFindPath(const uint64_t* roots, uint32_t n_roots,
   storage.Begin();
   const std::vector<bfs_internal::Node>& nodes = storage.nodes;
   BfsPathResult out;
-  for (uint32_t i = 0; i < n_roots && nodes.size() < max_nodes; ++i) {
+  for (uint32_t i = 0; i < n_roots && storage.count < max_nodes; ++i) {
     storage.Enqueue(roots[i], -1);
   }
-  for (size_t head = 0; head < nodes.size(); ++head) {
+  for (size_t head = 0; head < storage.count; ++head) {
     ++out.nodes_expanded;
     bool found_terminal = false;
     uint64_t terminal = 0;
     expand(
         nodes[head].id,
         [&](uint64_t child) {
-          if (nodes.size() < max_nodes) {
+          if (storage.count < max_nodes) {
             storage.Enqueue(child, static_cast<int32_t>(head));
           }
         },

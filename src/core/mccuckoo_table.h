@@ -34,10 +34,10 @@
 // candidates — by pigeonhole inference when the partition has exactly V
 // members, by further reads otherwise. See LocateOtherCopies().
 //
-// The write engine (TryPlace, LocateOtherCopies, RandomWalkInsert,
-// BfsInsert) is written once against a writer context and compiled for the
-// single writer and for the striped multi-writer protocol; see
-// TableSkeleton's "Writer contexts".
+// Placement, redundant-copy displacement, the random walk and the BFS are
+// TableSkeleton's, written once at slot granularity for both layouts (here
+// l = 1: a slot is its bucket); this layout supplies the storage, the
+// probe and the pigeonhole copy location behind them.
 
 
 #ifndef MCCUCKOO_CORE_MCCUCKOO_TABLE_H_
@@ -47,16 +47,13 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "src/common/prefetch.h"
 #include "src/common/status.h"
 #include "src/core/config.h"
 #include "src/core/counter_array.h"
-#include "src/core/eviction.h"
 #include "src/core/growth.h"
-#include "src/core/seqlock.h"
 #include "src/core/table_skeleton.h"
 #include "src/hash/hash_family.h"
 #include "src/obs/metrics.h"
@@ -93,13 +90,9 @@ class McCuckooTable
   // Nested aggregates are defined before the operations: the
   // candidate-reusing member signatures below mention them.
   using typename Base::Candidates;
+  using typename Base::CopySet;
   using typename Base::ProbeResult;
 
-  /// Up to d global indices holding copies of one key.
-  struct CopySet {
-    std::array<size_t, kMaxHashes> pos;
-    uint32_t count = 0;
-  };
 
  public:
   /// The configuration conditions Create() reports as Status. The
@@ -135,22 +128,13 @@ class McCuckooTable
   const char* probe_variant() const { return "scalar"; }
 
  private:
-  using Base::AlternateBuckets;
-  using Base::ClaimAlternates;
   using Base::CommitRehash;
-  using Base::ComputeCandidates;
-  using Base::kick_history_;
-  using Base::kNoBucket;
   using Base::opts_;
-  using Base::redundant_writes_;
-  using Base::rng_;
   using Base::ScratchRebuild;
   using Base::size_;
   using Base::stash_;
   using Base::StashEmpty;
-  using Base::StashOverflow;
   using Base::stats_;
-  using typename Base::ChainStats;
 
   static constexpr const char* kName = "McCuckooTable";
   /// The counter byte keeps the low nibble of a key's 8-bit fingerprint.
@@ -160,9 +144,14 @@ class McCuckooTable
 
   const Bucket& RecordAt(size_t idx) const { return mem_.table[idx]; }
   Bucket& RecordAt(size_t idx) { return mem_.table[idx]; }
-  /// A copy set entry is already a global slot (= bucket) index.
-  static size_t SlotIndex(size_t idx) { return idx; }
-  static size_t BucketOf(size_t slot) { return slot; }
+  /// One slot per bucket, as a constant: the skeleton's in-bucket loops
+  /// fold away and a global slot index is the bucket index.
+  static constexpr uint32_t SlotsPerBucket() { return 1; }
+  /// The record every copy of a placed key shares (no hints here).
+  static Bucket CopyRecord(const Key& key, const Value& value, const size_t*,
+                           uint32_t) {
+    return Bucket{key, value};
+  }
 
   /// Batch stage 1's and scalar writes' prefetches (see
   /// TableSkeleton::StageCandidates and StageWriteCandidates).
@@ -292,104 +281,7 @@ class McCuckooTable
                            : Base::Grow(d);
   }
 
-  // --- the write engine (one per layout, compiled per writer context) -----
-
-  /// Writes (key, value) into bucket `idx` with its fingerprint `tag` (the
-  /// caller already holds it: Candidates::tag for the inserted key, the
-  /// stored nibble for a moved occupant), in the bucket's seqlock window.
-  /// The bucket's stash flag, kept apart, is sticky: occupant changes leave
-  /// it as it is.
-  template <typename Ctx>
-  void Store(Ctx& ctx, size_t idx, const Key& key, const Value& value,
-             uint8_t tag) {
-    ctx.Open(idx);
-    ctx.Charge(&AccessStats::offchip_writes);
-    Bucket& b = mem_.table[idx];
-    b.key = key;
-    b.value = value;
-    ctx.SetTag(idx, tag);
-  }
-
-  /// Applies insertion principles 1-3: fills empty candidates, then
-  /// overwrites redundant copies in decreasing counter order while
-  /// V >= placed + 2. Returns the number of copies placed (0 = none).
-  /// Updates counters of placed copies and of every displaced victim. A
-  /// victim whose other copies another writer holds is skipped; the caller
-  /// restarts when that leaves a non-sole-copy candidate unplaced.
-  template <typename Ctx>
-  uint32_t TryPlace(Ctx& ctx, const Key& key, const Value& value,
-                    const Candidates& cand) {
-    const uint32_t d = opts_.num_hashes;
-    std::array<bool, kMaxHashes> taken{};
-    std::array<size_t, kMaxHashes> placed{};
-    uint32_t n_placed = 0;
-
-    // Principle 1: occupy all the empty candidate buckets. Tombstoned
-    // entries read as counter 0: "treated as zero for insertion"
-    // (§III.B.3), so they are recycled transparently.
-    for (uint32_t t = 0; t < d; ++t) {
-      if (ctx.Counter(mem_.counters, cand.bucket[t]) == 0) {
-        Store(ctx, cand.bucket[t], key, value, cand.tag);
-        placed[n_placed++] = cand.bucket[t];
-        taken[t] = true;
-      }
-    }
-
-    // Principles 2+3: overwrite occupied candidates in decreasing counter
-    // order while the victim keeps a lead of two copies; never touch value
-    // 1. Counters are re-read each round: one insertion can displace two
-    // copies of the *same* victim, whose counter drops in between.
-    while (n_placed < d) {
-      int best = -1;
-      uint64_t best_v = 0;
-      for (uint32_t t = 0; t < d; ++t) {
-        if (taken[t]) continue;
-        const uint64_t cur = ctx.Counter(mem_.counters, cand.bucket[t]);
-        if (cur > best_v) {
-          best_v = cur;
-          best = static_cast<int>(t);
-        }
-      }
-      if (best < 0 || best_v < 2 || best_v < n_placed + 2) break;
-      taken[best] = true;
-      if (OverwriteRedundantCopy(ctx, cand.bucket[best], best_v, key, value,
-                                 cand.tag)) {
-        placed[n_placed++] = cand.bucket[best];
-      }
-    }
-
-    if (n_placed == 0) return 0;
-    for (uint32_t i = 0; i < n_placed; ++i) {
-      ctx.Open(placed[i]);
-      ctx.SetCounter(placed[i], n_placed);
-    }
-    ctx.Add(redundant_writes_, n_placed - 1);
-    return n_placed;
-  }
-
-  /// Displaces the redundant copy at `victim_idx` (counter `v` >= 2) with
-  /// (key, value, tag), decrementing the victim item's other copies'
-  /// counters. Fails, before any mutation, when another writer holds one
-  /// of those copies.
-  template <typename Ctx>
-  bool OverwriteRedundantCopy(Ctx& ctx, size_t victim_idx, uint64_t v,
-                              const Key& key, const Value& value,
-                              uint8_t tag) {
-    assert(v >= 2);
-    ctx.Charge(&AccessStats::offchip_reads);  // the Fig-10a read
-    const Key victim_key = mem_.table[victim_idx].key;
-    const std::array<size_t, kMaxHashes> alt =
-        AlternateBuckets(victim_key, victim_idx);
-    if (!ClaimAlternates(ctx, alt, victim_idx)) return false;
-    const CopySet others = LocateOtherCopies(
-        ctx, victim_key, mem_.counters.PeekTag(victim_idx), alt, victim_idx, v);
-    for (uint32_t i = 0; i < others.count; ++i) {
-      ctx.Open(others.pos[i]);
-      ctx.SetCounter(others.pos[i], v - 1);
-    }
-    Store(ctx, victim_idx, key, value, tag);
-    return true;
-  }
+  // --- Copy location (the skeleton's placement and eviction call it) -------
 
   /// Finds the v-1 buckets other than `known_idx` holding copies of `key`
   /// (fingerprint nibble `tag`, counter value `v`, claimed candidate
@@ -446,175 +338,6 @@ class McCuckooTable
                           known_idx, mem_.counters.PeekCounter(known_idx));
     out.pos[out.count++] = known_idx;
     return out;
-  }
-
-  /// Counter-guided random walk (§III.D), single writer only: at each
-  /// step, if the in-hand item has any empty or redundant candidate the
-  /// counters reveal it and the chain ends immediately; otherwise a
-  /// sole-copy occupant (never the bucket just written) is evicted per the
-  /// configured policy — uniform random, MinCounter's coldest bucket, or
-  /// bubbling's deterministic level cycle. On maxloop overrun the in-hand
-  /// item gets one final placement attempt and is otherwise stashed —
-  /// candidates provably all sole copies — with its flags set (§III.E).
-  template <typename Ctx>
-  InsertResult RandomWalkInsert(Ctx& ctx, Key key, Value value,
-                                uint32_t* chain_len_out) {
-    size_t exclude = kNoBucket;
-    int32_t from_level = -1;  // bubbling: level the in-hand item left
-    uint32_t chain = 0;
-    for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
-      Candidates cand = ComputeCandidates(key);
-      if (loop > 0 && TryPlace(ctx, key, value, cand) > 0) {
-        ctx.Add(size_, size_t{1});  // net effect of the whole chain
-        *chain_len_out = chain;
-        return InsertResult::kInserted;
-      }
-      // All candidates hold sole copies: evict per the configured policy,
-      // avoiding the bucket we just wrote (no immediate ping-pong).
-      const uint32_t t =
-          opts_.eviction_policy == EvictionPolicy::kBubble
-              ? PickBubbleVictim(cand.bucket, opts_.num_hashes, exclude,
-                                 from_level)
-              : PickVictim(cand.bucket, opts_.num_hashes, exclude,
-                           kick_history_, rng_);
-      const size_t idx = cand.bucket[t];
-      ctx.Charge(&AccessStats::offchip_reads);
-      Key vk = mem_.table[idx].key;
-      Value vv = mem_.table[idx].value;
-      Store(ctx, idx, key, value, cand.tag);
-      // Counter stays 1: the bucket still holds a sole copy.
-      ctx.Kick(idx);
-      exclude = idx;
-      from_level = static_cast<int32_t>(t);
-      key = std::move(vk);
-      value = std::move(vv);
-      ++chain;
-    }
-    // The loop's last iteration evicted one more victim without giving the
-    // newly carried item a placement attempt of its own. Complete that step
-    // before stashing: otherwise an item with an empty or redundant
-    // candidate lands in the stash, and the kDisabled stash screen — which
-    // relies on every stashed key having seen all-ones counters — would
-    // veto that key's own lookups.
-    *chain_len_out = chain;
-    const Candidates cand = ComputeCandidates(key);
-    if (TryPlace(ctx, key, value, cand) > 0) {
-      ctx.Add(size_, size_t{1});
-      return InsertResult::kInserted;
-    }
-    // Insertion failure: park the in-hand item in the stash.
-    return StashOverflow(ctx, key, value, cand, /*dead_end=*/false, 0);
-  }
-
-  /// Counter-aware breadth-first search for the shortest eviction chain
-  /// (§III.D crossed with [3]). Entered only when TryPlace placed nothing
-  /// and every candidate of the in-hand key holds a sole copy — so all
-  /// roots are valid interior nodes. The search itself reads one off-chip
-  /// bucket per expanded node (the occupant key, to compute its
-  /// alternates) and otherwise steers entirely by the on-chip counters:
-  ///
-  ///   counter == 0  -> free terminal (empty or tombstoned bucket);
-  ///   counter >= 2  -> redundant terminal: "evicting" the occupant is a
-  ///                    pure counter decrement of its other copies — the
-  ///                    multi-copy advantage that keeps chains short where
-  ///                    the single-copy BFS must walk to a true hole;
-  ///   counter == 1  -> interior node, children = occupant's alternates.
-  ///
-  /// The search mutates nothing (a striped writer runs it racily over
-  /// unclaimed buckets). The chain is then claimed and checked
-  /// (ctx.ClaimChain) and shifted backward terminal-first under open
-  /// seqlock stripes, published by the caller's ctx.Publish(). On a dead
-  /// end the table is untouched, so the stash tail inherits the all-ones
-  /// invariant directly from the TryPlace screen; a striped writer also
-  /// stashes after kChainAttempts contended chains.
-  template <typename Ctx>
-  InsertResult BfsInsert(Ctx& ctx, const Key& key, const Value& value,
-                         const Candidates& cand, ChainStats* chain) {
-    const uint32_t d = opts_.num_hashes;
-    std::array<uint64_t, kMaxHashes> roots{};
-    for (uint32_t t = 0; t < d; ++t) roots[t] = cand.bucket[t];
-    chain->budget = ctx.BfsBudget();
-    bool dead_end = false;
-    for (int attempt = 0; attempt < Ctx::kChainAttempts; ++attempt) {
-      BfsPathResult path;
-      {
-        SeqlockReadCritical crit;  // unclaimed buckets mutate underneath
-        path = BfsFindPath(
-            roots.data(), d, chain->budget,
-            [&](uint64_t id, auto&& emit, auto&& terminal) {
-              const size_t bucket = static_cast<size_t>(id);
-              ctx.Charge(&AccessStats::offchip_reads);  // the one read
-              const std::array<size_t, kMaxHashes> oc =
-                  AlternateBuckets(mem_.table[bucket].key, bucket);
-              for (uint32_t t = 0; t < d; ++t) {
-                const size_t alt = oc[t];
-                if (alt == bucket) continue;
-                if (ctx.Counter(mem_.counters, alt) != 1) {
-                  terminal(alt);  // 0 = free, >= 2 = redundant copy
-                  return;
-                }
-                // The child will be expanded (one occupant read) a few
-                // iterations from now: issuing the fetch here overlaps the
-                // DRAM latency of the whole frontier instead of paying one
-                // serial miss per expanded node.
-                __builtin_prefetch(&mem_.table[alt], 0, 1);
-                emit(alt);
-              }
-            });
-      }
-      chain->nodes += path.nodes_expanded;
-      ctx.ObserveBfs(path.found);
-      if (!path.found) {
-        dead_end = true;
-        break;
-      }
-      const size_t mark = ctx.Mark();
-      bool applied = ctx.ClaimChain(path);
-      const size_t terminal = static_cast<size_t>(path.terminal);
-      const uint64_t term_v =
-          applied ? mem_.counters.PeekCounter(terminal) : 0;
-      applied = applied && term_v != 1;  // else no longer a terminal
-      // Apply backward: the last interior occupant moves into the
-      // terminal, each predecessor into its successor, and the new key
-      // lands in the root. Interior occupants are sole copies, so moves
-      // are plain bucket stores; only the terminal changes counters, and
-      // it moves first: its redundant-copy claim is the only step that can
-      // fail, and it fails before any mutation.
-      size_t dst = terminal;
-      for (size_t i = path.node.size(); applied && i-- > 0;) {
-        const size_t src = static_cast<size_t>(path.node[i]);
-        const Bucket moved = mem_.table[src];  // read during the search
-        const uint8_t moved_tag = mem_.counters.PeekTag(src);
-        if (dst == terminal) {
-          if (term_v >= 2) {
-            // Redundant terminal: displace one copy of the occupant, which
-            // decrements its other copies' counters (zero relocations).
-            applied = OverwriteRedundantCopy(ctx, dst, term_v, moved.key,
-                                             moved.value, moved_tag);
-            if (!applied) break;
-          } else {
-            Store(ctx, dst, moved.key, moved.value, moved_tag);
-          }
-          ctx.Open(dst);
-          ctx.SetCounter(dst, 1);  // the moved item is a sole copy
-        } else {
-          Store(ctx, dst, moved.key, moved.value, moved_tag);
-          // Counter stays 1: dst already held a sole copy.
-        }
-        ctx.Kick(src);
-        dst = src;
-      }
-      if (applied) {
-        Store(ctx, static_cast<size_t>(path.node.front()), key, value,
-              cand.tag);
-        ctx.Add(size_, size_t{1});
-        chain->len = static_cast<uint32_t>(path.node.size());
-        return InsertResult::kInserted;
-      }
-      ctx.Release(mark);
-      std::this_thread::yield();
-    }
-    return StashOverflow(ctx, key, value, cand, dead_end, chain->nodes);
   }
 
   /// Whether a growth decision can take the SplitGrow path. HashFamily maps

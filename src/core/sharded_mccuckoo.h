@@ -10,9 +10,9 @@
 //    candidate stripes. No read touches a table-wide lock.
 //  * Writers run concurrently within a shard and serialize per bucket
 //    through the writer locks of the shard's stripe array (discipline in
-//    src/core/lock_stripes.h). Both tables run it: each layout's one write
-//    engine is compiled for the striped writer context (see TableSkeleton's
-//    "Writer contexts"). That context always evicts by BFS with
+//    src/core/lock_stripes.h). Both tables run it: the one write engine of
+//    both layouts is compiled for the striped writer context (see
+//    TableSkeleton's "Writer contexts"). That context always evicts by BFS with
 //    ConcurrentBfsBudget (kBfsOnly) and charges no AccessStats, so
 //    TableOptions::eviction_policy has no effect here and the simulator's
 //    access counts come from bare tables.
@@ -20,8 +20,9 @@
 //    (GrowShardExclusive), and so does WithExclusiveShard. There is no
 //    other lock: a writer re-checks the rehash epoch under its candidate
 //    stripes and starts over if a rehash committed meanwhile, and
-//    introspection (sizes, metrics, the span ring) reads under the aux
-//    stripe alone, so a scrape never waits for writers on other stripes.
+//    introspection (sizes, metrics, the span ring, the heatmap) reads
+//    under the aux stripe alone, so a scrape never waits for writers on
+//    other stripes.
 //
 // N shards hash-partition the key space, each a complete table (own hash
 // family, counters, stash) with its own stripe array, so one shard's growth
@@ -64,6 +65,7 @@
 #include "src/core/config.h"
 #include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
+#include "src/obs/heatmap.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
 
@@ -90,13 +92,16 @@ class ShardedMcCuckoo {
   /// the candidate stripes is cheaper than spinning on.
   static constexpr int kMaxOptimisticSpins = 3;
 
-  /// Builds `num_shards` (a power of two, >= 1) shards. `options` describes
-  /// the *aggregate* table: each shard gets ~1/num_shards of the buckets,
-  /// its own decorrelated seed, and the same policy knobs.
+  /// Builds `num_shards` shards, rounded up to a power of two (at least
+  /// one) in every build type: routing takes the top shard_bits_ of a hash.
+  /// `options` describes the *aggregate* table: each shard gets
+  /// ~1/num_shards of the buckets, its own decorrelated seed, and the same
+  /// policy knobs.
   ShardedMcCuckoo(const TableOptions& options, size_t num_shards)
-      : shard_bits_(std::countr_zero(num_shards)),
+      : shard_bits_(std::countr_zero(
+            std::bit_ceil(std::max<size_t>(1, num_shards)))),
         route_seed_(SplitMix64(options.seed ^ 0x9E3779B97F4A7C15ull)) {
-    assert(num_shards >= 1 && (num_shards & (num_shards - 1)) == 0);
+    num_shards = size_t{1} << shard_bits_;
     shards_.reserve(num_shards);
     TableOptions shard_opts = options;
     shard_opts.buckets_per_table =
@@ -260,6 +265,18 @@ class ShardedMcCuckoo {
   std::vector<Span> shard_spans(size_t shard) const {
     return WithAux(*shards_[shard],
                    [](const Table& t) { return t.spans().Events(); });
+  }
+
+  /// One shard's occupancy/counter heatmap (Table::Heatmap), scanned under
+  /// the aux stripe alone: the storage cannot be swapped by a rehash
+  /// meanwhile, and writers on other stripes keep running, so the counters
+  /// are read racily (a point-in-time picture, exact once writers
+  /// quiesce).
+  HeatmapSnapshot shard_heatmap(size_t shard) const {
+    return WithAux(*shards_[shard], [](const Table& t) {
+      SeqlockReadCritical crit;
+      return t.Heatmap();
+    });
   }
 
   /// Exclusive access to one shard's table (setup/validation only): every

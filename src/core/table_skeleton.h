@@ -5,30 +5,36 @@
 // here, once: the scalar and software-pipelined batch entry points, the
 // seqlock-validated optimistic read path, the write protocol (Insert,
 // InsertOrAssign, Erase and the stash tail, for one writer and for many),
-// the striped-lock read fallback and growth hand-off, the stash screen
-// (§III.E/F), Rehash and its commit, stash upkeep, the growth trigger,
-// introspection, the invariant checks and the metrics wiring.
-// McCuckooTable and BlockedMcCuckooTable derive from it through CRTP and
-// supply only the layout steps, as private hooks the skeleton is a friend
-// of:
+// placement and eviction (TryPlace, OverwriteRedundantCopy, the random walk
+// and the BFS, at slot granularity), the striped-lock read fallback and
+// growth hand-off, the stash screen (§III.E/F), Rehash and its commit,
+// stash upkeep, the growth trigger, introspection, the invariant checks and
+// the metrics wiring. McCuckooTable and BlockedMcCuckooTable derive from it
+// through CRTP and supply their storage, their probe, their copy location
+// and three small hooks, as private members the skeleton is a friend of:
 //
-//   RecordAt(slot)                  the record (.key/.value) in a slot
-//   PrefetchCandidates(...)         layout prefetches (batch stage 1,
-//                                   scalar writes)
 //   ProbeMain<kCharged>(...)        the one main-table probe (§III.B.2,
 //                                   Algorithm 2) behind every read form and
 //                                   the writes; returns a ProbeResult
+//   PrefetchCandidates(...)         layout prefetches (batch stage 1,
+//                                   scalar writes)
+//   LocateOtherCopies(ctx, key, tag, cand, slot, v)
+//                                   the v - 1 other copies of a key whose
+//                                   copy in `slot` has counter v, as a
+//                                   CopySet (the layouts charge it
+//                                   differently: pigeonhole, hint-first)
 //   LocateAllCopies(ctx, key, cand, slot)  every copy of a key hit at
-//                                   `slot`, as a copy set (.pos[], .count)
-//   SlotIndex(pos)                  a copy set entry's global slot index
-//   BucketOf(slot)                  the bucket holding a global slot
-//   TryPlace / RandomWalkInsert / BfsInsert   insertion (Algorithm 1)
+//                                   `slot` (erase, update)
+//   RecordAt(slot)                  the record (.key/.value) in a slot
+//   SlotsPerBucket()                l; a constexpr 1 in the single-slot
+//                                   layout, so in-bucket loops fold away
+//   CopyRecord(key, value, slots, n)  the record a placed copy set shares
+//                                   (the blocked layout fills its hints)
 //   Grow(decision)                  optional; defaults to a full Rehash
 //
-// The write hooks take a writer context `ctx` (SoloWriter or
-// StripedWriter, below): each layout's write engine is compiled once per
-// context, and every step in which one writer and many writers differ is
-// a context operation.
+// The write paths take a writer context `ctx` (SoloWriter or
+// StripedWriter, below): they are compiled once per context, and every
+// step in which one writer and many writers differ is a context operation.
 //
 // plus the constants kName (message prefix), kTagMask (stored fingerprint
 // bits) and the Storage struct: every buffer an optimistic reader may
@@ -146,16 +152,27 @@ class TableSkeleton {
 
   /// Batched lookup. For key i, found[i] is set and, on a hit, out[i]
   /// receives the value (out may be null; found must not be). Returns the
-  /// number of keys found. Equivalent to calling Find per key, in order.
+  /// number of keys found. Equivalent to calling Find per key, in order;
+  /// the lookup metrics accumulate on the stack and publish once per batch
+  /// (same totals as per-key recording, a fraction of the atomic RMWs).
   size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
-    return FindBatchWith<true>(keys, out, found);
-  }
-
-  /// Batched mutation-free lookup: equivalent to calling FindNoStats per
-  /// key, in order.
-  size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
-                          bool* found) const {
-    return FindBatchWith<false>(keys, out, found);
+    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
+    size_t hits = 0;
+    std::array<Candidates, kBatchTile> cand;
+    LookupTally tally;
+    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
+      const size_t n = std::min(kBatchTile, keys.size() - base);
+      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/false);
+      for (size_t i = 0; i < n; ++i) {
+        const bool hit = FindWith<true>(
+            keys[base + i], cand[i], out != nullptr ? &out[base + i] : nullptr,
+            tally);
+        if (found != nullptr) found[base + i] = hit;
+        hits += hit ? 1 : 0;
+      }
+    }
+    tally.FlushTo(*metrics_);
+    return hits;
   }
 
   /// Batched insertion of keys assumed not to be present; results[i] (when
@@ -937,9 +954,9 @@ class TableSkeleton {
                                      : MainOutcome::kMiss;
   }
 
-  /// One lookup over precomputed candidates: Find (kCharged) and
-  /// FindNoStats, scalar and batched. `sink` is the live TableMetrics for
-  /// scalar calls, a stack-local LookupTally for batches.
+  /// One lookup over precomputed candidates: Find and FindBatch (kCharged)
+  /// and FindNoStats. `sink` is the live TableMetrics for scalar calls, a
+  /// stack-local LookupTally for batches.
   template <bool kCharged, typename MetricsSink>
   bool FindWith(const Key& key, const Candidates& cand, Value* out,
                 MetricsSink& sink) const {
@@ -949,32 +966,6 @@ class TableSkeleton {
     const bool hit = stash_.Find(key, out);
     sink.RecordStashProbe(hit);
     return hit;
-  }
-
-  /// FindBatch (kCharged) and FindBatchNoStats: FindWith per key over
-  /// staged tiles. Lookup metrics accumulate on the stack and publish once
-  /// per batch: same totals as per-key recording, a fraction of the atomic
-  /// RMWs.
-  template <bool kCharged>
-  size_t FindBatchWith(std::span<const Key> keys, Value* out,
-                       bool* found) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
-    size_t hits = 0;
-    std::array<Candidates, kBatchTile> cand;
-    LookupTally tally;
-    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
-      const size_t n = std::min(kBatchTile, keys.size() - base);
-      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/false);
-      for (size_t i = 0; i < n; ++i) {
-        const bool hit = FindWith<kCharged>(
-            keys[base + i], cand[i], out != nullptr ? &out[base + i] : nullptr,
-            tally);
-        if (found != nullptr) found[base + i] = hit;
-        hits += hit ? 1 : 0;
-      }
-    }
-    tally.FlushTo(*metrics_);
-    return hits;
   }
 
   /// The candidates of keys[0, n) computed while a racing Rehash commit may
@@ -1167,11 +1158,11 @@ class TableSkeleton {
     ProbeResult p = derived().template ProbeMain<Ctx::kCharged>(
         key, cand, previous, none);
     if (p.hit) {
-      const auto copies = derived().LocateAllCopies(ctx, key, cand, p.slot);
+      const CopySet copies = derived().LocateAllCopies(ctx, key, cand, p.slot);
       for (uint32_t i = 0; i < copies.count; ++i) {
         // Value-only store: the copy's key, fingerprint and counter stay.
-        const size_t slot = derived().SlotIndex(copies.pos[i]);
-        ctx.Open(derived().BucketOf(slot));
+        const size_t slot = copies.pos[i];
+        ctx.Open(BucketOf(slot));
         ctx.Charge(&AccessStats::offchip_writes);
         derived().RecordAt(slot).value = value;
       }
@@ -1199,7 +1190,7 @@ class TableSkeleton {
   bool PlaceOrEvict(Ctx& ctx, const Key& key, const Value& value,
                     const Candidates& cand, InsertResult* r, bool* collided,
                     ChainStats* chain) {
-    if (derived().TryPlace(ctx, key, value, cand) > 0) {
+    if (TryPlace(ctx, key, value, cand) > 0) {
       ctx.Add(size_, size_t{1});
       *r = InsertResult::kInserted;
       return true;
@@ -1209,8 +1200,8 @@ class TableSkeleton {
     *collided = true;
     ctx.SetOnce(first_collision_items_, ApproxTotalItems() + 1);
     *r = EvictsByBfs<Ctx>()
-             ? derived().BfsInsert(ctx, key, value, cand, chain)
-             : derived().RandomWalkInsert(ctx, key, value, &chain->len);
+             ? BfsInsert(ctx, key, value, cand, chain)
+             : RandomWalkInsert(ctx, key, value, &chain->len);
     return true;
   }
 
@@ -1239,10 +1230,10 @@ class TableSkeleton {
     ProbeResult p = derived().template ProbeMain<Ctx::kCharged>(
         key, cand, nullptr, none);
     if (p.hit) {
-      const auto copies = derived().LocateAllCopies(ctx, key, cand, p.slot);
+      const CopySet copies = derived().LocateAllCopies(ctx, key, cand, p.slot);
       for (uint32_t i = 0; i < copies.count; ++i) {
-        const size_t slot = derived().SlotIndex(copies.pos[i]);
-        ctx.Open(derived().BucketOf(slot));
+        const size_t slot = copies.pos[i];
+        ctx.Open(BucketOf(slot));
         if (opts_.deletion_mode == DeletionMode::kTombstone) {
           ctx.MarkDeleted(slot);
         } else {
@@ -1293,7 +1284,7 @@ class TableSkeleton {
   /// Every candidate slot holds a sole copy (counter 1): the state in
   /// which BFS may start and a key may be stashed.
   bool AllCandidatesSole(const Candidates& cand) const {
-    const uint32_t l = opts_.slots_per_bucket;
+    const uint32_t l = derived().SlotsPerBucket();
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       for (uint32_t s = 0; s < l; ++s) {
         if (counters().PeekCounter(cand.bucket[t] * l + s) != 1) return false;
@@ -1312,15 +1303,337 @@ class TableSkeleton {
       if (counters().PeekCounter(slot) != 1) return false;
       const uint64_t next =
           i + 1 < path.node.size() ? path.node[i + 1] : path.terminal;
-      const std::array<size_t, kMaxHashes> alt = AlternateBuckets(
-          derived().RecordAt(slot).key, derived().BucketOf(slot));
+      const std::array<size_t, kMaxHashes> alt =
+          AlternateBuckets(derived().RecordAt(slot).key, BucketOf(slot));
       bool linked = false;
       for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        linked = linked || alt[t] == derived().BucketOf(next);
+        linked = linked || alt[t] == BucketOf(next);
       }
       if (!linked) return false;
     }
     return true;
+  }
+
+  // --- Placement and eviction (§III.B.1, §III.D, §III.G) -----------------
+  //
+  // Written once for both layouts at slot granularity, and compiled per
+  // writer context: slot s of bucket b is b * l + s, the bucket index
+  // itself when l = 1, where the single-slot layout's constexpr
+  // SlotsPerBucket() folds every in-bucket loop away. Placement is decided
+  // from the on-chip counters before any record is written, so every copy
+  // is written once (the blocked layout's hints included).
+
+  /// Up to d global slot indices holding copies of one key (at most one
+  /// per bucket): what a layout's copy location returns.
+  struct CopySet {
+    std::array<size_t, kMaxHashes> pos;
+    uint32_t count = 0;
+  };
+
+  /// The bucket holding global slot `slot`.
+  size_t BucketOf(size_t slot) const {
+    return slot / derived().SlotsPerBucket();
+  }
+
+  /// Writes `record` and its fingerprint `tag` into global slot `slot` in
+  /// the bucket's seqlock window, so readers never see a fresh key behind
+  /// a stale fingerprint: one off-chip write (the tag store is layout
+  /// state, uncharged). The bucket's stash flag, kept apart, is sticky:
+  /// occupant changes leave it as it is.
+  template <typename Ctx, typename Record>
+  void WriteSlot(Ctx& ctx, size_t slot, const Record& record, uint8_t tag) {
+    ctx.Open(BucketOf(slot));
+    ctx.Charge(&AccessStats::offchip_writes);
+    derived().RecordAt(slot) = record;
+    ctx.SetTag(slot, tag);
+  }
+
+  /// Insertion principles 1-3 (§III.B.1) on l-slot buckets (Algorithm 1):
+  /// one copy into an empty slot of every candidate bucket; then, one
+  /// bucket per round, overwrite the redundant copy in its highest-counter
+  /// slot, the bucket with the higher counter sum winning a tie, while the
+  /// victim keeps a lead of two copies (V >= n_placed + 2); never a sole
+  /// copy. Writes the record once per placed copy and sets the copies'
+  /// counters. Returns the number of copies placed (0 = none). A victim
+  /// whose other copies another writer holds is skipped; the caller
+  /// restarts when that leaves a non-sole-copy candidate unplaced.
+  template <typename Ctx>
+  uint32_t TryPlace(Ctx& ctx, const Key& key, const Value& value,
+                    const Candidates& cand) {
+    const uint32_t d = opts_.num_hashes;
+    const uint32_t l = derived().SlotsPerBucket();
+    std::array<size_t, kMaxHashes> placed{};
+    std::array<bool, kMaxHashes> taken{};
+    uint32_t n_placed = 0;
+
+    // Principle 1: an empty slot of every candidate bucket. Tombstoned
+    // slots read as counter 0: "treated as zero for insertion" (§III.B.3),
+    // so they are recycled transparently.
+    for (uint32_t t = 0; t < d; ++t) {
+      for (uint32_t s = 0; s < l; ++s) {
+        const size_t slot = cand.bucket[t] * l + s;
+        if (ctx.Counter(counters(), slot) == 0) {
+          placed[n_placed++] = slot;
+          taken[t] = true;
+          break;
+        }
+      }
+    }
+
+    // Principles 2+3, most-redundant victim first. Counters are re-read
+    // each round: one insertion can displace two copies of the *same*
+    // victim, whose counter drops in between.
+    while (n_placed < d) {
+      int best_t = -1;
+      size_t best_slot = 0;
+      uint64_t best_v = 0;
+      uint64_t best_sum = 0;
+      for (uint32_t t = 0; t < d; ++t) {
+        if (taken[t]) continue;
+        uint64_t sum = 0;
+        uint64_t v = 0;
+        size_t victim = 0;
+        for (uint32_t s = 0; s < l; ++s) {
+          const size_t slot = cand.bucket[t] * l + s;
+          const uint64_t c = ctx.Counter(counters(), slot);
+          sum += c;
+          if (c > v) {
+            v = c;
+            victim = slot;
+          }
+        }
+        if (v > best_v || (v == best_v && sum > best_sum)) {
+          best_v = v;
+          best_sum = sum;
+          best_t = static_cast<int>(t);
+          best_slot = victim;
+        }
+      }
+      if (best_t < 0 || best_v < 2 || best_v < n_placed + 2) break;
+      taken[best_t] = true;
+      if (OverwriteRedundantCopy(ctx, best_slot, best_v)) {
+        placed[n_placed++] = best_slot;
+      }
+    }
+
+    if (n_placed == 0) return 0;
+    const auto record =
+        derived().CopyRecord(key, value, placed.data(), n_placed);
+    for (uint32_t i = 0; i < n_placed; ++i) {
+      WriteSlot(ctx, placed[i], record, cand.tag);  // opens the stripe
+      ctx.SetCounter(placed[i], n_placed);
+    }
+    ctx.Add(redundant_writes_, n_placed - 1);
+    return n_placed;
+  }
+
+  /// Displaces the redundant copy in `victim_slot` (counter `v` >= 2): one
+  /// charged read learns the occupant's key (the read visible in Fig 10a),
+  /// then its other copies are claimed, located by the layout
+  /// (LocateOtherCopies) and decremented. The slot itself is left for the
+  /// caller to overwrite. Fails, before any mutation, when another writer
+  /// holds one of those copies.
+  template <typename Ctx>
+  bool OverwriteRedundantCopy(Ctx& ctx, size_t victim_slot, uint64_t v) {
+    assert(v >= 2);
+    ctx.Charge(&AccessStats::offchip_reads);
+    const size_t bucket = BucketOf(victim_slot);
+    const Key victim = derived().RecordAt(victim_slot).key;
+    const std::array<size_t, kMaxHashes> alt = AlternateBuckets(victim, bucket);
+    if (!ClaimAlternates(ctx, alt, bucket)) return false;
+    const CopySet others = derived().LocateOtherCopies(
+        ctx, victim, counters().PeekTag(victim_slot), alt, victim_slot, v);
+    for (uint32_t i = 0; i < others.count; ++i) {
+      ctx.Open(BucketOf(others.pos[i]));
+      ctx.SetCounter(others.pos[i], v - 1);
+    }
+    return true;
+  }
+
+  /// Counter-guided random walk (§III.D), single writer only: at each step,
+  /// if the in-hand item has any empty or redundant candidate slot the
+  /// counters reveal it and the chain ends immediately (TryPlace);
+  /// otherwise a sole copy is evicted. The victim bucket follows the
+  /// configured policy — uniform random, MinCounter's coldest, or
+  /// bubbling's deterministic level cycle — never the bucket just written
+  /// (no immediate ping-pong); the slot within it is uniform, drawn only
+  /// when l > 1 so the single-slot RNG stream has no draw to skip. On
+  /// maxloop overrun the in-hand item gets one final placement attempt and
+  /// is otherwise stashed — its candidate slots provably all sole copies —
+  /// with its flags set (§III.E).
+  template <typename Ctx>
+  InsertResult RandomWalkInsert(Ctx& ctx, Key key, Value value,
+                                uint32_t* chain_len_out) {
+    const uint32_t l = derived().SlotsPerBucket();
+    size_t exclude = kNoBucket;
+    int32_t from_level = -1;  // bubbling: level the in-hand item left
+    uint32_t chain = 0;
+    for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
+      Candidates cand = ComputeCandidates(key);
+      if (loop > 0 && TryPlace(ctx, key, value, cand) > 0) {
+        ctx.Add(size_, size_t{1});  // net effect of the whole chain
+        *chain_len_out = chain;
+        return InsertResult::kInserted;
+      }
+      const uint32_t t =
+          opts_.eviction_policy == EvictionPolicy::kBubble
+              ? PickBubbleVictim(cand.bucket, opts_.num_hashes, exclude,
+                                 from_level)
+              : PickVictim(cand.bucket, opts_.num_hashes, exclude,
+                           kick_history_, rng_);
+      const uint32_t s = l > 1 ? static_cast<uint32_t>(rng_.Below(l)) : 0;
+      const size_t slot = cand.bucket[t] * l + s;
+      ctx.Charge(&AccessStats::offchip_reads);
+      Key vk = derived().RecordAt(slot).key;
+      Value vv = derived().RecordAt(slot).value;
+      WriteSlot(ctx, slot, derived().CopyRecord(key, value, &slot, 1),
+                cand.tag);
+      // Counter stays 1: the slot still holds a sole copy.
+      ctx.Kick(cand.bucket[t]);
+      exclude = cand.bucket[t];
+      from_level = static_cast<int32_t>(t);
+      key = std::move(vk);
+      value = std::move(vv);
+      ++chain;
+    }
+    // The loop's last iteration evicted one more victim without giving the
+    // newly carried item a placement attempt of its own. Complete that step
+    // before stashing: otherwise an item with an empty or redundant
+    // candidate lands in the stash, and the kDisabled stash screen — which
+    // relies on every stashed key having seen all-ones counters — would
+    // veto that key's own lookups.
+    *chain_len_out = chain;
+    const Candidates cand = ComputeCandidates(key);
+    if (TryPlace(ctx, key, value, cand) > 0) {
+      ctx.Add(size_, size_t{1});
+      return InsertResult::kInserted;
+    }
+    // Insertion failure: park the in-hand item in the stash.
+    return StashOverflow(ctx, key, value, cand, /*dead_end=*/false, 0);
+  }
+
+  /// Counter-aware breadth-first search for the shortest eviction chain
+  /// (§III.D crossed with [3]), over global slot indices. Entered only when
+  /// TryPlace placed nothing and every candidate slot of the in-hand key
+  /// holds a sole copy, so all d * l candidate slots are valid interior
+  /// roots. Expanding a node costs one charged bucket read (the occupant
+  /// key, to compute its alternates); the search otherwise steers entirely
+  /// by the on-chip counters of the alternate buckets' slots:
+  ///
+  ///   counter == 0  -> free terminal (empty or tombstoned slot);
+  ///   counter >= 2  -> redundant terminal: "evicting" the occupant is a
+  ///                    pure counter decrement of its other copies — the
+  ///                    multi-copy advantage that keeps chains short where
+  ///                    the single-copy BFS must walk to a true hole;
+  ///   counter == 1  -> interior node, children = occupant's alternates.
+  ///
+  /// The search mutates nothing (a striped writer runs it racily over
+  /// unclaimed buckets). The chain is then claimed and checked
+  /// (ctx.ClaimChain) and shifted backward terminal-first under open
+  /// seqlock stripes, published by the caller's ctx.Publish(). On a dead
+  /// end the table is untouched, so the stash tail inherits the all-ones
+  /// invariant directly from the TryPlace screen; a striped writer also
+  /// stashes after kChainAttempts contended chains.
+  template <typename Ctx>
+  InsertResult BfsInsert(Ctx& ctx, const Key& key, const Value& value,
+                         const Candidates& cand, ChainStats* chain) {
+    const uint32_t d = opts_.num_hashes;
+    const uint32_t l = derived().SlotsPerBucket();
+    std::array<uint64_t, kMaxHashes * 8> roots{};  // l <= 8 (Validate)
+    uint32_t n_roots = 0;
+    for (uint32_t t = 0; t < d; ++t) {
+      for (uint32_t s = 0; s < l; ++s) {
+        roots[n_roots++] = cand.bucket[t] * l + s;
+      }
+    }
+    chain->budget = ctx.BfsBudget();
+    bool dead_end = false;
+    for (int attempt = 0; attempt < Ctx::kChainAttempts; ++attempt) {
+      BfsPathResult path;
+      {
+        SeqlockReadCritical crit;  // unclaimed buckets mutate underneath
+        path = BfsFindPath(
+            roots.data(), n_roots, chain->budget,
+            [&](uint64_t id, auto&& emit, auto&& terminal) {
+              // Re-read, not captured: BfsFindPath runs this out of line,
+              // where a captured `l` is a load and a real loop; the call
+              // folds to the single-slot layout's constant 1 (the capture
+              // slowed its BFS inserts; EXPERIMENTS.md, "One write engine
+              // for both layouts").
+              const uint32_t l = derived().SlotsPerBucket();
+              const size_t slot = static_cast<size_t>(id);
+              const size_t bucket = BucketOf(slot);
+              ctx.Charge(&AccessStats::offchip_reads);  // the one read
+              const std::array<size_t, kMaxHashes> oc =
+                  AlternateBuckets(derived().RecordAt(slot).key, bucket);
+              for (uint32_t t = 0; t < d; ++t) {
+                if (oc[t] == bucket) continue;
+                for (uint32_t s = 0; s < l; ++s) {
+                  const size_t alt = oc[t] * l + s;
+                  if (ctx.Counter(counters(), alt) != 1) {
+                    terminal(alt);  // 0 = free, >= 2 = redundant copy
+                    return;
+                  }
+                  // The child will be expanded (one occupant read) a few
+                  // iterations from now: issuing the fetch here overlaps
+                  // the DRAM latency of the whole frontier instead of
+                  // paying one serial miss per expanded node.
+                  __builtin_prefetch(&derived().RecordAt(alt), 0, 1);
+                  emit(alt);
+                }
+              }
+            });
+      }
+      chain->nodes += path.nodes_expanded;
+      ctx.ObserveBfs(path.found);
+      if (!path.found) {
+        dead_end = true;
+        break;
+      }
+      const size_t mark = ctx.Mark();
+      bool applied = ctx.ClaimChain(path);
+      const size_t terminal = static_cast<size_t>(path.terminal);
+      const uint64_t term_v = applied ? counters().PeekCounter(terminal) : 0;
+      applied = applied && term_v != 1;  // else no longer a terminal
+      // Apply backward: the last interior occupant moves into the
+      // terminal, each predecessor into its successor, and the new key
+      // lands in the root. Interior occupants are sole copies, so a move
+      // is one slot write whose record names only its new slot; only the
+      // terminal changes counters, and it moves first: its redundant-copy
+      // claim is the only step that can fail, and it fails before any
+      // mutation.
+      size_t dst = terminal;
+      for (size_t i = path.node.size(); applied && i-- > 0;) {
+        const size_t src = static_cast<size_t>(path.node[i]);
+        const auto& moved = derived().RecordAt(src);  // read in the search
+        if (dst == terminal && term_v >= 2) {
+          // Redundant terminal: displace one copy of the occupant, which
+          // decrements its other copies' counters (zero relocations).
+          applied = OverwriteRedundantCopy(ctx, dst, term_v);
+          if (!applied) break;
+        }
+        WriteSlot(ctx, dst,
+                  derived().CopyRecord(moved.key, moved.value, &dst, 1),
+                  counters().PeekTag(src));
+        if (dst == terminal) {
+          ctx.SetCounter(dst, 1);  // the moved item is a sole copy
+        }
+        // Interior destinations already held a sole copy: counter stays 1.
+        ctx.Kick(BucketOf(src));
+        dst = src;
+      }
+      if (applied) {
+        const size_t root = static_cast<size_t>(path.node.front());
+        WriteSlot(ctx, root, derived().CopyRecord(key, value, &root, 1),
+                  cand.tag);
+        ctx.Add(size_, size_t{1});
+        chain->len = static_cast<uint32_t>(path.node.size());
+        return InsertResult::kInserted;
+      }
+      ctx.Release(mark);
+      std::this_thread::yield();
+    }
+    return StashOverflow(ctx, key, value, cand, dead_end, chain->nodes);
   }
 
   /// Node budget for one striped BFS search. While the table's growth can
@@ -1483,8 +1796,8 @@ class TableSkeleton {
   // --- Writer contexts ----------------------------------------------------
   //
   // The two contexts every write runs in. They expose the same operations,
-  // and the write engines (the protocol above, each layout's TryPlace, copy
-  // location and BfsInsert) are written against those operations only:
+  // and the write engine (the protocol, placement and eviction above, and
+  // each layout's copy location) is written against those operations only:
   //
   //   claims     Stage (candidates computed up front, by the solo writer
   //              only), ClaimCandidates, ClaimAux,
@@ -1605,12 +1918,12 @@ class TableSkeleton {
     bool ClaimChain(const BfsPathResult& path) {
       for (size_t i = 1; i < path.node.size(); ++i) {
         if (!ls_.TryAcquireChain(
-                t_.seq_->StripeOf(t_.derived().BucketOf(path.node[i])))) {
+                t_.seq_->StripeOf(t_.BucketOf(path.node[i])))) {
           return false;
         }
       }
       return ls_.TryAcquireChain(
-                 t_.seq_->StripeOf(t_.derived().BucketOf(path.terminal))) &&
+                 t_.seq_->StripeOf(t_.BucketOf(path.terminal))) &&
              t_.ChainHolds(path);
     }
     size_t Mark() const { return ls_.held_count(); }

@@ -1,6 +1,5 @@
 #include "src/server/item_store.h"
 
-#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -49,9 +48,8 @@ ItemStore::ItemStore(const ItemStoreOptions& options)
       clock_(options.clock ? options.clock
                            : StoreClock([] { return NowNs(); })),
       max_bytes_(options.max_bytes) {
-  table_ = std::make_unique<Sharded>(
-      StoreTableOptions(options),
-      std::bit_ceil(std::max<size_t>(1, options.shards)));
+  table_ = std::make_unique<Sharded>(StoreTableOptions(options),
+                                     options.shards);
 }
 
 ItemStore::~ItemStore() {

@@ -73,7 +73,7 @@ struct ItemStoreOptions {
   /// Aggregate slot target across all shards (rounded up to table
   /// geometry). With growth enabled this is just the starting size.
   uint64_t initial_slots = 1 << 16;
-  /// Shard count (power of two).
+  /// Shard count (rounded up to a power of two, at least one).
   size_t shards = 8;
   uint64_t seed = 0x5EEDCAFE;
   /// Payload budget (key + value bytes); 0 = unlimited. Exceeding it

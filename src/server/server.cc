@@ -67,8 +67,7 @@ StatsHandlers CacheServer::MakeHttpHandlers() {
     HeatmapSnapshot all;
     auto& sharded = store_->table();
     for (size_t i = 0; i < sharded.num_shards(); ++i) {
-      const HeatmapSnapshot part = sharded.WithExclusiveShard(
-          i, [](ItemStore::Table& t) { return t.Heatmap(); });
+      const HeatmapSnapshot part = sharded.shard_heatmap(i);
       all.region_occupied.insert(all.region_occupied.end(),
                                  part.region_occupied.begin(),
                                  part.region_occupied.end());

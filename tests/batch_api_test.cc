@@ -138,53 +138,6 @@ TYPED_TEST(BatchApiTest, FindBatchWithoutValuesAndEdgeCases) {
             3u);
 }
 
-template <typename Table>
-void ExpectNoStatsBatchAgrees(uint32_t slots_per_bucket) {
-  TableOptions o;
-  o.buckets_per_table = slots_per_bucket == 1 ? 2048 : 700;
-  o.slots_per_bucket = slots_per_bucket;
-  o.maxloop = 200;
-  o.deletion_mode = DeletionMode::kResetCounters;
-  Table t(o);
-  const auto keys = MakeUniqueKeys(4000, 13, 0);
-  for (uint64_t k : keys) t.Insert(k, ValueOf(k));
-  for (size_t i = 0; i < 800; ++i) t.Erase(keys[i]);
-  const auto missing = MakeUniqueKeys(2000, 13, 7);
-
-  t.ResetStats();
-  auto check = [&](const std::vector<uint64_t>& probe) {
-    std::vector<uint64_t> out(probe.size());
-    std::vector<uint8_t> found(probe.size());
-    const size_t hits = t.FindBatchNoStats(
-        std::span<const uint64_t>(probe.data(), probe.size()), out.data(),
-        reinterpret_cast<bool*>(found.data()));
-    size_t expected_hits = 0;
-    for (size_t i = 0; i < probe.size(); ++i) {
-      uint64_t v = 0;
-      const bool hit = t.FindNoStats(probe[i], &v);
-      ASSERT_EQ(hit, found[i] != 0) << probe[i];
-      if (hit) {
-        ASSERT_EQ(v, out[i]) << probe[i];
-        ++expected_hits;
-      }
-    }
-    EXPECT_EQ(hits, expected_hits);
-  };
-  check(keys);
-  check(missing);
-  // The no-stats batch path must not have charged anything.
-  EXPECT_EQ(t.stats().offchip_reads, 0u);
-  EXPECT_EQ(t.stats().onchip_reads, 0u);
-}
-
-TEST(FindBatchNoStatsTest, SingleSlotAgreesAndMutatesNothing) {
-  ExpectNoStatsBatchAgrees<McCuckooTable<K, V>>(1);
-}
-
-TEST(FindBatchNoStatsTest, BlockedAgreesAndMutatesNothing) {
-  ExpectNoStatsBatchAgrees<BlockedMcCuckooTable<K, V>>(3);
-}
-
 // Growth that fires inside an InsertBatch tile replaces the geometry and
 // the hash seeds, so the tile's remaining staged candidates must be
 // re-derived. Since ShardedMcCuckoo::InsertBatch is a loop of Inserts, only

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/blocked_mccuckoo_table.h"
@@ -346,6 +347,35 @@ TEST(ShardedMcCuckooOneShardTest, StatsSnapshotAndSizes) {
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.stash_size(), 0u);
   EXPECT_GT(table.load_factor(), 0.0);
+}
+
+// Any requested shard count works in every build type: it is rounded up to
+// a power of two (at least one), keys route to every shard, each key is
+// found, and capacity() is the sum of the shards' capacities.
+TEST(ShardedMcCuckooShardCountTest, RoundsUpToAPowerOfTwo) {
+  using Table = McCuckooTable<uint64_t, uint64_t>;
+  const auto keys = MakeUniqueKeys(2000, 17, 0);
+  for (const auto& [requested, expected] :
+       {std::pair<size_t, size_t>{0, 1}, {3, 4}}) {
+    ShardedMcCuckoo<Table> table(SmallOptions(1), requested);
+    ASSERT_EQ(table.num_shards(), expected) << "requested " << requested;
+    for (uint64_t k : keys) table.Insert(k, k + 1);
+    uint64_t capacity = 0;
+    for (size_t s = 0; s < table.num_shards(); ++s) {
+      size_t items = 0;
+      capacity += table.WithExclusiveShard(s, [&](Table& t) {
+        items = t.TotalItems();
+        return t.capacity();
+      });
+      EXPECT_GT(items, 0u) << "shard " << s << " of " << expected;
+    }
+    EXPECT_EQ(table.capacity(), capacity);
+    for (uint64_t k : keys) {
+      uint64_t v = 0;
+      ASSERT_TRUE(table.Find(k, &v)) << k;
+      EXPECT_EQ(v, k + 1);
+    }
+  }
 }
 
 }  // namespace

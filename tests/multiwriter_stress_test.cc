@@ -6,7 +6,7 @@
 // the tests still pin down counter exactness and linearizable membership.
 // The one-shard cases run on both layouts: each `...Blocked` id repeats its
 // McCuckoo namesake on BlockedMcCuckooTable (3-slot buckets, about the same
-// slot count), whose write engine is the same protocol at slot level.
+// slot count), through the same write engine at l = 3.
 
 #include <gtest/gtest.h>
 
@@ -613,12 +613,14 @@ TEST(MultiWriterStressTest, ShardedMultiWriterChurn) {
 // them, all on the plain counter-byte stores of the multi-writer path.
 // After quiescence membership must match the oracle, the table must hold
 // more items than slots (the stash took the overflow) and every shard must
-// pass its invariant check.
-TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
-  TableOptions o = StressOptions();
-  o.buckets_per_table = 256;
+// pass its invariant check. Chains race here: a claimed chain's terminal
+// may have stopped being one (BfsInsert's re-check), which a round exposes
+// only a few percent of the time, so each test runs many rounds (`round`
+// varies the keys and the op streams).
+template <typename T>
+void ShardedFullLoadChurn(TableOptions o, uint64_t round) {
   o.growth_enabled = false;
-  ShardedMcCuckoo<Table> table(o, /*num_shards=*/2);
+  ShardedMcCuckoo<T> table(o, /*num_shards=*/2);
   constexpr int kWriters = 4;
   constexpr size_t kKeysPerWriter = 350;
   constexpr int kOpsPerWriter = 5000;
@@ -632,14 +634,14 @@ TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       const auto part =
-          MakeUniqueKeys(kKeysPerWriter, 47, static_cast<uint64_t>(w));
+          MakeUniqueKeys(kKeysPerWriter, 47 + round, static_cast<uint64_t>(w));
       auto& log = logs[w];
       log.reserve(kKeysPerWriter + kOpsPerWriter);
       for (uint64_t k : part) {  // fill past the slot count first
         table.InsertOrAssign(k, k);
         log.push_back({false, k, k});
       }
-      Xoshiro256 rng(4000 + static_cast<uint64_t>(w));
+      Xoshiro256 rng(4000 + static_cast<uint64_t>(w) + 100 * round);
       for (int op = 0; op < kOpsPerWriter; ++op) {
         const uint64_t k = part[FastRange64(rng.Next(), part.size())];
         if (rng.Next() % 3 == 0) {
@@ -675,8 +677,28 @@ TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
   }
   for (size_t i = 0; i < table.num_shards(); ++i) {
     const Status s = table.WithExclusiveShard(
-        i, [](Table& t) { return t.CheckInvariants(); });
+        i, [](T& t) { return t.CheckInvariants(); });
     EXPECT_TRUE(s.ok()) << "shard " << i << ": " << s.ToString();
+  }
+}
+
+TableOptions FullLoadOptions() {
+  TableOptions o = StressOptions();
+  o.buckets_per_table = 256;
+  return o;
+}
+
+constexpr uint64_t kFullLoadRounds = 32;
+
+TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOne) {
+  for (uint64_t round = 0; round < kFullLoadRounds && !HasFailure(); ++round) {
+    ShardedFullLoadChurn<Table>(FullLoadOptions(), round);
+  }
+}
+
+TEST(MultiWriterStressTest, ShardedFullLoadChurnPastLoadFactorOneBlocked) {
+  for (uint64_t round = 0; round < kFullLoadRounds && !HasFailure(); ++round) {
+    ShardedFullLoadChurn<BlockedTable>(Blocked(FullLoadOptions()), round);
   }
 }
 

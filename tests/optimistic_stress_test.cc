@@ -186,7 +186,7 @@ TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
 
 // Differential check: over one randomized insert/erase/lookup trace, the
 // front-end (striped writers, optimistic reads) and the bare table behind
-// the paper's lock (SoloWriter, FindNoStats, FindBatchNoStats) return
+// the paper's lock (SoloWriter, FindNoStats, FindBatch) return
 // bit-identical results for every scalar and batched lookup. The bare table
 // is built from the one shard's own options, so both share geometry and
 // seeds.
@@ -236,7 +236,7 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
   bool found_a[kB], found_b[kB];
   for (size_t base = 0; base + kB <= keys.size(); base += kB) {
     const std::span<const uint64_t> batch(&keys[base], kB);
-    const size_t ha = locked.FindBatchNoStats(batch, out_a, found_a);
+    const size_t ha = locked.FindBatch(batch, out_a, found_a);
     const size_t hb = optimistic.FindBatch(batch, out_b, found_b);
     ASSERT_EQ(ha, hb) << "base " << base;
     for (size_t j = 0; j < kB; ++j) {

@@ -1,10 +1,10 @@
 // Every read form of the two multi-copy tables agrees with Find.
 //
 // The tables expose one lookup through many entry points: Find, Contains,
-// FindNoStats, FindBatch, FindBatchNoStats, TryFindOptimistic,
-// TryFindBatchOptimistic and, on the single-slot table, the striped-lock
-// FindStriped. They must all return the same hit and value for every key,
-// and take the same stash-probe decision (the §III.E/F screen). The matrix
+// FindNoStats, FindBatch, TryFindOptimistic, TryFindBatchOptimistic and,
+// on the single-slot table, the striped-lock FindStriped. They must all
+// return the same hit and value for every key, and take the same
+// stash-probe decision (the §III.E/F screen). The matrix
 // covers both layouts, every deletion mode, both stash kinds, the stash
 // screen and the lookup pruning rules on and off, and (blocked layout) both
 // tag-probe kernels. Each table is filled until keys spill to the stash,
@@ -197,41 +197,26 @@ void CheckAllReadFormsAgree(const ReadCase& c) {
     ASSERT_EQ(t.stats().stash_probes != before, ref[i].probed_stash)
         << "FindBatch key #" << i;
   }
-  auto check_batch = [&](const char* form, auto&& read, bool charged) {
+  {
     std::vector<uint64_t> out(queries.size(), 0);
     std::unique_ptr<bool[]> found(new bool[queries.size()]);
     const uint64_t stats_before = t.stats().stash_probes;
     const uint64_t metrics_before = StashProbeMetrics(t.SnapshotMetrics());
-    EXPECT_EQ(read(std::span<const uint64_t>(queries), out.data(),
-                   found.get()),
-              ref_hits)
-        << form;
+    EXPECT_EQ(t.FindBatch(std::span<const uint64_t>(queries), out.data(),
+                          found.get()),
+              ref_hits);
     for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(found[i], ref[i].hit) << form << " key #" << i;
+      ASSERT_EQ(found[i], ref[i].hit) << "FindBatch tiles key #" << i;
       if (found[i]) {
-        ASSERT_EQ(out[i], ref[i].value) << form << " key #" << i;
+        ASSERT_EQ(out[i], ref[i].value) << "FindBatch tiles key #" << i;
       }
     }
-    if (charged) {
-      EXPECT_EQ(t.stats().stash_probes - stats_before, ref_stash_probes)
-          << form;
-    }
+    EXPECT_EQ(t.stats().stash_probes - stats_before, ref_stash_probes);
     if constexpr (kMetricsEnabled) {
       EXPECT_EQ(StashProbeMetrics(t.SnapshotMetrics()) - metrics_before,
-                ref_stash_probes)
-          << form;
+                ref_stash_probes);
     }
-  };
-  check_batch("FindBatch",
-              [&](std::span<const uint64_t> k, uint64_t* o, bool* f) {
-                return t.FindBatch(k, o, f);
-              },
-              /*charged=*/true);
-  check_batch("FindBatchNoStats",
-              [&](std::span<const uint64_t> k, uint64_t* o, bool* f) {
-                return t.FindBatchNoStats(k, o, f);
-              },
-              /*charged=*/false);
+  }
 
   // The lock-free forms: a key whose lookup needs the stash reports
   // kContended (the caller then retries under a lock); every other key

@@ -65,8 +65,8 @@ TEST(ServerStressTest, PipelinedConnectionsThroughGrowth) {
   };
 
   // HTTP scraper: hits the stats routes while the table is growing, so
-  // the exclusive-shard walks in /trace and /heatmap overlap writer
-  // traffic.
+  // their aux-stripe reads (the span rings behind /trace, the counter scans
+  // behind /heatmap) overlap writer traffic and growth.
   std::thread scraper([&] {
     while (scraping.load(std::memory_order_relaxed)) {
       for (const char* route : {"/metrics", "/trace", "/heatmap"}) {
