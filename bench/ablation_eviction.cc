@@ -1,9 +1,9 @@
 // Eviction-policy ablation (§III.D: "any existing collision resolving
 // mechanisms such as random-walk or MinCounter can be used"):
 //
-//   * kick-outs per insertion, wall-clock insert throughput and the
-//     fraction of inserts that spill to the stash while filling through
-//     90% / 95% / 98% load, and
+//   * kick-outs, off-chip reads and the fraction of inserts that spill to
+//     the stash per insertion while filling through 90% / 95% / 98% load,
+//     plus wall-clock insert throughput (JSON only), and
 //   * load at first insertion failure,
 //
 // for every scheme x policy combination: all four schemes under
@@ -15,12 +15,20 @@
 // load. A spilled insert returns quickly, so read ops/s next to
 // spill_fraction.
 //
+// Flags beyond bench_common.h's: --d=N hash functions (default 3) and
+// --l=N slots per bucket of the blocked schemes (default 3; at --l=1 only
+// the single-slot schemes run). Stdout holds
+// only deterministic columns, pinned at default flags by
+// bench/golden/ablation_eviction.txt.
+//
 // Results are merged into BENCH_throughput.json under the
 // "ablation_eviction." prefix, with the meta.* rows (bench/bench_driver.h).
-// Each ops_per_sec row pools every rep's inserts and time, and gains
-// .median, .p25, .p75 and .reps siblings over the per-rep (per-seed) rates,
-// as the driver's rows do.
+// Each ops_per_sec row pools every rep's inserts and time, and each
+// first_failure_load row is the mean over reps; both gain .median, .p25,
+// .p75 and .reps siblings over the per-rep (per-seed) values, as the
+// driver's rows do.
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -51,29 +59,37 @@ struct LoadPoint {
 
 int Main(int argc, char** argv) {
   BenchConfig cfg = ParseBenchFlags(argc, argv);
-  PrintRunHeader("Ablation: eviction policies", CommonParams(cfg));
+  const auto d = static_cast<uint32_t>(cfg.flags.GetInt("d", 3));
+  const auto l = static_cast<uint32_t>(cfg.flags.GetInt("l", 3));
+  auto params = CommonParams(cfg);
+  params.emplace_back("d", std::to_string(d));
+  params.emplace_back("l", std::to_string(l));
+  PrintRunHeader("Ablation: eviction policies", params);
 
   constexpr EvictionPolicy kPolicies[] = {
       EvictionPolicy::kRandomWalk, EvictionPolicy::kMinCounter,
       EvictionPolicy::kBfs, EvictionPolicy::kBubble};
 
   TextTable out;
-  out.Add("config", "kicks@90", "Mops/s@90", "spill@90", "kicks@95",
-          "Mops/s@95", "spill@95", "kicks@98", "Mops/s@98", "spill@98",
+  out.Add("config", "kicks@90", "reads@90", "spill@90", "kicks@95",
+          "reads@95", "spill@95", "kicks@98", "reads@98", "spill@98",
           "first failure load");
   FlatJson json;
-  BenchResults rates;  // ops_per_sec rows, written with their siblings
+  BenchResults spreads;  // rows written with their per-rep siblings
   for (const SchemeKind kind : kAllSchemes) {
     for (const EvictionPolicy policy : kPolicies) {
       if (kind == SchemeKind::kBcht && policy == EvictionPolicy::kBfs) {
         continue;  // CuckooTable takes BFS only at slots_per_bucket = 1.
       }
+      if (IsBlocked(kind) && l < 2) continue;  // blocked layouts need l >= 2
       const std::string label =
           std::string(SchemeName(kind)) + "/" + EvictionPolicyToString(policy);
       LoadPoint points[3];
-      double fail_load = 0;
+      std::vector<double> fail_loads;  // each rep's first-failure load
       for (int rep = 0; rep < cfg.reps; ++rep) {
         SchemeConfig sc = MakeSchemeConfig(cfg, rep);
+        sc.num_hashes = d;
+        sc.slots_per_bucket = l;
         sc.eviction_policy = policy;
         auto table = MakeScheme(kind, sc);
         const auto keys = MakeInsertKeys(cfg, table->capacity(), rep);
@@ -99,13 +115,13 @@ int Main(int argc, char** argv) {
         const uint64_t items = table->first_failure_items() != 0
                                    ? table->first_failure_items()
                                    : table->TotalItems();
-        fail_load += static_cast<double>(items) /
-                     static_cast<double>(table->capacity());
+        fail_loads.push_back(static_cast<double>(items) /
+                             static_cast<double>(table->capacity()));
       }
       std::vector<std::string> row = {label};
       for (int li = 0; li < 3; ++li) {
         row.push_back(FormatDouble(points[li].kicks_per_insert / cfg.reps));
-        row.push_back(FormatDouble(points[li].OpsPerSec() / 1e6));
+        row.push_back(FormatDouble(points[li].reads_per_insert / cfg.reps));
         row.push_back(FormatDouble(points[li].SpillFraction()));
         const std::string key_base = "ablation_eviction." +
                                      std::string(SchemeName(kind)) + "." +
@@ -115,18 +131,23 @@ int Main(int argc, char** argv) {
             points[li].kicks_per_insert / cfg.reps;
         RowStats spread = SummarizeReps(points[li].rep_rates);
         spread.best = points[li].OpsPerSec();  // the pooled rate, not a rep
-        rates[key_base + ".ops_per_sec"] = spread;
+        spreads[key_base + ".ops_per_sec"] = spread;
         json[key_base + ".spill_fraction"] = points[li].SpillFraction();
       }
-      row.push_back(FormatPercent(fail_load / cfg.reps));
-      json["ablation_eviction." + std::string(SchemeName(kind)) + "." +
-           EvictionPolicyToString(policy) + ".first_failure_load"] =
-          fail_load / cfg.reps;
+      const double mean_fail =
+          std::accumulate(fail_loads.begin(), fail_loads.end(), 0.0) /
+          cfg.reps;
+      row.push_back(FormatPercent(mean_fail));
+      RowStats fail_spread = SummarizeReps(fail_loads);
+      fail_spread.best = mean_fail;  // the mean, not the best rep
+      spreads["ablation_eviction." + std::string(SchemeName(kind)) + "." +
+              EvictionPolicyToString(policy) + ".first_failure_load"] =
+          fail_spread;
       out.AddRow(row);
     }
   }
   Status s = EmitTable(out, cfg.flags);
-  if (WriteBenchRows(rates, {"ablation_eviction."}, std::move(json)) != 0) {
+  if (WriteBenchRows(spreads, {"ablation_eviction."}, std::move(json)) != 0) {
     return 1;
   }
   std::printf(

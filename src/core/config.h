@@ -57,7 +57,7 @@ enum class EvictionPolicy {
 };
 
 /// Returns a short stable policy name ("random_walk", "min_counter", ...).
-inline const char* EvictionPolicyToString(EvictionPolicy p) {
+constexpr const char* EvictionPolicyToString(EvictionPolicy p) {
   switch (p) {
     case EvictionPolicy::kRandomWalk: return "random_walk";
     case EvictionPolicy::kMinCounter: return "min_counter";

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <iterator>
 #include <span>
+#include <string_view>
+
+#include "src/core/config.h"
 
 namespace mccuckoo {
 
@@ -61,6 +64,22 @@ struct Axis {
 constexpr const char* kPolicyNames[] = {"random_walk", "min_counter", "bfs",
                                         "bubble"};
 static_assert(std::size(kPolicyNames) == kMetricsPolicies);
+
+/// True when label i is EvictionPolicyToString of enumerator i and the
+/// enum has exactly kMetricsPolicies enumerators (the value one past the
+/// last names no policy).
+constexpr bool PolicyNamesMatchEnum() {
+  for (size_t i = 0; i < kMetricsPolicies; ++i) {
+    if (std::string_view(kPolicyNames[i]) !=
+        EvictionPolicyToString(static_cast<EvictionPolicy>(i))) {
+      return false;
+    }
+  }
+  return std::string_view(EvictionPolicyToString(
+             static_cast<EvictionPolicy>(kMetricsPolicies))) == "unknown";
+}
+static_assert(PolicyNamesMatchEnum(),
+              "kPolicyNames and kMetricsPolicies must follow EvictionPolicy");
 constexpr const char* kPartitionNames[] = {"0", "1", "2", "3", "4"};
 static_assert(std::size(kPartitionNames) == kMetricsPartitions);
 
