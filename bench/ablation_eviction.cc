@@ -24,9 +24,9 @@
 // Results are merged into BENCH_throughput.json under the
 // "ablation_eviction." prefix, with the meta.* rows (bench/bench_driver.h).
 // Each ops_per_sec row pools every rep's inserts and time, and each
-// first_failure_load row is the mean over reps; both gain .median, .p25,
-// .p75 and .reps siblings over the per-rep (per-seed) values, as the
-// driver's rows do.
+// kicks_per_insert and first_failure_load row is the mean over reps; all
+// three gain .median, .p25, .p75 and .reps siblings over the per-rep
+// (per-seed) values, as the driver's rows do.
 
 #include <numeric>
 #include <string>
@@ -46,7 +46,7 @@ constexpr double kBandEnd[] = {0.95, 0.98, 0.99};
 constexpr int kLoadPct[] = {90, 95, 98};
 
 struct LoadPoint {
-  double kicks_per_insert = 0;
+  std::vector<double> rep_kicks;  // each rep's kicks per insert
   double reads_per_insert = 0;
   double ops = 0;
   double seconds = 0;
@@ -56,6 +56,14 @@ struct LoadPoint {
   double OpsPerSec() const { return seconds > 0 ? ops / seconds : 0.0; }
   double SpillFraction() const { return ops > 0 ? stash_growth / ops : 0.0; }
 };
+
+/// The mean of each rep's value, with the reps' quartiles as siblings.
+RowStats MeanWithQuartiles(const std::vector<double>& per_rep) {
+  RowStats s = SummarizeReps(per_rep);
+  s.best = std::accumulate(per_rep.begin(), per_rep.end(), 0.0) /
+           static_cast<double>(per_rep.size());
+  return s;
+}
 
 int Main(int argc, char** argv) {
   BenchConfig cfg = ParseBenchFlags(argc, argv);
@@ -102,7 +110,7 @@ int Main(int argc, char** argv) {
           const double seconds = sw.ElapsedSeconds();
           points[li].stash_growth += static_cast<double>(table->stash_size()) -
                                      static_cast<double>(stash0);
-          points[li].kicks_per_insert += p.KickoutsPerOp();
+          points[li].rep_kicks.push_back(p.KickoutsPerOp());
           points[li].reads_per_insert += p.ReadsPerOp();
           points[li].ops += static_cast<double>(p.ops);
           points[li].seconds += seconds;
@@ -120,29 +128,24 @@ int Main(int argc, char** argv) {
       }
       std::vector<std::string> row = {label};
       for (int li = 0; li < 3; ++li) {
-        row.push_back(FormatDouble(points[li].kicks_per_insert / cfg.reps));
+        const RowStats kicks = MeanWithQuartiles(points[li].rep_kicks);
+        row.push_back(FormatDouble(kicks.best));
         row.push_back(FormatDouble(points[li].reads_per_insert / cfg.reps));
         row.push_back(FormatDouble(points[li].SpillFraction()));
         const std::string key_base = "ablation_eviction." +
                                      std::string(SchemeName(kind)) + "." +
                                      EvictionPolicyToString(policy) + ".load" +
                                      std::to_string(kLoadPct[li]);
-        json[key_base + ".kicks_per_insert"] =
-            points[li].kicks_per_insert / cfg.reps;
+        spreads[key_base + ".kicks_per_insert"] = kicks;
         RowStats spread = SummarizeReps(points[li].rep_rates);
         spread.best = points[li].OpsPerSec();  // the pooled rate, not a rep
         spreads[key_base + ".ops_per_sec"] = spread;
         json[key_base + ".spill_fraction"] = points[li].SpillFraction();
       }
-      const double mean_fail =
-          std::accumulate(fail_loads.begin(), fail_loads.end(), 0.0) /
-          cfg.reps;
-      row.push_back(FormatPercent(mean_fail));
-      RowStats fail_spread = SummarizeReps(fail_loads);
-      fail_spread.best = mean_fail;  // the mean, not the best rep
+      const RowStats fail = MeanWithQuartiles(fail_loads);
+      row.push_back(FormatPercent(fail.best));
       spreads["ablation_eviction." + std::string(SchemeName(kind)) + "." +
-              EvictionPolicyToString(policy) + ".first_failure_load"] =
-          fail_spread;
+              EvictionPolicyToString(policy) + ".first_failure_load"] = fail;
       out.AddRow(row);
     }
   }
