@@ -533,14 +533,16 @@ class CuckooTable {
   /// once.
   ///
   /// The node budget is the full maxloop, NOT the kBfsMaxNodes cap the
-  /// counter-guided tables use: their searches terminate on free *or*
-  /// redundant-copy buckets, so a few dozen nodes nearly always reach a
-  /// terminal, while the hole-only baseline needs the deeper frontier to
-  /// match the walk policies' attainable load (capping at 48 nodes dropped
-  /// first-failure from ~0.90 to 0.80). The dead-end cost of the bigger
-  /// budget is bounded by the same BfsThrottle the other tables run: after
-  /// a failed search further inserts probe with a few nodes until one
-  /// succeeds again.
+  /// counter-guided tables use. Their searches also end on redundant-copy
+  /// buckets, yet the cap still costs them load (EXPERIMENTS.md's policy
+  /// grid, median first-failure load over 11 seeds: McCuckoo/BFS 0.845
+  /// against the walk's 0.903 at d = 3). The hole-only baseline needs the
+  /// deeper frontier to match the walk policies' attainable load: capping
+  /// at 48 nodes dropped first-failure from ~0.90 to 0.80, and with the
+  /// full budget the same grid reads 0.896 for both. The dead-end cost of
+  /// the bigger budget is bounded by the same BfsThrottle the other tables
+  /// run: after a failed search further inserts probe with a few nodes
+  /// until one succeeds again.
   InsertResult BfsInsert(Key key, Value value,
                          const std::array<size_t, kMaxHashes>& cand,
                          uint32_t* chain_len_out, uint32_t* nodes_out) {

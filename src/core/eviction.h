@@ -147,11 +147,12 @@ struct BfsPathResult {
 /// would make every beyond-threshold insert pay maxloop occupant reads
 /// before stashing — exactly the wall-clock collapse BFS exists to fix.
 /// The cap lets doomed inserts fail in ~kBfsMaxNodes on-chip-guided reads,
-/// at a price: it also fails some inserts that a larger search would have
-/// placed. A table rich in redundant copies finds its terminals within a
-/// few dozen nodes (the observed shortest chains at 90% load are 1-3
-/// relocations), but one holding mostly sole copies starts to stash near
-/// 0.8 load. The multi-copy tables' BFS paths apply the cap; the
+/// at a price: it also fails inserts that a larger search would have
+/// placed, on every multi-copy geometry. EXPERIMENTS.md's policy grid
+/// (median first-failure load over 11 seeds, BFS against the walk) reads
+/// 0.845 vs 0.903 for McCuckoo at d = 3 and 0.932 vs 0.969 at d = 4, and
+/// 0.955 vs 0.983 (l = 2) and 0.988 vs 0.998 (l = 4) for B-McCuckoo at
+/// d = 3. The multi-copy tables' BFS paths apply the cap; the
 /// multi-writer path lifts it while auto-growth can still act
 /// (McCuckooTable::ConcurrentBfsBudget).
 inline constexpr uint32_t kBfsMaxNodes = 48;
