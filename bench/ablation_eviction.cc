@@ -17,9 +17,8 @@
 //
 // Flags beyond bench_common.h's: --d=N hash functions (default 3) and
 // --l=N slots per bucket of the blocked schemes (default 3; at --l=1 only
-// the single-slot schemes run). Stdout holds
-// only deterministic columns, pinned at default flags by
-// bench/golden/ablation_eviction.txt.
+// the single-slot schemes run). Stdout holds only deterministic columns,
+// pinned at default flags by bench/golden/ablation_eviction.txt.
 //
 // Results are merged into BENCH_throughput.json under the
 // "ablation_eviction." prefix, with the meta.* rows (bench/bench_driver.h).
