@@ -25,7 +25,7 @@
 // Each ops_per_sec row pools every rep's inserts and time, and each
 // kicks_per_insert and first_failure_load row is the mean over reps; all
 // three gain .median, .p25, .p75 and .reps siblings over the per-rep
-// (per-seed) values, as the driver's rows do.
+// (per-seed) values, as bench_driver.h's rows do.
 
 #include <numeric>
 #include <string>
