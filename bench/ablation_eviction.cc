@@ -7,8 +7,8 @@
 //   * load at first insertion failure,
 //
 // for every scheme x policy combination: all four schemes under
-// random-walk / MinCounter / bubbling, and counter-guided BFS everywhere
-// except BCHT (BFS needs single-slot buckets on the baseline table). Shows
+// random-walk / MinCounter, and counter-guided BFS everywhere except BCHT
+// (BFS needs single-slot buckets on the baseline table). Shows
 // (a) how much of McCuckoo's gain comes from the multi-copy counters rather
 // than the walk policy, (b) that the policies compose with the counters,
 // and (c) that BFS repairs the multi-copy tables' insert collapse past 90%
@@ -75,7 +75,7 @@ int Main(int argc, char** argv) {
 
   constexpr EvictionPolicy kPolicies[] = {
       EvictionPolicy::kRandomWalk, EvictionPolicy::kMinCounter,
-      EvictionPolicy::kBfs, EvictionPolicy::kBubble};
+      EvictionPolicy::kBfs};
 
   TextTable out;
   out.Add("config", "kicks@90", "reads@90", "spill@90", "kicks@95",
@@ -155,8 +155,7 @@ int Main(int argc, char** argv) {
   std::printf(
       "expected: BFS fewest kicks everywhere it runs and the only policy "
       "holding insert throughput past 90%% on the multi-copy tables; "
-      "bubbling between walk and BFS; MinCounter composes with the "
-      "counters\n");
+      "MinCounter composes with the counters\n");
   return s.ok() ? 0 : 1;
 }
 

@@ -10,8 +10,8 @@
 // lookup costs at most d reads. The set-associativity inside a bucket
 // absorbs most collisions at l > 1, pushing the achievable load well past
 // 95%. The rest are resolved by a kick-out chain bounded by maxloop that
-// evicts one slot of the chosen victim bucket (random walk, MinCounter or
-// bubbling; BFS at l = 1 only). Overruns go to a stash (modeling the
+// evicts one slot of the chosen victim bucket (random walk or MinCounter;
+// BFS at l = 1 only). Overruns go to a stash (modeling the
 // common CHS arrangement [22]) so that no key is ever lost, but without
 // McCuckoo's counters every main-table miss must probe the stash.
 
@@ -334,17 +334,6 @@ class CuckooTable {
     return bucket * opts_.slots_per_bucket + slot;
   }
 
-  /// Scan order for the free-slot scans: bubbling places fresh and
-  /// displaced items as *high* (largest sub-table index) as possible,
-  /// reserving headroom in the low levels for the items its eviction cycle
-  /// sweeps upward (arXiv 2501.02312); every other policy scans in table
-  /// order. Returns the t-th candidate to try at scan position `i`.
-  uint32_t ScanLevel(uint32_t i) const {
-    return opts_.eviction_policy == EvictionPolicy::kBubble
-               ? opts_.num_hashes - 1 - i
-               : i;
-  }
-
   /// Reads bucket `bucket` (one off-chip access) and returns a free slot
   /// index within it, or -1 if the bucket is full.
   int FreeSlotIn(size_t bucket) {
@@ -364,13 +353,12 @@ class CuckooTable {
     s.occupied = true;
   }
 
-  /// Reads the candidates in scan order, skipping `exclude` (the bucket the
+  /// Reads the candidates in table order, skipping `exclude` (the bucket the
   /// item in hand was just evicted from), and stores the item in the first
   /// free slot found. Returns false when every scanned bucket is full.
   bool TryPlace(const Key& key, const Value& value,
                 const std::array<size_t, kMaxHashes>& cand, size_t exclude) {
-    for (uint32_t i = 0; i < opts_.num_hashes; ++i) {
-      const uint32_t t = ScanLevel(i);
+    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       if (cand[t] == exclude) continue;
       const int slot = FreeSlotIn(cand[t]);
       if (slot >= 0) {
@@ -478,14 +466,13 @@ class CuckooTable {
     return InsertResult::kStashed;
   }
 
-  /// Random-walk / MinCounter / bubbling kick-out chain: evicts one slot of
+  /// Random-walk / MinCounter kick-out chain: evicts one slot of
   /// the chosen victim bucket per step. `cand` are the (already read, all
   /// full) candidates of `key`.
   InsertResult WalkInsert(Key key, Value value,
                           std::array<size_t, kMaxHashes> cand,
                           uint32_t* chain_len_out) {
     size_t exclude = kNoBucket;
-    int32_t from_level = -1;  // bubbling: level the in-hand item left
     uint32_t chain = 0;
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       if (loop > 0) {
@@ -496,10 +483,7 @@ class CuckooTable {
         }
       }
       const uint32_t t =
-          opts_.eviction_policy == EvictionPolicy::kBubble
-              ? PickBubbleVictim(cand, opts_.num_hashes, exclude, from_level)
-              : PickVictim(cand, opts_.num_hashes, exclude, kick_history_,
-                           rng_);
+          PickVictim(cand, opts_.num_hashes, exclude, kick_history_, rng_);
       // Below(1) would still consume a draw; skipping it at l = 1 keeps
       // the standard table's walk stream.
       const uint32_t s =
@@ -513,7 +497,6 @@ class CuckooTable {
       ++stats_->kickouts;
       if (kick_history_.enabled()) kick_history_.Increment(cand[t]);
       exclude = cand[t];
-      from_level = static_cast<int32_t>(t);
       key = std::move(vk);
       value = std::move(vv);
       ++chain;

@@ -48,12 +48,6 @@ enum class EvictionPolicy {
   /// McCuckooTable, BlockedMcCuckooTable and the single-slot CuckooTable;
   /// CuckooTable rejects it at Create() when slots_per_bucket > 1 (BCHT).
   kBfs,
-  /// Bubbling-up (arXiv 2501.02312): reserve headroom in the low-numbered
-  /// sub-tables by placing fresh items as "high" as possible and cycling
-  /// eviction deterministically through the levels, so displaced items
-  /// drift toward the reserved headroom instead of random-walking.
-  /// Supported by all four schemes.
-  kBubble,
 };
 
 /// Returns a short stable policy name ("random_walk", "min_counter", ...).
@@ -62,7 +56,6 @@ constexpr const char* EvictionPolicyToString(EvictionPolicy p) {
     case EvictionPolicy::kRandomWalk: return "random_walk";
     case EvictionPolicy::kMinCounter: return "min_counter";
     case EvictionPolicy::kBfs:        return "bfs";
-    case EvictionPolicy::kBubble:     return "bubble";
   }
   return "unknown";
 }

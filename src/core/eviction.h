@@ -5,13 +5,11 @@
 // McCuckoo's relocation, with the on-chip copy counters pinpointing usable
 // buckets at every step. Random-walk is the paper's running example; this
 // header adds the MinCounter policy (a per-bucket kick-history counter,
-// evict the "coldest" bucket) for all four tables, the deterministic
-// level-cycling victim choice behind the bubbling-up policy
-// (arXiv 2501.02312), and a shared breadth-first shortest-path engine [3]
-// that each table drives with its own notion of "terminal" node — an empty
-// bucket for the single-copy baseline, an empty *or redundant-copy*
-// (counter > 1) bucket for the multi-copy tables, where eviction is a pure
-// on-chip counter decrement.
+// evict the "coldest" bucket) for all four tables and a shared
+// breadth-first shortest-path engine [3] that each table drives with its
+// own notion of "terminal" node — an empty bucket for the single-copy
+// baseline, an empty *or redundant-copy* (counter > 1) bucket for the
+// multi-copy tables, where eviction is a pure on-chip counter decrement.
 
 #ifndef MCCUCKOO_CORE_EVICTION_H_
 #define MCCUCKOO_CORE_EVICTION_H_
@@ -107,21 +105,6 @@ uint32_t PickVictim(const Candidates& buckets, uint32_t d, size_t exclude,
   }
   if (n_best == 0) return 0;  // d == 1 and the only candidate is excluded
   return best[rng.Below(n_best)];
-}
-
-/// Bubbling-up victim choice (arXiv 2501.02312): instead of a random pick,
-/// eviction cycles deterministically through the levels — an item displaced
-/// from level `from_level` (-1 for the freshly inserted item) evicts at
-/// level (from_level + 1) % d, so chains sweep "upward" through the
-/// sub-tables and displaced items drift toward the headroom the placement
-/// rule reserves in the low levels. Skips the bucket the in-hand item was
-/// just evicted from when an alternative exists.
-template <typename Candidates>
-uint32_t PickBubbleVictim(const Candidates& buckets, uint32_t d,
-                          size_t exclude, int32_t from_level) {
-  uint32_t t = static_cast<uint32_t>(from_level + 1) % d;
-  if (buckets[t] == exclude && d > 1) t = (t + 1) % d;
-  return t;
 }
 
 // --- Shared breadth-first path search ------------------------------------

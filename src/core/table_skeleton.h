@@ -1454,8 +1454,8 @@ class TableSkeleton {
   /// if the in-hand item has any empty or redundant candidate slot the
   /// counters reveal it and the chain ends immediately (TryPlace);
   /// otherwise a sole copy is evicted. The victim bucket follows the
-  /// configured policy — uniform random, MinCounter's coldest, or
-  /// bubbling's deterministic level cycle — never the bucket just written
+  /// configured policy — uniform random or MinCounter's coldest — never
+  /// the bucket just written
   /// (no immediate ping-pong); the slot within it is uniform, drawn only
   /// when l > 1 so the single-slot RNG stream has no draw to skip. On
   /// maxloop overrun the in-hand item gets one final placement attempt and
@@ -1466,7 +1466,6 @@ class TableSkeleton {
                                 uint32_t* chain_len_out) {
     const uint32_t l = derived().SlotsPerBucket();
     size_t exclude = kNoBucket;
-    int32_t from_level = -1;  // bubbling: level the in-hand item left
     uint32_t chain = 0;
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       Candidates cand = ComputeCandidates(key);
@@ -1475,12 +1474,8 @@ class TableSkeleton {
         *chain_len_out = chain;
         return InsertResult::kInserted;
       }
-      const uint32_t t =
-          opts_.eviction_policy == EvictionPolicy::kBubble
-              ? PickBubbleVictim(cand.bucket, opts_.num_hashes, exclude,
-                                 from_level)
-              : PickVictim(cand.bucket, opts_.num_hashes, exclude,
-                           kick_history_, rng_);
+      const uint32_t t = PickVictim(cand.bucket, opts_.num_hashes, exclude,
+                                    kick_history_, rng_);
       const uint32_t s = l > 1 ? static_cast<uint32_t>(rng_.Below(l)) : 0;
       const size_t slot = cand.bucket[t] * l + s;
       ctx.Charge(&AccessStats::offchip_reads);
@@ -1491,7 +1486,6 @@ class TableSkeleton {
       // Counter stays 1: the slot still holds a sole copy.
       ctx.Kick(cand.bucket[t]);
       exclude = cand.bucket[t];
-      from_level = static_cast<int32_t>(t);
       key = std::move(vk);
       value = std::move(vv);
       ++chain;

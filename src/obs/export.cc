@@ -61,8 +61,8 @@ struct Axis {
 
 /// Eviction-policy label values, in MetricsSnapshot::policy_chain_len
 /// index order (== EvictionPolicy enumerator order).
-constexpr const char* kPolicyNames[] = {"random_walk", "min_counter", "bfs",
-                                        "bubble"};
+constexpr const char* kPolicyNames[] = {"random_walk", "min_counter",
+                                        "bfs"};
 static_assert(std::size(kPolicyNames) == kMetricsPolicies);
 
 /// True when label i is EvictionPolicyToString of enumerator i and the

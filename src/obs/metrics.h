@@ -65,11 +65,11 @@ inline constexpr size_t kHistogramBuckets = 20;
 inline constexpr size_t kMetricsPartitions = 5;
 
 /// Eviction-policy-indexed metric arrays (one slot per EvictionPolicy
-/// enumerator, in declaration order: random_walk, min_counter, bfs,
-/// bubble). Kept as a plain count so this header stays independent of
+/// enumerator, in declaration order: random_walk, min_counter, bfs).
+/// Kept as a plain count so this header stays independent of
 /// core/config.h; src/obs/export.cc static_asserts that it matches the
 /// enum.
-inline constexpr size_t kMetricsPolicies = 4;
+inline constexpr size_t kMetricsPolicies = 3;
 
 /// Rows of the fused lookup-outcome grid: row 0 records misses, row 1 + v
 /// records a hit resolved in the counter-value-v partition (v <

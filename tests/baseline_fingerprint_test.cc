@@ -1,7 +1,7 @@
 // Exact behaviour pins for the two paper baselines (standard d-ary cuckoo
 // at l = 1, BCHT at l > 1) over the configurations the golden bench files
-// leave out: l in {1, 2, 3, 4}; random-walk, MinCounter and bubbling
-// eviction, plus BFS at l = 1; off-chip and on-chip CHS stashes. Each case
+// leave out: l in {1, 2, 3, 4}; random-walk and MinCounter eviction,
+// plus BFS at l = 1; off-chip and on-chip CHS stashes. Each case
 // fills a small d = 3 table past its first insertion failure, runs one
 // FindBatch over present and absent keys and an Erase sweep that reaches
 // stashed keys, then compares every counter the run produces against
@@ -151,7 +151,6 @@ Fingerprint RunCase(const Case& c) {
 
 constexpr EvictionPolicy kWalk = EvictionPolicy::kRandomWalk;
 constexpr EvictionPolicy kMin = EvictionPolicy::kMinCounter;
-constexpr EvictionPolicy kBub = EvictionPolicy::kBubble;
 constexpr EvictionPolicy kBfs = EvictionPolicy::kBfs;
 constexpr StashKind kOff = StashKind::kOffchip;
 constexpr StashKind kChs = StashKind::kOnchipChs;
@@ -187,18 +186,6 @@ const Expected kExpected[] = {
       {3783, 0, 797, 0, 0, 797},
       {810, 345, 44, 28, 0, 44},
       343, 674, 47, 51, 23, 746, 373, 167, 51, 0x922a7417aa5e5fedull}},
-    {{1, kBub, kOff},
-     {716,
-      {5858, 2944, 0, 0, 2228, 0},
-      {4354, 0, 0, 0, 0, 744},
-      {785, 358, 0, 0, 0, 29},
-      255, 644, 0, 28, 15, 716, 358, 148, 28, 0xf516527894e9f165ull}},
-    {{1, kBub, kChs},
-     {716,
-      {5858, 2916, 0, 28, 2228, 0},
-      {3610, 0, 744, 0, 0, 744},
-      {756, 345, 29, 13, 0, 29},
-      255, 644, 24, 28, 15, 716, 358, 148, 28, 0xf516527894e9f165ull}},
     {{1, kBfs, kOff},
      {718,
       {3939, 896, 0, 0, 178, 0},
@@ -235,18 +222,6 @@ const Expected kExpected[] = {
       {3944, 0, 835, 0, 0, 835},
       {845, 369, 35, 19, 0, 35},
       406, 705, 54, 58, 39, 777, 388, 152, 58, 0xdf5d972495c48de5ull}},
-    {{2, kBub, kOff},
-     {779,
-      {7735, 3899, 0, 0, 3120, 0},
-      {4798, 0, 0, 0, 0, 840},
-      {908, 389, 0, 0, 0, 55},
-      378, 707, 0, 61, 22, 779, 389, 158, 61, 0x708ad02ac50a0d15ull}},
-    {{2, kBub, kChs},
-     {779,
-      {7735, 3838, 0, 61, 3120, 0},
-      {3958, 0, 840, 0, 0, 840},
-      {853, 350, 55, 39, 0, 55},
-      378, 707, 57, 61, 22, 779, 389, 158, 61, 0x708ad02ac50a0d15ull}},
     {{3, kWalk, kOff},
      {774,
       {6666, 3360, 0, 0, 2586, 0},
@@ -271,18 +246,6 @@ const Expected kExpected[] = {
       {3996, 0, 852, 0, 0, 852},
       {848, 363, 46, 30, 0, 46},
       514, 714, 62, 66, 36, 786, 393, 152, 66, 0x9a37e3f6195dc465ull}},
-    {{3, kBub, kOff},
-     {767,
-      {6503, 3275, 0, 0, 2508, 0},
-      {4696, 0, 0, 0, 0, 814},
-      {879, 383, 0, 0, 0, 40},
-      509, 695, 0, 47, 23, 767, 383, 134, 47, 0x32b5e7db79bcebc9ull}},
-    {{3, kBub, kChs},
-     {767,
-      {6503, 3228, 0, 47, 2508, 0},
-      {3882, 0, 814, 0, 0, 814},
-      {839, 359, 40, 24, 0, 40},
-      509, 695, 43, 47, 23, 767, 383, 134, 47, 0x32b5e7db79bcebc9ull}},
     {{4, kWalk, kOff},
      {777,
       {6763, 3410, 0, 0, 2633, 0},
@@ -307,18 +270,6 @@ const Expected kExpected[] = {
       {3912, 0, 824, 0, 0, 824},
       {826, 364, 38, 22, 0, 38},
       595, 700, 48, 52, 30, 772, 386, 114, 52, 0xca5a30c5886da1d9ull}},
-    {{4, kBub, kOff},
-     {780,
-      {7439, 3750, 0, 0, 2970, 0},
-      {4802, 0, 0, 0, 0, 841},
-      {897, 390, 0, 0, 0, 46},
-      493, 708, 0, 61, 31, 780, 390, 134, 61, 0x43be3b5d00e99935ull}},
-    {{4, kBub, kChs},
-     {780,
-      {7439, 3689, 0, 61, 2970, 0},
-      {3961, 0, 841, 0, 0, 841},
-      {851, 360, 46, 30, 0, 46},
-      493, 708, 57, 61, 31, 780, 390, 134, 61, 0x43be3b5d00e99935ull}},
 };
 
 std::string CaseName(const Case& c) {

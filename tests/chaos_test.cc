@@ -28,12 +28,11 @@ TableOptions RandomOptions(Xoshiro256& rng, bool blocked) {
   o.deletion_mode = mode == 0   ? DeletionMode::kDisabled
                     : mode == 1 ? DeletionMode::kResetCounters
                                 : DeletionMode::kTombstone;
-  // Both core tables support all four policies, BFS included.
-  const uint64_t policy = rng.Below(4);
+  // Both core tables support all three policies, BFS included.
+  const uint64_t policy = rng.Below(3);
   o.eviction_policy = policy == 0   ? EvictionPolicy::kRandomWalk
                       : policy == 1 ? EvictionPolicy::kMinCounter
-                      : policy == 2 ? EvictionPolicy::kBfs
-                                    : EvictionPolicy::kBubble;
+                                    : EvictionPolicy::kBfs;
   o.stash_kind =
       rng.Bernoulli(0.3) ? StashKind::kOnchipChs : StashKind::kOffchip;
   o.stash_screen_enabled = rng.Bernoulli(0.8);

@@ -30,7 +30,7 @@ TEST(CuckooTest, CreateAcceptsEveryLayoutRejectsBlockedBfs) {
     o.slots_per_bucket = l;
     for (const EvictionPolicy p :
          {EvictionPolicy::kRandomWalk, EvictionPolicy::kMinCounter,
-          EvictionPolicy::kBubble, EvictionPolicy::kBfs}) {
+          EvictionPolicy::kBfs}) {
       o.eviction_policy = p;
       const auto r = Table::Create(o);
       if (l > 1 && p == EvictionPolicy::kBfs) {

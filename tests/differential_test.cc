@@ -353,11 +353,9 @@ INSTANTIATE_TEST_SUITE_P(
         Param{9 * 256, 100, DeletionMode::kTombstone,
               EvictionPolicy::kMinCounter, Mix(0.4, 0.2, 0.35, 6), 12000,
               "delete_heavy_tombstone"},
-        Param{9 * 512, 200, DeletionMode::kResetCounters,
-              EvictionPolicy::kBubble, Mix(0.3, 0.5, 0.1, 7), 15000,
-              "churn_reset_bubble"},
-        Param{9 * 64, 20, DeletionMode::kTombstone, EvictionPolicy::kBubble,
-              Mix(0.6, 0.3, 0.05, 8), 4000, "overfull_bubble"}),
+        Param{9 * 64, 20, DeletionMode::kTombstone,
+              EvictionPolicy::kMinCounter, Mix(0.6, 0.3, 0.05, 8), 4000,
+              "overfull_tombstone_mincounter"}),
     ParamName);
 
 }  // namespace

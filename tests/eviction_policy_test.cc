@@ -1,6 +1,5 @@
 // Tests of the pluggable eviction policies (§III.D): MinCounter [17] for
-// all four tables, counter-guided BFS [3] for everything except BCHT, and
-// the bubbling policy (arXiv:2501.02312) everywhere.
+// all four tables and counter-guided BFS [3] for everything except BCHT.
 
 #include <gtest/gtest.h>
 
@@ -249,41 +248,6 @@ TEST(BfsPolicyTest, McCuckooSurvivesDeletionsAndReinsertions) {
   EXPECT_TRUE(t.ValidateInvariants().ok()) << t.ValidateInvariants().ToString();
 }
 
-TEST(BubblePolicyTest, RoundTripOnAllTables) {
-  TableOptions o = BaseOptions();
-  o.eviction_policy = EvictionPolicy::kBubble;
-  RoundTripWithPolicy<McCuckooTable<uint64_t, uint64_t>>(o);
-  RoundTripWithPolicy<CuckooTable<uint64_t, uint64_t>>(o);
-  o.slots_per_bucket = 3;
-  RoundTripWithPolicy<BlockedMcCuckooTable<uint64_t, uint64_t>>(o);
-  RoundTripWithPolicy<CuckooTable<uint64_t, uint64_t>>(o);
-}
-
-TEST(BubblePolicyTest, BaselinePlacesFreshKeysInHighLevels) {
-  // With headroom reserved in low levels, the first keys of a bubbling
-  // baseline land in the highest-numbered table. Lookups still probe level
-  // 0 first, so bubble-placed keys cost more reads per Find than the same
-  // keys placed by the default level-0-first scan on a near-empty table.
-  TableOptions o = BaseOptions();
-  CuckooTable<uint64_t, uint64_t> walk(o);
-  TableOptions ob = o;
-  ob.eviction_policy = EvictionPolicy::kBubble;
-  CuckooTable<uint64_t, uint64_t> bubble(ob);
-  const auto keys = MakeUniqueKeys(64, 7, 0);
-  for (uint64_t k : keys) {
-    ASSERT_EQ(walk.Insert(k, k), InsertResult::kInserted);
-    ASSERT_EQ(bubble.Insert(k, k), InsertResult::kInserted);
-  }
-  walk.ResetStats();
-  bubble.ResetStats();
-  for (uint64_t k : keys) {
-    ASSERT_TRUE(walk.Contains(k));
-    ASSERT_TRUE(bubble.Contains(k));
-  }
-  EXPECT_GT(bubble.stats().offchip_reads, walk.stats().offchip_reads);
-  EXPECT_TRUE(bubble.ValidateInvariants().ok());
-}
-
 TEST(PickVictimTest, SingleHashDoesNotInvokeRngBelowZero) {
   // Regression: with d == 1 and the only candidate excluded, the random
   // branch used to call rng.Below(0) — UB. The guard must return level 0.
@@ -298,20 +262,6 @@ TEST(PickVictimTest, SingleHashDoesNotInvokeRngBelowZero) {
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(PickVictim(buckets, 1, /*exclude=*/42, h, rng), 0u);
   }
-}
-
-TEST(PickBubbleVictimTest, CyclesLevelsAndSkipsExclude) {
-  const std::array<size_t, kMaxHashes> buckets = {10, 20, 30, 0};
-  // Fresh chain (from_level == -1) starts at level 0.
-  EXPECT_EQ(PickBubbleVictim(buckets, 3, static_cast<size_t>(-1), -1), 0u);
-  // Each following displacement moves one level up, wrapping at d.
-  EXPECT_EQ(PickBubbleVictim(buckets, 3, static_cast<size_t>(-1), 0), 1u);
-  EXPECT_EQ(PickBubbleVictim(buckets, 3, static_cast<size_t>(-1), 1), 2u);
-  EXPECT_EQ(PickBubbleVictim(buckets, 3, static_cast<size_t>(-1), 2), 0u);
-  // The bucket the displaced key came from is skipped.
-  EXPECT_EQ(PickBubbleVictim(buckets, 3, /*exclude=*/10, 2), 1u);
-  // d == 1 cannot skip anywhere: stays at level 0.
-  EXPECT_EQ(PickBubbleVictim(buckets, 1, /*exclude=*/10, 0), 0u);
 }
 
 TEST(BfsEngineTest, FindsShortestPathAndReportsNodes) {

@@ -1,7 +1,7 @@
 // Exact behaviour pins for the scalar write entry points of the two
 // multi-copy tables: single-writer Insert / InsertOrAssign / Erase on
 // McCuckooTable (l = 1) and BlockedMcCuckooTable (l = 3) under each
-// eviction policy (random walk, MinCounter, BFS, bubbling), and one-thread multi-writer sequences through
+// eviction policy (random walk, MinCounter, BFS), and one-thread multi-writer sequences through
 // ShardedMcCuckoo (the cache store's configuration, pre-sized and growing).
 // Every case fills a small d = 3 table to ~0.95 load, overfills it into the
 // stash, updates a third of the keys in place, erases half of them and
@@ -186,7 +186,6 @@ struct Expected {
 constexpr EvictionPolicy kWalk = EvictionPolicy::kRandomWalk;
 constexpr EvictionPolicy kBfs = EvictionPolicy::kBfs;
 constexpr EvictionPolicy kMinCounter = EvictionPolicy::kMinCounter;
-constexpr EvictionPolicy kBubble = EvictionPolicy::kBubble;
 
 const Expected kExpected[] = {
     {{Layout::kMcCuckoo, kWalk},
@@ -224,13 +223,6 @@ const Expected kExpected[] = {
       {1009, 717, 4874, 821, 167, 70},
       {{1537, 380, 78, 0}}, 645, 936, 34, 0xc34a3a930774f77dull,
       {3904, 0, 5745, 0, 0, 150}, 970, 3754}},
-    {{Layout::kMcCuckoo, kBubble},
-     {{3118, 4148, 22118, 2346, 2393, 0},
-      {4439, 4126, 23502, 23, 3490, 10},
-      {1193, 40, 3193, 612, 0, 43},
-      {991, 718, 4434, 652, 166, 61},
-      {{1537, 380, 78, 0}}, 645, 932, 38, 0xe084c3e6d6dbd7e5ull,
-      {3870, 0, 5745, 0, 0, 160}, 970, 3710}},
     {{Layout::kBlocked, kMinCounter},
      {{1433, 1905, 24029, 2805, 27, 0},
       {2440, 1928, 36909, 1519, 1406, 0},
@@ -238,13 +230,6 @@ const Expected kExpected[] = {
       {1375, 694, 10193, 913, 2, 2},
       {{1593, 379, 17, 0}}, 642, 960, 8, 0x5b5cde81efe589bcull,
       {4671, 0, 17181, 0, 0, 18}, 968, 4653}},
-    {{Layout::kBlocked, kBubble},
-     {{1427, 1900, 23871, 2778, 22, 0},
-      {2465, 1966, 34705, 113, 1443, 0},
-      {1316, 10, 10346, 632, 0, 13},
-      {1346, 689, 10082, 874, 6, 1},
-      {{1593, 379, 17, 0}}, 642, 961, 7, 0xb6515b0fcfa768c4ull,
-      {4663, 0, 17181, 0, 0, 18}, 968, 4645}},
 };
 
 std::string CaseName(const Case& c) {

@@ -212,7 +212,7 @@ TEST(SpanRecorderTest, TableRecordsEverySpillBaseline) {
   TableRecordsEverySpill<T>(1, EvictionPolicy::kRandomWalk);
   TableRecordsEverySpill<T>(1, EvictionPolicy::kBfs);  // BFS needs l = 1
   TableRecordsEverySpill<T>(3, EvictionPolicy::kRandomWalk);
-  TableRecordsEverySpill<T>(3, EvictionPolicy::kBubble);
+  TableRecordsEverySpill<T>(3, EvictionPolicy::kMinCounter);
 }
 
 }  // namespace
