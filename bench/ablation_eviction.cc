@@ -7,8 +7,8 @@
 //   * load at first insertion failure,
 //
 // for every scheme x policy combination: all four schemes under
-// random-walk / MinCounter, and counter-guided BFS everywhere except BCHT
-// (BFS needs single-slot buckets on the baseline table). Shows
+// random-walk, MinCounter and BFS (counter-guided on the multi-copy
+// tables). Shows
 // (a) how much of McCuckoo's gain comes from the multi-copy counters rather
 // than the walk policy, (b) that the policies compose with the counters,
 // and (c) that BFS repairs the multi-copy tables' insert collapse past 90%
@@ -85,9 +85,6 @@ int Main(int argc, char** argv) {
   BenchResults spreads;  // rows written with their per-rep siblings
   for (const SchemeKind kind : kAllSchemes) {
     for (const EvictionPolicy policy : kPolicies) {
-      if (kind == SchemeKind::kBcht && policy == EvictionPolicy::kBfs) {
-        continue;  // CuckooTable takes BFS only at slots_per_bucket = 1.
-      }
       if (IsBlocked(kind) && l < 2) continue;  // blocked layouts need l >= 2
       const std::string label =
           std::string(SchemeName(kind)) + "/" + EvictionPolicyToString(policy);

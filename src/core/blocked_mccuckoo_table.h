@@ -67,6 +67,10 @@ class BlockedMcCuckooTable
     std::array<uint8_t, kMaxHashes> hint{kNoHint, kNoHint, kNoHint, kNoHint};
   };
 
+  /// The skeleton's layout constant: on-chip copy counters drive the
+  /// engine (the baseline CuckooTable has none).
+  static constexpr bool kOnChipCounters = true;
+
 
  private:
   using typename Base::Candidates;

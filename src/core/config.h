@@ -44,9 +44,8 @@ enum class EvictionPolicy {
   /// Breadth-first search for the shortest cuckoo path [3]. On the
   /// multi-copy tables the search is counter-aware: a bucket whose
   /// occupant holds a redundant copy (counter > 1) terminates the chain
-  /// with a pure counter decrement — no relocation. Supported by
-  /// McCuckooTable, BlockedMcCuckooTable and the single-slot CuckooTable;
-  /// CuckooTable rejects it at Create() when slots_per_bucket > 1 (BCHT).
+  /// with a pure counter decrement — no relocation. Supported by all four
+  /// schemes; the baselines' search ends only at a free slot.
   kBfs,
 };
 

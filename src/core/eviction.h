@@ -6,9 +6,9 @@
 // buckets at every step. Random-walk is the paper's running example; this
 // header adds the MinCounter policy (a per-bucket kick-history counter,
 // evict the "coldest" bucket) for all four tables and a shared
-// breadth-first shortest-path engine [3] that each table drives with its
-// own notion of "terminal" node — an empty bucket for the single-copy
-// baseline, an empty *or redundant-copy* (counter > 1) bucket for the
+// breadth-first shortest-path engine [3] that TableSkeleton drives with a
+// per-layout notion of "terminal" node — an empty slot for the single-copy
+// baselines, an empty *or redundant-copy* (counter > 1) slot for the
 // multi-copy tables, where eviction is a pure on-chip counter decrement.
 
 #ifndef MCCUCKOO_CORE_EVICTION_H_

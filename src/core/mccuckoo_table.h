@@ -86,6 +86,10 @@ class McCuckooTable
     Value value{};
   };
 
+  /// The skeleton's layout constant: on-chip copy counters drive the
+  /// engine (the baseline CuckooTable has none).
+  static constexpr bool kOnChipCounters = true;
+
  private:
   // Nested aggregates are defined before the operations: the
   // candidate-reusing member signatures below mention them.

@@ -1,17 +1,20 @@
-// The skeleton both multi-copy tables share (McCuckoo and B-McCuckoo).
+// The skeleton all four tables share: McCuckoo and B-McCuckoo, and the
+// single-copy baselines (Cuckoo and BCHT, one CuckooTable).
 //
 // The paper presents B-McCuckoo as the same ideas on an l-slot bucket
-// layout (§III.G). Everything that does not depend on the layout lives
-// here, once: the scalar and software-pipelined batch entry points, the
-// seqlock-validated optimistic read path, the write protocol (Insert,
-// InsertOrAssign, Erase and the stash tail, for one writer and for many),
-// placement and eviction (TryPlace, OverwriteRedundantCopy, the random walk
-// and the BFS, at slot granularity), the striped-lock read fallback and
-// growth hand-off, the stash screen (§III.E/F), Rehash and its commit,
-// stash upkeep, the growth trigger, introspection, the invariant checks and
-// the metrics wiring. McCuckooTable and BlockedMcCuckooTable derive from it
-// through CRTP and supply their storage, their probe, their copy location
-// and three small hooks, as private members the skeleton is a friend of:
+// layout (§III.G), and its baselines (§IV.A.3) are the degenerate case of
+// both: no on-chip counters and one copy per key. Everything that does not
+// depend on the layout lives here, once: the scalar and software-pipelined
+// batch entry points, the seqlock-validated optimistic read path, the write
+// protocol (Insert, InsertOrAssign, Erase and the stash tail, for one writer
+// and for many), placement and eviction (TryPlace, OverwriteRedundantCopy,
+// the random walk and the BFS, at slot granularity), the striped-lock read
+// fallback and growth hand-off, the stash screen (§III.E/F), Rehash and its
+// commit, stash upkeep, the growth trigger, introspection, the invariant
+// checks and the metrics wiring. McCuckooTable, BlockedMcCuckooTable and
+// CuckooTable derive from it through CRTP and supply their storage, their
+// probe, their copy location and three small hooks, as private members the
+// skeleton is a friend of:
 //
 //   ProbeMain<kCharged>(...)        the one main-table probe (§III.B.2,
 //                                   Algorithm 2) behind every read form and
@@ -22,12 +25,14 @@
 //                                   the v - 1 other copies of a key whose
 //                                   copy in `slot` has counter v, as a
 //                                   CopySet (the layouts charge it
-//                                   differently: pigeonhole, hint-first)
+//                                   differently: pigeonhole, hint-first;
+//                                   none for a single copy)
 //   LocateAllCopies(ctx, key, cand, slot)  every copy of a key hit at
 //                                   `slot` (erase, update)
 //   RecordAt(slot)                  the record (.key/.value) in a slot
 //   SlotsPerBucket()                l; a constexpr 1 in the single-slot
-//                                   layout, so in-bucket loops fold away
+//                                   McCuckoo layout, so in-bucket loops fold
+//                                   away
 //   CopyRecord(key, value, slots, n)  the record a placed copy set shares
 //                                   (the blocked layout fills its hints)
 //   Grow(decision)                  optional; defaults to a full Rehash
@@ -37,13 +42,27 @@
 // step in which one writer and many writers differ is a context operation.
 //
 // plus the constants kName (message prefix), kTagMask (stored fingerprint
-// bits) and the Storage struct: every buffer an optimistic reader may
-// dereference, grouped so the Rehash commit swaps and retires it in one
-// place. Every Storage holds `counters` and `flags`, the per-bucket stash
+// bits), the Storage struct and the one layout constant kOnChipCounters.
+// Storage holds every buffer an optimistic reader may dereference, grouped
+// so the Rehash commit swaps and retires it in one place: the records and
+// `counters`, and, where kOnChipCounters, `flags`, the per-bucket stash
 // flags (§III.E) in a BitArray outside the records, which the skeleton
-// reads and writes itself (FlagAt, SetFlag, ClearStashFlags). Indices: a
-// candidate is a global bucket index t * n + h_t(key); slot s of bucket b
-// is slot index b * l + s (the bucket index itself when l = 1).
+// reads and writes itself (FlagAt, SetFlag, ClearStashFlags).
+//
+// kOnChipCounters is false only for CuckooTable, whose `counters` are the
+// records' valid bits (a slot reads 1 or 0, charged with its bucket). Every
+// baseline difference in the engine keys off it, in TryPlace,
+// RandomWalkInsert, BfsInsert, EraseWith, StashOverflow, the stash screen,
+// CheckInvariants, NumBuckets and SoloWriter::BfsBudget: a key gets one
+// copy; placement charges one off-chip read per candidate bucket it scans
+// and skips the bucket the in-hand item just left; the walk's victim read
+// is free, and an overrun is stashed with no final placement attempt; BFS
+// charges each child bucket it checks, ends only at a free slot and runs
+// the full maxloop budget; there are no stash flags and no screen; and
+// Erase clears the valid bit with one off-chip write in any deletion mode.
+//
+// Indices: a candidate is a global bucket index t * n + h_t(key); slot s of
+// bucket b is slot index b * l + s (the bucket index itself when l = 1).
 
 #ifndef MCCUCKOO_CORE_TABLE_SKELETON_H_
 #define MCCUCKOO_CORE_TABLE_SKELETON_H_
@@ -228,7 +247,9 @@ class TableSkeleton {
 
   /// Deletes `key` (§III.B.3, Algorithm 3): every copy's on-chip counter is
   /// reset or tombstoned, zero off-chip writes. Requires a deletion-enabled
-  /// mode (aborts under kDisabled).
+  /// mode (aborts under kDisabled). Without on-chip counters (the
+  /// baselines) the key's one valid bit is cleared with one off-chip write,
+  /// in any mode.
   bool Erase(const Key& key) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
     SoloWriter w(*this);
@@ -672,31 +693,36 @@ class TableSkeleton {
   /// missing).
   Status CheckInvariants() const {
     if (Status s = ValidateInvariants(); !s.ok()) return s;
-    if (opts_.stash_kind != StashKind::kOffchip) return Status::OK();
-    const uint32_t l = opts_.slots_per_bucket;
-    for (const auto& [k, v] : stash_.Items()) {
-      (void)v;
-      const Candidates cand = ComputeCandidates(k);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        const size_t bucket = cand.bucket[t];
-        if (!FlagAt(bucket)) {
-          return Status::Internal(
-              "stashed key lacks a candidate stash flag at bucket " +
-              std::to_string(bucket));
-        }
-        // Without deletions the screen additionally relies on every
-        // stashed key's candidate slots holding sole copies forever: the
-        // key was stashed only after TryPlace saw all-ones, and a
-        // counter-1 slot can never fall to 0 nor climb past 1 again.
-        if (opts_.deletion_mode != DeletionMode::kDisabled) continue;
-        for (uint32_t s = 0; s < l; ++s) {
-          const uint64_t c = counters().PeekCounter(bucket * l + s);
-          if (c != 1) {
-            return Status::Internal(
-                "stashed key candidate bucket " + std::to_string(bucket) +
-                " slot " + std::to_string(s) + " has counter " +
-                std::to_string(c) +
-                " != 1 under kDisabled; the stash screen would veto lookups");
+    // Only a layout with counters has stash flags to check.
+    if constexpr (Derived::kOnChipCounters) {
+      if (opts_.stash_kind == StashKind::kOffchip) {
+        const uint32_t l = opts_.slots_per_bucket;
+        for (const auto& [k, v] : stash_.Items()) {
+          (void)v;
+          const Candidates cand = ComputeCandidates(k);
+          for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+            const size_t bucket = cand.bucket[t];
+            if (!FlagAt(bucket)) {
+              return Status::Internal(
+                  "stashed key lacks a candidate stash flag at bucket " +
+                  std::to_string(bucket));
+            }
+            // Without deletions the screen additionally relies on every
+            // stashed key's candidate slots holding sole copies forever:
+            // the key was stashed only after TryPlace saw all-ones, and a
+            // counter-1 slot can never fall to 0 nor climb past 1 again.
+            if (opts_.deletion_mode != DeletionMode::kDisabled) continue;
+            for (uint32_t s = 0; s < l; ++s) {
+              const uint64_t c = counters().PeekCounter(bucket * l + s);
+              if (c != 1) {
+                return Status::Internal(
+                    "stashed key candidate bucket " + std::to_string(bucket) +
+                    " slot " + std::to_string(s) + " has counter " +
+                    std::to_string(c) +
+                    " != 1 under kDisabled; the stash screen would veto "
+                    "lookups");
+              }
+            }
           }
         }
       }
@@ -785,7 +811,8 @@ class TableSkeleton {
 
   // --- The stash flags (§III.E) -------------------------------------------
   //
-  // One bit per bucket in the Storage's BitArray. The paper keeps the flag
+  // One bit per bucket in the Storage's BitArray, in the layouts with
+  // on-chip counters (the baselines have no screen). The paper keeps the flag
   // in the bucket's own off-chip word, and the charges model that: reading
   // a flag is free with the bucket read the stash screen already charged
   // (ShouldProbeStash reads only the probed buckets'), and setting or
@@ -795,8 +822,16 @@ class TableSkeleton {
   // share one flag word: striped writers set bits with an atomic OR
   // (StripedWriter::SetBit), and reads are relaxed atomic loads.
 
-  /// Bucket count of the live storage.
-  size_t NumBuckets() const { return derived().mem_.flags.size(); }
+  /// Bucket count of the live storage. A counter-less layout keeps no
+  /// flags, so its options give the count (the concurrent front-end,
+  /// whose readers race a Rehash commit, runs only the multi-copy ones).
+  size_t NumBuckets() const {
+    if constexpr (Derived::kOnChipCounters) {
+      return derived().mem_.flags.size();
+    } else {
+      return static_cast<size_t>(opts_.num_hashes) * opts_.buckets_per_table;
+    }
+  }
 
   /// Bucket `bucket`'s stash flag.
   bool FlagAt(size_t bucket) const {
@@ -926,18 +961,23 @@ class TableSkeleton {
   /// and discard the answer at validation.
   bool ShouldProbeStash(const ProbeResult& p, const Candidates& cand) const {
     if (StashEmpty()) return false;  // the size is an on-chip register
-    if (opts_.stash_kind == StashKind::kOnchipChs) return true;  // free probe
-    if (!opts_.stash_screen_enabled) return true;
-    if (opts_.deletion_mode == DeletionMode::kDisabled && !p.all_sole) {
-      return false;
+    if constexpr (!Derived::kOnChipCounters) {
+      return true;  // no counters and no flags: no screen
+    } else {
+      if (opts_.stash_kind == StashKind::kOnchipChs) return true;  // free
+      if (!opts_.stash_screen_enabled) return true;
+      if (opts_.deletion_mode == DeletionMode::kDisabled && !p.all_sole) {
+        return false;
+      }
+      if (opts_.deletion_mode == DeletionMode::kTombstone &&
+          p.any_true_empty) {
+        return false;
+      }
+      for (uint32_t m = p.read_mask; m != 0; m &= m - 1) {
+        if (!FlagAt(cand.bucket[__builtin_ctz(m)])) return false;
+      }
+      return true;
     }
-    if (opts_.deletion_mode == DeletionMode::kTombstone && p.any_true_empty) {
-      return false;
-    }
-    for (uint32_t m = p.read_mask; m != 0; m &= m - 1) {
-      if (!FlagAt(cand.bucket[__builtin_ctz(m)])) return false;
-    }
-    return true;
   }
 
   /// The main-table probe plus the stash screen: everything a lookup does
@@ -1218,8 +1258,10 @@ class TableSkeleton {
     Candidates cand = ctx.Stage(key);
     ctx.ClaimCandidates(key, cand);
     // Checked under the claims: a striped writer reads the options only
-    // once no rehash can be committing them.
-    if (opts_.deletion_mode == DeletionMode::kDisabled) {
+    // once no rehash can be committing them. A layout without counters has
+    // no Bloom rule for a deletion to break, so it erases in every mode.
+    if (Derived::kOnChipCounters &&
+        opts_.deletion_mode == DeletionMode::kDisabled) {
       std::fprintf(stderr,
                    "%s::Erase called with DeletionMode::kDisabled; construct "
                    "the table with kResetCounters or kTombstone\n",
@@ -1234,7 +1276,11 @@ class TableSkeleton {
       for (uint32_t i = 0; i < copies.count; ++i) {
         const size_t slot = copies.pos[i];
         ctx.Open(BucketOf(slot));
-        if (opts_.deletion_mode == DeletionMode::kTombstone) {
+        if constexpr (!Derived::kOnChipCounters) {
+          // The valid bit lives in the record: one off-chip write.
+          ctx.Charge(&AccessStats::offchip_writes);
+          ctx.SetCounter(slot, 0);
+        } else if (opts_.deletion_mode == DeletionMode::kTombstone) {
           ctx.MarkDeleted(slot);
         } else {
           ctx.SetCounter(slot, 0);
@@ -1260,7 +1306,9 @@ class TableSkeleton {
     ctx.ChargeStashWrite();
     // Flags are Bloom-like and not cleared (§III.F); false positives
     // accumulate until RebuildStashFlags().
-    ctx.Add(stale_stash_flag_keys_, uint64_t{1});
+    if (Derived::kOnChipCounters) {
+      ctx.Add(stale_stash_flag_keys_, uint64_t{1});
+    }
     metrics_->RecordErase();
     return true;
   }
@@ -1357,9 +1405,14 @@ class TableSkeleton {
   /// counters. Returns the number of copies placed (0 = none). A victim
   /// whose other copies another writer holds is skipped; the caller
   /// restarts when that leaves a non-sole-copy candidate unplaced.
+  ///
+  /// Without on-chip counters this is the baseline's placement: candidates
+  /// are read in table order, one off-chip read per bucket, skipping
+  /// `exclude` (the bucket the in-hand item was just evicted from), and
+  /// the key's one copy goes into the first free slot.
   template <typename Ctx>
   uint32_t TryPlace(Ctx& ctx, const Key& key, const Value& value,
-                    const Candidates& cand) {
+                    const Candidates& cand, size_t exclude = kNoBucket) {
     const uint32_t d = opts_.num_hashes;
     const uint32_t l = derived().SlotsPerBucket();
     std::array<size_t, kMaxHashes> placed{};
@@ -1370,6 +1423,11 @@ class TableSkeleton {
     // slots read as counter 0: "treated as zero for insertion" (§III.B.3),
     // so they are recycled transparently.
     for (uint32_t t = 0; t < d; ++t) {
+      if constexpr (!Derived::kOnChipCounters) {
+        if (n_placed > 0) break;
+        if (cand.bucket[t] == exclude) continue;
+        ctx.Charge(&AccessStats::offchip_reads);
+      }
       for (uint32_t s = 0; s < l; ++s) {
         const size_t slot = cand.bucket[t] * l + s;
         if (ctx.Counter(counters(), slot) == 0) {
@@ -1383,7 +1441,7 @@ class TableSkeleton {
     // Principles 2+3, most-redundant victim first. Counters are re-read
     // each round: one insertion can displace two copies of the *same*
     // victim, whose counter drops in between.
-    while (n_placed < d) {
+    while (Derived::kOnChipCounters && n_placed < d) {
       int best_t = -1;
       size_t best_slot = 0;
       uint64_t best_v = 0;
@@ -1455,12 +1513,15 @@ class TableSkeleton {
   /// counters reveal it and the chain ends immediately (TryPlace);
   /// otherwise a sole copy is evicted. The victim bucket follows the
   /// configured policy — uniform random or MinCounter's coldest — never
-  /// the bucket just written
-  /// (no immediate ping-pong); the slot within it is uniform, drawn only
-  /// when l > 1 so the single-slot RNG stream has no draw to skip. On
-  /// maxloop overrun the in-hand item gets one final placement attempt and
-  /// is otherwise stashed — its candidate slots provably all sole copies —
-  /// with its flags set (§III.E).
+  /// the bucket just written (no immediate ping-pong); the slot within it
+  /// is uniform, drawn only when l > 1 so the single-slot RNG stream has no
+  /// draw to skip. On maxloop overrun the in-hand item gets one final
+  /// placement attempt and is otherwise stashed — its candidate slots
+  /// provably all sole copies — with its flags set (§III.E). Without
+  /// on-chip counters (the baseline) placement reads the candidate buckets
+  /// and skips the one just left, the victim's read is the one placement
+  /// already made, and an overrun is stashed at once: no screen relies on
+  /// the stashed key's candidates.
   template <typename Ctx>
   InsertResult RandomWalkInsert(Ctx& ctx, Key key, Value value,
                                 uint32_t* chain_len_out) {
@@ -1469,7 +1530,7 @@ class TableSkeleton {
     uint32_t chain = 0;
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       Candidates cand = ComputeCandidates(key);
-      if (loop > 0 && TryPlace(ctx, key, value, cand) > 0) {
+      if (loop > 0 && TryPlace(ctx, key, value, cand, exclude) > 0) {
         ctx.Add(size_, size_t{1});  // net effect of the whole chain
         *chain_len_out = chain;
         return InsertResult::kInserted;
@@ -1478,7 +1539,9 @@ class TableSkeleton {
                                     kick_history_, rng_);
       const uint32_t s = l > 1 ? static_cast<uint32_t>(rng_.Below(l)) : 0;
       const size_t slot = cand.bucket[t] * l + s;
-      ctx.Charge(&AccessStats::offchip_reads);
+      if constexpr (Derived::kOnChipCounters) {
+        ctx.Charge(&AccessStats::offchip_reads);
+      }
       Key vk = derived().RecordAt(slot).key;
       Value vv = derived().RecordAt(slot).value;
       WriteSlot(ctx, slot, derived().CopyRecord(key, value, &slot, 1),
@@ -1498,7 +1561,7 @@ class TableSkeleton {
     // veto that key's own lookups.
     *chain_len_out = chain;
     const Candidates cand = ComputeCandidates(key);
-    if (TryPlace(ctx, key, value, cand) > 0) {
+    if (Derived::kOnChipCounters && TryPlace(ctx, key, value, cand) > 0) {
       ctx.Add(size_, size_t{1});
       return InsertResult::kInserted;
     }
@@ -1528,6 +1591,12 @@ class TableSkeleton {
   /// end the table is untouched, so the stash tail inherits the all-ones
   /// invariant directly from the TryPlace screen; a striped writer also
   /// stashes after kChainAttempts contended chains.
+  ///
+  /// Without on-chip counters (the baseline) the only terminal is a free
+  /// slot, and it is the child buckets that cost the reads: each is read
+  /// once per search (ReadBuckets) to look for a hole, and a node's
+  /// occupant is then known without a further read. The search runs the
+  /// full maxloop budget (SoloWriter::BfsBudget).
   template <typename Ctx>
   InsertResult BfsInsert(Ctx& ctx, const Key& key, const Value& value,
                          const Candidates& cand, ChainStats* chain) {
@@ -1544,6 +1613,10 @@ class TableSkeleton {
     bool dead_end = false;
     for (int attempt = 0; attempt < Ctx::kChainAttempts; ++attempt) {
       BfsPathResult path;
+      ReadBuckets read;  // the candidates: placement read them
+      if constexpr (!Derived::kOnChipCounters) {
+        for (uint32_t t = 0; t < d; ++t) read.Add(cand.bucket[t]);
+      }
       {
         SeqlockReadCritical crit;  // unclaimed buckets mutate underneath
         path = BfsFindPath(
@@ -1557,11 +1630,17 @@ class TableSkeleton {
               const uint32_t l = derived().SlotsPerBucket();
               const size_t slot = static_cast<size_t>(id);
               const size_t bucket = BucketOf(slot);
-              ctx.Charge(&AccessStats::offchip_reads);  // the one read
+              if constexpr (Derived::kOnChipCounters) {
+                ctx.Charge(&AccessStats::offchip_reads);  // the one read
+              }
               const std::array<size_t, kMaxHashes> oc =
                   AlternateBuckets(derived().RecordAt(slot).key, bucket);
               for (uint32_t t = 0; t < d; ++t) {
                 if (oc[t] == bucket) continue;
+                if constexpr (!Derived::kOnChipCounters) {
+                  if (!read.Add(oc[t])) continue;
+                  ctx.Charge(&AccessStats::offchip_reads);
+                }
                 for (uint32_t s = 0; s < l; ++s) {
                   const size_t alt = oc[t] * l + s;
                   if (ctx.Counter(counters(), alt) != 1) {
@@ -1629,6 +1708,25 @@ class TableSkeleton {
     }
     return StashOverflow(ctx, key, value, cand, dead_end, chain->nodes);
   }
+
+  /// The buckets a counter-less BFS search has read, so that each is
+  /// charged once. Alloc-free (a per-insert hash set was once the largest
+  /// cost of a high-load BFS insert): once full, further buckets count as
+  /// unread, so a near-budget search may read a bucket twice, though
+  /// BfsFindPath never enqueues one twice.
+  struct ReadBuckets {
+    std::array<uint64_t, 192> ids;
+    size_t n = 0;
+
+    /// False when `id` was read already; records it otherwise.
+    bool Add(uint64_t id) {
+      for (size_t i = 0; i < n; ++i) {
+        if (ids[i] == id) return false;
+      }
+      if (n < ids.size()) ids[n++] = id;
+      return true;
+    }
+  };
 
   /// Node budget for one striped BFS search. While the table's growth can
   /// still act (enabled and below its size cap), a search may expand all
@@ -1758,9 +1856,10 @@ class TableSkeleton {
   }
 
   /// Shared insertion-failure tail: parks the in-hand item in the stash
-  /// (flags set on its candidates `cand` for the off-chip kind,
-  /// forced-rehash accounting for the on-chip kind) and records the
-  /// stash-spill span, after the BFS dead-end span when `dead_end`. The
+  /// (flags set on its candidates `cand` for the off-chip kind where the
+  /// layout has counters, forced-rehash accounting for the on-chip kind)
+  /// and records the stash-spill span, after the BFS dead-end span when
+  /// `dead_end`. The
   /// caller guarantees the item's candidate slots all hold sole copies: the
   /// all-ones precondition the kDisabled stash screen relies on. A striped
   /// writer holds the candidates' stripes, so the flags land on buckets it
@@ -1777,8 +1876,10 @@ class TableSkeleton {
     stash_.Insert(key, value);
     spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
     if (opts_.stash_kind == StashKind::kOffchip) {
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-        SetFlag(ctx, cand.bucket[t]);
+      if constexpr (Derived::kOnChipCounters) {
+        for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
+          SetFlag(ctx, cand.bucket[t]);
+        }
       }
     } else if (stash_.size() > kOnchipStashCapacity) {
       // A real CHS deployment would rehash here.
@@ -1861,8 +1962,12 @@ class TableSkeleton {
       if (t_.kick_history_.enabled()) t_.kick_history_.Increment(bucket);
     }
 
+    /// Capped (kBfsMaxNodes) where counters end a search at redundant
+    /// copies too; the full maxloop where only a hole ends it.
     uint32_t BfsBudget() {
-      return t_.bfs_throttle_.Budget(BfsNodeBudget(t_.opts_.maxloop));
+      const uint32_t maxloop = t_.opts_.maxloop;
+      return t_.bfs_throttle_.Budget(
+          Derived::kOnChipCounters ? BfsNodeBudget(maxloop) : maxloop);
     }
     void ObserveBfs(bool found) { t_.bfs_throttle_.Observe(found); }
 

@@ -99,9 +99,8 @@ TEST_P(DifferentialTest, AllSchemesAgreeEverywhere) {
   }
 }
 
-// Policy differential against std::unordered_map for the BFS insert path.
-// BCHT rejects kBfs, so this drives the supporting tables directly instead
-// of through the all-schemes harness above.
+// Policy differential against std::unordered_map for the BFS insert path,
+// driving each table directly with its own geometry and fill.
 template <typename Table>
 void RunPolicyOracle(TableOptions o, uint64_t seed, uint64_t ops) {
   Table t(o);
@@ -166,6 +165,15 @@ TEST(BfsDifferentialTest, BlockedMatchesUnorderedMap) {
 TEST(BfsDifferentialTest, CuckooBaselineMatchesUnorderedMap) {
   RunPolicyOracle<CuckooTable<uint64_t, uint64_t>>(BfsOracleOptions(), 0x7003,
                                                    3600);
+}
+
+TEST(BfsDifferentialTest, BchtBaselineMatchesUnorderedMap) {
+  // BCHT runs the slot-granular BFS; ~4800 ops fill its 1728 slots to
+  // about 97% load, past which its collisions need chains.
+  TableOptions o = BfsOracleOptions();
+  o.buckets_per_table = 192;
+  o.slots_per_bucket = 3;
+  RunPolicyOracle<CuckooTable<uint64_t, uint64_t>>(o, 0x7004, 4800);
 }
 
 OpStreamConfig Mix(double ins, double look, double er, uint64_t seed) {

@@ -1,15 +1,18 @@
-// Every read form of the two multi-copy tables agrees with Find.
+// Every read form of the four tables agrees with Find.
 //
 // The tables expose one lookup through many entry points: Find, Contains,
 // FindNoStats, FindBatch, TryFindOptimistic, TryFindBatchOptimistic and,
-// on the single-slot table, the striped-lock FindStriped. They must all
-// return the same hit and value for every key, and take the same
-// stash-probe decision (the §III.E/F screen). The matrix
-// covers both layouts, every deletion mode, both stash kinds, the stash
-// screen and the lookup pruning rules on and off, and (blocked layout) both
-// tag-probe kernels. Each table is filled until keys spill to the stash,
-// then loses a third of its keys where the mode allows erasing, and is
-// queried with present, erased and never-inserted keys.
+// on the single-slot McCuckoo table, the striped-lock FindStriped. They
+// must all return the same hit and value for every key, and take the same
+// stash-probe decision (the §III.E/F screen); the uncharged forms leave
+// AccessStats untouched. The matrix covers both multi-copy layouts with
+// every deletion mode, both stash kinds, the stash screen and the lookup
+// pruning rules on and off, and (blocked layout) both tag-probe kernels;
+// and both baseline layouts (Cuckoo at l = 1, BCHT at l = 3), which have
+// no screen or pruning, with both stash kinds. Each table is filled until
+// keys spill to the stash, then loses a third of its keys where the mode
+// allows erasing, and is queried with present, erased and never-inserted
+// keys.
 //
 // ProbeOrderTest pins the charged and the uncharged lookup to the same
 // probe sequence: on identical tables and keys, Find and FindNoStats record
@@ -25,6 +28,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/lock_stripes.h"
 #include "src/core/mccuckoo_table.h"
@@ -37,8 +41,13 @@ namespace {
 
 using McTable = McCuckooTable<uint64_t, uint64_t>;
 using BlockedTable = BlockedMcCuckooTable<uint64_t, uint64_t>;
+using BaselineTable = CuckooTable<uint64_t, uint64_t>;
 
-enum class Layout { kMcCuckoo, kBlocked };
+enum class Layout { kMcCuckoo, kBlocked, kCuckoo, kBcht };
+
+bool SingleSlot(Layout layout) {
+  return layout == Layout::kMcCuckoo || layout == Layout::kCuckoo;
+}
 
 struct ReadCase {
   Layout layout;
@@ -50,7 +59,10 @@ struct ReadCase {
 };
 
 std::string CaseName(const ReadCase& c) {
-  std::string s = c.layout == Layout::kMcCuckoo ? "Mc_" : "Blocked_";
+  std::string s = c.layout == Layout::kMcCuckoo  ? "Mc_"
+                  : c.layout == Layout::kBlocked ? "Blocked_"
+                  : c.layout == Layout::kCuckoo  ? "Cuckoo_"
+                                                 : "Bcht_";
   switch (c.deletion) {
     case DeletionMode::kDisabled: s += "NoDelete_"; break;
     case DeletionMode::kTombstone: s += "Tombstone_"; break;
@@ -89,14 +101,22 @@ std::vector<ReadCase> AllReadCases() {
       }
     }
   }
+  for (Layout layout : {Layout::kCuckoo, Layout::kBcht}) {
+    for (DeletionMode del :
+         {DeletionMode::kDisabled, DeletionMode::kResetCounters}) {
+      for (StashKind stash : {StashKind::kOffchip, StashKind::kOnchipChs}) {
+        out.push_back({layout, del, stash, true, true, ProbeKind::kScalar});
+      }
+    }
+  }
   return out;
 }
 
 TableOptions OptionsFor(const ReadCase& c) {
   TableOptions o;
   o.num_hashes = 3;
-  o.slots_per_bucket = c.layout == Layout::kMcCuckoo ? 1 : 3;
-  o.buckets_per_table = c.layout == Layout::kMcCuckoo ? 256 : 96;
+  o.slots_per_bucket = SingleSlot(c.layout) ? 1 : 3;
+  o.buckets_per_table = SingleSlot(c.layout) ? 256 : 96;
   o.maxloop = 8;  // short chains: keys reach the stash well below full load
   o.seed = 0xA9EE;
   o.deletion_mode = c.deletion;
@@ -161,7 +181,8 @@ void CheckAllReadFormsAgree(const ReadCase& c) {
   }
 
   // FindNoStats and FindStriped: their decision shows in the stash-probe
-  // metrics (compiled out under -DMCCUCKOO_NO_METRICS).
+  // metrics (compiled out under -DMCCUCKOO_NO_METRICS), and they charge
+  // nothing.
   auto check_metered = [&](const char* form, auto&& read) {
     for (size_t i = 0; i < queries.size(); ++i) {
       const uint64_t before = StashProbeMetrics(t.SnapshotMetrics());
@@ -177,9 +198,11 @@ void CheckAllReadFormsAgree(const ReadCase& c) {
       }
     }
   };
+  const AccessStats stats_before_uncharged = t.stats();
   check_metered("FindNoStats", [&](uint64_t k, uint64_t* v) {
     return t.FindNoStats(k, v);
   });
+  EXPECT_EQ(t.stats(), stats_before_uncharged) << "FindNoStats charged";
 
   // FindBatch: per key through one-key batches (decision from
   // AccessStats), then the whole query set through full tiles.
@@ -278,10 +301,17 @@ class ReadPathAgreementTest : public ::testing::TestWithParam<ReadCase> {};
 
 TEST_P(ReadPathAgreementTest, EveryReadFormAgreesWithFind) {
   const ReadCase& c = GetParam();
-  if (c.layout == Layout::kMcCuckoo) {
-    CheckAllReadFormsAgree<McTable>(c);
-  } else {
-    CheckAllReadFormsAgree<BlockedTable>(c);
+  switch (c.layout) {
+    case Layout::kMcCuckoo:
+      CheckAllReadFormsAgree<McTable>(c);
+      break;
+    case Layout::kBlocked:
+      CheckAllReadFormsAgree<BlockedTable>(c);
+      break;
+    case Layout::kCuckoo:
+    case Layout::kBcht:
+      CheckAllReadFormsAgree<BaselineTable>(c);
+      break;
   }
 }
 

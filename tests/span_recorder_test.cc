@@ -210,9 +210,10 @@ TEST(SpanRecorderTest, TableRecordsEverySpillBlocked) {
 TEST(SpanRecorderTest, TableRecordsEverySpillBaseline) {
   using T = CuckooTable<uint64_t, uint64_t>;
   TableRecordsEverySpill<T>(1, EvictionPolicy::kRandomWalk);
-  TableRecordsEverySpill<T>(1, EvictionPolicy::kBfs);  // BFS needs l = 1
+  TableRecordsEverySpill<T>(1, EvictionPolicy::kBfs);
   TableRecordsEverySpill<T>(3, EvictionPolicy::kRandomWalk);
   TableRecordsEverySpill<T>(3, EvictionPolicy::kMinCounter);
+  TableRecordsEverySpill<T>(3, EvictionPolicy::kBfs);
 }
 
 }  // namespace
