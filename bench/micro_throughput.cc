@@ -186,9 +186,10 @@ std::vector<BenchGroup> Groups(uint64_t grow_keys) {
                                   EvictionPolicy::kRandomWalk));
       AddSchemeLookupRows(&lookups, suffix, kind, load, ProbeKind::kAuto);
     }
-    // Counter-guided BFS insert variants on the tables that support kBfs —
-    // the load90 rows are the direct fix for the recorded insert collapse
-    // (micro.insert.McCuckoo.load90 under random walk).
+    // BFS insert variants — the load90 rows are the direct fix for the
+    // recorded insert collapse (micro.insert.McCuckoo.load90 under random
+    // walk). BCHT, which does not collapse there, has its BFS row in
+    // ablation_eviction only.
     for (const SchemeKind kind :
          {SchemeKind::kCuckoo, SchemeKind::kMcCuckoo, SchemeKind::kBMcCuckoo}) {
       inserts.push_back(InsertRow(

@@ -1710,10 +1710,11 @@ class TableSkeleton {
   }
 
   /// The buckets a counter-less BFS search has read, so that each is
-  /// charged once. Alloc-free (a per-insert hash set was once the largest
-  /// cost of a high-load BFS insert): once full, further buckets count as
-  /// unread, so a near-budget search may read a bucket twice, though
-  /// BfsFindPath never enqueues one twice.
+  /// charged once. It allocates nothing: once full, further buckets count
+  /// as unread, so a near-budget search may read a bucket twice, though
+  /// BfsFindPath never enqueues one twice. Only ids[0, n) is ever read, so
+  /// `ids` is left uninitialized: the multi-copy searches' lambdas capture
+  /// an unused set too, and zeroing it would cost them a 1.5 KB store.
   struct ReadBuckets {
     std::array<uint64_t, 192> ids;
     size_t n = 0;

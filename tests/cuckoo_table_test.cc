@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <unordered_map>
 
-#include "src/obs/metrics.h"
-
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {

@@ -1,8 +1,9 @@
 // Exact behaviour pins for the scalar write entry points of the two
 // multi-copy tables: single-writer Insert / InsertOrAssign / Erase on
 // McCuckooTable (l = 1) and BlockedMcCuckooTable (l = 3) under each
-// eviction policy (random walk, MinCounter, BFS), and one-thread multi-writer sequences through
-// ShardedMcCuckoo (the cache store's configuration, pre-sized and growing).
+// eviction policy (random walk, MinCounter, BFS), and one-thread
+// multi-writer sequences through ShardedMcCuckoo (the cache store's
+// configuration, pre-sized and growing).
 // Every case fills a small d = 3 table to ~0.95 load, overfills it into the
 // stash, updates a third of the keys in place, erases half of them and
 // refills, then compares what the run produced against values recorded
