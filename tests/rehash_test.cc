@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/seqlock.h"
@@ -17,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
 #include "src/workload/keyset.h"
+#include "tests/mccuckoo_test_peer.h"
 
 namespace mccuckoo {
 namespace {
@@ -126,6 +128,110 @@ void StatisticsAccumulateAcrossRebuild(uint32_t slots_per_bucket) {
   // re-insertion writes.
   EXPECT_GE(t.stats().offchip_reads, reads_before + 3 * 256);
   EXPECT_GT(t.stats().offchip_writes, writes_before);
+}
+
+// Exact AccessStats of one growth step, all six fields: the re-insertion
+// traffic (counter reads and writes, kicks, the eviction policy's own
+// on-chip reads and writes) is charged by the engine, and these pins hold
+// it to the values the paper-model accounting has always produced. Each
+// table is filled past the load its rebuild places without kicking, and the
+// rebuild keeps the same size under a fresh seed, so the re-insertion
+// evicts. One policy per table covers both kick engines' charges.
+template <typename Table>
+AccessStats RehashCharges(uint32_t l, EvictionPolicy policy, double load) {
+  TableOptions o;
+  o.buckets_per_table = l == 1 ? 1024 : 342;
+  o.slots_per_bucket = l;
+  o.maxloop = 100;
+  o.seed = 0x5EED;
+  o.eviction_policy = policy;
+  Table t(o);
+  const auto n = static_cast<size_t>(load * static_cast<double>(t.capacity()));
+  for (uint64_t k : MakeUniqueKeys(n, 31, 0)) t.Insert(k, k);
+  EXPECT_EQ(t.TotalItems(), n);
+  t.ResetStats();
+  EXPECT_TRUE(t.Rehash(o.buckets_per_table, 99).ok());
+  EXPECT_EQ(t.TotalItems(), n);
+  EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+  return t.stats();
+}
+
+TEST(GrowthChargesTest, RehashMcCuckoo) {
+  const AccessStats s = RehashCharges<McCuckooTable<uint64_t, uint64_t>>(
+      1, EvictionPolicy::kMinCounter, 0.88);
+  EXPECT_EQ(s, (AccessStats{.offchip_reads = 5613,
+                            .offchip_writes = 4972,
+                            .onchip_reads = 25181,
+                            .onchip_writes = 6600,
+                            .kickouts = 846,
+                            .stash_probes = 0}))
+      << s.ToString();
+}
+
+TEST(GrowthChargesTest, RehashBlockedMcCuckoo) {
+  const AccessStats s =
+      RehashCharges<BlockedMcCuckooTable<uint64_t, uint64_t>>(
+          3, EvictionPolicy::kBfs, 0.97);
+  EXPECT_EQ(s, (AccessStats{.offchip_reads = 4934,
+                            .offchip_writes = 4977,
+                            .onchip_reads = 62589,
+                            .onchip_writes = 7302,
+                            .kickouts = 79,
+                            .stash_probes = 0}))
+      << s.ToString();
+}
+
+TEST(GrowthChargesTest, RehashCuckoo) {
+  const AccessStats s = RehashCharges<CuckooTable<uint64_t, uint64_t>>(
+      1, EvictionPolicy::kMinCounter, 0.85);
+  EXPECT_EQ(s, (AccessStats{.offchip_reads = 10085,
+                            .offchip_writes = 3585,
+                            .onchip_reads = 2280,
+                            .onchip_writes = 974,
+                            .kickouts = 974,
+                            .stash_probes = 0}))
+      << s.ToString();
+}
+
+TEST(GrowthChargesTest, RehashBcht) {
+  const AccessStats s = RehashCharges<CuckooTable<uint64_t, uint64_t>>(
+      3, EvictionPolicy::kBfs, 0.97);
+  EXPECT_EQ(s, (AccessStats{.offchip_reads = 9185,
+                            .offchip_writes = 3294,
+                            .onchip_reads = 0,
+                            .onchip_writes = 0,
+                            .kickouts = 309,
+                            .stash_probes = 0}))
+      << s.ToString();
+}
+
+// SplitGrow moves every occupied bucket (one off-chip write and one counter
+// write each, after a one-read-per-bucket scan) and re-inserts the stash.
+// The table is filled until several keys stash, so the re-insertion runs
+// the placement and the walk too.
+TEST(GrowthChargesTest, SplitGrowMcCuckoo) {
+  TableOptions o;
+  o.buckets_per_table = 256;
+  o.maxloop = 20;
+  o.seed = 0x5EED;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  o.eviction_policy = EvictionPolicy::kMinCounter;
+  McCuckooTable<uint64_t, uint64_t> t(o);
+  const auto keys = MakeUniqueKeys(t.capacity(), 37, 0);
+  size_t i = 0;
+  for (; t.stash_size() < 4; ++i) t.Insert(keys[i], keys[i]);
+  t.ResetStats();
+  ASSERT_TRUE(McCuckooTestPeer::SplitGrow(t, 2 * o.buckets_per_table).ok());
+  EXPECT_EQ(t.TotalItems(), i);
+  EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+  const AccessStats s = t.stats();
+  EXPECT_EQ(s, (AccessStats{.offchip_reads = 774,
+                            .offchip_writes = 717,
+                            .onchip_reads = 34,
+                            .onchip_writes = 717,
+                            .kickouts = 2,
+                            .stash_probes = 0}))
+      << s.ToString();
 }
 
 TEST(RehashTest, StatisticsAccumulateAcrossRebuild) {
