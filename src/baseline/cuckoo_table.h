@@ -41,16 +41,16 @@
 namespace mccuckoo {
 
 /// The baseline's stand-in for a counter store: one valid bit per slot.
-/// The bit is the record's own, so it is read with its bucket's off-chip
-/// read and written with the record, as the stash flags are: nothing here
-/// is charged, and no on-chip memory is modeled. As a counter a slot reads
-/// 1 (its occupant's sole copy) or 0 (empty); there are no fingerprints
-/// and no tombstones.
+/// The bit is the record's own, so the engine charges it with its bucket's
+/// off-chip read and with the record's write, as the stash flags are, and
+/// no on-chip memory is modeled. As a counter a slot reads 1 (its
+/// occupant's sole copy) or 0 (empty); there are no fingerprints and no
+/// tombstones. The stores are plain: a baseline only ever runs the single
+/// writer.
 class ValidBitArray {
  public:
   explicit ValidBitArray(size_t num_slots) : bits_(num_slots) {}
 
-  uint64_t Get(size_t i) const { return PeekCounter(i); }
   uint64_t PeekCounter(size_t i) const { return bits_.Test(i) ? 1 : 0; }
   bool PeekTombstone(size_t) const { return false; }
   uint8_t PeekTag(size_t) const { return 0; }
@@ -66,9 +66,6 @@ class ValidBitArray {
   void SetTag(size_t, uint8_t) {}
 
   void SwapStorage(ValidBitArray& other) { bits_.Swap(other.bits_); }
-
-  /// No on-chip memory: the bits belong to the off-chip records.
-  size_t counter_bytes() const { return 0; }
 
  private:
   BitArray bits_;
@@ -171,7 +168,7 @@ class CuckooTable
     ProbeResult r;
     uint32_t probes = 0;
     for (uint32_t t = 0; t < opts_.num_hashes && !r.hit; ++t) {
-      if constexpr (kCharged) ++stats_->offchip_reads;
+      if constexpr (kCharged) ++stats_.offchip_reads;
       ++probes;
       for (uint32_t s = 0; s < l; ++s) {
         const size_t idx = cand.bucket[t] * l + s;

@@ -104,8 +104,7 @@ class BlockedMcCuckooTable
              BucketHeaderArray(static_cast<size_t>(options.num_hashes) *
                                    options.buckets_per_table *
                                    options.slots_per_bucket,
-                               options.slots_per_bucket, options.num_hashes,
-                               stats_.get())},
+                               options.slots_per_bucket)},
         probe_simd_(ResolveProbeKind(options.probe) == ProbeKind::kSimd) {}
 
   // --- Core operations (Insert, InsertOrAssign, Erase, Find and the
@@ -116,6 +115,7 @@ class BlockedMcCuckooTable
   const char* probe_variant() const { return probe_simd_ ? "simd" : "scalar"; }
 
  private:
+  using Base::CounterAt;
   using Base::opts_;
   using Base::StashEmpty;
   using Base::stats_;
@@ -206,9 +206,8 @@ class BlockedMcCuckooTable
     const uint32_t d = opts_.num_hashes;
     const uint32_t l = opts_.slots_per_bucket;
     if constexpr (kCharged) {
-      mem_.counters.ChargeReads(
-          static_cast<uint64_t>(d) * l *
-          (opts_.deletion_mode == DeletionMode::kTombstone ? 2 : 1));
+      stats_.onchip_reads +=
+          d * l * (opts_.deletion_mode == DeletionMode::kTombstone ? 2 : 1);
     }
     const BucketHeader* hdr[kMaxHashes] = {};
     uint64_t meta[kMaxHashes] = {};
@@ -238,7 +237,8 @@ class BlockedMcCuckooTable
       if (!occupied && (opts_.lookup_pruning_enabled || meta[t] == 0)) {
         continue;
       }
-      if constexpr (kCharged) ChargeBucketRead();
+      // One whole-bucket fetch: one off-chip access regardless of l ([33]).
+      if constexpr (kCharged) ++stats_.offchip_reads;
       ++probes_total;
       read_mask |= 1u << t;
       for (uint32_t m = match[t]; m != 0; m &= m - 1) {
@@ -269,9 +269,6 @@ class BlockedMcCuckooTable
     }
     return r;
   }
-
-  /// Fetches a whole bucket: one off-chip access regardless of l ([33]).
-  void ChargeBucketRead() const { ++stats_->offchip_reads; }
 
   // --- Copy location (the skeleton's placement and eviction call it) -------
 
@@ -309,7 +306,7 @@ class BlockedMcCuckooTable
         BucketGroup g{};
         g.bucket = cand[t];
         for (uint32_t s = 0; s < l; ++s) {
-          if (ctx.Counter(mem_.counters, g.bucket * l + s) == v) {
+          if (CounterAt(ctx, g.bucket * l + s) == v) {
             g.slots[g.n_slots++] = s;
           }
         }
@@ -363,7 +360,7 @@ class BlockedMcCuckooTable
                           size_t known_slot) {
     CopySet out = LocateOtherCopies(ctx, key, cand.tag, cand.bucket,
                                     known_slot,
-                                    ctx.Counter(mem_.counters, known_slot));
+                                    CounterAt(ctx, known_slot));
     out.pos[out.count++] = known_slot;
     return out;
   }

@@ -23,8 +23,9 @@
 // line is then touched only for slots whose tag matches AND whose counter
 // is non-zero, which for a random probe is ~l/256 false positives.
 //
-// Everything here is layout + pure functions; the charged accessors that
-// keep the paper's accounting bit-identical live in counter_array.h.
+// Everything here is layout + pure functions; the per-slot store over the
+// headers is counter_array.h's BucketHeaderArray, and the engine charges the
+// paper's accounting where it reads and writes them.
 
 #ifndef MCCUCKOO_CORE_BUCKET_HEADER_H_
 #define MCCUCKOO_CORE_BUCKET_HEADER_H_

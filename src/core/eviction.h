@@ -23,7 +23,6 @@
 #include "src/common/packed_array.h"
 #include "src/common/rng.h"
 #include "src/hash/hash_family.h"
-#include "src/mem/access_stats.h"
 
 namespace mccuckoo {
 
@@ -31,54 +30,43 @@ namespace mccuckoo {
 inline constexpr uint32_t kKickCounterBits = 5;
 
 /// MinCounter's per-bucket kick-history array: kKickCounterBits-wide
-/// saturating counters living on-chip next to the copy counters.
+/// saturating counters living on-chip next to the copy counters. Plain
+/// storage: the engine charges its reads and increments where it makes them
+/// (TableSkeleton::RandomWalkInsert and SoloWriter::Kick).
 class KickHistory {
  public:
   /// Disabled history (random-walk tables carry this empty object).
   KickHistory() = default;
 
-  /// Enabled history over `buckets` buckets. `stats` (may be null) receives
-  /// on-chip access charges and must outlive the object.
-  KickHistory(size_t buckets, AccessStats* stats)
-      : counters_(buckets, kKickCounterBits), stats_(stats), enabled_(true) {}
+  /// Enabled history over `buckets` buckets.
+  explicit KickHistory(size_t buckets)
+      : counters_(buckets, kKickCounterBits), enabled_(true) {}
 
   bool enabled() const { return enabled_; }
 
-  /// Kick count of `bucket` (charged as one on-chip read).
-  uint64_t Get(size_t bucket) const {
-    if (stats_ != nullptr) ++stats_->onchip_reads;
-    return counters_.Get(bucket);
-  }
+  /// Kick count of `bucket`.
+  uint64_t Get(size_t bucket) const { return counters_.Get(bucket); }
 
   /// Bytes of modeled on-chip memory (0 when disabled).
   size_t memory_bytes() const { return counters_.memory_bytes(); }
 
-  /// Takes `other`'s counters and enabled flag but keeps this object's
-  /// stats sink (Rehash commit under live optimistic readers keeps the
-  /// owning table's AccessStats identity-stable).
-  void AdoptStorage(KickHistory&& other) {
-    counters_ = std::move(other.counters_);
-    enabled_ = other.enabled_;
-  }
-
   /// Saturating increment after `bucket`'s occupant is evicted.
   void Increment(size_t bucket) {
-    if (stats_ != nullptr) ++stats_->onchip_writes;
     const uint64_t v = counters_.Get(bucket);
     if (v < counters_.max_value()) counters_.Set(bucket, v + 1);
   }
 
  private:
   PackedArray counters_;
-  AccessStats* stats_ = nullptr;
   bool enabled_ = false;
 };
 
 /// Picks the eviction target among `d` candidate buckets, excluding
 /// `exclude` (the bucket the in-hand item was just evicted from; pass
 /// SIZE_MAX for none). With an enabled KickHistory this is MinCounter's
-/// choice — the not-so-"hot" bucket, ties broken uniformly; otherwise a
-/// uniform random pick. Returns the candidate slot index t.
+/// choice — the not-so-"hot" bucket, ties broken uniformly, read from the
+/// history of every candidate but `exclude`; otherwise a uniform random
+/// pick. Returns the candidate slot index t.
 template <typename Candidates>
 uint32_t PickVictim(const Candidates& buckets, uint32_t d, size_t exclude,
                     const KickHistory& history, Xoshiro256& rng) {

@@ -120,8 +120,7 @@ class McCuckooTable
                                  options.buckets_per_table),
              BitArray(static_cast<size_t>(options.num_hashes) *
                       options.buckets_per_table),
-             TagCounterArray(options.num_hashes * options.buckets_per_table,
-                             options.num_hashes, stats_.get())} {}
+             TagCounterArray(options.num_hashes * options.buckets_per_table)} {}
 
   // --- Core operations (Insert, InsertOrAssign, Erase, Find, their
   // batched and multi-writer forms are TableSkeleton's) ---------------------
@@ -133,6 +132,7 @@ class McCuckooTable
 
  private:
   using Base::CommitRehash;
+  using Base::CounterAt;
   using Base::opts_;
   using Base::ScratchRebuild;
   using Base::size_;
@@ -194,9 +194,8 @@ class McCuckooTable
       // One bulk charge equal to what the per-candidate model read: d
       // counter reads, doubled by the tombstone probe in kTombstone mode.
       // The byte peeks below are the same logical reads.
-      mem_.counters.ChargeReads(
-          static_cast<uint64_t>(d) *
-          (opts_.deletion_mode == DeletionMode::kTombstone ? 2 : 1));
+      stats_.onchip_reads +=
+          d * (opts_.deletion_mode == DeletionMode::kTombstone ? 2 : 1);
     }
     // With pruning, candidates are grouped by counter value and the groups
     // probed from value d down to 1 (principles 2+3: a group of size S and
@@ -253,7 +252,7 @@ class McCuckooTable
           ++probes_total;
           ++probes_by_value[counter[t] <= kMaxHashes ? counter[t]
                                                      : kMaxHashes];
-          if constexpr (kCharged) ++stats_->offchip_reads;
+          if constexpr (kCharged) ++stats_.offchip_reads;
           read_mask |= 1u << t;
           const size_t idx = cand.bucket[t];
           if (mem_.counters.PeekTag(idx) != tag_nibble) continue;
@@ -306,7 +305,7 @@ class McCuckooTable
     uint32_t n_tagged = 0;
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       const size_t idx = cand[t];
-      if (idx == known_idx || ctx.Counter(mem_.counters, idx) != v) continue;
+      if (idx == known_idx || CounterAt(ctx, idx) != v) continue;
       copy[n_group] = mem_.counters.PeekTag(idx) == tag;
       n_tagged += copy[n_group];
       group[n_group++] = idx;
@@ -373,7 +372,7 @@ class McCuckooTable
     if (Status s = new_opts.Validate(); !s.ok()) return s;
     McCuckooTable rebuilt = ScratchRebuild(new_opts);
     const uint64_t n = opts_.buckets_per_table;
-    stats_->offchip_reads += mem_.table.size();  // full scan of the old table
+    stats_.offchip_reads += mem_.table.size();  // full scan of the old table
     for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
       const size_t from_base = static_cast<size_t>(t) * n;
       const size_t to_base = static_cast<size_t>(t) * new_buckets_per_table;
@@ -387,7 +386,8 @@ class McCuckooTable
         Bucket& dst = rebuilt.mem_.table[to];
         dst.key = b.key;
         dst.value = b.value;
-        ++rebuilt.stats_->offchip_writes;
+        ++rebuilt.stats_.offchip_writes;
+        ++rebuilt.stats_.onchip_writes;
         rebuilt.mem_.counters.Set(to, c);
         rebuilt.mem_.counters.SetTag(to, mem_.counters.PeekTag(from));
       }
@@ -398,7 +398,7 @@ class McCuckooTable
     keys.reserve(stash_.size());
     values.reserve(stash_.size());
     for (const auto& [k, v] : stash_.Items()) {
-      ++stats_->offchip_reads;
+      ++stats_.offchip_reads;
       keys.push_back(k);
       values.push_back(v);
     }

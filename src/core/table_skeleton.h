@@ -18,7 +18,8 @@
 //
 //   ProbeMain<kCharged>(...)        the one main-table probe (§III.B.2,
 //                                   Algorithm 2) behind every read form and
-//                                   the writes; returns a ProbeResult
+//                                   the writes; returns a ProbeResult, and
+//                                   kCharged charges its modeled reads
 //   PrefetchCandidates(...)         layout prefetches (batch stage 1,
 //                                   scalar writes)
 //   LocateOtherCopies(ctx, key, tag, cand, slot, v)
@@ -61,6 +62,12 @@
 // the full maxloop budget; there are no stash flags and no screen; and
 // Erase clears the valid bit with one off-chip write in any deletion mode.
 //
+// The paper's cost model (AccessStats) is charged in one place: the engine,
+// at each access it makes. The storage classes (the counter stores, the
+// kick history) are plain storage and charge nothing. The write paths
+// charge through ctx.Charge (a no-op for the striped writers), the read
+// paths under kCharged, and the layouts' hooks the same ways.
+//
 // Indices: a candidate is a global bucket index t * n + h_t(key); slot s of
 // bucket b is slot index b * l + s (the bucket index itself when l = 1).
 
@@ -86,6 +93,7 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/config.h"
+#include "src/core/counter_array.h"
 #include "src/core/eviction.h"
 #include "src/core/growth.h"
 #include "src/core/lock_stripes.h"
@@ -433,13 +441,13 @@ class TableSkeleton {
     keys.reserve(TotalItems());
     values.reserve(TotalItems());
     // Full scan of the old table, one read per bucket.
-    stats_->offchip_reads += NumBuckets();
+    stats_.offchip_reads += NumBuckets();
     ForEachMainItem([&](const Key& k, const Value& v) {
       keys.push_back(k);
       values.push_back(v);
     });
     for (const auto& [k, v] : stash_.Items()) {
-      ++stats_->offchip_reads;
+      ++stats_.offchip_reads;
       keys.push_back(k);
       values.push_back(v);
     }
@@ -491,8 +499,8 @@ class TableSkeleton {
   }
 
   const TableOptions& options() const { return opts_; }
-  const AccessStats& stats() const { return *stats_; }
-  void ResetStats() { *stats_ = AccessStats{}; }
+  const AccessStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = AccessStats{}; }
 
   /// Point-in-time metrics copy with the occupancy/capacity gauges filled
   /// (all zeros under -DMCCUCKOO_NO_METRICS). Safe to call concurrently
@@ -576,10 +584,15 @@ class TableSkeleton {
   /// real deployment would have had to rehash (§II.B).
   uint64_t forced_rehash_events() const { return forced_rehash_events_; }
 
-  /// Bytes of modeled on-chip memory (copy counters, plus MinCounter's
-  /// kick-history array when that policy is active).
+  /// Bytes of modeled on-chip memory: the copy counters packed at the
+  /// paper's width (none without on-chip counters), plus MinCounter's
+  /// kick-history array when that policy is active.
   size_t onchip_memory_bytes() const {
-    return counters().counter_bytes() + kick_history_.memory_bytes();
+    const size_t counter_bytes =
+        Derived::kOnChipCounters
+            ? ModeledPackedBytes(capacity(), BitWidthFor(opts_.num_hashes))
+            : 0;
+    return counter_bytes + kick_history_.memory_bytes();
   }
 
   /// Invokes `fn(key, value)` once per live key (main table + stash), in
@@ -783,7 +796,7 @@ class TableSkeleton {
   static constexpr size_t kNoBucket = static_cast<size_t>(-1);
 
   /// Everything but the layout storage, which the derived table builds
-  /// after this (its counters charge into stats_). Aborts on options
+  /// after this. Aborts on options
   /// Derived::CheckOptions rejects, so Debug and Release builds agree on
   /// what direct construction with unsupported options does; Create()
   /// reports the same conditions as a Status.
@@ -797,9 +810,8 @@ class TableSkeleton {
       std::abort();
     }
     if (options.eviction_policy == EvictionPolicy::kMinCounter) {
-      kick_history_ = KickHistory(
-          static_cast<size_t>(options.num_hashes) * options.buckets_per_table,
-          stats_.get());
+      kick_history_ = KickHistory(static_cast<size_t>(options.num_hashes) *
+                                  options.buckets_per_table);
     }
     latency_->set_sample_period(options.latency_sample_period);
   }
@@ -852,7 +864,7 @@ class TableSkeleton {
     BitArray& flags = derived().mem_.flags;
     flags.ForEachSetBit([&](size_t bucket) {
       SeqOpen(bucket);
-      ++stats_->offchip_writes;
+      ++stats_.offchip_writes;
     });
     flags.ClearAll();
   }
@@ -860,20 +872,20 @@ class TableSkeleton {
   /// Charges one stash probe: an off-chip read for the paper's off-chip
   /// stash, an on-chip read for the classic CHS stash.
   void ChargeStashProbe() const {
-    ++stats_->stash_probes;
+    ++stats_.stash_probes;
     if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_reads;
+      ++stats_.offchip_reads;
     } else {
-      ++stats_->onchip_reads;
+      ++stats_.onchip_reads;
     }
   }
 
   /// Charges one stash mutation (store/erase).
   void ChargeStashWrite() {
     if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_writes;
+      ++stats_.offchip_writes;
     } else {
-      ++stats_->onchip_writes;
+      ++stats_.onchip_writes;
     }
   }
 
@@ -1279,11 +1291,12 @@ class TableSkeleton {
         if constexpr (!Derived::kOnChipCounters) {
           // The valid bit lives in the record: one off-chip write.
           ctx.Charge(&AccessStats::offchip_writes);
-          ctx.SetCounter(slot, 0);
+          SetCounter(ctx, slot, 0);
         } else if (opts_.deletion_mode == DeletionMode::kTombstone) {
-          ctx.MarkDeleted(slot);
+          ctx.Charge(&AccessStats::onchip_writes);
+          counters().MarkDeleted(slot);
         } else {
-          ctx.SetCounter(slot, 0);
+          SetCounter(ctx, slot, 0);
         }
       }
       ctx.Sub(size_, size_t{1});
@@ -1385,15 +1398,38 @@ class TableSkeleton {
 
   /// Writes `record` and its fingerprint `tag` into global slot `slot` in
   /// the bucket's seqlock window, so readers never see a fresh key behind
-  /// a stale fingerprint: one off-chip write (the tag store is layout
-  /// state, uncharged). The bucket's stash flag, kept apart, is sticky:
+  /// a stale fingerprint: one off-chip write. The tag store is uncharged:
+  /// tags are software-layout state with no counterpart in the paper's
+  /// on-chip model. The bucket's stash flag, kept apart, is sticky:
   /// occupant changes leave it as it is.
   template <typename Ctx, typename Record>
   void WriteSlot(Ctx& ctx, size_t slot, const Record& record, uint8_t tag) {
     ctx.Open(BucketOf(slot));
     ctx.Charge(&AccessStats::offchip_writes);
     derived().RecordAt(slot) = record;
-    ctx.SetTag(slot, tag);
+    counters().SetTag(slot, tag);
+  }
+
+  /// Slot `slot`'s counter as the write engine reads it: one on-chip read
+  /// where the layout has counters. A baseline's valid bit comes with its
+  /// bucket's read.
+  template <typename Ctx>
+  uint64_t CounterAt(Ctx& ctx, size_t slot) const {
+    if constexpr (Derived::kOnChipCounters) {
+      ctx.Charge(&AccessStats::onchip_reads);
+    }
+    return counters().PeekCounter(slot);
+  }
+
+  /// Sets slot `slot`'s counter to `v`, clearing any tombstone: one on-chip
+  /// write where the layout has counters. A baseline's valid bit is written
+  /// with its record.
+  template <typename Ctx>
+  void SetCounter(Ctx& ctx, size_t slot, uint64_t v) {
+    if constexpr (Derived::kOnChipCounters) {
+      ctx.Charge(&AccessStats::onchip_writes);
+    }
+    counters().Set(slot, v);
   }
 
   /// Insertion principles 1-3 (§III.B.1) on l-slot buckets (Algorithm 1):
@@ -1430,7 +1466,7 @@ class TableSkeleton {
       }
       for (uint32_t s = 0; s < l; ++s) {
         const size_t slot = cand.bucket[t] * l + s;
-        if (ctx.Counter(counters(), slot) == 0) {
+        if (CounterAt(ctx, slot) == 0) {
           placed[n_placed++] = slot;
           taken[t] = true;
           break;
@@ -1453,7 +1489,7 @@ class TableSkeleton {
         size_t victim = 0;
         for (uint32_t s = 0; s < l; ++s) {
           const size_t slot = cand.bucket[t] * l + s;
-          const uint64_t c = ctx.Counter(counters(), slot);
+          const uint64_t c = CounterAt(ctx, slot);
           sum += c;
           if (c > v) {
             v = c;
@@ -1479,7 +1515,7 @@ class TableSkeleton {
         derived().CopyRecord(key, value, placed.data(), n_placed);
     for (uint32_t i = 0; i < n_placed; ++i) {
       WriteSlot(ctx, placed[i], record, cand.tag);  // opens the stripe
-      ctx.SetCounter(placed[i], n_placed);
+      SetCounter(ctx, placed[i], n_placed);
     }
     ctx.Add(redundant_writes_, n_placed - 1);
     return n_placed;
@@ -1503,7 +1539,7 @@ class TableSkeleton {
         ctx, victim, counters().PeekTag(victim_slot), alt, victim_slot, v);
     for (uint32_t i = 0; i < others.count; ++i) {
       ctx.Open(BucketOf(others.pos[i]));
-      ctx.SetCounter(others.pos[i], v - 1);
+      SetCounter(ctx, others.pos[i], v - 1);
     }
     return true;
   }
@@ -1534,6 +1570,14 @@ class TableSkeleton {
         ctx.Add(size_, size_t{1});  // net effect of the whole chain
         *chain_len_out = chain;
         return InsertResult::kInserted;
+      }
+      if (kick_history_.enabled()) {
+        // MinCounter reads the history of every candidate but `exclude`.
+        for (uint32_t u = 0; u < opts_.num_hashes; ++u) {
+          if (cand.bucket[u] != exclude) {
+            ctx.Charge(&AccessStats::onchip_reads);
+          }
+        }
       }
       const uint32_t t = PickVictim(cand.bucket, opts_.num_hashes, exclude,
                                     kick_history_, rng_);
@@ -1643,7 +1687,7 @@ class TableSkeleton {
                 }
                 for (uint32_t s = 0; s < l; ++s) {
                   const size_t alt = oc[t] * l + s;
-                  if (ctx.Counter(counters(), alt) != 1) {
+                  if (CounterAt(ctx, alt) != 1) {
                     terminal(alt);  // 0 = free, >= 2 = redundant copy
                     return;
                   }
@@ -1689,7 +1733,7 @@ class TableSkeleton {
                   derived().CopyRecord(moved.key, moved.value, &dst, 1),
                   counters().PeekTag(src));
         if (dst == terminal) {
-          ctx.SetCounter(dst, 1);  // the moved item is a sole copy
+          SetCounter(ctx, dst, 1);  // the moved item is a sole copy
         }
         // Interior destinations already held a sole copy: counter stays 1.
         ctx.Kick(BucketOf(src));
@@ -1893,19 +1937,24 @@ class TableSkeleton {
   //
   // The two contexts every write runs in. They expose the same operations,
   // and the write engine (the protocol, placement and eviction above, and
-  // each layout's copy location) is written against those operations only:
+  // each layout's copy location) is written against those operations only.
+  // Neither touches the counter stores: the engine reads and writes them
+  // itself, with mutators that serve one writer and many alike (relaxed
+  // atomic stores, see counter_array.h). A context differs only where one
+  // writer and many writers really differ:
   //
   //   claims     Stage (candidates computed up front, by the solo writer
   //              only), ClaimCandidates, ClaimAux,
   //              Claim(bucket), ClaimChain(path) (claims the chain, then
   //              checks it with ChainHolds), Mark/Release (drop the claims
   //              made since a mark), Restart
-  //   reads      Counter(counters, slot), Charge(field),
-  //              ChargeStashProbe/Write, ScreenMask (which candidates' flags
-  //              the stash screen reads)
-  //   writes     Open/OpenAux (seqlock windows), SetCounter, MarkDeleted,
-  //              SetTag, SetBit (a shared flag word), Add/Sub/SetOnce (the
-  //              lifetime counters), Kick (kick-out accounting)
+  //   charges    Charge(field), ChargeStashProbe/Write: the paper's cost
+  //              model, which the engine charges at every access it makes
+  //              (CounterAt, SetCounter, WriteSlot, ...)
+  //   screen     ScreenMask (which candidates' flags the stash screen reads)
+  //   writes     Open/OpenAux (seqlock windows), SetBit (a shared flag
+  //              word), Add/Sub/SetOnce (the lifetime counters), Kick
+  //              (kick-out accounting)
   //   eviction   BfsBudget, ObserveBfs, kChainAttempts, kBfsOnly
   //   finish     Publish (close the seqlock windows), ObserveInsert
   //              (growth; claims still held), Finish (publish and release)
@@ -1919,7 +1968,7 @@ class TableSkeleton {
     static constexpr bool kBfsOnly = false;
     static constexpr int kChainAttempts = 1;
 
-    explicit SoloWriter(TableSkeleton& t) : t_(t), stats_(t.stats_.get()) {}
+    explicit SoloWriter(TableSkeleton& t) : t_(t) {}
 
     Candidates Stage(const Key& key) const {
       return t_.StageWriteCandidates(key);
@@ -1932,20 +1981,13 @@ class TableSkeleton {
     void Release(size_t) {}
     void Restart() {}
 
-    template <typename Counters>
-    static uint64_t Counter(const Counters& counters, size_t slot) {
-      return counters.Get(slot);
-    }
-    void Charge(uint64_t AccessStats::* field) { ++(stats_->*field); }
+    void Charge(uint64_t AccessStats::* field) { ++(t_.stats_.*field); }
     void ChargeStashProbe() { t_.ChargeStashProbe(); }
     void ChargeStashWrite() { t_.ChargeStashWrite(); }
     uint32_t ScreenMask(uint32_t probed) const { return probed; }
 
     void Open(size_t bucket) { t_.SeqOpen(bucket); }
     void OpenAux() { t_.SeqOpenAux(); }
-    void SetCounter(size_t slot, uint64_t v) { t_.counters().Set(slot, v); }
-    void MarkDeleted(size_t slot) { t_.counters().MarkDeleted(slot); }
-    void SetTag(size_t slot, uint8_t tag) { t_.counters().SetTag(slot, tag); }
     void SetBit(BitArray& bits, size_t i) { bits.Set(i); }
     template <typename T>
     void Add(MovableAtomic<T>& c, std::type_identity_t<T> d) {
@@ -1958,9 +2000,14 @@ class TableSkeleton {
     void SetOnce(MovableAtomic<uint64_t>& c, uint64_t v) {
       if (c == 0) c = v;
     }
+    /// One kick-out; under MinCounter, also the victim bucket's history
+    /// increment, one on-chip write.
     void Kick(size_t bucket) {
-      ++t_.stats_->kickouts;
-      if (t_.kick_history_.enabled()) t_.kick_history_.Increment(bucket);
+      Charge(&AccessStats::kickouts);
+      if (t_.kick_history_.enabled()) {
+        Charge(&AccessStats::onchip_writes);
+        t_.kick_history_.Increment(bucket);
+      }
     }
 
     /// Capped (kBfsMaxNodes) where counters end a search at redundant
@@ -1982,14 +2029,13 @@ class TableSkeleton {
 
    private:
     TableSkeleton& t_;
-    AccessStats* stats_;
   };
 
   /// One of many concurrent writers (see "Multi-writer operations"): holds
   /// a LockStripeSet and a stack-local SeqlockWriterSet, claims its
   /// candidates at the epoch it computed them in, try-claims victims and
-  /// chain nodes, writes counters, tags and shared flag words with relaxed
-  /// atomics, and charges nothing. It always evicts by BFS, with
+  /// chain nodes, sets shared flag words with an atomic OR, and charges
+  /// nothing. It always evicts by BFS, with
   /// ConcurrentBfsBudget() and up to kChainAttempts searches (a contended
   /// or invalidated chain is planned again) before the stash.
   class StripedWriter {
@@ -2033,10 +2079,6 @@ class TableSkeleton {
       std::this_thread::yield();
     }
 
-    template <typename Counters>
-    static uint64_t Counter(const Counters& counters, size_t slot) {
-      return counters.PeekCounter(slot);
-    }
     void Charge(uint64_t AccessStats::*) {}
     void ChargeStashProbe() {}
     void ChargeStashWrite() {}
@@ -2049,13 +2091,6 @@ class TableSkeleton {
 
     void Open(size_t bucket) { ws_.Open(*t_.seq_, t_.seq_->StripeOf(bucket)); }
     void OpenAux() { ws_.Open(*t_.seq_, t_.seq_->aux_stripe()); }
-    void SetCounter(size_t slot, uint64_t v) {
-      t_.counters().AtomicSet(slot, v);
-    }
-    void MarkDeleted(size_t slot) { t_.counters().AtomicMarkDeleted(slot); }
-    void SetTag(size_t slot, uint8_t tag) {
-      t_.counters().AtomicSetTag(slot, tag);
-    }
     void SetBit(BitArray& bits, size_t i) { bits.AtomicSet(i); }
     template <typename T>
     void Add(MovableAtomic<T>& c, std::type_identity_t<T> d) {
@@ -2163,15 +2198,15 @@ class TableSkeleton {
   /// in retired_ so lagging readers keep dereferencing live memory; with
   /// none there are no such readers and it is freed at once. Everything
   /// else is either invisible to the optimistic probe or moves wholesale.
-  /// The stats_/metrics_/latency_ heap objects stay identity-stable — a
-  /// lagging reader flushes its tally through the pre-commit pointer after
+  /// The metrics_/latency_ heap objects stay identity-stable — a lagging
+  /// reader flushes its tally through the pre-commit pointer after
   /// validation, and the Insert whose growth triggered the rehash still
   /// records into latency_ — so the rebuild's deltas are merged into them
-  /// rather than replacing them. NOTE: keep in sync with the member list
-  /// below — a member missed here keeps its pre-rehash value. The derived
-  /// tables' own non-storage members (the resolved probe kernel) are
-  /// deliberately kept: the rebuild resolves the same options to the same
-  /// kernel.
+  /// rather than replacing them, as into the lifetime stats_. NOTE: keep in
+  /// sync with the member list below — a member missed here keeps its
+  /// pre-rehash value. The derived tables' own non-storage members (the
+  /// resolved probe kernel) are deliberately kept: the rebuild resolves the
+  /// same options to the same kernel.
   void CommitRebuild(Derived&& rebuilt) {
     using Storage = typename Derived::Storage;
     derived().mem_.Swap(rebuilt.mem_);
@@ -2183,7 +2218,7 @@ class TableSkeleton {
     rebuilt.opts_.growth_enabled = opts_.growth_enabled;  // see ScratchRebuild
     opts_ = rebuilt.opts_;
     family_ = std::move(rebuilt.family_);
-    *stats_ += *rebuilt.stats_;
+    stats_ += rebuilt.stats_;
     // Discard any degraded-state signal the growth-disabled rebuild
     // raised; the live policy re-evaluates pressure after the commit.
     rebuilt.metrics_->SetGrowthSuppressed(false);
@@ -2192,7 +2227,7 @@ class TableSkeleton {
     // spans_ deliberately keeps this table's ring: it is a lifetime
     // timeline (the rehash span lands in it right after this commit);
     // the scratch rebuild's ring holds nothing worth keeping.
-    kick_history_.AdoptStorage(std::move(rebuilt.kick_history_));
+    kick_history_ = std::move(rebuilt.kick_history_);
     stash_ = std::move(rebuilt.stash_);
     rng_ = std::move(rebuilt.rng_);
     // The rebuild just freed space, so any dead-end streak is stale.
@@ -2214,13 +2249,11 @@ class TableSkeleton {
 
   TableOptions opts_;
   HashFamily<Key, Hasher> family_;
-  // Heap-allocated so the pointer handed to the counter store /
-  // KickHistory stays valid when the table is moved (Rehash, snapshot
-  // loading, factory returns).
-  mutable std::unique_ptr<AccessStats> stats_ =
-      std::make_unique<AccessStats>();
-  // Same pattern for the metrics: atomics are immovable, the unique_ptr
-  // keeps the table movable and lets const read paths record.
+  // The paper-model access counts; mutable so the charged const read paths
+  // (Find, FindBatch) can charge.
+  mutable AccessStats stats_;
+  // The metrics are heap-held: atomics are immovable, the unique_ptr keeps
+  // the table movable and lets const read paths record.
   mutable std::unique_ptr<TableMetrics> metrics_ =
       std::make_unique<TableMetrics>();
   // Sampled op-latency recorder: heap-held for the same identity-stability
@@ -2244,9 +2277,8 @@ class TableSkeleton {
   SeqlockWriterSet seq_open_;
   // Storage epochs retired by Rehash while a seqlock was attached, each a
   // Derived::Storage (incomplete here, hence the type-erased owner). Never
-  // accessed again (the counter store's stats pointer inside is dangling
-  // by design) — held only so lagging optimistic readers dereference live
-  // memory; freed when the table is destroyed.
+  // accessed again — held only so lagging optimistic readers dereference
+  // live memory; freed when the table is destroyed.
   using Retired = std::unique_ptr<void, void (*)(void*)>;
   std::vector<Retired> retired_;
 

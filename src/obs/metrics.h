@@ -14,11 +14,15 @@
 //     updated with relaxed ordering — increments never tear, totals are
 //     exact, and TSan is clean. Relaxed is enough: cells are independent
 //     monotone counters and snapshots only need per-cell atomicity.
-//  2. Near-zero hot-path cost. A scalar lookup records ONE uncontended
-//     relaxed fetch_add (the fused outcome grid — on x86 every atomic RMW
-//     is a full barrier, so the count of RMWs per operation matters more
-//     than their individual cost); histograms keep no derived counters
-//     that Snapshot() can compute.
+//  2. Few atomic RMWs per operation (on x86 every atomic RMW is a full
+//     barrier, so their count matters more than their individual cost). A
+//     scalar lookup records the latency sampler's draw (a fetch_add on its
+//     op counter), one cell of the fused outcome grid, and one
+//     partition-probe Inc per probed partition: several relaxed RMWs, on
+//     cells that every thread using the table shares, so they contend as
+//     soon as two threads read one table. Batched lookups tally on the
+//     stack and publish once per batch. Histograms keep no derived
+//     counters that Snapshot() can compute.
 //  3. Compiled out entirely with -DMCCUCKOO_NO_METRICS: TableMetrics
 //     becomes an empty type whose methods are no-ops, so every recording
 //     call site folds to nothing. MetricsSnapshot and the exporters stay
@@ -28,8 +32,9 @@
 // AccessStats is deliberately NOT folded in here: the paper's access
 // accounting is part of the *algorithm model* (batched and scalar paths
 // must produce identical AccessStats, tests enforce it), while metrics are
-// an observational side channel that must never perturb it. Recording uses
-// only uncharged accessors.
+// an observational side channel that must never perturb it. Recording
+// charges nothing: the tables charge AccessStats only where the algorithm
+// itself reads or writes.
 
 #ifndef MCCUCKOO_OBS_METRICS_H_
 #define MCCUCKOO_OBS_METRICS_H_

@@ -331,34 +331,34 @@ TEST(TagCounterArrayAtomicTest, OwnerNibbleUpdatesKeepTheOtherNibble) {
   // counter, decrement and tombstone updates on byte 3 while other threads
   // own and hammer the neighbouring bytes: each update must keep the other
   // nibble, and no neighbour's store may bleed into byte 3.
-  TagCounterArray counters(8, 7, nullptr);
+  TagCounterArray counters(8);
   constexpr int kIters = 20000;
   std::thread owner([&] {
     for (int i = 0; i < kIters; ++i) {
       const uint8_t tag = static_cast<uint8_t>(i & 0x0F);
-      counters.AtomicSetTag(3, tag);
-      counters.AtomicSet(3, static_cast<uint64_t>(i % 6) + 2);
-      counters.AtomicSet(3, counters.PeekCounter(3) - 1);
+      counters.SetTag(3, tag);
+      counters.Set(3, static_cast<uint64_t>(i % 6) + 2);
+      counters.Set(3, counters.PeekCounter(3) - 1);
       if (counters.PeekTag(3) != tag ||
           counters.PeekCounter(3) != static_cast<uint64_t>(i % 6) + 1) {
         ADD_FAILURE() << "nibble lost at iteration " << i;
         return;
       }
-      counters.AtomicMarkDeleted(3);
+      counters.MarkDeleted(3);
       if (counters.PeekTag(3) != tag || !counters.PeekTombstone(3)) {
         ADD_FAILURE() << "tombstone update lost the tag at iteration " << i;
         return;
       }
     }
-    counters.AtomicSetTag(3, 0x0A);
-    counters.AtomicSet(3, 5);
+    counters.SetTag(3, 0x0A);
+    counters.Set(3, 5);
   });
   std::vector<std::thread> neighbours;
   for (size_t n : {size_t{2}, size_t{4}}) {
     neighbours.emplace_back([&, n] {
       for (int i = 0; i < kIters; ++i) {
-        counters.AtomicSet(n, static_cast<uint64_t>(i % 7) + 1);
-        counters.AtomicSetTag(n, static_cast<uint8_t>(~i & 0x0F));
+        counters.Set(n, static_cast<uint64_t>(i % 7) + 1);
+        counters.SetTag(n, static_cast<uint8_t>(~i & 0x0F));
       }
     });
   }
@@ -370,19 +370,19 @@ TEST(TagCounterArrayAtomicTest, OwnerNibbleUpdatesKeepTheOtherNibble) {
 }
 
 TEST(TagCounterArrayAtomicTest, DecrementTombstoneAndSetSemantics) {
-  TagCounterArray counters(4, 7, nullptr);
-  counters.AtomicSetTag(1, 0x0C);
-  counters.AtomicSet(1, 3);
-  counters.AtomicSet(1, counters.PeekCounter(1) - 1);
+  TagCounterArray counters(4);
+  counters.SetTag(1, 0x0C);
+  counters.Set(1, 3);
+  counters.Set(1, counters.PeekCounter(1) - 1);
   EXPECT_EQ(counters.PeekCounter(1), 2u);
-  counters.AtomicSet(1, counters.PeekCounter(1) - 1);
+  counters.Set(1, counters.PeekCounter(1) - 1);
   EXPECT_EQ(counters.PeekCounter(1), 1u);
   EXPECT_EQ(counters.PeekCounter(1), 1u);
-  counters.AtomicMarkDeleted(1);
+  counters.MarkDeleted(1);
   EXPECT_EQ(counters.PeekCounter(1), 0u);  // tombstones read as counter 0
   EXPECT_TRUE(counters.PeekTombstone(1));
   EXPECT_EQ(counters.PeekTag(1), 0x0Cu);  // tag survives the whole dance
-  counters.AtomicSet(1, 2);               // re-occupation clears the mark
+  counters.Set(1, 2);               // re-occupation clears the mark
   EXPECT_FALSE(counters.PeekTombstone(1));
   EXPECT_EQ(counters.PeekCounter(1), 2u);
 }
@@ -392,14 +392,14 @@ TEST(TagCounterArrayAtomicTest, ConcurrentDisjointEntriesStayExact) {
   // be hammered concurrently. Entries are separate bytes, so no update may
   // bleed into a neighbour.
   constexpr size_t kEntries = 64;
-  TagCounterArray counters(kEntries, 7, nullptr);
+  TagCounterArray counters(kEntries);
   std::vector<std::thread> ts;
   for (int t = 0; t < 4; ++t) {
     ts.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < kEntries; i += 4) {
         for (int r = 0; r < 1000; ++r) {
-          counters.AtomicSet(i, (i % 7) + 1);
-          counters.AtomicSetTag(i, static_cast<uint8_t>(i & 0x0F));
+          counters.Set(i, (i % 7) + 1);
+          counters.SetTag(i, static_cast<uint8_t>(i & 0x0F));
         }
       }
     });

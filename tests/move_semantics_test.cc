@@ -1,9 +1,8 @@
-// Regression tests for table move semantics: the on-chip structures (the
-// counter store, TagCounterArray or BucketHeaderArray, and KickHistory)
-// hold a pointer to the table's AccessStats, which must survive moves —
-// Rehash's self-assignment, snapshot loading and factory returns all move
-// tables. A dangling pointer here shows up under ASan as a
-// stack-buffer-underflow into a dead frame.
+// Regression tests for table move semantics: Rehash's scratch rebuild,
+// factory returns and vector growth all move tables, and a moved table must
+// keep its items, its invariants and its access accounting, which it
+// carries as a plain member and keeps charging after the move. MinCounter
+// keeps the kick history in play too.
 
 #include <gtest/gtest.h>
 
@@ -33,8 +32,8 @@ void MoveAndKeepUsing(uint32_t l) {
   const auto keys = MakeUniqueKeys(500, 1, 0);
   for (size_t i = 0; i < 250; ++i) original.Insert(keys[i], keys[i]);
 
-  // Move-construct, then keep mutating: stats charging must hit the moved
-  // table's own counters, not a dangling pointer.
+  // Move-construct, then keep mutating: the charges land in the moved
+  // table's own counts.
   Table moved(std::move(original));
   for (size_t i = 250; i < keys.size(); ++i) moved.Insert(keys[i], keys[i]);
   for (uint64_t k : keys) EXPECT_TRUE(moved.Contains(k)) << k;
