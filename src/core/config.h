@@ -163,6 +163,15 @@ struct TableOptions {
     if (slots_per_bucket == 0 || slots_per_bucket > 8) {
       return Status::InvalidArgument("slots_per_bucket must be in [1, 8]");
     }
+    // Every slot needs a size_t index: a wrapped product would size the
+    // storage far below what the hash family indexes.
+    size_t slots = 0;
+    if (__builtin_mul_overflow(size_t{num_hashes} * slots_per_bucket,
+                               buckets_per_table, &slots)) {
+      return Status::InvalidArgument(
+          "num_hashes * buckets_per_table * slots_per_bucket overflows the "
+          "slot count");
+    }
     if (probe == ProbeKind::kSimd && !kSimdProbeAvailable) {
       return Status::InvalidArgument(
           "probe=kSimd but this build has no SIMD probe kernel "

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "src/baseline/cuckoo_table.h"
+#include "src/core/blocked_mccuckoo_table.h"
+#include "src/core/mccuckoo_table.h"
+
 namespace mccuckoo {
 namespace {
 
@@ -53,6 +60,39 @@ TEST(TableOptionsTest, CapacityIsProductOfDimensions) {
   EXPECT_EQ(o.capacity(), 900u);
   o.num_hashes = 4;
   EXPECT_EQ(o.capacity(), 1200u);
+}
+
+TEST(TableOptionsTest, RejectsSlotCountOverflow) {
+  // 4 * 2^62 single slots wrap a 64-bit size_t to 0: the storage would be
+  // empty while the hash family indexes 2^62 buckets per sub-table.
+  TableOptions o;
+  o.num_hashes = 4;
+  o.buckets_per_table = uint64_t{1} << 62;
+  const Status s = o.Validate();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("overflows"), std::string::npos) << s.message();
+  EXPECT_FALSE((McCuckooTable<uint64_t, uint64_t>::Create(o).ok()));
+  EXPECT_FALSE((CuckooTable<uint64_t, uint64_t>::Create(o).ok()));
+  o.num_hashes = 2;
+  o.slots_per_bucket = 8;  // 2 * 2^62 * 8 = 2^66 slots
+  EXPECT_FALSE((BlockedMcCuckooTable<uint64_t, uint64_t>::Create(o).ok()));
+  EXPECT_FALSE((CuckooTable<uint64_t, uint64_t>::Create(o).ok()));
+
+  // The largest single-slot geometry whose slot count fits is accepted.
+  o.num_hashes = 4;
+  o.slots_per_bucket = 1;
+  o.buckets_per_table = (uint64_t{1} << 62) - 1;
+  EXPECT_TRUE(o.Validate().ok());
+
+  // A rehash into an overflowing geometry fails and leaves the table be.
+  TableOptions small;
+  small.buckets_per_table = 64;
+  McCuckooTable<uint64_t, uint64_t> t(small);
+  for (uint64_t k = 1; k <= 100; ++k) t.Insert(k, k);
+  EXPECT_FALSE(t.Rehash(uint64_t{1} << 63, 7).ok());
+  EXPECT_EQ(t.options().buckets_per_table, 64u);
+  EXPECT_EQ(t.TotalItems(), 100u);
+  for (uint64_t k = 1; k <= 100; ++k) EXPECT_TRUE(t.Contains(k)) << k;
 }
 
 TEST(TableOptionsTest, ErrorsNameTheProblem) {
