@@ -60,6 +60,145 @@ TEST(McCuckooTest, CheckInvariantsCatchesOneCorruptCounterInEveryBuild) {
   EXPECT_TRUE(t.CheckInvariants().ok());
 }
 
+// One corruption per ValidateInvariants/CheckInvariants failure return
+// the single-slot layout can reach: each must be caught with its own
+// message, and the restored state must pass again. Two returns cannot be
+// reached here: "two copies of one key in one bucket" (a bucket has one
+// slot) and "tombstone with non-zero counter" (the store's tombstone write
+// zeroes the counter, and every counter write clears the tombstone).
+template <typename Corrupt, typename Restore>
+void ExpectCaught(Table& t, const std::string& message, Corrupt corrupt,
+                  Restore restore) {
+  ASSERT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+  corrupt();
+  const Status s = t.CheckInvariants();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find(message), std::string::npos) << s.ToString();
+  restore();
+  EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants().ToString();
+}
+
+/// A table of 1500 keys in 3072 buckets under kDisabled: sole and
+/// redundant copies both occur.
+Table FilledTable() {
+  Table t(SmallOptions());
+  for (uint64_t k : MakeUniqueKeys(1500, 3, 0)) t.Insert(k, k + 1);
+  return t;
+}
+
+/// The lowest slot whose counter is `v` (for v = 1, a key's only copy).
+size_t FirstSlotWithCounter(const Table& t, uint64_t v) {
+  size_t idx = 0;
+  while (McCuckooTestPeer::Counter(t, idx) != v) ++idx;
+  EXPECT_LT(idx, McCuckooTestPeer::Slots(t));
+  return idx;
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesTombstoneOutsideTombstoneMode) {
+  Table t = FilledTable();
+  const size_t idx = FirstSlotWithCounter(t, 1);
+  ExpectCaught(
+      t, "tombstone outside kTombstone mode",
+      [&] { McCuckooTestPeer::Counters(t).MarkDeleted(idx); },
+      [&] { McCuckooTestPeer::SetCounter(t, idx, 1); });
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesCounterAboveD) {
+  Table t = FilledTable();
+  const size_t idx = FirstSlotWithCounter(t, 1);
+  ExpectCaught(
+      t, "counter exceeds d",
+      [&] { McCuckooTestPeer::SetCounter(t, idx, 4); },
+      [&] { McCuckooTestPeer::SetCounter(t, idx, 1); });
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesMisplacedOccupant) {
+  Table t = FilledTable();
+  const size_t idx = FirstSlotWithCounter(t, 1);
+  auto& record = McCuckooTestPeer::Record(t, idx);
+  const uint64_t key = record.key;
+  // A key that was never inserted, so nothing else names it.
+  const uint64_t stranger = MakeUniqueKeys(1, 99, 0).front();
+  ExpectCaught(
+      t, "occupant does not hash to bucket", [&] { record.key = stranger; },
+      [&] { record.key = key; });
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesStaleFingerprint) {
+  Table t = FilledTable();
+  const size_t idx = FirstSlotWithCounter(t, 1);
+  auto& counters = McCuckooTestPeer::Counters(t);
+  const uint8_t tag = counters.PeekTag(idx);
+  ExpectCaught(
+      t, "stale fingerprint",
+      [&] { counters.SetTag(idx, static_cast<uint8_t>(tag ^ 1)); },
+      [&] { counters.SetTag(idx, tag); });
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesDivergedCopies) {
+  Table t = FilledTable();
+  auto& record = McCuckooTestPeer::Record(t, FirstSlotWithCounter(t, 2));
+  const uint64_t value = record.value;
+  ExpectCaught(
+      t, "diverged copy values", [&] { record.value = value + 7; },
+      [&] { record.value = value; });
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesWrongSize) {
+  Table t = FilledTable();
+  auto& size = McCuckooTestPeer::Size(t);
+  ExpectCaught(
+      t, "size_ does not match live distinct keys", [&] { size += 1; },
+      [&] { size += static_cast<size_t>(-1); });
+}
+
+/// A kDisabled table filled until exactly one key is stashed, and that
+/// key's candidate buckets.
+Table StashedTable(std::vector<size_t>* cand) {
+  TableOptions o = SmallOptions();
+  o.buckets_per_table = 64;
+  o.maxloop = 8;
+  Table t(o);
+  const auto keys = MakeUniqueKeys(3 * 64, 17, 0);
+  for (size_t i = 0; i < keys.size() && t.stash_size() == 0; ++i) {
+    t.Insert(keys[i], keys[i]);
+  }
+  EXPECT_EQ(t.stash_size(), 1u) << "the table never stashed";
+  *cand = McCuckooTestPeer::StashedKeyCandidates(t);
+  return t;
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesMissingStashFlag) {
+  std::vector<size_t> cand;
+  Table t = StashedTable(&cand);
+  ASSERT_FALSE(cand.empty());
+  auto& flags = McCuckooTestPeer::Flags(t);
+  ExpectCaught(
+      t, "stashed key lacks a candidate stash flag",
+      [&] { flags.Reset(cand[1]); }, [&] { flags.Set(cand[1]); });
+}
+
+TEST(McCuckooTest, CheckInvariantsCatchesEmptiedStashCandidateUnderDisabled) {
+  // Zeroing a stashed key's candidate drops that bucket's sole-copy
+  // occupant; lowering size_ to match keeps ValidateInvariants quiet, so
+  // the kDisabled all-ones rule is the one that fires.
+  std::vector<size_t> cand;
+  Table t = StashedTable(&cand);
+  ASSERT_FALSE(cand.empty());
+  ASSERT_EQ(McCuckooTestPeer::Counter(t, cand[0]), 1u);
+  auto& size = McCuckooTestPeer::Size(t);
+  ExpectCaught(
+      t, "has counter 0 != 1 under kDisabled",
+      [&] {
+        McCuckooTestPeer::SetCounter(t, cand[0], 0);
+        size += static_cast<size_t>(-1);
+      },
+      [&] {
+        McCuckooTestPeer::SetCounter(t, cand[0], 1);
+        size += 1;
+      });
+}
+
 TEST(McCuckooTest, EmptyTableFindsNothing) {
   Table t(SmallOptions());
   EXPECT_FALSE(t.Contains(42));

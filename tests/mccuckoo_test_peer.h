@@ -29,6 +29,24 @@ struct McCuckooTestPeer {
   static void SetCounter(T& t, size_t idx, uint64_t v) {
     t.mem_.counters.Set(idx, v);
   }
+  /// The counter store, the records, the stash flags and the live-key
+  /// count, for corruption cases.
+  template <typename T>
+  static auto& Counters(T& t) {
+    return t.mem_.counters;
+  }
+  template <typename T>
+  static auto& Record(T& t, size_t idx) {
+    return t.mem_.table[idx];
+  }
+  template <typename T>
+  static auto& Flags(T& t) {
+    return t.mem_.flags;
+  }
+  template <typename T>
+  static auto& Size(T& t) {
+    return t.size_;
+  }
   /// The buckets whose stash flag is set, ascending.
   template <typename T>
   static std::vector<size_t> SetFlags(const T& t) {
