@@ -130,13 +130,13 @@ void StatisticsAccumulateAcrossRebuild(uint32_t slots_per_bucket) {
   EXPECT_GT(t.stats().offchip_writes, writes_before);
 }
 
-// Exact AccessStats of one growth step, all six fields: the re-insertion
-// traffic (counter reads and writes, kicks, the eviction policy's own
-// on-chip reads and writes) is charged by the engine, and these pins hold
-// it to the values the paper-model accounting has always produced. Each
-// table is filled past the load its rebuild places without kicking, and the
-// rebuild keeps the same size under a fresh seed, so the re-insertion
-// evicts. One policy per table covers both kick engines' charges.
+// Exact AccessStats of one growth step, all six fields, so that a moved,
+// dropped or doubled charge anywhere in the re-insertion traffic (counter
+// reads and writes, kicks, the eviction policy's own on-chip reads and
+// writes) shows. Each table is filled past the load its rebuild places
+// without kicking, and the rebuild keeps the same size under a fresh seed,
+// so the re-insertion evicts: by MinCounter's walk on the single-slot
+// tables and by BFS on the blocked ones.
 template <typename Table>
 AccessStats RehashCharges(uint32_t l, EvictionPolicy policy, double load) {
   TableOptions o;
