@@ -369,12 +369,13 @@ class TableSkeleton {
   // --- Optimistic (seqlock-validated) read path --------------------------
 
   /// Attaches (or, with null, detaches) the stripe array the concurrent
-  /// wrapper owns. While attached, every mutation opens the stripes of the
-  /// buckets it touches (odd version = in flight) and publishes them at its
-  /// commit point, so TryFindOptimistic can run without any lock, and the
-  /// multi-writer operations serialize on the array's writer locks.
-  /// Single-threaded users never call this and pay only a null check per
-  /// mutation choke point.
+  /// wrapper owns. While attached, every striped mutation opens the stripes
+  /// of the buckets it touches (odd version = in flight) and publishes them
+  /// at its commit point, so TryFindOptimistic can run without any lock, and
+  /// the multi-writer operations serialize on the array's writer locks. A
+  /// single-writer mutation of an attached table must run with the aux
+  /// stripe held odd (WithExclusiveShard), which fails every optimistic
+  /// validation; SoloWriter asserts it.
   void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
 
   /// Sizing hint for the stripe array: one potential stripe per bucket.
@@ -464,10 +465,8 @@ class TableSkeleton {
   /// currently stashed, re-synchronizing the screen after stash deletions
   /// (§III.F). Charges one off-chip write per flag actually changed.
   void RebuildStashFlags() {
-    // Cleared and re-set flags publish together: a reader validating
-    // between the clear and the re-mark would false-miss a stashed key.
-    ClearStashFlags();
     SoloWriter w(*this);
+    ClearStashFlags();
     for (const auto& [k, v] : stash_.Items()) {
       (void)v;
       const Candidates cand = ComputeCandidates(k);
@@ -476,7 +475,6 @@ class TableSkeleton {
       }
     }
     stale_stash_flag_keys_ = 0;
-    SeqFlush();
   }
 
   // --- Introspection ----------------------------------------------------
@@ -862,10 +860,7 @@ class TableSkeleton {
   /// one charged write per flag actually cleared.
   void ClearStashFlags() {
     BitArray& flags = derived().mem_.flags;
-    flags.ForEachSetBit([&](size_t bucket) {
-      SeqOpen(bucket);
-      ++stats_.offchip_writes;
-    });
+    flags.ForEachSetBit([&](size_t) { ++stats_.offchip_writes; });
     flags.ClearAll();
   }
 
@@ -1243,14 +1238,14 @@ class TableSkeleton {
                     const Candidates& cand, InsertResult* r, bool* collided,
                     ChainStats* chain) {
     if (TryPlace(ctx, key, value, cand) > 0) {
-      ctx.Add(size_, size_t{1});
+      ctx.Add(size_, 1);
       *r = InsertResult::kInserted;
       return true;
     }
     if (!AllCandidatesSole(cand)) return false;
     // All candidates hold sole copies: a real collision (§III.D).
     *collided = true;
-    ctx.SetOnce(first_collision_items_, ApproxTotalItems() + 1);
+    if constexpr (Ctx::kCharged) SetFirst(first_collision_items_);
     *r = EvictsByBfs<Ctx>()
              ? BfsInsert(ctx, key, value, cand, chain)
              : RandomWalkInsert(ctx, key, value, &chain->len);
@@ -1299,7 +1294,7 @@ class TableSkeleton {
           SetCounter(ctx, slot, 0);
         }
       }
-      ctx.Sub(size_, size_t{1});
+      ctx.Sub(size_, 1);
       ctx.Finish();
       metrics_->RecordErase();
       return true;
@@ -1319,8 +1314,8 @@ class TableSkeleton {
     ctx.ChargeStashWrite();
     // Flags are Bloom-like and not cleared (§III.F); false positives
     // accumulate until RebuildStashFlags().
-    if (Derived::kOnChipCounters) {
-      ctx.Add(stale_stash_flag_keys_, uint64_t{1});
+    if constexpr (Ctx::kCharged && Derived::kOnChipCounters) {
+      ++stale_stash_flag_keys_;
     }
     metrics_->RecordErase();
     return true;
@@ -1517,7 +1512,7 @@ class TableSkeleton {
       WriteSlot(ctx, placed[i], record, cand.tag);  // opens the stripe
       SetCounter(ctx, placed[i], n_placed);
     }
-    ctx.Add(redundant_writes_, n_placed - 1);
+    if constexpr (Ctx::kCharged) redundant_writes_ += n_placed - 1;
     return n_placed;
   }
 
@@ -1567,7 +1562,7 @@ class TableSkeleton {
     for (uint32_t loop = 0; loop < opts_.maxloop; ++loop) {
       Candidates cand = ComputeCandidates(key);
       if (loop > 0 && TryPlace(ctx, key, value, cand, exclude) > 0) {
-        ctx.Add(size_, size_t{1});  // net effect of the whole chain
+        ctx.Add(size_, 1);  // net effect of the whole chain
         *chain_len_out = chain;
         return InsertResult::kInserted;
       }
@@ -1606,7 +1601,7 @@ class TableSkeleton {
     *chain_len_out = chain;
     const Candidates cand = ComputeCandidates(key);
     if (Derived::kOnChipCounters && TryPlace(ctx, key, value, cand) > 0) {
-      ctx.Add(size_, size_t{1});
+      ctx.Add(size_, 1);
       return InsertResult::kInserted;
     }
     // Insertion failure: park the in-hand item in the stash.
@@ -1743,7 +1738,7 @@ class TableSkeleton {
         const size_t root = static_cast<size_t>(path.node.front());
         WriteSlot(ctx, root, derived().CopyRecord(key, value, &root, 1),
                   cand.tag);
-        ctx.Add(size_, size_t{1});
+        ctx.Add(size_, 1);
         chain->len = static_cast<uint32_t>(path.node.size());
         return InsertResult::kInserted;
       }
@@ -1835,11 +1830,10 @@ class TableSkeleton {
   }
 
   /// Runs the growth policy against the post-insert occupancy and performs
-  /// the rehash it asks for. Called with no stripes open (SeqFlush done):
-  /// the commit opens the aux stripe itself when the outer writer section
-  /// does not already hold it, so optimistic readers stay correct whether
-  /// the trigger fires in ShardedMcCuckoo's growth escalation or a bare
-  /// table's Insert.
+  /// the rehash it asks for. The commit opens the aux stripe itself when the
+  /// outer writer section does not already hold it, so optimistic readers
+  /// stay correct whether the trigger fires in ShardedMcCuckoo's growth
+  /// escalation or a bare table's Insert.
   void MaybeGrow() {
     const GrowthDecision d = growth_.Decide(CurrentGrowthInputs());
     if (d.action == GrowthAction::kNone) return;
@@ -1876,28 +1870,10 @@ class TableSkeleton {
     return Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
   }
 
-  // --- seqlock writer hooks ---------------------------------------------
-  //
-  // Every reader-visible mutation flows through the choke points below,
-  // which mark the touched bucket's stripe as in-flight (odd). Stripes stay
-  // odd across the *whole* operation — a kick chain's intermediate states
-  // have the in-hand key in no bucket at all, so publishing per-store would
-  // let an optimistic reader validate cleanly and miss a live key — and are
-  // published together by SeqFlush() at each operation's consistent point.
-  // All three are no-ops when no SeqlockArray is attached.
-
-  void SeqOpen(size_t bucket) {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->StripeOf(bucket));
-  }
-
-  /// Opens the aux stripe covering state outside the bucket array (stash
-  /// membership and size).
-  void SeqOpenAux() {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->aux_stripe());
-  }
-
-  void SeqFlush() {
-    if (seq_ != nullptr) seq_open_.CloseAll(*seq_);
+  /// Records the item count at a lifetime first (a collision, a failure)
+  /// unless one is already recorded.
+  void SetFirst(uint64_t& first) {
+    if (first == 0) first = TotalItems() + 1;
   }
 
   /// Shared insertion-failure tail: parks the in-hand item in the stash
@@ -1913,7 +1889,7 @@ class TableSkeleton {
   InsertResult StashOverflow(Ctx& ctx, const Key& key, const Value& value,
                              const Candidates& cand, bool dead_end,
                              uint32_t nodes) {
-    ctx.SetOnce(first_failure_items_, ApproxTotalItems() + 1);
+    if constexpr (Ctx::kCharged) SetFirst(first_failure_items_);
     ctx.ClaimAux();
     if (dead_end) spans_.RecordInstant(SpanKind::kBfsDeadEnd, nodes);
     ctx.ChargeStashWrite();
@@ -1928,7 +1904,7 @@ class TableSkeleton {
       }
     } else if (stash_.size() > kOnchipStashCapacity) {
       // A real CHS deployment would rehash here.
-      ctx.Add(forced_rehash_events_, uint64_t{1});
+      if constexpr (Ctx::kCharged) ++forced_rehash_events_;
     }
     return InsertResult::kStashed;
   }
@@ -1940,7 +1916,9 @@ class TableSkeleton {
   // each layout's copy location) is written against those operations only.
   // Neither touches the counter stores: the engine reads and writes them
   // itself, with mutators that serve one writer and many alike (relaxed
-  // atomic stores, see counter_array.h). A context differs only where one
+  // atomic stores, see counter_array.h). Nor do they keep the simulator's
+  // lifetime counters (redundant_writes_ and the rest): the engine writes
+  // those plain, under kCharged only. A context differs only where one
   // writer and many writers really differ:
   //
   //   claims     Stage (candidates computed up front, by the solo writer
@@ -1952,15 +1930,21 @@ class TableSkeleton {
   //              model, which the engine charges at every access it makes
   //              (CounterAt, SetCounter, WriteSlot, ...)
   //   screen     ScreenMask (which candidates' flags the stash screen reads)
-  //   writes     Open/OpenAux (seqlock windows), SetBit (a shared flag
-  //              word), Add/Sub/SetOnce (the lifetime counters), Kick
+  //   writes     Open/OpenAux (seqlock windows, striped writers only),
+  //              SetBit (a shared flag word), Add/Sub (size_), Kick
   //              (kick-out accounting)
   //   eviction   BfsBudget, ObserveBfs, kChainAttempts, kBfsOnly
   //   finish     Publish (close the seqlock windows), ObserveInsert
   //              (growth; claims still held), Finish (publish and release)
+  //
+  // Only the striped writers open seqlock windows, each held odd until
+  // Publish (see SeqlockWriterSet). The single writer runs on a table with
+  // no seqlock attached, or with its aux stripe held odd
+  // (ShardedMcCuckoo::WithExclusiveShard), which already fails every
+  // optimistic validation, so windows of its own would be invisible.
 
   /// The single writer (§III.H): charges AccessStats exactly as the paper's
-  /// model does, opens the member seq_open_, and every claim succeeds. It
+  /// model does, opens no seqlock window, and every claim succeeds. It
   /// honours the configured eviction policy and the BfsThrottle.
   class SoloWriter {
    public:
@@ -1968,7 +1952,10 @@ class TableSkeleton {
     static constexpr bool kBfsOnly = false;
     static constexpr int kChainAttempts = 1;
 
-    explicit SoloWriter(TableSkeleton& t) : t_(t) {}
+    explicit SoloWriter(TableSkeleton& t) : t_(t) {
+      assert(t.seq_ == nullptr ||
+             SeqlockArray::IsWriting(t.seq_->Version(t.seq_->aux_stripe())));
+    }
 
     Candidates Stage(const Key& key) const {
       return t_.StageWriteCandidates(key);
@@ -1986,20 +1973,11 @@ class TableSkeleton {
     void ChargeStashWrite() { t_.ChargeStashWrite(); }
     uint32_t ScreenMask(uint32_t probed) const { return probed; }
 
-    void Open(size_t bucket) { t_.SeqOpen(bucket); }
-    void OpenAux() { t_.SeqOpenAux(); }
+    void Open(size_t) {}
+    void OpenAux() {}
     void SetBit(BitArray& bits, size_t i) { bits.Set(i); }
-    template <typename T>
-    void Add(MovableAtomic<T>& c, std::type_identity_t<T> d) {
-      c += d;
-    }
-    template <typename T>
-    void Sub(MovableAtomic<T>& c, std::type_identity_t<T> d) {
-      c += static_cast<T>(-d);
-    }
-    void SetOnce(MovableAtomic<uint64_t>& c, uint64_t v) {
-      if (c == 0) c = v;
-    }
+    void Add(MovableAtomic<size_t>& c, size_t d) { c += d; }
+    void Sub(MovableAtomic<size_t>& c, size_t d) { c += -d; }
     /// One kick-out; under MinCounter, also the victim bucket's history
     /// increment, one on-chip write.
     void Kick(size_t bucket) {
@@ -2019,8 +1997,8 @@ class TableSkeleton {
     }
     void ObserveBfs(bool found) { t_.bfs_throttle_.Observe(found); }
 
-    void Publish() { t_.SeqFlush(); }
-    void Finish() { t_.SeqFlush(); }
+    void Publish() {}
+    void Finish() {}
     void ObserveInsert(bool overflowed, const ChainStats& chain) {
       t_.growth_.ObserveInsert(overflowed, chain.len, t_.opts_.maxloop,
                                chain.nodes, chain.budget);
@@ -2092,18 +2070,8 @@ class TableSkeleton {
     void Open(size_t bucket) { ws_.Open(*t_.seq_, t_.seq_->StripeOf(bucket)); }
     void OpenAux() { ws_.Open(*t_.seq_, t_.seq_->aux_stripe()); }
     void SetBit(BitArray& bits, size_t i) { bits.AtomicSet(i); }
-    template <typename T>
-    void Add(MovableAtomic<T>& c, std::type_identity_t<T> d) {
-      c.FetchAdd(d);
-    }
-    template <typename T>
-    void Sub(MovableAtomic<T>& c, std::type_identity_t<T> d) {
-      c.FetchSub(d);
-    }
-    void SetOnce(MovableAtomic<uint64_t>& c, uint64_t v) {
-      uint64_t expect_zero = 0;
-      c.CompareExchange(expect_zero, v);
-    }
+    void Add(MovableAtomic<size_t>& c, size_t d) { c.FetchAdd(d); }
+    void Sub(MovableAtomic<size_t>& c, size_t d) { c.FetchSub(d); }
     void Kick(size_t) {}
 
     uint32_t BfsBudget() const { return t_.ConcurrentBfsBudget(); }
@@ -2241,7 +2209,7 @@ class TableSkeleton {
     // A release store: a striped operation that loads the new epoch (with
     // acquire, before computing its candidates) sees everything above.
     rehash_epoch_.StoreRelease(rehash_epoch_ + 1);
-    // seq_, seq_open_, retired_, spans_ and growth_ deliberately
+    // seq_, retired_, spans_ and growth_ deliberately
     // keep this table's values (the policy's backoff/reseed state spans
     // rebuilds, and the seqlock attachment belongs to the wrapper, not the
     // scratch rebuild).
@@ -2271,10 +2239,8 @@ class TableSkeleton {
   // Concurrency support: the non-owning stripe array (versions for the
   // optimistic readers, writer locks for the multi-writer operations)
   // attached by the concurrent wrapper, null in single-threaded use and
-  // kept across Rehash commits; and the set of stripes the in-flight
-  // single-writer mutation holds odd until its SeqFlush().
+  // kept across Rehash commits.
   SeqlockArray* seq_ = nullptr;
-  SeqlockWriterSet seq_open_;
   // Storage epochs retired by Rehash while a seqlock was attached, each a
   // Derived::Storage (incomplete here, hence the type-erased owner). Never
   // accessed again — held only so lagging optimistic readers dereference
@@ -2282,16 +2248,17 @@ class TableSkeleton {
   using Retired = std::unique_ptr<void, void (*)(void*)>;
   std::vector<Retired> retired_;
 
-  // Lifetime counters. MovableAtomic so the concurrent paths can update
-  // them with real RMWs while every single-writer use site keeps its plain
-  // ++/+=/= spelling (non-RMW loads and stores, byte-identical codegen on
-  // the hot single-writer paths).
+  // Live main-table keys. MovableAtomic so the striped writers can update
+  // it with real RMWs while the single writer keeps its plain += spelling
+  // (non-RMW loads and stores).
   MovableAtomic<size_t> size_ = 0;
-  MovableAtomic<uint64_t> first_collision_items_ = 0;
-  MovableAtomic<uint64_t> first_failure_items_ = 0;
-  MovableAtomic<uint64_t> redundant_writes_ = 0;
-  MovableAtomic<uint64_t> stale_stash_flag_keys_ = 0;
-  MovableAtomic<uint64_t> forced_rehash_events_ = 0;
+  // The simulator's lifetime counters, written only by the single writer
+  // (under kCharged), like stats_.
+  uint64_t first_collision_items_ = 0;
+  uint64_t first_failure_items_ = 0;
+  uint64_t redundant_writes_ = 0;
+  uint64_t stale_stash_flag_keys_ = 0;
+  uint64_t forced_rehash_events_ = 0;
   // Auto-growth engine: the policy state machine and the commit counter
   // the batched insert path uses to detect mid-batch geometry changes.
   // Both survive Rehash commits (see CommitRehash).

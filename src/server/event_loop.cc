@@ -122,8 +122,11 @@ void EventLoop::Run() {
     }
     DrainPosted();
     if (timer_interval_ms_ != 0 && NowNs() >= timer_next_ns_) {
-      timer_next_ns_ = NowNs() + timer_interval_ms_ * 1'000'000ull;
       if (timer_fn_) timer_fn_();
+      // Due one interval after this tick ends, not after it began: a tick
+      // longer than its interval would otherwise be due again at once, and
+      // the loop would serve one epoll_wait batch per tick.
+      timer_next_ns_ = NowNs() + timer_interval_ms_ * 1'000'000ull;
     }
   }
   // A final drain so tasks posted right before Stop() still run.

@@ -64,9 +64,11 @@ class EventLoop {
   /// Enqueues `fn` to run on the loop thread; wakes the loop. Any thread.
   void Post(std::function<void()> fn);
 
-  /// Arranges `fn` to run on the loop thread every `interval_ms` (coarse:
-  /// piggybacked on the epoll_wait timeout, so late ticks are possible
-  /// under load — fine for a TTL sweep). One timer per loop.
+  /// Arranges `fn` to run on the loop thread `interval_ms` after the
+  /// previous run returned (the first `interval_ms` from now), so a run
+  /// longer than the interval still leaves the loop an interval of I/O.
+  /// Coarse: piggybacked on the epoll_wait timeout, so late ticks are
+  /// possible under load — fine for a TTL sweep. One timer per loop.
   void SetTimer(uint64_t interval_ms, std::function<void()> fn);
 
  private:

@@ -210,7 +210,8 @@ class ItemStore {
                 "key_len must hold kMaxKeyLen");
 
   /// Eviction tests reach the stripe map, the key hash and Set with a
-  /// chosen hash (to force a 64-bit collision) through this peer.
+  /// chosen hash (to force a 64-bit collision) through this peer, and the
+  /// invariant-checker tests corrupt the lists and tallies with it.
   friend class ItemStoreTestPeer;
 
   static constexpr size_t kStripes = 64;

@@ -41,8 +41,9 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Worker event loops (>= 1). Worker 0 also accepts and sweeps.
   int threads = 2;
-  /// TTL sweep period on worker 0; 0 disables the periodic sweep (lazy
-  /// expiry still applies).
+  /// Pause between TTL sweeps on worker 0, from the end of one sweep to the
+  /// start of the next; 0 disables the periodic sweep (lazy expiry still
+  /// applies).
   uint64_t sweep_interval_ms = 1000;
   ItemStoreOptions store;
 };

@@ -264,11 +264,16 @@ void SeqlockCommitKeepsLifetimeState(uint32_t slots_per_bucket) {
   SeqlockArray seq(attached.seqlock_domain());
   attached.AttachSeqlock(&seq);
   const auto keys = MakeUniqueKeys(4 * attached.capacity(), 9, 0);
+  // The single writer mutates an attached table only with the aux stripe
+  // held odd, as WithExclusiveShard holds it; the auto-growth commits then
+  // run inside that window, and the manual Rehash below opens its own.
+  seq.WriteBegin(seq.aux_stripe());
   for (Table* t : {&attached, &plain}) {
     for (uint64_t k : keys) t->Insert(k, k * 3);
     for (uint64_t k : keys) ASSERT_TRUE(t->Find(k)) << k;
     ASSERT_GT(t->rehash_epoch(), 0u) << "auto-growth never committed";
   }
+  seq.WriteEnd(seq.aux_stripe());
   const uint64_t epoch = attached.rehash_epoch();
   const AccessStats stats_before = attached.stats();
   const uint64_t rehash_spans = attached.spans().total(SpanKind::kRehash);

@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,7 +24,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/obs/timing.h"
 #include "src/server/client.h"
+#include "src/server/event_loop.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
 
@@ -492,6 +495,115 @@ TEST_F(ServerIntegrationTest, FrameSplitAcrossWrites) {
   EXPECT_EQ(frames[0].first, 1u);
   EXPECT_EQ(frames[1].first, 2u);
   EXPECT_EQ(frames[1].second, "value");
+}
+
+std::string BigKey(int i) {
+  std::string key = "big";
+  key.push_back(static_cast<char>('0' + i));
+  return key;
+}
+
+TEST_F(ServerIntegrationTest, SlowReaderGetsEveryByteOfPipelinedLargeGets) {
+  // A client with a small receive buffer pipelines GETs of values up to
+  // kMaxValueLen, more than the socket buffers hold, and reads nothing
+  // until it has sent them all. The server's send() then runs short: it
+  // must arm EPOLLOUT, send the tail as the client drains, and disarm it.
+  StartServer();
+  constexpr int kKeys = 8;
+  std::vector<std::string> values;
+  {
+    CacheClient setter;
+    ConnectClient(&setter);
+    for (int i = 0; i < kKeys; ++i) {
+      // A distinct fill per key, so a response on the wrong request shows.
+      values.emplace_back(kMaxValueLen - static_cast<size_t>(i) * 4096,
+                          static_cast<char>('a' + i));
+      ASSERT_TRUE(setter.Set(BigKey(i), values.back()).ok());
+    }
+    ASSERT_TRUE(setter.Set("small", "abc").ok());
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  // A server that never finishes the tail fails the test instead of
+  // hanging it.
+  const timeval timeout{5, 0};
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  std::string requests;
+  for (int i = 0; i < kKeys; ++i) {
+    AppendGetRequest(&requests, BigKey(i), static_cast<uint32_t>(i + 1));
+  }
+  ASSERT_EQ(::send(fd, requests.data(), requests.size(), 0),
+            static_cast<ssize_t>(requests.size()));
+  // Let the server fill both socket buffers and stall before reading.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::string reply;
+  std::vector<char> buf(64 * 1024);
+  size_t received = 0;
+  while (received <= kKeys) {
+    Response resp;
+    const ParseOutcome r = ParseResponse(reply, &resp);
+    if (r.status == ParseStatus::kOk) {
+      const size_t i = received++;
+      EXPECT_EQ(resp.status, RespStatus::kOk) << i;
+      EXPECT_EQ(resp.opaque, i + 1) << i;
+      if (i < kKeys) {
+        EXPECT_TRUE(resp.body == values[i]) << "value of big" << i;
+      } else {
+        EXPECT_EQ(resp.body, "abc") << "follow-up GET";
+      }
+      reply.erase(0, r.consumed);
+      if (received == kKeys) {
+        // One more GET once the big ones are read: the connection still
+        // serves after its EPOLLOUT interest is dropped again.
+        std::string get;
+        AppendGetRequest(&get, "small", kKeys + 1);
+        ASSERT_EQ(::send(fd, get.data(), get.size(), 0),
+                  static_cast<ssize_t>(get.size()));
+      }
+      continue;
+    }
+    ASSERT_EQ(r.status, ParseStatus::kNeedMore);
+    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+    ASSERT_GT(n, 0) << "stalled after " << received << " responses";
+    reply.append(buf.data(), static_cast<size_t>(n));
+  }
+  ::close(fd);
+}
+
+// A tick that outlasts its interval must still leave the loop a full
+// interval before the next one: a TTL sweep longer than its period would
+// otherwise run back to back and leave worker 0's connections one
+// epoll_wait batch per sweep.
+TEST(EventLoopTimerTest, NextTickStartsAnIntervalAfterTheLastOneEnded) {
+  constexpr uint64_t kIntervalMs = 20;
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  std::vector<std::pair<uint64_t, uint64_t>> ticks;  // start, end (ns)
+  loop.SetTimer(kIntervalMs, [&] {
+    const uint64_t start = NowNs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 * kIntervalMs));
+    ticks.emplace_back(start, NowNs());
+    if (ticks.size() == 4) loop.Stop();
+  });
+  loop.Run();
+  ASSERT_EQ(ticks.size(), 4u);
+  for (size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_GE(ticks[i].first - ticks[i - 1].second, kIntervalMs * 1'000'000)
+        << "tick " << i;
+  }
 }
 
 }  // namespace

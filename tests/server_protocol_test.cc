@@ -299,6 +299,40 @@ TEST(ProtocolMalformed, MgetTruncatedKey) {
            RespStatus::kBadRequest);
 }
 
+/// MustFail that also pins which check refused the frame.
+void MustFailWith(const std::string& frame, RespStatus want,
+                  const char* detail) {
+  Request req;
+  const ParseOutcome r = ParseRequest(frame, &req);
+  EXPECT_EQ(r.status, ParseStatus::kError);
+  EXPECT_EQ(r.error, want);
+  EXPECT_STREQ(r.error_detail, detail);
+}
+
+TEST(ProtocolMalformed, MgetBodyTruncatedBeforeCount) {
+  // One body byte: no room for the two-byte key count.
+  MustFailWith(Header(0x95, 2, 0, 1, 0) + Bytes({0}), RespStatus::kBadRequest,
+               "truncated MGET body");
+}
+
+TEST(ProtocolMalformed, MgetTruncatedKeyLength) {
+  // Declares 2 keys but the body ends inside the second key's length.
+  std::string body = Bytes({0, 2, 0, 1, 'a', 0});
+  MustFailWith(
+      Header(0x95, 2, 0, static_cast<uint32_t>(body.size()), 0) + body,
+      RespStatus::kBadRequest, "truncated MGET key length");
+}
+
+TEST(ProtocolMalformed, MgetKeyTooLong) {
+  // A key length of kMaxKeyLen + 1 is refused from its length field alone,
+  // before the parser looks for the key's bytes.
+  const uint16_t klen = static_cast<uint16_t>(kMaxKeyLen + 1);
+  std::string body = Bytes({0, 1, klen >> 8, klen & 0xFF});
+  MustFailWith(
+      Header(0x95, 2, 0, static_cast<uint32_t>(body.size()), 0) + body,
+      RespStatus::kTooLarge, "MGET key too long");
+}
+
 TEST(ProtocolMalformed, MgetTrailingBytes) {
   std::string body = Bytes({0, 1, 0, 1, 'a', 'Z'});
   MustFail(Header(0x95, 2, 0, static_cast<uint32_t>(body.size()), 0) + body,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -21,7 +22,9 @@ namespace mccuckoo {
 namespace server {
 
 /// Reaches the store's stripe map, item access counts and a Set with a
-/// chosen key hash (the only way to make two keys collide in 64 bits).
+/// chosen key hash (the only way to make two keys collide in 64 bits), and
+/// corrupts the lists, the table entries and the tallies for the invariant
+/// checker's cases.
 class ItemStoreTestPeer {
  public:
   static uint64_t Hash(const ItemStore& store, std::string_view key) {
@@ -54,6 +57,43 @@ class ItemStoreTestPeer {
   static Status SetWithHash(ItemStore& store, uint64_t h, std::string_view key,
                             std::string_view value) {
     return store.SetHashed(h, key, value, 0);
+  }
+
+  // Corruptions for ItemStore::CheckInvariants' failure returns; each has
+  // an exact inverse, so a test can restore the store.
+
+  static constexpr size_t kStripes = ItemStore::kStripes;
+
+  static size_t Stripe(const ItemStore& store, std::string_view key) {
+    return ItemStore::StripeOf(Hash(store, key));
+  }
+
+  /// Moves `key`'s item from stripe `from`'s list to the tail of `to`'s.
+  static void Relink(ItemStore& store, std::string_view key, size_t from,
+                     size_t to) {
+    uint64_t pv = 0;
+    ASSERT_TRUE(store.table().Find(Hash(store, key), &pv));
+    auto* it = reinterpret_cast<ItemStore::Item*>(pv);
+    store.Unlink(store.stripes_[from], it);
+    store.Link(store.stripes_[to], it);
+  }
+
+  /// The table value under hash `h`: its Item pointer, 0 when absent.
+  static uint64_t Entry(ItemStore& store, uint64_t h) {
+    uint64_t pv = 0;
+    return store.table().Find(h, &pv) ? pv : 0;
+  }
+  static void SetEntry(ItemStore& store, uint64_t h, uint64_t pv) {
+    store.table().InsertOrAssign(h, pv);
+  }
+  static void EraseEntry(ItemStore& store, uint64_t h) {
+    store.table().Erase(h);
+  }
+
+  /// Adds `items` and `bytes` (two's-complement deltas) to the tallies.
+  static void SkewTallies(ItemStore& store, uint64_t items, uint64_t bytes) {
+    store.items_.fetch_add(items, std::memory_order_relaxed);
+    store.bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
 };
 
@@ -502,6 +542,94 @@ TEST_F(TtlTest, KeyLongerThanTheProtocolLimitIsRejected) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(store->items(), 1u);
     EXPECT_EQ(store->bytes(), kMaxKeyLen + 1);
+  });
+}
+
+// One corruption per ItemStore::CheckInvariants failure return: each is
+// caught with its own message, and the restored store passes again.
+class StoreInvariantsTest : public TtlTest {
+ protected:
+  /// Runs `body` on a store holding keys "k0".."k7".
+  template <typename Body>
+  void WithFilledStore(Body body) {
+    WithStore({}, [&](ItemStore* store) {
+      for (const char* key : {"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}) {
+        ASSERT_TRUE(store->Set(key, "value", 0).ok());
+      }
+      body(store);
+    });
+  }
+
+  template <typename Corrupt, typename Restore>
+  static void ExpectCaught(ItemStore* store, const std::string& message,
+                           Corrupt corrupt, Restore restore) {
+    ASSERT_TRUE(store->CheckInvariants().ok());
+    corrupt();
+    const Status s = store->CheckInvariants();
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.ToString().find(message), std::string::npos) << s.ToString();
+    restore();
+    EXPECT_TRUE(store->CheckInvariants().ok())
+        << store->CheckInvariants().ToString();
+  }
+};
+
+TEST_F(StoreInvariantsTest, CatchesItemOnTheWrongStripe) {
+  WithFilledStore([&](ItemStore* store) {
+    const size_t home = ItemStoreTestPeer::Stripe(*store, "k3");
+    const size_t other = (home + 1) % ItemStoreTestPeer::kStripes;
+    ExpectCaught(
+        store, "item linked on the wrong stripe",
+        [&] { ItemStoreTestPeer::Relink(*store, "k3", home, other); },
+        [&] { ItemStoreTestPeer::Relink(*store, "k3", other, home); });
+  });
+}
+
+TEST_F(StoreInvariantsTest, CatchesLinkedItemThatIsNotTheTableEntry) {
+  WithFilledStore([&](ItemStore* store) {
+    const uint64_t h = ItemStoreTestPeer::Hash(*store, "k3");
+    const uint64_t own = ItemStoreTestPeer::Entry(*store, h);
+    const uint64_t other = ItemStoreTestPeer::Entry(
+        *store, ItemStoreTestPeer::Hash(*store, "k5"));
+    ASSERT_NE(own, 0u);
+    ASSERT_NE(other, 0u);
+    ExpectCaught(
+        store, "linked item is not the table entry",
+        [&] { ItemStoreTestPeer::SetEntry(*store, h, other); },
+        [&] { ItemStoreTestPeer::SetEntry(*store, h, own); });
+  });
+}
+
+TEST_F(StoreInvariantsTest, CatchesItemsTallyOffByOne) {
+  WithFilledStore([&](ItemStore* store) {
+    ExpectCaught(
+        store, "stripe-list count != items tally",
+        [&] { ItemStoreTestPeer::SkewTallies(*store, 1, 0); },
+        [&] { ItemStoreTestPeer::SkewTallies(*store, ~uint64_t{0}, 0); });
+  });
+}
+
+TEST_F(StoreInvariantsTest, CatchesBytesTallyOffByOne) {
+  WithFilledStore([&](ItemStore* store) {
+    ExpectCaught(
+        store, "stripe-list bytes != bytes tally",
+        [&] { ItemStoreTestPeer::SkewTallies(*store, 0, ~uint64_t{0}); },
+        [&] { ItemStoreTestPeer::SkewTallies(*store, 0, 1); });
+  });
+}
+
+TEST_F(StoreInvariantsTest, CatchesTableEntryOnNoList) {
+  WithFilledStore([&](ItemStore* store) {
+    // A hash no key of the store has, pointing at a live item: the lists
+    // and tallies agree, but the table holds one entry more.
+    const uint64_t stray = ItemStoreTestPeer::Hash(*store, "absent");
+    ASSERT_EQ(ItemStoreTestPeer::Entry(*store, stray), 0u);
+    const uint64_t pv = ItemStoreTestPeer::Entry(
+        *store, ItemStoreTestPeer::Hash(*store, "k0"));
+    ExpectCaught(
+        store, "table entries != stripe-list count",
+        [&] { ItemStoreTestPeer::SetEntry(*store, stray, pv); },
+        [&] { ItemStoreTestPeer::EraseEntry(*store, stray); });
   });
 }
 
