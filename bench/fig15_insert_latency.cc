@@ -71,7 +71,7 @@ int Main(int argc, char** argv) {
   std::printf("(b) insertion throughput at 50%% load [Mops]\n");
   Status s2 = EmitTable(tb, cfg.flags, "throughput");
   // Supplementary: measured wall-clock insert latency from the sampled
-  // recorder (src/obs/latency_recorder.h) — this host's actual numbers
+  // op timer (TableMetrics, src/obs/metrics.h) — this host's actual numbers
   // next to the model's FPGA+DDR3 figures. All-zero under
   // -DMCCUCKOO_NO_METRICS.
   std::printf("measured wall-clock insert latency [ns], sampled 1/32:\n");

@@ -22,7 +22,7 @@
 // metrics-off template instantiations in one binary (an ODR violation).
 //
 // The metrics-on binary also prices one knob further in: the
-// LatencyRecorder's clock reads at the default 1-in-32 sampling against
+// op timer's clock reads at the default 1-in-32 sampling against
 // sampling disabled (period 0 — no clock reads at all). Its three rows run
 // interleaved on the same warmed table:
 //
@@ -86,10 +86,10 @@ int Run(int argc, char** argv) {
   };
   const auto row = [&](const std::string& key, uint32_t period) {
     return BenchRow{key, pass, [&table, period] {
-                      table.latency().set_sample_period(period);
+                      table.metrics().set_sample_period(period);
                     }};
   };
-  const uint32_t kDefault = LatencyRecorder::kDefaultSamplePeriod;
+  const uint32_t kDefault = TableOptions{}.latency_sample_period;
   const std::string prefix = kMetricsEnabled ? "obs_on." : "obs_off.";
   BenchGroup group = {row(prefix + "lookup_hit.McCuckoo.load90", kDefault)};
   BenchGroup inserts = {

@@ -26,11 +26,13 @@
 //     (src/core/seqlock.h). On several cores every locked read pays two
 //     atomic RMWs on the one rwlock line, which ping-pongs between readers,
 //     so locked flattens while optimistic keeps scaling; on one core only
-//     the per-op cost is left, and optimistic measures below locked
-//     because every read records lookup metrics, several atomic RMWs on
-//     the table's metric cells (the reference's FindNoStats records
-//     nothing). With metrics compiled out (-DMCCUCKOO_NO_METRICS) the two
-//     t1 rows measure at parity.
+//     the per-op cost is left, and optimistic measures below locked. Both
+//     record the lookup cells (FindNoStats records the outcome grid,
+//     partition probes and stash probes as Find does), but every
+//     optimistic read also draws from the latency sampler, one more atomic
+//     RMW and a clock pair on every 32nd read, which FindNoStats skips
+//     along with AccessStats. With metrics compiled out
+//     (-DMCCUCKOO_NO_METRICS) the two t1 rows measure at parity.
 //   * concurrent.write_scaling.[B-McCuckoo.]{single,multi}.tN — one table,
 //     pure updates on every thread. single is the reference: every write
 //     takes the one rwlock exclusively and runs the table's InsertOrAssign,

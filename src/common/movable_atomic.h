@@ -14,8 +14,8 @@ namespace mccuckoo {
 ///  * operator++/operator+=/store — single-writer updates, implemented as
 ///    non-RMW relaxed load+store pairs (no lock-prefixed instruction on the
 ///    hot path). Legal only under writer exclusion.
-///  * FetchAdd/FetchSub/CompareExchange — real RMWs for the multi-writer
-///    paths, where several threads update the same cell concurrently.
+///  * FetchAdd/FetchSub — real RMWs for the multi-writer paths, where
+///    several threads update the same cell concurrently.
 /// Plain reads are relaxed atomic loads, so either discipline is safe to
 /// observe from any thread; LoadAcquire/StoreRelease pair up where a value
 /// publishes the stores before it (the tables' rehash epoch).
@@ -61,11 +61,6 @@ class MovableAtomic {
   // Multi-writer updates (real RMWs).
   T FetchAdd(T d) { return v_.fetch_add(d, std::memory_order_relaxed); }
   T FetchSub(T d) { return v_.fetch_sub(d, std::memory_order_relaxed); }
-  bool CompareExchange(T& expected, T desired) {
-    return v_.compare_exchange_strong(expected, desired,
-                                      std::memory_order_relaxed,
-                                      std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<T> v_;

@@ -217,14 +217,7 @@ class McCuckooTable
     // Probe tallies, recorded once on the way out.
     uint32_t probes_total = 0;
     std::array<uint8_t, kMaxHashes + 1> probes_by_value{};
-    auto record = [&](int32_t hit_value) {
-      if constexpr (kMetricsEnabled) {
-        sink.RecordLookupOutcome(probes_total, hit_value);
-        for (uint32_t val = 1; val <= d; ++val) {
-          sink.RecordPartitionProbes(val, probes_by_value[val]);
-        }
-      }
-    };
+    int32_t hit_value = -1;
     ProbeResult r;
     uint32_t read_mask = 0;
     if (!prune || !any_true_empty ||
@@ -234,7 +227,7 @@ class McCuckooTable
         group[t] = prune ? (tomb[t] ? 0 : counter[t]) : (counter[t] != 0);
       }
       const uint8_t tag_nibble = cand.tag & kTagMask;
-      for (uint64_t value = prune ? d : 1; value >= 1; --value) {
+      for (uint64_t value = prune ? d : 1; value >= 1 && !r.hit; --value) {
         uint32_t members[kMaxHashes] = {};
         uint32_t s = 0;
         for (uint32_t t = 0; t < d; ++t) {
@@ -259,14 +252,20 @@ class McCuckooTable
           const Bucket& b = mem_.table[idx];
           if (!(b.key == key)) continue;
           if (out != nullptr) *out = b.value;
-          record(static_cast<int32_t>(counter[t]));
+          hit_value = static_cast<int32_t>(counter[t]);
           r.hit = true;
           r.slot = idx;
-          return r;
+          break;
         }
       }
     }
-    record(-1);
+    if constexpr (kMetricsEnabled) {
+      sink.RecordLookupOutcome(probes_total, hit_value);
+      for (uint32_t val = 1; val <= d; ++val) {
+        sink.RecordPartitionProbes(val, probes_by_value[val]);
+      }
+    }
+    if (r.hit) return r;
     r.read_mask = read_mask;
     if (!StashEmpty()) {  // the screen reads the counter facts only then
       r.any_true_empty = any_true_empty;

@@ -159,10 +159,10 @@ class ShardedMcCuckoo {
       const OptimisticResult r = s.table.TryFindOptimistic(key, out);
       if (r == OptimisticResult::kHit) return true;
       if (r == OptimisticResult::kMiss) return false;
-      if constexpr (kMetricsEnabled) s.optimistic_retries.Inc();
+      s.table.metrics().RecordOptimisticRetry();
       if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
     }
-    if constexpr (kMetricsEnabled) s.optimistic_fallbacks.Inc();
+    s.table.metrics().RecordOptimisticFallback();
     return s.table.FindStriped(key, out);
   }
 
@@ -253,12 +253,8 @@ class ShardedMcCuckoo {
 
   /// One shard's metrics snapshot (testing / per-shard dashboards).
   MetricsSnapshot shard_metrics_snapshot(size_t shard) const {
-    const Shard& s = *shards_[shard];
-    MetricsSnapshot snap =
-        WithAux(s, [](const Table& t) { return t.SnapshotMetrics(); });
-    snap.optimistic_retries = s.optimistic_retries.Value();
-    snap.optimistic_fallbacks = s.optimistic_fallbacks.Value();
-    return snap;
+    return WithAux(*shards_[shard],
+                   [](const Table& t) { return t.SnapshotMetrics(); });
   }
 
   /// A copy of one shard's span ring, oldest first.
@@ -298,9 +294,9 @@ class ShardedMcCuckoo {
   }
 
  private:
-  // Padded to its own cache line(s) so one shard's counter traffic does
-  // not false-share with its neighbours. Heap-allocated behind unique_ptr,
-  // so &stripes stays stable for the table's attached pointer.
+  // Padded to its own cache line(s) so one shard's traffic does not
+  // false-share with its neighbours. Heap-allocated behind unique_ptr, so
+  // &stripes stays stable for the table's attached pointer.
   struct alignas(64) Shard {
     explicit Shard(const TableOptions& options)
         : table(options), stripes(table.seqlock_domain()) {
@@ -311,8 +307,6 @@ class ShardedMcCuckoo {
     // writers, with the aux stripe scrapes read under: the shard's only
     // exclusion. Mutable: a const scrape locks the aux stripe.
     mutable SeqlockArray stripes;
-    mutable Counter optimistic_retries;
-    mutable Counter optimistic_fallbacks;
   };
 
   /// `fn(table)` with the shard's aux stripe held (no version bump: it
@@ -383,11 +377,11 @@ class ShardedMcCuckoo {
       for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
         r = sh.table.TryFindBatchOptimistic(tile, tile_out, tile_found);
         if (r >= 0) break;
-        if constexpr (kMetricsEnabled) sh.optimistic_retries.Inc();
+        sh.table.metrics().RecordOptimisticRetry();
         if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
       }
       if (r < 0) {
-        if constexpr (kMetricsEnabled) sh.optimistic_fallbacks.Inc();
+        sh.table.metrics().RecordOptimisticFallback();
         r = static_cast<int64_t>(
             StripedGroupFind(sh, tile, tile_out, tile_found));
       }

@@ -103,7 +103,6 @@
 #include "src/hash/hash_family.h"
 #include "src/mem/access_stats.h"
 #include "src/obs/heatmap.h"
-#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
 
@@ -134,7 +133,7 @@ class TableSkeleton {
   /// paper's workloads; duplicate keys corrupt the copy invariants — use
   /// InsertOrAssign when presence is unknown).
   InsertResult Insert(const Key& key, const Value& value) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kInsert);
     SoloWriter w(*this);
     return WriteWith(w, key, value, w.Stage(key), /*assign=*/false, nullptr,
                      lat.weight());
@@ -142,9 +141,10 @@ class TableSkeleton {
 
   /// Looks `key` up; writes the value through `out` when found (out may be
   /// null). Mutates only the access statistics.
-  bool Find(const Key& key, Value* out = nullptr) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    return FindWith<true>(key, ComputeCandidates(key), out, *metrics_);
+  [[gnu::always_inline]] bool Find(const Key& key,
+                                   Value* out = nullptr) const {
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kFind);
+    return FindOne<true>(key, out);
   }
 
   /// Convenience wrapper over Find.
@@ -183,7 +183,7 @@ class TableSkeleton {
   /// the lookup metrics accumulate on the stack and publish once per batch
   /// (same totals as per-key recording, a fraction of the atomic RMWs).
   size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kFindBatch);
     size_t hits = 0;
     std::array<Candidates, kBatchTile> cand;
     LookupTally tally;
@@ -208,9 +208,8 @@ class TableSkeleton {
   /// behave exactly as in the scalar path.
   void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
                    InsertResult* results = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kInsertBatch);
     assert(keys.size() == values.size());
-    const uint32_t period = latency_->sample_period();
     std::array<Candidates, kBatchTile> cand;
     for (size_t base = 0; base < keys.size(); base += kBatchTile) {
       const size_t n = std::min(kBatchTile, keys.size() - base);
@@ -220,7 +219,7 @@ class TableSkeleton {
         SoloWriter w(*this);
         const InsertResult r = WriteWith(
             w, keys[base + i], values[base + i], cand[i], /*assign=*/false,
-            nullptr, BatchTimerWeight(base + i, keys.size(), period));
+            nullptr, BatchTimerWeight(base + i, keys.size(), *metrics_));
         if (results != nullptr) results[base + i] = r;
         // An auto-growth rehash inside the insert replaced the geometry
         // and hash seeds; the remaining staged candidates were computed
@@ -234,12 +233,15 @@ class TableSkeleton {
   }
 
   /// Statistics-free const lookup: Find's probe and stash screen in their
-  /// uncharged instantiation, so it performs no mutation whatsoever: many
-  /// readers may call it at once while every writer is excluded (the
-  /// paper's rwlock design, which bench/scaling.cc keeps as its
-  /// reference). Not meant for experiments: it records no access counts.
-  bool FindNoStats(const Key& key, Value* out = nullptr) const {
-    return FindWith<false>(key, ComputeCandidates(key), out, *metrics_);
+  /// uncharged instantiation, so it mutates no table state: many readers
+  /// may call it at once while every writer is excluded (the paper's
+  /// rwlock design, which bench/scaling.cc keeps as its reference). Not
+  /// meant for experiments: it records no access counts. It records Find's
+  /// lookup metrics (outcome grid, partition and stash probes; relaxed
+  /// atomics) but draws no latency sample.
+  [[gnu::always_inline]] bool FindNoStats(const Key& key,
+                                          Value* out = nullptr) const {
+    return FindOne<false>(key, out);
   }
 
   /// Inserts or, if the key exists (main table or stash), updates every
@@ -247,7 +249,7 @@ class TableSkeleton {
   /// `previous` (when non-null); otherwise `*previous` is left untouched.
   InsertResult InsertOrAssign(const Key& key, const Value& value,
                               Value* previous = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kInsert);
     SoloWriter w(*this);
     return WriteWith(w, key, value, w.Stage(key), /*assign=*/true, previous,
                      lat.weight());
@@ -259,7 +261,7 @@ class TableSkeleton {
   /// baselines) the key's one valid bit is cleared with one off-chip write,
   /// in any mode.
   bool Erase(const Key& key) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kErase);
     SoloWriter w(*this);
     return EraseWith(w, key);
   }
@@ -299,9 +301,9 @@ class TableSkeleton {
   //  * An insert's growth bookkeeping runs before the release
   //    (ConcurrentGrowthCheck).
   //  * No AccessStats are charged and no kick history is recorded
-  //    (writer-exclusion structures); TableMetrics and the latency recorder
-  //    are atomic and recorded normally. The stash, its span records and
-  //    the span totals are written only under the aux stripe.
+  //    (writer-exclusion structures); TableMetrics is atomic and recorded
+  //    normally. The stash, its span records and the span totals are
+  //    written only under the aux stripe.
 
   /// Multi-writer Insert (assign = false; same contract: duplicates
   /// corrupt the copy invariants) and InsertOrAssign (assign = true, with
@@ -312,7 +314,7 @@ class TableSkeleton {
   InsertResult ConcurrentWrite(const Key& key, const Value& value,
                                bool assign, Value* previous,
                                bool* wants_growth) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kInsert);
     StripedWriter w(*this);
     const InsertResult r = WriteWith(w, key, value, w.Stage(key), assign,
                                      previous, lat.weight());
@@ -323,7 +325,7 @@ class TableSkeleton {
   /// Multi-writer Erase: all copies of the key lie among the held
   /// candidates, so locating them under the stripes is exact.
   bool ConcurrentErase(const Key& key) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kErase);
     StripedWriter w(*this);
     return EraseWith(w, key);
   }
@@ -335,7 +337,7 @@ class TableSkeleton {
   /// (ClaimCandidatesAtEpoch).
   bool FindStriped(const Key& key, Value* out = nullptr) const {
     assert(seq_ != nullptr);
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kFind);
     Candidates cand;
     LockStripeSet ls(*seq_, metrics_.get());
     ClaimCandidatesAtEpoch(ls, key, &cand, /*for_write=*/false);
@@ -393,7 +395,7 @@ class TableSkeleton {
     // Each optimistic attempt is one latency sample candidate; a
     // contended attempt that gets retried or falls back to FindStriped
     // is timed as its own (short) attempt.
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kFind);
     bool hit = false;
     if (OptimisticFind<1>(&key, 1, out, &hit) < 0) {
       return OptimisticResult::kContended;
@@ -409,7 +411,7 @@ class TableSkeleton {
   /// key through FindStriped.
   int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
                                  bool* found) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
+    ScopedLatencySample lat(metrics_.get(), LatencyOp::kFindBatch);
     return OptimisticFind<kBatchTile>(keys.data(), keys.size(), out, found);
   }
 
@@ -507,18 +509,16 @@ class TableSkeleton {
     MetricsSnapshot s = metrics_->Snapshot();
     s.occupancy_items = TotalItems();
     s.capacity_slots = capacity();
-    latency_->FoldInto(&s);
     for (size_t k = 0; k < kSpanKinds; ++k) {
       s.span_counts[k] += spans_.Totals()[k];
     }
     return s;
   }
 
-  /// Clears the metrics, the latency samples and the span ring
+  /// Clears the metrics (latency samples included) and the span ring
   /// (AccessStats are separate; see ResetStats).
   void ResetMetrics() {
     metrics_->Reset();
-    latency_->Reset();
     spans_.Clear();
   }
 
@@ -526,9 +526,10 @@ class TableSkeleton {
   /// feed Events() to ExportChromeTrace for a chrome://tracing view.
   const SpanRecorder& spans() const { return spans_; }
 
-  /// Sampled op-latency recorder (configure via
-  /// TableOptions::latency_sample_period or set_sample_period).
-  LatencyRecorder& latency() const { return *latency_; }
+  /// The live metric cells (the op timer's period is set through
+  /// TableOptions::latency_sample_period or set_sample_period). Const read
+  /// paths record into it, hence the mutable access.
+  TableMetrics& metrics() const { return *metrics_; }
 
   /// Scans the table into an occupancy/counter heatmap at the requested
   /// region resolution (full-table scan; scrape-time cost only). Regions
@@ -811,7 +812,7 @@ class TableSkeleton {
       kick_history_ = KickHistory(static_cast<size_t>(options.num_hashes) *
                                   options.buckets_per_table);
     }
-    latency_->set_sample_period(options.latency_sample_period);
+    metrics_->set_sample_period(options.latency_sample_period);
   }
 
   Derived& derived() { return static_cast<Derived&>(*this); }
@@ -991,28 +992,49 @@ class TableSkeleton {
   /// except the stash probe itself. The uncharged instantiation is the
   /// optimistic readers' entry point, safe on torn reads (indices stay in
   /// range, the stash is only asked empty()).
-  template <bool kCharged, typename MetricsSink>
+  template <bool kCharged>
   MainOutcome ProbeAndScreen(const Key& key, const Candidates& cand,
-                             Value* out, MetricsSink& sink) const {
+                             Value* out, LookupTally& tally) const {
     const ProbeResult p =
-        derived().template ProbeMain<kCharged>(key, cand, out, sink);
+        derived().template ProbeMain<kCharged>(key, cand, out, tally);
     if (p.hit) return MainOutcome::kHit;
     return ShouldProbeStash(p, cand) ? MainOutcome::kCheckStash
                                      : MainOutcome::kMiss;
   }
 
-  /// One lookup over precomputed candidates: Find and FindBatch (kCharged)
-  /// and FindNoStats. `sink` is the live TableMetrics for scalar calls, a
-  /// stack-local LookupTally for batches.
-  template <bool kCharged, typename MetricsSink>
-  bool FindWith(const Key& key, const Candidates& cand, Value* out,
-                MetricsSink& sink) const {
-    const MainOutcome mo = ProbeAndScreen<kCharged>(key, cand, out, sink);
+  /// One lookup over precomputed candidates, counted in `tally`: each key
+  /// of FindBatch and, through FindOne, Find (both kCharged) and
+  /// FindNoStats.
+  template <bool kCharged>
+  [[gnu::always_inline]] bool FindWith(const Key& key, const Candidates& cand,
+                                       Value* out, LookupTally& tally) const {
+    const MainOutcome mo = ProbeAndScreen<kCharged>(key, cand, out, tally);
     if (mo != MainOutcome::kCheckStash) return mo == MainOutcome::kHit;
     if constexpr (kCharged) ChargeStashProbe();
     const bool hit = stash_.Find(key, out);
-    sink.RecordStashProbe(hit);
+    tally.RecordStashProbe(hit);
     return hit;
+  }
+
+  /// A scalar lookup with its own tally, flushed on the way out. Find,
+  /// FindNoStats, FindOne and FindWith are always inlined: the tally's
+  /// ~450-byte frame trips GCC's large-stack-frame-growth limit, which
+  /// otherwise keeps the scalar read out of line in its callers and costs
+  /// every lookup a call.
+  template <bool kCharged>
+  [[gnu::always_inline]] bool FindOne(const Key& key, Value* out) const {
+    LookupTally tally;
+    const bool hit =
+        FindWith<kCharged>(key, ComputeCandidates(key), out, tally);
+    tally.FlushTo(*metrics_);
+    return hit;
+  }
+
+  /// A write's stash probe, counted in the lookup cells as a read's is.
+  void RecordStashProbe(bool hit) const {
+    LookupTally tally;
+    tally.RecordStashProbe(hit);
+    tally.FlushTo(*metrics_);
   }
 
   /// The candidates of keys[0, n) computed while a racing Rehash commit may
@@ -1220,7 +1242,7 @@ class TableSkeleton {
     ctx.ClaimAux();
     ctx.ChargeStashProbe();
     const bool in_stash = stash_.Find(key, previous);
-    metrics_->RecordStashProbe(in_stash);
+    RecordStashProbe(in_stash);
     if (!in_stash) return false;
     ctx.ChargeStashWrite();
     ctx.OpenAux();
@@ -1309,7 +1331,7 @@ class TableSkeleton {
     ctx.OpenAux();
     const bool hit = stash_.Erase(key);
     ctx.Finish();
-    metrics_->RecordStashProbe(hit);
+    RecordStashProbe(hit);
     if (!hit) return false;
     ctx.ChargeStashWrite();
     // Flags are Bloom-like and not cleared (§III.F); false positives
@@ -2166,11 +2188,11 @@ class TableSkeleton {
   /// in retired_ so lagging readers keep dereferencing live memory; with
   /// none there are no such readers and it is freed at once. Everything
   /// else is either invisible to the optimistic probe or moves wholesale.
-  /// The metrics_/latency_ heap objects stay identity-stable — a lagging
-  /// reader flushes its tally through the pre-commit pointer after
-  /// validation, and the Insert whose growth triggered the rehash still
-  /// records into latency_ — so the rebuild's deltas are merged into them
-  /// rather than replacing them, as into the lifetime stats_. NOTE: keep in
+  /// The metrics_ heap object stays identity-stable — a lagging reader
+  /// flushes its tally through the pre-commit pointer after validation,
+  /// and the Insert whose growth triggered the rehash still records its
+  /// latency sample into it — so the rebuild's deltas are merged into it
+  /// rather than replacing it, as into the lifetime stats_. NOTE: keep in
   /// sync with the member list below — a member missed here keeps its
   /// pre-rehash value. The derived tables' own non-storage members (the
   /// resolved probe kernel) are deliberately kept: the rebuild resolves the
@@ -2191,7 +2213,6 @@ class TableSkeleton {
     // raised; the live policy re-evaluates pressure after the commit.
     rebuilt.metrics_->SetGrowthSuppressed(false);
     metrics_->MergeFrom(*rebuilt.metrics_);
-    latency_->MergeFrom(*rebuilt.latency_);
     // spans_ deliberately keeps this table's ring: it is a lifetime
     // timeline (the rehash span lands in it right after this commit);
     // the scratch rebuild's ring holds nothing worth keeping.
@@ -2221,14 +2242,10 @@ class TableSkeleton {
   // (Find, FindBatch) can charge.
   mutable AccessStats stats_;
   // The metrics are heap-held: atomics are immovable, the unique_ptr keeps
-  // the table movable and lets const read paths record.
+  // the table movable and lets const read paths record, and lagging
+  // optimistic readers see a live object across Rehash commits.
   mutable std::unique_ptr<TableMetrics> metrics_ =
       std::make_unique<TableMetrics>();
-  // Sampled op-latency recorder: heap-held for the same identity-stability
-  // reason as metrics_ (const read paths record through it, and lagging
-  // optimistic readers must see a live object across Rehash commits).
-  mutable std::unique_ptr<LatencyRecorder> latency_ =
-      std::make_unique<LatencyRecorder>();
   // Growth/rehash/dead-end/spill timeline (writer-exclusion threading
   // model; see span_recorder.h).
   SpanRecorder spans_;

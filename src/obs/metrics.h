@@ -5,8 +5,9 @@
 // how long do kick-out chains get near full load (Fig 11), how many bucket
 // probes does a lookup spend in each counter-value partition (Table II,
 // §III.B.2's "at most S - V + 1"), and how often does the stash screen let
-// a probe through. Every table owns a TableMetrics and bumps it from its
-// hot paths.
+// a probe through, and how long operations take (a sampled wall-clock
+// timer). Every table owns one TableMetrics and bumps it from its hot
+// paths; it is the table's only metric state.
 //
 // Design constraints, in order:
 //  1. Correct under concurrency. The sharded/concurrent front-ends run many
@@ -15,19 +16,21 @@
 //     exact, and TSan is clean. Relaxed is enough: cells are independent
 //     monotone counters and snapshots only need per-cell atomicity.
 //  2. Few atomic RMWs per operation (on x86 every atomic RMW is a full
-//     barrier, so their count matters more than their individual cost). A
-//     scalar lookup records the latency sampler's draw (a fetch_add on its
-//     op counter), one cell of the fused outcome grid, and one
-//     partition-probe Inc per probed partition: several relaxed RMWs, on
-//     cells that every thread using the table shares, so they contend as
-//     soon as two threads read one table. Batched lookups tally on the
-//     stack and publish once per batch. Histograms keep no derived
-//     counters that Snapshot() can compute.
-//  3. Compiled out entirely with -DMCCUCKOO_NO_METRICS: TableMetrics
-//     becomes an empty type whose methods are no-ops, so every recording
-//     call site folds to nothing. MetricsSnapshot and the exporters stay
-//     available in both modes (they just see zeros) so tooling compiles
-//     unconditionally.
+//     barrier, so their count matters more than their individual cost).
+//     Every read form, scalar or batched, counts its lookups in a
+//     stack-local LookupTally and flushes it once per call: one relaxed
+//     fetch_add per cell the call touched (for a scalar lookup, one
+//     outcome-grid cell, one per probed partition and, when it probed the
+//     stash, one stash cell). Every read but FindNoStats also draws from
+//     the latency sampler (a fetch_add on its op counter). The cells are
+//     shared by every thread using the table, so they contend as soon as
+//     two threads read one table. Histograms keep no derived counters that
+//     Snapshot() can compute.
+//  3. Compiled out entirely with -DMCCUCKOO_NO_METRICS: TableMetrics and
+//     LookupTally become empty types whose methods are no-ops, so every
+//     recording call site folds to nothing and no clock is read.
+//     MetricsSnapshot and the exporters stay available in both modes (they
+//     just see zeros) so tooling compiles unconditionally.
 //
 // AccessStats is deliberately NOT folded in here: the paper's access
 // accounting is part of the *algorithm model* (batched and scalar paths
@@ -61,7 +64,8 @@ inline constexpr bool kMetricsEnabled = false;
 /// Fixed bucket count of every Log2Histogram. Bucket 0 holds exact value
 /// 0; bucket i >= 1 holds [2^(i-1), 2^i - 1]; the last bucket additionally
 /// absorbs everything larger. 20 buckets cover kick chains up to any
-/// plausible maxloop and insert latencies up to ~0.5 ms before saturating.
+/// plausible maxloop; values of 2^18 (262144 ns, about 262 us) and above
+/// saturate the last bucket.
 inline constexpr size_t kHistogramBuckets = 20;
 
 /// Partition-indexed metric arrays: counter values 0..4 (index 0 is the
@@ -81,8 +85,8 @@ inline constexpr size_t kMetricsPolicies = 3;
 /// kMetricsPartitions).
 inline constexpr size_t kLookupOutcomeRows = 1 + kMetricsPartitions;
 
-/// Operation kinds the sampled LatencyRecorder (src/obs/latency_recorder.h)
-/// times. Batch entries time the whole batch call, not per key.
+/// Operation kinds TableMetrics' sampled op timer times. Batch entries time
+/// the whole batch call, not per key.
 enum class LatencyOp : uint8_t {
   kInsert = 0,
   kFind,
@@ -117,6 +121,18 @@ inline constexpr const char* kSpanKindNames[kSpanKinds] = {
 /// exactly; the last column saturates defensively, which would only skew
 /// the derived probe histogram for probe counts that cannot occur.
 inline constexpr size_t kLookupOutcomeCols = 8;
+
+/// The lookup cells, one array in TableMetrics and one in LookupTally with
+/// the same indices: the fused outcome grid (row * kLookupOutcomeCols +
+/// col), then the partition probes by counter value, then the stash hits
+/// and misses. A tally's touched-cell mask has one bit per cell.
+inline constexpr size_t kLookupPartitionCell =
+    kLookupOutcomeRows * kLookupOutcomeCols;
+inline constexpr size_t kLookupStashHitCell =
+    kLookupPartitionCell + kMetricsPartitions;
+inline constexpr size_t kLookupStashMissCell = kLookupStashHitCell + 1;
+inline constexpr size_t kLookupCells = kLookupStashMissCell + 1;
+static_assert(kLookupCells <= 64, "a tally's touched mask is one word");
 
 /// Inclusive upper bound of histogram bucket `i` (Prometheus "le" value);
 /// the last bucket's bound is conceptually +Inf.
@@ -235,7 +251,7 @@ struct MetricsSnapshot {
   HistogramSnapshot rehash_ns;
 
   /// Sampled end-to-end wall-clock nanoseconds per operation, indexed by
-  /// LatencyOp enumerator order (src/obs/latency_recorder.h). Counts are
+  /// LatencyOp enumerator order (TableMetrics::MaybeStart). Counts are
   /// sample counts, not operation counts: with 1-in-N sampling each entry
   /// stands for ~N operations.
   std::array<HistogramSnapshot, kLatencyOps> op_latency_ns;
@@ -372,6 +388,20 @@ class Log2Histogram {
 };
 
 // --- The per-table metric set ---------------------------------------------
+//
+// The sampled op timer measures *how* slow an operation was, end to end;
+// the histograms above explain *why*. Reading the clock twice per
+// operation would dominate a ~100 ns lookup, so TableMetrics times only 1
+// in N operations of each LatencyOp (N a power of two, TableOptions ::
+// latency_sample_period): the un-sampled path is one relaxed fetch_add on
+// the op's draw counter and a mask test, with no clock read. Sampling is
+// counter-based and therefore deterministic: operations 0, N, 2N, ... of
+// each kind are the ones timed, so M operations record exactly
+// ceil(M / N) samples (tests rely on this). The insert timer (insert_ns)
+// rides on the same draw: a scalar insert reads the clock only when its
+// operation was sampled and records its time with weight N
+// (ScopedLatencySample::weight); a batch insert times every N-th key
+// (BatchTimerWeight).
 
 #ifndef MCCUCKOO_NO_METRICS
 
@@ -381,28 +411,30 @@ struct TableMetrics {
   Log2Histogram kick_chain_len;
   std::array<Log2Histogram, kMetricsPolicies> policy_chain_len;
   Log2Histogram insert_ns;
-  /// Fused (outcome row x probe count) cells: the lookup hot paths record
-  /// probe histogram and partition hit with ONE relaxed fetch_add instead
-  /// of three. On x86 every atomic RMW is a full barrier that stalls the
-  /// next iteration's loads, so this is a measurable share of lookup
-  /// latency. Snapshot() folds the grid into lookup_probes /
+  /// The lookup cells (layout at kLookupCells), written only by
+  /// LookupTally::FlushTo. The fused (outcome row x probe count) grid
+  /// records a lookup's probe count and partition hit in ONE cell instead
+  /// of three: on x86 every atomic RMW is a full barrier that stalls the
+  /// next iteration's loads. Snapshot() folds the grid into lookup_probes /
   /// partition_hits exactly; the grid is their only record.
-  std::array<std::atomic<uint64_t>, kLookupOutcomeRows * kLookupOutcomeCols>
-      lookup_outcome{};
+  std::array<std::atomic<uint64_t>, kLookupCells> lookup_cells{};
   Counter bfs_nodes_expanded;
-  std::array<Counter, kMetricsPartitions> partition_probes;
   Counter erases;
-  Counter stash_hits;
-  Counter stash_misses;
   Log2Histogram rehash_ns;
   Counter growth_rehashes;
   Counter growth_reseeds;
   Counter growth_failures;
   Gauge growth_suppressed;
+  Counter optimistic_retries;
+  Counter optimistic_fallbacks;
   Counter writer_lock_acquisitions;
   Counter writer_lock_contended;
   Counter writer_chain_handoffs;
   Log2Histogram writer_lock_wait_ns;
+  /// The op timer: operations seen per LatencyOp (sampled or not), and the
+  /// sampled wall-clock nanoseconds per LatencyOp.
+  std::array<std::atomic<uint64_t>, kLatencyOps> op_draws{};
+  std::array<Log2Histogram, kLatencyOps> op_latency_ns;
 
   /// One insert: its kick-chain length, always, and its wall-clock time
   /// `ns` when it was timed, as `weight` observations (the insert timer's
@@ -423,31 +455,6 @@ struct TableMetrics {
   /// The BFS engine expanded `n` interior nodes during one search.
   void RecordBfsNodes(uint64_t n) { bfs_nodes_expanded.Inc(n); }
 
-  /// Fused hot-path recording: one lookup's probe count plus its outcome
-  /// (`hit_value` < 0 for a miss, else the resolving partition value) in a
-  /// single relaxed fetch_add.
-  void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
-    const size_t row =
-        hit_value < 0 ? 0
-                      : 1 + (static_cast<size_t>(hit_value) < kMetricsPartitions
-                                 ? static_cast<size_t>(hit_value)
-                                 : kMetricsPartitions - 1);
-    const size_t col = total_probes < kLookupOutcomeCols
-                           ? static_cast<size_t>(total_probes)
-                           : kLookupOutcomeCols - 1;
-    lookup_outcome[row * kLookupOutcomeCols + col].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  void RecordPartitionProbes(uint32_t value, uint64_t probes) {
-    if (probes == 0) return;
-    partition_probes[value < kMetricsPartitions ? value
-                                                : kMetricsPartitions - 1]
-        .Inc(probes);
-  }
-
-  void RecordStashProbe(bool hit) { (hit ? stash_hits : stash_misses).Inc(); }
-
   void RecordErase() { erases.Inc(); }
 
   /// Any rehash's wall-clock duration (manual or growth-triggered).
@@ -463,6 +470,11 @@ struct TableMetrics {
 
   void SetGrowthSuppressed(bool on) { growth_suppressed.Set(on ? 1 : 0); }
 
+  /// An optimistic read attempt failed validation (ShardedMcCuckoo), and a
+  /// read exhausted its attempts and took the striped fallback.
+  void RecordOptimisticRetry() { optimistic_retries.Inc(); }
+  void RecordOptimisticFallback() { optimistic_fallbacks.Inc(); }
+
   /// One operation's striped writer-lock tallies, flushed in a single call
   /// (LockStripeSet::ReleaseAll) so the uncontended lock/unlock fast path
   /// carries no per-stripe atomic RMWs.
@@ -476,6 +488,37 @@ struct TableMetrics {
   /// One contended blocking stripe acquisition took `ns` wall-clock.
   void RecordWriterLockWait(uint64_t ns) { writer_lock_wait_ns.Record(ns); }
 
+  /// Sets the op timer's 1-in-N period, rounded up to a power of two; 0
+  /// disables sampling entirely (MaybeStart never reads the clock). A
+  /// configuration, not a counter: MergeFrom and Reset keep it.
+  void set_sample_period(uint32_t period) {
+    sample_period_ = period == 0 ? 0 : std::bit_ceil(period);
+  }
+
+  /// Effective (power-of-two) period; 0 when disabled.
+  uint32_t sample_period() const { return sample_period_; }
+
+  /// Call at operation entry: returns a start tick when this operation is
+  /// sampled, 0 otherwise (NowNs() is never 0, so 0 is unambiguous).
+  uint64_t MaybeStart(LatencyOp op) {
+    if (sample_period_ == 0) return 0;
+    const uint64_t n = op_draws[static_cast<size_t>(op)].fetch_add(
+        1, std::memory_order_relaxed);
+    if ((n & (sample_period_ - 1)) != 0) return 0;
+    return NowNs();
+  }
+
+  /// Call at operation exit with MaybeStart's return; no-op for 0.
+  void Finish(LatencyOp op, uint64_t start_ns) {
+    if (start_ns == 0) return;
+    op_latency_ns[static_cast<size_t>(op)].Record(NowNs() - start_ns);
+  }
+
+  /// Operations seen (sampled or not) of one kind.
+  uint64_t ops_seen(LatencyOp op) const {
+    return op_draws[static_cast<size_t>(op)].load(std::memory_order_relaxed);
+  }
+
   /// Operation counters are derived, not separately maintained, so the
   /// "count" invariants in MetricsSnapshot hold by construction. Gauges
   /// (occupancy/capacity) are left zero — the owning table fills them.
@@ -487,15 +530,11 @@ struct TableMetrics {
     }
     s.insert_ns = insert_ns.Snapshot();
     s.bfs_nodes_expanded = bfs_nodes_expanded.Value();
-    for (size_t i = 0; i < kMetricsPartitions; ++i) {
-      s.partition_probes[i] = partition_probes[i].Value();
-    }
     // Fold the fused grid into the probe histogram and hit counters; the
     // column index IS the probe count, so the fold is exact.
     for (size_t row = 0; row < kLookupOutcomeRows; ++row) {
       for (size_t col = 0; col < kLookupOutcomeCols; ++col) {
-        const uint64_t n = lookup_outcome[row * kLookupOutcomeCols + col].load(
-            std::memory_order_relaxed);
+        const uint64_t n = Cell(row * kLookupOutcomeCols + col);
         if (n == 0) continue;
         s.lookup_probes.bucket[HistogramBucketOf(col)] += n;
         s.lookup_probes.count += n;
@@ -503,11 +542,16 @@ struct TableMetrics {
         if (row > 0) s.partition_hits[row - 1] += n;
       }
     }
+    for (size_t i = 0; i < kMetricsPartitions; ++i) {
+      s.partition_probes[i] = Cell(kLookupPartitionCell + i);
+    }
     s.inserts = s.kick_chain_len.count;
     s.lookups = s.lookup_probes.count;
     s.erases = erases.Value();
-    s.stash_hits = stash_hits.Value();
-    s.stash_misses = stash_misses.Value();
+    s.stash_hits = Cell(kLookupStashHitCell);
+    s.stash_misses = Cell(kLookupStashMissCell);
+    s.optimistic_retries = optimistic_retries.Value();
+    s.optimistic_fallbacks = optimistic_fallbacks.Value();
     s.rehash_ns = rehash_ns.Snapshot();
     s.growth_rehashes = growth_rehashes.Value();
     s.growth_reseeds = growth_reseeds.Value();
@@ -517,6 +561,10 @@ struct TableMetrics {
     s.writer_lock_contended = writer_lock_contended.Value();
     s.writer_chain_handoffs = writer_chain_handoffs.Value();
     s.writer_lock_wait_ns = writer_lock_wait_ns.Snapshot();
+    for (size_t i = 0; i < kLatencyOps; ++i) {
+      s.op_latency_ns[i] = op_latency_ns[i].Snapshot();
+    }
+    s.latency_sample_period = sample_period_;
     return s;
   }
 
@@ -528,18 +576,11 @@ struct TableMetrics {
       policy_chain_len[i].MergeFrom(o.policy_chain_len[i]);
     }
     insert_ns.MergeFrom(o.insert_ns);
-    for (size_t i = 0; i < lookup_outcome.size(); ++i) {
-      lookup_outcome[i].fetch_add(
-          o.lookup_outcome[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
+    for (size_t i = 0; i < kLookupCells; ++i) {
+      lookup_cells[i].fetch_add(o.Cell(i), std::memory_order_relaxed);
     }
     bfs_nodes_expanded.Inc(o.bfs_nodes_expanded.Value());
-    for (size_t i = 0; i < kMetricsPartitions; ++i) {
-      partition_probes[i].Inc(o.partition_probes[i].Value());
-    }
     erases.Inc(o.erases.Value());
-    stash_hits.Inc(o.stash_hits.Value());
-    stash_misses.Inc(o.stash_misses.Value());
     rehash_ns.MergeFrom(o.rehash_ns);
     growth_rehashes.Inc(o.growth_rehashes.Value());
     growth_reseeds.Inc(o.growth_reseeds.Value());
@@ -547,51 +588,72 @@ struct TableMetrics {
     // Sticky OR: merging a fresh rebuild's metrics must not clear a
     // degraded state this table already reported.
     if (o.growth_suppressed.Value() != 0) growth_suppressed.Set(1);
+    optimistic_retries.Inc(o.optimistic_retries.Value());
+    optimistic_fallbacks.Inc(o.optimistic_fallbacks.Value());
     writer_lock_acquisitions.Inc(o.writer_lock_acquisitions.Value());
     writer_lock_contended.Inc(o.writer_lock_contended.Value());
     writer_chain_handoffs.Inc(o.writer_chain_handoffs.Value());
     writer_lock_wait_ns.MergeFrom(o.writer_lock_wait_ns);
+    for (size_t i = 0; i < kLatencyOps; ++i) {
+      op_draws[i].fetch_add(o.ops_seen(static_cast<LatencyOp>(i)),
+                            std::memory_order_relaxed);
+      op_latency_ns[i].MergeFrom(o.op_latency_ns[i]);
+    }
   }
 
   void Reset() {
     kick_chain_len.Reset();
     for (auto& h : policy_chain_len) h.Reset();
     insert_ns.Reset();
-    for (auto& c : lookup_outcome) c.store(0, std::memory_order_relaxed);
+    for (auto& c : lookup_cells) c.store(0, std::memory_order_relaxed);
     bfs_nodes_expanded.Reset();
-    for (auto& c : partition_probes) c.Reset();
     erases.Reset();
-    stash_hits.Reset();
-    stash_misses.Reset();
     rehash_ns.Reset();
     growth_rehashes.Reset();
     growth_reseeds.Reset();
     growth_failures.Reset();
     growth_suppressed.Set(0);
+    optimistic_retries.Reset();
+    optimistic_fallbacks.Reset();
     writer_lock_acquisitions.Reset();
     writer_lock_contended.Reset();
     writer_chain_handoffs.Reset();
     writer_lock_wait_ns.Reset();
+    for (auto& c : op_draws) c.store(0, std::memory_order_relaxed);
+    for (auto& h : op_latency_ns) h.Reset();
   }
+
+ private:
+  uint64_t Cell(size_t i) const {
+    return lookup_cells[i].load(std::memory_order_relaxed);
+  }
+
+  // 0 (no sampling) until the owning table sets its
+  // TableOptions::latency_sample_period.
+  uint32_t sample_period_ = 0;
 };
 
 /// Monotone nanosecond tick for latency metrics (the shared clock of
 /// src/obs/timing.h; compiled-out builds never read it).
 inline uint64_t MetricsNowNs() { return NowNs(); }
 
-/// Stack-local accumulator for the lookup-side metrics of one batch. The
-/// batched paths record every lookup here in plain integers and call
-/// FlushTo once, so a B-key batch costs O(touched cells) atomic RMWs
-/// instead of O(B) — this is what keeps metrics-on FindBatch throughput
-/// within a few percent of the compiled-out build. Aggregate totals are
-/// exactly what per-lookup recording would have produced; only the flush
-/// granularity differs. Exposes the same recording interface as
-/// TableMetrics so the per-key lookup code is generic over its sink.
+/// Stack-local accumulator for the lookup cells of one read call. Every
+/// read form (Find, FindNoStats, FindBatch, the optimistic and striped
+/// reads) records its lookups here in plain integers and calls FlushTo
+/// once, so a call costs one atomic RMW per cell it touched: a one-key
+/// read a few, a B-key batch O(touched cells) instead of O(B). This is
+/// what keeps metrics-on FindBatch throughput within a few percent of the
+/// compiled-out build. Totals are exactly what per-lookup recording would
+/// produce; only the flush granularity differs. A cell is written before
+/// it is read and only touched cells are flushed, so a tally costs one
+/// zeroed word to build, not a 55-cell clear. The methods are always
+/// inlined, so each recording folds into its probe loop.
 class LookupTally {
  public:
-  /// Plain-integer mirror of TableMetrics::RecordLookupOutcome; flushed
-  /// into the shared grid cell-for-cell.
-  void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
+  /// One lookup's probe count plus its outcome (`hit_value` < 0 for a
+  /// miss, else the resolving partition value), in one grid cell.
+  [[gnu::always_inline]] void RecordLookupOutcome(uint64_t total_probes,
+                                                  int32_t hit_value) {
     const size_t row =
         hit_value < 0 ? 0
                       : 1 + (static_cast<size_t>(hit_value) < kMetricsPartitions
@@ -600,63 +662,69 @@ class LookupTally {
     const size_t col = total_probes < kLookupOutcomeCols
                            ? static_cast<size_t>(total_probes)
                            : kLookupOutcomeCols - 1;
-    ++lookup_outcome_[row * kLookupOutcomeCols + col];
+    Add(row * kLookupOutcomeCols + col, 1);
   }
 
-  void RecordPartitionProbes(uint32_t value, uint64_t probes) {
+  [[gnu::always_inline]] void RecordPartitionProbes(uint32_t value,
+                                                    uint64_t probes) {
     if (probes == 0) return;
-    partition_probes_[value < kMetricsPartitions ? value
-                                                 : kMetricsPartitions - 1] +=
-        probes;
+    Add(kLookupPartitionCell + (value < kMetricsPartitions
+                                    ? value
+                                    : kMetricsPartitions - 1),
+        probes);
   }
 
-  void RecordStashProbe(bool hit) { ++(hit ? stash_hits_ : stash_misses_); }
+  [[gnu::always_inline]] void RecordStashProbe(bool hit) {
+    Add(hit ? kLookupStashHitCell : kLookupStashMissCell, 1);
+  }
 
-  /// Publishes the tallies into `m` (one fetch_add per non-zero cell) and
-  /// resets this tally for reuse.
-  void FlushTo(TableMetrics& m) {
-    for (size_t i = 0; i < lookup_outcome_.size(); ++i) {
-      if (lookup_outcome_[i] != 0) {
-        m.lookup_outcome[i].fetch_add(lookup_outcome_[i],
-                                      std::memory_order_relaxed);
-      }
+  // A cell is read only after bit i of touched_ says it was written, which
+  // GCC cannot prove through the inlined probe loops.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+  /// Publishes the tallies into `m`: one relaxed fetch_add per touched
+  /// cell. A tally is flushed once and then dropped.
+  [[gnu::always_inline]] void FlushTo(TableMetrics& m) const {
+    for (uint64_t t = touched_; t != 0; t &= t - 1) {
+      const size_t i = static_cast<size_t>(std::countr_zero(t));
+      m.lookup_cells[i].fetch_add(cell_[i], std::memory_order_relaxed);
     }
-    for (size_t i = 0; i < kMetricsPartitions; ++i) {
-      if (partition_probes_[i] != 0) {
-        m.partition_probes[i].Inc(partition_probes_[i]);
-      }
-    }
-    if (stash_hits_ != 0) m.stash_hits.Inc(stash_hits_);
-    if (stash_misses_ != 0) m.stash_misses.Inc(stash_misses_);
-    *this = LookupTally{};
   }
 
  private:
-  std::array<uint64_t, kLookupOutcomeRows * kLookupOutcomeCols>
-      lookup_outcome_{};
-  std::array<uint64_t, kMetricsPartitions> partition_probes_{};
-  uint64_t stash_hits_ = 0;
-  uint64_t stash_misses_ = 0;
+  [[gnu::always_inline]] void Add(size_t i, uint64_t n) {
+    const uint64_t bit = uint64_t{1} << i;
+    cell_[i] = ((touched_ & bit) != 0 ? cell_[i] : 0) + n;
+    touched_ |= bit;
+  }
+#pragma GCC diagnostic pop
+
+  uint64_t touched_ = 0;  ///< Bit i: cell_[i] holds a count.
+  std::array<uint64_t, kLookupCells> cell_;  // uninitialised until touched
 };
 
 #else  // MCCUCKOO_NO_METRICS
 
-/// No-op stand-in: every recording call site compiles to nothing and the
-/// struct occupies no meaningful space.
+/// No-op stand-in: every recording call site compiles to nothing, no clock
+/// is ever read, and the struct occupies no meaningful space.
 struct TableMetrics {
   void RecordInsert(uint64_t, uint64_t, uint64_t = 1) {}
   void RecordPolicyChain(uint32_t, uint64_t) {}
   void RecordBfsNodes(uint64_t) {}
-  void RecordLookupOutcome(uint64_t, int32_t) {}
-  void RecordPartitionProbes(uint32_t, uint64_t) {}
-  void RecordStashProbe(bool) {}
   void RecordErase() {}
   void RecordRehash(uint64_t) {}
   void RecordGrowthRehash(bool) {}
   void RecordGrowthFailure() {}
   void SetGrowthSuppressed(bool) {}
+  void RecordOptimisticRetry() {}
+  void RecordOptimisticFallback() {}
   void RecordWriterLocks(uint64_t, uint64_t, uint64_t) {}
   void RecordWriterLockWait(uint64_t) {}
+  void set_sample_period(uint32_t) {}
+  uint32_t sample_period() const { return 0; }
+  uint64_t MaybeStart(LatencyOp) { return 0; }
+  void Finish(LatencyOp, uint64_t) {}
+  uint64_t ops_seen(LatencyOp) const { return 0; }
   MetricsSnapshot Snapshot() const { return {}; }
   void MergeFrom(const TableMetrics&) {}
   void Reset() {}
@@ -665,15 +733,49 @@ struct TableMetrics {
 /// Compiled-out builds never read the clock.
 inline uint64_t MetricsNowNs() { return 0; }
 
-/// No-op batch tally matching the enabled interface.
+/// No-op read tally matching the enabled interface.
 struct LookupTally {
   void RecordLookupOutcome(uint64_t, int32_t) {}
   void RecordPartitionProbes(uint32_t, uint64_t) {}
   void RecordStashProbe(bool) {}
-  void FlushTo(TableMetrics&) {}
+  void FlushTo(TableMetrics&) const {}
 };
 
 #endif  // MCCUCKOO_NO_METRICS
+
+/// Times one lexical scope as one operation — the one-line wiring the
+/// tables use at their public entry points. Safe on every path: Finish()
+/// ignores un-sampled (0) starts, and the destructor runs on early
+/// returns too.
+class ScopedLatencySample {
+ public:
+  ScopedLatencySample(TableMetrics* m, LatencyOp op)
+      : m_(m), op_(op), start_(m->MaybeStart(op)) {}
+
+  ScopedLatencySample(const ScopedLatencySample&) = delete;
+  ScopedLatencySample& operator=(const ScopedLatencySample&) = delete;
+
+  ~ScopedLatencySample() { m_->Finish(op_, start_); }
+
+  /// The insert timer's weight for this operation: the sample period when
+  /// this operation drew a sample, 0 (untimed) otherwise.
+  uint32_t weight() const { return start_ != 0 ? m_->sample_period() : 0; }
+
+ private:
+  TableMetrics* m_;
+  LatencyOp op_;
+  uint64_t start_;
+};
+
+/// The insert timer's weight for key `i` of an `n`-key batch insert into a
+/// table recording into `m`: every period-th key is timed and stands for
+/// itself and the untimed keys up to the next timed one, so a batch's
+/// weights sum to exactly `n` (0 = untimed; period 0 times no key).
+inline uint32_t BatchTimerWeight(size_t i, size_t n, const TableMetrics& m) {
+  const uint32_t period = m.sample_period();
+  if (period == 0 || (i & (period - 1)) != 0) return 0;
+  return static_cast<uint32_t>(n - i < period ? n - i : period);
+}
 
 }  // namespace mccuckoo
 

@@ -59,8 +59,10 @@ struct ServerMetricsSnapshot {
                                   ///< pass by their access count.
   uint64_t hash_collisions = 0;   ///< Distinct keys mapping to one 64-bit
                                   ///< hash (second writer wins).
-  uint64_t items = 0;             ///< Gauge: live items in the store.
-  uint64_t bytes = 0;             ///< Gauge: key+value payload bytes held.
+  /// Gauges read from the store at snapshot time
+  /// (ItemStore::MetricsSnapshot), not kept in ServerMetrics.
+  uint64_t items = 0;             ///< Live items in the store.
+  uint64_t bytes = 0;             ///< Key+value payload bytes held.
   uint64_t open_connections = 0;  ///< Gauge: currently connected sockets.
 
   uint64_t total_requests() const {
@@ -123,8 +125,6 @@ struct ServerMetrics {
   Counter evictions_pressure;
   Counter evictions_spared;
   Counter hash_collisions;
-  Gauge items;
-  Gauge bytes;
   Gauge open_connections;
 
   /// `op_index` is the wire opcode minus one (kServerOpNames order);
@@ -154,8 +154,6 @@ struct ServerMetrics {
     s.evictions_pressure = evictions_pressure.Value();
     s.evictions_spared = evictions_spared.Value();
     s.hash_collisions = hash_collisions.Value();
-    s.items = items.Value();
-    s.bytes = bytes.Value();
     s.open_connections = open_connections.Value();
     return s;
   }

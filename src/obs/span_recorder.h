@@ -1,14 +1,14 @@
 // Span ring buffer — the one event ring: timestamped records of the rare,
 // slow table events.
 //
-// The sampled LatencyRecorder sees tail latency as a distribution; this
-// recorder captures the *causes* as discrete, timestamped spans: growth
-// decisions, rehashes, seed rotations, BFS searches that dead-ended, and
-// inserts that spilled to the stash (every table and write mode records
-// the last two). Kick chains themselves are only counted, in the metrics
-// histograms. Each span carries a start tick and duration on the shared
-// clock (src/obs/timing.h), so a scrape of the ring lines up a p999 blip
-// with "rehash, 41 ms, at t=...". The chrome://tracing exporter
+// The sampled op timer (TableMetrics) sees tail latency as a distribution;
+// this recorder captures the *causes* as discrete, timestamped spans:
+// growth decisions, rehashes, seed rotations, BFS searches that
+// dead-ended, and inserts that spilled to the stash (every table and write
+// mode records the last two). Kick chains themselves are only counted, in
+// the metrics histograms. Each span carries a start tick and duration on
+// the shared clock (src/obs/timing.h), so a scrape of the ring lines up a
+// p999 blip with "rehash, 41 ms, at t=...". The chrome://tracing exporter
 // (ExportChromeTrace in src/obs/export.h) renders the ring as a timeline.
 //
 // Threading: spans are recorded only from table write paths, each under

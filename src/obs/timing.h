@@ -1,7 +1,7 @@
 // Shared wall-clock utility — the ONE place the codebase reads a clock.
 //
 // Every latency number this repository reports (the sampled op-latency
-// histograms in src/obs/latency_recorder.h, the span durations in
+// histograms of TableMetrics (src/obs/metrics.h), the span durations in
 // src/obs/span_recorder.h, the insert/rehash nanosecond histograms, and
 // the hand-timed bench loops in bench/) goes through NowNs() below, so
 // all of them share one clock source and one set of caveats:
@@ -9,10 +9,10 @@
 //  - std::chrono::steady_clock: monotone, immune to NTP steps. On Linux
 //    this is clock_gettime(CLOCK_MONOTONIC), a ~20 ns vDSO call — cheap
 //    enough to bracket sampled operations, too expensive to bracket every
-//    operation (which is why the LatencyRecorder samples 1-in-N).
+//    operation (which is why the op timer samples 1-in-N).
 //  - Ticks are nanoseconds since an arbitrary epoch; only differences are
 //    meaningful. A tick of 0 cannot occur in practice (the epoch is boot),
-//    which the LatencyRecorder exploits as its "not sampled" sentinel.
+//    which the op timer exploits as its "not sampled" sentinel.
 //
 // Deliberately NOT gated on MCCUCKOO_NO_METRICS: benches and tools need
 // wall-clock time whether or not the tables record it. The metrics-facing

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <thread>
+#include <vector>
 
 namespace mccuckoo {
 namespace server {
@@ -64,6 +69,36 @@ TEST(EpochReclaimerTest, ItemRetiredAfterTheScanOutlivesItsReader) {
   }
   EXPECT_EQ(r.TryReclaim(), 1u);
   EXPECT_EQ(frees, 1);
+}
+
+TEST(EpochReclaimerTest, GuardWaitsForAFreeSlot) {
+  // With every slot held, a new guard spins until one is released: it must
+  // never share a slot, whose epoch the holder would overwrite on exit.
+  EpochReclaimer r;
+  std::vector<std::unique_ptr<EpochReclaimer::Guard>> held;
+  for (int i = 0; i < EpochReclaimer::kMaxSlots; ++i) {
+    held.push_back(std::make_unique<EpochReclaimer::Guard>(r));
+  }
+  std::atomic<bool> entered{false};
+  std::thread waiter([&] {
+    EpochReclaimer::Guard g(r);
+    entered.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(entered.load(std::memory_order_acquire))
+      << "a guard entered while all " << EpochReclaimer::kMaxSlots
+      << " slots were held";
+  held.pop_back();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!entered.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(entered.load(std::memory_order_acquire))
+      << "the waiting guard did not take the released slot";
+  held.clear();  // if it never entered, the next free slot lets it finish
+  waiter.join();
 }
 
 }  // namespace

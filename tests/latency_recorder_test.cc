@@ -1,8 +1,6 @@
-// Tests for the sampled op-latency recorder (src/obs/latency_recorder.h):
+// Tests for the sampled op timer of TableMetrics (src/obs/metrics.h):
 // deterministic counter-based sampling, period rounding, log2-quantile
-// bounds, fold/merge plumbing, and the table-level wiring.
-
-#include "src/obs/latency_recorder.h"
+// bounds, snapshot/merge plumbing, and the table-level wiring.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +17,13 @@
 namespace mccuckoo {
 namespace {
 
+/// `m`'s sampled-latency histogram for one op kind.
+HistogramSnapshot SnapshotOp(const TableMetrics& m, LatencyOp op) {
+  return m.Snapshot().op_latency_ns[static_cast<size_t>(op)];
+}
+
 TEST(LatencyRecorderTest, PeriodRoundsUpToPowerOfTwo) {
-  LatencyRecorder r;
+  TableMetrics r;
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   r.set_sample_period(3);
   EXPECT_EQ(r.sample_period(), 4u);
@@ -33,11 +36,12 @@ TEST(LatencyRecorderTest, PeriodRoundsUpToPowerOfTwo) {
 }
 
 TEST(LatencyRecorderTest, DisabledNeverSamples) {
-  LatencyRecorder r(0);
+  TableMetrics r;
+  r.set_sample_period(0);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(r.MaybeStart(LatencyOp::kFind), 0u);
   }
-  EXPECT_EQ(r.SnapshotOp(LatencyOp::kFind).count, 0u);
+  EXPECT_EQ(SnapshotOp(r, LatencyOp::kFind).count, 0u);
 }
 
 TEST(LatencyRecorderTest, SamplingIsDeterministic) {
@@ -46,12 +50,13 @@ TEST(LatencyRecorderTest, SamplingIsDeterministic) {
   // exactly ceil(M / N) samples — no randomness involved.
   for (const uint32_t period : {1u, 4u, 8u, 32u}) {
     for (const uint64_t ops : {1u, 7u, 8u, 9u, 100u}) {
-      LatencyRecorder r(period);
+      TableMetrics r;
+      r.set_sample_period(period);
       for (uint64_t i = 0; i < ops; ++i) {
         r.Finish(LatencyOp::kInsert, r.MaybeStart(LatencyOp::kInsert));
       }
       const uint64_t expected = (ops + period - 1) / period;
-      EXPECT_EQ(r.SnapshotOp(LatencyOp::kInsert).count, expected)
+      EXPECT_EQ(SnapshotOp(r, LatencyOp::kInsert).count, expected)
           << "period=" << period << " ops=" << ops;
       EXPECT_EQ(r.ops_seen(LatencyOp::kInsert), ops);
     }
@@ -60,19 +65,20 @@ TEST(LatencyRecorderTest, SamplingIsDeterministic) {
 
 TEST(LatencyRecorderTest, OpsAreIndependentStreams) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  LatencyRecorder r(4);
+  TableMetrics r;
+  r.set_sample_period(4);
   for (int i = 0; i < 8; ++i) {
     r.Finish(LatencyOp::kFind, r.MaybeStart(LatencyOp::kFind));
   }
   r.Finish(LatencyOp::kErase, r.MaybeStart(LatencyOp::kErase));
-  EXPECT_EQ(r.SnapshotOp(LatencyOp::kFind).count, 2u);
-  EXPECT_EQ(r.SnapshotOp(LatencyOp::kErase).count, 1u);
-  EXPECT_EQ(r.SnapshotOp(LatencyOp::kInsert).count, 0u);
+  EXPECT_EQ(SnapshotOp(r, LatencyOp::kFind).count, 2u);
+  EXPECT_EQ(SnapshotOp(r, LatencyOp::kErase).count, 1u);
+  EXPECT_EQ(SnapshotOp(r, LatencyOp::kInsert).count, 0u);
 }
 
 TEST(LatencyRecorderTest, QuantileUpperBoundIsTightLog2Bound) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  // The recorder's per-op histograms are Log2Histograms; the exported
+  // The op timer's per-op histograms are Log2Histograms; the exported
   // quantile is the sample's bucket upper bound: >= the true value and
   // < 2x it for any value >= 1 below the last bucket (which absorbs
   // everything from 2^(kHistogramBuckets - 2) up).
@@ -113,24 +119,27 @@ TEST(LatencyRecorderTest, QuantilesAreMonotoneAcrossMixedValues) {
 
 TEST(LatencyRecorderTest, FoldIntoMergesHistogramsAndPeriod) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  LatencyRecorder r(1);
+  TableMetrics r;
+  r.set_sample_period(1);
   for (int i = 0; i < 5; ++i) {
     r.Finish(LatencyOp::kFind, r.MaybeStart(LatencyOp::kFind));
   }
   MetricsSnapshot s;
   s.latency_sample_period = 8;  // pre-existing shard value; max wins
-  r.FoldInto(&s);
+  s += r.Snapshot();
   EXPECT_EQ(s.op_latency_ns[static_cast<size_t>(LatencyOp::kFind)].count, 5u);
   EXPECT_EQ(s.latency_sample_period, 8u);
   r.set_sample_period(64);
-  r.FoldInto(&s);
+  s += r.Snapshot();
   EXPECT_EQ(s.latency_sample_period, 64u);
   EXPECT_EQ(s.op_latency_ns[static_cast<size_t>(LatencyOp::kFind)].count, 10u);
 }
 
 TEST(LatencyRecorderTest, MergeFromAccumulates) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  LatencyRecorder a(1), b(1);
+  TableMetrics a, b;
+  a.set_sample_period(1);
+  b.set_sample_period(1);
   for (int i = 0; i < 3; ++i) {
     a.Finish(LatencyOp::kInsert, a.MaybeStart(LatencyOp::kInsert));
   }
@@ -138,21 +147,22 @@ TEST(LatencyRecorderTest, MergeFromAccumulates) {
     b.Finish(LatencyOp::kInsert, b.MaybeStart(LatencyOp::kInsert));
   }
   a.MergeFrom(b);
-  EXPECT_EQ(a.SnapshotOp(LatencyOp::kInsert).count, 7u);
+  EXPECT_EQ(SnapshotOp(a, LatencyOp::kInsert).count, 7u);
   EXPECT_EQ(a.ops_seen(LatencyOp::kInsert), 7u);
   a.Reset();
-  EXPECT_EQ(a.SnapshotOp(LatencyOp::kInsert).count, 0u);
+  EXPECT_EQ(SnapshotOp(a, LatencyOp::kInsert).count, 0u);
   EXPECT_EQ(a.ops_seen(LatencyOp::kInsert), 0u);
 }
 
 TEST(LatencyRecorderTest, ScopedSampleRecordsOnEveryExitPath) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  LatencyRecorder r(1);
+  TableMetrics r;
+  r.set_sample_period(1);
   for (int i = 0; i < 10; ++i) {
     ScopedLatencySample s(&r, LatencyOp::kErase);
     if (i % 2 == 0) continue;  // early exit still records
   }
-  EXPECT_EQ(r.SnapshotOp(LatencyOp::kErase).count, 10u);
+  EXPECT_EQ(SnapshotOp(r, LatencyOp::kErase).count, 10u);
 }
 
 TEST(LatencyRecorderTest, TableWiringSamplesAtConfiguredPeriod) {
@@ -212,7 +222,7 @@ TEST(LatencyRecorderTest, RehashCarriesSamplesAcrossRebuildBlocked) {
 }
 
 // An Insert whose growth rehash replaces the table's storage still records
-// its own sample on exit: the recorder object must outlive the rebuild.
+// its own sample on exit: the metrics object must outlive the rebuild.
 template <typename Table>
 void SampledInsertThatGrowsTheTableRecordsItsSample(uint32_t slots_per_bucket) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";

@@ -1,5 +1,5 @@
-// TSan-gated concurrency stress for the latency recorder: many threads
-// hammer one recorder directly while another snapshots it, then the same
+// TSan-gated concurrency stress for the sampled op timer: many threads
+// hammer one TableMetrics directly while another snapshots it, then the same
 // through a real table behind the concurrent front-end. Registered with
 // the "tsan" ctest label so the sanitizer CI job picks it up; it is also
 // a correctness test (deterministic total sample counts) under plain
@@ -15,7 +15,6 @@
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
-#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/workload/keyset.h"
 
@@ -26,7 +25,8 @@ TEST(LatencyStressTest, ConcurrentRecordAndSnapshot) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   constexpr int kThreads = 4;
   constexpr uint64_t kOpsPerThread = 20'000;
-  LatencyRecorder r(4);
+  TableMetrics r;
+  r.set_sample_period(4);
   std::atomic<bool> stop{false};
 
   // One thread scrapes while the workers record — the scrape must be safe
@@ -36,14 +36,14 @@ TEST(LatencyStressTest, ConcurrentRecordAndSnapshot) {
   // the recorded total).
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const HistogramSnapshot s = r.SnapshotOp(LatencyOp::kFind);
+      const HistogramSnapshot s =
+          r.Snapshot().op_latency_ns[static_cast<size_t>(LatencyOp::kFind)];
       // A torn snapshot (count bumped, bucket not yet) legitimately walks
       // into the top bucket's ~0 sentinel, so don't assert on the raw
       // value (and never on value+1 — that overflows at the sentinel);
       // the walk over one snapshot copy must stay monotone regardless.
       ASSERT_LE(s.PercentileUpperBound(0.5), s.PercentileUpperBound(1.0));
-      MetricsSnapshot m;
-      r.FoldInto(&m);
+      const MetricsSnapshot m = r.Snapshot();
       ASSERT_GE(m.op_latency_ns[static_cast<size_t>(LatencyOp::kFind)].count,
                 s.count);
       std::this_thread::yield();
@@ -66,8 +66,9 @@ TEST(LatencyStressTest, ConcurrentRecordAndSnapshot) {
   // across threads: one sample per full period of the global stream.
   const uint64_t total_ops = kThreads * kOpsPerThread;
   EXPECT_EQ(r.ops_seen(LatencyOp::kFind), total_ops);
-  EXPECT_EQ(r.SnapshotOp(LatencyOp::kFind).count,
-            total_ops / r.sample_period());
+  EXPECT_EQ(
+      r.Snapshot().op_latency_ns[static_cast<size_t>(LatencyOp::kFind)].count,
+      total_ops / r.sample_period());
 }
 
 TEST(LatencyStressTest, OptimisticReadersSampleWhileWriterUpdates) {

@@ -304,25 +304,6 @@ TEST(MovableAtomicTest, ConcurrentFetchAddIsExact) {
   EXPECT_EQ(n.load(), static_cast<uint64_t>(kThreads) * kIters);
 }
 
-TEST(MovableAtomicTest, CompareExchangeFromZeroWinsExactlyOnce) {
-  // The first_collision / first_failure seeding idiom: many threads race to
-  // set the cell once; exactly one CAS-from-0 succeeds.
-  MovableAtomic<uint64_t> cell = 0;
-  std::atomic<int> winners{0};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 4; ++t) {
-    ts.emplace_back([&, t] {
-      uint64_t expected = 0;
-      if (cell.CompareExchange(expected, static_cast<uint64_t>(t) + 1)) {
-        winners.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(winners.load(), 1);
-  EXPECT_NE(cell.load(), 0u);
-}
-
 // --- Atomic counter-byte discipline ----------------------------------------
 
 TEST(TagCounterArrayAtomicTest, OwnerNibbleUpdatesKeepTheOtherNibble) {

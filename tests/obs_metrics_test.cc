@@ -183,12 +183,14 @@ TEST(TableMetricsTest, DerivedCountsAndClamping) {
   TableMetrics m;
   m.RecordInsert(0, 100);
   m.RecordInsert(5, 900);
-  m.RecordLookupOutcome(3, 3);  // 3 probes, hit in partition 3.
-  m.RecordPartitionProbes(1, 2);
-  m.RecordPartitionProbes(2, 0);    // Zero probes: not recorded.
-  m.RecordPartitionProbes(99, 1);   // Out of range: clamps to the last slot.
-  m.RecordStashProbe(true);
-  m.RecordStashProbe(false);
+  LookupTally tally;
+  tally.RecordLookupOutcome(3, 3);  // 3 probes, hit in partition 3.
+  tally.RecordPartitionProbes(1, 2);
+  tally.RecordPartitionProbes(2, 0);   // Zero probes: not recorded.
+  tally.RecordPartitionProbes(99, 1);  // Out of range: clamps to the last slot.
+  tally.RecordStashProbe(true);
+  tally.RecordStashProbe(false);
+  tally.FlushTo(m);
   m.RecordErase();
 
   const MetricsSnapshot s = m.Snapshot();
@@ -315,6 +317,49 @@ TEST(TableRecordingTest, FindNoStatsRecordsMetricsButNotStats) {
   for (uint64_t k : keys) ASSERT_TRUE(t.FindNoStats(k, nullptr));
   EXPECT_EQ(t.SnapshotMetrics().lookups, keys.size());
   EXPECT_EQ(t.stats(), AccessStats{});  // Mutation-free path: no accounting.
+}
+
+// FindNoStats records the same lookup cells as Find (outcome grid,
+// partition probes, stash probes) but draws no latency sample and charges
+// no AccessStats.
+TEST(TableRecordingTest, FindNoStatsRecordsLookupCellsButNoSample) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TableOptions o = SmallOptions();
+  o.latency_sample_period = 1;
+  o.maxloop = 8;  // spill to the stash early, so lookups probe it
+  Table t(o);
+  const auto keys = MakeUniqueKeys(2900, 1, 4);
+  const auto missing = MakeUniqueKeys(1000, 1, 11);
+  for (uint64_t k : keys) t.Insert(k, k);
+  ASSERT_GT(t.stash_size(), 0u);
+  std::vector<uint64_t> probe = keys;
+  probe.insert(probe.end(), missing.begin(), missing.end());
+  const size_t find = static_cast<size_t>(LatencyOp::kFind);
+
+  t.ResetMetrics();
+  t.ResetStats();
+  size_t hits = 0;
+  for (uint64_t k : probe) hits += t.FindNoStats(k, nullptr) ? 1 : 0;
+  ASSERT_EQ(hits, keys.size());
+  const MetricsSnapshot nostats = t.SnapshotMetrics();
+  EXPECT_EQ(t.stats(), AccessStats{});
+  EXPECT_EQ(nostats.op_latency_ns[find].count, 0u);
+  EXPECT_EQ(nostats.lookups, probe.size());
+  EXPECT_GT(nostats.stash_hits, 0u);
+  EXPECT_GT(nostats.stash_misses, 0u);
+
+  t.ResetMetrics();
+  hits = 0;
+  for (uint64_t k : probe) hits += t.Find(k, nullptr) ? 1 : 0;
+  ASSERT_EQ(hits, keys.size());
+  const MetricsSnapshot charged = t.SnapshotMetrics();
+  EXPECT_EQ(charged.op_latency_ns[find].count, probe.size());
+  EXPECT_EQ(charged.lookups, nostats.lookups);
+  EXPECT_EQ(charged.lookup_probes, nostats.lookup_probes);
+  EXPECT_EQ(charged.partition_probes, nostats.partition_probes);
+  EXPECT_EQ(charged.partition_hits, nostats.partition_hits);
+  EXPECT_EQ(charged.stash_hits, nostats.stash_hits);
+  EXPECT_EQ(charged.stash_misses, nostats.stash_misses);
 }
 
 TEST(TableRecordingTest, ScalarAndBatchLookupsRecordIdentically) {

@@ -14,7 +14,6 @@
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/seqlock.h"
-#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span_recorder.h"
 #include "src/workload/keyset.h"

@@ -346,6 +346,36 @@ TEST(ProtocolMalformed, MgetResponseBodyTruncated) {
   EXPECT_FALSE(DecodeMgetBody(Bytes({0}), &entries));             // no count
 }
 
+// Malformed response frames, which only the client parses. A response
+// header has a request header's layout with the status in the opcode byte.
+void ResponseMustFailWith(const std::string& frame, RespStatus want,
+                          const char* detail) {
+  Response resp;
+  const ParseOutcome r = ParseResponse(frame, &resp);
+  EXPECT_EQ(r.status, ParseStatus::kError);
+  EXPECT_EQ(r.error, want);
+  EXPECT_STREQ(r.error_detail, detail);
+}
+
+TEST(ProtocolMalformed, ResponseBadMagic) {
+  // A request's magic on an otherwise valid empty kOk response.
+  ResponseMustFailWith(Header(0x95, 0, 0, 0, 0), RespStatus::kBadRequest,
+                       "bad response magic");
+}
+
+TEST(ProtocolMalformed, ResponseUnknownStatus) {
+  // One past kServerError, the last status.
+  ResponseMustFailWith(Header(0x96, 5, 0, 0, 0), RespStatus::kBadRequest,
+                       "unknown response status");
+}
+
+TEST(ProtocolMalformed, ResponseBodyTooLarge) {
+  // Refused from the header alone: the client must not wait for the body.
+  ResponseMustFailWith(
+      Header(0x96, 0, 0, static_cast<uint32_t>(kMaxBodyLen) + 1, 0),
+      RespStatus::kTooLarge, "response body too large");
+}
+
 // ---------------------------------------------------------------------------
 // Connection: the session layer over a fake sink, fed like a socket would.
 
